@@ -13,7 +13,7 @@ from .config import RunConfig
 from .features import (FeatureMatrix, FrameConfig, MfccConfig,
                        NormalizationProfile, assemble_features, delta,
                        frame_signal, mfcc, rms, zcr)
-from .nn import Model, ModelSpec, RmsProp, rmsprop_step, softmax_xent
+from .nn import Model, ModelSpec, RmsProp, softmax_xent
 from .session import (SegmentRecord, SessionReport, classify_session,
                       filter_fan, load_manifest, render_report,
                       synthesize_session)

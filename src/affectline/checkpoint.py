@@ -16,9 +16,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import EMOTIONS
+from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
 from .errors import DataError
-from .features import FrameConfig, MfccConfig, NormalizationProfile
+from .features import DEFAULT_T_FIXED, FrameConfig, MfccConfig, NormalizationProfile
 from .nn import Model, ModelSpec
 
 MAGIC = b"AFL1"
@@ -45,11 +45,11 @@ class CheckpointTruncatedError(CheckpointError):
 class FeatureSettings:
     """Everything needed to re-extract features exactly as at train time."""
 
-    sample_rate_hz: int = 16000
+    sample_rate_hz: int = PIPELINE_SAMPLE_RATE
     resample_method: str = "sinc"
     frame: FrameConfig = FrameConfig()
     mfcc: MfccConfig = MfccConfig()
-    t_fixed: int = 300
+    t_fixed: int = DEFAULT_T_FIXED
 
     def to_dict(self) -> dict:
         return {

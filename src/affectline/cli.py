@@ -16,14 +16,14 @@ from pathlib import Path
 import numpy as np
 
 from . import session as session_mod
-from .audio_io import EMOTIONS, CorpusEmptyError, load_corpus, read_wav, scan_corpus
+from .audio_io import EMOTIONS, CorpusEmptyError, load_corpus, scan_corpus
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import AffectlineError, ConfigError, DataError, DivergenceError
-from .features import FEATURE_ROW_LABELS, assemble_features
+from .features import FEATURE_ROW_LABELS
 from .gradcheck import run_gradcheck
 from .svg import heatmap, line_chart
-from .train_eval import confusion_to_csv, evaluate, metrics_to_csv, train
+from .train_eval import confusion_to_csv, evaluate, extract_features, metrics_to_csv, train
 
 # dedicated flags that mirror config keys (flags win over file and --set)
 _KEY_FLAGS = (
@@ -159,9 +159,7 @@ def cmd_features(args, cfg: RunConfig) -> int:
     if not args.wav:
         raise ConfigError("--wav is required")
     settings = cfg.feature_settings()
-    clip = read_wav(args.wav, target_rate=settings.sample_rate_hz,
-                    resample_method=settings.resample_method)
-    fm = assemble_features(clip, settings.frame, settings.mfcc, settings.t_fixed)
+    fm = extract_features(args.wav, settings)
     lines = ["feature," + ",".join(f"frame_{i:03d}" for i in range(settings.t_fixed))]
     for label, row in zip(FEATURE_ROW_LABELS, fm.values):
         lines.append(label + "," + ",".join(f"{v:.8g}" for v in row))
@@ -236,7 +234,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("features", help="dump the feature matrix of one WAV as CSV")
-    _add_common(p, ("cache_dir", "t_fixed", "resample_method"))
+    _add_common(p, ("t_fixed", "resample_method"))
     p.add_argument("--wav", help="input WAV file")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_features)

@@ -21,44 +21,39 @@ from .nn import ModelSpec
 from .train_eval import TrainConfig, default_cache_dir
 
 
+# Component fields that are not config keys: nested settings, and model
+# dimensions that follow from the feature matrix and the class list.
+_NOT_KEYS = frozenset({"frame", "mfcc", "in_channels", "in_frames", "n_classes"})
+
+
+def _component_keys():
+    """(name, type, field) of each component key, defaulting to its class default."""
+    keys = []
+    for cls in (FeatureSettings, FrameConfig, MfccConfig, ModelSpec, TrainConfig):
+        defaults = cls()
+        for f in dataclasses.fields(cls):
+            if f.name in _NOT_KEYS:
+                continue
+            value = getattr(defaults, f.name)
+            if isinstance(value, tuple):  # conv_channels, as "64,64,..."
+                value = ",".join(str(v) for v in value)
+            keys.append((f.name, type(value), dataclasses.field(default=value)))
+    return keys
+
+
+_ComponentKeys = dataclasses.make_dataclass("_ComponentKeys", _component_keys())
+
+
 @dataclass
-class RunConfig:
-    # audio
-    sample_rate_hz: int = 16000
-    resample_method: str = "sinc"
-    # framing
-    frame_len_samples: int = 400
-    hop_samples: int = 160
-    window: str = "hamming"
-    # mel cepstrum
-    n_fft: int = 512
-    n_mels: int = 26
-    n_coeffs: int = 13
-    fmin_hz: float = 0.0
-    fmax_hz: float = 0.0  # 0 = Nyquist
-    log_floor: float = 1e-10
-    delta_window: int = 2
-    # feature matrix
-    t_fixed: int = 300
-    # model
-    conv_channels: str = "64,64,128,128,256,256"
-    kernel: int = 3
-    stride: int = 1
-    pad: int = 1
-    pool_width: int = 0  # 0 = global over remaining frames
-    pool_stride: int = 0  # 0 = pool width
-    # training
-    epochs: int = 300
-    batch_size: int = 25
-    lr: float = 1e-4
-    rho: float = 0.9
-    eps: float = 1e-8
-    seed: int = 42
-    split_ratio: float = 0.8
-    stratified: bool = True
-    shuffle_each_epoch: bool = True
-    early_stop_train_acc: float = 0.0
-    patience: int = 0
+class RunConfig(_ComponentKeys):
+    """Every key of a run.
+
+    The keys inherited from ``_ComponentKeys`` are the fields of
+    FeatureSettings, FrameConfig, MfccConfig, ModelSpec and TrainConfig,
+    under the same names and with the same defaults; ``conv_channels`` is
+    a comma-separated list. The keys below belong to the pipeline itself.
+    """
+
     # corpus filter
     filter_sex: str = "female"  # female | male | any
     filter_emotions: str = ",".join(EMOTIONS)
@@ -106,37 +101,31 @@ class RunConfig:
 
     # -- derived views -----------------------------------------------------
 
+    def _view(self, cls, **derived):
+        """A ``cls`` from the keys named like its fields, then ``derived``."""
+        values = {f.name: getattr(self, f.name)
+                  for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS}
+        return cls(**{**values, **derived})
+
     def frame_config(self) -> FrameConfig:
-        return FrameConfig(frame_len_samples=self.frame_len_samples,
-                           hop_samples=self.hop_samples, window=self.window)
+        return self._view(FrameConfig)
 
     def mfcc_config(self) -> MfccConfig:
-        return MfccConfig(n_fft=self.n_fft, n_mels=self.n_mels, n_coeffs=self.n_coeffs,
-                          fmin_hz=self.fmin_hz, fmax_hz=self.fmax_hz,
-                          log_floor=self.log_floor, delta_window=self.delta_window)
+        return self._view(MfccConfig)
 
     def feature_settings(self) -> FeatureSettings:
-        return FeatureSettings(sample_rate_hz=self.sample_rate_hz,
-                               resample_method=self.resample_method,
-                               frame=self.frame_config(), mfcc=self.mfcc_config(),
-                               t_fixed=self.t_fixed)
+        return self._view(FeatureSettings, frame=self.frame_config(),
+                          mfcc=self.mfcc_config())
 
     def model_spec(self) -> ModelSpec:
         try:
             channels = tuple(int(c) for c in self.conv_channels.split(",") if c.strip())
         except ValueError as exc:
             raise ConfigError(f"bad conv_channels {self.conv_channels!r}") from exc
-        return ModelSpec(in_channels=41, in_frames=self.t_fixed, conv_channels=channels,
-                         kernel=self.kernel, stride=self.stride, pad=self.pad,
-                         pool_width=self.pool_width, pool_stride=self.pool_stride)
+        return self._view(ModelSpec, in_frames=self.t_fixed, conv_channels=channels)
 
     def train_config(self) -> TrainConfig:
-        return TrainConfig(epochs=self.epochs, batch_size=self.batch_size, lr=self.lr,
-                           rho=self.rho, eps=self.eps, seed=self.seed,
-                           split_ratio=self.split_ratio, stratified=self.stratified,
-                           shuffle_each_epoch=self.shuffle_each_epoch,
-                           early_stop_train_acc=self.early_stop_train_acc,
-                           patience=self.patience)
+        return self._view(TrainConfig)
 
     def corpus_filter(self) -> CorpusFilter:
         if self.filter_sex not in ("female", "male", "any"):

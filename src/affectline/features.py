@@ -18,6 +18,10 @@ from .errors import ConfigError
 
 N_FEATURE_ROWS = 41
 DEFAULT_T_FIXED = 300
+# Part of every feature-cache key: bump it whenever a change to decoding,
+# resampling or this module alters the matrices extract_features returns, so
+# no cached matrix from older code is served.
+FEATURE_CODE_VERSION = 1
 
 FEATURE_ROW_LABELS = tuple(
     [f"mfcc_{i:02d}" for i in range(13)]
@@ -88,7 +92,7 @@ class NormalizationProfile:
     std: np.ndarray  # (41,), zero entries treated as 1
 
     def apply(self, values: np.ndarray, n_valid: int) -> np.ndarray:
-        """Standardize the valid columns in place-safe copy; padding stays zero."""
+        """Standardized copy of ``values``: valid columns only, padding stays zero."""
         out = values.copy()
         std = np.where(self.std > 0, self.std, 1.0)
         out[:, :n_valid] = (out[:, :n_valid] - self.mean[:, None]) / std[:, None]
@@ -213,13 +217,12 @@ def compute_normalization(matrices: list) -> NormalizationProfile:
 def assemble_features(clip: AudioClip,
                       frame_cfg: FrameConfig = FrameConfig(),
                       mfcc_cfg: MfccConfig = MfccConfig(),
-                      t_fixed: int = DEFAULT_T_FIXED,
-                      profile: NormalizationProfile | None = None) -> FeatureMatrix:
-    """Stack [mfcc; delta; delta-delta; zcr; rms] into a 41 x t_fixed matrix.
+                      t_fixed: int = DEFAULT_T_FIXED) -> FeatureMatrix:
+    """Stack [mfcc; delta; delta-delta; zcr; rms] into a raw 41 x t_fixed matrix.
 
-    Longer clips are truncated, shorter ones zero-padded on the right.
-    When a normalization profile is given, only the valid columns are
-    standardized so the padding invariant still holds.
+    Longer clips are truncated after the deltas are taken, shorter ones
+    zero-padded on the right. Normalization is applied later, when
+    matrices are batched for the model.
     """
     frames = frame_signal(clip, frame_cfg)
     coeffs = mfcc(frames, clip.sample_rate_hz, mfcc_cfg)
@@ -230,6 +233,4 @@ def assemble_features(clip: AudioClip,
     n_valid = min(stacked.shape[1], t_fixed)
     values = np.zeros((stacked.shape[0], t_fixed), dtype=np.float64)
     values[:, :n_valid] = stacked[:, :n_valid]
-    if profile is not None:
-        values = profile.apply(values, n_valid)
     return FeatureMatrix(values=values.astype(np.float32), n_valid_frames=n_valid)

@@ -3,7 +3,8 @@
 1-D convolution over time (feature rows are input channels), ReLU, max
 pooling, one fully connected head, softmax cross-entropy, and RMSProp.
 No autograd: every layer caches what its hand-derived backward pass
-needs. Training math is float32; gradient checks run the same code in
+needs on ``self``, so one layer or model instance must not run forwards
+concurrently. Training math is float32; gradient checks run the same code in
 float64.
 """
 
@@ -94,9 +95,8 @@ class Conv1d:
 
 class ReLU:
     def forward(self, x: np.ndarray) -> np.ndarray:
-        mask = x > 0  # local first: concurrent forwards stay correct
-        self._mask = mask
-        return x * mask
+        self._mask = x > 0
+        return x * self._mask
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         return grad_out * self._mask
@@ -134,15 +134,6 @@ class MaxPool1d:
 
     def out_len(self, t: int) -> int:
         return (t - self.width) // self.stride + 1
-
-
-class Flatten:
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._shape = x.shape
-        return x.reshape(x.shape[0], -1)
-
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out.reshape(self._shape)
 
 
 class FullyConnected:
@@ -187,16 +178,6 @@ def softmax_xent(logits: np.ndarray, targets) -> tuple:
     return loss, grad
 
 
-def rmsprop_step(param: np.ndarray, grad: np.ndarray, acc: np.ndarray,
-                 lr: float = 1e-4, rho: float = 0.9, eps: float = 1e-8) -> None:
-    """One in-place update: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/(sqrt(acc)+eps)."""
-    if param.shape != grad.shape or param.shape != acc.shape:
-        raise ShapeError("param/grad/accumulator shapes differ")
-    acc *= rho
-    acc += (1.0 - rho) * grad * grad
-    param -= lr * grad / (np.sqrt(acc) + eps)
-
-
 class RmsProp:
     """RMSProp over a named parameter set, one accumulator per tensor."""
 
@@ -205,11 +186,17 @@ class RmsProp:
         self.acc: dict[str, np.ndarray] = {}
 
     def step(self, named_params, named_grads: dict) -> None:
+        """In place per tensor: acc <- rho*acc + (1-rho)*g^2; p <- p - lr*g/(sqrt(acc)+eps)."""
         for name, param in named_params:
             if name not in self.acc:
                 self.acc[name] = np.zeros_like(param)
-            rmsprop_step(param, named_grads[name].astype(param.dtype, copy=False),
-                         self.acc[name], self.lr, self.rho, self.eps)
+            grad = named_grads[name].astype(param.dtype, copy=False)
+            acc = self.acc[name]
+            if param.shape != grad.shape or param.shape != acc.shape:
+                raise ShapeError(f"{name}: param/grad/accumulator shapes differ")
+            acc *= self.rho
+            acc += (1.0 - self.rho) * grad * grad
+            param -= self.lr * grad / (np.sqrt(acc) + self.eps)
 
 
 @dataclass(frozen=True)
@@ -217,7 +204,8 @@ class ModelSpec:
     """Architecture description: conv/ReLU pairs, one pool, one FC head.
 
     ``pool_width`` of 0 selects a global max pool over whatever time
-    length remains after the conv stack.
+    length remains after the conv stack; ``pool_stride`` of 0 means the
+    pool width.
     """
 
     in_channels: int = 41
@@ -271,9 +259,10 @@ class ModelSpec:
 class Model:
     """Conv/ReLU stack, max pool, flatten, FC head.
 
-    Forward on an unchanged parameter set is deterministic and each batch
-    row depends only on its own input. Training steps mutate parameters
-    and must not run concurrently.
+    Forward on an unchanged parameter set is deterministic. A batch row
+    depends only on its own input up to BLAS rounding: the same row's
+    logits at batch 25 and batch 1 can differ by a few 1e-6. Training
+    steps mutate parameters and must not run concurrently.
     """
 
     def __init__(self, spec: ModelSpec, seed=0, check: bool = False,
@@ -292,7 +281,6 @@ class Model:
         width = spec.pool_width or t
         self.pool = MaxPool1d(width, spec.pool_stride or None)
         pool_out = self.pool.out_len(t)
-        self.flatten = Flatten()
         self.fc = FullyConnected(in_ch * pool_out, spec.n_classes, rng=rng, dtype=dtype)
 
     def parameters(self):
@@ -322,8 +310,8 @@ class Model:
         h = x
         for conv, relu in zip(self.convs, self.relus):
             h = relu.forward(conv.forward(h))
-        h = self.flatten.forward(self.pool.forward(h))
-        logits = self.fc.forward(h)
+        h = self.pool.forward(h)
+        logits = self.fc.forward(h.reshape(h.shape[0], -1))
         if self.check:
             check_finite(logits, "logits")
         return logits
@@ -331,7 +319,7 @@ class Model:
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits)."""
         g = self.fc.backward(grad_logits)
-        g = self.pool.backward(self.flatten.backward(g))
+        g = self.pool.backward(g.reshape(g.shape[0], self.convs[-1].out_ch, -1))
         for conv, relu in zip(reversed(self.convs), reversed(self.relus)):
             g = conv.backward(relu.backward(g))
         grads = {}

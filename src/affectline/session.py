@@ -4,6 +4,9 @@ A session is described by a CSV manifest of labeled audio segments (one
 file per segment). Only FAN segments (female adult, near) are treated
 as approximations of the target speaker's speech and classified; the
 far-field variant FAF is excluded because loudness skews the features.
+Segments go through the same path as ``train_eval.evaluate``: raw matrices
+from ``assemble_features``, normalized by the checkpoint's profile in
+``train_eval._to_batch_array``, logits from ``train_eval.predict_logits``.
 Also provides a synthetic-session generator used as the test stand-in
 for unavailable in-the-wild recordings.
 """
@@ -16,9 +19,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE,
-                       AudioClip, AudioDecodeError, read_wav, write_wav)
-from .checkpoint import Checkpoint
+from . import train_eval
+from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioClip, AudioDecodeError,
+                       read_wav, write_wav)
+from .checkpoint import Checkpoint, FeatureSettings
 from .errors import DataError
 from .features import assemble_features
 from .svg import bar_chart
@@ -129,28 +133,27 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     With ``chunk_vote`` the clip is cut into feature-window-sized chunks
     that vote by majority (ties to the lowest class index); otherwise
     classification uses the leading window only, matching the feature
-    truncation rule.
+    truncation rule. The whole clip is passed in that case because the
+    matrix is truncated after the deltas are taken. All windows of one
+    segment go to the model in one batch.
     """
     model = ckpt.build_model()
     st = ckpt.features
     window = (st.t_fixed - 1) * st.frame.hop_samples + st.frame.frame_len_samples
 
-    def classify_samples(samples) -> int:
-        clip = AudioClip(samples=samples, sample_rate_hz=st.sample_rate_hz,
-                         source_path="<segment>")
-        fm = assemble_features(clip, st.frame, st.mfcc, st.t_fixed, ckpt.normalization)
-        logits = model.forward(fm.values[None, ...])
-        return int(np.argmax(logits[0]))
-
     def predict(record, clip: AudioClip) -> str:
-        if not chunk_vote or len(clip.samples) <= window:
-            return EMOTIONS[classify_samples(clip.samples)]
-        votes = np.zeros(len(EMOTIONS), dtype=np.int64)
-        for start in range(0, len(clip.samples), window):
-            chunk = clip.samples[start:start + window]
-            if len(chunk) < st.frame.frame_len_samples:
-                break
-            votes[classify_samples(chunk)] += 1
+        samples = clip.samples
+        if chunk_vote and len(samples) > window:
+            # a tail shorter than one frame casts no vote
+            pieces = [samples[start:start + window] for start in range(0, len(samples), window)
+                      if len(samples) - start >= st.frame.frame_len_samples]
+        else:
+            pieces = [samples]
+        matrices = [assemble_features(AudioClip(piece, st.sample_rate_hz, clip.source_path),
+                                      st.frame, st.mfcc, st.t_fixed) for piece in pieces]
+        x = train_eval._to_batch_array(matrices, ckpt.normalization)
+        votes = np.bincount(train_eval.predict_logits(model, x).argmax(axis=1),
+                            minlength=len(EMOTIONS))
         return EMOTIONS[int(np.argmax(votes))]
 
     return predict
@@ -173,11 +176,7 @@ def classify_session(ckpt: Checkpoint | None, records, *,
         if ckpt is None:
             raise DataError("classify_session needs a checkpoint or a predict callable")
         predict = checkpoint_predictor(ckpt, chunk_vote=chunk_vote)
-    if ckpt is not None:
-        target_rate = ckpt.features.sample_rate_hz
-        resample_method = ckpt.features.resample_method
-    else:
-        target_rate, resample_method = PIPELINE_SAMPLE_RATE, "sinc"
+    settings = ckpt.features if ckpt is not None else FeatureSettings()
 
     fan = filter_fan(records)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
@@ -185,8 +184,8 @@ def classify_session(ckpt: Checkpoint | None, records, *,
     n_failed = 0
     for record in fan:
         try:
-            clip = read_wav(record.audio_path, target_rate=target_rate,
-                            resample_method=resample_method)
+            clip = read_wav(record.audio_path, target_rate=settings.sample_rate_hz,
+                            resample_method=settings.resample_method)
         except AudioDecodeError:
             n_failed += 1
             continue

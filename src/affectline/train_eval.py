@@ -4,6 +4,10 @@ Corpus records are (audio path, emotion label) pairs. Feature matrices
 are extracted once per file (optionally disk-cached, keyed by content
 and configuration hashes) and normalization statistics come from the
 training split only.
+
+Train, evaluate and session classification share one path to the model:
+raw matrices from ``extract_features`` (or ``assemble_features``),
+normalized only in ``_to_batch_array``, then ``predict_logits``.
 """
 
 from __future__ import annotations
@@ -12,21 +16,22 @@ import concurrent.futures
 import hashlib
 import json
 import os
+import zipfile
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from .audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_wav
-from .checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
+from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
-from .features import FeatureMatrix, assemble_features, compute_normalization
+from .features import (FEATURE_CODE_VERSION, FeatureMatrix, assemble_features,
+                       compute_normalization)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
 __all__ = [
     "TrainConfig", "EpochStats", "Metrics", "split_dataset", "train", "evaluate",
-    "extract_all", "metrics_to_csv", "confusion_to_csv", "save_checkpoint",
-    "load_checkpoint", "default_cache_dir",
+    "extract_all", "metrics_to_csv", "confusion_to_csv", "default_cache_dir",
 ]
 
 
@@ -119,7 +124,8 @@ def default_cache_dir() -> Path:
 
 
 def _settings_token(settings: FeatureSettings) -> str:
-    blob = json.dumps(settings.to_dict(), sort_keys=True).encode()
+    key = {"code_version": FEATURE_CODE_VERSION, **settings.to_dict()}
+    blob = json.dumps(key, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -128,16 +134,21 @@ def extract_features(path, settings: FeatureSettings,
     """Extract the raw (unnormalized) feature matrix for one file.
 
     With ``cache_dir`` set, results are stored keyed by (file content
-    hash, settings hash); normalization always happens downstream so the
-    cache is split-independent.
+    hash, settings and feature code version hash); normalization always
+    happens downstream so the cache is split-independent. An entry that
+    cannot be read back is a miss and gets overwritten.
     """
     if cache_dir is not None:
         digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:20]
         key = f"{digest}-{_settings_token(settings)}.npz"
         cached = Path(cache_dir) / key
         if cached.exists():
-            with np.load(cached) as z:
-                return FeatureMatrix(values=z["values"], n_valid_frames=int(z["n_valid"]))
+            try:
+                with np.load(cached) as z:
+                    return FeatureMatrix(values=z["values"],
+                                         n_valid_frames=int(z["n_valid"]))
+            except (zipfile.BadZipFile, ValueError, EOFError, KeyError):
+                pass  # damaged entry: recompute below
     clip = read_wav(path, target_rate=settings.sample_rate_hz,
                     resample_method=settings.resample_method)
     fm = assemble_features(clip, settings.frame, settings.mfcc, settings.t_fixed)
@@ -181,6 +192,7 @@ def extract_all(records, settings: FeatureSettings, cache_dir=None, jobs: int = 
 
 
 def _to_batch_array(matrices, profile) -> np.ndarray:
+    """(N, 41, T) float32 model input: each matrix normalized in float64, then cast."""
     out = np.stack([
         profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile else m.values
         for m in matrices

@@ -7,6 +7,7 @@ from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS,
                                  FrameConfig, MfccConfig,
                                  assemble_features, compute_normalization,
                                  delta, frame_signal, mfcc, rms, zcr)
+from affectline.train_eval import _to_batch_array
 from conftest import sine
 
 
@@ -218,16 +219,17 @@ class TestAssemble:
         mats = [assemble_features(clip_of(0.3 * rng.standard_normal(16000)))
                 for _ in range(4)]
         profile = compute_normalization(mats)
-        fm = assemble_features(clip_of(0.3 * rng.standard_normal(16000)), profile=profile)
+        fm = assemble_features(clip_of(0.3 * rng.standard_normal(16000)))
+        x = _to_batch_array([fm], profile)[0]
         assert fm.n_valid_frames == 98
-        assert np.all(fm.values[:, 98:] == 0.0)
-        assert not np.allclose(fm.values[:, :98].mean(), 10.0)  # sanity: standardized
+        assert np.all(x[:, 98:] == 0.0)
+        assert not np.allclose(x[:, :98].mean(), 10.0)  # sanity: standardized
 
     def test_profile_zero_std_rows_safe(self):
         mats = [assemble_features(clip_of(np.zeros(16000))) for _ in range(2)]
         profile = compute_normalization(mats)
-        fm = assemble_features(clip_of(np.zeros(16000)), profile=profile)
-        assert np.all(np.isfinite(fm.values))
+        x = _to_batch_array([assemble_features(clip_of(np.zeros(16000)))], profile)
+        assert np.all(np.isfinite(x))
 
 
 def test_frame_config_validation():

@@ -2,8 +2,7 @@ import numpy as np
 import pytest
 
 from affectline.nn import (Conv1d, FullyConnected, MaxPool1d, Model,
-                           ModelSpec, ReLU, RmsProp, ShapeError, rmsprop_step,
-                           softmax_xent)
+                           ModelSpec, ReLU, RmsProp, ShapeError, softmax_xent)
 
 H = 1e-5
 
@@ -198,18 +197,25 @@ class TestSoftmaxXent:
         assert rel_err(grad, fd_grad(loss, logits)) < 1e-6
 
 
+def step_one_tensor(param, grad, acc, **hyper):
+    """One RmsProp.step on a single tensor whose accumulator is ``acc``."""
+    opt = RmsProp(**hyper)
+    opt.acc["p"] = acc
+    opt.step([("p", param)], {"p": grad})
+
+
 class TestRmsProp:
     def test_zero_gradient_decays_accumulator_only(self):
         p = np.array([1.0, -2.0])
         acc = np.array([0.4, 0.8])
-        rmsprop_step(p, np.zeros(2), acc, lr=1e-4, rho=0.9)
+        step_one_tensor(p, np.zeros(2), acc, lr=1e-4, rho=0.9)
         np.testing.assert_array_equal(p, np.array([1.0, -2.0]))
         np.testing.assert_allclose(acc, np.array([0.36, 0.72]))
 
     def test_first_step_closed_form(self):
         p = np.zeros(1)
         acc = np.zeros(1)
-        rmsprop_step(p, np.ones(1), acc, lr=1e-4, rho=0.9, eps=1e-8)
+        step_one_tensor(p, np.ones(1), acc, lr=1e-4, rho=0.9, eps=1e-8)
         assert p[0] == pytest.approx(-1e-4 / (np.sqrt(0.1) + 1e-8), rel=1e-12)
 
     def test_constant_gradient_converges_to_lr_magnitude(self):
@@ -219,7 +225,7 @@ class TestRmsProp:
         last = 0.0
         for _ in range(400):
             before = p[0]
-            rmsprop_step(p, g, acc, lr=1e-4, rho=0.9, eps=1e-8)
+            step_one_tensor(p, g, acc, lr=1e-4, rho=0.9, eps=1e-8)
             last = before - p[0]
         assert last == pytest.approx(1e-4, rel=1e-3)  # s -> g^2, step -> lr*sign(g)
 
@@ -228,12 +234,12 @@ class TestRmsProp:
         p = rng.standard_normal(50)
         acc = np.zeros(50)
         for _ in range(100):
-            rmsprop_step(p, rng.standard_normal(50), acc)
+            step_one_tensor(p, rng.standard_normal(50), acc)
             assert np.all(acc >= 0)
 
     def test_optimizer_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            rmsprop_step(np.zeros(3), np.zeros(4), np.zeros(3))
+            step_one_tensor(np.zeros(3), np.zeros(4), np.zeros(3))
 
     def test_named_optimizer_tracks_state(self):
         opt = RmsProp(lr=1e-4)

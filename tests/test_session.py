@@ -2,11 +2,15 @@ import numpy as np
 import pytest
 
 from affectline.audio_io import EMOTION_INDEX, EMOTIONS, AudioClip, read_wav
+from affectline.checkpoint import Checkpoint, FeatureSettings
 from affectline.errors import DataError
+from affectline.features import assemble_features, compute_normalization
+from affectline.nn import Model, ModelSpec
 from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
                                 load_truth, render_report, sample_for_audit,
                                 synthesize_session)
+from affectline.train_eval import evaluate
 from conftest import class_tone, sine
 
 
@@ -214,8 +218,6 @@ class TestClassifySession:
     def test_chunk_vote_on_long_segment(self, tmp_path):
         # untrained checkpoint: the contract here is only that voting over
         # feature-window chunks runs and aggregates into a single label
-        from affectline.checkpoint import Checkpoint, FeatureSettings
-        from affectline.nn import Model, ModelSpec
         spec = ModelSpec(in_channels=41, in_frames=100,
                          conv_channels=(4, 4, 4, 4, 4, 4))
         model = Model(spec, seed=0)
@@ -229,6 +231,29 @@ class TestClassifySession:
         plain = classify_session(ckpt, records)
         voted = classify_session(ckpt, records, chunk_vote=True)
         assert plain.counts.sum() == 1 and voted.counts.sum() == 1
+
+    def test_model_input_matches_evaluate(self, tmp_path, monkeypatch):
+        spec = ModelSpec(in_frames=100, conv_channels=(4, 4, 4, 4, 4, 4))
+        settings = FeatureSettings(t_fixed=100)
+        rng = np.random.default_rng(4)
+        profile = compute_normalization(
+            [assemble_features(clip_of(0.3 * rng.standard_normal(16000)), t_fixed=100)
+             for _ in range(3)])
+        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
+                          opt_acc={}, features=settings, normalization=profile)
+        short = clip_of(class_tone(2, rng, 0.5))  # shorter than one feature window
+        bundle = synthesize_session([(short, EMOTIONS[2])], tmp_path / "s", seed=0)
+        records = load_manifest(bundle.manifest_path).records
+        inputs = []
+        forward = Model.forward
+        monkeypatch.setattr(Model, "forward",
+                            lambda self, x: inputs.append(x.copy()) or forward(self, x))
+        classify_session(ckpt, records)
+        evaluate(ckpt, [(records[0].audio_path, EMOTIONS[2])])
+        classified, evaluated = inputs
+        assert classified.shape == evaluated.shape == (1, 41, 100)
+        assert classified.dtype == evaluated.dtype == np.float32
+        assert classified.tobytes() == evaluated.tobytes()
 
 
 class TestRenderReport:

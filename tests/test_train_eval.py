@@ -1,6 +1,9 @@
+import io
+
 import numpy as np
 import pytest
 
+from affectline import features, train_eval
 from affectline.audio_io import EMOTIONS
 from affectline.checkpoint import (Checkpoint, CheckpointMagicError,
                                    CheckpointTruncatedError,
@@ -245,6 +248,44 @@ class TestFeatureCache:
         other = FeatureSettings(t_fixed=100, mfcc=MfccConfig(n_mels=24))
         extract_features(path, other, cache)
         assert len(list(cache.iterdir())) == n_before + 1
+
+    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "missing_array"])
+    def test_damaged_entry_is_a_miss(self, synthetic_corpus, tmp_path, damage):
+        _, records = synthetic_corpus
+        cache = tmp_path / "cache"
+        path = records[0][0]
+        cold = extract_features(path, TINY_SETTINGS, cache)
+        (entry,) = cache.iterdir()
+        partial = io.BytesIO()
+        np.savez(partial, values=cold.values)
+        entry.write_bytes({"truncated": entry.read_bytes()[:-100],
+                           "garbage": b"not an npz archive\n" * 20,
+                           "empty": b"",
+                           "missing_array": partial.getvalue()}[damage])
+        again = extract_features(path, TINY_SETTINGS, cache)
+        assert again.n_valid_frames == cold.n_valid_frames
+        assert again.values.dtype == cold.values.dtype
+        assert again.values.tobytes() == cold.values.tobytes()
+        with np.load(entry) as z:  # rewritten in full
+            assert z["values"].tobytes() == cold.values.tobytes()
+            assert int(z["n_valid"]) == cold.n_valid_frames
+
+    def test_feature_code_version_is_part_of_key(self, synthetic_corpus, tmp_path,
+                                                  monkeypatch):
+        _, records = synthetic_corpus
+        cache = tmp_path / "cache"
+        path = records[0][0]
+        extract_features(path, TINY_SETTINGS, cache)
+        decoded = []
+        read_wav = train_eval.read_wav
+        monkeypatch.setattr(train_eval, "read_wav",
+                            lambda *a, **k: decoded.append(a[0]) or read_wav(*a, **k))
+        extract_features(path, TINY_SETTINGS, cache)
+        assert decoded == []  # warm hit
+        monkeypatch.setattr(train_eval, "FEATURE_CODE_VERSION",
+                            features.FEATURE_CODE_VERSION + 1)
+        extract_features(path, TINY_SETTINGS, cache)
+        assert decoded == [path]
 
     def test_parallel_extraction_matches_serial(self, synthetic_corpus):
         _, records = synthetic_corpus
