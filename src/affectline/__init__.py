@@ -6,7 +6,7 @@ emotion distributions over labeled segment corpora.
 """
 
 from .audio_io import (AudioClip, CorpusFilter, EMOTIONS, EMOTION_INDEX,
-                       RavdessMeta, load_corpus, parse_ravdess_name, read_wav,
+                       RavdessMeta, parse_ravdess_name, read_wav,
                        render_ravdess_name, resample, scan_corpus, write_wav)
 from .checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from .config import RunConfig

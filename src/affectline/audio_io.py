@@ -1,4 +1,4 @@
-"""Audio decoding and corpus loading.
+"""Audio decoding and corpus scanning.
 
 Decodes RIFF/WAVE PCM files into a canonical representation (mono,
 16 kHz, float amplitudes in [-1, 1]) and scans RAVDESS-style trees
@@ -18,6 +18,7 @@ import numpy as np
 from .errors import DataError
 
 PIPELINE_SAMPLE_RATE = 16000
+MIN_SAMPLE_RATE, MAX_SAMPLE_RATE = 1000, 384000  # accepted WAV header rates
 
 # Canonical class set, index 0..5. All label arrays, logits, confusion
 # matrices and report rows follow this ordering.
@@ -57,7 +58,7 @@ class OutOfScopeEmotionError(DataError):
 
 
 class CorpusEmptyError(DataError):
-    """A corpus scan or load produced no usable records."""
+    """A corpus scan or decode produced no usable records."""
 
 
 @dataclass(frozen=True)
@@ -111,14 +112,6 @@ class CorpusFilter:
         return meta.emotion in self.emotions and meta.vocal_channel in self.vocal_channels
 
 
-@dataclass
-class CorpusLoadResult:
-    """Decoded corpus plus per-file failures that did not abort the load."""
-
-    items: list  # list of (AudioClip, emotion label)
-    failures: list  # list of (path, exception)
-
-
 # ---------------------------------------------------------------------------
 # WAV decoding
 # ---------------------------------------------------------------------------
@@ -160,6 +153,8 @@ def _decode_pcm(data: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
     if fmt_code == 3:  # IEEE float
         if bits == 32:
             x = np.frombuffer(_whole_frames(data, 4), dtype="<f4").astype(np.float64)
+            if not np.isfinite(x).all():
+                raise UnsupportedEncodingError(f"{path}: NaN or infinite float samples")
             return np.clip(x, -1.0, 1.0)
         raise UnsupportedEncodingError(f"{path}: {bits}-bit float PCM is not supported")
     raise UnsupportedEncodingError(f"{path}: WAV format code {fmt_code} is not supported")
@@ -172,12 +167,13 @@ def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE,
     Stereo input is downmixed by channel average. Rate conversion uses a
     windowed-sinc filter (or linear interpolation when ``resample_method``
     is ``"linear"``). Raises UnreadableFileError, UnsupportedEncodingError
-    or EmptyAudioError.
+    (also for NaN/Inf float samples and header rates outside
+    MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or EmptyAudioError.
     """
     path = Path(path)
     try:
         raw = path.read_bytes()
-    except OSError as exc:
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
         raise UnreadableFileError(f"{path}: {exc}") from exc
 
     chunks = _parse_riff_chunks(raw, str(path))
@@ -191,8 +187,11 @@ def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE,
         (fmt_code,) = struct.unpack_from("<H", fmt, 24)
     if n_channels not in (1, 2):
         raise UnsupportedEncodingError(f"{path}: {n_channels} channels (only 1-2 supported)")
-    if rate <= 0:
-        raise UnreadableFileError(f"{path}: invalid sample rate {rate}")
+    if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
+        # the resampler's filter grows with the rate: refuse a corrupt header
+        # before it asks for gigabytes
+        raise UnsupportedEncodingError(
+            f"{path}: sample rate {rate} Hz outside {MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE}")
 
     samples = _decode_pcm(chunks[b"data"], fmt_code, bits, str(path))
     if n_channels == 2:
@@ -227,6 +226,9 @@ def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
 _SINC_ZEROS = 32
 _KAISER_BETA = 8.6
 _CHUNK = 8192
+# Most taps held at once, in one chunk or in a cached bank: a co-prime rate
+# pair such as 95999 -> 16000 Hz has 16000 phases of 387 taps each.
+_MAX_TAPS = 1 << 21
 
 
 def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
@@ -243,16 +245,22 @@ def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
 
 @functools.lru_cache(maxsize=8)
 def _polyphase_bank(sr_in: int, sr_out: int):
-    """Per-phase filter taps; integer rates give up = sr_out/gcd phases."""
+    """Filter geometry and per-phase taps; integer rates give up = sr_out/gcd phases.
+
+    The bank is None when its up x taps values would exceed _MAX_TAPS;
+    ``resample`` then computes the taps of the phases each chunk uses.
+    """
     g = np.gcd(sr_in, sr_out)
     up, down = sr_out // g, sr_in // g
     scale = min(1.0, sr_out / sr_in)  # anti-alias cutoff relative to input rate
     half_width = _SINC_ZEROS / scale
     pad = int(np.ceil(half_width)) + 1
     offsets = np.arange(-pad, pad + 1)
-    fracs = np.arange(up) / up  # fractional input position per output phase
-    bank = _tap_values(fracs, offsets, scale, half_width)
-    return up, down, pad, offsets, bank
+    bank = None
+    if up * len(offsets) <= _MAX_TAPS:
+        fracs = np.arange(up) / up  # fractional input position per output phase
+        bank = _tap_values(fracs, offsets, scale, half_width)
+    return up, down, pad, offsets, scale, half_width, bank
 
 
 def resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np.ndarray:
@@ -274,13 +282,16 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np
     if method != "sinc":
         raise ValueError(f"unknown resample method {method!r}")
 
-    up, down, pad, offsets, bank = _polyphase_bank(sr_in, sr_out)
+    up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
+    rows = max(1, min(_CHUNK, _MAX_TAPS // len(offsets)))
     xp = np.pad(x, (pad, pad))
     out = np.empty(n_out)
-    for start in range(0, n_out, _CHUNK):
-        n = np.arange(start, min(start + _CHUNK, n_out), dtype=np.int64)
+    for start in range(0, n_out, rows):
+        n = np.arange(start, min(start + rows, n_out), dtype=np.int64)
         k0 = (n * down) // up  # integer input position
-        taps = bank[(n * down) % up]
+        phase = (n * down) % up
+        taps = (bank[phase] if bank is not None
+                else _tap_values(phase / up, offsets, scale, half_width))
         seg = xp[(k0[:, None] + pad) + offsets[None, :]]
         out[n[0]:n[-1] + 1] = (seg * taps).sum(axis=1)
     return out
@@ -347,7 +358,7 @@ def render_ravdess_name(meta: RavdessMeta) -> str:
 
 
 # ---------------------------------------------------------------------------
-# Corpus scanning and loading
+# Corpus scanning
 # ---------------------------------------------------------------------------
 
 def scan_corpus(root, filt: CorpusFilter = CorpusFilter()) -> list:
@@ -370,26 +381,3 @@ def scan_corpus(root, filt: CorpusFilter = CorpusFilter()) -> list:
             records.append((path, meta))
     return records
 
-
-def load_corpus(root, filt: CorpusFilter = CorpusFilter(),
-                target_rate: int = PIPELINE_SAMPLE_RATE,
-                resample_method: str = "sinc") -> CorpusLoadResult:
-    """Scan and decode a corpus tree into (AudioClip, emotion) pairs.
-
-    Individual decode failures are collected in ``failures`` instead of
-    aborting the load; an empty result set raises CorpusEmptyError.
-    """
-    records = scan_corpus(root, filt)
-    if not records:
-        raise CorpusEmptyError(f"no records under {root} match the filter {filt}")
-    items, failures = [], []
-    for path, meta in records:
-        try:
-            clip = read_wav(path, target_rate=target_rate, resample_method=resample_method)
-        except AudioDecodeError as exc:
-            failures.append((path, exc))
-            continue
-        items.append((clip, meta.emotion))
-    if not items:
-        raise CorpusEmptyError(f"all {len(records)} matching files under {root} failed to decode")
-    return CorpusLoadResult(items=items, failures=failures)

@@ -17,9 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import DEFAULT_T_FIXED, FrameConfig, MfccConfig, NormalizationProfile
-from .nn import Model, ModelSpec
+from .nn import Model, ModelSpec, ShapeError
 
 MAGIC = b"AFL1"
 FORMAT_VERSION = 1
@@ -50,15 +50,6 @@ class FeatureSettings:
     frame: FrameConfig = FrameConfig()
     mfcc: MfccConfig = MfccConfig()
     t_fixed: int = DEFAULT_T_FIXED
-
-    def to_dict(self) -> dict:
-        return {
-            "sample_rate_hz": self.sample_rate_hz,
-            "resample_method": self.resample_method,
-            "frame": asdict(self.frame),
-            "mfcc": asdict(self.mfcc),
-            "t_fixed": self.t_fixed,
-        }
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureSettings":
@@ -97,8 +88,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensors = _tensor_items(ckpt)
     header = {
         "version": FORMAT_VERSION,
-        "model_spec": ckpt.model_spec.to_dict(),
-        "features": ckpt.features.to_dict(),
+        "model_spec": asdict(ckpt.model_spec),
+        "features": asdict(ckpt.features),
         "normalization": None if ckpt.normalization is None else {
             "mean": ckpt.normalization.mean.tolist(),
             "std": ckpt.normalization.std.tolist(),
@@ -113,7 +104,11 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    raw = Path(path).read_bytes()
+    """Read a checkpoint; any unreadable, damaged or malformed file raises CheckpointError."""
+    try:
+        raw = Path(path).read_bytes()
+    except OSError as exc:
+        raise CheckpointError(f"{path}: {exc}") from exc
     if len(raw) < 4 or raw[:4] != MAGIC:
         raise CheckpointMagicError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
     if len(raw) < 8:
@@ -127,24 +122,31 @@ def load_checkpoint(path) -> Checkpoint:
         header = json.loads(raw[8:8 + head_len].decode())
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
-    if header.get("version") != FORMAT_VERSION:
+    version = header.get("version") if isinstance(header, dict) else None
+    if version != FORMAT_VERSION:
         raise CheckpointVersionError(
-            f"{path}: format version {header.get('version')!r}, expected {FORMAT_VERSION}"
+            f"{path}: format version {version!r}, expected {FORMAT_VERSION}"
         )
+    try:
+        return _from_header(header, memoryview(raw)[8 + head_len:], path)
+    except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
+            ConfigError, ShapeError) as exc:
+        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
 
+
+def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
     expected = sum(int(np.prod(t["shape"])) * 4 for t in header["tensors"])
-    actual = len(raw) - 8 - head_len
-    if actual != expected:
+    if len(body) != expected:
         raise CheckpointTruncatedError(
-            f"{path}: expected {expected} tensor bytes, got {actual}"
+            f"{path}: expected {expected} tensor bytes, got {len(body)}"
         )
 
     params, opt_acc = {}, {}
-    offset = 8 + head_len
+    offset = 0
     for entry in header["tensors"]:
         shape = tuple(entry["shape"])
         count = int(np.prod(shape))
-        arr = np.frombuffer(raw, dtype="<f4", count=count, offset=offset)
+        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
         arr = arr.reshape(shape).copy()
         offset += count * 4
         name = entry["name"]

@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import session as session_mod
-from .audio_io import EMOTIONS, CorpusEmptyError, load_corpus, scan_corpus
+from .audio_io import EMOTIONS, AudioDecodeError, CorpusEmptyError, read_wav, scan_corpus
 from .checkpoint import load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .errors import AffectlineError, ConfigError, DataError, DivergenceError
@@ -25,16 +25,15 @@ from .gradcheck import run_gradcheck
 from .svg import heatmap, line_chart
 from .train_eval import confusion_to_csv, evaluate, extract_features, metrics_to_csv, train
 
-# dedicated flags that mirror config keys (flags win over file and --set)
-_KEY_FLAGS = (
-    "corpus", "manifest", "checkpoint", "out", "seed", "epochs", "batch_size",
-    "lr", "split_ratio", "jobs", "cache_dir", "t_fixed", "resample_method",
-    "filter_sex", "filter_emotions", "vocal_channels", "early_stop_train_acc",
-    "patience",
-)
+_FILTER_KEYS = ("filter_sex", "filter_emotions", "vocal_channels")
 
 
 def _add_common(parser: argparse.ArgumentParser, keys) -> None:
+    """--config, --set, and one dedicated flag per config key the command reads.
+
+    Dedicated flags win over the file and --set; any key can still be set
+    with --set, so an echoed config.txt loads under every command.
+    """
     parser.add_argument("--config", help="key = value configuration file")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         help="override any configuration key (repeatable)")
@@ -52,12 +51,9 @@ def _effective_config(args) -> RunConfig:
         key, _, value = item.partition("=")
         overrides[key.strip()] = value.strip()
     cfg = cfg.with_overrides(overrides)
-    flag_overrides = {}
-    for key in _KEY_FLAGS:
-        value = getattr(args, f"key_{key}", None)
-        if value is not None:
-            flag_overrides[key] = value
-    return cfg.with_overrides(flag_overrides)
+    flags = {name[len("key_"):]: value for name, value in vars(args).items()
+             if name.startswith("key_") and value is not None}
+    return cfg.with_overrides(flags)
 
 
 def _require(cfg: RunConfig, key: str) -> str:
@@ -118,6 +114,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     records = _corpus_records(cfg)
     metrics = evaluate(ckpt, records, cache_dir=cfg.resolve_cache_dir(),
                        jobs=cfg.resolve_jobs())
+    if metrics.n_test < len(records):
+        print(f"decode failures: {len(records) - metrics.n_test}", file=sys.stderr)
     _echo_config(cfg, out_dir)
     (out_dir / "eval.csv").write_text(
         f"accuracy,n_records\n{metrics.accuracy:.6f},{metrics.n_test}\n",
@@ -186,13 +184,18 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
-    result = load_corpus(_require(cfg, "corpus"), cfg.corpus_filter(),
-                         target_rate=cfg.sample_rate_hz,
-                         resample_method=cfg.resample_method)
+    items = []
+    for path, label in _corpus_records(cfg):
+        try:
+            items.append((read_wav(path, cfg.sample_rate_hz, cfg.resample_method), label))
+        except AudioDecodeError as exc:
+            print(f"decode failure: {exc}", file=sys.stderr)
+    if not items:
+        raise CorpusEmptyError(f"every matching file under {cfg.corpus} failed to decode")
     rng = np.random.default_rng(cfg.seed)
     n = args.n_segments
-    idx = rng.choice(len(result.items), size=n, replace=n > len(result.items))
-    chosen = [result.items[int(i)] for i in idx]
+    idx = rng.choice(len(items), size=n, replace=n > len(items))
+    chosen = [items[int(i)] for i in idx]
     _echo_config(cfg, out_dir)
     bundle = session_mod.synthesize_session(chosen, out_dir,
                                             session_id=args.session_id,
@@ -222,15 +225,17 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a labeled corpus")
-    _add_common(p, _KEY_FLAGS)
+    _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "split_ratio",
+                    "jobs", "cache_dir", "t_fixed", "resample_method", *_FILTER_KEYS,
+                    "early_stop_train_acc", "patience"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_common(p, _KEY_FLAGS)
+    _add_common(p, ("corpus", "checkpoint", "out", "jobs", "cache_dir", *_FILTER_KEYS))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="classify manifest sessions")
-    _add_common(p, _KEY_FLAGS)
+    _add_common(p, ("checkpoint", "manifest", "out"))
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("features", help="dump the feature matrix of one WAV as CSV")
@@ -245,7 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="build a synthetic FAN session from a corpus")
-    _add_common(p, _KEY_FLAGS)
+    _add_common(p, ("corpus", "out", "seed", "resample_method", *_FILTER_KEYS))
     p.add_argument("--n-segments", type=int, default=10)
     p.add_argument("--snr-db", type=float, default=None,
                    help="mix white noise at this SNR (omit for clean segments)")

@@ -21,7 +21,7 @@ DEFAULT_T_FIXED = 300
 # Part of every feature-cache key: bump it whenever a change to decoding,
 # resampling or this module alters the matrices extract_features returns, so
 # no cached matrix from older code is served.
-FEATURE_CODE_VERSION = 1
+FEATURE_CODE_VERSION = 2
 
 FEATURE_ROW_LABELS = tuple(
     [f"mfcc_{i:02d}" for i in range(13)]
@@ -124,10 +124,6 @@ def frame_signal(clip: AudioClip, cfg: FrameConfig = FrameConfig()) -> np.ndarra
 
 def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
-
-
-def mel_to_hz(m):
-    return 700.0 * (10.0 ** (np.asarray(m, dtype=np.float64) / 2595.0) - 1.0)
 
 
 @functools.lru_cache(maxsize=8)

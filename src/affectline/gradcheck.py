@@ -144,7 +144,7 @@ SMALL_SPEC = ModelSpec(in_channels=41, in_frames=20,
 def check_full_model(seed: int, spec: ModelSpec = SMALL_SPEC) -> float:
     """FD check of the softmax loss against every parameter of a small model."""
     rng = np.random.default_rng(seed)
-    model = Model(spec, seed=seed, check=False, dtype=np.float64)
+    model = Model(spec, seed=seed, dtype=np.float64)
     targets = rng.integers(0, spec.n_classes, size=2)
     for _ in range(50):
         x = rng.uniform(-1.0, 1.0, size=(2, spec.in_channels, spec.in_frames))

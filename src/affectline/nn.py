@@ -23,15 +23,6 @@ class ShapeError(AffectlineError):
     """Operand shapes incompatible with a layer contract."""
 
 
-class NonFiniteError(AffectlineError):
-    """NaN or Inf encountered with finite-checking enabled."""
-
-
-def check_finite(arr: np.ndarray, context: str) -> None:
-    if not np.all(np.isfinite(arr)):
-        raise NonFiniteError(f"non-finite values in {context}")
-
-
 def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
@@ -88,9 +79,6 @@ class Conv1d:
         for i in range(self.kernel):
             dxp[:, :, i:i + self.stride * t_out:self.stride] += dwin[:, :, :, i]
         return dxp[:, :, self.pad:self.pad + t] if self.pad else dxp
-
-    def out_len(self, t: int) -> int:
-        return (t + 2 * self.pad - self.kernel) // self.stride + 1
 
 
 class ReLU:
@@ -236,19 +224,6 @@ class ModelSpec:
             t = (t + 2 * self.pad - self.kernel) // self.stride + 1
         return t
 
-    def to_dict(self) -> dict:
-        return {
-            "in_channels": self.in_channels,
-            "in_frames": self.in_frames,
-            "conv_channels": list(self.conv_channels),
-            "kernel": self.kernel,
-            "stride": self.stride,
-            "pad": self.pad,
-            "pool_width": self.pool_width,
-            "pool_stride": self.pool_stride,
-            "n_classes": self.n_classes,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         d = dict(d)
@@ -265,10 +240,8 @@ class Model:
     steps mutate parameters and must not run concurrently.
     """
 
-    def __init__(self, spec: ModelSpec, seed=0, check: bool = False,
-                 dtype=np.float32):
+    def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
         self.spec = spec
-        self.check = check
         rng = np.random.default_rng(seed)
         self.convs = []
         in_ch = spec.in_channels
@@ -311,10 +284,7 @@ class Model:
         for conv, relu in zip(self.convs, self.relus):
             h = relu.forward(conv.forward(h))
         h = self.pool.forward(h)
-        logits = self.fc.forward(h.reshape(h.shape[0], -1))
-        if self.check:
-            check_finite(logits, "logits")
-        return logits
+        return self.fc.forward(h.reshape(h.shape[0], -1))
 
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits)."""

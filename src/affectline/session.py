@@ -80,44 +80,48 @@ def load_manifest(path) -> ManifestLoadResult:
     """
     path = Path(path)
     try:
-        fh = path.open(newline="", encoding="utf-8")
+        with path.open(newline="", encoding="utf-8") as fh:
+            return _parse_manifest(csv.DictReader(fh), path)
     except OSError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
-    with fh:
-        reader = csv.DictReader(fh)
-        missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
-        if missing:
-            raise ManifestError(f"{path}: missing columns {', '.join(missing)}")
-        records, row_errors, unknown = [], [], 0
-        for row in reader:
-            line = reader.line_num
-            try:
-                start_s = float(row["start_s"])
-                end_s = float(row["end_s"])
-            except (TypeError, ValueError):
-                row_errors.append((line, "start_s/end_s not numeric"))
-                continue
-            if end_s <= start_s:
-                row_errors.append((line, f"end_s {end_s} <= start_s {start_s}"))
-                continue
-            if not row["segment_id"] or not row["session_id"]:
-                row_errors.append((line, "empty session_id or segment_id"))
-                continue
-            label = (row["source_label"] or "").strip().upper()
-            if label not in SOURCE_LABELS:
-                unknown += 1
-                label = "OTHER"
-            audio = Path(row["audio_path"])
-            if not audio.is_absolute():
-                audio = path.parent / audio
-            records.append(SegmentRecord(
-                session_id=row["session_id"],
-                segment_id=row["segment_id"],
-                source_label=label,
-                audio_path=str(audio),
-                start_s=start_s,
-                end_s=end_s,
-            ))
+    except (UnicodeDecodeError, csv.Error) as exc:
+        raise ManifestError(f"{path}: not a UTF-8 CSV manifest: {exc}") from exc
+
+
+def _parse_manifest(reader: csv.DictReader, path: Path) -> ManifestLoadResult:
+    missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
+    if missing:
+        raise ManifestError(f"{path}: missing columns {', '.join(missing)}")
+    records, row_errors, unknown = [], [], 0
+    for row in reader:
+        line = reader.line_num
+        try:
+            start_s = float(row["start_s"])
+            end_s = float(row["end_s"])
+        except (TypeError, ValueError):
+            row_errors.append((line, "start_s/end_s not numeric"))
+            continue
+        if not end_s > start_s:  # also rejects NaN
+            row_errors.append((line, f"end_s {end_s} <= start_s {start_s}"))
+            continue
+        if not row["segment_id"] or not row["session_id"] or not row["audio_path"]:
+            row_errors.append((line, "empty session_id, segment_id or audio_path"))
+            continue
+        label = (row["source_label"] or "").strip().upper()
+        if label not in SOURCE_LABELS:
+            unknown += 1
+            label = "OTHER"
+        audio = Path(row["audio_path"])
+        if not audio.is_absolute():
+            audio = path.parent / audio
+        records.append(SegmentRecord(
+            session_id=row["session_id"],
+            segment_id=row["segment_id"],
+            source_label=label,
+            audio_path=str(audio),
+            start_s=start_s,
+            end_s=end_s,
+        ))
     return ManifestLoadResult(records=records, row_errors=row_errors,
                               unknown_label_count=unknown)
 

@@ -17,7 +17,7 @@ import hashlib
 import json
 import os
 import zipfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -124,7 +124,7 @@ def default_cache_dir() -> Path:
 
 
 def _settings_token(settings: FeatureSettings) -> str:
-    key = {"code_version": FEATURE_CODE_VERSION, **settings.to_dict()}
+    key = {"code_version": FEATURE_CODE_VERSION, **asdict(settings)}
     blob = json.dumps(key, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -312,20 +312,16 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     return ckpt, metrics
 
 
-def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1,
-             settings_override: FeatureSettings | None = None) -> Metrics:
+def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metrics:
     """Confusion matrix and accuracy of a checkpoint over (path, label) records.
 
-    Features are extracted with the checkpoint's own settings; passing a
-    conflicting override raises ConfigError. An empty record list is an
-    error rather than a NaN accuracy.
+    Features are extracted with the checkpoint's own settings. Records that
+    fail to decode are left out, so ``n_test`` can be below the record
+    count. An empty record list is an error rather than a NaN accuracy.
     """
     records = list(records)
     if not records:
         raise DataError("no records to evaluate")
-    if settings_override is not None and settings_override != ckpt.features:
-        raise ConfigError("feature settings differ from the checkpoint's; "
-                          "re-extract with the checkpoint configuration")
     kept, mats, failures = extract_all(records, ckpt.features, cache_dir, jobs)
     if not kept:
         raise DataError("all records failed to decode")

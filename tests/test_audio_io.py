@@ -1,12 +1,16 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from affectline import audio_io
 from affectline.audio_io import (CorpusFilter, CorpusEmptyError, EmptyAudioError,
                                  MalformedNameError, OutOfScopeEmotionError,
                                  UnreadableFileError, UnsupportedEncodingError,
-                                 load_corpus, parse_ravdess_name, read_wav,
+                                 parse_ravdess_name, read_wav,
                                  render_ravdess_name, resample, scan_corpus,
                                  write_wav)
+from affectline.cli import main
 from conftest import make_wav_bytes, sine, write_test_wav
 
 
@@ -78,6 +82,31 @@ class TestReadWav:
         with pytest.raises(UnsupportedEncodingError):
             read_wav(path)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_float_samples_rejected(self, tmp_path, bad):
+        x = sine(500, 0.1, amp=0.5)
+        x[17] = bad
+        path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
+        with pytest.raises(UnsupportedEncodingError, match="NaN or infinite"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("rate", [0, 999, 384001, 4_000_000_000])
+    def test_out_of_range_rate_rejected_before_resampling(self, tmp_path, monkeypatch, rate):
+        def refuse(*args, **kwargs):
+            raise AssertionError("resample called")
+        monkeypatch.setattr(audio_io, "resample", refuse)
+        raw = bytearray(make_wav_bytes(np.zeros(100)))
+        raw[24:28] = rate.to_bytes(4, "little")
+        path = tmp_path / "rate.wav"
+        path.write_bytes(bytes(raw))
+        with pytest.raises(UnsupportedEncodingError, match=f"sample rate {rate} Hz"):
+            read_wav(path)
+
+    @pytest.mark.parametrize("rate", [1000, 384000])
+    def test_edge_rates_accepted(self, tmp_path, rate):
+        path = write_test_wav(tmp_path / "edge.wav", np.zeros(rate // 10), sample_rate=rate)
+        assert len(read_wav(path).samples) == 1600
+
     def test_zero_length_audio(self, tmp_path):
         path = write_test_wav(tmp_path / "empty.wav", np.zeros(0))
         with pytest.raises(EmptyAudioError):
@@ -102,6 +131,34 @@ class TestResample:
     def test_tone_amplitude_preserved(self):
         y = resample(sine(1000, 0.5, 48000), 48000, 16000)
         assert abs(np.abs(y[1000:-1000]).max() - 1.0) < 1e-3
+
+    @pytest.mark.parametrize("sr_in", [44100, 48000, 22050])
+    def test_taps_per_chunk_match_the_phase_bank(self, monkeypatch, sr_in):
+        x = np.random.default_rng(5).uniform(-1, 1, sr_in // 20)
+        banked = resample(x, sr_in, 16000)
+        audio_io._polyphase_bank.cache_clear()
+        monkeypatch.setattr(audio_io, "_MAX_TAPS", 100)  # no bank, one-row chunks
+        try:
+            assert audio_io._polyphase_bank(sr_in, 16000)[-1] is None
+            np.testing.assert_array_equal(resample(x, sr_in, 16000), banked)
+        finally:
+            audio_io._polyphase_bank.cache_clear()
+
+    def test_co_prime_rate_memory_bounded(self, tmp_path):
+        # 95999 -> 16000 Hz has 16000 phases of 387 taps: a full phase bank
+        # would take ~500 MB to build for a 100-sample file
+        path = write_test_wav(tmp_path / "odd.wav", sine(300, 100 / 95999, 95999),
+                              sample_rate=95999)
+        audio_io._polyphase_bank.cache_clear()
+        tracemalloc.start()
+        try:
+            clip = read_wav(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+            audio_io._polyphase_bank.cache_clear()
+        assert len(clip.samples) == 17
+        assert peak < 32e6
 
 
 class TestRavdessNames:
@@ -170,29 +227,44 @@ class TestCorpus:
         paths = [str(p) for p, _ in a]
         assert paths == sorted(paths)
 
-    def test_load_corpus_clip_invariants(self, synthetic_corpus):
+    def test_decoded_clip_invariants(self, synthetic_corpus):
         root, _ = synthetic_corpus
-        result = load_corpus(root, CorpusFilter(emotions=frozenset({"angry"})))
-        assert len(result.items) == 10 and not result.failures
-        for clip, label in result.items:
-            assert label == "angry"
+        records = scan_corpus(root, CorpusFilter(emotions=frozenset({"angry"})))
+        assert len(records) == 10
+        for path, meta in records:
+            clip = read_wav(path)
+            assert meta.emotion == "angry"
             assert clip.sample_rate_hz == 16000
             assert len(clip.samples) > 0
             assert clip.samples.max() <= 1.0 and clip.samples.min() >= -1.0
 
-    def test_vacuous_filter_is_error(self, synthetic_corpus):
+    def test_vacuous_filter_is_error(self, synthetic_corpus, tmp_path, capsys):
         root, _ = synthetic_corpus
-        with pytest.raises(CorpusEmptyError):
-            load_corpus(root, CorpusFilter(sex="female", emotions=frozenset()))
+        code = main(["synth", "--corpus", str(root), "--out", str(tmp_path / "o"),
+                     "--filter-sex", "female", "--set", "filter_emotions="])
+        assert code == 3
+        assert "no records" in capsys.readouterr().err
 
-    def test_corrupt_file_collected_not_fatal(self, tmp_path):
+    def test_corrupt_file_collected_not_fatal(self, tmp_path, capsys):
         root = tmp_path / "mini"
         root.mkdir()
         write_test_wav(root / "03-01-01-01-01-01-02.wav", sine(300, 0.2))
+        bad = root / "03-01-02-01-01-01-02.wav"
+        bad.write_bytes(b"garbage")
+        out = tmp_path / "synth"
+        assert main(["synth", "--corpus", str(root), "--out", str(out),
+                     "--n-segments", "3", "--seed", "1"]) == 0
+        assert str(bad) in capsys.readouterr().err  # the one failure is named
+        truth = (out / "truth.csv").read_text().splitlines()[1:]
+        assert truth == ["synthetic-00000,neutral", "synthetic-00001,neutral",
+                         "synthetic-00002,neutral"]  # only the decoded clip is used
+
+    def test_every_file_corrupt_is_error(self, tmp_path, capsys):
+        root = tmp_path / "mini"
+        root.mkdir()
         (root / "03-01-02-01-01-01-02.wav").write_bytes(b"garbage")
-        result = load_corpus(root, CorpusFilter())
-        assert len(result.items) == 1
-        assert len(result.failures) == 1
+        assert main(["synth", "--corpus", str(root), "--out", str(tmp_path / "o")]) == 3
+        assert "failed to decode" in capsys.readouterr().err
 
     def test_missing_root(self, tmp_path):
         with pytest.raises(CorpusEmptyError):

@@ -1,9 +1,12 @@
 import csv
+import shutil
+import struct
 
 import pytest
 
+from affectline.audio_io import read_wav, scan_corpus
 from affectline.cli import main
-from affectline.session import load_manifest
+from affectline.session import load_manifest, synthesize_session
 from conftest import build_synthetic_corpus, sine, write_test_wav
 
 TINY_OVERRIDES = [
@@ -113,14 +116,38 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--corpus",
                      str(corpus_root), "--out", str(tmp_path / "o")]) == 3
 
+    def test_missing_checkpoint_exits_3_naming_path(self, tmp_path, corpus_root, capsys):
+        missing = tmp_path / "absent.afl"
+        assert main(["eval", "--checkpoint", str(missing), "--corpus",
+                     str(corpus_root), "--out", str(tmp_path / "o")]) == 3
+        assert str(missing) in capsys.readouterr().err
+
+    def test_checkpoint_header_missing_keys_exits_3(self, tmp_path, corpus_root, capsys):
+        bad = tmp_path / "keys.afl"
+        head = b'{"version":1}'
+        bad.write_bytes(b"AFL1" + struct.pack("<I", len(head)) + head)
+        assert main(["eval", "--checkpoint", str(bad), "--corpus",
+                     str(corpus_root), "--out", str(tmp_path / "o")]) == 3
+        assert str(bad) in capsys.readouterr().err
+
+    def test_decode_failures_reported(self, tmp_path, corpus_root, trained_run, capsys):
+        run, cache = trained_run
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        next(corpus.glob("*.wav")).write_bytes(b"garbage")
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--corpus", str(corpus), "--out", str(out),
+                     "--cache-dir", str(cache), "--jobs", "1"]) == 0
+        assert "decode failures: 1" in capsys.readouterr().err
+        assert (out / "eval.csv").read_text().strip().endswith(",29")
+
 
 class TestClassifyCommand:
     def test_two_sessions_two_reports(self, tmp_path, corpus_root, trained_run):
         run, _ = trained_run
         # build a 2-session manifest from two synthesized bundles
-        from affectline.audio_io import load_corpus, CorpusFilter
-        from affectline.session import synthesize_session
-        items = load_corpus(corpus_root, CorpusFilter()).items
+        items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
         rows = ["session_id,segment_id,source_label,audio_path,start_s,end_s"]
         for sid, chunk in (("p1", items[:4]), ("p2", items[4:8])):
             bundle = synthesize_session(chunk, tmp_path / sid, session_id=sid, seed=1)
@@ -146,6 +173,48 @@ class TestClassifyCommand:
         assert main(["classify", "--checkpoint", str(run / "checkpoint.afl"),
                      "--manifest", str(tmp_path / "none.csv"),
                      "--out", str(tmp_path / "o")]) == 3
+
+    def test_non_utf8_manifest_exits_3_naming_path(self, tmp_path, trained_run, capsys):
+        run, _ = trained_run
+        manifest = tmp_path / "latin1.csv"
+        manifest.write_bytes("session_id,segment_id,source_label,audio_path,start_s,end_s\n"
+                             "s\xe9,1,FAN,a.wav,0,1\n".encode("latin-1"))
+        assert main(["classify", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--manifest", str(manifest), "--out", str(tmp_path / "o")]) == 3
+        assert str(manifest) in capsys.readouterr().err
+
+
+class TestDedicatedFlags:
+    @pytest.mark.parametrize("argv", [
+        ["classify", "--jobs", "2"],
+        ["classify", "--cache-dir", "x"],
+        ["classify", "--t-fixed", "200"],
+        ["eval", "--t-fixed", "200"],
+        ["eval", "--resample-method", "linear"],
+        ["eval", "--epochs", "3"],
+        ["synth", "--jobs", "2"],
+        ["synth", "--checkpoint", "m.afl"],
+        ["train", "--manifest", "m.csv"],
+        ["train", "--checkpoint", "m.afl"],
+    ], ids=" ".join)
+    def test_flag_the_command_ignores_is_an_error(self, argv, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_echoed_config_loads_under_classify(self, tmp_path, corpus_root, trained_run):
+        run, _ = trained_run
+        bundle = tmp_path / "synth"
+        assert main(["synth", "--corpus", str(corpus_root), "--out", str(bundle),
+                     "--n-segments", "2"]) == 0
+        out = tmp_path / "o"
+        # keys classify has no flag for still load from --config and --set
+        assert main(["classify", "--config", str(run / "config.txt"), "--set", "jobs=2",
+                     "--checkpoint", str(run / "checkpoint.afl"),
+                     "--manifest", str(bundle / "manifest.csv"), "--out", str(out)]) == 0
+        echoed = (out / "config.txt").read_text().splitlines()
+        assert "jobs = 2" in echoed and "t_fixed = 100" in echoed
 
 
 class TestFeaturesCommand:

@@ -1,0 +1,183 @@
+"""Fuzzing of the three external-input decoders: WAV, manifest, checkpoint.
+
+Each decoder either returns a well-formed value or raises a DataError
+subclass (exit code 3 at the CLI); any other exception fails the test.
+Examples are derandomized so the suite stays deterministic, and sizes are
+bounded so no example allocates much memory.
+"""
+
+import json
+import struct
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from affectline.audio_io import read_wav
+from affectline.checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
+from affectline.errors import DataError
+from affectline.features import NormalizationProfile
+from affectline.nn import Model, ModelSpec
+from affectline.session import MANIFEST_COLUMNS, load_manifest
+from conftest import make_wav_bytes, sine
+
+FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
+
+VALID_WAV = make_wav_bytes(sine(440, 0.004) * 0.5)  # 64 samples, 44-byte header
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def decode_wav(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        clip = read_wav(path)
+    except DataError:
+        return
+    assert len(clip.samples) > 0
+    assert np.isfinite(clip.samples).all()
+    assert np.abs(clip.samples).max() <= 1.0
+
+
+def mutate(base: bytes, edits) -> bytes:
+    out = bytearray(base)
+    for pos, value in edits:
+        out[pos % len(out)] = value
+    return bytes(out)
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=512),
+                 st.binary(max_size=512).map(lambda b: b"RIFF" + b[:4] + b"WAVE" + b[4:])))
+def test_read_wav_random_bytes(scratch, data):
+    decode_wav(scratch / "random.wav", data)
+
+
+@FUZZ
+@given(st.lists(st.tuples(st.integers(0, 43), st.integers(0, 255)), min_size=1, max_size=6),
+       st.integers(0, len(VALID_WAV)))
+def test_read_wav_mutated_header(scratch, edits, keep):
+    decode_wav(scratch / "mutated.wav", mutate(VALID_WAV, edits)[:keep or None])
+
+
+@FUZZ
+@given(fmt_code=st.sampled_from([0, 1, 2, 3, 0xFFFE]),
+       channels=st.integers(0, 3),
+       rate=st.one_of(st.integers(0, 2 ** 32 - 1), st.integers(1000, 384000)),
+       bits=st.sampled_from([0, 8, 12, 16, 24, 32, 64]),
+       data=st.binary(max_size=256))
+def test_read_wav_header_fields(scratch, fmt_code, channels, rate, bits, data):
+    fmt = struct.pack("<HHIIHH", fmt_code, channels, rate, 0, 0, bits)
+    raw = (b"RIFF" + struct.pack("<I", 28 + len(fmt) + len(data)) + b"WAVE"
+           + b"fmt " + struct.pack("<I", len(fmt)) + fmt
+           + b"data" + struct.pack("<I", len(data)) + data)
+    decode_wav(scratch / "fields.wav", raw)
+
+
+def parse_manifest(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        result = load_manifest(path)
+    except DataError:
+        return
+    for record in result.records:
+        assert record.end_s > record.start_s
+        assert isinstance(record.audio_path, str) and record.audio_path
+
+
+@FUZZ
+@given(st.one_of(st.binary(max_size=300),
+                 st.text(max_size=300).map(lambda t: t.encode("utf-8", "surrogatepass"))))
+def test_load_manifest_random_input(scratch, data):
+    parse_manifest(scratch / "random.csv", data)
+
+
+VALID_ROW = {"session_id": "s1", "segment_id": "seg", "source_label": "FAN",
+             "audio_path": "a.wav", "start_s": "0", "end_s": "1.5"}
+FIELD_VALUES = st.sampled_from(["", "s1", "FAN", "faf", "a.wav", "/", "0", "1.5", "-2", "nan",
+                                "inf", '"x,y"', '"', "\x00", "\r", "é"])
+
+
+@FUZZ
+@given(st.permutations(MANIFEST_COLUMNS),
+       st.lists(st.tuples(st.integers(0, 8),
+                          st.lists(st.tuples(st.integers(0, 7), FIELD_VALUES), max_size=3)),
+                max_size=6))
+def test_load_manifest_rows(scratch, columns, rows):
+    """Valid rows with cut-off tails, extra fields and replaced values."""
+    lines = [",".join(columns)]
+    for keep, edits in rows:
+        fields = [VALID_ROW[c] for c in columns] + ["extra", "x"]
+        for pos, value in edits:
+            fields[pos] = value
+        lines.append(",".join(fields[:keep]))
+    parse_manifest(scratch / "rows.csv", ("\n".join(lines) + "\n").encode("utf-8"))
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(scratch):
+    spec = ModelSpec(in_frames=8, conv_channels=(2,))
+    model = Model(spec, seed=3)
+    ckpt = Checkpoint(model_spec=spec, params=dict(model.parameters()), opt_acc={},
+                      features=FeatureSettings(t_fixed=8),
+                      normalization=NormalizationProfile(np.zeros(41), np.ones(41)),
+                      metadata={"seed": 3})
+    path = scratch / "tiny.afl"
+    save_checkpoint(path, ckpt)
+    return path.read_bytes()
+
+
+def open_checkpoint(path, data: bytes) -> None:
+    path.write_bytes(data)
+    try:
+        load_checkpoint(path)
+    except DataError:
+        pass
+
+
+def test_tiny_checkpoint_loads(scratch, tiny_checkpoint):
+    path = scratch / "intact.afl"
+    path.write_bytes(tiny_checkpoint)
+    assert load_checkpoint(path).model_spec.conv_channels == (2,)
+
+
+@FUZZ
+@given(st.data())
+def test_load_checkpoint_truncated_or_mutated(scratch, tiny_checkpoint, data):
+    raw = tiny_checkpoint[:data.draw(st.integers(0, len(tiny_checkpoint)), label="keep")]
+    edits = data.draw(st.lists(st.tuples(st.integers(0, len(tiny_checkpoint) - 1),
+                                         st.integers(0, 255)), max_size=4), label="edits")
+    open_checkpoint(scratch / "mutated.afl", mutate(raw, edits) if raw else raw)
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-2 ** 70, 2 ** 70) | st.floats()
+    | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner,
+                                                                max_size=4),
+    max_leaves=12)
+
+
+@FUZZ
+@given(st.data())
+def test_load_checkpoint_mutated_header_fields(scratch, tiny_checkpoint, data):
+    (head_len,) = struct.unpack_from("<I", tiny_checkpoint, 4)
+    header = json.loads(tiny_checkpoint[8:8 + head_len])
+    node = header
+    while isinstance(node, (dict, list)) and node:
+        keys = sorted(node) if isinstance(node, dict) else list(range(len(node)))
+        key = data.draw(st.sampled_from(keys), label="key")
+        if data.draw(st.booleans(), label="replace here"):
+            if isinstance(node, dict) and data.draw(st.booleans(), label="delete"):
+                del node[key]
+            else:
+                node[key] = data.draw(JSON_VALUES, label="value")
+            break
+        node = node[key]
+    head = json.dumps(header).encode()
+    raw = b"AFL1" + struct.pack("<I", len(head)) + head + tiny_checkpoint[8 + head_len:]
+    open_checkpoint(scratch / "fields.afl", raw)

@@ -171,12 +171,6 @@ class TestEvaluate:
         assert metrics.confusion[:, 0].sum() == 12
         assert metrics.confusion[:, 1:].sum() == 0
 
-    def test_settings_override_mismatch(self, overfit_run):
-        records, _, ckpt, _ = overfit_run
-        other = FeatureSettings(t_fixed=150)
-        with pytest.raises(ConfigError):
-            evaluate(ckpt, records[:6], settings_override=other)
-
 
 class TestCheckpointIO:
     def test_roundtrip_bit_identical_params_and_logits(self, overfit_run, tmp_path):
