@@ -225,8 +225,7 @@ def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
 
 _SINC_ZEROS = 32
 _KAISER_BETA = 8.6
-_CHUNK = 8192
-# Most taps held at once, in one chunk or in a cached bank: a co-prime rate
+# Most taps held at once, in one block or in a cached bank: a co-prime rate
 # pair such as 95999 -> 16000 Hz has 16000 phases of 387 taps each.
 _MAX_TAPS = 1 << 21
 
@@ -248,7 +247,7 @@ def _polyphase_bank(sr_in: int, sr_out: int):
     """Filter geometry and per-phase taps; integer rates give up = sr_out/gcd phases.
 
     The bank is None when its up x taps values would exceed _MAX_TAPS;
-    ``resample`` then computes the taps of the phases each chunk uses.
+    ``resample`` then computes the taps of a block of phases at a time.
     """
     g = np.gcd(sr_in, sr_out)
     up, down = sr_out // g, sr_in // g
@@ -269,6 +268,16 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np
     ``"sinc"`` is a Kaiser-windowed sinc filter (beta 8.6, 32 zero
     crossings per side at the lower of the two rates); ``"linear"`` trades
     stopband rejection for speed.
+
+    The sinc filter runs in polyphase form, one residue ``r`` of the output
+    index modulo ``up`` at a time: output ``r + up*m`` is the input window
+    starting at ``(r*down)//up + m*down`` times the taps of phase
+    ``(r*down) % up``. So the outputs of one residue are one strided view of
+    the padded input times one tap vector, written to ``out[r::up]`` with no
+    copy of the input (48 -> 16 kHz has one residue, 44.1 -> 16 kHz 160).
+    Taps come from the cached phase bank; a rate pair without a bank
+    (co-prime rates) computes them for blocks of residues holding at most
+    ``_MAX_TAPS`` values, the bank being the one-block case.
     """
     x = np.asarray(x, dtype=np.float64)
     if sr_in == sr_out:
@@ -283,17 +292,20 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np
         raise ValueError(f"unknown resample method {method!r}")
 
     up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
-    rows = max(1, min(_CHUNK, _MAX_TAPS // len(offsets)))
-    xp = np.pad(x, (pad, pad))
+    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, (pad, pad)), len(offsets))
     out = np.empty(n_out)
-    for start in range(0, n_out, rows):
-        n = np.arange(start, min(start + rows, n_out), dtype=np.int64)
-        k0 = (n * down) // up  # integer input position
-        phase = (n * down) % up
+    n_res = min(up, n_out)  # residues with at least one output
+    block = max(1, _MAX_TAPS // len(offsets))  # all residues when there is a bank
+    for r0 in range(0, n_res, block):
+        r = np.arange(r0, min(r0 + block, n_res))
+        phase = (r * down) % up
         taps = (bank[phase] if bank is not None
                 else _tap_values(phase / up, offsets, scale, half_width))
-        seg = xp[(k0[:, None] + pad) + offsets[None, :]]
-        out[n[0]:n[-1] + 1] = (seg * taps).sum(axis=1)
+        for res, start, h in zip(r.tolist(), ((r * down) // up).tolist(), taps):
+            # einsum, not @: when windows overlap (down < taps, as for 48 kHz)
+            # the view is no BLAS matrix and matmul's fallback loop is ~2x slower
+            dst = out[res::up]
+            np.einsum("ij,j->i", windows[start::down][:len(dst)], h, out=dst)
     return out
 
 

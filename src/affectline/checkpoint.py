@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
+from .audio_io import EMOTIONS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
 from .features import DEFAULT_T_FIXED, FrameConfig, MfccConfig, NormalizationProfile
 from .nn import Model, ModelSpec, ShapeError
@@ -50,6 +50,16 @@ class FeatureSettings:
     frame: FrameConfig = FrameConfig()
     mfcc: MfccConfig = MfccConfig()
     t_fixed: int = DEFAULT_T_FIXED
+
+    def __post_init__(self):
+        if self.resample_method not in ("sinc", "linear"):
+            raise ConfigError(f"resample_method must be sinc/linear, got {self.resample_method!r}")
+        if not (isinstance(self.sample_rate_hz, int)
+                and MIN_SAMPLE_RATE <= self.sample_rate_hz <= MAX_SAMPLE_RATE):
+            raise ConfigError(f"sample_rate_hz must be an integer within {MIN_SAMPLE_RATE}-"
+                              f"{MAX_SAMPLE_RATE}, got {self.sample_rate_hz!r}")
+        if not isinstance(self.t_fixed, int) or self.t_fixed < 1:
+            raise ConfigError(f"t_fixed must be an integer >= 1, got {self.t_fixed!r}")
 
     @staticmethod
     def from_dict(d: dict) -> "FeatureSettings":

@@ -76,13 +76,21 @@ def _corpus_records(cfg: RunConfig):
     return records
 
 
+def _report_decode_failures(failures) -> None:
+    """Name each (path, reason) record that failed to decode on stderr, then count them."""
+    for _, reason in failures:
+        print(f"decode failure: {reason}", file=sys.stderr)
+    if failures:
+        print(f"decode failures: {len(failures)}", file=sys.stderr)
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
+    spec, config, settings = cfg.model_spec(), cfg.train_config(), cfg.feature_settings()
     records = _corpus_records(cfg)
     print(f"corpus: {len(records)} records", flush=True)
-    ckpt, metrics = train(records, cfg.model_spec(), cfg.train_config(),
-                          cfg.feature_settings(), cache_dir=cfg.resolve_cache_dir(),
-                          jobs=cfg.resolve_jobs())
+    ckpt, metrics = train(records, spec, config, settings,
+                          cache_dir=cfg.resolve_cache_dir(), jobs=cfg.resolve_jobs())
     _echo_config(cfg, out_dir)
     save_checkpoint(out_dir / "checkpoint.afl", ckpt)
     (out_dir / "metrics.csv").write_text(metrics_to_csv(metrics), encoding="utf-8")
@@ -96,8 +104,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     (out_dir / "confusion.svg").write_text(
         heatmap(metrics.confusion, EMOTIONS, EMOTIONS,
                 "Confusion matrix (rows: true)"), encoding="utf-8")
-    if ckpt.metadata.get("decode_failures"):
-        print(f"decode failures: {ckpt.metadata['decode_failures']}", file=sys.stderr)
+    _report_decode_failures(metrics.failures)
     if metrics.epochs:
         last = metrics.epochs[-1]
         print(f"epochs run: {last.epoch}  train_acc: {last.train_acc:.4f}  "
@@ -114,8 +121,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     records = _corpus_records(cfg)
     metrics = evaluate(ckpt, records, cache_dir=cfg.resolve_cache_dir(),
                        jobs=cfg.resolve_jobs())
-    if metrics.n_test < len(records):
-        print(f"decode failures: {len(records) - metrics.n_test}", file=sys.stderr)
+    _report_decode_failures(metrics.failures)
     _echo_config(cfg, out_dir)
     (out_dir / "eval.csv").write_text(
         f"accuracy,n_records\n{metrics.accuracy:.6f},{metrics.n_test}\n",
@@ -184,10 +190,12 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
+    settings = cfg.feature_settings()
     items = []
     for path, label in _corpus_records(cfg):
         try:
-            items.append((read_wav(path, cfg.sample_rate_hz, cfg.resample_method), label))
+            items.append((read_wav(path, settings.sample_rate_hz, settings.resample_method),
+                          label))
         except AudioDecodeError as exc:
             print(f"decode failure: {exc}", file=sys.stderr)
     if not items:

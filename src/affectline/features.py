@@ -21,7 +21,7 @@ DEFAULT_T_FIXED = 300
 # Part of every feature-cache key: bump it whenever a change to decoding,
 # resampling or this module alters the matrices extract_features returns, so
 # no cached matrix from older code is served.
-FEATURE_CODE_VERSION = 2
+FEATURE_CODE_VERSION = 3
 
 FEATURE_ROW_LABELS = tuple(
     [f"mfcc_{i:02d}" for i in range(13)]

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import AffectlineError
+from .errors import AffectlineError, ConfigError
 
 N_CLASSES = 6
 
@@ -207,6 +207,16 @@ class ModelSpec:
     n_classes: int = N_CLASSES
 
     def __post_init__(self):
+        sizes = (self.in_channels, self.in_frames, self.kernel, self.stride, self.pad,
+                 self.pool_width, self.pool_stride, self.n_classes, *self.conv_channels)
+        if not all(isinstance(v, int) for v in sizes):
+            raise ConfigError(f"model sizes must be integers, got {sizes}")
+        if min(self.in_frames, self.kernel, self.stride) < 1:
+            raise ConfigError("in_frames (t_fixed), kernel and stride must be >= 1, got "
+                              f"{self.in_frames}, {self.kernel}, {self.stride}")
+        if min(self.pad, self.pool_width, self.pool_stride) < 0:
+            raise ConfigError("pad, pool_width and pool_stride must be >= 0, got "
+                              f"{self.pad}, {self.pool_width}, {self.pool_stride}")
         if not self.conv_channels or any(c <= 0 for c in self.conv_channels):
             raise ShapeError("conv_channels must be positive")
         t = self.in_frames

@@ -76,6 +76,7 @@ class Metrics:
     confusion: np.ndarray = None  # 6x6 int, rows = true class
     n_train: int = 0
     n_test: int = 0
+    failures: list = field(default_factory=list)  # (path, reason) of undecodable records
 
     @property
     def accuracy(self) -> float:
@@ -253,7 +254,8 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     optimizer = RmsProp(lr=config.lr, rho=config.rho, eps=config.eps)
     shuffle_rng = np.random.default_rng([config.seed, 202])
 
-    metrics = Metrics(n_train=len(train_recs), n_test=len(test_recs))
+    metrics = Metrics(n_train=len(train_recs), n_test=len(test_recs),
+                      failures=train_fail + test_fail)
     n = len(x_train)
     best_test, since_best = -1.0, 0
     for epoch in range(1, config.epochs + 1):
@@ -316,8 +318,9 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     """Confusion matrix and accuracy of a checkpoint over (path, label) records.
 
     Features are extracted with the checkpoint's own settings. Records that
-    fail to decode are left out, so ``n_test`` can be below the record
-    count. An empty record list is an error rather than a NaN accuracy.
+    fail to decode are left out and listed in ``failures``, so ``n_test``
+    can be below the record count. An empty record list is an error rather
+    than a NaN accuracy.
     """
     records = list(records)
     if not records:
@@ -334,6 +337,7 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
         confusion=confusion_matrix(y, y_pred),
         n_train=0,
         n_test=len(kept),
+        failures=failures,
     )
 
 

@@ -2,12 +2,13 @@ import csv
 import shutil
 import struct
 
+import numpy as np
 import pytest
 
 from affectline.audio_io import read_wav, scan_corpus
 from affectline.cli import main
 from affectline.session import load_manifest, synthesize_session
-from conftest import build_synthetic_corpus, sine, write_test_wav
+from conftest import build_synthetic_corpus, make_wav_bytes, sine, write_test_wav
 
 TINY_OVERRIDES = [
     "--set", "conv_channels=8,8,12,12,16,16",
@@ -68,6 +69,27 @@ class TestTrainCommand:
     def test_bad_value_exits_2(self, tmp_path, corpus_root):
         assert main(["train", "--corpus", str(corpus_root),
                      "--out", str(tmp_path / "o"), "--set", "epochs=soon"]) == 2
+
+    @pytest.mark.parametrize("override", ["stride=0", "kernel=0", "pad=-1", "pool_width=-1",
+                                          "pool_stride=-1", "t_fixed=0", "sample_rate_hz=999",
+                                          "resample_method=foo"])
+    def test_out_of_range_value_exits_2(self, tmp_path, corpus_root, capsys, override):
+        code = main(["train", "--corpus", str(corpus_root), "--out", str(tmp_path / "o"),
+                     "--set", override])
+        assert code == 2
+        assert override.partition("=")[0] in capsys.readouterr().err
+
+    def test_decode_failures_named(self, tmp_path, corpus_root, capsys):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        broken = sorted(corpus.glob("*.wav"))[0]
+        broken.write_bytes(b"garbage")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--epochs", "0", "--cache-dir", str(tmp_path / "c"),
+                     *TINY_OVERRIDES]) == 0
+        err = capsys.readouterr().err
+        assert f"decode failure: {broken}: not a RIFF/WAVE file" in err
+        assert "decode failures: 1" in err
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, corpus_root):
@@ -141,6 +163,21 @@ class TestEvalCommand:
                      "--cache-dir", str(cache), "--jobs", "1"]) == 0
         assert "decode failures: 1" in capsys.readouterr().err
         assert (out / "eval.csv").read_text().strip().endswith(",29")
+
+    def test_each_decode_failure_named(self, tmp_path, corpus_root, trained_run, capsys):
+        run, cache = trained_run
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        garbage, three_channel = sorted(corpus.glob("*.wav"))[:2]
+        garbage.write_bytes(b"garbage")
+        three_channel.write_bytes(make_wav_bytes(np.zeros(30), channels=3))
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
+                     "--cache-dir", str(cache), "--jobs", "1"]) == 0
+        err = capsys.readouterr().err
+        assert f"decode failure: {garbage}: not a RIFF/WAVE file" in err
+        assert f"decode failure: {three_channel}: 3 channels" in err
+        assert "decode failures: 2" in err
 
 
 class TestClassifyCommand:
@@ -260,6 +297,17 @@ class TestSynthCommand:
         assert len(result.records) == 6
         assert (out / "truth.csv").exists()
         assert len(list((out / "segments").iterdir())) == 6
+
+    def test_unknown_resample_method_exits_2(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        corpus.mkdir()
+        # a 44.1 kHz clip is resampled, so the method is actually used
+        write_test_wav(corpus / "03-01-01-01-01-01-02.wav", sine(440, 0.2, 44100),
+                       sample_rate=44100)
+        code = main(["synth", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--set", "resample_method=foo"])
+        assert code == 2
+        assert "resample_method" in capsys.readouterr().err
 
     def test_deterministic_given_seed(self, tmp_path, corpus_root):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from affectline.errors import ConfigError
 from affectline.nn import (Conv1d, FullyConnected, MaxPool1d, Model,
                            ModelSpec, ReLU, RmsProp, ShapeError, softmax_xent)
 
@@ -308,3 +309,15 @@ class TestModel:
             ModelSpec(in_frames=1, conv_channels=(4,), kernel=3, pad=0)
         with pytest.raises(ShapeError):
             ModelSpec(in_frames=10, pool_width=999)
+
+    @pytest.mark.parametrize("field", [{"kernel": 0}, {"stride": 0}, {"in_frames": 0},
+                                       {"pad": -1}, {"pool_width": -1}, {"pool_stride": -1}])
+    def test_spec_range_validation(self, field):
+        with pytest.raises(ConfigError, match=next(iter(field))):
+            ModelSpec(**field)
+
+    @pytest.mark.parametrize("field", [{"kernel": 3.0}, {"in_frames": 300.5},
+                                       {"conv_channels": (64, 64.0)}])
+    def test_spec_sizes_must_be_integers(self, field):
+        with pytest.raises(ConfigError, match="integers"):
+            ModelSpec(**field)

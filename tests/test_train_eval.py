@@ -1,11 +1,13 @@
 import io
+import json
+import struct
 
 import numpy as np
 import pytest
 
 from affectline import features, train_eval
 from affectline.audio_io import EMOTIONS
-from affectline.checkpoint import (Checkpoint, CheckpointMagicError,
+from affectline.checkpoint import (Checkpoint, CheckpointError, CheckpointMagicError,
                                    CheckpointTruncatedError,
                                    CheckpointVersionError, FeatureSettings,
                                    load_checkpoint, save_checkpoint)
@@ -171,6 +173,28 @@ class TestEvaluate:
         assert metrics.confusion[:, 0].sum() == 12
         assert metrics.confusion[:, 1:].sum() == 0
 
+    def test_decode_failures_listed(self, overfit_run, tmp_path):
+        records, _, ckpt, _ = overfit_run
+        broken = tmp_path / "03-01-01-01-01-01-02.wav"
+        broken.write_bytes(b"garbage")
+        metrics = evaluate(ckpt, [*records[:3], (broken, "neutral")])
+        assert metrics.n_test == 3
+        [(path, reason)] = metrics.failures
+        assert path == broken and str(broken) in reason and "RIFF" in reason
+
+
+class TestFeatureSettings:
+    @pytest.mark.parametrize("field", [{"resample_method": "cubic"}, {"sample_rate_hz": 999},
+                                       {"sample_rate_hz": 384001}, {"sample_rate_hz": 16000.0},
+                                       {"t_fixed": 0}, {"t_fixed": 300.0}])
+    def test_out_of_range_is_config_error(self, field):
+        with pytest.raises(ConfigError, match=next(iter(field))):
+            FeatureSettings(**field)
+
+    def test_edge_values_accepted(self):
+        FeatureSettings(sample_rate_hz=1000, resample_method="linear", t_fixed=1)
+        FeatureSettings(sample_rate_hz=384000)
+
 
 class TestCheckpointIO:
     def test_roundtrip_bit_identical_params_and_logits(self, overfit_run, tmp_path):
@@ -208,6 +232,24 @@ class TestCheckpointIO:
         tampered = raw.replace(b'"version":1', b'"version":9', 1)
         path.write_bytes(tampered)
         with pytest.raises(CheckpointVersionError):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("section,key,value", [
+        ("model_spec", "stride", 0), ("model_spec", "kernel", 0), ("model_spec", "kernel", 2.5),
+        ("features", "t_fixed", -10), ("features", "resample_method", "zinc"),
+        ("features", "sample_rate_hz", 16000.5)])
+    def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
+                                                           section, key, value):
+        *_, ckpt, _ = overfit_run
+        path = tmp_path / "r.afl"
+        save_checkpoint(path, ckpt)
+        raw = path.read_bytes()
+        (head_len,) = struct.unpack_from("<I", raw, 4)
+        header = json.loads(raw[8:8 + head_len])
+        header[section][key] = value
+        head = json.dumps(header).encode()
+        path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
+        with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(path)
 
     def test_truncated_names_byte_counts(self, overfit_run, tmp_path):
