@@ -152,6 +152,7 @@ def cmd_classify(args, cfg: RunConfig) -> int:
     _echo_config(cfg, out_dir)
     for session_id, records in sessions.items():
         report = session_mod.classify_session(ckpt, records, chunk_vote=cfg.chunk_vote)
+        _report_decode_failures(report.failures)
         session_mod.render_report(report, out_dir)
         top = EMOTIONS[int(np.argmax(report.counts))]
         print(f"{session_id}: {int(report.counts.sum())} segments classified, "

@@ -17,7 +17,7 @@ from .audio_io import EMOTIONS, CorpusFilter
 from .checkpoint import FeatureSettings
 from .errors import ConfigError
 from .features import FrameConfig, MfccConfig
-from .nn import ModelSpec
+from .nn import ModelSpec, ShapeError
 from .train_eval import TrainConfig, default_cache_dir
 
 
@@ -120,9 +120,11 @@ class RunConfig(_ComponentKeys):
     def model_spec(self) -> ModelSpec:
         try:
             channels = tuple(int(c) for c in self.conv_channels.split(",") if c.strip())
+            return self._view(ModelSpec, in_frames=self.t_fixed, conv_channels=channels)
         except ValueError as exc:
             raise ConfigError(f"bad conv_channels {self.conv_channels!r}") from exc
-        return self._view(ModelSpec, in_frames=self.t_fixed, conv_channels=channels)
+        except ShapeError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def train_config(self) -> TrainConfig:
         return self._view(TrainConfig)

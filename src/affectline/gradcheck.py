@@ -75,10 +75,14 @@ def _check_layer(layer, x: np.ndarray, rng: np.random.Generator,
 
 
 def check_conv(seed: int) -> float:
+    """A padded stride-1 layer and an unpadded stride-2 one (strided row selection)."""
     rng = np.random.default_rng(seed)
-    layer = Conv1d(3, 2, 3, stride=1, pad=1, rng=rng, dtype=np.float64)
-    x = rng.uniform(-1.0, 1.0, size=(2, 3, 10))
-    return max(_check_layer(layer, x, rng, param_names=("w", "b")))
+    worst = 0.0
+    for stride, pad in ((1, 1), (2, 0)):
+        layer = Conv1d(3, 2, 3, stride=stride, pad=pad, rng=rng, dtype=np.float64)
+        x = rng.uniform(-1.0, 1.0, size=(2, 3, 10))
+        worst = max(worst, *_check_layer(layer, x, rng, param_names=("w", "b")))
+    return worst
 
 
 def check_relu(seed: int) -> float:

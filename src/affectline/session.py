@@ -67,8 +67,12 @@ class SessionReport:
     proportions: np.ndarray  # (6,) floats summing to 1
     n_segments_total: int
     n_segments_fan: int
-    n_failed: int
     predictions: list = field(default_factory=list)  # (segment_id, label)
+    failures: list = field(default_factory=list)  # (audio_path, reason) of unreadable FAN rows
+
+    @property
+    def n_failed(self) -> int:
+        return len(self.failures)
 
 
 def load_manifest(path) -> ManifestLoadResult:
@@ -168,8 +172,8 @@ def classify_session(ckpt: Checkpoint | None, records, *,
     """Classify every FAN segment of one session and aggregate counts.
 
     ``predict`` overrides the checkpoint-based classifier (used by the
-    synthetic-session harness). Unreadable segments are counted in
-    ``n_failed`` and excluded from the proportions; a session with zero
+    synthetic-session harness). Unreadable segments are listed in
+    ``failures`` and excluded from the proportions; a session with zero
     classifiable FAN segments is an error.
     """
     records = list(records)
@@ -184,14 +188,13 @@ def classify_session(ckpt: Checkpoint | None, records, *,
 
     fan = filter_fan(records)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
-    predictions = []
-    n_failed = 0
+    predictions, failures = [], []
     for record in fan:
         try:
             clip = read_wav(record.audio_path, target_rate=settings.sample_rate_hz,
                             resample_method=settings.resample_method)
-        except AudioDecodeError:
-            n_failed += 1
+        except AudioDecodeError as exc:
+            failures.append((record.audio_path, str(exc)))
             continue
         label = predict(record, clip)
         counts[EMOTION_INDEX[label]] += 1
@@ -200,7 +203,7 @@ def classify_session(ckpt: Checkpoint | None, records, *,
     if total == 0:
         raise EmptySessionError(
             f"session {next(iter(session_ids), '?')}: no classifiable FAN segments "
-            f"({len(fan)} FAN rows, {n_failed} unreadable)"
+            f"({len(fan)} FAN rows, {len(failures)} unreadable)"
         )
     return SessionReport(
         session_id=next(iter(session_ids)),
@@ -208,8 +211,8 @@ def classify_session(ckpt: Checkpoint | None, records, *,
         proportions=counts / total,
         n_segments_total=len(records),
         n_segments_fan=len(fan),
-        n_failed=n_failed,
         predictions=predictions,
+        failures=failures,
     )
 
 

@@ -72,7 +72,8 @@ class TestTrainCommand:
 
     @pytest.mark.parametrize("override", ["stride=0", "kernel=0", "pad=-1", "pool_width=-1",
                                           "pool_stride=-1", "t_fixed=0", "sample_rate_hz=999",
-                                          "resample_method=foo"])
+                                          "resample_method=foo", "kernel=500",
+                                          "conv_channels=0", "pool_width=999"])
     def test_out_of_range_value_exits_2(self, tmp_path, corpus_root, capsys, override):
         code = main(["train", "--corpus", str(corpus_root), "--out", str(tmp_path / "o"),
                      "--set", override])
@@ -204,6 +205,20 @@ class TestClassifyCommand:
         with (out / "p1.csv").open() as fh:
             counts = {r["emotion"]: int(r["count"]) for r in csv.DictReader(fh)}
         assert sum(counts.values()) == 4
+
+    def test_unreadable_segment_named(self, tmp_path, corpus_root, trained_run, capsys):
+        run, _ = trained_run
+        items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
+        bundle = synthesize_session(items[:3], tmp_path / "s", session_id="s", seed=1)
+        broken = bundle.segment_paths[1]
+        broken.write_bytes(b"garbage")
+        code = main(["classify", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--manifest", str(bundle.manifest_path), "--out", str(tmp_path / "o")])
+        assert code == 0
+        captured = capsys.readouterr()
+        assert f"decode failure: {broken}: not a RIFF/WAVE file" in captured.err
+        assert "decode failures: 1" in captured.err
+        assert "s: 2 segments classified, 1 unreadable" in captured.out
 
     def test_missing_manifest_exits_3(self, tmp_path, trained_run):
         run, _ = trained_run

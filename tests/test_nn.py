@@ -3,7 +3,7 @@ import pytest
 
 from affectline.errors import ConfigError
 from affectline.nn import (Conv1d, FullyConnected, MaxPool1d, Model,
-                           ModelSpec, ReLU, RmsProp, ShapeError, softmax_xent)
+                           ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
 
 H = 1e-5
 
@@ -46,6 +46,55 @@ def conv_reference(x, w, b, stride, pad):
     return y
 
 
+class Im2colConv1d:
+    """The im2col convolution that ``Conv1d`` replaced, kept verbatim as a test oracle."""
+
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
+                 pad: int = 0, *, rng: np.random.Generator | None = None,
+                 dtype=np.float32):
+        self.in_ch, self.out_ch = in_ch, out_ch
+        self.kernel, self.stride, self.pad = kernel, stride, pad
+        rng = rng or np.random.default_rng(0)
+        self.w = he_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel, dtype)
+        self.b = np.zeros(out_ch, dtype=dtype)
+        self._cols = None
+        self._in_shape = None
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 3:
+            raise ShapeError(f"conv expects (B, C, T) input, got shape {x.shape}")
+        b, c, t = x.shape
+        if c != self.in_ch:
+            raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
+        if t + 2 * self.pad < self.kernel:
+            raise ShapeError(f"input length {t} too short for kernel {self.kernel}")
+        xp = np.pad(x, ((0, 0), (0, 0), (self.pad, self.pad))) if self.pad else x
+        t_out = (xp.shape[2] - self.kernel) // self.stride + 1
+        windows = np.lib.stride_tricks.sliding_window_view(xp, self.kernel, axis=2)
+        windows = windows[:, :, ::self.stride][:, :, :t_out]
+        cols = windows.transpose(0, 2, 1, 3).reshape(b * t_out, self.in_ch * self.kernel)
+        wm = self.w.reshape(self.out_ch, -1)
+        y = cols @ wm.T + self.b
+        self._cols = cols
+        self._in_shape = (b, c, t)
+        return y.reshape(b, t_out, self.out_ch).transpose(0, 2, 1)
+
+    def backward(self, grad_out: np.ndarray):
+        b, c, t = self._in_shape
+        t_out = grad_out.shape[2]
+        if grad_out.shape != (b, self.out_ch, t_out):
+            raise ShapeError("grad_out shape does not match forward output")
+        gm = grad_out.transpose(0, 2, 1).reshape(b * t_out, self.out_ch)
+        self.gw = (gm.T @ self._cols).reshape(self.w.shape)
+        self.gb = gm.sum(axis=0)
+        dcols = gm @ self.w.reshape(self.out_ch, -1)
+        dwin = dcols.reshape(b, t_out, self.in_ch, self.kernel).transpose(0, 2, 1, 3)
+        dxp = np.zeros((b, c, t + 2 * self.pad), dtype=grad_out.dtype)
+        for i in range(self.kernel):
+            dxp[:, :, i:i + self.stride * t_out:self.stride] += dwin[:, :, :, i]
+        return dxp[:, :, self.pad:self.pad + t] if self.pad else dxp
+
+
 class TestConv1d:
     def test_identity_kernel(self):
         layer = Conv1d(1, 1, 1, pad=0, dtype=np.float64)
@@ -69,6 +118,35 @@ class TestConv1d:
         x = rng.standard_normal((2, 3, 10))
         expected = conv_reference(x, layer.w, layer.b, stride, pad)
         np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
+
+    # rows that straddle two batch items are the failure mode a B=1 grid cannot see
+    @pytest.mark.parametrize("batch", [1, 3])
+    @pytest.mark.parametrize("kernel", [1, 3, 5])
+    @pytest.mark.parametrize("pad", [0, 1, 2])
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    def test_matches_im2col_oracle(self, stride, pad, kernel, batch):
+        rng = np.random.default_rng(100 * stride + 10 * pad + kernel + batch)
+        layer = Conv1d(4, 5, kernel, stride=stride, pad=pad, rng=rng, dtype=np.float64)
+        layer.b[...] = rng.standard_normal(5)
+        oracle = Im2colConv1d(4, 5, kernel, stride=stride, pad=pad, dtype=np.float64)
+        oracle.w[...], oracle.b[...] = layer.w, layer.b
+        x = rng.standard_normal((batch, 4, 11))
+        y = layer.forward(x)
+        np.testing.assert_allclose(y, oracle.forward(x), rtol=0, atol=1e-12)
+        u = rng.standard_normal(y.shape)
+        np.testing.assert_allclose(layer.backward(u), oracle.backward(u), rtol=0, atol=1e-12)
+        for name in ("gw", "gb"):
+            assert getattr(layer, name).shape == getattr(oracle, name).shape
+            np.testing.assert_allclose(getattr(layer, name), getattr(oracle, name),
+                                       rtol=0, atol=1e-12)
+
+    def test_forward_does_not_mutate_input(self):
+        rng = np.random.default_rng(9)
+        layer = Conv1d(3, 4, 3, pad=1, rng=rng, dtype=np.float64)
+        x = rng.standard_normal((3, 3, 7))
+        before = x.copy()
+        layer.backward(np.ones_like(layer.forward(x)))
+        np.testing.assert_array_equal(x, before)
 
     def test_backward_zero_grad(self):
         layer = Conv1d(2, 2, 3, pad=1, dtype=np.float64)

@@ -197,6 +197,8 @@ class TestClassifySession:
         truth = load_truth(bundle.truth_path)
         report = classify_session(None, records, predict=truth_predictor(truth))
         assert report.n_failed == 1
+        assert report.failures == [(str(bundle.segment_paths[1]),
+                                    f"{bundle.segment_paths[1]}: not a RIFF/WAVE file")]
         assert report.counts.sum() == 3
         assert abs(report.proportions.sum() - 1.0) <= 1e-9
 

@@ -237,7 +237,8 @@ class TestCheckpointIO:
     @pytest.mark.parametrize("section,key,value", [
         ("model_spec", "stride", 0), ("model_spec", "kernel", 0), ("model_spec", "kernel", 2.5),
         ("features", "t_fixed", -10), ("features", "resample_method", "zinc"),
-        ("features", "sample_rate_hz", 16000.5)])
+        ("features", "sample_rate_hz", 16000.5), ("model_spec", "kernel", 500),
+        ("model_spec", "conv_channels", [0])])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
