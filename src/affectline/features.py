@@ -111,15 +111,15 @@ def frame_signal(clip: AudioClip, cfg: FrameConfig = FrameConfig()) -> np.ndarra
     """Slice a clip into overlapping frames, shape (T, frame_len).
 
     Clips shorter than one frame are zero-padded to a single full frame.
-    No window is applied here; windowing belongs to the spectral ops.
+    No window is applied here; windowing belongs to the spectral ops. The
+    result is a read-only strided view of the samples, not a copy.
     """
     x = np.asarray(clip.samples, dtype=np.float64)
     flen, hop = cfg.frame_len_samples, cfg.hop_samples
     if len(x) < flen:
         x = np.pad(x, (0, flen - len(x)))
     n_frames = (len(x) - flen) // hop + 1
-    frames = np.lib.stride_tricks.sliding_window_view(x, flen)[::hop][:n_frames]
-    return frames.copy()
+    return np.lib.stride_tricks.sliding_window_view(x, flen)[::hop][:n_frames]
 
 
 def hz_to_mel(f):
@@ -189,10 +189,9 @@ def delta(matrix: np.ndarray, n: int = 2) -> np.ndarray:
 
 def zcr(frames: np.ndarray) -> np.ndarray:
     """Fraction of adjacent-sample sign changes per frame; zeros count as positive."""
-    frames = np.asarray(frames)
-    signs = np.where(frames >= 0, 1, -1)
-    changes = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
-    return changes / (frames.shape[1] - 1)
+    nonneg = np.asarray(frames) >= 0
+    changes = np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
+    return changes / (nonneg.shape[1] - 1)
 
 
 def rms(frames: np.ndarray) -> np.ndarray:
@@ -217,9 +216,15 @@ def assemble_features(clip: AudioClip,
     """Stack [mfcc; delta; delta-delta; zcr; rms] into a raw 41 x t_fixed matrix.
 
     Longer clips are truncated after the deltas are taken, shorter ones
-    zero-padded on the right. Normalization is applied later, when
-    matrices are batched for the model.
+    zero-padded on the right. Delta-delta column t_fixed - 1 reaches frame
+    t_fixed - 1 + 2*delta_window, so only the samples up to that frame are
+    framed: later ones cannot change a kept value. Normalization is applied
+    later, when matrices are batched for the model.
     """
+    keep = (t_fixed + 2 * mfcc_cfg.delta_window - 1) * frame_cfg.hop_samples \
+        + frame_cfg.frame_len_samples
+    if len(clip.samples) > keep:
+        clip = AudioClip(clip.samples[:keep], clip.sample_rate_hz, clip.source_path)
     frames = frame_signal(clip, frame_cfg)
     coeffs = mfcc(frames, clip.sample_rate_hz, mfcc_cfg)
     d1 = delta(coeffs, mfcc_cfg.delta_window)

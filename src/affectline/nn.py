@@ -100,30 +100,32 @@ class ReLU:
 
 
 class MaxPool1d:
-    """Max over fixed windows; gradient routes to the first argmax on ties."""
+    """Max over fixed windows; gradient routes to the first argmax on ties.
+
+    ``forward`` computes only the max and keeps a view of its windows over
+    the input (the ReLU output, already held there), so the input must not
+    change before ``backward``, the only reader of the argmax, takes it.
+    """
 
     def __init__(self, width: int, stride: int | None = None):
         self.width = width
         self.stride = stride if stride is not None else width
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        b, c, t = x.shape
+        t = x.shape[2]
         if t < self.width:
             raise ShapeError(f"input length {t} shorter than pool width {self.width}")
-        t_out = (t - self.width) // self.stride + 1
         windows = np.lib.stride_tricks.sliding_window_view(x, self.width, axis=2)
-        windows = windows[:, :, ::self.stride][:, :, :t_out]
-        argmax = windows.argmax(axis=3)
-        self._argmax = argmax
-        self._in_shape = (b, c, t)
-        return np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
+        self._windows = windows[:, :, ::self.stride][:, :, :self.out_len(t)]
+        self._in_shape = x.shape
+        return self._windows.max(axis=3)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         b, c, t = self._in_shape
         # channels-last, like the conv output the ReLU mask comes from
         dx = np.zeros((b, t, c), dtype=grad_out.dtype).transpose(0, 2, 1)
         t_out = grad_out.shape[2]
-        pos = np.arange(t_out) * self.stride + self._argmax
+        pos = np.arange(t_out) * self.stride + self._windows.argmax(axis=3)
         bi = np.arange(b)[:, None, None]
         ci = np.arange(c)[None, :, None]
         np.add.at(dx, (np.broadcast_to(bi, pos.shape),

@@ -141,9 +141,10 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     With ``chunk_vote`` the clip is cut into feature-window-sized chunks
     that vote by majority (ties to the lowest class index); otherwise
     classification uses the leading window only, matching the feature
-    truncation rule. The whole clip is passed in that case because the
-    matrix is truncated after the deltas are taken. All windows of one
-    segment go to the model in one batch.
+    truncation rule. The whole clip is passed in that case:
+    ``assemble_features`` itself reads only the leading samples its kept
+    columns depend on, which reach past the window by the delta context.
+    All windows of one segment go to the model in one batch.
     """
     model = ckpt.build_model()
     st = ckpt.features

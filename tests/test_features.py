@@ -232,6 +232,75 @@ class TestAssemble:
         assert np.all(np.isfinite(x))
 
 
+# ---------------------------------------------------------------------------
+# Oracle: assemble_features as it was before the clip was cut to the samples
+# the kept columns depend on: frame the whole clip (a copy), delta it, then
+# truncate. The new path must equal it bit for bit.
+# ---------------------------------------------------------------------------
+
+def oracle_frame_signal(clip, cfg=FrameConfig()):
+    x = np.asarray(clip.samples, dtype=np.float64)
+    flen, hop = cfg.frame_len_samples, cfg.hop_samples
+    if len(x) < flen:
+        x = np.pad(x, (0, flen - len(x)))
+    n_frames = (len(x) - flen) // hop + 1
+    frames = np.lib.stride_tricks.sliding_window_view(x, flen)[::hop][:n_frames]
+    return frames.copy()
+
+
+def oracle_zcr(frames):
+    frames = np.asarray(frames)
+    signs = np.where(frames >= 0, 1, -1)
+    changes = np.count_nonzero(signs[:, 1:] != signs[:, :-1], axis=1)
+    return changes / (frames.shape[1] - 1)
+
+
+def oracle_assemble_features(clip, frame_cfg=FrameConfig(), mfcc_cfg=MfccConfig(),
+                             t_fixed=DEFAULT_T_FIXED):
+    frames = oracle_frame_signal(clip, frame_cfg)
+    coeffs = mfcc(frames, clip.sample_rate_hz, mfcc_cfg)
+    d1 = delta(coeffs, mfcc_cfg.delta_window)
+    d2 = delta(d1, mfcc_cfg.delta_window)
+    stacked = np.vstack([coeffs, d1, d2, oracle_zcr(frames)[None, :], rms(frames)[None, :]])
+
+    n_valid = min(stacked.shape[1], t_fixed)
+    values = np.zeros((stacked.shape[0], t_fixed), dtype=np.float64)
+    values[:, :n_valid] = stacked[:, :n_valid]
+    return values.astype(np.float32), n_valid
+
+
+class TestFeatureWindowOracle:
+    @pytest.mark.parametrize("t_fixed", [1, 5, 300])
+    @pytest.mark.parametrize("delta_window", [1, 2, 3])
+    @pytest.mark.parametrize("length", ["keep-1", "keep", "keep+1", "sub-frame", "10s"])
+    def test_bit_equal_to_framing_the_whole_clip(self, length, delta_window, t_fixed):
+        frame_cfg, mfcc_cfg = FrameConfig(), MfccConfig(delta_window=delta_window)
+        keep = (t_fixed + 2 * delta_window - 1) * frame_cfg.hop_samples \
+            + frame_cfg.frame_len_samples
+        n = {"keep-1": keep - 1, "keep": keep, "keep+1": keep + 1,
+             "sub-frame": frame_cfg.frame_len_samples - 1, "10s": 160000}[length]
+        rng = np.random.default_rng(n + 7 * delta_window + t_fixed)
+        x = 0.3 * rng.standard_normal(n)
+        x[::37] = 0.0  # exact zeros count as positive in the zcr row
+        fm = assemble_features(clip_of(x), frame_cfg, mfcc_cfg, t_fixed)
+        values, n_valid = oracle_assemble_features(clip_of(x), frame_cfg, mfcc_cfg, t_fixed)
+        assert fm.n_valid_frames == n_valid
+        assert fm.values.dtype == values.dtype
+        assert fm.values.tobytes() == values.tobytes()
+
+    def test_frames_are_a_read_only_view(self):
+        x = np.random.default_rng(3).standard_normal(4000)
+        clip = clip_of(x)
+        frames = frame_signal(clip)
+        assert not frames.flags.writeable
+        assert np.shares_memory(frames, clip.samples)
+        np.testing.assert_array_equal(frames, oracle_frame_signal(clip))
+
+    def test_zcr_matches_signed_oracle(self):
+        frames = np.random.default_rng(4).integers(-2, 3, (50, 400)).astype(np.float64)
+        assert zcr(frames).tobytes() == oracle_zcr(frames).tobytes()
+
+
 def test_frame_config_validation():
     with pytest.raises(ConfigError):
         FrameConfig(frame_len_samples=100, hop_samples=200)

@@ -328,6 +328,61 @@ class TestRmsProp:
         assert params[0][1][0] != 1.0
 
 
+class OracleMaxPool1d:
+    """MaxPool1d as it was when forward took the argmax: the bit-exact oracle."""
+
+    def __init__(self, width: int, stride: int | None = None):
+        self.width = width
+        self.stride = stride if stride is not None else width
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        b, c, t = x.shape
+        if t < self.width:
+            raise ShapeError(f"input length {t} shorter than pool width {self.width}")
+        t_out = (t - self.width) // self.stride + 1
+        windows = np.lib.stride_tricks.sliding_window_view(x, self.width, axis=2)
+        windows = windows[:, :, ::self.stride][:, :, :t_out]
+        argmax = windows.argmax(axis=3)
+        self._argmax = argmax
+        self._in_shape = (b, c, t)
+        return np.take_along_axis(windows, argmax[..., None], axis=3)[..., 0]
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        b, c, t = self._in_shape
+        # channels-last, like the conv output the ReLU mask comes from
+        dx = np.zeros((b, t, c), dtype=grad_out.dtype).transpose(0, 2, 1)
+        t_out = grad_out.shape[2]
+        pos = np.arange(t_out) * self.stride + self._argmax
+        bi = np.arange(b)[:, None, None]
+        ci = np.arange(c)[None, :, None]
+        np.add.at(dx, (np.broadcast_to(bi, pos.shape),
+                       np.broadcast_to(ci, pos.shape), pos), grad_out)
+        return dx
+
+
+class TestMaxPoolOracle:
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("width, stride", [(0, None), (2, None), (3, 2), (4, 1), (2, 3)])
+    def test_bit_equal_to_argmax_pool(self, width, stride, ties, dtype):
+        rng = np.random.default_rng(width * 10 + (stride or 0) + ties)
+        shape = (3, 5, 12)
+        if ties:  # few distinct values: most windows hold a tied maximum
+            x = rng.integers(-1, 3, shape).astype(dtype)
+        else:
+            x = rng.standard_normal(shape).astype(dtype)
+        # channels-last memory, as the ReLU after a conv hands it over
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        width = width or shape[2]  # 0: a global pool
+        layer, oracle = MaxPool1d(width, stride), OracleMaxPool1d(width, stride)
+        y, y_ref = layer.forward(x), oracle.forward(x)
+        assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
+        u = rng.standard_normal(y.shape).astype(dtype)
+        dx, dx_ref = layer.backward(u), oracle.backward(u)
+        assert dx.shape == dx_ref.shape and dx.strides == dx_ref.strides
+        assert dx.tobytes() == dx_ref.tobytes()
+
+
 SMALL = ModelSpec(in_channels=41, in_frames=20, conv_channels=(6, 6, 8, 8, 10, 10))
 
 
