@@ -137,6 +137,12 @@ class MaxPool1d:
 
 
 class FullyConnected:
+    """Affine head. Forward sums each output in einsum's own loop, not in
+    BLAS, where a 1-row product takes the GEMV path and rounds differently
+    from the same row inside a GEMM; so a row's output does not depend on
+    the batch size.
+    """
+
     def __init__(self, in_features: int, out_features: int, *,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.in_features, self.out_features = in_features, out_features
@@ -148,7 +154,7 @@ class FullyConnected:
         if x.shape[1] != self.in_features:
             raise ShapeError(f"fc expects {self.in_features} inputs, got {x.shape[1]}")
         self._x = x
-        return x @ self.w.T + self.b
+        return np.einsum("bi,oi->bo", x, self.w) + self.b
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
         self.gw = grad_out.T @ self._x
@@ -256,11 +262,11 @@ class ModelSpec:
 class Model:
     """Conv/ReLU stack, max pool, flatten, FC head.
 
-    Forward on an unchanged parameter set is deterministic. A batch row
-    depends only on its own input up to BLAS rounding: the same row's
-    logits at batch 25 and batch 1 can differ by up to ≈3e-6 (2.9e-6 at
-    |logit| <= 12 over 125 rows of five default-spec models). Training
-    steps mutate parameters and must not run concurrently.
+    Forward on an unchanged parameter set is deterministic, and a row's
+    logits are bit-equal at any batch size while BLAS rounds a GEMM row the
+    same way whatever the row count: every conv product is a GEMM of at
+    least T' rows even at batch 1, and the FC head does not use BLAS.
+    Training steps mutate parameters and must not run concurrently.
     """
 
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):

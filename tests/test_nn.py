@@ -410,6 +410,25 @@ class TestModel:
         alone = model.forward(x[2:3])
         np.testing.assert_allclose(full[2], alone[0], atol=1e-6)
 
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_fc_rows_bit_equal_at_any_batch(self, dtype):
+        rng = np.random.default_rng(8)
+        layer = FullyConnected(256, 6, rng=rng, dtype=dtype)
+        x = rng.standard_normal((64, 256)).astype(dtype)
+        full = layer.forward(x)
+        for b in (1, 25):
+            for start in range(0, 64 - b + 1, b):
+                part = layer.forward(x[start:start + b])
+                assert part.tobytes() == full[start:start + b].tobytes()
+
+    def test_default_spec_logits_bit_equal_at_batch_1_and_64(self):
+        # classify forwards one window at a time, eval in batches of 64
+        model = Model(ModelSpec(), seed=9)
+        x = np.random.default_rng(10).standard_normal((64, 41, 300)).astype(np.float32)
+        full = model.forward(x)
+        for i in (0, 17, 63):
+            assert model.forward(x[i:i + 1]).tobytes() == full[i:i + 1].tobytes()
+
     def test_forward_deterministic(self):
         model = Model(SMALL, seed=5)
         x = np.random.default_rng(6).uniform(-1, 1, (2, 41, 20)).astype(np.float32)
