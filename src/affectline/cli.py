@@ -63,6 +63,12 @@ def _require(cfg: RunConfig, key: str) -> str:
     return value
 
 
+def _positive_count(flag: str, value: int) -> int:
+    if value < 1:
+        raise ConfigError(f"{flag} must be >= 1, got {value}")
+    return value
+
+
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "config.txt").write_text(cfg.to_text(), encoding="utf-8")
@@ -178,7 +184,7 @@ def cmd_features(args, cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
-    rows = run_gradcheck(seed=cfg.seed, n_seeds=args.n_seeds)
+    rows = run_gradcheck(seed=cfg.seed, n_seeds=_positive_count("--n-seeds", args.n_seeds))
     width = max(len(r.name) for r in rows)
     failed = False
     for row in rows:
@@ -192,6 +198,9 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
     settings = cfg.feature_settings()
+    n = _positive_count("--n-segments", args.n_segments)
+    if args.snr_db is not None and not np.isfinite(args.snr_db):
+        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
     items = []
     for path, label in _corpus_records(cfg):
         try:
@@ -202,7 +211,6 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     if not items:
         raise CorpusEmptyError(f"every matching file under {cfg.corpus} failed to decode")
     rng = np.random.default_rng(cfg.seed)
-    n = args.n_segments
     idx = rng.choice(len(items), size=n, replace=n > len(items))
     chosen = [items[int(i)] for i in idx]
     _echo_config(cfg, out_dir)
@@ -215,11 +223,12 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 
 def cmd_audit_manifest(args, cfg: RunConfig) -> int:
+    n = _positive_count("--n", args.n)
     result = session_mod.load_manifest(_require(cfg, "manifest"))
     fan = session_mod.filter_fan(result.records)
     if not fan:
         raise DataError("manifest has no FAN segments to audit")
-    sample = session_mod.sample_for_audit(fan, args.n, seed=cfg.seed)
+    sample = session_mod.sample_for_audit(fan, n, seed=cfg.seed)
     print("segment_id,source_label,audio_path")
     for record in sample:
         print(f"{record.segment_id},{record.source_label},{record.audio_path}")

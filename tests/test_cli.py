@@ -348,3 +348,28 @@ class TestAuditCommand:
         lines = capsys.readouterr().out.strip().split("\n")
         assert lines[0] == "segment_id,source_label,audio_path"
         assert len(lines) == 4
+
+
+class TestCountAndLevelFlags:
+    @pytest.mark.parametrize("command, flag, value", [
+        ("synth", "--n-segments", "-1"),
+        ("synth", "--n-segments", "0"),
+        ("synth", "--snr-db", "nan"),
+        ("synth", "--snr-db", "inf"),
+        ("audit-manifest", "--n", "-1"),
+        ("audit-manifest", "--n", "0"),
+        ("gradcheck", "--n-seeds", "0"),
+    ])
+    def test_bad_value_exits_2(self, command, flag, value, tmp_path, corpus_root, capsys):
+        manifest = tmp_path / "synth" / "manifest.csv"
+        if command == "audit-manifest":
+            assert main(["synth", "--corpus", str(corpus_root), "--out", str(manifest.parent),
+                         "--n-segments", "4", "--seed", "2"]) == 0
+        argv = {"synth": ["--corpus", str(corpus_root), "--out", str(tmp_path / "o")],
+                "audit-manifest": ["--manifest", str(manifest)],
+                "gradcheck": []}[command]
+        capsys.readouterr()
+        code = main([command, *argv, flag, value])
+        assert code == 2
+        assert flag in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
