@@ -102,9 +102,10 @@ class ReLU:
 class MaxPool1d:
     """Max over fixed windows; gradient routes to the first argmax on ties.
 
-    ``forward`` computes only the max and keeps a view of its windows over
-    the input (the ReLU output, already held there), so the input must not
-    change before ``backward``, the only reader of the argmax, takes it.
+    ``forward`` computes only the max and keeps a view of the input's
+    windows, not a copy (in the model the ReLU already holds that array);
+    ``backward``, the only reader of the argmax, takes it there, so the
+    input must not change between the two calls.
     """
 
     def __init__(self, width: int, stride: int | None = None):
