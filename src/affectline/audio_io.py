@@ -209,8 +209,11 @@ def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE,
 
 
 def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
-    """Write mono float samples in [-1, 1] as 16-bit PCM."""
-    q = np.clip(np.rint(np.asarray(samples, dtype=np.float64) * 32767.0), -32768, 32767)
+    """Write mono float samples in [-1, 1] as 16-bit PCM; ValueError on NaN or inf."""
+    x = np.asarray(samples, dtype=np.float64)
+    if not np.all(np.isfinite(x)):
+        raise ValueError(f"{path}: cannot write non-finite samples")
+    q = np.clip(np.rint(x * 32767.0), -32768, 32767)
     data = q.astype("<i2").tobytes()
     hdr = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
     hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, sample_rate_hz,

@@ -17,7 +17,7 @@ from .audio_io import EMOTIONS, CorpusFilter
 from .checkpoint import FeatureSettings
 from .errors import ConfigError
 from .features import FrameConfig, MfccConfig
-from .nn import ModelSpec, ShapeError
+from .nn import RETIRED_KEYS, ModelSpec, ShapeError, check_retired
 from .train_eval import TrainConfig, default_cache_dir
 
 
@@ -86,10 +86,14 @@ class RunConfig(_ComponentKeys):
         return "\n".join(lines) + "\n"
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
-        """New config with string values coerced onto the field types."""
+        """New config with string values coerced onto the field types; a
+        retired key (``nn.RETIRED_KEYS``) is checked and dropped."""
         fields = {f.name: f for f in dataclasses.fields(self)}
         updates = {}
         for key, raw in overrides.items():
+            if key in RETIRED_KEYS:
+                check_retired(key, _coerce(key, raw, int))
+                continue
             if key not in fields:
                 raise ConfigError(f"unknown config key {key!r}")
             updates[key] = _coerce(key, raw, type(getattr(self, key)))

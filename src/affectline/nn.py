@@ -1,13 +1,14 @@
 """Minimal network kernel with explicit backpropagation.
 
-1-D convolution over time (feature rows are input channels), ReLU, max
-pooling, one fully connected head, softmax cross-entropy, and RMSProp.
+The paper's architecture and nothing else: 1-D convolution over time
+(feature rows are input channels) at stride 1, ReLU, one global max pool
+over time, one fully connected head, softmax cross-entropy, and RMSProp.
 A convolution is ``kernel`` GEMMs over row-shifted slices of one
-zero-padded channels-last copy of its input, with no im2col columns; a
-stride s > 1 costs s times the stride-1 GEMM work. No autograd: every
-layer caches what its hand-derived backward pass needs on ``self``, so
-one layer or model instance must not run forwards concurrently.
-Training math is float32; gradient checks run the same code in float64.
+zero-padded channels-last copy of its input, with no im2col columns. No
+autograd: every layer caches what its hand-derived backward pass needs
+on ``self``, so one layer or model instance must not run forwards
+concurrently. Training math is float32; gradient checks run the same
+code in float64.
 """
 
 from __future__ import annotations
@@ -20,9 +21,20 @@ from .errors import AffectlineError, ConfigError
 
 N_CLASSES = 6
 
+# Architecture keys that older checkpoint headers and config.txt files
+# carry. Each is accepted, and dropped, only at the one value the model
+# supports: stride 1 and a global pool.
+RETIRED_KEYS = {"stride": 1, "pool_width": 0, "pool_stride": 0}
+
 
 class ShapeError(AffectlineError):
     """Operand shapes incompatible with a layer contract."""
+
+
+def check_retired(key: str, value) -> None:
+    """ConfigError unless retired key ``key`` holds its one accepted value."""
+    if type(value) is not int or value != RETIRED_KEYS[key]:
+        raise ConfigError(f"{key} is fixed at {RETIRED_KEYS[key]}, got {value!r}")
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -31,21 +43,20 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
 
 
 class Conv1d:
-    """Cross-correlation with bias over the time axis.
+    """Stride-1 cross-correlation with bias over the time axis.
 
     Input (B, C_in, T) -> output (B, C_out, T'), a transposed view of
-    channels-last memory, with T' = (T + 2*pad - kernel)//stride + 1. F is
-    the input copied once into a zero-padded channels-last (B*(T + 2*pad),
-    C_in) matrix; the output is sum_k F[k:k+n] @ w[:, :, k].T at rows
-    b*(T + 2*pad) + stride*j (rows straddling two batch items are dropped).
-    Stride s computes every stride-1 row: s times the GEMM work.
+    channels-last memory, with T' = T + 2*pad - kernel + 1. F is the input
+    copied once into a zero-padded channels-last (B*(T + 2*pad), C_in)
+    matrix; the output is sum_k F[k:k+n] @ w[:, :, k].T at rows
+    b*(T + 2*pad) + j for j < T' (rows straddling two batch items are
+    dropped).
     """
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, stride: int = 1,
-                 pad: int = 0, *, rng: np.random.Generator | None = None,
-                 dtype=np.float32):
+    def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int = 0, *,
+                 rng: np.random.Generator | None = None, dtype=np.float32):
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.stride, self.pad = kernel, stride, pad
+        self.kernel, self.pad = kernel, pad
         rng = rng or np.random.default_rng(0)
         self.w = he_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel, dtype)
         self.b = np.zeros(out_ch, dtype=dtype)
@@ -60,7 +71,6 @@ class Conv1d:
         if t + 2 * self.pad < self.kernel:
             raise ShapeError(f"input length {t} too short for kernel {self.kernel}")
         tp = t + 2 * self.pad
-        t_out = (tp - self.kernel) // self.stride + 1
         xp = np.zeros((b, tp, c), dtype=x.dtype)
         xp[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
         rows, n = xp.reshape(b * tp, c), b * tp - self.kernel + 1
@@ -70,7 +80,7 @@ class Conv1d:
         for k in range(1, self.kernel):
             y[:n] += rows[k:k + n] @ taps[k].T
         self._rows, self._taps, self._in_shape = rows, taps, (b, c, t)
-        y = y.reshape(b, tp, self.out_ch)[:, :self.stride * t_out:self.stride]
+        y = y.reshape(b, tp, self.out_ch)[:, :tp - self.kernel + 1]
         return (y + self.b).transpose(0, 2, 1)
 
     def backward(self, grad_out: np.ndarray):
@@ -80,7 +90,7 @@ class Conv1d:
             raise ShapeError("grad_out shape does not match forward output")
         rows, n = self._rows, len(self._rows) - self.kernel + 1
         g = np.zeros((b, len(rows) // b, self.out_ch), dtype=grad_out.dtype)
-        g[:, :self.stride * t_out:self.stride] = grad_out.transpose(0, 2, 1)
+        g[:, :t_out] = grad_out.transpose(0, 2, 1)
         g, taps = g.reshape(len(rows), self.out_ch), self._taps
         self.gw = np.stack([g[:n].T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
         self.gb = g.sum(axis=0)
@@ -100,41 +110,26 @@ class ReLU:
 
 
 class MaxPool1d:
-    """Max over fixed windows; gradient routes to the first argmax on ties.
+    """Global max over time, (B, C, T) -> (B, C); the gradient routes to
+    the first argmax on ties.
 
-    ``forward`` computes only the max and keeps a view of the input's
-    windows, not a copy (in the model the ReLU already holds that array);
-    ``backward``, the only reader of the argmax, takes it there, so the
-    input must not change between the two calls.
+    ``forward`` computes only the max and keeps its input, not a copy (in
+    the model the ReLU already holds that array); ``backward``, the only
+    reader of the argmax, takes it there, so the input must not change
+    between the two calls.
     """
 
-    def __init__(self, width: int, stride: int | None = None):
-        self.width = width
-        self.stride = stride if stride is not None else width
-
     def forward(self, x: np.ndarray) -> np.ndarray:
-        t = x.shape[2]
-        if t < self.width:
-            raise ShapeError(f"input length {t} shorter than pool width {self.width}")
-        windows = np.lib.stride_tricks.sliding_window_view(x, self.width, axis=2)
-        self._windows = windows[:, :, ::self.stride][:, :, :self.out_len(t)]
-        self._in_shape = x.shape
-        return self._windows.max(axis=3)
+        self._x = x
+        return x.max(axis=2)
 
     def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        b, c, t = self._in_shape
+        b, c, t = self._x.shape
         # channels-last, like the conv output the ReLU mask comes from
         dx = np.zeros((b, t, c), dtype=grad_out.dtype).transpose(0, 2, 1)
-        t_out = grad_out.shape[2]
-        pos = np.arange(t_out) * self.stride + self._windows.argmax(axis=3)
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        np.add.at(dx, (np.broadcast_to(bi, pos.shape),
-                       np.broadcast_to(ci, pos.shape), pos), grad_out)
+        first = self._x.argmax(axis=2)[..., None]
+        np.put_along_axis(dx, first, grad_out[..., None], axis=2)
         return dx
-
-    def out_len(self, t: int) -> int:
-        return (t - self.width) // self.stride + 1
 
 
 class FullyConnected:
@@ -208,60 +203,45 @@ class RmsProp:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """Architecture description: conv/ReLU pairs, one pool, one FC head.
-
-    ``pool_width`` of 0 selects a global max pool over whatever time
-    length remains after the conv stack; ``pool_stride`` of 0 means the
-    pool width.
+    """The paper's architecture: stride-1 conv/ReLU pairs sharing one
+    kernel size and padding, a global max pool, one FC head over the last
+    conv layer's channels.
     """
 
     in_channels: int = 41
     in_frames: int = 300
     conv_channels: tuple = (64, 64, 128, 128, 256, 256)
     kernel: int = 3
-    stride: int = 1
     pad: int = 1
-    pool_width: int = 0
-    pool_stride: int = 0
     n_classes: int = N_CLASSES
 
     def __post_init__(self):
-        sizes = (self.in_channels, self.in_frames, self.kernel, self.stride, self.pad,
-                 self.pool_width, self.pool_stride, self.n_classes, *self.conv_channels)
+        sizes = (self.in_channels, self.in_frames, self.kernel, self.pad,
+                 self.n_classes, *self.conv_channels)
         if not all(isinstance(v, int) for v in sizes):
             raise ConfigError(f"model sizes must be integers, got {sizes}")
-        if min(self.in_frames, self.kernel, self.stride) < 1:
-            raise ConfigError("in_frames (t_fixed), kernel and stride must be >= 1, got "
-                              f"{self.in_frames}, {self.kernel}, {self.stride}")
-        if min(self.pad, self.pool_width, self.pool_stride) < 0:
-            raise ConfigError("pad, pool_width and pool_stride must be >= 0, got "
-                              f"{self.pad}, {self.pool_width}, {self.pool_stride}")
+        if min(self.in_frames, self.kernel) < 1:
+            raise ConfigError("in_frames (t_fixed) and kernel must be >= 1, got "
+                              f"{self.in_frames}, {self.kernel}")
+        if self.pad < 0:
+            raise ConfigError(f"pad must be >= 0, got {self.pad}")
         if not self.conv_channels or any(c <= 0 for c in self.conv_channels):
             raise ShapeError("conv_channels must be positive")
-        t = self.in_frames
-        for _ in self.conv_channels:
-            if t + 2 * self.pad < self.kernel:
-                raise ShapeError("conv stack shrinks time axis below kernel size")
-            t = (t + 2 * self.pad - self.kernel) // self.stride + 1
-        width = self.pool_width or t
-        if width > t:
-            raise ShapeError(f"pool_width {width} exceeds conv output length {t}")
-
-    def conv_out_len(self) -> int:
-        t = self.in_frames
-        for _ in self.conv_channels:
-            t = (t + 2 * self.pad - self.kernel) // self.stride + 1
-        return t
+        shrink = max(self.kernel - 1 - 2 * self.pad, 0)  # frames each conv layer removes
+        if self.in_frames - shrink * len(self.conv_channels) < 1:
+            raise ShapeError("conv stack shrinks time axis below kernel size")
 
     @staticmethod
     def from_dict(d: dict) -> "ModelSpec":
         d = dict(d)
+        for key in RETIRED_KEYS.keys() & d.keys():
+            check_retired(key, d.pop(key))
         d["conv_channels"] = tuple(d["conv_channels"])
         return ModelSpec(**d)
 
 
 class Model:
-    """Conv/ReLU stack, max pool, flatten, FC head.
+    """Conv/ReLU stack, global max pool, FC head.
 
     Forward on an unchanged parameter set is deterministic, and a row's
     logits are bit-equal at any batch size while BLAS rounds a GEMM row the
@@ -276,15 +256,12 @@ class Model:
         self.convs = []
         in_ch = spec.in_channels
         for out_ch in spec.conv_channels:
-            self.convs.append(Conv1d(in_ch, out_ch, spec.kernel, spec.stride,
-                                     spec.pad, rng=rng, dtype=dtype))
+            self.convs.append(Conv1d(in_ch, out_ch, spec.kernel, spec.pad,
+                                     rng=rng, dtype=dtype))
             in_ch = out_ch
         self.relus = [ReLU() for _ in spec.conv_channels]
-        t = spec.conv_out_len()
-        width = spec.pool_width or t
-        self.pool = MaxPool1d(width, spec.pool_stride or None)
-        pool_out = self.pool.out_len(t)
-        self.fc = FullyConnected(in_ch * pool_out, spec.n_classes, rng=rng, dtype=dtype)
+        self.pool = MaxPool1d()
+        self.fc = FullyConnected(in_ch, spec.n_classes, rng=rng, dtype=dtype)
 
     def parameters(self):
         """(name, tensor) pairs in declaration order."""
@@ -313,13 +290,11 @@ class Model:
         h = x
         for conv, relu in zip(self.convs, self.relus):
             h = relu.forward(conv.forward(h))
-        h = self.pool.forward(h)
-        return self.fc.forward(h.reshape(h.shape[0], -1))
+        return self.fc.forward(self.pool.forward(h))
 
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits)."""
-        g = self.fc.backward(grad_logits)
-        g = self.pool.backward(g.reshape(g.shape[0], self.convs[-1].out_ch, -1))
+        g = self.pool.backward(self.fc.backward(grad_logits))
         for conv, relu in zip(reversed(self.convs), reversed(self.relus)):
             g = conv.backward(relu.backward(g))
         grads = {}

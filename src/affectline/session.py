@@ -23,7 +23,7 @@ from . import train_eval
 from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioClip, AudioDecodeError,
                        read_wav, write_wav)
 from .checkpoint import Checkpoint, FeatureSettings
-from .errors import DataError
+from .errors import ConfigError, DataError
 from .features import assemble_features
 from .svg import bar_chart
 
@@ -258,6 +258,8 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
     labeled_clips = list(labeled_clips)
     if not labeled_clips:
         raise DataError("need at least one labeled clip")
+    if snr_db is not None and not np.isfinite(snr_db):
+        raise ConfigError(f"snr_db must be finite, got {snr_db}")
     out_dir = Path(out_dir)
     seg_dir = out_dir / "segments"
     seg_dir.mkdir(parents=True, exist_ok=True)

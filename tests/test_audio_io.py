@@ -338,3 +338,13 @@ def test_write_read_roundtrip(tmp_path):
     write_wav(path, x, 16000)
     clip = read_wav(path)
     np.testing.assert_allclose(clip.samples, x, atol=1e-4)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_write_rejects_non_finite_samples(tmp_path, bad):
+    x = sine(700, 0.01)
+    x[5] = bad
+    path = tmp_path / "bad.wav"
+    with pytest.raises(ValueError, match="non-finite"):
+        write_wav(path, x, 16000)
+    assert not path.exists()

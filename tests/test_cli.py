@@ -17,6 +17,14 @@ TINY_OVERRIDES = [
 ]
 
 
+def with_retired_keys(config_txt, out_path):
+    """``config_txt`` as echoed before conv stride and windowed pooling were removed."""
+    lines = config_txt.read_text().splitlines()
+    lines += ["stride = 1", "pool_width = 0", "pool_stride = 0"]
+    out_path.write_text("\n".join(sorted(lines)) + "\n")
+    return out_path
+
+
 @pytest.fixture(scope="module")
 def corpus_root(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_corpus")
@@ -118,6 +126,15 @@ class TestTrainCommand:
                      "--out", str(out)])
         assert code == 0
         assert (out / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+
+    def test_rerun_from_config_with_retired_keys(self, tmp_path, trained_run):
+        first, _ = trained_run
+        old = with_retired_keys(first / "config.txt", tmp_path / "old.txt")
+        out = tmp_path / "fromold"
+        assert main(["train", "--config", str(old), "--out", str(out)]) == 0
+        assert (out / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
+        assert (out / "checkpoint.afl").read_bytes() == (first / "checkpoint.afl").read_bytes()
+        assert "stride" not in (out / "config.txt").read_text()
 
 
 class TestEvalCommand:
@@ -267,6 +284,18 @@ class TestDedicatedFlags:
                      "--manifest", str(bundle / "manifest.csv"), "--out", str(out)]) == 0
         echoed = (out / "config.txt").read_text().splitlines()
         assert "jobs = 2" in echoed and "t_fixed = 100" in echoed
+
+    def test_config_with_retired_keys_loads_under_classify(self, tmp_path, corpus_root,
+                                                           trained_run):
+        run, _ = trained_run
+        bundle = tmp_path / "synth"
+        assert main(["synth", "--corpus", str(corpus_root), "--out", str(bundle),
+                     "--n-segments", "2"]) == 0
+        old = with_retired_keys(run / "config.txt", tmp_path / "old.txt")
+        assert main(["classify", "--config", str(old),
+                     "--checkpoint", str(run / "checkpoint.afl"),
+                     "--manifest", str(bundle / "manifest.csv"),
+                     "--out", str(tmp_path / "o")]) == 0
 
 
 class TestFeaturesCommand:

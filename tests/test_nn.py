@@ -1,3 +1,5 @@
+from dataclasses import asdict
+
 import numpy as np
 import pytest
 
@@ -111,30 +113,36 @@ class TestConv1d:
         y1 = layer.forward(np.array([[[1.0, 2.0, 3.0]]]))
         np.testing.assert_array_equal(y1, np.array([[[-2.0]]]))
 
+    # a stride-s reference is the stride-1 layer sampled at every s-th position
     @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
     def test_matches_nested_loop_reference(self, stride, pad):
         rng = np.random.default_rng(stride * 10 + pad)
-        layer = Conv1d(3, 2, 3, stride=stride, pad=pad, rng=rng, dtype=np.float64)
+        layer = Conv1d(3, 2, 3, pad=pad, rng=rng, dtype=np.float64)
         x = rng.standard_normal((2, 3, 10))
         expected = conv_reference(x, layer.w, layer.b, stride, pad)
-        np.testing.assert_allclose(layer.forward(x), expected, atol=1e-12)
+        np.testing.assert_allclose(layer.forward(x)[:, :, ::stride], expected, atol=1e-12)
 
-    # rows that straddle two batch items are the failure mode a B=1 grid cannot see
+    # rows that straddle two batch items are the failure mode a B=1 grid cannot see.
+    # A stride-s oracle is the stride-1 layer sampled at every s-th position, with
+    # the gradient zero at the positions in between.
     @pytest.mark.parametrize("batch", [1, 3])
     @pytest.mark.parametrize("kernel", [1, 3, 5])
     @pytest.mark.parametrize("pad", [0, 1, 2])
     @pytest.mark.parametrize("stride", [1, 2, 3])
     def test_matches_im2col_oracle(self, stride, pad, kernel, batch):
         rng = np.random.default_rng(100 * stride + 10 * pad + kernel + batch)
-        layer = Conv1d(4, 5, kernel, stride=stride, pad=pad, rng=rng, dtype=np.float64)
+        layer = Conv1d(4, 5, kernel, pad=pad, rng=rng, dtype=np.float64)
         layer.b[...] = rng.standard_normal(5)
         oracle = Im2colConv1d(4, 5, kernel, stride=stride, pad=pad, dtype=np.float64)
         oracle.w[...], oracle.b[...] = layer.w, layer.b
         x = rng.standard_normal((batch, 4, 11))
         y = layer.forward(x)
-        np.testing.assert_allclose(y, oracle.forward(x), rtol=0, atol=1e-12)
-        u = rng.standard_normal(y.shape)
-        np.testing.assert_allclose(layer.backward(u), oracle.backward(u), rtol=0, atol=1e-12)
+        y_ref = oracle.forward(x)
+        np.testing.assert_allclose(y[:, :, ::stride], y_ref, rtol=0, atol=1e-12)
+        u = rng.standard_normal(y_ref.shape)
+        g = np.zeros(y.shape)
+        g[:, :, ::stride] = u
+        np.testing.assert_allclose(layer.backward(g), oracle.backward(u), rtol=0, atol=1e-12)
         for name in ("gw", "gb"):
             assert getattr(layer, name).shape == getattr(oracle, name).shape
             np.testing.assert_allclose(getattr(layer, name), getattr(oracle, name),
@@ -169,7 +177,7 @@ class TestConv1d:
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        layer = Conv1d(3, 2, 3, stride=1, pad=1, rng=rng, dtype=np.float64)
+        layer = Conv1d(3, 2, 3, pad=1, rng=rng, dtype=np.float64)
         x = rng.uniform(-1, 1, (2, 3, 8))
         u = rng.uniform(-1, 1, layer.forward(x).shape)
 
@@ -202,12 +210,16 @@ class TestReluPoolFc:
                                       np.array([0.0, 1.0, 0.0]))
 
     def test_maxpool_forward_and_tie_rule(self):
-        layer = MaxPool1d(2, 2)
-        y = layer.forward(np.array([[[1.0, 3.0, 2.0, 2.0]]]))
-        np.testing.assert_array_equal(y, np.array([[[3.0, 2.0]]]))
-        dx = layer.backward(np.array([[[1.0, 1.0]]]))
-        # tie in the second window routes to its first index
-        np.testing.assert_array_equal(dx, np.array([[[0.0, 1.0, 1.0, 0.0]]]))
+        layer = MaxPool1d()
+        # channels-last memory, as the ReLU after a conv hands it over
+        x = np.array([[[1.0, 2.0], [3.0, 2.0], [2.0, 0.0], [3.0, 1.0]]]).transpose(0, 2, 1)
+        y = layer.forward(x)
+        np.testing.assert_array_equal(y, np.array([[3.0, 2.0]]))
+        dx = layer.backward(np.array([[1.0, 5.0]]))
+        # both channels tie: each gradient routes to the first maximum
+        np.testing.assert_array_equal(dx, np.array([[[0.0, 1.0, 0.0, 0.0],
+                                                     [5.0, 0.0, 0.0, 0.0]]]))
+        assert dx.strides == x.strides
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fc_gradients_match_finite_differences(self, seed):
@@ -227,7 +239,7 @@ class TestReluPoolFc:
 
     def test_maxpool_gradient_matches_fd(self):
         rng = np.random.default_rng(4)
-        layer = MaxPool1d(3, 2)
+        layer = MaxPool1d()
         x = rng.uniform(-1, 1, (2, 2, 9))
         u = rng.uniform(-1, 1, layer.forward(x).shape)
 
@@ -361,6 +373,8 @@ class OracleMaxPool1d:
 
 
 class TestMaxPoolOracle:
+    # A windowed oracle pool is the global pool over each window; its input
+    # gradient is the sum, window by window, of theirs.
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     @pytest.mark.parametrize("ties", [False, True])
     @pytest.mark.parametrize("width, stride", [(0, None), (2, None), (3, 2), (4, 1), (2, 3)])
@@ -374,11 +388,17 @@ class TestMaxPoolOracle:
         # channels-last memory, as the ReLU after a conv hands it over
         x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
         width = width or shape[2]  # 0: a global pool
-        layer, oracle = MaxPool1d(width, stride), OracleMaxPool1d(width, stride)
-        y, y_ref = layer.forward(x), oracle.forward(x)
+        oracle = OracleMaxPool1d(width, stride)
+        y_ref = oracle.forward(x)
+        starts = range(0, shape[2] - width + 1, oracle.stride)
+        pools = [MaxPool1d() for _ in starts]
+        y = np.stack([p.forward(x[:, :, s:s + width]) for p, s in zip(pools, starts)], axis=2)
         assert y.shape == y_ref.shape and y.tobytes() == y_ref.tobytes()
         u = rng.standard_normal(y.shape).astype(dtype)
-        dx, dx_ref = layer.backward(u), oracle.backward(u)
+        dx_ref = oracle.backward(u)
+        dx = np.zeros_like(dx_ref)
+        for j, (p, s) in enumerate(zip(pools, starts)):
+            dx[:, :, s:s + width] += p.backward(u[:, :, j])
         assert dx.shape == dx_ref.shape and dx.strides == dx_ref.strides
         assert dx.tobytes() == dx_ref.tobytes()
 
@@ -459,14 +479,14 @@ class TestModel:
     def test_spec_shape_validation(self):
         with pytest.raises(ShapeError):
             ModelSpec(in_frames=1, conv_channels=(4,), kernel=3, pad=0)
-        with pytest.raises(ShapeError):
-            ModelSpec(in_frames=10, pool_width=999)
 
+    # as read from a checkpoint header, where the retired keys may still appear
     @pytest.mark.parametrize("field", [{"kernel": 0}, {"stride": 0}, {"in_frames": 0},
-                                       {"pad": -1}, {"pool_width": -1}, {"pool_stride": -1}])
+                                       {"pad": -1}, {"pool_width": -1}, {"pool_stride": -1},
+                                       {"stride": True}, {"stride": 1.0}])
     def test_spec_range_validation(self, field):
         with pytest.raises(ConfigError, match=next(iter(field))):
-            ModelSpec(**field)
+            ModelSpec.from_dict({**asdict(ModelSpec()), **field})
 
     @pytest.mark.parametrize("field", [{"kernel": 3.0}, {"in_frames": 300.5},
                                        {"conv_channels": (64, 64.0)}])

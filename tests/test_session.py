@@ -3,14 +3,14 @@ import pytest
 
 from affectline.audio_io import EMOTION_INDEX, EMOTIONS, AudioClip, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings
-from affectline.errors import DataError
+from affectline.errors import ConfigError, DataError
 from affectline.features import assemble_features, compute_normalization
 from affectline.nn import Model, ModelSpec
 from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
                                 load_truth, render_report, sample_for_audit,
                                 synthesize_session)
-from affectline.train_eval import evaluate
+from affectline.train_eval import confusion_matrix, evaluate
 from conftest import class_tone, sine
 
 
@@ -139,6 +139,12 @@ class TestSynthesize:
         with pytest.raises(DataError):
             synthesize_session([], tmp_path / "e")
 
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
+    def test_non_finite_snr_is_config_error_before_any_file(self, tmp_path, snr_db):
+        with pytest.raises(ConfigError, match="snr_db"):
+            synthesize_session(labeled_clips(2), tmp_path / "n", snr_db=snr_db)
+        assert not (tmp_path / "n").exists()
+
 
 class TestClassifySession:
     def test_known_distribution_recovered_exactly(self, tmp_path):
@@ -256,6 +262,28 @@ class TestClassifySession:
         assert classified.shape == evaluated.shape == (1, 41, 100)
         assert classified.dtype == evaluated.dtype == np.float32
         assert classified.tobytes() == evaluated.tobytes()
+
+
+    def test_eval_and_classify_agree_clip_for_clip(self, tmp_path):
+        # 65 clips: evaluate forwards a batch of 64 and a batch of 1, classify
+        # one batch per segment; each clip's prediction must not depend on that
+        clips = labeled_clips(65, seed=11)
+        bundle = synthesize_session(clips, tmp_path / "s", seed=6)
+        records = load_manifest(bundle.manifest_path).records
+        truth = load_truth(bundle.truth_path)
+        settings = FeatureSettings()
+        profile = compute_normalization(
+            [assemble_features(clip, t_fixed=settings.t_fixed) for clip, _ in clips])
+        spec = ModelSpec()
+        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=2).parameters()),
+                          opt_acc={}, features=settings, normalization=profile)
+        predicted = dict(classify_session(ckpt, records).predictions)
+        y_true = np.array([EMOTION_INDEX[truth[r.segment_id]] for r in records])
+        y_pred = np.array([EMOTION_INDEX[predicted[r.segment_id]] for r in records])
+        assert len(set(y_pred)) > 1  # the comparison is not between constant outputs
+        metrics = evaluate(ckpt, [(r.audio_path, truth[r.segment_id]) for r in records])
+        assert metrics.n_test == 65
+        np.testing.assert_array_equal(metrics.confusion, confusion_matrix(y_true, y_pred))
 
 
 class TestRenderReport:

@@ -196,6 +196,16 @@ class TestFeatureSettings:
         FeatureSettings(sample_rate_hz=384000)
 
 
+def edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place through ``edit(header)``."""
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8:8 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
+
+
 class TestCheckpointIO:
     def test_roundtrip_bit_identical_params_and_logits(self, overfit_run, tmp_path):
         records, _, ckpt, _ = overfit_run
@@ -238,20 +248,29 @@ class TestCheckpointIO:
         ("model_spec", "stride", 0), ("model_spec", "kernel", 0), ("model_spec", "kernel", 2.5),
         ("features", "t_fixed", -10), ("features", "resample_method", "zinc"),
         ("features", "sample_rate_hz", 16000.5), ("model_spec", "kernel", 500),
-        ("model_spec", "conv_channels", [0])])
+        ("model_spec", "conv_channels", [0]), ("model_spec", "pool_width", 3),
+        ("model_spec", "pool_stride", 2)])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
         path = tmp_path / "r.afl"
         save_checkpoint(path, ckpt)
-        raw = path.read_bytes()
-        (head_len,) = struct.unpack_from("<I", raw, 4)
-        header = json.loads(raw[8:8 + head_len])
-        header[section][key] = value
-        head = json.dumps(header).encode()
-        path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
+        edit_header(path, lambda header: header[section].update({key: value}))
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(path)
+
+    def test_header_with_retired_keys_at_fixed_values_loads(self, overfit_run, tmp_path):
+        # as written before ModelSpec lost conv stride and windowed pooling
+        *_, ckpt, _ = overfit_run
+        path = tmp_path / "old.afl"
+        save_checkpoint(path, ckpt)
+        edit_header(path, lambda header: header["model_spec"].update(
+            stride=1, pool_width=0, pool_stride=0))
+        old = load_checkpoint(path)
+        assert old.model_spec == ckpt.model_spec
+        x = np.random.default_rng(18).uniform(-1, 1, (7, 41, 100)).astype(np.float32)
+        assert old.build_model().forward(x).tobytes() == \
+            ckpt.build_model().forward(x).tobytes()
 
     def test_truncated_names_byte_counts(self, overfit_run, tmp_path):
         *_, ckpt, _ = overfit_run
