@@ -160,13 +160,11 @@ def _decode_pcm(data: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
     raise UnsupportedEncodingError(f"{path}: WAV format code {fmt_code} is not supported")
 
 
-def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE,
-             resample_method: str = "sinc") -> AudioClip:
+def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE) -> AudioClip:
     """Decode a PCM WAV file into a mono clip at ``target_rate``.
 
     Stereo input is downmixed by channel average. Rate conversion uses a
-    windowed-sinc filter (or linear interpolation when ``resample_method``
-    is ``"linear"``). Raises UnreadableFileError, UnsupportedEncodingError
+    windowed-sinc filter. Raises UnreadableFileError, UnsupportedEncodingError
     (also for NaN/Inf float samples and header rates outside
     MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or EmptyAudioError.
     """
@@ -201,7 +199,7 @@ def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE,
         raise EmptyAudioError(f"{path}: zero-length audio")
 
     if rate != target_rate:
-        samples = resample(samples, rate, target_rate, method=resample_method)
+        samples = resample(samples, rate, target_rate)
         if len(samples) == 0:
             raise EmptyAudioError(f"{path}: zero-length audio after resampling")
     samples = np.clip(samples, -1.0, 1.0)
@@ -265,14 +263,11 @@ def _polyphase_bank(sr_in: int, sr_out: int):
     return up, down, pad, offsets, scale, half_width, bank
 
 
-def resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np.ndarray:
-    """Convert ``x`` from ``sr_in`` to ``sr_out``.
+def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
+    """Convert ``x`` from ``sr_in`` to ``sr_out`` with a Kaiser-windowed sinc
+    filter (beta 8.6, 32 zero crossings per side at the lower of the two rates).
 
-    ``"sinc"`` is a Kaiser-windowed sinc filter (beta 8.6, 32 zero
-    crossings per side at the lower of the two rates); ``"linear"`` trades
-    stopband rejection for speed.
-
-    The sinc filter runs in polyphase form, one residue ``r`` of the output
+    The filter runs in polyphase form, one residue ``r`` of the output
     index modulo ``up`` at a time: output ``r + up*m`` is the input window
     starting at ``(r*down)//up + m*down`` times the taps of phase
     ``(r*down) % up``. So the outputs of one residue are one strided view of
@@ -288,11 +283,6 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np
     n_out = int(round(len(x) * sr_out / sr_in))
     if n_out == 0:
         return np.zeros(0)
-    if method == "linear":
-        t_out = np.arange(n_out) * (sr_in / sr_out)
-        return np.interp(t_out, np.arange(len(x)), x)
-    if method != "sinc":
-        raise ValueError(f"unknown resample method {method!r}")
 
     up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
     windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, (pad, pad)), len(offsets))

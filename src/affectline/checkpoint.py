@@ -18,11 +18,29 @@ import numpy as np
 
 from .audio_io import EMOTIONS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
-from .features import DEFAULT_T_FIXED, FrameConfig, MfccConfig, NormalizationProfile
+from .features import DEFAULT_T_FIXED, N_MFCC, FrameConfig, MfccConfig, NormalizationProfile
 from .nn import Model, ModelSpec, ShapeError
 
 MAGIC = b"AFL1"
 FORMAT_VERSION = 1
+
+# Keys that older checkpoint headers and config.txt files carry, each at
+# the one value the pipeline now has fixed: stride-1 convolutions, a global
+# max pool, sinc resampling, a Hamming window, 13 MFCCs, a stratified split
+# and shuffled batches.
+RETIRED_KEYS = {"stride": 1, "pool_width": 0, "pool_stride": 0,
+                "resample_method": "sinc", "window": "hamming", "n_coeffs": N_MFCC,
+                "stratified": True, "shuffle_each_epoch": True}
+
+
+def drop_retired(d: dict) -> dict:
+    """``d`` without its retired keys; ConfigError naming a retired key that
+    holds anything but its fixed value, of the same type (not 1.0 for 1)."""
+    for key, value in d.items():
+        fixed = RETIRED_KEYS.get(key)
+        if key in RETIRED_KEYS and (type(value) is not type(fixed) or value != fixed):
+            raise ConfigError(f"{key} is fixed at {fixed!r}, got {value!r}")
+    return {k: v for k, v in d.items() if k not in RETIRED_KEYS}
 
 
 class CheckpointError(DataError):
@@ -46,30 +64,17 @@ class FeatureSettings:
     """Everything needed to re-extract features exactly as at train time."""
 
     sample_rate_hz: int = PIPELINE_SAMPLE_RATE
-    resample_method: str = "sinc"
     frame: FrameConfig = FrameConfig()
     mfcc: MfccConfig = MfccConfig()
     t_fixed: int = DEFAULT_T_FIXED
 
     def __post_init__(self):
-        if self.resample_method not in ("sinc", "linear"):
-            raise ConfigError(f"resample_method must be sinc/linear, got {self.resample_method!r}")
         if not (isinstance(self.sample_rate_hz, int)
                 and MIN_SAMPLE_RATE <= self.sample_rate_hz <= MAX_SAMPLE_RATE):
             raise ConfigError(f"sample_rate_hz must be an integer within {MIN_SAMPLE_RATE}-"
                               f"{MAX_SAMPLE_RATE}, got {self.sample_rate_hz!r}")
         if not isinstance(self.t_fixed, int) or self.t_fixed < 1:
             raise ConfigError(f"t_fixed must be an integer >= 1, got {self.t_fixed!r}")
-
-    @staticmethod
-    def from_dict(d: dict) -> "FeatureSettings":
-        return FeatureSettings(
-            sample_rate_hz=d["sample_rate_hz"],
-            resample_method=d["resample_method"],
-            frame=FrameConfig(**d["frame"]),
-            mfcc=MfccConfig(**d["mfcc"]),
-            t_fixed=d["t_fixed"],
-        )
 
 
 @dataclass
@@ -79,7 +84,6 @@ class Checkpoint:
     opt_acc: dict  # RMSProp accumulators, same keys (may be empty)
     features: FeatureSettings
     normalization: NormalizationProfile | None
-    class_order: tuple = EMOTIONS
     metadata: dict = None
 
     def build_model(self) -> Model:
@@ -104,7 +108,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
             "mean": ckpt.normalization.mean.tolist(),
             "std": ckpt.normalization.std.tolist(),
         },
-        "class_order": list(ckpt.class_order),
+        "class_order": list(EMOTIONS),
         "metadata": ckpt.metadata or {},
         "tensors": [{"name": n, "shape": list(v.shape)} for n, v in tensors],
     }
@@ -165,17 +169,22 @@ def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
         else:
             params[name] = arr
 
+    if header["class_order"] != list(EMOTIONS):
+        raise ConfigError(f"class_order must be {list(EMOTIONS)}, got {header['class_order']!r}")
     norm = header["normalization"]
     profile = None if norm is None else NormalizationProfile(
         mean=np.asarray(norm["mean"], dtype=np.float64),
         std=np.asarray(norm["std"], dtype=np.float64),
     )
+    spec = drop_retired(header["model_spec"])
+    features = drop_retired(header["features"])
     return Checkpoint(
-        model_spec=ModelSpec.from_dict(header["model_spec"]),
+        model_spec=ModelSpec(**{**spec, "conv_channels": tuple(spec["conv_channels"])}),
         params=params,
         opt_acc=opt_acc,
-        features=FeatureSettings.from_dict(header["features"]),
+        features=FeatureSettings(**{**features,
+                                    "frame": FrameConfig(**drop_retired(features["frame"])),
+                                    "mfcc": MfccConfig(**drop_retired(features["mfcc"]))}),
         normalization=profile,
-        class_order=tuple(header["class_order"]),
         metadata=header["metadata"],
     )

@@ -204,8 +204,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     items = []
     for path, label in _corpus_records(cfg):
         try:
-            items.append((read_wav(path, settings.sample_rate_hz, settings.resample_method),
-                          label))
+            items.append((read_wav(path, settings.sample_rate_hz), label))
         except AudioDecodeError as exc:
             print(f"decode failure: {exc}", file=sys.stderr)
     if not items:
@@ -244,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a labeled corpus")
     _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "split_ratio",
-                    "jobs", "cache_dir", "t_fixed", "resample_method", *_FILTER_KEYS,
+                    "jobs", "cache_dir", "t_fixed", *_FILTER_KEYS,
                     "early_stop_train_acc", "patience"))
     p.set_defaults(func=cmd_train)
 
@@ -257,7 +256,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("features", help="dump the feature matrix of one WAV as CSV")
-    _add_common(p, ("t_fixed", "resample_method"))
+    _add_common(p, ("t_fixed",))
     p.add_argument("--wav", help="input WAV file")
     p.add_argument("--out", help="output CSV path (default: stdout)")
     p.set_defaults(func=cmd_features)
@@ -268,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="build a synthetic FAN session from a corpus")
-    _add_common(p, ("corpus", "out", "seed", "resample_method", *_FILTER_KEYS))
+    _add_common(p, ("corpus", "out", "seed", *_FILTER_KEYS))
     p.add_argument("--n-segments", type=int, default=10)
     p.add_argument("--snr-db", type=float, default=None,
                    help="mix white noise at this SNR (omit for clean segments)")

@@ -14,10 +14,10 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .audio_io import EMOTIONS, CorpusFilter
-from .checkpoint import FeatureSettings
+from .checkpoint import RETIRED_KEYS, FeatureSettings, drop_retired
 from .errors import ConfigError
 from .features import FrameConfig, MfccConfig
-from .nn import RETIRED_KEYS, ModelSpec, ShapeError, check_retired
+from .nn import ModelSpec, ShapeError
 from .train_eval import TrainConfig, default_cache_dir
 
 
@@ -52,6 +52,10 @@ class RunConfig(_ComponentKeys):
     FeatureSettings, FrameConfig, MfccConfig, ModelSpec and TrainConfig,
     under the same names and with the same defaults; ``conv_channels`` is
     a comma-separated list. The keys below belong to the pipeline itself.
+    The choices the paper fixes (sinc resampling, the Hamming window, 13
+    MFCCs, stride-1 convolutions, one global max pool, a stratified split,
+    shuffled batches) have no key; ``with_overrides`` drops a retired key
+    at its fixed value.
     """
 
     # corpus filter
@@ -87,17 +91,19 @@ class RunConfig(_ComponentKeys):
 
     def with_overrides(self, overrides: dict) -> "RunConfig":
         """New config with string values coerced onto the field types; a
-        retired key (``nn.RETIRED_KEYS``) is checked and dropped."""
-        fields = {f.name: f for f in dataclasses.fields(self)}
+        retired key (``checkpoint.RETIRED_KEYS``) is coerced onto the type
+        of its fixed value, checked and dropped."""
+        fields = {f.name for f in dataclasses.fields(self)}
         updates = {}
         for key, raw in overrides.items():
             if key in RETIRED_KEYS:
-                check_retired(key, _coerce(key, raw, int))
-                continue
-            if key not in fields:
+                target = type(RETIRED_KEYS[key])
+            elif key in fields:
+                target = type(getattr(self, key))
+            else:
                 raise ConfigError(f"unknown config key {key!r}")
-            updates[key] = _coerce(key, raw, type(getattr(self, key)))
-        return dataclasses.replace(self, **updates)
+            updates[key] = _coerce(key, raw, target)
+        return dataclasses.replace(self, **drop_retired(updates))
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":

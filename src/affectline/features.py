@@ -16,7 +16,7 @@ import numpy as np
 from .audio_io import AudioClip
 from .errors import ConfigError
 
-N_FEATURE_ROWS = 41
+N_MFCC = 13  # cepstral coefficients per frame
 DEFAULT_T_FIXED = 300
 # Part of every feature-cache key: bump it whenever a change to decoding,
 # resampling or this module alters the matrices extract_features returns, so
@@ -24,11 +24,12 @@ DEFAULT_T_FIXED = 300
 FEATURE_CODE_VERSION = 3
 
 FEATURE_ROW_LABELS = tuple(
-    [f"mfcc_{i:02d}" for i in range(13)]
-    + [f"delta_{i:02d}" for i in range(13)]
-    + [f"delta2_{i:02d}" for i in range(13)]
+    [f"mfcc_{i:02d}" for i in range(N_MFCC)]
+    + [f"delta_{i:02d}" for i in range(N_MFCC)]
+    + [f"delta2_{i:02d}" for i in range(N_MFCC)]
     + ["zcr", "rms"]
 )
+N_FEATURE_ROWS = len(FEATURE_ROW_LABELS)
 
 
 @dataclass(frozen=True)
@@ -37,15 +38,12 @@ class FrameConfig:
 
     frame_len_samples: int = 400
     hop_samples: int = 160
-    window: str = "hamming"
 
     def __post_init__(self):
         if self.frame_len_samples <= 0 or self.hop_samples <= 0:
             raise ConfigError("frame length and hop must be positive")
         if self.hop_samples > self.frame_len_samples:
             raise ConfigError("hop must not exceed frame length")
-        if self.window != "hamming":
-            raise ConfigError(f"unsupported window {self.window!r}")
 
 
 @dataclass(frozen=True)
@@ -59,7 +57,6 @@ class MfccConfig:
 
     n_fft: int = 512
     n_mels: int = 26
-    n_coeffs: int = 13
     fmin_hz: float = 0.0
     fmax_hz: float = 0.0
     log_floor: float = 1e-10
@@ -68,8 +65,8 @@ class MfccConfig:
     def __post_init__(self):
         if self.n_fft < 1 or (self.n_fft & (self.n_fft - 1)) != 0:
             raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
-        if self.n_coeffs > self.n_mels:
-            raise ConfigError("n_coeffs must not exceed n_mels")
+        if self.n_mels < N_MFCC:
+            raise ConfigError(f"n_mels must be >= {N_MFCC}, got {self.n_mels}")
         if self.log_floor <= 0:
             raise ConfigError("log_floor must be positive")
         if self.delta_window < 1:
@@ -152,7 +149,7 @@ def _dct_ortho_matrix(n: int) -> np.ndarray:
 
 def mfcc(frames: np.ndarray, sample_rate_hz: int,
          cfg: MfccConfig = MfccConfig()) -> np.ndarray:
-    """Mel-frequency cepstral coefficients, shape (n_coeffs, T).
+    """Mel-frequency cepstral coefficients, shape (N_MFCC, T).
 
     Per frame: Hamming window, magnitude-squared FFT spectrum, triangular
     mel filterbank, natural log with a floor, orthonormal DCT-II keeping
@@ -168,7 +165,7 @@ def mfcc(frames: np.ndarray, sample_rate_hz: int,
     fb = _mel_filterbank(cfg.n_mels, cfg.n_fft, sample_rate_hz, cfg.fmin_hz, fmax)
     energies = power @ fb.T
     log_energies = np.log(np.maximum(energies, cfg.log_floor))
-    coeffs = log_energies @ _dct_ortho_matrix(cfg.n_mels)[: cfg.n_coeffs].T
+    coeffs = log_energies @ _dct_ortho_matrix(cfg.n_mels)[:N_MFCC].T
     return coeffs.T
 
 

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .features import N_FEATURE_ROWS
 from .nn import Conv1d, FullyConnected, MaxPool1d, Model, ModelSpec, ReLU, softmax_xent
 
 FD_STEP = 1e-5
@@ -139,7 +140,7 @@ def _relu_margin(model: Model, x: np.ndarray) -> float:
     return min(margin, _pool_margin(h))
 
 
-SMALL_SPEC = ModelSpec(in_channels=41, in_frames=20,
+SMALL_SPEC = ModelSpec(in_channels=N_FEATURE_ROWS, in_frames=20,
                        conv_channels=(6, 6, 8, 8, 10, 10))
 
 

@@ -18,23 +18,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AffectlineError, ConfigError
+from .features import N_FEATURE_ROWS
 
 N_CLASSES = 6
-
-# Architecture keys that older checkpoint headers and config.txt files
-# carry. Each is accepted, and dropped, only at the one value the model
-# supports: stride 1 and a global pool.
-RETIRED_KEYS = {"stride": 1, "pool_width": 0, "pool_stride": 0}
 
 
 class ShapeError(AffectlineError):
     """Operand shapes incompatible with a layer contract."""
-
-
-def check_retired(key: str, value) -> None:
-    """ConfigError unless retired key ``key`` holds its one accepted value."""
-    if type(value) is not int or value != RETIRED_KEYS[key]:
-        raise ConfigError(f"{key} is fixed at {RETIRED_KEYS[key]}, got {value!r}")
 
 
 def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
@@ -85,7 +75,7 @@ class Conv1d:
 
     def backward(self, grad_out: np.ndarray):
         b, c, t = self._in_shape
-        t_out = grad_out.shape[2]
+        t_out = t + 2 * self.pad - self.kernel + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
         rows, n = self._rows, len(self._rows) - self.kernel + 1
@@ -208,7 +198,7 @@ class ModelSpec:
     conv layer's channels.
     """
 
-    in_channels: int = 41
+    in_channels: int = N_FEATURE_ROWS
     in_frames: int = 300
     conv_channels: tuple = (64, 64, 128, 128, 256, 256)
     kernel: int = 3
@@ -230,14 +220,6 @@ class ModelSpec:
         shrink = max(self.kernel - 1 - 2 * self.pad, 0)  # frames each conv layer removes
         if self.in_frames - shrink * len(self.conv_channels) < 1:
             raise ShapeError("conv stack shrinks time axis below kernel size")
-
-    @staticmethod
-    def from_dict(d: dict) -> "ModelSpec":
-        d = dict(d)
-        for key in RETIRED_KEYS.keys() & d.keys():
-            check_retired(key, d.pop(key))
-        d["conv_channels"] = tuple(d["conv_channels"])
-        return ModelSpec(**d)
 
 
 class Model:

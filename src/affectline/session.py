@@ -192,8 +192,7 @@ def classify_session(ckpt: Checkpoint | None, records, *,
     predictions, failures = [], []
     for record in fan:
         try:
-            clip = read_wav(record.audio_path, target_rate=settings.sample_rate_hz,
-                            resample_method=settings.resample_method)
+            clip = read_wav(record.audio_path, target_rate=settings.sample_rate_hz)
         except AudioDecodeError as exc:
             failures.append((record.audio_path, str(exc)))
             continue

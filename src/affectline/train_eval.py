@@ -48,8 +48,6 @@ class TrainConfig:
     eps: float = 1e-8
     seed: int = 42
     split_ratio: float = 0.8  # train fraction
-    stratified: bool = True
-    shuffle_each_epoch: bool = True
     early_stop_train_acc: float = 0.0  # 0 disables
     patience: int = 0  # epochs without test-accuracy improvement; 0 disables
 
@@ -94,22 +92,17 @@ def split_dataset(records, config: TrainConfig):
     records = list(records)
     rng = np.random.default_rng(config.seed)
     test_idx = set()
-    if config.stratified:
-        by_class = {}
-        for i, (_, label) in enumerate(records):
-            by_class.setdefault(label, []).append(i)
-        for label, idxs in by_class.items():
-            if len(idxs) < 2:
-                raise SplitError(f"class {label!r} has {len(idxs)} record(s); need >= 2")
-        for label in sorted(by_class, key=lambda l: (EMOTION_INDEX.get(l, len(EMOTIONS)), l)):
-            idxs = by_class[label]
-            n_test = round(len(idxs) * (1.0 - config.split_ratio))
-            perm = rng.permutation(len(idxs))
-            test_idx.update(idxs[p] for p in perm[:n_test])
-    else:
-        n_test = round(len(records) * (1.0 - config.split_ratio))
-        perm = rng.permutation(len(records))
-        test_idx.update(int(p) for p in perm[:n_test])
+    by_class = {}
+    for i, (_, label) in enumerate(records):
+        by_class.setdefault(label, []).append(i)
+    for label, idxs in by_class.items():
+        if len(idxs) < 2:
+            raise SplitError(f"class {label!r} has {len(idxs)} record(s); need >= 2")
+    for label in sorted(by_class, key=lambda l: (EMOTION_INDEX.get(l, len(EMOTIONS)), l)):
+        idxs = by_class[label]
+        n_test = round(len(idxs) * (1.0 - config.split_ratio))
+        perm = rng.permutation(len(idxs))
+        test_idx.update(idxs[p] for p in perm[:n_test])
     train = [r for i, r in enumerate(records) if i not in test_idx]
     test = [r for i, r in enumerate(records) if i in test_idx]
     return train, test
@@ -150,8 +143,7 @@ def extract_features(path, settings: FeatureSettings,
                                          n_valid_frames=int(z["n_valid"]))
             except (zipfile.BadZipFile, ValueError, EOFError, KeyError):
                 pass  # damaged entry: recompute below
-    clip = read_wav(path, target_rate=settings.sample_rate_hz,
-                    resample_method=settings.resample_method)
+    clip = read_wav(path, target_rate=settings.sample_rate_hz)
     fm = assemble_features(clip, settings.frame, settings.mfcc, settings.t_fixed)
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
@@ -259,7 +251,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     n = len(x_train)
     best_test, since_best = -1.0, 0
     for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(n) if config.shuffle_each_epoch else np.arange(n)
+        order = shuffle_rng.permutation(n)
         loss_sum = 0.0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             sel = order[start:start + config.batch_size]
@@ -297,7 +289,6 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
         opt_acc={name: acc.copy() for name, acc in optimizer.acc.items()},
         features=settings,
         normalization=profile,
-        class_order=EMOTIONS,
         metadata={
             "seed": config.seed,
             "epochs_requested": config.epochs,

@@ -153,12 +153,6 @@ class TestReadWav:
         with pytest.raises(EmptyAudioError):
             read_wav(path)
 
-    def test_linear_resample_switch(self, tmp_path):
-        path = write_test_wav(tmp_path / "lin.wav", sine(440, 0.1, 32000),
-                              sample_rate=32000)
-        clip = read_wav(path, resample_method="linear")
-        assert len(clip.samples) == 1600
-
 
 class TestResample:
     def test_identity_rate(self):

@@ -17,10 +17,14 @@ TINY_OVERRIDES = [
 ]
 
 
+RETIRED_LINES = ["n_coeffs = 13", "pool_stride = 0", "pool_width = 0",
+                 "resample_method = sinc", "shuffle_each_epoch = true", "stratified = true",
+                 "stride = 1", "window = hamming"]
+
+
 def with_retired_keys(config_txt, out_path):
-    """``config_txt`` as echoed before conv stride and windowed pooling were removed."""
-    lines = config_txt.read_text().splitlines()
-    lines += ["stride = 1", "pool_width = 0", "pool_stride = 0"]
+    """``config_txt`` as echoed before the retired keys were removed."""
+    lines = config_txt.read_text().splitlines() + RETIRED_LINES
     out_path.write_text("\n".join(sorted(lines)) + "\n")
     return out_path
 
@@ -78,13 +82,21 @@ class TestTrainCommand:
         assert main(["train", "--corpus", str(corpus_root),
                      "--out", str(tmp_path / "o"), "--set", "epochs=soon"]) == 2
 
-    @pytest.mark.parametrize("override", ["stride=0", "kernel=0", "pad=-1", "pool_width=-1",
-                                          "pool_stride=-1", "t_fixed=0", "sample_rate_hz=999",
-                                          "resample_method=foo", "kernel=500",
-                                          "conv_channels=0", "pool_width=999"])
-    def test_out_of_range_value_exits_2(self, tmp_path, corpus_root, capsys, override):
-        code = main(["train", "--corpus", str(corpus_root), "--out", str(tmp_path / "o"),
-                     "--set", override])
+    # (command, override); the id is the override, prefixed by any command but train
+    OUT_OF_RANGE = [("train", o) for o in (
+        "stride=0", "kernel=0", "pad=-1", "pool_width=-1", "pool_stride=-1", "t_fixed=0",
+        "sample_rate_hz=999", "resample_method=foo", "kernel=500", "conv_channels=0",
+        "pool_width=999", "resample_method=linear", "resample_method=cubic", "window=hann",
+        "n_coeffs=13.0", "stratified=false", "shuffle_each_epoch=no",
+    )] + [("features", "n_coeffs=12")]
+
+    @pytest.mark.parametrize("command,override", OUT_OF_RANGE,
+                             ids=[o if c == "train" else f"{c} {o}" for c, o in OUT_OF_RANGE])
+    def test_out_of_range_value_exits_2(self, tmp_path, corpus_root, capsys, command,
+                                        override):
+        args = {"train": ["--corpus", str(corpus_root), "--out", str(tmp_path / "o")],
+                "features": ["--wav", str(next(corpus_root.glob("*.wav")))]}[command]
+        code = main([command, *args, "--set", override])
         assert code == 2
         assert override.partition("=")[0] in capsys.readouterr().err
 
@@ -134,7 +146,8 @@ class TestTrainCommand:
         assert main(["train", "--config", str(old), "--out", str(out)]) == 0
         assert (out / "metrics.csv").read_bytes() == (first / "metrics.csv").read_bytes()
         assert (out / "checkpoint.afl").read_bytes() == (first / "checkpoint.afl").read_bytes()
-        assert "stride" not in (out / "config.txt").read_text()
+        echoed = {line.partition(" ")[0] for line in (out / "config.txt").read_text().splitlines()}
+        assert not echoed & {line.partition(" ")[0] for line in RETIRED_LINES}
 
 
 class TestEvalCommand:
@@ -260,6 +273,9 @@ class TestDedicatedFlags:
         ["classify", "--t-fixed", "200"],
         ["eval", "--t-fixed", "200"],
         ["eval", "--resample-method", "linear"],
+        ["train", "--resample-method", "sinc"],
+        ["features", "--resample-method", "sinc"],
+        ["synth", "--resample-method", "sinc"],
         ["eval", "--epochs", "3"],
         ["synth", "--jobs", "2"],
         ["synth", "--checkpoint", "m.afl"],
@@ -345,7 +361,7 @@ class TestSynthCommand:
     def test_unknown_resample_method_exits_2(self, tmp_path, capsys):
         corpus = tmp_path / "corpus"
         corpus.mkdir()
-        # a 44.1 kHz clip is resampled, so the method is actually used
+        # a 44.1 kHz clip would be resampled, but the key is refused first
         write_test_wav(corpus / "03-01-01-01-01-01-02.wav", sine(440, 0.2, 44100),
                        sample_rate=44100)
         code = main(["synth", "--corpus", str(corpus), "--out", str(tmp_path / "o"),

@@ -124,7 +124,7 @@ class TestMfcc:
         with pytest.raises(ConfigError):
             MfccConfig(n_fft=500)
         with pytest.raises(ConfigError):
-            MfccConfig(n_coeffs=30, n_mels=26)
+            MfccConfig(n_mels=12)
         with pytest.raises(ConfigError):
             mfcc(np.zeros((1, 600)), 16000, MfccConfig(n_fft=512))
 
@@ -300,5 +300,3 @@ class TestFeatureWindowOracle:
 def test_frame_config_validation():
     with pytest.raises(ConfigError):
         FrameConfig(frame_len_samples=100, hop_samples=200)
-    with pytest.raises(ConfigError):
-        FrameConfig(window="hann")

@@ -3,6 +3,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
 from affectline.nn import (Conv1d, FullyConnected, MaxPool1d, Model,
                            ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
@@ -195,6 +196,9 @@ class TestConv1d:
             layer.forward(np.zeros((1, 4, 8), dtype=np.float32))
         with pytest.raises(ShapeError):
             layer.forward(np.zeros((1, 3, 2), dtype=np.float32))
+        layer.forward(np.zeros((1, 3, 10), dtype=np.float32))  # output length 8
+        with pytest.raises(ShapeError):
+            layer.backward(np.ones((1, 2, 7), dtype=np.float32))
 
 
 class TestReluPoolFc:
@@ -486,7 +490,7 @@ class TestModel:
                                        {"stride": True}, {"stride": 1.0}])
     def test_spec_range_validation(self, field):
         with pytest.raises(ConfigError, match=next(iter(field))):
-            ModelSpec.from_dict({**asdict(ModelSpec()), **field})
+            ModelSpec(**drop_retired({**asdict(ModelSpec()), **field}))
 
     @pytest.mark.parametrize("field", [{"kernel": 3.0}, {"in_frames": 300.5},
                                        {"conv_channels": (64, 64.0)}])

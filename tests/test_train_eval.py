@@ -12,7 +12,7 @@ from affectline.checkpoint import (Checkpoint, CheckpointError, CheckpointMagicE
                                    CheckpointVersionError, FeatureSettings,
                                    load_checkpoint, save_checkpoint)
 from affectline.errors import ConfigError, DataError, DivergenceError
-from affectline.features import MfccConfig
+from affectline.features import FEATURE_ROW_LABELS, N_FEATURE_ROWS, MfccConfig
 from affectline.nn import Model, ModelSpec
 from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
@@ -184,7 +184,7 @@ class TestEvaluate:
 
 
 class TestFeatureSettings:
-    @pytest.mark.parametrize("field", [{"resample_method": "cubic"}, {"sample_rate_hz": 999},
+    @pytest.mark.parametrize("field", [{"sample_rate_hz": "16000"}, {"sample_rate_hz": 999},
                                        {"sample_rate_hz": 384001}, {"sample_rate_hz": 16000.0},
                                        {"t_fixed": 0}, {"t_fixed": 300.0}])
     def test_out_of_range_is_config_error(self, field):
@@ -192,8 +192,15 @@ class TestFeatureSettings:
             FeatureSettings(**field)
 
     def test_edge_values_accepted(self):
-        FeatureSettings(sample_rate_hz=1000, resample_method="linear", t_fixed=1)
+        FeatureSettings(sample_rate_hz=1000, t_fixed=1)
         FeatureSettings(sample_rate_hz=384000)
+
+
+def header_section(header, section):
+    """``header["features"]["frame"]`` for section "features.frame"; "" is the header."""
+    for key in filter(None, section.split(".")):
+        header = header[key]
+    return header
 
 
 def edit_header(path, edit):
@@ -249,25 +256,34 @@ class TestCheckpointIO:
         ("features", "t_fixed", -10), ("features", "resample_method", "zinc"),
         ("features", "sample_rate_hz", 16000.5), ("model_spec", "kernel", 500),
         ("model_spec", "conv_channels", [0]), ("model_spec", "pool_width", 3),
-        ("model_spec", "pool_stride", 2)])
+        ("model_spec", "pool_stride", 2), ("features", "resample_method", "linear"),
+        ("features.frame", "window", "hann"), ("features.mfcc", "n_coeffs", 12),
+        ("features.mfcc", "n_coeffs", 13.0), ("model_spec", "stratified", False),
+        ("model_spec", "shuffle_each_epoch", 1), ("", "class_order", list(EMOTIONS[::-1]))])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
         path = tmp_path / "r.afl"
         save_checkpoint(path, ckpt)
-        edit_header(path, lambda header: header[section].update({key: value}))
+        edit_header(path, lambda header: header_section(header, section).update({key: value}))
         with pytest.raises(CheckpointError, match="malformed header"):
             load_checkpoint(path)
 
     def test_header_with_retired_keys_at_fixed_values_loads(self, overfit_run, tmp_path):
-        # as written before ModelSpec lost conv stride and windowed pooling
+        # as written before the retired keys were removed
         *_, ckpt, _ = overfit_run
         path = tmp_path / "old.afl"
         save_checkpoint(path, ckpt)
-        edit_header(path, lambda header: header["model_spec"].update(
-            stride=1, pool_width=0, pool_stride=0))
+
+        def add_retired(header):
+            header["model_spec"].update(stride=1, pool_width=0, pool_stride=0)
+            header["features"]["resample_method"] = "sinc"
+            header["features"]["frame"]["window"] = "hamming"
+            header["features"]["mfcc"]["n_coeffs"] = 13
+
+        edit_header(path, add_retired)
         old = load_checkpoint(path)
-        assert old.model_spec == ckpt.model_spec
+        assert old.model_spec == ckpt.model_spec and old.features == ckpt.features
         x = np.random.default_rng(18).uniform(-1, 1, (7, 41, 100)).astype(np.float32)
         assert old.build_model().forward(x).tobytes() == \
             ckpt.build_model().forward(x).tobytes()
@@ -351,6 +367,12 @@ class TestFeatureCache:
         assert kept1 == kept2
         for a, b in zip(mats1, mats2):
             np.testing.assert_array_equal(a.values, b.values)
+
+    def test_one_row_per_label(self, overfit_run):
+        records, *_ = overfit_run
+        fm = extract_features(records[0][0], TINY_SETTINGS)
+        assert fm.values.shape == (N_FEATURE_ROWS, TINY_SETTINGS.t_fixed)
+        assert N_FEATURE_ROWS == len(FEATURE_ROW_LABELS) == ModelSpec().in_channels
 
     def test_env_var_overrides_cache_location(self, tmp_path, monkeypatch):
         from affectline.train_eval import default_cache_dir
