@@ -226,9 +226,12 @@ def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
 
 _SINC_ZEROS = 32
 _KAISER_BETA = 8.6
-# Most taps held at once, in one block or in a cached bank: a co-prime rate
-# pair such as 95999 -> 16000 Hz has 16000 phases of 387 taps each.
+# Most taps held in a cached phase bank or phase matrix: a co-prime rate pair
+# such as 95999 -> 16000 Hz has 16000 phases of 387 taps each.
 _MAX_TAPS = 1 << 21
+# Most values in one column block of the phase matrix: 8, 22.05, 24, 32, 44.1,
+# 48, 96 and 384 kHz into 16 kHz each fit in one block.
+_BLOCK_VALUES = 1 << 18
 
 
 def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
@@ -263,19 +266,65 @@ def _polyphase_bank(sr_in: int, sr_out: int):
     return up, down, pad, offsets, scale, half_width, bank
 
 
+@functools.lru_cache(maxsize=8)
+def _row_layout(up: int, down: int, n_taps: int):
+    """(chunk, starts, phases, blocks) of the GEMM resampler's rows.
+
+    A row holds G*up outputs, G = ceil((n_taps-1)/down) input periods,
+    and reads its own ``chunk = G*down`` input samples and the next chunk:
+    its output j starts its window ``starts[j]`` samples into its chunk,
+    with the taps of phase ``phases[j]``. ``blocks`` splits the columns
+    into (c0, c1) ranges whose phase-matrix block (the input samples the
+    columns touch x the columns) holds about _BLOCK_VALUES values or fewer.
+    """
+    periods = -(-(n_taps - 1) // down)
+    j = np.arange(periods * up)
+    starts, phases = (j * down) // up, (j * down) % up
+    cols = len(j)
+    while cols > 1 and (cols * down // up + n_taps) * cols > _BLOCK_VALUES:
+        cols //= 2
+    blocks = [(c0, min(c0 + cols, len(j))) for c0 in range(0, len(j), cols)]
+    return periods * down, starts, phases, blocks
+
+
+def _band(taps: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    """Phase-matrix block: column j holds taps[j] from row starts[j] - starts[0]."""
+    n, n_taps = taps.shape
+    w = np.zeros((n, starts[-1] - starts[0] + n_taps))
+    np.put_along_axis(w, (starts - starts[0])[:, None] + np.arange(n_taps), taps, axis=1)
+    return w.T
+
+
+@functools.lru_cache(maxsize=8)
+def _phase_matrix(sr_in: int, sr_out: int):
+    """The phase-matrix blocks of a rate pair with a phase bank, built from
+    its rows; None when all blocks together would exceed _MAX_TAPS values."""
+    up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
+    _, starts, phases, blocks = _row_layout(up, down, len(offsets))
+    size = sum((starts[c1 - 1] - starts[c0] + len(offsets)) * (c1 - c0) for c0, c1 in blocks)
+    if size > _MAX_TAPS:
+        return None
+    return [_band(bank[phases[c0:c1]], starts[c0:c1]) for c0, c1 in blocks]
+
+
 def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
     """Convert ``x`` from ``sr_in`` to ``sr_out`` with a Kaiser-windowed sinc
     filter (beta 8.6, 32 zero crossings per side at the lower of the two rates).
 
-    The filter runs in polyphase form, one residue ``r`` of the output
-    index modulo ``up`` at a time: output ``r + up*m`` is the input window
-    starting at ``(r*down)//up + m*down`` times the taps of phase
-    ``(r*down) % up``. So the outputs of one residue are one strided view of
-    the padded input times one tap vector, written to ``out[r::up]`` with no
-    copy of the input (48 -> 16 kHz has one residue, 44.1 -> 16 kHz 160).
-    Taps come from the cached phase bank; a rate pair without a bank
-    (co-prime rates) computes them for blocks of residues holding at most
-    ``_MAX_TAPS`` values, the bank being the one-block case.
+    The filter runs as BLAS GEMMs. The zero-padded input is cut into
+    chunks of D = G*down samples, G = ceil((taps-1)/down) input periods,
+    and output row r (G*up outputs) reads only chunks r and r+1. Rows
+    0, 2, 4, ... read disjoint 2D-sample spans, and so do rows 1, 3, ...;
+    each set is one plain reshape of the input, and its outputs are that
+    matrix times W, the banded phase matrix (input sample by output
+    column, each column holding its phase's taps from its window start).
+    48 -> 16 kHz: 65 outputs of 195 taps per 195-sample chunk; 44.1 -> 16
+    kHz: 160 outputs of 181 taps per 441. Wide rows (co-prime rates: 16000
+    outputs per row at 95999 Hz) run as column blocks of W, each over only
+    the input samples its columns touch. W is built from the cached phase
+    bank and cached itself up to _MAX_TAPS values; without a bank each
+    block computes its taps when it runs, in the same layout, so the
+    output is the same.
     """
     x = np.asarray(x, dtype=np.float64)
     if sr_in == sr_out:
@@ -285,21 +334,27 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
         return np.zeros(0)
 
     up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
-    windows = np.lib.stride_tricks.sliding_window_view(np.pad(x, (pad, pad)), len(offsets))
-    out = np.empty(n_out)
-    n_res = min(up, n_out)  # residues with at least one output
-    block = max(1, _MAX_TAPS // len(offsets))  # all residues when there is a bank
-    for r0 in range(0, n_res, block):
-        r = np.arange(r0, min(r0 + block, n_res))
-        phase = (r * down) % up
-        taps = (bank[phase] if bank is not None
-                else _tap_values(phase / up, offsets, scale, half_width))
-        for res, start, h in zip(r.tolist(), ((r * down) // up).tolist(), taps):
-            # einsum, not @: when windows overlap (down < taps, as for 48 kHz)
-            # the view is no BLAS matrix and matmul's fallback loop is ~2x slower
-            dst = out[res::up]
-            np.einsum("ij,j->i", windows[start::down][:len(dst)], h, out=dst)
-    return out
+    chunk, starts, phases, blocks = _row_layout(up, down, len(offsets))
+    rows = -(-n_out // len(starts))
+    xp = np.zeros((rows + 2) * chunk)  # holds x: rows*chunk > len(x) - chunk, chunk >= 2*pad
+    xp[pad:pad + len(x)] = x
+    matrices = _phase_matrix(sr_in, sr_out) if bank is not None else None
+    out = np.empty((rows, len(starts)))
+    for i, (c0, c1) in enumerate(blocks):
+        if c0 >= n_out:  # one short row: later columns hold no output
+            break
+        if matrices is not None:
+            w = matrices[i]
+        else:
+            taps = (bank[phases[c0:c1]] if bank is not None
+                    else _tap_values(phases[c0:c1] / up, offsets, scale, half_width))
+            w = _band(taps, starts[c0:c1])
+        k = starts[c0]
+        for parity in (0, 1):  # rows 0, 2, ... and 1, 3, ...: disjoint 2-chunk spans
+            dst = out[parity::2, c0:c1]
+            src = xp[k + parity * chunk:k + (parity + 2 * len(dst)) * chunk]
+            np.matmul(src.reshape(len(dst), 2 * chunk)[:, :len(w)], w, out=dst)
+    return out.reshape(-1)[:n_out]
 
 
 # ---------------------------------------------------------------------------

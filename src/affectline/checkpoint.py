@@ -18,7 +18,8 @@ import numpy as np
 
 from .audio_io import EMOTIONS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
-from .features import DEFAULT_T_FIXED, N_MFCC, FrameConfig, MfccConfig, NormalizationProfile
+from .features import (DEFAULT_T_FIXED, N_MFCC, FrameConfig, MfccConfig, NormalizationProfile,
+                       check_sizes)
 from .nn import Model, ModelSpec, ShapeError
 
 MAGIC = b"AFL1"
@@ -69,12 +70,12 @@ class FeatureSettings:
     t_fixed: int = DEFAULT_T_FIXED
 
     def __post_init__(self):
-        if not (isinstance(self.sample_rate_hz, int)
-                and MIN_SAMPLE_RATE <= self.sample_rate_hz <= MAX_SAMPLE_RATE):
-            raise ConfigError(f"sample_rate_hz must be an integer within {MIN_SAMPLE_RATE}-"
+        check_sizes(sample_rate_hz=self.sample_rate_hz, t_fixed=self.t_fixed)
+        if not MIN_SAMPLE_RATE <= self.sample_rate_hz <= MAX_SAMPLE_RATE:
+            raise ConfigError(f"sample_rate_hz must be within {MIN_SAMPLE_RATE}-"
                               f"{MAX_SAMPLE_RATE}, got {self.sample_rate_hz!r}")
-        if not isinstance(self.t_fixed, int) or self.t_fixed < 1:
-            raise ConfigError(f"t_fixed must be an integer >= 1, got {self.t_fixed!r}")
+        if self.t_fixed < 1:
+            raise ConfigError(f"t_fixed must be >= 1, got {self.t_fixed!r}")
 
 
 @dataclass

@@ -21,7 +21,7 @@ DEFAULT_T_FIXED = 300
 # Part of every feature-cache key: bump it whenever a change to decoding,
 # resampling or this module alters the matrices extract_features returns, so
 # no cached matrix from older code is served.
-FEATURE_CODE_VERSION = 3
+FEATURE_CODE_VERSION = 4
 
 FEATURE_ROW_LABELS = tuple(
     [f"mfcc_{i:02d}" for i in range(N_MFCC)]
@@ -32,6 +32,14 @@ FEATURE_ROW_LABELS = tuple(
 N_FEATURE_ROWS = len(FEATURE_ROW_LABELS)
 
 
+def check_sizes(**sizes) -> None:
+    """ConfigError naming every value that is not an int; a bool is no size."""
+    bad = [f"{k}={v!r}" for k, v in sizes.items()
+           if not isinstance(v, int) or isinstance(v, bool)]
+    if bad:
+        raise ConfigError(f"sizes must be integers, got {', '.join(bad)}")
+
+
 @dataclass(frozen=True)
 class FrameConfig:
     """Analysis framing: 25 ms frames, 10 ms hop at 16 kHz by default."""
@@ -40,6 +48,7 @@ class FrameConfig:
     hop_samples: int = 160
 
     def __post_init__(self):
+        check_sizes(frame_len_samples=self.frame_len_samples, hop_samples=self.hop_samples)
         if self.frame_len_samples <= 0 or self.hop_samples <= 0:
             raise ConfigError("frame length and hop must be positive")
         if self.hop_samples > self.frame_len_samples:
@@ -63,6 +72,7 @@ class MfccConfig:
     delta_window: int = 2
 
     def __post_init__(self):
+        check_sizes(n_fft=self.n_fft, n_mels=self.n_mels, delta_window=self.delta_window)
         if self.n_fft < 1 or (self.n_fft & (self.n_fft - 1)) != 0:
             raise ConfigError(f"n_fft must be a power of two, got {self.n_fft}")
         if self.n_mels < N_MFCC:

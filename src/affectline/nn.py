@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AffectlineError, ConfigError
-from .features import N_FEATURE_ROWS
+from .features import N_FEATURE_ROWS, check_sizes
 
 N_CLASSES = 6
 
@@ -71,7 +71,8 @@ class Conv1d:
             y[:n] += rows[k:k + n] @ taps[k].T
         self._rows, self._taps, self._in_shape = rows, taps, (b, c, t)
         y = y.reshape(b, tp, self.out_ch)[:, :tp - self.kernel + 1]
-        return (y + self.b).transpose(0, 2, 1)
+        y += self.b
+        return y.transpose(0, 2, 1)
 
     def backward(self, grad_out: np.ndarray):
         b, c, t = self._in_shape
@@ -206,10 +207,9 @@ class ModelSpec:
     n_classes: int = N_CLASSES
 
     def __post_init__(self):
-        sizes = (self.in_channels, self.in_frames, self.kernel, self.pad,
-                 self.n_classes, *self.conv_channels)
-        if not all(isinstance(v, int) for v in sizes):
-            raise ConfigError(f"model sizes must be integers, got {sizes}")
+        check_sizes(in_channels=self.in_channels, in_frames=self.in_frames,
+                    kernel=self.kernel, pad=self.pad, n_classes=self.n_classes,
+                    **{f"conv_channels[{i}]": c for i, c in enumerate(self.conv_channels)})
         if min(self.in_frames, self.kernel) < 1:
             raise ConfigError("in_frames (t_fixed) and kernel must be >= 1, got "
                               f"{self.in_frames}, {self.kernel}")

@@ -197,7 +197,12 @@ def _labels_array(records) -> np.ndarray:
     return np.array([EMOTION_INDEX[label] for _, label in records], dtype=np.int64)
 
 
-def predict_logits(model: Model, x: np.ndarray, batch: int = 64) -> np.ndarray:
+def predict_logits(model: Model, x: np.ndarray, batch: int = 16) -> np.ndarray:
+    """Logits of every row of ``x``, forwarded ``batch`` rows at a time.
+
+    Rows are batch-invariant (see ``Model``), so ``batch`` only bounds the
+    layer caches one forward keeps, about 3 MB a row at the default spec.
+    """
     chunks = [model.forward(x[i:i + batch]) for i in range(0, len(x), batch)]
     return np.concatenate(chunks) if chunks else np.zeros((0, model.spec.n_classes))
 
@@ -209,11 +214,12 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     return cm
 
 
-def _accuracy(model: Model, x: np.ndarray, y: np.ndarray) -> float:
-    if len(x) == 0:
-        return float("nan")
-    pred = predict_logits(model, x).argmax(axis=1)
-    return float(np.mean(pred == y))
+def _predict(model: Model, x: np.ndarray) -> np.ndarray:
+    return predict_logits(model, x).argmax(axis=1)
+
+
+def _accuracy(y_pred: np.ndarray, y: np.ndarray) -> float:
+    return float(np.mean(y_pred == y)) if len(y) else float("nan")
 
 
 def train(records, model_spec: ModelSpec, config: TrainConfig,
@@ -250,6 +256,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
                       failures=train_fail + test_fail)
     n = len(x_train)
     best_test, since_best = -1.0, 0
+    test_pred = None  # of the model as it ends the last epoch run
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
         loss_sum = 0.0
@@ -263,8 +270,9 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
             grads = model.backward((grad / len(sel)).astype(np.float32))
             optimizer.step(model.parameters(), grads)
             loss_sum += mean_loss * len(sel)
-        train_acc = _accuracy(model, x_train, y_train)
-        test_acc = _accuracy(model, x_test, y_test)
+        train_acc = _accuracy(_predict(model, x_train), y_train)
+        test_pred = _predict(model, x_test)
+        test_acc = _accuracy(test_pred, y_test)
         metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
 
         if config.early_stop_train_acc and train_acc >= config.early_stop_train_acc:
@@ -277,11 +285,9 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
                 if since_best >= config.patience:
                     break
 
-    if len(y_test):
-        y_pred = predict_logits(model, x_test).argmax(axis=1)
-        metrics.confusion = confusion_matrix(y_test, y_pred)
-    else:
-        metrics.confusion = np.zeros((len(EMOTIONS), len(EMOTIONS)), dtype=np.int64)
+    if test_pred is None:  # no epoch ran
+        test_pred = _predict(model, x_test)
+    metrics.confusion = confusion_matrix(y_test, test_pred)
 
     ckpt = Checkpoint(
         model_spec=model_spec,
@@ -322,10 +328,9 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     x = _to_batch_array(mats, ckpt.normalization)
     y = _labels_array(kept)
     model = ckpt.build_model()
-    y_pred = predict_logits(model, x).argmax(axis=1)
     return Metrics(
         epochs=[],
-        confusion=confusion_matrix(y, y_pred),
+        confusion=confusion_matrix(y, _predict(model, x)),
         n_train=0,
         n_test=len(kept),
         failures=failures,

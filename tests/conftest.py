@@ -1,4 +1,5 @@
 import itertools
+import json
 import struct
 
 import numpy as np
@@ -83,3 +84,20 @@ def build_synthetic_corpus(root, per_class=10, duration_s=1.0, seed=1234,
 def synthetic_corpus(tmp_path):
     root = tmp_path / "corpus"
     return root, build_synthetic_corpus(root, per_class=10)
+
+
+def header_section(header, section):
+    """``header["features"]["frame"]`` for section "features.frame"; "" is the header."""
+    for key in filter(None, section.split(".")):
+        header = header[key]
+    return header
+
+
+def edit_header(path, edit):
+    """Rewrite a checkpoint's JSON header in place through ``edit(header)``."""
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, 4)
+    header = json.loads(raw[8:8 + head_len])
+    edit(header)
+    head = json.dumps(header).encode()
+    path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])

@@ -26,9 +26,9 @@ def naive_dft_magnitudes(x, n_bins, chunk=256):
     return mags
 
 
-# The gather-based sinc resampler that the per-residue one replaced, kept
-# verbatim as the reference: every output row gathers its input window by
-# fancy indexing and sums window * taps.
+# The gather-based sinc resampler that preceded the per-residue and GEMM
+# ones, kept verbatim as the reference: every output row gathers its input
+# window by fancy indexing and sums window * taps.
 _CHUNK = 8192
 
 
@@ -167,11 +167,12 @@ class TestResample:
         y = resample(sine(1000, 0.5, 48000), 48000, 16000)
         assert abs(np.abs(y[1000:-1000]).max() - 1.0) < 1e-3
 
-    @pytest.mark.parametrize("sr_in", [8000, 11025, 22050, 32000, 44100, 48000, 96000, 95999])
+    @pytest.mark.parametrize("sr_in", [1000, 8000, 11025, 22050, 32000, 44100, 48000, 96000,
+                                       384000, 44099, 95999])
     def test_matches_gather_oracle(self, sr_in):
         up = _polyphase_bank(sr_in, 16000)[0]
         rng = np.random.default_rng(sr_in)
-        # 95999 Hz has no phase bank; 8000 and 11025 Hz upsample
+        # 44099 and 95999 Hz have no phase bank; 1000 to 11025 Hz upsample
         for n in sorted({1, 2, 2001, max(1, up - 1), sr_in // 10}):
             x = rng.uniform(-1, 1, n)
             expected = oracle_resample(x, sr_in, 16000)

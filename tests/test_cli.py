@@ -8,7 +8,8 @@ import pytest
 from affectline.audio_io import read_wav, scan_corpus
 from affectline.cli import main
 from affectline.session import load_manifest, synthesize_session
-from conftest import build_synthetic_corpus, make_wav_bytes, sine, write_test_wav
+from conftest import (build_synthetic_corpus, edit_header, header_section, make_wav_bytes,
+                      sine, write_test_wav)
 
 TINY_OVERRIDES = [
     "--set", "conv_channels=8,8,12,12,16,16",
@@ -182,6 +183,21 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--corpus",
                      str(corpus_root), "--out", str(tmp_path / "o")]) == 3
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("section,key", [
+        ("features", "t_fixed"), ("features.frame", "hop_samples"),
+        ("features.mfcc", "delta_window"), ("model_spec", "kernel")])
+    def test_bool_size_in_header_exits_3(self, tmp_path, corpus_root, trained_run, capsys,
+                                         section, key):
+        # JSON true loads as a Python bool, which is an int: it must not pass as a size
+        run, _ = trained_run
+        bad = tmp_path / "bool.afl"
+        shutil.copy(run / "checkpoint.afl", bad)
+        edit_header(bad, lambda header: header_section(header, section).update({key: True}))
+        assert main(["eval", "--checkpoint", str(bad), "--corpus",
+                     str(corpus_root), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and f"{key}=True" in err
 
     def test_decode_failures_reported(self, tmp_path, corpus_root, trained_run, capsys):
         run, cache = trained_run

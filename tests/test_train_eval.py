@@ -1,6 +1,5 @@
 import io
-import json
-import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -17,8 +16,8 @@ from affectline.nn import Model, ModelSpec
 from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
                                    extract_features, metrics_to_csv,
-                                   split_dataset, train)
-from conftest import build_synthetic_corpus
+                                   predict_logits, split_dataset, train)
+from conftest import build_synthetic_corpus, edit_header, header_section
 
 TINY_SPEC = ModelSpec(in_channels=41, in_frames=100,
                       conv_channels=(8, 8, 12, 12, 16, 16))
@@ -196,21 +195,20 @@ class TestFeatureSettings:
         FeatureSettings(sample_rate_hz=384000)
 
 
-def header_section(header, section):
-    """``header["features"]["frame"]`` for section "features.frame"; "" is the header."""
-    for key in filter(None, section.split(".")):
-        header = header[key]
-    return header
-
-
-def edit_header(path, edit):
-    """Rewrite a checkpoint's JSON header in place through ``edit(header)``."""
-    raw = path.read_bytes()
-    (head_len,) = struct.unpack_from("<I", raw, 4)
-    header = json.loads(raw[8:8 + head_len])
-    edit(header)
-    head = json.dumps(header).encode()
-    path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
+class TestPredictLogits:
+    def test_64_rows_peak_memory_bounded(self):
+        # one forward keeps every layer's cache for its rows, ~3 MB a row at
+        # the default spec: 64 rows in one forward peaked at ~143 MB
+        model = Model(ModelSpec(), seed=3)
+        x = np.random.default_rng(3).standard_normal((64, 41, 300)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            logits = predict_logits(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64e6
+        np.testing.assert_array_equal(logits, predict_logits(model, x, batch=64))
 
 
 class TestCheckpointIO:
@@ -259,7 +257,11 @@ class TestCheckpointIO:
         ("model_spec", "pool_stride", 2), ("features", "resample_method", "linear"),
         ("features.frame", "window", "hann"), ("features.mfcc", "n_coeffs", 12),
         ("features.mfcc", "n_coeffs", 13.0), ("model_spec", "stratified", False),
-        ("model_spec", "shuffle_each_epoch", 1), ("", "class_order", list(EMOTIONS[::-1]))])
+        ("model_spec", "shuffle_each_epoch", 1), ("", "class_order", list(EMOTIONS[::-1])),
+        ("features", "t_fixed", True), ("features", "sample_rate_hz", True),
+        ("features.frame", "hop_samples", True), ("features.mfcc", "delta_window", True),
+        ("features.mfcc", "n_fft", True), ("model_spec", "kernel", True),
+        ("model_spec", "conv_channels", [8, 8, 12, 12, 16, True])])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
