@@ -226,8 +226,8 @@ def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
 
 _SINC_ZEROS = 32
 _KAISER_BETA = 8.6
-# Most taps held in a cached phase bank or phase matrix: a co-prime rate pair
-# such as 95999 -> 16000 Hz has 16000 phases of 387 taps each.
+# Most values in a cached phase matrix: a co-prime rate pair such as
+# 95999 -> 16000 Hz has 16000 phases of 387 taps each.
 _MAX_TAPS = 1 << 21
 # Most values in one column block of the phase matrix: 8, 22.05, 24, 32, 44.1,
 # 48, 96 and 384 kHz into 16 kHz each fit in one block.
@@ -247,11 +247,18 @@ def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _polyphase_bank(sr_in: int, sr_out: int):
-    """Filter geometry and per-phase taps; integer rates give up = sr_out/gcd phases.
+def _plan(sr_in: int, sr_out: int):
+    """(pad, chunk, starts, blocks, block, matrices) of the GEMM resampler.
 
-    The bank is None when its up x taps values would exceed _MAX_TAPS;
-    ``resample`` then computes the taps of a block of phases at a time.
+    Integer rates give up = sr_out/gcd phases. A row holds G*up outputs,
+    G = ceil((taps-1)/down) input periods, and reads its own ``chunk =
+    G*down`` input samples and the next chunk: its output j starts its
+    window ``starts[j]`` samples into its chunk, with the taps of phase
+    ``phases[j]``. ``blocks`` splits the columns into (c0, c1) ranges whose
+    phase-matrix block (the input samples the columns touch x the columns)
+    holds about _BLOCK_VALUES values or fewer; ``block(c0, c1)`` builds
+    one. ``matrices`` holds every block when they total _MAX_TAPS values
+    or fewer, else None.
     """
     g = np.gcd(sr_in, sr_out)
     up, down = sr_out // g, sr_in // g
@@ -259,24 +266,7 @@ def _polyphase_bank(sr_in: int, sr_out: int):
     half_width = _SINC_ZEROS / scale
     pad = int(np.ceil(half_width)) + 1
     offsets = np.arange(-pad, pad + 1)
-    bank = None
-    if up * len(offsets) <= _MAX_TAPS:
-        fracs = np.arange(up) / up  # fractional input position per output phase
-        bank = _tap_values(fracs, offsets, scale, half_width)
-    return up, down, pad, offsets, scale, half_width, bank
-
-
-@functools.lru_cache(maxsize=8)
-def _row_layout(up: int, down: int, n_taps: int):
-    """(chunk, starts, phases, blocks) of the GEMM resampler's rows.
-
-    A row holds G*up outputs, G = ceil((n_taps-1)/down) input periods,
-    and reads its own ``chunk = G*down`` input samples and the next chunk:
-    its output j starts its window ``starts[j]`` samples into its chunk,
-    with the taps of phase ``phases[j]``. ``blocks`` splits the columns
-    into (c0, c1) ranges whose phase-matrix block (the input samples the
-    columns touch x the columns) holds about _BLOCK_VALUES values or fewer.
-    """
+    n_taps = len(offsets)
     periods = -(-(n_taps - 1) // down)
     j = np.arange(periods * up)
     starts, phases = (j * down) // up, (j * down) % up
@@ -284,27 +274,18 @@ def _row_layout(up: int, down: int, n_taps: int):
     while cols > 1 and (cols * down // up + n_taps) * cols > _BLOCK_VALUES:
         cols //= 2
     blocks = [(c0, min(c0 + cols, len(j))) for c0 in range(0, len(j), cols)]
-    return periods * down, starts, phases, blocks
 
+    def block(c0: int, c1: int) -> np.ndarray:
+        """Column j holds the taps of phases[j] from row starts[j] - starts[c0]."""
+        taps = _tap_values(phases[c0:c1] / up, offsets, scale, half_width)
+        w = np.zeros((c1 - c0, starts[c1 - 1] - starts[c0] + n_taps))
+        np.put_along_axis(w, (starts[c0:c1] - starts[c0])[:, None] + np.arange(n_taps), taps,
+                          axis=1)
+        return w.T
 
-def _band(taps: np.ndarray, starts: np.ndarray) -> np.ndarray:
-    """Phase-matrix block: column j holds taps[j] from row starts[j] - starts[0]."""
-    n, n_taps = taps.shape
-    w = np.zeros((n, starts[-1] - starts[0] + n_taps))
-    np.put_along_axis(w, (starts - starts[0])[:, None] + np.arange(n_taps), taps, axis=1)
-    return w.T
-
-
-@functools.lru_cache(maxsize=8)
-def _phase_matrix(sr_in: int, sr_out: int):
-    """The phase-matrix blocks of a rate pair with a phase bank, built from
-    its rows; None when all blocks together would exceed _MAX_TAPS values."""
-    up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
-    _, starts, phases, blocks = _row_layout(up, down, len(offsets))
-    size = sum((starts[c1 - 1] - starts[c0] + len(offsets)) * (c1 - c0) for c0, c1 in blocks)
-    if size > _MAX_TAPS:
-        return None
-    return [_band(bank[phases[c0:c1]], starts[c0:c1]) for c0, c1 in blocks]
+    size = sum((starts[c1 - 1] - starts[c0] + n_taps) * (c1 - c0) for c0, c1 in blocks)
+    matrices = [block(c0, c1) for c0, c1 in blocks] if size <= _MAX_TAPS else None
+    return pad, periods * down, starts, blocks, block, matrices
 
 
 def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
@@ -321,10 +302,10 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
     48 -> 16 kHz: 65 outputs of 195 taps per 195-sample chunk; 44.1 -> 16
     kHz: 160 outputs of 181 taps per 441. Wide rows (co-prime rates: 16000
     outputs per row at 95999 Hz) run as column blocks of W, each over only
-    the input samples its columns touch. W is built from the cached phase
-    bank and cached itself up to _MAX_TAPS values; without a bank each
-    block computes its taps when it runs, in the same layout, so the
-    output is the same.
+    the input samples its columns touch. W is built once per rate pair
+    and cached when it holds _MAX_TAPS values or fewer, as it does for
+    every standard rate; above that, each call builds each block's taps
+    as it runs, the same way, so the output is the same.
     """
     x = np.asarray(x, dtype=np.float64)
     if sr_in == sr_out:
@@ -333,22 +314,15 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
     if n_out == 0:
         return np.zeros(0)
 
-    up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
-    chunk, starts, phases, blocks = _row_layout(up, down, len(offsets))
+    pad, chunk, starts, blocks, block, matrices = _plan(sr_in, sr_out)
     rows = -(-n_out // len(starts))
     xp = np.zeros((rows + 2) * chunk)  # holds x: rows*chunk > len(x) - chunk, chunk >= 2*pad
     xp[pad:pad + len(x)] = x
-    matrices = _phase_matrix(sr_in, sr_out) if bank is not None else None
     out = np.empty((rows, len(starts)))
     for i, (c0, c1) in enumerate(blocks):
         if c0 >= n_out:  # one short row: later columns hold no output
             break
-        if matrices is not None:
-            w = matrices[i]
-        else:
-            taps = (bank[phases[c0:c1]] if bank is not None
-                    else _tap_values(phases[c0:c1] / up, offsets, scale, half_width))
-            w = _band(taps, starts[c0:c1])
+        w = matrices[i] if matrices is not None else block(c0, c1)
         k = starts[c0]
         for parity in (0, 1):  # rows 0, 2, ... and 1, 3, ...: disjoint 2-chunk spans
             dst = out[parity::2, c0:c1]

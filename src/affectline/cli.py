@@ -201,6 +201,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     n = _positive_count("--n-segments", args.n_segments)
     if args.snr_db is not None and not np.isfinite(args.snr_db):
         raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
+    session_mod.check_session_id(args.session_id)
     items = []
     for path, label in _corpus_records(cfg):
         try:

@@ -75,6 +75,19 @@ class SessionReport:
         return len(self.failures)
 
 
+def _plain_name(name: str) -> bool:
+    """True when ``name`` is one path component. Report and segment files
+    are named after session ids, so a path there would write outside their
+    directory."""
+    return Path(name).name == name and name not in (".", "..")
+
+
+def check_session_id(session_id: str) -> None:
+    """Raise ConfigError unless ``session_id`` is a plain file name."""
+    if not _plain_name(session_id):
+        raise ConfigError(f"session id {session_id!r} is not a plain file name")
+
+
 def load_manifest(path) -> ManifestLoadResult:
     """Parse a segment manifest CSV.
 
@@ -110,6 +123,10 @@ def _parse_manifest(reader: csv.DictReader, path: Path) -> ManifestLoadResult:
             continue
         if not row["segment_id"] or not row["session_id"] or not row["audio_path"]:
             row_errors.append((line, "empty session_id, segment_id or audio_path"))
+            continue
+        if not _plain_name(row["session_id"]):
+            row_errors.append(
+                (line, f"session_id {row['session_id']!r} is not a plain file name"))
             continue
         label = (row["source_label"] or "").strip().upper()
         if label not in SOURCE_LABELS:
@@ -259,6 +276,7 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
         raise DataError("need at least one labeled clip")
     if snr_db is not None and not np.isfinite(snr_db):
         raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    check_session_id(session_id)
     out_dir = Path(out_dir)
     seg_dir = out_dir / "segments"
     seg_dir.mkdir(parents=True, exist_ok=True)

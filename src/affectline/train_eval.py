@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_wav
+from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioDecodeError, UnreadableFileError,
+                       read_wav)
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
 from .features import (FEATURE_CODE_VERSION, FeatureMatrix, assemble_features,
@@ -133,7 +134,11 @@ def extract_features(path, settings: FeatureSettings,
     cannot be read back is a miss and gets overwritten.
     """
     if cache_dir is not None:
-        digest = hashlib.sha256(Path(path).read_bytes()).hexdigest()[:20]
+        try:
+            raw = Path(path).read_bytes()
+        except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
+            raise UnreadableFileError(f"{path}: {exc}") from exc
+        digest = hashlib.sha256(raw).hexdigest()[:20]
         key = f"{digest}-{_settings_token(settings)}.npz"
         cached = Path(cache_dir) / key
         if cached.exists():

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from affectline import audio_io
-from affectline.audio_io import (_MAX_TAPS, _polyphase_bank, _tap_values,  # oracle_resample
-                                 CorpusFilter, CorpusEmptyError, EmptyAudioError,
+from affectline.audio_io import (CorpusFilter, CorpusEmptyError, EmptyAudioError,
                                  MalformedNameError, OutOfScopeEmotionError,
                                  UnreadableFileError, UnsupportedEncodingError,
                                  parse_ravdess_name, read_wav,
@@ -28,8 +27,24 @@ def naive_dft_magnitudes(x, n_bins, chunk=256):
 
 # The gather-based sinc resampler that preceded the per-residue and GEMM
 # ones, kept verbatim as the reference: every output row gathers its input
-# window by fancy indexing and sums window * taps.
+# window by fancy indexing and sums window * taps. It carries its own filter
+# geometry and tap formula so that it does not move with the module under test.
 _CHUNK = 8192
+_SINC_ZEROS = 32
+_KAISER_BETA = 8.6
+_MAX_TAPS = 1 << 21
+
+
+def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
+                half_width: float) -> np.ndarray:
+    """Kaiser-windowed sinc taps at distances frac[:, None] - offsets."""
+    t = frac[:, None] - offsets[None, :]
+    u = t / half_width
+    inside = np.abs(u) < 1.0
+    window = np.where(inside,
+                      np.i0(_KAISER_BETA * np.sqrt(np.clip(1.0 - u * u, 0.0, 1.0))),
+                      0.0) / np.i0(_KAISER_BETA)
+    return scale * np.sinc(scale * t) * window
 
 
 def oracle_resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc") -> np.ndarray:
@@ -51,7 +66,12 @@ def oracle_resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc"
     if method != "sinc":
         raise ValueError(f"unknown resample method {method!r}")
 
-    up, down, pad, offsets, scale, half_width, bank = _polyphase_bank(sr_in, sr_out)
+    g = np.gcd(sr_in, sr_out)
+    up, down = sr_out // g, sr_in // g
+    scale = min(1.0, sr_out / sr_in)  # anti-alias cutoff relative to input rate
+    half_width = _SINC_ZEROS / scale
+    pad = int(np.ceil(half_width)) + 1
+    offsets = np.arange(-pad, pad + 1)
     rows = max(1, min(_CHUNK, _MAX_TAPS // len(offsets)))
     xp = np.pad(x, (pad, pad))
     out = np.empty(n_out)
@@ -59,8 +79,7 @@ def oracle_resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc"
         n = np.arange(start, min(start + rows, n_out), dtype=np.int64)
         k0 = (n * down) // up  # integer input position
         phase = (n * down) % up
-        taps = (bank[phase] if bank is not None
-                else _tap_values(phase / up, offsets, scale, half_width))
+        taps = _tap_values(phase / up, offsets, scale, half_width)
         seg = xp[(k0[:, None] + pad) + offsets[None, :]]
         out[n[0]:n[-1] + 1] = (seg * taps).sum(axis=1)
     return out
@@ -170,9 +189,9 @@ class TestResample:
     @pytest.mark.parametrize("sr_in", [1000, 8000, 11025, 22050, 32000, 44100, 48000, 96000,
                                        384000, 44099, 95999])
     def test_matches_gather_oracle(self, sr_in):
-        up = _polyphase_bank(sr_in, 16000)[0]
+        up = 16000 // np.gcd(sr_in, 16000)
         rng = np.random.default_rng(sr_in)
-        # 44099 and 95999 Hz have no phase bank; 1000 to 11025 Hz upsample
+        # 44099 and 95999 Hz have no cached phase matrix; 1000 to 11025 Hz upsample
         for n in sorted({1, 2, 2001, max(1, up - 1), sr_in // 10}):
             x = rng.uniform(-1, 1, n)
             expected = oracle_resample(x, sr_in, 16000)
@@ -181,30 +200,40 @@ class TestResample:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"n={n}")
 
     @pytest.mark.parametrize("sr_in", [44100, 48000, 22050])
-    def test_taps_per_chunk_match_the_phase_bank(self, monkeypatch, sr_in):
+    def test_blocks_built_per_call_match_the_cached_matrix(self, monkeypatch, sr_in):
+        # _BLOCK_VALUES stays: another block split sums the GEMMs in another
+        # order and moves outputs by an ulp
         x = np.random.default_rng(5).uniform(-1, 1, sr_in // 20)
-        banked = resample(x, sr_in, 16000)
-        audio_io._polyphase_bank.cache_clear()
-        monkeypatch.setattr(audio_io, "_MAX_TAPS", 100)  # no bank, one-phase blocks
+        audio_io._plan.cache_clear()
+        assert audio_io._plan(sr_in, 16000)[-1] is not None
+        cached = resample(x, sr_in, 16000)
+        audio_io._plan.cache_clear()
+        monkeypatch.setattr(audio_io, "_MAX_TAPS", 100)  # no cached phase matrix
         try:
-            assert audio_io._polyphase_bank(sr_in, 16000)[-1] is None
-            np.testing.assert_array_equal(resample(x, sr_in, 16000), banked)
+            assert audio_io._plan(sr_in, 16000)[-1] is None
+            np.testing.assert_array_equal(resample(x, sr_in, 16000), cached)
         finally:
-            audio_io._polyphase_bank.cache_clear()
+            audio_io._plan.cache_clear()
+
+    @pytest.mark.parametrize("sr_in", [8000, 11025, 22050, 24000, 32000, 44100, 48000,
+                                       88200, 96000, 176400, 192000, 384000])
+    def test_standard_rates_cache_the_phase_matrix(self, sr_in):
+        # above _MAX_TAPS values every call builds its taps again
+        assert audio_io._plan(sr_in, 16000)[-1] is not None
 
     def test_co_prime_rate_memory_bounded(self, tmp_path):
-        # 95999 -> 16000 Hz has 16000 phases of 387 taps: a full phase bank
-        # would take ~500 MB to build for a 100-sample file
+        # 95999 -> 16000 Hz has 16000 phases of 387 taps: building them all
+        # at once would take ~500 MB for a 100-sample file
         path = write_test_wav(tmp_path / "odd.wav", sine(300, 100 / 95999, 95999),
                               sample_rate=95999)
-        audio_io._polyphase_bank.cache_clear()
+        audio_io._plan.cache_clear()
         tracemalloc.start()
         try:
             clip = read_wav(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-            audio_io._polyphase_bank.cache_clear()
+            audio_io._plan.cache_clear()
         assert len(clip.samples) == 17
         assert peak < 32e6
 

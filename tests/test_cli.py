@@ -113,6 +113,22 @@ class TestTrainCommand:
         assert f"decode failure: {broken}: not a RIFF/WAVE file" in err
         assert "decode failures: 1" in err
 
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_unreadable_paths_named_with_a_cache(self, tmp_path, corpus_root, capsys, jobs):
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        folder = corpus / "03-01-01-01-02-01-02.wav"  # a directory named like a clip
+        folder.mkdir()
+        dangling = corpus / "03-01-02-01-02-01-02.wav"
+        dangling.symlink_to(tmp_path / "gone.wav")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--epochs", "0", "--cache-dir", str(tmp_path / "c"),
+                     *TINY_OVERRIDES, "--set", f"jobs={jobs}"]) == 0
+        err = capsys.readouterr().err
+        assert f"decode failure: {folder}: " in err
+        assert f"decode failure: {dangling}: " in err
+        assert "decode failures: 2" in err
+
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, corpus_root):
         code = main(["train", "--corpus", str(corpus_root),
@@ -282,6 +298,24 @@ class TestClassifyCommand:
         assert str(manifest) in capsys.readouterr().err
 
 
+    def test_path_session_id_writes_nothing_outside_out(self, tmp_path, corpus_root,
+                                                        trained_run, capsys):
+        run, _ = trained_run
+        items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
+        bundle = synthesize_session(items[:2], tmp_path / "s", session_id="s", seed=1)
+        manifest = bundle.manifest_path
+        lines = manifest.read_text().splitlines()
+        lines.append(lines[-1].replace("s,", "../escaped,", 1))
+        manifest.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "s" / "o"
+        assert main(["classify", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--manifest", str(manifest), "--out", str(out)]) == 0
+        assert "manifest line 4: session_id '../escaped' is not a plain file name" \
+            in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["config.txt", "s.csv", "s.svg"]
+        assert not list((tmp_path / "s").glob("escaped.*"))
+
+
 class TestDedicatedFlags:
     @pytest.mark.parametrize("argv", [
         ["classify", "--jobs", "2"],
@@ -364,6 +398,12 @@ class TestGradcheckCommand:
 
 
 class TestSynthCommand:
+    def test_path_session_id_exits_2_before_writing(self, tmp_path, corpus_root, capsys):
+        assert main(["synth", "--corpus", str(corpus_root), "--out", str(tmp_path / "b"),
+                     "--n-segments", "2", "--session-id", "../x"]) == 2
+        assert "'../x' is not a plain file name" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == []
+
     def test_bundle_written(self, tmp_path, corpus_root):
         out = tmp_path / "synth"
         code = main(["synth", "--corpus", str(corpus_root), "--out", str(out),

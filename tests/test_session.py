@@ -59,6 +59,17 @@ class TestManifest:
         assert len(result.records) == 1
         assert result.row_errors == [(3, "end_s 2.0 <= start_s 2.0")]
 
+    @pytest.mark.parametrize("sid", ["../escaped", "a/b", "/abs", ".", ".."])
+    def test_session_id_not_a_file_name_is_row_error(self, tmp_path, sid):
+        m = tmp_path / "m.csv"
+        m.write_text(
+            "session_id,segment_id,source_label,audio_path,start_s,end_s\n"
+            "s1,a,FAN,a.wav,0.0,1.0\n"
+            f"{sid},b,FAN,b.wav,1.0,2.0\n")
+        result = load_manifest(m)
+        assert [r.session_id for r in result.records] == ["s1"]
+        assert result.row_errors == [(3, f"session_id {sid!r} is not a plain file name")]
+
     def test_unknown_label_maps_to_other(self, tmp_path):
         m = tmp_path / "m.csv"
         m.write_text(
@@ -144,6 +155,12 @@ class TestSynthesize:
         with pytest.raises(ConfigError, match="snr_db"):
             synthesize_session(labeled_clips(2), tmp_path / "n", snr_db=snr_db)
         assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize("sid", ["../x", "a/b", ".."])
+    def test_path_session_id_is_config_error_before_any_file(self, tmp_path, sid):
+        with pytest.raises(ConfigError, match="session id"):
+            synthesize_session(labeled_clips(2), tmp_path / "out" / "n", session_id=sid)
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestClassifySession:

@@ -361,6 +361,18 @@ class TestFeatureCache:
         extract_features(path, TINY_SETTINGS, cache)
         assert decoded == [path]
 
+    def test_unreadable_paths_are_failures_with_a_cache(self, synthetic_corpus, tmp_path):
+        root, records = synthetic_corpus
+        folder = root / "03-01-01-01-02-01-02.wav"  # a directory named like a clip
+        folder.mkdir()
+        dangling = root / "03-01-02-01-02-01-02.wav"
+        dangling.symlink_to(tmp_path / "gone.wav")
+        subset = [records[0], (folder, "neutral"), (dangling, "calm")]
+        kept, _, failures = extract_all(subset, TINY_SETTINGS, cache_dir=tmp_path / "cache")
+        assert kept == subset[:1]
+        assert [path for path, _ in failures] == [folder, dangling]
+        assert all(reason.startswith(f"{path}: ") for path, reason in failures)
+
     def test_parallel_extraction_matches_serial(self, synthetic_corpus):
         _, records = synthetic_corpus
         subset = records[:8]
