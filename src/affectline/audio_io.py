@@ -160,6 +160,14 @@ def _decode_pcm(data: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
     raise UnsupportedEncodingError(f"{path}: WAV format code {fmt_code} is not supported")
 
 
+def read_bytes(path) -> bytes:
+    """The contents of ``path``; UnreadableFileError when it cannot be read."""
+    try:
+        return Path(path).read_bytes()
+    except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
+        raise UnreadableFileError(f"{path}: {exc}") from exc
+
+
 def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE) -> AudioClip:
     """Decode a PCM WAV file into a mono clip at ``target_rate``.
 
@@ -169,12 +177,7 @@ def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE) -> AudioClip:
     MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or EmptyAudioError.
     """
     path = Path(path)
-    try:
-        raw = path.read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
-        raise UnreadableFileError(f"{path}: {exc}") from exc
-
-    chunks = _parse_riff_chunks(raw, str(path))
+    chunks = _parse_riff_chunks(read_bytes(path), str(path))
     if b"fmt " not in chunks or b"data" not in chunks:
         raise UnreadableFileError(f"{path}: missing fmt or data chunk")
     fmt = chunks[b"fmt "]
@@ -226,8 +229,8 @@ def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
 
 _SINC_ZEROS = 32
 _KAISER_BETA = 8.6
-# Most values in a cached phase matrix: a co-prime rate pair such as
-# 95999 -> 16000 Hz has 16000 phases of 387 taps each.
+# Most values in a cached phase matrix or column-tap table: a co-prime rate
+# pair such as 95999 -> 16000 Hz has 16000 phases of 387 taps each.
 _MAX_TAPS = 1 << 21
 # Most values in one column block of the phase matrix: 8, 22.05, 24, 32, 44.1,
 # 48, 96 and 384 kHz into 16 kHz each fit in one block.
@@ -254,11 +257,11 @@ def _plan(sr_in: int, sr_out: int):
     G = ceil((taps-1)/down) input periods, and reads its own ``chunk =
     G*down`` input samples and the next chunk: its output j starts its
     window ``starts[j]`` samples into its chunk, with the taps of phase
-    ``phases[j]``. ``blocks`` splits the columns into (c0, c1) ranges whose
+    ``fracs[j] * up``. ``blocks`` splits the columns into (c0, c1) ranges whose
     phase-matrix block (the input samples the columns touch x the columns)
     holds about _BLOCK_VALUES values or fewer; ``block(c0, c1)`` builds
-    one. ``matrices`` holds every block when they total _MAX_TAPS values
-    or fewer, else None.
+    one. ``matrices`` holds every block if they total _MAX_TAPS values or
+    fewer; ``kept``, every column's taps if they fit in _MAX_TAPS values.
     """
     g = np.gcd(sr_in, sr_out)
     up, down = sr_out // g, sr_in // g
@@ -269,15 +272,17 @@ def _plan(sr_in: int, sr_out: int):
     n_taps = len(offsets)
     periods = -(-(n_taps - 1) // down)
     j = np.arange(periods * up)
-    starts, phases = (j * down) // up, (j * down) % up
+    starts, fracs = (j * down) // up, (j * down) % up / up
     cols = len(j)
     while cols > 1 and (cols * down // up + n_taps) * cols > _BLOCK_VALUES:
         cols //= 2
     blocks = [(c0, min(c0 + cols, len(j))) for c0 in range(0, len(j), cols)]
+    kept = _tap_values(fracs, offsets, scale, half_width) if len(j) * n_taps <= _MAX_TAPS else None
 
     def block(c0: int, c1: int) -> np.ndarray:
-        """Column j holds the taps of phases[j] from row starts[j] - starts[c0]."""
-        taps = _tap_values(phases[c0:c1] / up, offsets, scale, half_width)
+        """Column j holds the taps of fracs[j] from row starts[j] - starts[c0]."""
+        taps = (kept[c0:c1] if kept is not None
+                else _tap_values(fracs[c0:c1], offsets, scale, half_width))
         w = np.zeros((c1 - c0, starts[c1 - 1] - starts[c0] + n_taps))
         np.put_along_axis(w, (starts[c0:c1] - starts[c0])[:, None] + np.arange(n_taps), taps,
                           axis=1)
@@ -294,18 +299,14 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
 
     The filter runs as BLAS GEMMs. The zero-padded input is cut into
     chunks of D = G*down samples, G = ceil((taps-1)/down) input periods,
-    and output row r (G*up outputs) reads only chunks r and r+1. Rows
-    0, 2, 4, ... read disjoint 2D-sample spans, and so do rows 1, 3, ...;
-    each set is one plain reshape of the input, and its outputs are that
-    matrix times W, the banded phase matrix (input sample by output
-    column, each column holding its phase's taps from its window start).
-    48 -> 16 kHz: 65 outputs of 195 taps per 195-sample chunk; 44.1 -> 16
-    kHz: 160 outputs of 181 taps per 441. Wide rows (co-prime rates: 16000
-    outputs per row at 95999 Hz) run as column blocks of W, each over only
-    the input samples its columns touch. W is built once per rate pair
-    and cached when it holds _MAX_TAPS values or fewer, as it does for
-    every standard rate; above that, each call builds each block's taps
-    as it runs, the same way, so the output is the same.
+    and output row r (G*up outputs) reads only chunks r and r+1, so rows
+    0, 2, ... and rows 1, 3, ... are each one reshape of the input times W,
+    the banded phase matrix (input sample by output column, each column
+    holding its phase's taps from its window start). 48 -> 16 kHz: 65
+    outputs of 195 taps per 195-sample chunk. Wide rows (16000 outputs at
+    95999 Hz) run as column blocks of W over only the input samples their
+    columns touch. _plan caches W, else every column's taps, else nothing
+    for a rate pair; each way gives the same output.
     """
     x = np.asarray(x, dtype=np.float64)
     if sr_in == sr_out:

@@ -22,8 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioDecodeError, UnreadableFileError,
-                       read_wav)
+from .audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_bytes, read_wav
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
 from .features import (FEATURE_CODE_VERSION, FeatureMatrix, assemble_features,
@@ -134,11 +133,7 @@ def extract_features(path, settings: FeatureSettings,
     cannot be read back is a miss and gets overwritten.
     """
     if cache_dir is not None:
-        try:
-            raw = Path(path).read_bytes()
-        except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
-            raise UnreadableFileError(f"{path}: {exc}") from exc
-        digest = hashlib.sha256(raw).hexdigest()[:20]
+        digest = hashlib.sha256(read_bytes(path)).hexdigest()[:20]
         key = f"{digest}-{_settings_token(settings)}.npz"
         cached = Path(cache_dir) / key
         if cached.exists():

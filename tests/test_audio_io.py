@@ -200,15 +200,19 @@ class TestResample:
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"n={n}")
 
     @pytest.mark.parametrize("sr_in", [44100, 48000, 22050])
-    def test_blocks_built_per_call_match_the_cached_matrix(self, monkeypatch, sr_in):
+    @pytest.mark.parametrize("table", [True, False])
+    def test_blocks_built_per_call_match_the_cached_matrix(self, monkeypatch, sr_in, table):
         # _BLOCK_VALUES stays: another block split sums the GEMMs in another
         # order and moves outputs by an ulp
         x = np.random.default_rng(5).uniform(-1, 1, sr_in // 20)
         audio_io._plan.cache_clear()
-        assert audio_io._plan(sr_in, 16000)[-1] is not None
+        pad, _, starts, _, _, matrices = audio_io._plan(sr_in, 16000)
+        assert matrices is not None
         cached = resample(x, sr_in, 16000)
         audio_io._plan.cache_clear()
-        monkeypatch.setattr(audio_io, "_MAX_TAPS", 100)  # no cached phase matrix
+        # room for every column's taps (2*pad + 1 each) but not for the matrix
+        max_taps = len(starts) * (2 * pad + 1) if table else 100
+        monkeypatch.setattr(audio_io, "_MAX_TAPS", max_taps)
         try:
             assert audio_io._plan(sr_in, 16000)[-1] is None
             np.testing.assert_array_equal(resample(x, sr_in, 16000), cached)
@@ -218,8 +222,29 @@ class TestResample:
     @pytest.mark.parametrize("sr_in", [8000, 11025, 22050, 24000, 32000, 44100, 48000,
                                        88200, 96000, 176400, 192000, 384000])
     def test_standard_rates_cache_the_phase_matrix(self, sr_in):
-        # above _MAX_TAPS values every call builds its taps again
         assert audio_io._plan(sr_in, 16000)[-1] is not None
+
+    @pytest.mark.parametrize("sr_in", [11127, 22254, 16001])
+    def test_odd_rates_compute_their_taps_once(self, monkeypatch, sr_in):
+        # no cached matrix (up to 16000 columns per row), but every
+        # column's taps fit in _MAX_TAPS values, so later calls reuse them
+        x = np.random.default_rng(6).uniform(-1, 1, sr_in)
+        audio_io._plan.cache_clear()
+        try:
+            with monkeypatch.context() as m:
+                m.setattr(audio_io, "_MAX_TAPS", 100)  # each block computes its taps
+                fresh = resample(x, sr_in, 16000)
+            audio_io._plan.cache_clear()
+            assert audio_io._plan(sr_in, 16000)[-1] is None
+            resample(x, sr_in, 16000)
+            calls = []
+            tap_values = audio_io._tap_values
+            monkeypatch.setattr(audio_io, "_tap_values",
+                                lambda *a: calls.append(a) or tap_values(*a))
+            np.testing.assert_array_equal(resample(x, sr_in, 16000), fresh)
+            assert calls == []
+        finally:
+            audio_io._plan.cache_clear()
 
     def test_co_prime_rate_memory_bounded(self, tmp_path):
         # 95999 -> 16000 Hz has 16000 phases of 387 taps: building them all
