@@ -10,9 +10,8 @@ from .audio_io import (AudioClip, CorpusFilter, EMOTIONS, EMOTION_INDEX,
                        render_ravdess_name, resample, scan_corpus, write_wav)
 from .checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from .config import RunConfig
-from .features import (FeatureMatrix, FrameConfig, MfccConfig,
-                       NormalizationProfile, assemble_features, delta,
-                       frame_signal, mfcc, rms, zcr)
+from .features import (FeatureMatrix, NormalizationProfile, assemble_features,
+                       delta, frame_signal, mfcc, rms, zcr)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 from .session import (SegmentRecord, SessionReport, classify_session,
                       filter_fan, load_manifest, render_report,

@@ -16,21 +16,27 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import EMOTIONS, MAX_SAMPLE_RATE, MIN_SAMPLE_RATE, PIPELINE_SAMPLE_RATE
+from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
-from .features import (DEFAULT_T_FIXED, N_MFCC, FrameConfig, MfccConfig, NormalizationProfile,
-                       check_sizes)
-from .nn import Model, ModelSpec, ShapeError
+from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR, N_FFT, N_MELS,
+                       N_MFCC, NormalizationProfile, check_sizes)
+from .nn import Model, ModelSpec, RmsProp, ShapeError
 
 MAGIC = b"AFL1"
 FORMAT_VERSION = 1
 
 # Keys that older checkpoint headers and config.txt files carry, each at
 # the one value the pipeline now has fixed: stride-1 convolutions, a global
-# max pool, sinc resampling, a Hamming window, 13 MFCCs, a stratified split
-# and shuffled batches.
+# max pool, sinc resampling to 16 kHz, the feature front end of
+# ``features`` (a Hamming window, 13 MFCCs; fmax 0 meant the Nyquist
+# frequency), RMSProp's own rho and eps, a stratified split and shuffled
+# batches.
 RETIRED_KEYS = {"stride": 1, "pool_width": 0, "pool_stride": 0,
-                "resample_method": "sinc", "window": "hamming", "n_coeffs": N_MFCC,
+                "resample_method": "sinc", "sample_rate_hz": PIPELINE_SAMPLE_RATE,
+                "window": "hamming", "frame_len_samples": FRAME_LEN, "hop_samples": HOP,
+                "n_fft": N_FFT, "n_mels": N_MELS, "fmin_hz": 0.0, "fmax_hz": 0.0,
+                "log_floor": LOG_FLOOR, "n_coeffs": N_MFCC, "delta_window": DELTA_WINDOW,
+                "rho": RmsProp().rho, "eps": RmsProp().eps,
                 "stratified": True, "shuffle_each_epoch": True}
 
 
@@ -62,18 +68,13 @@ class CheckpointTruncatedError(CheckpointError):
 
 @dataclass(frozen=True)
 class FeatureSettings:
-    """Everything needed to re-extract features exactly as at train time."""
+    """Everything needed to re-extract features exactly as at train time;
+    the rest of the front end is fixed in ``features``."""
 
-    sample_rate_hz: int = PIPELINE_SAMPLE_RATE
-    frame: FrameConfig = FrameConfig()
-    mfcc: MfccConfig = MfccConfig()
     t_fixed: int = DEFAULT_T_FIXED
 
     def __post_init__(self):
-        check_sizes(sample_rate_hz=self.sample_rate_hz, t_fixed=self.t_fixed)
-        if not MIN_SAMPLE_RATE <= self.sample_rate_hz <= MAX_SAMPLE_RATE:
-            raise ConfigError(f"sample_rate_hz must be within {MIN_SAMPLE_RATE}-"
-                              f"{MAX_SAMPLE_RATE}, got {self.sample_rate_hz!r}")
+        check_sizes(t_fixed=self.t_fixed)
         if self.t_fixed < 1:
             raise ConfigError(f"t_fixed must be >= 1, got {self.t_fixed!r}")
 
@@ -178,14 +179,14 @@ def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
         std=np.asarray(norm["std"], dtype=np.float64),
     )
     spec = drop_retired(header["model_spec"])
-    features = drop_retired(header["features"])
+    features = dict(header["features"])
+    for section in ("frame", "mfcc"):  # nested sections of older headers
+        features.update(features.pop(section, {}))
     return Checkpoint(
         model_spec=ModelSpec(**{**spec, "conv_channels": tuple(spec["conv_channels"])}),
         params=params,
         opt_acc=opt_acc,
-        features=FeatureSettings(**{**features,
-                                    "frame": FrameConfig(**drop_retired(features["frame"])),
-                                    "mfcc": MfccConfig(**drop_retired(features["mfcc"]))}),
+        features=FeatureSettings(**drop_retired(features)),
         normalization=profile,
         metadata=header["metadata"],
     )

@@ -3,8 +3,8 @@
 Subcommands: train, eval, classify, features, gradcheck, synth,
 audit-manifest. Configuration precedence is defaults < --config file <
 --set overrides < dedicated flags. Exit codes: 0 success, 2 config
-error, 3 data error, 4 training divergence (gradcheck returns 1 when a
-check fails).
+error, 3 data error or an unwritable output path, 4 training divergence
+(gradcheck returns 1 when a check fails).
 """
 
 from __future__ import annotations
@@ -94,6 +94,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
     spec, config, settings = cfg.model_spec(), cfg.train_config(), cfg.feature_settings()
     records = _corpus_records(cfg)
+    out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
     print(f"corpus: {len(records)} records", flush=True)
     ckpt, metrics = train(records, spec, config, settings,
                           cache_dir=cfg.resolve_cache_dir(), jobs=cfg.resolve_jobs())
@@ -197,7 +198,6 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
-    settings = cfg.feature_settings()
     n = _positive_count("--n-segments", args.n_segments)
     if args.snr_db is not None and not np.isfinite(args.snr_db):
         raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
@@ -205,7 +205,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     items = []
     for path, label in _corpus_records(cfg):
         try:
-            items.append((read_wav(path, settings.sample_rate_hz), label))
+            items.append((read_wav(path), label))
         except AudioDecodeError as exc:
             print(f"decode failure: {exc}", file=sys.stderr)
     if not items:
@@ -294,7 +294,7 @@ def main(argv=None) -> int:
     except DivergenceError as exc:
         print(f"training diverged: {exc}", file=sys.stderr)
         return 4
-    except AffectlineError as exc:
+    except (AffectlineError, OSError) as exc:  # OSError: an unwritable output path
         print(f"error: {exc}", file=sys.stderr)
         return 3
 

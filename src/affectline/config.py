@@ -16,20 +16,19 @@ from pathlib import Path
 from .audio_io import EMOTIONS, CorpusFilter
 from .checkpoint import RETIRED_KEYS, FeatureSettings, drop_retired
 from .errors import ConfigError
-from .features import FrameConfig, MfccConfig
 from .nn import ModelSpec, ShapeError
 from .train_eval import TrainConfig, default_cache_dir
 
 
-# Component fields that are not config keys: nested settings, and model
-# dimensions that follow from the feature matrix and the class list.
-_NOT_KEYS = frozenset({"frame", "mfcc", "in_channels", "in_frames", "n_classes"})
+# Model dimensions that follow from the feature matrix and the class list
+# are component fields but not config keys.
+_NOT_KEYS = frozenset({"in_channels", "in_frames", "n_classes"})
 
 
 def _component_keys():
     """(name, type, field) of each component key, defaulting to its class default."""
     keys = []
-    for cls in (FeatureSettings, FrameConfig, MfccConfig, ModelSpec, TrainConfig):
+    for cls in (FeatureSettings, ModelSpec, TrainConfig):
         defaults = cls()
         for f in dataclasses.fields(cls):
             if f.name in _NOT_KEYS:
@@ -49,13 +48,13 @@ class RunConfig(_ComponentKeys):
     """Every key of a run.
 
     The keys inherited from ``_ComponentKeys`` are the fields of
-    FeatureSettings, FrameConfig, MfccConfig, ModelSpec and TrainConfig,
-    under the same names and with the same defaults; ``conv_channels`` is
-    a comma-separated list. The keys below belong to the pipeline itself.
-    The choices the paper fixes (sinc resampling, the Hamming window, 13
-    MFCCs, stride-1 convolutions, one global max pool, a stratified split,
-    shuffled batches) have no key; ``with_overrides`` drops a retired key
-    at its fixed value.
+    FeatureSettings, ModelSpec and TrainConfig, under the same names and
+    with the same defaults; ``conv_channels`` is a comma-separated list.
+    The keys below belong to the pipeline itself. The choices the paper
+    fixes (sinc resampling to 16 kHz, the feature front end in
+    ``features``, RMSProp's rho and eps, stride-1 convolutions, one global
+    max pool, a stratified split, shuffled batches) have no key;
+    ``with_overrides`` drops a retired key at its fixed value.
     """
 
     # corpus filter
@@ -117,15 +116,8 @@ class RunConfig(_ComponentKeys):
                   for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS}
         return cls(**{**values, **derived})
 
-    def frame_config(self) -> FrameConfig:
-        return self._view(FrameConfig)
-
-    def mfcc_config(self) -> MfccConfig:
-        return self._view(MfccConfig)
-
     def feature_settings(self) -> FeatureSettings:
-        return self._view(FeatureSettings, frame=self.frame_config(),
-                          mfcc=self.mfcc_config())
+        return self._view(FeatureSettings)
 
     def model_spec(self) -> ModelSpec:
         try:
@@ -160,6 +152,13 @@ class RunConfig(_ComponentKeys):
 
 
 def _coerce(key: str, raw, target_type):
+    if target_type is str:
+        # config.txt holds one "key = value" line per key, read back stripped
+        text = str(raw)
+        if text != text.strip() or "".join(text.splitlines()) != text:
+            raise ConfigError(f"{key!r} must not start or end with whitespace or "
+                              f"hold a line break, got {raw!r}")
+        return text
     if isinstance(raw, target_type) and not (target_type is int and isinstance(raw, bool)):
         return raw
     text = str(raw).strip()
@@ -173,9 +172,7 @@ def _coerce(key: str, raw, target_type):
             raise ValueError(text)
         if target_type is int:
             return int(text)
-        if target_type is float:
-            return float(text)
-        return text
+        return float(text)
     except ValueError as exc:
         raise ConfigError(f"bad value for {key!r}: {raw!r}") from exc
 

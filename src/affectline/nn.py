@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import AffectlineError, ConfigError
-from .features import N_FEATURE_ROWS, check_sizes
+from .features import DEFAULT_T_FIXED, N_FEATURE_ROWS, check_sizes
 
 N_CLASSES = 6
 
@@ -200,7 +200,7 @@ class ModelSpec:
     """
 
     in_channels: int = N_FEATURE_ROWS
-    in_frames: int = 300
+    in_frames: int = DEFAULT_T_FIXED
     conv_channels: tuple = (64, 64, 128, 128, 256, 256)
     kernel: int = 3
     pad: int = 1

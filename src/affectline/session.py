@@ -22,9 +22,9 @@ import numpy as np
 from . import train_eval
 from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioClip, AudioDecodeError,
                        read_wav, write_wav)
-from .checkpoint import Checkpoint, FeatureSettings
+from .checkpoint import Checkpoint
 from .errors import ConfigError, DataError
-from .features import assemble_features
+from .features import FRAME_LEN, HOP, assemble_features
 from .svg import bar_chart
 
 SOURCE_LABELS = ("FAN", "FAF", "MAN", "MAF", "CHN", "OTHER")
@@ -76,10 +76,11 @@ class SessionReport:
 
 
 def _plain_name(name: str) -> bool:
-    """True when ``name`` is one path component. Report and segment files
-    are named after session ids, so a path there would write outside their
-    directory."""
-    return Path(name).name == name and name not in (".", "..")
+    """True when ``name`` is one non-empty path component without a NUL.
+    Report and segment files are named after session ids, so a path there
+    would write outside their directory."""
+    return bool(name) and "\0" not in name and Path(name).name == name \
+        and name not in (".", "..")
 
 
 def check_session_id(session_id: str) -> None:
@@ -164,19 +165,19 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     All windows of one segment go to the model in one batch.
     """
     model = ckpt.build_model()
-    st = ckpt.features
-    window = (st.t_fixed - 1) * st.frame.hop_samples + st.frame.frame_len_samples
+    t_fixed = ckpt.features.t_fixed
+    window = (t_fixed - 1) * HOP + FRAME_LEN
 
     def predict(record, clip: AudioClip) -> str:
         samples = clip.samples
         if chunk_vote and len(samples) > window:
             # a tail shorter than one frame casts no vote
             pieces = [samples[start:start + window] for start in range(0, len(samples), window)
-                      if len(samples) - start >= st.frame.frame_len_samples]
+                      if len(samples) - start >= FRAME_LEN]
         else:
             pieces = [samples]
-        matrices = [assemble_features(AudioClip(piece, st.sample_rate_hz, clip.source_path),
-                                      st.frame, st.mfcc, st.t_fixed) for piece in pieces]
+        matrices = [assemble_features(AudioClip(piece, clip.sample_rate_hz, clip.source_path),
+                                      t_fixed) for piece in pieces]
         x = train_eval._to_batch_array(matrices, ckpt.normalization)
         votes = np.bincount(train_eval.predict_logits(model, x).argmax(axis=1),
                             minlength=len(EMOTIONS))
@@ -202,14 +203,13 @@ def classify_session(ckpt: Checkpoint | None, records, *,
         if ckpt is None:
             raise DataError("classify_session needs a checkpoint or a predict callable")
         predict = checkpoint_predictor(ckpt, chunk_vote=chunk_vote)
-    settings = ckpt.features if ckpt is not None else FeatureSettings()
 
     fan = filter_fan(records)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
     predictions, failures = [], []
     for record in fan:
         try:
-            clip = read_wav(record.audio_path, target_rate=settings.sample_rate_hz)
+            clip = read_wav(record.audio_path)
         except AudioDecodeError as exc:
             failures.append((record.audio_path, str(exc)))
             continue
@@ -282,8 +282,8 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
     seg_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    manifest = ["session_id,segment_id,source_label,audio_path,start_s,end_s"]
-    truth = ["segment_id,emotion"]
+    manifest = [MANIFEST_COLUMNS]
+    truth = [("segment_id", "emotion")]
     segment_paths = []
     cursor = 0.0
     for i, (clip, label) in enumerate(labeled_clips):
@@ -300,15 +300,15 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
         write_wav(wav_path, samples, clip.sample_rate_hz)
         segment_paths.append(wav_path)
         duration = len(samples) / clip.sample_rate_hz
-        manifest.append(f"{session_id},{segment_id},FAN,"
-                        f"segments/{segment_id}.wav,{cursor:.6f},{cursor + duration:.6f}")
-        truth.append(f"{segment_id},{label}")
+        manifest.append((session_id, segment_id, "FAN", f"segments/{segment_id}.wav",
+                         f"{cursor:.6f}", f"{cursor + duration:.6f}"))
+        truth.append((segment_id, label))
         cursor += duration
 
-    manifest_path = out_dir / "manifest.csv"
-    manifest_path.write_text("\n".join(manifest) + "\n", encoding="utf-8")
-    truth_path = out_dir / "truth.csv"
-    truth_path.write_text("\n".join(truth) + "\n", encoding="utf-8")
+    manifest_path, truth_path = out_dir / "manifest.csv", out_dir / "truth.csv"
+    for path, rows in ((manifest_path, manifest), (truth_path, truth)):
+        with path.open("w", newline="", encoding="utf-8") as fh:
+            csv.writer(fh).writerows(rows)  # quotes any field holding "\r" or "\n"
     return SynthesizedSession(manifest_path=manifest_path, truth_path=truth_path,
                               segment_paths=segment_paths)
 

@@ -44,8 +44,6 @@ class TrainConfig:
     epochs: int = 300
     batch_size: int = 25
     lr: float = 1e-4
-    rho: float = 0.9
-    eps: float = 1e-8
     seed: int = 42
     split_ratio: float = 0.8  # train fraction
     early_stop_train_acc: float = 0.0  # 0 disables
@@ -143,8 +141,7 @@ def extract_features(path, settings: FeatureSettings,
                                          n_valid_frames=int(z["n_valid"]))
             except (zipfile.BadZipFile, ValueError, EOFError, KeyError):
                 pass  # damaged entry: recompute below
-    clip = read_wav(path, target_rate=settings.sample_rate_hz)
-    fm = assemble_features(clip, settings.frame, settings.mfcc, settings.t_fixed)
+    fm = assemble_features(read_wav(path), settings.t_fixed)
     if cache_dir is not None:
         Path(cache_dir).mkdir(parents=True, exist_ok=True)
         tmp = cached.parent / f"{cached.stem}.{os.getpid()}.tmp.npz"
@@ -249,7 +246,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     y_test = _labels_array(test_recs) if test_recs else np.zeros(0, dtype=np.int64)
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))
-    optimizer = RmsProp(lr=config.lr, rho=config.rho, eps=config.eps)
+    optimizer = RmsProp(lr=config.lr)
     shuffle_rng = np.random.default_rng([config.seed, 202])
 
     metrics = Metrics(n_train=len(train_recs), n_test=len(test_recs),

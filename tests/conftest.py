@@ -87,9 +87,13 @@ def synthetic_corpus(tmp_path):
 
 
 def header_section(header, section):
-    """``header["features"]["frame"]`` for section "features.frame"; "" is the header."""
+    """``header["features"]["frame"]`` for section "features.frame"; "" is the header.
+
+    A missing section is added empty, like the nested "frame" and "mfcc"
+    sections that headers written before their keys were retired carry.
+    """
     for key in filter(None, section.split(".")):
-        header = header[key]
+        header = header.setdefault(key, {})
     return header
 
 

@@ -1,13 +1,19 @@
 import csv
+import json
 import shutil
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from affectline import cli
 from affectline.audio_io import read_wav, scan_corpus
+from affectline.checkpoint import FeatureSettings, load_checkpoint
 from affectline.cli import main
+from affectline.nn import ModelSpec
 from affectline.session import load_manifest, synthesize_session
+from affectline.train_eval import _to_batch_array, extract_all, predict_logits
 from conftest import (build_synthetic_corpus, edit_header, header_section, make_wav_bytes,
                       sine, write_test_wav)
 
@@ -18,9 +24,16 @@ TINY_OVERRIDES = [
 ]
 
 
-RETIRED_LINES = ["n_coeffs = 13", "pool_stride = 0", "pool_width = 0",
-                 "resample_method = sinc", "shuffle_each_epoch = true", "stratified = true",
+RETIRED_LINES = ["delta_window = 2", "eps = 1e-08", "fmax_hz = 0.0", "fmin_hz = 0.0",
+                 "frame_len_samples = 400", "hop_samples = 160", "log_floor = 1e-10",
+                 "n_coeffs = 13", "n_fft = 512", "n_mels = 26", "pool_stride = 0",
+                 "pool_width = 0", "resample_method = sinc", "rho = 0.9",
+                 "sample_rate_hz = 16000", "shuffle_each_epoch = true", "stratified = true",
                  "stride = 1", "window = hamming"]
+
+# a train run written before the feature-chain and RMSProp keys were retired;
+# data/legacy_run/README.md says how
+LEGACY_RUN = Path(__file__).parent / "data" / "legacy_run"
 
 
 def with_retired_keys(config_txt, out_path):
@@ -58,6 +71,15 @@ class TestTrainCommand:
         assert lines[0] == "epoch,train_acc,test_acc,train_loss"
         assert len(lines) == 4  # three epochs
 
+    def test_out_is_a_file_exits_3_before_training(self, tmp_path, corpus_root, capsys,
+                                                    monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training ran"))
+        assert main(["train", "--corpus", str(corpus_root), "--out", str(out)]) == 3
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "x"
+
     def test_missing_corpus_exits_3_naming_path(self, tmp_path, capsys):
         code = main(["train", "--corpus", str(tmp_path / "absent"),
                      "--out", str(tmp_path / "o")])
@@ -89,7 +111,9 @@ class TestTrainCommand:
         "sample_rate_hz=999", "resample_method=foo", "kernel=500", "conv_channels=0",
         "pool_width=999", "resample_method=linear", "resample_method=cubic", "window=hann",
         "n_coeffs=13.0", "stratified=false", "shuffle_each_epoch=no",
-    )] + [("features", "n_coeffs=12")]
+        "frame_len_samples=401", "hop_samples=160.0", "n_fft=1024", "n_mels=40",
+        "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
+    )] + [("features", "n_coeffs=12"), ("features", "n_mels=24")]
 
     @pytest.mark.parametrize("command,override", OUT_OF_RANGE,
                              ids=[o if c == "train" else f"{c} {o}" for c, o in OUT_OF_RANGE])
@@ -200,11 +224,17 @@ class TestEvalCommand:
                      str(corpus_root), "--out", str(tmp_path / "o")]) == 3
         assert str(bad) in capsys.readouterr().err
 
-    @pytest.mark.parametrize("section,key", [
-        ("features", "t_fixed"), ("features.frame", "hop_samples"),
-        ("features.mfcc", "delta_window"), ("model_spec", "kernel")])
+    # the features.frame and features.mfcc sections are those of older headers,
+    # whose retired keys must hold their fixed value
+    @pytest.mark.parametrize("section,key,message", [
+        ("features", "t_fixed", "t_fixed=True"),
+        ("features.frame", "hop_samples", "hop_samples is fixed at 160, got True"),
+        ("features.mfcc", "delta_window", "delta_window is fixed at 2, got True"),
+        ("model_spec", "kernel", "kernel=True")],
+        ids=["features-t_fixed", "features.frame-hop_samples", "features.mfcc-delta_window",
+             "model_spec-kernel"])
     def test_bool_size_in_header_exits_3(self, tmp_path, corpus_root, trained_run, capsys,
-                                         section, key):
+                                         section, key, message):
         # JSON true loads as a Python bool, which is an int: it must not pass as a size
         run, _ = trained_run
         bad = tmp_path / "bool.afl"
@@ -213,7 +243,7 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--corpus",
                      str(corpus_root), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
-        assert str(bad) in err and f"{key}=True" in err
+        assert str(bad) in err and message in err
 
     def test_decode_failures_reported(self, tmp_path, corpus_root, trained_run, capsys):
         run, cache = trained_run
@@ -385,6 +415,12 @@ class TestFeaturesCommand:
     def test_missing_wav_flag_exits_2(self):
         assert main(["features"]) == 2
 
+    def test_out_in_missing_directory_exits_3(self, tmp_path, capsys):
+        wav = write_test_wav(tmp_path / "s.wav", sine(200, 0.3))
+        out = tmp_path / "missing" / "dir" / "f.csv"
+        assert main(["features", "--wav", str(wav), "--out", str(out)]) == 3
+        assert str(out) in capsys.readouterr().err
+
 
 class TestGradcheckCommand:
     def test_passes_and_prints_table(self, capsys):
@@ -474,3 +510,33 @@ class TestCountAndLevelFlags:
         assert code == 2
         assert flag in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
+
+
+def checkpoint_tensors(path):
+    """(tensor manifest, tensor bytes) of a checkpoint, header aside."""
+    raw = path.read_bytes()
+    (head_len,) = struct.unpack_from("<I", raw, 4)
+    return json.loads(raw[8:8 + head_len])["tensors"], raw[8 + head_len:]
+
+
+class TestLegacyRun:
+    def test_checkpoint_loads_with_bit_equal_logits(self, tmp_path):
+        records = build_synthetic_corpus(tmp_path / "corpus", per_class=3)
+        ckpt = load_checkpoint(LEGACY_RUN / "checkpoint.afl")
+        assert ckpt.features == FeatureSettings(t_fixed=50)
+        assert ckpt.model_spec == ModelSpec(in_frames=50, conv_channels=(4, 6))
+        _, matrices, failures = extract_all(records, ckpt.features)
+        assert failures == []
+        logits = predict_logits(ckpt.build_model(),
+                                _to_batch_array(matrices, ckpt.normalization))
+        assert logits.tobytes() == np.load(LEGACY_RUN / "logits.npy").tobytes()
+
+    def test_config_reruns_byte_identical(self, tmp_path, monkeypatch):
+        build_synthetic_corpus(tmp_path / "corpus", per_class=3)
+        monkeypatch.chdir(tmp_path)  # the config's corpus, out and cache_dir are relative
+        assert main(["train", "--config", str(LEGACY_RUN / "config.txt")]) == 0
+        run = tmp_path / "run"
+        for name in ("metrics.csv", "confusion.csv"):
+            assert (run / name).read_bytes() == (LEGACY_RUN / name).read_bytes(), name
+        assert checkpoint_tensors(run / "checkpoint.afl") == \
+            checkpoint_tensors(LEGACY_RUN / "checkpoint.afl")

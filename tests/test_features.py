@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
+from affectline import features
 from affectline.audio_io import AudioClip
+from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
-from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS,
-                                 FrameConfig, MfccConfig,
-                                 assemble_features, compute_normalization,
+from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS, FRAME_LEN, HOP, N_FFT,
+                                 N_MELS, assemble_features, compute_normalization,
                                  delta, frame_signal, mfcc, rms, zcr)
 from affectline.train_eval import _to_batch_array
 from conftest import sine
@@ -121,12 +122,16 @@ class TestMfcc:
         np.testing.assert_allclose(scaled[1:], base[1:], atol=1e-9)
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            MfccConfig(n_fft=500)
-        with pytest.raises(ConfigError):
-            MfccConfig(n_mels=12)
-        with pytest.raises(ConfigError):
-            mfcc(np.zeros((1, 600)), 16000, MfccConfig(n_fft=512))
+        # n_fft and n_mels are retired keys, loadable only at the module constants
+        assert drop_retired({"n_fft": N_FFT, "n_mels": N_MELS}) == {}
+        with pytest.raises(ConfigError, match="n_fft"):
+            drop_retired({"n_fft": 500})
+        with pytest.raises(ConfigError, match="n_mels"):
+            drop_retired({"n_mels": 12})
+        with pytest.raises(ConfigError, match="n_mels"):
+            drop_retired({"n_mels": 26.0})
+        with pytest.raises(ConfigError, match="frame length 600"):
+            mfcc(np.zeros((1, 600)), 16000)
 
 
 class TestDelta:
@@ -238,9 +243,8 @@ class TestAssemble:
 # truncate. The new path must equal it bit for bit.
 # ---------------------------------------------------------------------------
 
-def oracle_frame_signal(clip, cfg=FrameConfig()):
+def oracle_frame_signal(clip, flen=400, hop=160):
     x = np.asarray(clip.samples, dtype=np.float64)
-    flen, hop = cfg.frame_len_samples, cfg.hop_samples
     if len(x) < flen:
         x = np.pad(x, (0, flen - len(x)))
     n_frames = (len(x) - flen) // hop + 1
@@ -255,12 +259,11 @@ def oracle_zcr(frames):
     return changes / (frames.shape[1] - 1)
 
 
-def oracle_assemble_features(clip, frame_cfg=FrameConfig(), mfcc_cfg=MfccConfig(),
-                             t_fixed=DEFAULT_T_FIXED):
-    frames = oracle_frame_signal(clip, frame_cfg)
-    coeffs = mfcc(frames, clip.sample_rate_hz, mfcc_cfg)
-    d1 = delta(coeffs, mfcc_cfg.delta_window)
-    d2 = delta(d1, mfcc_cfg.delta_window)
+def oracle_assemble_features(clip, delta_window=2, t_fixed=DEFAULT_T_FIXED):
+    frames = oracle_frame_signal(clip)
+    coeffs = mfcc(frames, clip.sample_rate_hz)
+    d1 = delta(coeffs, delta_window)
+    d2 = delta(d1, delta_window)
     stacked = np.vstack([coeffs, d1, d2, oracle_zcr(frames)[None, :], rms(frames)[None, :]])
 
     n_valid = min(stacked.shape[1], t_fixed)
@@ -273,17 +276,18 @@ class TestFeatureWindowOracle:
     @pytest.mark.parametrize("t_fixed", [1, 5, 300])
     @pytest.mark.parametrize("delta_window", [1, 2, 3])
     @pytest.mark.parametrize("length", ["keep-1", "keep", "keep+1", "sub-frame", "10s"])
-    def test_bit_equal_to_framing_the_whole_clip(self, length, delta_window, t_fixed):
-        frame_cfg, mfcc_cfg = FrameConfig(), MfccConfig(delta_window=delta_window)
-        keep = (t_fixed + 2 * delta_window - 1) * frame_cfg.hop_samples \
-            + frame_cfg.frame_len_samples
+    def test_bit_equal_to_framing_the_whole_clip(self, monkeypatch, length, delta_window,
+                                                 t_fixed):
+        # the window is fixed at 2; 1 and 3 check the cut follows the constant
+        monkeypatch.setattr(features, "DELTA_WINDOW", delta_window)
+        keep = (t_fixed + 2 * delta_window - 1) * HOP + FRAME_LEN
         n = {"keep-1": keep - 1, "keep": keep, "keep+1": keep + 1,
-             "sub-frame": frame_cfg.frame_len_samples - 1, "10s": 160000}[length]
+             "sub-frame": FRAME_LEN - 1, "10s": 160000}[length]
         rng = np.random.default_rng(n + 7 * delta_window + t_fixed)
         x = 0.3 * rng.standard_normal(n)
         x[::37] = 0.0  # exact zeros count as positive in the zcr row
-        fm = assemble_features(clip_of(x), frame_cfg, mfcc_cfg, t_fixed)
-        values, n_valid = oracle_assemble_features(clip_of(x), frame_cfg, mfcc_cfg, t_fixed)
+        fm = assemble_features(clip_of(x), t_fixed)
+        values, n_valid = oracle_assemble_features(clip_of(x), delta_window, t_fixed)
         assert fm.n_valid_frames == n_valid
         assert fm.values.dtype == values.dtype
         assert fm.values.tobytes() == values.tobytes()
@@ -298,5 +302,9 @@ class TestFeatureWindowOracle:
 
 
 def test_frame_config_validation():
-    with pytest.raises(ConfigError):
-        FrameConfig(frame_len_samples=100, hop_samples=200)
+    # framing is fixed: its retired keys load only at FRAME_LEN and HOP
+    assert drop_retired({"frame_len_samples": FRAME_LEN, "hop_samples": HOP}) == {}
+    with pytest.raises(ConfigError, match="frame_len_samples"):
+        drop_retired({"frame_len_samples": 100, "hop_samples": 200})
+    with pytest.raises(ConfigError, match="hop_samples"):
+        drop_retired({"hop_samples": 160.0})

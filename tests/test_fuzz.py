@@ -1,11 +1,16 @@
-"""Fuzzing of the three external-input decoders: WAV, manifest, checkpoint.
+"""Fuzzing of the three external-input decoders: WAV, manifest, checkpoint;
+and of the two text files the program writes to read back: config.txt and
+a synthetic session bundle.
 
 Each decoder either returns a well-formed value or raises a DataError
 subclass (exit code 3 at the CLI); any other exception fails the test.
-Examples are derandomized so the suite stays deterministic, and sizes are
-bounded so no example allocates much memory.
+A value written to a file either reads back as it was or is refused up
+front with a ConfigError (exit code 2). Examples are derandomized so the
+suite stays deterministic, and sizes are bounded so no example allocates
+much memory.
 """
 
+import itertools
 import json
 import struct
 
@@ -14,12 +19,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectline.audio_io import read_wav
+from affectline.audio_io import AudioClip, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
-from affectline.errors import DataError
+from affectline.config import RunConfig, parse_config_text
+from affectline.errors import ConfigError, DataError
 from affectline.features import NormalizationProfile
 from affectline.nn import Model, ModelSpec
-from affectline.session import MANIFEST_COLUMNS, load_manifest
+from affectline.session import MANIFEST_COLUMNS, load_manifest, load_truth, synthesize_session
 from conftest import make_wav_bytes, sine
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -181,3 +187,39 @@ def test_load_checkpoint_mutated_header_fields(scratch, tiny_checkpoint, data):
     head = json.dumps(header).encode()
     raw = b"AFL1" + struct.pack("<I", len(head)) + head + tiny_checkpoint[8 + head_len:]
     open_checkpoint(scratch / "fields.afl", raw)
+
+
+STR_KEYS = [k for k in RunConfig.field_names() if isinstance(getattr(RunConfig(), k), str)]
+
+
+@FUZZ
+@given(st.sampled_from(STR_KEYS), st.text())
+def test_config_text_reads_back_what_was_set(key, value):
+    try:
+        cfg = RunConfig().with_overrides({key: value})
+    except ConfigError:
+        return
+    assert getattr(cfg, key) == value
+    assert RunConfig().with_overrides(parse_config_text(cfg.to_text())) == cfg
+
+
+BUNDLE_CLIPS = [(AudioClip(sine(440, 0.01) * 0.5, 16000, "<fuzz>"), "calm"),
+                (AudioClip(sine(660, 0.01) * 0.5, 16000, "<fuzz>"), "sad")]
+_bundle_dirs = itertools.count()
+
+
+@FUZZ
+@given(st.text(max_size=40))
+def test_synth_bundle_reads_back(scratch, session_id):
+    out = scratch / f"bundle{next(_bundle_dirs)}"
+    try:
+        bundle = synthesize_session(BUNDLE_CLIPS, out, session_id=session_id)
+    except ConfigError:
+        assert not out.exists()
+        return
+    result = load_manifest(bundle.manifest_path)
+    assert result.row_errors == []
+    assert [r.session_id for r in result.records] == [session_id] * len(BUNDLE_CLIPS)
+    truth = load_truth(bundle.truth_path)
+    assert [truth[r.segment_id] for r in result.records] == [l for _, l in BUNDLE_CLIPS]
+    assert [r.audio_path for r in result.records] == [str(p) for p in bundle.segment_paths]

@@ -59,7 +59,7 @@ class TestManifest:
         assert len(result.records) == 1
         assert result.row_errors == [(3, "end_s 2.0 <= start_s 2.0")]
 
-    @pytest.mark.parametrize("sid", ["../escaped", "a/b", "/abs", ".", ".."])
+    @pytest.mark.parametrize("sid", ["../escaped", "a/b", "/abs", ".", "..", "a\x00b"])
     def test_session_id_not_a_file_name_is_row_error(self, tmp_path, sid):
         m = tmp_path / "m.csv"
         m.write_text(
@@ -156,7 +156,7 @@ class TestSynthesize:
             synthesize_session(labeled_clips(2), tmp_path / "n", snr_db=snr_db)
         assert not (tmp_path / "n").exists()
 
-    @pytest.mark.parametrize("sid", ["../x", "a/b", ".."])
+    @pytest.mark.parametrize("sid", ["../x", "a/b", "..", "", "a\x00b"])
     def test_path_session_id_is_config_error_before_any_file(self, tmp_path, sid):
         with pytest.raises(ConfigError, match="session id"):
             synthesize_session(labeled_clips(2), tmp_path / "out" / "n", session_id=sid)

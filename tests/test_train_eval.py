@@ -8,10 +8,10 @@ from affectline import features, train_eval
 from affectline.audio_io import EMOTIONS
 from affectline.checkpoint import (Checkpoint, CheckpointError, CheckpointMagicError,
                                    CheckpointTruncatedError,
-                                   CheckpointVersionError, FeatureSettings,
+                                   CheckpointVersionError, FeatureSettings, drop_retired,
                                    load_checkpoint, save_checkpoint)
 from affectline.errors import ConfigError, DataError, DivergenceError
-from affectline.features import FEATURE_ROW_LABELS, N_FEATURE_ROWS, MfccConfig
+from affectline.features import FEATURE_ROW_LABELS, N_FEATURE_ROWS
 from affectline.nn import Model, ModelSpec
 from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
@@ -120,6 +120,16 @@ class TestTrain:
         assert info.value.epoch >= 1
         assert "epoch" in str(info.value)
 
+    @pytest.mark.parametrize("patience,epochs_run", [(1, 2), (2, 3)])
+    def test_patience_stops_when_test_accuracy_stalls(self, synthetic_corpus, patience,
+                                                      epochs_run):
+        # lr 0 keeps the weights, so test accuracy never improves after epoch 1
+        _, records = synthetic_corpus
+        config = TrainConfig(epochs=5, lr=0.0, seed=3, patience=patience)
+        ckpt, metrics = train(records, TINY_SPEC, config, TINY_SETTINGS)
+        assert [e.epoch for e in metrics.epochs] == list(range(1, epochs_run + 1))
+        assert ckpt.metadata["epochs_run"] == epochs_run
+
     def test_normalization_uses_train_split_only(self, synthetic_corpus):
         _, records = synthetic_corpus
         config = TrainConfig(epochs=1, seed=13)
@@ -183,16 +193,19 @@ class TestEvaluate:
 
 
 class TestFeatureSettings:
+    # as read from a checkpoint header, where the retired sample_rate_hz may
+    # still appear: only its fixed value, 16000 as an int, loads
     @pytest.mark.parametrize("field", [{"sample_rate_hz": "16000"}, {"sample_rate_hz": 999},
                                        {"sample_rate_hz": 384001}, {"sample_rate_hz": 16000.0},
-                                       {"t_fixed": 0}, {"t_fixed": 300.0}])
+                                       {"t_fixed": 0}, {"t_fixed": 300.0},
+                                       {"sample_rate_hz": 1000}, {"sample_rate_hz": 384000}])
     def test_out_of_range_is_config_error(self, field):
         with pytest.raises(ConfigError, match=next(iter(field))):
-            FeatureSettings(**field)
+            FeatureSettings(**drop_retired(field))
 
     def test_edge_values_accepted(self):
-        FeatureSettings(sample_rate_hz=1000, t_fixed=1)
-        FeatureSettings(sample_rate_hz=384000)
+        assert FeatureSettings(**drop_retired({"sample_rate_hz": 16000, "t_fixed": 1})) \
+            == FeatureSettings(t_fixed=1)
 
 
 class TestPredictLogits:
@@ -261,7 +274,9 @@ class TestCheckpointIO:
         ("features", "t_fixed", True), ("features", "sample_rate_hz", True),
         ("features.frame", "hop_samples", True), ("features.mfcc", "delta_window", True),
         ("features.mfcc", "n_fft", True), ("model_spec", "kernel", True),
-        ("model_spec", "conv_channels", [8, 8, 12, 12, 16, True])])
+        ("model_spec", "conv_channels", [8, 8, 12, 12, 16, True]),
+        ("features.mfcc", "fmin_hz", 0), ("features.mfcc", "fmax_hz", 8000.0),
+        ("features.mfcc", "log_floor", 1e-12), ("features.frame", "frame_len_samples", 512)])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
@@ -279,9 +294,11 @@ class TestCheckpointIO:
 
         def add_retired(header):
             header["model_spec"].update(stride=1, pool_width=0, pool_stride=0)
-            header["features"]["resample_method"] = "sinc"
-            header["features"]["frame"]["window"] = "hamming"
-            header["features"]["mfcc"]["n_coeffs"] = 13
+            header["features"].update(
+                resample_method="sinc", sample_rate_hz=16000,
+                frame={"frame_len_samples": 400, "hop_samples": 160, "window": "hamming"},
+                mfcc={"n_fft": 512, "n_mels": 26, "fmin_hz": 0.0, "fmax_hz": 0.0,
+                      "log_floor": 1e-10, "n_coeffs": 13, "delta_window": 2})
 
         edit_header(path, add_retired)
         old = load_checkpoint(path)
@@ -319,7 +336,7 @@ class TestFeatureCache:
         path = records[0][0]
         extract_features(path, TINY_SETTINGS, cache)
         n_before = len(list(cache.iterdir()))
-        other = FeatureSettings(t_fixed=100, mfcc=MfccConfig(n_mels=24))
+        other = FeatureSettings(t_fixed=99)
         extract_features(path, other, cache)
         assert len(list(cache.iterdir())) == n_before + 1
 
