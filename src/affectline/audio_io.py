@@ -168,8 +168,8 @@ def read_bytes(path) -> bytes:
         raise UnreadableFileError(f"{path}: {exc}") from exc
 
 
-def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE) -> AudioClip:
-    """Decode a PCM WAV file into a mono clip at ``target_rate``.
+def read_wav(path) -> AudioClip:
+    """Decode a PCM WAV file into a mono clip at ``PIPELINE_SAMPLE_RATE``.
 
     Stereo input is downmixed by channel average. Rate conversion uses a
     windowed-sinc filter. Raises UnreadableFileError, UnsupportedEncodingError
@@ -201,12 +201,13 @@ def read_wav(path, target_rate: int = PIPELINE_SAMPLE_RATE) -> AudioClip:
     if len(samples) == 0:
         raise EmptyAudioError(f"{path}: zero-length audio")
 
-    if rate != target_rate:
-        samples = resample(samples, rate, target_rate)
+    if rate != PIPELINE_SAMPLE_RATE:
+        samples = resample(samples, rate, PIPELINE_SAMPLE_RATE)
         if len(samples) == 0:
             raise EmptyAudioError(f"{path}: zero-length audio after resampling")
     samples = np.clip(samples, -1.0, 1.0)
-    return AudioClip(samples=samples, sample_rate_hz=target_rate, source_path=str(path))
+    return AudioClip(samples=samples, sample_rate_hz=PIPELINE_SAMPLE_RATE,
+                     source_path=str(path))
 
 
 def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:

@@ -20,7 +20,7 @@ from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
 from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR, N_FFT, N_MELS,
                        N_MFCC, NormalizationProfile, check_sizes)
-from .nn import Model, ModelSpec, RmsProp, ShapeError
+from .nn import RMSPROP_EPS, RMSPROP_RHO, Model, ModelSpec, ShapeError
 
 MAGIC = b"AFL1"
 FORMAT_VERSION = 1
@@ -29,14 +29,14 @@ FORMAT_VERSION = 1
 # the one value the pipeline now has fixed: stride-1 convolutions, a global
 # max pool, sinc resampling to 16 kHz, the feature front end of
 # ``features`` (a Hamming window, 13 MFCCs; fmax 0 meant the Nyquist
-# frequency), RMSProp's own rho and eps, a stratified split and shuffled
+# frequency), RMSProp's rho and eps, a stratified split and shuffled
 # batches.
 RETIRED_KEYS = {"stride": 1, "pool_width": 0, "pool_stride": 0,
                 "resample_method": "sinc", "sample_rate_hz": PIPELINE_SAMPLE_RATE,
                 "window": "hamming", "frame_len_samples": FRAME_LEN, "hop_samples": HOP,
                 "n_fft": N_FFT, "n_mels": N_MELS, "fmin_hz": 0.0, "fmax_hz": 0.0,
                 "log_floor": LOG_FLOOR, "n_coeffs": N_MFCC, "delta_window": DELTA_WINDOW,
-                "rho": RmsProp().rho, "eps": RmsProp().eps,
+                "rho": RMSPROP_RHO, "eps": RMSPROP_EPS,
                 "stratified": True, "shuffle_each_epoch": True}
 
 

@@ -151,13 +151,23 @@ class RunConfig(_ComponentKeys):
         return Path(self.cache_dir) if self.cache_dir else default_cache_dir()
 
 
+def is_utf8(text: str) -> bool:
+    """False for text holding a lone surrogate, which UTF-8 cannot encode."""
+    try:
+        text.encode("utf-8")
+    except UnicodeEncodeError:
+        return False
+    return True
+
+
 def _coerce(key: str, raw, target_type):
     if target_type is str:
-        # config.txt holds one "key = value" line per key, read back stripped
+        # config.txt holds one "key = value" line per key, read back stripped,
+        # in UTF-8 (an undecodable argv byte arrives as a lone surrogate)
         text = str(raw)
-        if text != text.strip() or "".join(text.splitlines()) != text:
-            raise ConfigError(f"{key!r} must not start or end with whitespace or "
-                              f"hold a line break, got {raw!r}")
+        if text != text.strip() or "".join(text.splitlines()) != text or not is_utf8(text):
+            raise ConfigError(f"{key!r} must be UTF-8 text without surrounding whitespace "
+                              f"or a line break, got {raw!r}")
         return text
     if isinstance(raw, target_type) and not (target_type is int and isinstance(raw, bool)):
         return raw

@@ -171,11 +171,15 @@ def softmax_xent(logits: np.ndarray, targets) -> tuple:
     return loss, grad
 
 
+RMSPROP_RHO = 0.9
+RMSPROP_EPS = 1e-8
+
+
 class RmsProp:
     """RMSProp over a named parameter set, one accumulator per tensor."""
 
-    def __init__(self, lr: float = 1e-4, rho: float = 0.9, eps: float = 1e-8):
-        self.lr, self.rho, self.eps = lr, rho, eps
+    def __init__(self, lr: float = 1e-4):
+        self.lr = lr
         self.acc: dict[str, np.ndarray] = {}
 
     def step(self, named_params, named_grads: dict) -> None:
@@ -187,9 +191,9 @@ class RmsProp:
             acc = self.acc[name]
             if param.shape != grad.shape or param.shape != acc.shape:
                 raise ShapeError(f"{name}: param/grad/accumulator shapes differ")
-            acc *= self.rho
-            acc += (1.0 - self.rho) * grad * grad
-            param -= self.lr * grad / (np.sqrt(acc) + self.eps)
+            acc *= RMSPROP_RHO
+            acc += (1.0 - RMSPROP_RHO) * grad * grad
+            param -= self.lr * grad / (np.sqrt(acc) + RMSPROP_EPS)
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from . import train_eval
 from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioClip, AudioDecodeError,
                        read_wav, write_wav)
 from .checkpoint import Checkpoint
+from .config import is_utf8
 from .errors import ConfigError, DataError
 from .features import FRAME_LEN, HOP, assemble_features
 from .svg import bar_chart
@@ -84,7 +85,10 @@ def _plain_name(name: str) -> bool:
 
 
 def check_session_id(session_id: str) -> None:
-    """Raise ConfigError unless ``session_id`` is a plain file name."""
+    """Raise ConfigError unless ``session_id`` is a plain file name that
+    the UTF-8 manifest can hold (no lone surrogates from undecodable argv)."""
+    if not is_utf8(session_id):
+        raise ConfigError(f"session id {session_id!r} is not UTF-8 text")
     if not _plain_name(session_id):
         raise ConfigError(f"session id {session_id!r} is not a plain file name")
 
@@ -99,11 +103,20 @@ def load_manifest(path) -> ManifestLoadResult:
     path = Path(path)
     try:
         with path.open(newline="", encoding="utf-8") as fh:
-            return _parse_manifest(csv.DictReader(fh), path)
+            return _parse_manifest(csv.DictReader(_refuse_nul(fh, path)), path)
     except OSError as exc:
         raise ManifestError(f"{path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
         raise ManifestError(f"{path}: not a UTF-8 CSV manifest: {exc}") from exc
+
+
+def _refuse_nul(lines, path):
+    """``lines``, or ManifestError at the first one holding a NUL: the csv
+    module of Python 3.10 cannot read past one, later versions can."""
+    for number, line in enumerate(lines, 1):
+        if "\0" in line:
+            raise ManifestError(f"{path}: line {number} holds a NUL character")
+        yield line
 
 
 def _parse_manifest(reader: csv.DictReader, path: Path) -> ManifestLoadResult:

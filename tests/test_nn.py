@@ -303,14 +303,14 @@ class TestRmsProp:
     def test_zero_gradient_decays_accumulator_only(self):
         p = np.array([1.0, -2.0])
         acc = np.array([0.4, 0.8])
-        step_one_tensor(p, np.zeros(2), acc, lr=1e-4, rho=0.9)
+        step_one_tensor(p, np.zeros(2), acc, lr=1e-4)
         np.testing.assert_array_equal(p, np.array([1.0, -2.0]))
         np.testing.assert_allclose(acc, np.array([0.36, 0.72]))
 
     def test_first_step_closed_form(self):
         p = np.zeros(1)
         acc = np.zeros(1)
-        step_one_tensor(p, np.ones(1), acc, lr=1e-4, rho=0.9, eps=1e-8)
+        step_one_tensor(p, np.ones(1), acc, lr=1e-4)
         assert p[0] == pytest.approx(-1e-4 / (np.sqrt(0.1) + 1e-8), rel=1e-12)
 
     def test_constant_gradient_converges_to_lr_magnitude(self):
@@ -320,7 +320,7 @@ class TestRmsProp:
         last = 0.0
         for _ in range(400):
             before = p[0]
-            step_one_tensor(p, g, acc, lr=1e-4, rho=0.9, eps=1e-8)
+            step_one_tensor(p, g, acc, lr=1e-4)
             last = before - p[0]
         assert last == pytest.approx(1e-4, rel=1e-3)  # s -> g^2, step -> lr*sign(g)
 
