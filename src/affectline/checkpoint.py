@@ -3,12 +3,14 @@
 Layout: magic ``AFL1``, little-endian uint32 header length, a UTF-8 JSON
 header (architecture, feature settings, normalization profile, class
 ordering, training metadata, tensor manifest), then every tensor as raw
-little-endian float32 in manifest order. Save/load round-trips are
-bit-exact.
+little-endian float32 in manifest order: the model's parameters in
+declaration order, then any RMSProp accumulators in the same order.
+Save/load round-trips are bit-exact.
 """
 
 from __future__ import annotations
 
+import itertools
 import json
 import struct
 from dataclasses import asdict, dataclass
@@ -18,20 +20,22 @@ import numpy as np
 
 from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
-from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR, N_FFT, N_MELS,
-                       N_MFCC, NormalizationProfile, check_sizes)
-from .nn import RMSPROP_EPS, RMSPROP_RHO, Model, ModelSpec, ShapeError
+from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR, MAX_T_FIXED,
+                       N_FEATURE_ROWS, N_FFT, N_MELS, N_MFCC, NormalizationProfile, check_sizes)
+from .nn import KERNEL, PAD, RMSPROP_EPS, RMSPROP_RHO, Model, ModelSpec
 
 MAGIC = b"AFL1"
 FORMAT_VERSION = 1
 
 # Keys that older checkpoint headers and config.txt files carry, each at
-# the one value the pipeline now has fixed: stride-1 convolutions, a global
-# max pool, sinc resampling to 16 kHz, the feature front end of
-# ``features`` (a Hamming window, 13 MFCCs; fmax 0 meant the Nyquist
-# frequency), RMSProp's rho and eps, a stratified split and shuffled
-# batches.
-RETIRED_KEYS = {"stride": 1, "pool_width": 0, "pool_stride": 0,
+# the one value the pipeline now has fixed: stride-1 convolutions of one
+# kernel size and padding, a global max pool, sinc resampling to 16 kHz,
+# the feature front end of ``features`` (a Hamming window, 13 MFCCs; fmax
+# 0 meant the Nyquist frequency), RMSProp's rho and eps, a stratified
+# split and shuffled batches. Old headers also carry the model's input
+# rows and class count. (Their ``in_frames`` must equal ``t_fixed``.)
+RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "pool_stride": 0,
+                "in_channels": N_FEATURE_ROWS, "n_classes": len(EMOTIONS),
                 "resample_method": "sinc", "sample_rate_hz": PIPELINE_SAMPLE_RATE,
                 "window": "hamming", "frame_len_samples": FRAME_LEN, "hop_samples": HOP,
                 "n_fft": N_FFT, "n_mels": N_MELS, "fmin_hz": 0.0, "fmax_hz": 0.0,
@@ -75,8 +79,8 @@ class FeatureSettings:
 
     def __post_init__(self):
         check_sizes(t_fixed=self.t_fixed)
-        if self.t_fixed < 1:
-            raise ConfigError(f"t_fixed must be >= 1, got {self.t_fixed!r}")
+        if not 1 <= self.t_fixed <= MAX_T_FIXED:
+            raise ConfigError(f"t_fixed must be 1..{MAX_T_FIXED}, got {self.t_fixed!r}")
 
 
 @dataclass
@@ -146,47 +150,48 @@ def load_checkpoint(path) -> Checkpoint:
     try:
         return _from_header(header, memoryview(raw)[8 + head_len:], path)
     except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
-            ConfigError, ShapeError) as exc:
+            ConfigError) as exc:
         raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
 
 
 def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
-    expected = sum(int(np.prod(t["shape"])) * 4 for t in header["tensors"])
-    if len(body) != expected:
-        raise CheckpointTruncatedError(
-            f"{path}: expected {expected} tensor bytes, got {len(body)}"
-        )
-
-    params, opt_acc = {}, {}
-    offset = 0
-    for entry in header["tensors"]:
-        shape = tuple(entry["shape"])
-        count = int(np.prod(shape))
-        arr = np.frombuffer(body, dtype="<f4", count=count, offset=offset)
-        arr = arr.reshape(shape).copy()
-        offset += count * 4
-        name = entry["name"]
-        if name.startswith("rmsprop."):
-            opt_acc[name[len("rmsprop."):]] = arr
-        else:
-            params[name] = arr
-
     if header["class_order"] != list(EMOTIONS):
         raise ConfigError(f"class_order must be {list(EMOTIONS)}, got {header['class_order']!r}")
-    norm = header["normalization"]
-    profile = None if norm is None else NormalizationProfile(
-        mean=np.asarray(norm["mean"], dtype=np.float64),
-        std=np.asarray(norm["std"], dtype=np.float64),
-    )
-    spec = drop_retired(header["model_spec"])
     features = dict(header["features"])
     for section in ("frame", "mfcc"):  # nested sections of older headers
         features.update(features.pop(section, {}))
-    return Checkpoint(
-        model_spec=ModelSpec(**{**spec, "conv_channels": tuple(spec["conv_channels"])}),
-        params=params,
-        opt_acc=opt_acc,
-        features=FeatureSettings(**drop_retired(features)),
-        normalization=profile,
-        metadata=header["metadata"],
-    )
+    settings = FeatureSettings(**drop_retired(features))
+    spec = drop_retired(header["model_spec"])
+    in_frames = spec.pop("in_frames", settings.t_fixed)  # in older headers
+    if type(in_frames) is not int or in_frames != settings.t_fixed:
+        raise ConfigError(f"in_frames must equal t_fixed {settings.t_fixed}, got {in_frames!r}")
+    spec = ModelSpec(**{**spec, "conv_channels": tuple(spec["conv_channels"])})
+
+    # the spec's parameters in model order, then optionally their accumulators
+    entries = [(t["name"], tuple(t["shape"])) for t in header["tensors"]]
+    shapes = spec.parameter_shapes()
+    fits = list(shapes.items())
+    if len(entries) > len(fits):
+        fits += [("rmsprop." + name, shape) for name, shape in shapes.items()]
+    for found, fit in itertools.zip_longest(entries, fits):
+        if found != fit:
+            raise CheckpointError(f"{path}: tensors do not fit conv_channels "
+                                  f"{list(spec.conv_channels)}: found {found!r}, "
+                                  f"expected {fit!r}")
+    counts = [int(np.prod(shape)) for _, shape in entries]
+    if len(body) != 4 * sum(counts):
+        raise CheckpointTruncatedError(
+            f"{path}: expected {4 * sum(counts)} tensor bytes, got {len(body)}")
+    starts = itertools.accumulate([0, *counts])
+    arrays = [np.frombuffer(body, dtype="<f4", count=n, offset=4 * at).reshape(shape).copy()
+              for (_, shape), n, at in zip(entries, counts, starts)]
+    params, opt_acc = dict(zip(shapes, arrays)), dict(zip(shapes, arrays[len(shapes):]))
+
+    norm = header["normalization"]
+    stats = [] if norm is None else [np.asarray(norm[k], dtype=np.float64)
+                                     for k in ("mean", "std")]
+    if any(a.shape != (N_FEATURE_ROWS,) or not np.isfinite(a).all() for a in stats):
+        raise ConfigError(f"normalization mean and std must be {N_FEATURE_ROWS} finite numbers")
+    return Checkpoint(model_spec=spec, params=params, opt_acc=opt_acc, features=settings,
+                      normalization=NormalizationProfile(*stats) if stats else None,
+                      metadata=header["metadata"])

@@ -126,10 +126,10 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
     ckpt = load_checkpoint(_require(cfg, "checkpoint"))
     records = _corpus_records(cfg)
+    _echo_config(cfg, out_dir)  # an unusable --out fails before evaluating
     metrics = evaluate(ckpt, records, cache_dir=cfg.resolve_cache_dir(),
                        jobs=cfg.resolve_jobs())
     _report_decode_failures(metrics.failures)
-    _echo_config(cfg, out_dir)
     (out_dir / "eval.csv").write_text(
         f"accuracy,n_records\n{metrics.accuracy:.6f},{metrics.n_test}\n",
         encoding="utf-8")
@@ -202,8 +202,10 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     if args.snr_db is not None and not np.isfinite(args.snr_db):
         raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
     session_mod.check_session_id(args.session_id)
+    records = _corpus_records(cfg)
+    _echo_config(cfg, out_dir)  # an unusable --out fails before decoding
     items = []
-    for path, label in _corpus_records(cfg):
+    for path, label in records:
         try:
             items.append((read_wav(path), label))
         except AudioDecodeError as exc:
@@ -213,7 +215,6 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     rng = np.random.default_rng(cfg.seed)
     idx = rng.choice(len(items), size=n, replace=n > len(items))
     chosen = [items[int(i)] for i in idx]
-    _echo_config(cfg, out_dir)
     bundle = session_mod.synthesize_session(chosen, out_dir,
                                             session_id=args.session_id,
                                             snr_db=args.snr_db, seed=cfg.seed)

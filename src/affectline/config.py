@@ -16,13 +16,8 @@ from pathlib import Path
 from .audio_io import EMOTIONS, CorpusFilter
 from .checkpoint import RETIRED_KEYS, FeatureSettings, drop_retired
 from .errors import ConfigError
-from .nn import ModelSpec, ShapeError
+from .nn import ModelSpec
 from .train_eval import TrainConfig, default_cache_dir
-
-
-# Model dimensions that follow from the feature matrix and the class list
-# are component fields but not config keys.
-_NOT_KEYS = frozenset({"in_channels", "in_frames", "n_classes"})
 
 
 def _component_keys():
@@ -31,8 +26,6 @@ def _component_keys():
     for cls in (FeatureSettings, ModelSpec, TrainConfig):
         defaults = cls()
         for f in dataclasses.fields(cls):
-            if f.name in _NOT_KEYS:
-                continue
             value = getattr(defaults, f.name)
             if isinstance(value, tuple):  # conv_channels, as "64,64,..."
                 value = ",".join(str(v) for v in value)
@@ -52,8 +45,9 @@ class RunConfig(_ComponentKeys):
     with the same defaults; ``conv_channels`` is a comma-separated list.
     The keys below belong to the pipeline itself. The choices the paper
     fixes (sinc resampling to 16 kHz, the feature front end in
-    ``features``, RMSProp's rho and eps, stride-1 convolutions, one global
-    max pool, a stratified split, shuffled batches) have no key;
+    ``features``, RMSProp's rho and eps, stride-1 convolutions of kernel 3
+    and padding 1, one global max pool, a stratified split, shuffled
+    batches) have no key;
     ``with_overrides`` drops a retired key at its fixed value.
     """
 
@@ -110,11 +104,9 @@ class RunConfig(_ComponentKeys):
 
     # -- derived views -----------------------------------------------------
 
-    def _view(self, cls, **derived):
-        """A ``cls`` from the keys named like its fields, then ``derived``."""
-        values = {f.name: getattr(self, f.name)
-                  for f in dataclasses.fields(cls) if f.name not in _NOT_KEYS}
-        return cls(**{**values, **derived})
+    def _view(self, cls):
+        """A ``cls`` from the keys named like its fields."""
+        return cls(**{f.name: getattr(self, f.name) for f in dataclasses.fields(cls)})
 
     def feature_settings(self) -> FeatureSettings:
         return self._view(FeatureSettings)
@@ -122,11 +114,9 @@ class RunConfig(_ComponentKeys):
     def model_spec(self) -> ModelSpec:
         try:
             channels = tuple(int(c) for c in self.conv_channels.split(",") if c.strip())
-            return self._view(ModelSpec, in_frames=self.t_fixed, conv_channels=channels)
         except ValueError as exc:
             raise ConfigError(f"bad conv_channels {self.conv_channels!r}") from exc
-        except ShapeError as exc:
-            raise ConfigError(str(exc)) from exc
+        return ModelSpec(conv_channels=channels)
 
     def train_config(self) -> TrainConfig:
         return self._view(TrainConfig)

@@ -18,6 +18,7 @@ from .errors import ConfigError
 
 N_MFCC = 13  # cepstral coefficients per frame
 DEFAULT_T_FIXED = 300
+MAX_T_FIXED = 360_000  # one hour of 10 ms frames
 # The paper's front end at the 16 kHz pipeline rate: 25 ms frames every
 # 10 ms, a 512-point FFT, 26 mel bands from 0 Hz to the clip's Nyquist
 # frequency, and regression deltas over +-2 frames.

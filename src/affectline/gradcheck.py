@@ -11,6 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import EMOTIONS
 from .features import N_FEATURE_ROWS
 from .nn import Conv1d, FullyConnected, MaxPool1d, Model, ModelSpec, ReLU, softmax_xent
 
@@ -140,17 +141,17 @@ def _relu_margin(model: Model, x: np.ndarray) -> float:
     return min(margin, _pool_margin(h))
 
 
-SMALL_SPEC = ModelSpec(in_channels=N_FEATURE_ROWS, in_frames=20,
-                       conv_channels=(6, 6, 8, 8, 10, 10))
+SMALL_SPEC = ModelSpec(conv_channels=(6, 6, 8, 8, 10, 10))
+SMALL_FRAMES = 20
 
 
 def check_full_model(seed: int, spec: ModelSpec = SMALL_SPEC) -> float:
     """FD check of the softmax loss against every parameter of a small model."""
     rng = np.random.default_rng(seed)
     model = Model(spec, seed=seed, dtype=np.float64)
-    targets = rng.integers(0, spec.n_classes, size=2)
+    targets = rng.integers(0, len(EMOTIONS), size=2)
     for _ in range(50):
-        x = rng.uniform(-1.0, 1.0, size=(2, spec.in_channels, spec.in_frames))
+        x = rng.uniform(-1.0, 1.0, size=(2, N_FEATURE_ROWS, SMALL_FRAMES))
         if _relu_margin(model, x) > _MARGIN:
             break
 

@@ -1,13 +1,14 @@
 """Minimal network kernel with explicit backpropagation.
 
 The paper's architecture and nothing else: 1-D convolution over time
-(feature rows are input channels) at stride 1, ReLU, one global max pool
-over time, one fully connected head, softmax cross-entropy, and RMSProp.
-A convolution is ``kernel`` GEMMs over row-shifted slices of one
-zero-padded channels-last copy of its input, with no im2col columns. No
-autograd: every layer caches what its hand-derived backward pass needs
-on ``self``, so one layer or model instance must not run forwards
-concurrently. Training math is float32; gradient checks run the same
+(feature rows are input channels) at stride 1, kernel KERNEL and padding
+PAD, ReLU, one global max pool over time, one fully connected head onto
+the EMOTIONS classes, softmax cross-entropy, and RMSProp. Only the conv
+widths vary (``ModelSpec``). A convolution is ``kernel`` GEMMs over
+row-shifted slices of one zero-padded channels-last copy of its input,
+with no im2col columns. No autograd: every layer caches what its
+hand-derived backward pass needs on ``self``, so one layer or model
+instance must not run forwards concurrently. Training math is float32; gradient checks run the same
 code in float64.
 """
 
@@ -17,10 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .audio_io import EMOTIONS
 from .errors import AffectlineError, ConfigError
-from .features import DEFAULT_T_FIXED, N_FEATURE_ROWS, check_sizes
+from .features import N_FEATURE_ROWS, check_sizes
 
-N_CLASSES = 6
+KERNEL, PAD = 3, 1  # of every conv layer in the model: T' = T
+MAX_CONV_CHANNELS = 4096  # per layer
 
 
 class ShapeError(AffectlineError):
@@ -198,66 +201,59 @@ class RmsProp:
 
 @dataclass(frozen=True)
 class ModelSpec:
-    """The paper's architecture: stride-1 conv/ReLU pairs sharing one
-    kernel size and padding, a global max pool, one FC head over the last
-    conv layer's channels.
+    """The widths of the paper's architecture: one stride-1 conv/ReLU pair
+    per ``conv_channels`` entry, a global max pool, and one FC head over
+    the last conv layer's channels. Everything else is fixed in this
+    module.
     """
 
-    in_channels: int = N_FEATURE_ROWS
-    in_frames: int = DEFAULT_T_FIXED
     conv_channels: tuple = (64, 64, 128, 128, 256, 256)
-    kernel: int = 3
-    pad: int = 1
-    n_classes: int = N_CLASSES
 
     def __post_init__(self):
-        check_sizes(in_channels=self.in_channels, in_frames=self.in_frames,
-                    kernel=self.kernel, pad=self.pad, n_classes=self.n_classes,
-                    **{f"conv_channels[{i}]": c for i, c in enumerate(self.conv_channels)})
-        if min(self.in_frames, self.kernel) < 1:
-            raise ConfigError("in_frames (t_fixed) and kernel must be >= 1, got "
-                              f"{self.in_frames}, {self.kernel}")
-        if self.pad < 0:
-            raise ConfigError(f"pad must be >= 0, got {self.pad}")
-        if not self.conv_channels or any(c <= 0 for c in self.conv_channels):
-            raise ShapeError("conv_channels must be positive")
-        shrink = max(self.kernel - 1 - 2 * self.pad, 0)  # frames each conv layer removes
-        if self.in_frames - shrink * len(self.conv_channels) < 1:
-            raise ShapeError("conv stack shrinks time axis below kernel size")
+        check_sizes(**{f"conv_channels[{i}]": c for i, c in enumerate(self.conv_channels)})
+        if not self.conv_channels or not all(1 <= c <= MAX_CONV_CHANNELS
+                                             for c in self.conv_channels):
+            raise ConfigError(f"conv_channels must be 1..{MAX_CONV_CHANNELS} each, got "
+                              f"{list(self.conv_channels)}")
+
+    def parameter_shapes(self) -> dict:
+        """name -> shape of every ``Model`` parameter in declaration order,
+        without allocating any."""
+        widths, shapes = (N_FEATURE_ROWS, *self.conv_channels), {}
+        for i, (c_in, c_out) in enumerate(zip(widths, widths[1:]), start=1):
+            shapes[f"conv{i}.w"], shapes[f"conv{i}.b"] = (c_out, c_in, KERNEL), (c_out,)
+        shapes["fc.w"], shapes["fc.b"] = (len(EMOTIONS), widths[-1]), (len(EMOTIONS),)
+        return shapes
 
 
 class Model:
-    """Conv/ReLU stack, global max pool, FC head.
+    """Conv/ReLU stack at ``spec``'s widths, global max pool, FC head. Each
+    conv keeps the input length T and the pool drops it, so any T >= 1 fits.
 
     Forward on an unchanged parameter set is deterministic, and a row's
     logits are bit-equal at any batch size while BLAS rounds a GEMM row the
     same way whatever the row count: every conv product is a GEMM of at
-    least T' rows even at batch 1, and the FC head does not use BLAS.
+    least T rows even at batch 1, and the FC head does not use BLAS.
     Training steps mutate parameters and must not run concurrently.
     """
 
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
-        self.spec = spec
         rng = np.random.default_rng(seed)
-        self.convs = []
-        in_ch = spec.in_channels
-        for out_ch in spec.conv_channels:
-            self.convs.append(Conv1d(in_ch, out_ch, spec.kernel, spec.pad,
-                                     rng=rng, dtype=dtype))
-            in_ch = out_ch
+        widths = (N_FEATURE_ROWS, *spec.conv_channels)
+        self.convs = [Conv1d(c_in, c_out, KERNEL, PAD, rng=rng, dtype=dtype)
+                      for c_in, c_out in zip(widths, widths[1:])]
         self.relus = [ReLU() for _ in spec.conv_channels]
         self.pool = MaxPool1d()
-        self.fc = FullyConnected(in_ch, spec.n_classes, rng=rng, dtype=dtype)
+        self.fc = FullyConnected(widths[-1], len(EMOTIONS), rng=rng, dtype=dtype)
+
+    def _layers(self):
+        """(name, layer) of every layer with parameters, in declaration order."""
+        return [(f"conv{i}", conv) for i, conv in enumerate(self.convs, start=1)] \
+            + [("fc", self.fc)]
 
     def parameters(self):
         """(name, tensor) pairs in declaration order."""
-        out = []
-        for i, conv in enumerate(self.convs, start=1):
-            out.append((f"conv{i}.w", conv.w))
-            out.append((f"conv{i}.b", conv.b))
-        out.append(("fc.w", self.fc.w))
-        out.append(("fc.b", self.fc.b))
-        return out
+        return [(f"{name}.{p}", getattr(layer, p)) for name, layer in self._layers() for p in "wb"]
 
     def set_parameters(self, named: dict) -> None:
         for name, value in self.parameters():
@@ -267,12 +263,7 @@ class Model:
             value[...] = new
 
     def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 3 or x.shape[1] != self.spec.in_channels \
-                or x.shape[2] != self.spec.in_frames:
-            raise ShapeError(
-                f"model expects (B, {self.spec.in_channels}, {self.spec.in_frames}),"
-                f" got {x.shape}"
-            )
+        """(B, N_FEATURE_ROWS, T) input, any T >= 1 -> (B, len(EMOTIONS)) logits."""
         h = x
         for conv, relu in zip(self.convs, self.relus):
             h = relu.forward(conv.forward(h))
@@ -283,10 +274,5 @@ class Model:
         g = self.pool.backward(self.fc.backward(grad_logits))
         for conv, relu in zip(reversed(self.convs), reversed(self.relus)):
             g = conv.backward(relu.backward(g))
-        grads = {}
-        for i, conv in enumerate(self.convs, start=1):
-            grads[f"conv{i}.w"] = conv.gw
-            grads[f"conv{i}.b"] = conv.gb
-        grads["fc.w"] = self.fc.gw
-        grads["fc.b"] = self.fc.gb
-        return grads
+        return {f"{name}.{p}": getattr(layer, "g" + p)
+                for name, layer in self._layers() for p in "wb"}

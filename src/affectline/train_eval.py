@@ -25,7 +25,7 @@ import numpy as np
 from .audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_bytes, read_wav
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
-from .features import (FEATURE_CODE_VERSION, FeatureMatrix, assemble_features,
+from .features import (FEATURE_CODE_VERSION, N_FEATURE_ROWS, FeatureMatrix, assemble_features,
                        compute_normalization)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
@@ -201,7 +201,7 @@ def predict_logits(model: Model, x: np.ndarray, batch: int = 16) -> np.ndarray:
     layer caches one forward keeps, about 3 MB a row at the default spec.
     """
     chunks = [model.forward(x[i:i + batch]) for i in range(0, len(x), batch)]
-    return np.concatenate(chunks) if chunks else np.zeros((0, model.spec.n_classes))
+    return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
@@ -242,7 +242,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     x_train = _to_batch_array(train_mats, profile)
     y_train = _labels_array(train_recs)
     x_test = _to_batch_array(test_mats, profile) if test_mats else np.zeros(
-        (0, model_spec.in_channels, model_spec.in_frames), dtype=np.float32)
+        (0, N_FEATURE_ROWS, settings.t_fixed), dtype=np.float32)
     y_test = _labels_array(test_recs) if test_recs else np.zeros(0, dtype=np.int64)
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))

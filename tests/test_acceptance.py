@@ -23,8 +23,7 @@ from conftest import build_synthetic_corpus, class_tone, sine
 
 RAVDESS_ENV = "AFFECTLINE_RAVDESS_ROOT"
 
-TINY_SPEC = ModelSpec(in_channels=41, in_frames=100,
-                      conv_channels=(8, 8, 12, 12, 16, 16))
+TINY_SPEC = ModelSpec(conv_channels=(8, 8, 12, 12, 16, 16))
 TINY_SETTINGS = FeatureSettings(t_fixed=100)
 
 

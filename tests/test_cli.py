@@ -25,15 +25,39 @@ TINY_OVERRIDES = [
 
 
 RETIRED_LINES = ["delta_window = 2", "eps = 1e-08", "fmax_hz = 0.0", "fmin_hz = 0.0",
-                 "frame_len_samples = 400", "hop_samples = 160", "log_floor = 1e-10",
-                 "n_coeffs = 13", "n_fft = 512", "n_mels = 26", "pool_stride = 0",
-                 "pool_width = 0", "resample_method = sinc", "rho = 0.9",
+                 "frame_len_samples = 400", "hop_samples = 160", "kernel = 3",
+                 "log_floor = 1e-10", "n_coeffs = 13", "n_fft = 512", "n_mels = 26", "pad = 1",
+                 "pool_stride = 0", "pool_width = 0", "resample_method = sinc", "rho = 0.9",
                  "sample_rate_hz = 16000", "shuffle_each_epoch = true", "stratified = true",
                  "stride = 1", "window = hamming"]
 
-# a train run written before the feature-chain and RMSProp keys were retired;
-# data/legacy_run/README.md says how
+# a train run written before the feature-chain, RMSProp, kernel and pad keys
+# were retired; data/legacy_run/README.md says how
 LEGACY_RUN = Path(__file__).parent / "data" / "legacy_run"
+
+
+def count_calls(monkeypatch, name):
+    """The argument tuples of every call to ``cli.<name>``, which still runs."""
+    calls, original = [], getattr(cli, name)
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(cli, name, counted)
+    return calls
+
+
+def seven_class_checkpoint(run, path):
+    """``run``'s checkpoint with a 7-row FC head and a header that says so."""
+    ckpt = load_checkpoint(run / "checkpoint.afl")
+    rng = np.random.default_rng(7)
+    ckpt.params["fc.w"] = rng.standard_normal((7, ckpt.params["fc.w"].shape[1]), np.float32)
+    ckpt.params["fc.b"] = np.zeros(7, np.float32)
+    ckpt.opt_acc = {}
+    save_checkpoint(path, ckpt)
+    edit_header(path, lambda header: header["model_spec"].update(n_classes=7))
+    return path
 
 
 def with_retired_keys(config_txt, out_path):
@@ -122,7 +146,9 @@ class TestTrainCommand:
         "n_coeffs=13.0", "stratified=false", "shuffle_each_epoch=no",
         "frame_len_samples=401", "hop_samples=160.0", "n_fft=1024", "n_mels=40",
         "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
-    )] + [("features", "n_coeffs=12"), ("features", "n_mels=24")]
+        "conv_channels=4,100000000000", "kernel=3.0", "pad=0", "n_classes=7",
+    )] + [("features", "n_coeffs=12"), ("features", "n_mels=24"),
+          ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}")]
 
     @pytest.mark.parametrize("command,override", OUT_OF_RANGE,
                              ids=[o if c == "train" else f"{c} {o}" for c, o in OUT_OF_RANGE])
@@ -239,7 +265,7 @@ class TestEvalCommand:
         ("features", "t_fixed", "t_fixed=True"),
         ("features.frame", "hop_samples", "hop_samples is fixed at 160, got True"),
         ("features.mfcc", "delta_window", "delta_window is fixed at 2, got True"),
-        ("model_spec", "kernel", "kernel=True")],
+        ("model_spec", "kernel", "kernel is fixed at 3, got True")],
         ids=["features-t_fixed", "features.frame-hop_samples", "features.mfcc-delta_window",
              "model_spec-kernel"])
     def test_bool_size_in_header_exits_3(self, tmp_path, corpus_root, trained_run, capsys,
@@ -253,6 +279,40 @@ class TestEvalCommand:
                      str(corpus_root), "--out", str(tmp_path / "o")]) == 3
         err = capsys.readouterr().err
         assert str(bad) in err and message in err
+
+    def test_out_is_a_file_exits_3_before_evaluating(self, tmp_path, corpus_root, trained_run,
+                                                     capsys, monkeypatch):
+        run, cache = trained_run
+        out = tmp_path / "taken"
+        out.write_text("x")
+        calls = count_calls(monkeypatch, "evaluate")
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"), "--corpus",
+                     str(corpus_root), "--out", str(out), "--cache-dir", str(cache)]) == 3
+        assert len(calls) == 0
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "x"
+
+    def test_tensors_that_do_not_fit_exit_3_naming_file(self, tmp_path, corpus_root,
+                                                        trained_run, capsys, monkeypatch):
+        run, cache = trained_run
+        bad = tmp_path / "wider.afl"
+        shutil.copy(run / "checkpoint.afl", bad)
+        edit_header(bad, lambda header: header["model_spec"].update(
+            conv_channels=[8, 8, 12, 12, 16, 17]))
+        calls = count_calls(monkeypatch, "evaluate")
+        assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_root),
+                     "--out", str(tmp_path / "o"), "--cache-dir", str(cache)]) == 3
+        assert len(calls) == 0
+        err = capsys.readouterr().err
+        assert str(bad) in err and "do not fit conv_channels [8, 8, 12, 12, 16, 17]" in err
+
+    def test_seven_class_checkpoint_exits_3(self, tmp_path, corpus_root, trained_run, capsys):
+        run, cache = trained_run
+        bad = seven_class_checkpoint(run, tmp_path / "seven.afl")
+        assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_root),
+                     "--out", str(tmp_path / "o"), "--cache-dir", str(cache)]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "n_classes is fixed at 6, got 7" in err
 
     def test_decode_failures_reported(self, tmp_path, corpus_root, trained_run, capsys):
         run, cache = trained_run
@@ -320,6 +380,17 @@ class TestClassifyCommand:
         assert f"decode failure: {broken}: not a RIFF/WAVE file" in captured.err
         assert "decode failures: 1" in captured.err
         assert "s: 2 segments classified, 1 unreadable" in captured.out
+
+    def test_seven_class_checkpoint_exits_3(self, tmp_path, corpus_root, trained_run, capsys):
+        run, _ = trained_run
+        items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
+        bundle = synthesize_session(items[:2], tmp_path / "s", session_id="s", seed=1)
+        bad = seven_class_checkpoint(run, tmp_path / "seven.afl")
+        assert main(["classify", "--checkpoint", str(bad), "--manifest",
+                     str(bundle.manifest_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "n_classes is fixed at 6, got 7" in err
+        assert not (tmp_path / "o").exists()
 
     def test_missing_manifest_exits_3(self, tmp_path, trained_run):
         run, _ = trained_run
@@ -457,6 +528,17 @@ class TestSynthCommand:
         assert "is not UTF-8 text" in capsys.readouterr().err
         assert list(tmp_path.iterdir()) == []
 
+    def test_out_is_a_file_exits_3_before_decoding(self, tmp_path, corpus_root, capsys,
+                                                   monkeypatch):
+        out = tmp_path / "taken"
+        out.write_text("x")
+        calls = count_calls(monkeypatch, "read_wav")
+        assert main(["synth", "--corpus", str(corpus_root), "--out", str(out),
+                     "--n-segments", "2"]) == 3
+        assert len(calls) == 0
+        assert str(out) in capsys.readouterr().err
+        assert out.read_text() == "x"
+
     def test_bundle_written(self, tmp_path, corpus_root):
         out = tmp_path / "synth"
         code = main(["synth", "--corpus", str(corpus_root), "--out", str(out),
@@ -546,7 +628,7 @@ class TestLegacyRun:
         ckpt = load_checkpoint(LEGACY_RUN / "checkpoint.afl")
         header, body = checkpoint_parts(LEGACY_RUN / "checkpoint.afl")
         assert ckpt.features == FeatureSettings(t_fixed=50)
-        assert ckpt.model_spec == ModelSpec(in_frames=50, conv_channels=(4, 6))
+        assert ckpt.model_spec == ModelSpec(conv_channels=(4, 6))
         assert ckpt.normalization.mean.tolist() == header["normalization"]["mean"]
         assert ckpt.normalization.std.tolist() == header["normalization"]["std"]
         tensors = {**ckpt.params, **{f"rmsprop.{k}": v for k, v in ckpt.opt_acc.items()}}
@@ -574,7 +656,7 @@ class TestLegacyRun:
         monkeypatch.chdir(tmp_path)  # the config's corpus, out and cache_dir are relative
         legacy_config = (LEGACY_RUN / "config.txt").read_text().splitlines()
         current_config = [line for line in legacy_config if line not in RETIRED_LINES]
-        assert len(legacy_config) - len(current_config) == 11
+        assert len(legacy_config) - len(current_config) == 13
         (tmp_path / "current.txt").write_text("\n".join(current_config) + "\n")
         assert main(["train", "--config", str(LEGACY_RUN / "config.txt")]) == 0
         assert main(["train", "--config", "current.txt", "--out", "current"]) == 0

@@ -19,13 +19,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectline.audio_io import AudioClip, read_wav
+from affectline.audio_io import EMOTIONS, AudioClip, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from affectline.config import RunConfig, parse_config_text
-from affectline.errors import ConfigError, DataError
+from affectline.errors import AffectlineError, ConfigError, DataError
 from affectline.features import NormalizationProfile
 from affectline.nn import Model, ModelSpec
-from affectline.session import MANIFEST_COLUMNS, load_manifest, load_truth, synthesize_session
+from affectline.session import (MANIFEST_COLUMNS, checkpoint_predictor, load_manifest,
+                                load_truth, synthesize_session)
 from conftest import make_wav_bytes, sine
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
@@ -126,7 +127,7 @@ def test_load_manifest_rows(scratch, columns, rows):
 
 @pytest.fixture(scope="module")
 def tiny_checkpoint(scratch):
-    spec = ModelSpec(in_frames=8, conv_channels=(2,))
+    spec = ModelSpec(conv_channels=(2,))
     model = Model(spec, seed=3)
     ckpt = Checkpoint(model_spec=spec, params=dict(model.parameters()), opt_acc={},
                       features=FeatureSettings(t_fixed=8),
@@ -137,12 +138,24 @@ def tiny_checkpoint(scratch):
     return path.read_bytes()
 
 
+SHORT_CLIP = AudioClip(sine(440, 0.05) * 0.5, 16000, "short.wav")
+PREDICT_MAX_T_FIXED = 1000  # a larger window only costs memory; its bound has its own test
+
+
 def open_checkpoint(path, data: bytes) -> None:
+    """Load ``data`` and classify SHORT_CLIP with whatever loads."""
     path.write_bytes(data)
     try:
-        load_checkpoint(path)
+        ckpt = load_checkpoint(path)
     except DataError:
-        pass
+        return
+    if ckpt.features.t_fixed > PREDICT_MAX_T_FIXED:
+        return
+    try:
+        label = checkpoint_predictor(ckpt)(None, SHORT_CLIP)
+    except AffectlineError:
+        return
+    assert label in EMOTIONS
 
 
 def test_tiny_checkpoint_loads(scratch, tiny_checkpoint):

@@ -3,9 +3,10 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from affectline.audio_io import EMOTIONS
 from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
-from affectline.nn import (Conv1d, FullyConnected, MaxPool1d, Model,
+from affectline.nn import (KERNEL, MAX_CONV_CHANNELS, Conv1d, FullyConnected, MaxPool1d, Model,
                            ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
 
 H = 1e-5
@@ -407,7 +408,7 @@ class TestMaxPoolOracle:
         assert dx.tobytes() == dx_ref.tobytes()
 
 
-SMALL = ModelSpec(in_channels=41, in_frames=20, conv_channels=(6, 6, 8, 8, 10, 10))
+SMALL = ModelSpec(conv_channels=(6, 6, 8, 8, 10, 10))
 
 
 class TestModel:
@@ -461,7 +462,21 @@ class TestModel:
     def test_input_shape_validation(self):
         model = Model(SMALL, seed=0)
         with pytest.raises(ShapeError):
-            model.forward(np.zeros((2, 41, 21), dtype=np.float32))
+            model.forward(np.zeros((2, 40, 20), dtype=np.float32))
+
+    @pytest.mark.parametrize("t", [1, 2, 21, 300])
+    def test_any_input_length(self, t):
+        model = Model(SMALL, seed=0)
+        x = np.random.default_rng(t).uniform(-1, 1, (2, 41, t)).astype(np.float32)
+        assert model.forward(x).shape == (2, len(EMOTIONS))
+        assert model.backward(np.ones((2, len(EMOTIONS)), dtype=np.float32))["conv1.w"].shape \
+            == (6, 41, KERNEL)
+
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec(), ModelSpec(conv_channels=(3,))])
+    def test_parameter_shapes_are_the_models(self, spec):
+        assert spec.parameter_shapes() == {
+            name: value.shape for name, value in Model(spec).parameters()}
+        assert list(spec.parameter_shapes()) == [name for name, _ in Model(spec).parameters()]
 
     def test_full_model_gradients_match_finite_differences(self):
         rng = np.random.default_rng(7)
@@ -480,20 +495,23 @@ class TestModel:
             worst = max(worst, rel_err(grads[name], fd_grad(loss, tensor)))
         assert worst < 1e-4
 
-    def test_spec_shape_validation(self):
-        with pytest.raises(ShapeError):
-            ModelSpec(in_frames=1, conv_channels=(4,), kernel=3, pad=0)
-
     # as read from a checkpoint header, where the retired keys may still appear
-    @pytest.mark.parametrize("field", [{"kernel": 0}, {"stride": 0}, {"in_frames": 0},
+    @pytest.mark.parametrize("field", [{"kernel": 0}, {"stride": 0}, {"kernel": 3.0},
                                        {"pad": -1}, {"pool_width": -1}, {"pool_stride": -1},
-                                       {"stride": True}, {"stride": 1.0}])
+                                       {"stride": True}, {"stride": 1.0}, {"pad": 0},
+                                       {"in_channels": 40}, {"n_classes": 7},
+                                       {"conv_channels": ()}, {"conv_channels": (64, 0)},
+                                       {"conv_channels": (64, MAX_CONV_CHANNELS + 1)}])
     def test_spec_range_validation(self, field):
         with pytest.raises(ConfigError, match=next(iter(field))):
             ModelSpec(**drop_retired({**asdict(ModelSpec()), **field}))
 
-    @pytest.mark.parametrize("field", [{"kernel": 3.0}, {"in_frames": 300.5},
-                                       {"conv_channels": (64, 64.0)}])
+    @pytest.mark.parametrize("field", [{"conv_channels": (64, 64.0)},
+                                       {"conv_channels": (64, True)}])
     def test_spec_sizes_must_be_integers(self, field):
         with pytest.raises(ConfigError, match="integers"):
             ModelSpec(**field)
+
+    def test_widest_layer_accepted(self):
+        assert ModelSpec(conv_channels=(1, MAX_CONV_CHANNELS)).parameter_shapes()["fc.w"] \
+            == (len(EMOTIONS), MAX_CONV_CHANNELS)

@@ -253,8 +253,7 @@ class TestClassifySession:
     def test_chunk_vote_on_long_segment(self, tmp_path):
         # untrained checkpoint: the contract here is only that voting over
         # feature-window chunks runs and aggregates into a single label
-        spec = ModelSpec(in_channels=41, in_frames=100,
-                         conv_channels=(4, 4, 4, 4, 4, 4))
+        spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
         model = Model(spec, seed=0)
         ckpt = Checkpoint(model_spec=spec,
                           params=dict(model.parameters()),
@@ -268,7 +267,7 @@ class TestClassifySession:
         assert plain.counts.sum() == 1 and voted.counts.sum() == 1
 
     def test_model_input_matches_evaluate(self, tmp_path, monkeypatch):
-        spec = ModelSpec(in_frames=100, conv_channels=(4, 4, 4, 4, 4, 4))
+        spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
         settings = FeatureSettings(t_fixed=100)
         rng = np.random.default_rng(4)
         profile = compute_normalization(

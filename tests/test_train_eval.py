@@ -11,17 +11,25 @@ from affectline.checkpoint import (Checkpoint, CheckpointError, CheckpointMagicE
                                    CheckpointVersionError, FeatureSettings, drop_retired,
                                    load_checkpoint, save_checkpoint)
 from affectline.errors import ConfigError, DataError, DivergenceError
-from affectline.features import FEATURE_ROW_LABELS, N_FEATURE_ROWS
-from affectline.nn import Model, ModelSpec
+from affectline.features import FEATURE_ROW_LABELS, MAX_T_FIXED, N_FEATURE_ROWS
+from affectline.nn import MAX_CONV_CHANNELS, Model, ModelSpec
 from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
                                    extract_features, metrics_to_csv,
                                    predict_logits, split_dataset, train)
 from conftest import build_synthetic_corpus, edit_header, header_section
 
-TINY_SPEC = ModelSpec(in_channels=41, in_frames=100,
-                      conv_channels=(8, 8, 12, 12, 16, 16))
+TINY_SPEC = ModelSpec(conv_channels=(8, 8, 12, 12, 16, 16))
 TINY_SETTINGS = FeatureSettings(t_fixed=100)
+
+
+def save_untrained(path, spec, t_fixed=100, **params):
+    """An untrained checkpoint of ``spec``, with ``params`` in place of the model's."""
+    ckpt = Checkpoint(model_spec=spec, params={**dict(Model(spec).parameters()), **params},
+                      opt_acc={}, features=FeatureSettings(t_fixed=t_fixed),
+                      normalization=None)
+    save_checkpoint(path, ckpt)
+    return ckpt
 
 
 def fake_records(counts):
@@ -198,6 +206,7 @@ class TestFeatureSettings:
     @pytest.mark.parametrize("field", [{"sample_rate_hz": "16000"}, {"sample_rate_hz": 999},
                                        {"sample_rate_hz": 384001}, {"sample_rate_hz": 16000.0},
                                        {"t_fixed": 0}, {"t_fixed": 300.0},
+                                       {"t_fixed": MAX_T_FIXED + 1}, {"t_fixed": 2 ** 70},
                                        {"sample_rate_hz": 1000}, {"sample_rate_hz": 384000}])
     def test_out_of_range_is_config_error(self, field):
         with pytest.raises(ConfigError, match=next(iter(field))):
@@ -206,6 +215,7 @@ class TestFeatureSettings:
     def test_edge_values_accepted(self):
         assert FeatureSettings(**drop_retired({"sample_rate_hz": 16000, "t_fixed": 1})) \
             == FeatureSettings(t_fixed=1)
+        assert FeatureSettings(t_fixed=MAX_T_FIXED).t_fixed == MAX_T_FIXED
 
 
 class TestPredictLogits:
@@ -276,7 +286,14 @@ class TestCheckpointIO:
         ("features.mfcc", "n_fft", True), ("model_spec", "kernel", True),
         ("model_spec", "conv_channels", [8, 8, 12, 12, 16, True]),
         ("features.mfcc", "fmin_hz", 0), ("features.mfcc", "fmax_hz", 8000.0),
-        ("features.mfcc", "log_floor", 1e-12), ("features.frame", "frame_len_samples", 512)])
+        ("features.mfcc", "log_floor", 1e-12), ("features.frame", "frame_len_samples", 512),
+        ("features", "t_fixed", MAX_T_FIXED + 1), ("model_spec", "in_frames", 0),
+        ("model_spec", "in_frames", 300.5), ("model_spec", "in_frames", 99),
+        ("model_spec", "in_frames", True), ("model_spec", "pad", 0),
+        ("model_spec", "in_channels", 40), ("model_spec", "n_classes", 5),
+        ("model_spec", "conv_channels", [8, 8, 12, 12, 16, MAX_CONV_CHANNELS + 1]),
+        ("normalization", "mean", [1.0, 2.0, 3.0]), ("normalization", "std", 5.0),
+        ("normalization", "mean", [float("inf")] * 41), ("normalization", "std", None)])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
@@ -293,7 +310,8 @@ class TestCheckpointIO:
         save_checkpoint(path, ckpt)
 
         def add_retired(header):
-            header["model_spec"].update(stride=1, pool_width=0, pool_stride=0)
+            header["model_spec"].update(stride=1, pool_width=0, pool_stride=0, kernel=3, pad=1,
+                                        in_channels=41, in_frames=100, n_classes=6)
             header["features"].update(
                 resample_method="sinc", sample_rate_hz=16000,
                 frame={"frame_len_samples": 400, "hop_samples": 160, "window": "hamming"},
@@ -306,6 +324,47 @@ class TestCheckpointIO:
         x = np.random.default_rng(18).uniform(-1, 1, (7, 41, 100)).astype(np.float32)
         assert old.build_model().forward(x).tobytes() == \
             ckpt.build_model().forward(x).tobytes()
+
+    def test_in_frames_other_than_t_fixed_is_checkpoint_error(self, tmp_path):
+        # headers written before in_frames was retired held t_fixed twice
+        path = tmp_path / "frames.afl"
+        save_untrained(path, ModelSpec(conv_channels=(4, 6)), t_fixed=30)
+        edit_header(path, lambda header: header["model_spec"].update(in_frames=30))
+        assert load_checkpoint(path).features.t_fixed == 30
+        edit_header(path, lambda header: header["model_spec"].update(in_frames=20))
+        with pytest.raises(CheckpointError, match="in_frames must equal t_fixed 30, got 20") \
+                as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
+
+    def test_seven_classes_is_checkpoint_error(self, tmp_path):
+        path = tmp_path / "seven.afl"
+        save_untrained(path, ModelSpec(conv_channels=(4, 6)),
+                       **{"fc.w": np.ones((7, 6), np.float32), "fc.b": np.zeros(7, np.float32)})
+        with pytest.raises(CheckpointError, match="found .'fc.w', .7, 6.., expected"):
+            load_checkpoint(path)
+        edit_header(path, lambda header: header["model_spec"].update(n_classes=7))
+        with pytest.raises(CheckpointError, match="n_classes is fixed at 6, got 7"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("edit", [
+        lambda header: header["model_spec"].update(conv_channels=[4, 7]),
+        lambda header: header["model_spec"].update(conv_channels=[4, 6, 8]),
+        lambda header: header["model_spec"].update(conv_channels=[MAX_CONV_CHANNELS] * 64),
+        lambda header: header["tensors"].reverse(),
+        lambda header: header["tensors"].pop(),
+        lambda header: header["tensors"].append({"name": "rmsprop.conv1.w",
+                                                 "shape": [4, 41, 3]}),
+        lambda header: header["tensors"][0].update(shape=[4, 41, 5])],
+        ids=["wider", "deeper", "widest", "reordered", "missing", "one accumulator",
+             "kernel 5"])
+    def test_tensors_that_do_not_fit_the_spec(self, tmp_path, edit):
+        path = tmp_path / "fit.afl"
+        save_untrained(path, ModelSpec(conv_channels=(4, 6)))
+        edit_header(path, edit)
+        with pytest.raises(CheckpointError, match="tensors do not fit conv_channels") as info:
+            load_checkpoint(path)
+        assert str(path) in str(info.value)
 
     def test_truncated_names_byte_counts(self, overfit_run, tmp_path):
         *_, ckpt, _ = overfit_run
@@ -403,7 +462,7 @@ class TestFeatureCache:
         records, *_ = overfit_run
         fm = extract_features(records[0][0], TINY_SETTINGS)
         assert fm.values.shape == (N_FEATURE_ROWS, TINY_SETTINGS.t_fixed)
-        assert N_FEATURE_ROWS == len(FEATURE_ROW_LABELS) == ModelSpec().in_channels
+        assert N_FEATURE_ROWS == len(FEATURE_ROW_LABELS) == Model(ModelSpec()).convs[0].in_ch
 
     def test_env_var_overrides_cache_location(self, tmp_path, monkeypatch):
         from affectline.train_eval import default_cache_dir
