@@ -20,8 +20,9 @@ import numpy as np
 
 from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
 from .errors import ConfigError, DataError
-from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR, MAX_T_FIXED,
-                       N_FEATURE_ROWS, N_FFT, N_MELS, N_MFCC, NormalizationProfile, check_sizes)
+from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR,
+                       MAX_NORMALIZED, MAX_T_FIXED, N_FEATURE_ROWS, N_FFT, N_MELS, N_MFCC,
+                       NormalizationProfile, check_sizes)
 from .nn import KERNEL, PAD, RMSPROP_EPS, RMSPROP_RHO, Model, ModelSpec
 
 MAGIC = b"AFL1"
@@ -190,8 +191,10 @@ def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
     norm = header["normalization"]
     stats = [] if norm is None else [np.asarray(norm[k], dtype=np.float64)
                                      for k in ("mean", "std")]
-    if any(a.shape != (N_FEATURE_ROWS,) or not np.isfinite(a).all() for a in stats):
-        raise ConfigError(f"normalization mean and std must be {N_FEATURE_ROWS} finite numbers")
+    if any(a.shape != (N_FEATURE_ROWS,) or not (np.abs(a) <= MAX_NORMALIZED).all()
+           for a in stats):
+        raise ConfigError(f"normalization mean and std must be {N_FEATURE_ROWS} finite numbers "
+                          f"within float32's range (|x| <= {MAX_NORMALIZED:.4g})")
     return Checkpoint(model_spec=spec, params=params, opt_acc=opt_acc, features=settings,
                       normalization=NormalizationProfile(*stats) if stats else None,
                       metadata=header["metadata"])

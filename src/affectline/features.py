@@ -39,6 +39,7 @@ FEATURE_ROW_LABELS = tuple(
     + ["zcr", "rms"]
 )
 N_FEATURE_ROWS = len(FEATURE_ROW_LABELS)
+MAX_NORMALIZED = float(np.finfo(np.float32).max)  # the model input is float32
 
 
 def check_sizes(**sizes) -> None:

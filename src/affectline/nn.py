@@ -5,10 +5,16 @@ The paper's architecture and nothing else: 1-D convolution over time
 PAD, ReLU, one global max pool over time, one fully connected head onto
 the EMOTIONS classes, softmax cross-entropy, and RMSProp. Only the conv
 widths vary (``ModelSpec``). A convolution is ``kernel`` GEMMs over
-row-shifted slices of one zero-padded channels-last copy of its input,
-with no im2col columns. No autograd: every layer caches what its
-hand-derived backward pass needs on ``self``, so one layer or model
-instance must not run forwards concurrently. Training math is float32; gradient checks run the same
+row-shifted slices of its input in one zero-padded channels-last matrix,
+with no im2col columns. ``Model`` keeps those matrices in one activation
+arena: each conv writes its GEMMs straight into the next layer's, the
+ReLUs work in place, and the backward pass reuses two gradient buffers.
+The global max pool's gradient is one (time step, value) pair per item
+and channel (``PoolGrad``), and the last conv backpropagates through only
+the rows those pairs name. No autograd: every layer caches what its
+hand-derived backward pass needs on ``self`` (in a model, views of the
+arena), so one layer or model instance must not run forwards
+concurrently. Training math is float32; gradient checks run the same
 code in float64.
 """
 
@@ -35,15 +41,57 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
 
 
+def _rows(flat, n: int, cols: int, dtype) -> np.ndarray:
+    """An (n, cols) view of the leading elements of ``flat``, or a new array
+    when there is no ``flat``."""
+    if flat is None:
+        return np.empty((n, cols), dtype=dtype)
+    return flat[:n * cols].reshape(n, cols)
+
+
+class PoolGrad:
+    """The gradient a global max pool sends to its (B, C, T) input:
+    ``value[b, c]`` at time ``index[b, c]`` and zero everywhere else.
+    ``dense()`` (or ``np.asarray``) expands it in channels-last memory."""
+
+    def __init__(self, index: np.ndarray, value: np.ndarray, t: int):
+        self.index, self.value, self.t = index, value, t
+
+    @property
+    def shape(self) -> tuple:
+        return (*self.index.shape, self.t)
+
+    @property
+    def dtype(self):
+        return self.value.dtype
+
+    def dense(self) -> np.ndarray:
+        b, c, t = self.shape
+        dx = np.zeros((b, t, c), dtype=self.value.dtype).transpose(0, 2, 1)
+        np.put_along_axis(dx, self.index[..., None], self.value[..., None], axis=2)
+        return dx
+
+    def __array__(self, dtype=None, copy=None):
+        return self.dense() if dtype is None else self.dense().astype(dtype)
+
+
 class Conv1d:
     """Stride-1 cross-correlation with bias over the time axis.
 
     Input (B, C_in, T) -> output (B, C_out, T'), a transposed view of
     channels-last memory, with T' = T + 2*pad - kernel + 1. F is the input
-    copied once into a zero-padded channels-last (B*(T + 2*pad), C_in)
-    matrix; the output is sum_k F[k:k+n] @ w[:, :, k].T at rows
-    b*(T + 2*pad) + j for j < T' (rows straddling two batch items are
-    dropped).
+    in a zero-padded channels-last (B*(T + 2*pad), C_in) matrix; the
+    output is sum_k F[k:k+n] @ w[:, :, k].T at rows b*(T + 2*pad) + j for
+    j < T' (rows straddling two batch items are set to zero).
+
+    Called alone, a layer copies its input into F and allocates its
+    output. ``Model`` passes its arena's buffers instead: ``x_rows`` is
+    the F that ``x`` is the interior of, ``out`` the (B*(T + 2*pad),
+    C_out) matrix to write, and ``scratch`` a flat buffer for one GEMM
+    product. With pad = (kernel - 1) // 2, ``out`` shifted down by ``pad``
+    rows is the next layer's F. ``backward`` takes its output gradient in
+    the same layout, ``g_rows``, and writes the input gradient's padded
+    rows into ``out``; a ``PoolGrad`` input gradient takes the sparse path.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int = 0, *,
@@ -55,7 +103,7 @@ class Conv1d:
         self.b = np.zeros(out_ch, dtype=dtype)
         self._rows = self._taps = self._in_shape = None
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
+    def forward(self, x: np.ndarray, x_rows=None, out=None, scratch=None) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv expects (B, C, T) input, got shape {x.shape}")
         b, c, t = x.shape
@@ -64,43 +112,79 @@ class Conv1d:
         if t + 2 * self.pad < self.kernel:
             raise ShapeError(f"input length {t} too short for kernel {self.kernel}")
         tp = t + 2 * self.pad
-        xp = np.zeros((b, tp, c), dtype=x.dtype)
-        xp[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
-        rows, n = xp.reshape(b * tp, c), b * tp - self.kernel + 1
+        if x_rows is None:
+            x_rows = np.zeros((b * tp, c), dtype=x.dtype)
+            x_rows.reshape(b, tp, c)[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
+        n, t_out = b * tp - self.kernel + 1, tp - self.kernel + 1
         taps = np.ascontiguousarray(self.w.transpose(2, 0, 1))  # (K, C_out, C_in)
-        y = np.empty((b * tp, self.out_ch), dtype=np.result_type(x, self.w))
-        np.matmul(rows[:n], taps[0].T, out=y[:n])
+        dtype = np.result_type(x_rows, self.w)
+        y = np.empty((b * tp, self.out_ch), dtype=dtype) if out is None else out
+        part = _rows(scratch, n, self.out_ch, dtype)
+        np.matmul(x_rows[:n], taps[0].T, out=y[:n])
         for k in range(1, self.kernel):
-            y[:n] += rows[k:k + n] @ taps[k].T
-        self._rows, self._taps, self._in_shape = rows, taps, (b, c, t)
-        y = y.reshape(b, tp, self.out_ch)[:, :tp - self.kernel + 1]
-        y += self.b
-        return y.transpose(0, 2, 1)
+            y[:n] += np.matmul(x_rows[k:k + n], taps[k].T, out=part)
+        self._rows, self._taps, self._in_shape = x_rows, taps, (b, c, t)
+        y = y.reshape(b, tp, self.out_ch)
+        y[:, :t_out] += self.b
+        y[:, t_out:] = 0
+        return y[:, :t_out].transpose(0, 2, 1)
 
-    def backward(self, grad_out: np.ndarray):
+    def backward(self, grad_out, g_rows=None, out=None, scratch=None):
         b, c, t = self._in_shape
-        t_out = t + 2 * self.pad - self.kernel + 1
+        tp = t + 2 * self.pad
+        n, t_out = b * tp - self.kernel + 1, tp - self.kernel + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
-        rows, n = self._rows, len(self._rows) - self.kernel + 1
-        g = np.zeros((b, len(rows) // b, self.out_ch), dtype=grad_out.dtype)
-        g[:, :t_out] = grad_out.transpose(0, 2, 1)
-        g, taps = g.reshape(len(rows), self.out_ch), self._taps
-        self.gw = np.stack([g[:n].T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
-        self.gb = g.sum(axis=0)
-        dxp = np.zeros((len(rows), c), dtype=np.result_type(g, taps))
+        rows, taps = self._rows, self._taps
+        dtype = np.result_type(grad_out.dtype, taps)
+        dxp = np.empty((b * tp, c), dtype=dtype) if out is None else out
+        dxp[...] = 0
+        if isinstance(grad_out, PoolGrad):
+            self._pooled_backward(grad_out, dxp, scratch)
+        else:
+            if g_rows is None:
+                g_rows = np.empty((b * tp, self.out_ch), dtype=grad_out.dtype)
+                g_rows.reshape(b, tp, -1)[:, :t_out] = grad_out.transpose(0, 2, 1)
+            g_rows.reshape(b, tp, -1)[:, t_out:] = 0
+            g = g_rows[:n]
+            self.gw = np.stack([g.T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
+            self.gb = g_rows.sum(axis=0)
+            part = _rows(scratch, n, c, dtype)
+            for k in range(self.kernel):
+                dxp[k:k + n] += np.matmul(g, taps[k], out=part)
+        return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
+
+    def _pooled_backward(self, grad: PoolGrad, dxp: np.ndarray, scratch) -> None:
+        """Backward of an output gradient that is non-zero at one time step
+        per (item, channel). The input gradient is the dense one's sum over
+        only the unique rows R that hold a gradient, in the same order, so
+        it is bit-equal; the weight gradient sums B products per entry
+        instead of B*(T + 2*pad), so it rounds differently."""
+        b, _, t = self._in_shape
+        at = np.arange(b)[:, None] * (t + 2 * self.pad) + grad.index  # (B, C_out) row of g
+        live, where = np.unique(at, return_inverse=True)
+        g = np.zeros((len(live), self.out_ch), dtype=grad.value.dtype)
+        g[where.reshape(at.shape), np.arange(self.out_ch)] = grad.value
+        part = _rows(scratch, len(live), self.in_ch, dxp.dtype)
         for k in range(self.kernel):
-            dxp[k:k + n] += g[:n] @ taps[k]
-        return dxp.reshape(b, -1, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
+            dxp[live + k] += np.matmul(g, self._taps[k], out=part)
+        self.gw = np.stack([np.einsum("bo,boi->oi", grad.value, self._rows[at + k])
+                            for k in range(self.kernel)], axis=2)
+        self.gb = grad.value.sum(axis=0) + 0.0  # no -0.0 sum, as over the dense rows
 
 
 class ReLU:
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._y = np.maximum(x, 0)
+    """max(x, 0). ``Model`` passes ``out=x`` to both calls, so they work in place."""
+
+    def forward(self, x: np.ndarray, out=None) -> np.ndarray:
+        self._y = np.maximum(x, 0, out=out)
         return self._y
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        return grad_out * (self._y > 0)  # y > 0 exactly where x > 0
+    def backward(self, grad_out, out=None):
+        if isinstance(grad_out, PoolGrad):  # the mask at the pooled steps; no ``out``
+            y = np.take_along_axis(self._y, grad_out.index[..., None], axis=2)[..., 0]
+            return PoolGrad(grad_out.index, grad_out.value * (y > 0), grad_out.t)
+        return np.multiply(grad_out, self._y > 0, out=out)  # y > 0 exactly where x > 0
 
 
 class MaxPool1d:
@@ -110,20 +194,16 @@ class MaxPool1d:
     ``forward`` computes only the max and keeps its input, not a copy (in
     the model the ReLU already holds that array); ``backward``, the only
     reader of the argmax, takes it there, so the input must not change
-    between the two calls.
+    between the two calls. ``backward`` returns a ``PoolGrad``: one
+    (time index, value) pair per (item, channel), not a dense gradient.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._x = x
         return x.max(axis=2)
 
-    def backward(self, grad_out: np.ndarray) -> np.ndarray:
-        b, c, t = self._x.shape
-        # channels-last, like the conv output the ReLU mask comes from
-        dx = np.zeros((b, t, c), dtype=grad_out.dtype).transpose(0, 2, 1)
-        first = self._x.argmax(axis=2)[..., None]
-        np.put_along_axis(dx, first, grad_out[..., None], axis=2)
-        return dx
+    def backward(self, grad_out: np.ndarray) -> PoolGrad:
+        return PoolGrad(self._x.argmax(axis=2), grad_out, self._x.shape[2])
 
 
 class FullyConnected:
@@ -226,25 +306,64 @@ class ModelSpec:
         return shapes
 
 
+class _Arena:
+    """The zero-padded channels-last buffers of one model, for ``b`` items
+    of length ``t``; a smaller batch uses the leading rows.
+
+    ``acts[i]`` holds layer i's input: item j's time step s at row
+    j*(t + 2*PAD) + PAD + s, every other row zero (one spare row lets the
+    last item's output window start at PAD). ``grads`` are two flat
+    buffers the backward pass ping-pongs between, allocated by the first
+    backward; ``scratch`` takes one GEMM product. The arena holds no
+    reference to its model or layers, so it dies with the model.
+    """
+
+    def __init__(self, widths, b: int, t: int, dtype):
+        self.b, self.t = b, t
+        rows = b * (t + 2 * PAD) + PAD
+        self.acts = [np.zeros((rows, c), dtype=dtype) for c in widths]
+        self.scratch = np.empty(rows * max(widths), dtype=dtype)
+        self.grads = None
+
+    def grad(self, i: int, c: int) -> np.ndarray:
+        """Flat gradient buffer ``i % 2`` as (rows, c)."""
+        if self.grads is None:
+            self.grads = [np.empty_like(self.scratch) for _ in range(2)]
+        return self.grads[i % 2][:len(self.acts[0]) * c].reshape(-1, c)
+
+
 class Model:
     """Conv/ReLU stack at ``spec``'s widths, global max pool, FC head. Each
     conv keeps the input length T and the pool drops it, so any T >= 1 fits.
+
+    The model owns one ``_Arena`` sized for the largest batch and the
+    current T it has seen, and computes in its dtype. Each conv writes its
+    GEMMs straight into the next layer's zero-padded buffer, each ReLU
+    works in place, and backward ping-pongs two gradient buffers; so a
+    train step allocates only the small per-layer outputs (the pool and FC
+    values, the parameter gradients). The global max pool sends gradient
+    to one time step per (item, channel), and conv6 is backpropagated
+    through only those rows (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic, and a row's
     logits are bit-equal at any batch size while BLAS rounds a GEMM row the
     same way whatever the row count: every conv product is a GEMM of at
     least T rows even at batch 1, and the FC head does not use BLAS.
-    Training steps mutate parameters and must not run concurrently.
+    Training steps mutate parameters and must not run concurrently, and a
+    forward's results are views of the arena that the next forward
+    overwrites (the logits are not).
     """
 
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
         rng = np.random.default_rng(seed)
-        widths = (N_FEATURE_ROWS, *spec.conv_channels)
+        self._widths = (N_FEATURE_ROWS, *spec.conv_channels)
         self.convs = [Conv1d(c_in, c_out, KERNEL, PAD, rng=rng, dtype=dtype)
-                      for c_in, c_out in zip(widths, widths[1:])]
+                      for c_in, c_out in zip(self._widths, self._widths[1:])]
         self.relus = [ReLU() for _ in spec.conv_channels]
         self.pool = MaxPool1d()
-        self.fc = FullyConnected(widths[-1], len(EMOTIONS), rng=rng, dtype=dtype)
+        self.fc = FullyConnected(self._widths[-1], len(EMOTIONS), rng=rng, dtype=dtype)
+        self.dtype = np.dtype(dtype)
+        self._arena = self._batch = None  # the (B, T) of the last forward
 
     def _layers(self):
         """(name, layer) of every layer with parameters, in declaration order."""
@@ -264,15 +383,35 @@ class Model:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         """(B, N_FEATURE_ROWS, T) input, any T >= 1 -> (B, len(EMOTIONS)) logits."""
-        h = x
-        for conv, relu in zip(self.convs, self.relus):
-            h = relu.forward(conv.forward(h))
+        if x.ndim != 3 or x.shape[1] != N_FEATURE_ROWS:
+            raise ShapeError(f"model expects (B, {N_FEATURE_ROWS}, T) input, got {x.shape}")
+        b, _, t = x.shape
+        arena = self._arena
+        if arena is None or b > arena.b or t != arena.t:
+            self._arena = None  # frees the old buffers before the new ones are made
+            arena = self._arena = _Arena(self._widths, max(b, arena.b if arena else 0), t,
+                                         self.dtype)
+        self._batch = b, t
+        tp = t + 2 * PAD
+        x_rows = arena.acts[0][:b * tp]
+        h = x_rows.reshape(b, tp, -1)[:, PAD:PAD + t].transpose(0, 2, 1)
+        h[...] = x
+        for conv, relu, nxt in zip(self.convs, self.relus, arena.acts[1:]):
+            h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp], scratch=arena.scratch)
+            h = relu.forward(h, out=h)
+            x_rows = nxt[:b * tp]
         return self.fc.forward(self.pool.forward(h))
 
     def backward(self, grad_logits: np.ndarray) -> dict:
-        """Gradients for every parameter given d(loss)/d(logits)."""
-        g = self.pool.backward(self.fc.backward(grad_logits))
-        for conv, relu in zip(reversed(self.convs), reversed(self.relus)):
-            g = conv.backward(relu.backward(g))
+        """Gradients for every parameter given d(loss)/d(logits) of the last forward."""
+        arena, (b, t) = self._arena, self._batch
+        n = b * (t + 2 * PAD)
+        g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
+        g_rows = None  # conv6 takes the pool's PoolGrad, every other conv these rows
+        for i in reversed(range(len(self.convs))):
+            g = self.relus[i].backward(g, out=g)
+            dx_rows = arena.grad(i, self._widths[i])
+            g = self.convs[i].backward(g, g_rows, out=dx_rows[:n], scratch=arena.scratch)
+            g_rows = dx_rows[PAD:PAD + n]
         return {f"{name}.{p}": getattr(layer, "g" + p)
                 for name, layer in self._layers() for p in "wb"}

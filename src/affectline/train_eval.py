@@ -25,8 +25,8 @@ import numpy as np
 from .audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_bytes, read_wav
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
-from .features import (FEATURE_CODE_VERSION, N_FEATURE_ROWS, FeatureMatrix, assemble_features,
-                       compute_normalization)
+from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
+                       assemble_features, compute_normalization)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
 __all__ = [
@@ -182,11 +182,21 @@ def extract_all(records, settings: FeatureSettings, cache_dir=None, jobs: int = 
 
 
 def _to_batch_array(matrices, profile) -> np.ndarray:
-    """(N, 41, T) float32 model input: each matrix normalized in float64, then cast."""
-    out = np.stack([
-        profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile else m.values
-        for m in matrices
-    ])
+    """(N, 41, T) float32 model input: each matrix normalized in float64, then cast.
+
+    DataError when a normalized value overflows float32, as with a
+    normalization std far below the features' scale, instead of casting
+    it to inf (whose logits would predict class 0 silently).
+    """
+    with np.errstate(over="ignore"):  # an overflow is reported below
+        out = np.stack([
+            profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile
+            else m.values for m in matrices
+        ])
+    peak = float(np.abs(out).max(initial=0.0))
+    if not peak <= MAX_NORMALIZED:
+        raise DataError(f"normalized features overflow float32 (|value| up to {peak:.4g}): "
+                        "the normalization mean or std does not fit these features")
     return out.astype(np.float32)
 
 
@@ -198,7 +208,10 @@ def predict_logits(model: Model, x: np.ndarray, batch: int = 16) -> np.ndarray:
     """Logits of every row of ``x``, forwarded ``batch`` rows at a time.
 
     Rows are batch-invariant (see ``Model``), so ``batch`` only bounds the
-    layer caches one forward keeps, about 3 MB a row at the default spec.
+    model's activation arena, which keeps the largest batch it has seen:
+    about 1.4 MB a row at the default spec, each layer's zero-padded input
+    and one GEMM product (a backward adds two gradient buffers, 0.6 MB a
+    row).
     """
     chunks = [model.forward(x[i:i + batch]) for i in range(0, len(x), batch)]
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))

@@ -306,6 +306,30 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "do not fit conv_channels [8, 8, 12, 12, 16, 17]" in err
 
+    def test_normalization_beyond_float32_exits_3_naming_file(self, tmp_path, corpus_root,
+                                                              trained_run, capsys, monkeypatch):
+        # finite, but the float32 model input cannot hold it: logits would be inf or NaN
+        run, cache = trained_run
+        bad = tmp_path / "huge.afl"
+        shutil.copy(run / "checkpoint.afl", bad)
+        edit_header(bad, lambda header: header["normalization"].update(mean=[1e300] * 41))
+        calls = count_calls(monkeypatch, "evaluate")
+        assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_root),
+                     "--out", str(tmp_path / "o"), "--cache-dir", str(cache)]) == 3
+        assert len(calls) == 0
+        err = capsys.readouterr().err
+        assert str(bad) in err and "within float32's range" in err
+
+    def test_tiny_normalization_std_exits_3(self, tmp_path, corpus_root, trained_run, capsys):
+        run, cache = trained_run
+        bad = tmp_path / "tiny.afl"
+        shutil.copy(run / "checkpoint.afl", bad)
+        edit_header(bad, lambda header: header["normalization"].update(std=[1e-300] * 41))
+        assert main(["eval", "--checkpoint", str(bad), "--corpus", str(corpus_root),
+                     "--out", str(tmp_path / "o"), "--cache-dir", str(cache)]) == 3
+        assert "normalized features overflow float32" in capsys.readouterr().err
+        assert not (tmp_path / "o" / "eval.csv").exists()
+
     def test_seven_class_checkpoint_exits_3(self, tmp_path, corpus_root, trained_run, capsys):
         run, cache = trained_run
         bad = seven_class_checkpoint(run, tmp_path / "seven.afl")
@@ -391,6 +415,23 @@ class TestClassifyCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "n_classes is fixed at 6, got 7" in err
         assert not (tmp_path / "o").exists()
+
+    def test_normalization_beyond_float32_exits_3_before_decoding(self, tmp_path, corpus_root,
+                                                                  trained_run, capsys,
+                                                                  monkeypatch):
+        run, _ = trained_run
+        items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
+        bundle = synthesize_session(items[:2], tmp_path / "s", session_id="s", seed=1)
+        bad = tmp_path / "huge.afl"
+        shutil.copy(run / "checkpoint.afl", bad)
+        edit_header(bad, lambda header: header["normalization"].update(std=[-1e300] * 41))
+        decoded = []
+        monkeypatch.setattr("affectline.session.read_wav", decoded.append)
+        assert main(["classify", "--checkpoint", str(bad), "--manifest",
+                     str(bundle.manifest_path), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "within float32's range" in err
+        assert decoded == [] and not (tmp_path / "o").exists()
 
     def test_missing_manifest_exits_3(self, tmp_path, trained_run):
         run, _ = trained_run

@@ -1,3 +1,6 @@
+import gc
+import tracemalloc
+import weakref
 from dataclasses import asdict
 
 import numpy as np
@@ -150,6 +153,40 @@ class TestConv1d:
             np.testing.assert_allclose(getattr(layer, name), getattr(oracle, name),
                                        rtol=0, atol=1e-12)
 
+    # the model's last conv: a global max pool after its ReLU sends gradient to one
+    # time step per (item, channel), the first maximum on ties
+    @pytest.mark.parametrize("ties", [False, True])
+    @pytest.mark.parametrize("batch", [1, 3])
+    def test_pooled_backward_matches_im2col_oracle(self, batch, ties):
+        rng = np.random.default_rng(10 * batch + ties)
+        layer = Conv1d(4, 6, 3, pad=1, dtype=np.float64)
+        oracle = Im2colConv1d(4, 6, 3, pad=1, dtype=np.float64)
+        x = rng.standard_normal((batch, 4, 11))
+        if ties:  # small integers: outputs repeat, and whole channels die at 0
+            layer.w[...] = rng.integers(-1, 2, layer.w.shape)
+            x = rng.integers(-1, 2, x.shape).astype(np.float64)
+        bias = rng.standard_normal(6)
+        layer.b[...] = bias.round() if ties else bias
+        oracle.w[...], oracle.b[...] = layer.w, layer.b
+        relu, pool = ReLU(), MaxPool1d()
+        h = relu.forward(layer.forward(x))
+        np.testing.assert_allclose(h, np.maximum(oracle.forward(x), 0), rtol=0, atol=1e-12)
+        u = rng.standard_normal(pool.forward(h).shape)
+        grad = relu.backward(pool.backward(u))
+        assert grad.shape == (batch, 6, 11)
+        np.testing.assert_array_equal(grad.index, h.argmax(axis=2))
+        if ties:
+            assert ((h == h.max(axis=2, keepdims=True)).sum(axis=2) > 1).any()
+        dense = np.zeros(h.shape)
+        np.put_along_axis(dense, h.argmax(axis=2)[..., None], u[..., None], axis=2)
+        dense *= h > 0
+        assert grad.dense().tobytes() == dense.tobytes()
+        np.testing.assert_allclose(layer.backward(grad), oracle.backward(dense), rtol=0,
+                                   atol=1e-12)
+        for name in ("gw", "gb"):
+            np.testing.assert_allclose(getattr(layer, name), getattr(oracle, name),
+                                       rtol=0, atol=1e-12)
+
     def test_forward_does_not_mutate_input(self):
         rng = np.random.default_rng(9)
         layer = Conv1d(3, 4, 3, pad=1, rng=rng, dtype=np.float64)
@@ -220,7 +257,7 @@ class TestReluPoolFc:
         x = np.array([[[1.0, 2.0], [3.0, 2.0], [2.0, 0.0], [3.0, 1.0]]]).transpose(0, 2, 1)
         y = layer.forward(x)
         np.testing.assert_array_equal(y, np.array([[3.0, 2.0]]))
-        dx = layer.backward(np.array([[1.0, 5.0]]))
+        dx = layer.backward(np.array([[1.0, 5.0]])).dense()
         # both channels tie: each gradient routes to the first maximum
         np.testing.assert_array_equal(dx, np.array([[[0.0, 1.0, 0.0, 0.0],
                                                      [5.0, 0.0, 0.0, 0.0]]]))
@@ -515,3 +552,206 @@ class TestModel:
     def test_widest_layer_accepted(self):
         assert ModelSpec(conv_channels=(1, MAX_CONV_CHANNELS)).parameter_shapes()["fc.w"] \
             == (len(EMOTIONS), MAX_CONV_CHANNELS)
+
+
+class DenseConv1d(Conv1d):
+    """``Conv1d`` as it was before the model's arena, kept verbatim as a test oracle:
+    it copies its input, allocates every product and backpropagates densely."""
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        if x.ndim != 3:
+            raise ShapeError(f"conv expects (B, C, T) input, got shape {x.shape}")
+        b, c, t = x.shape
+        if c != self.in_ch:
+            raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
+        if t + 2 * self.pad < self.kernel:
+            raise ShapeError(f"input length {t} too short for kernel {self.kernel}")
+        tp = t + 2 * self.pad
+        xp = np.zeros((b, tp, c), dtype=x.dtype)
+        xp[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
+        rows, n = xp.reshape(b * tp, c), b * tp - self.kernel + 1
+        taps = np.ascontiguousarray(self.w.transpose(2, 0, 1))  # (K, C_out, C_in)
+        y = np.empty((b * tp, self.out_ch), dtype=np.result_type(x, self.w))
+        np.matmul(rows[:n], taps[0].T, out=y[:n])
+        for k in range(1, self.kernel):
+            y[:n] += rows[k:k + n] @ taps[k].T
+        self._rows, self._taps, self._in_shape = rows, taps, (b, c, t)
+        y = y.reshape(b, tp, self.out_ch)[:, :tp - self.kernel + 1]
+        y += self.b
+        return y.transpose(0, 2, 1)
+
+    def backward(self, grad_out: np.ndarray):
+        b, c, t = self._in_shape
+        t_out = t + 2 * self.pad - self.kernel + 1
+        if grad_out.shape != (b, self.out_ch, t_out):
+            raise ShapeError("grad_out shape does not match forward output")
+        rows, n = self._rows, len(self._rows) - self.kernel + 1
+        g = np.zeros((b, len(rows) // b, self.out_ch), dtype=grad_out.dtype)
+        g[:, :t_out] = grad_out.transpose(0, 2, 1)
+        g, taps = g.reshape(len(rows), self.out_ch), self._taps
+        self.gw = np.stack([g[:n].T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
+        self.gb = g.sum(axis=0)
+        dxp = np.zeros((len(rows), c), dtype=np.result_type(g, taps))
+        for k in range(self.kernel):
+            dxp[k:k + n] += g[:n] @ taps[k]
+        return dxp.reshape(b, -1, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
+
+
+class DenseReLU:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._y = np.maximum(x, 0)
+        return self._y
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        return grad_out * (self._y > 0)  # y > 0 exactly where x > 0
+
+
+class DenseMaxPool1d:
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        self._x = x
+        return x.max(axis=2)
+
+    def backward(self, grad_out: np.ndarray) -> np.ndarray:
+        b, c, t = self._x.shape
+        # channels-last, like the conv output the ReLU mask comes from
+        dx = np.zeros((b, t, c), dtype=grad_out.dtype).transpose(0, 2, 1)
+        first = self._x.argmax(axis=2)[..., None]
+        np.put_along_axis(dx, first, grad_out[..., None], axis=2)
+        return dx
+
+
+class DenseModel(Model):
+    """``Model`` with the dense layers above and its former forward and backward,
+    verbatim: the bit-exact oracle of the arena and of the pooled-row conv6 backward."""
+
+    def __init__(self, model: Model):
+        self.convs = [DenseConv1d(c.in_ch, c.out_ch, c.kernel, c.pad, dtype=c.w.dtype)
+                      for c in model.convs]
+        self.relus = [DenseReLU() for _ in model.convs]
+        self.pool = DenseMaxPool1d()
+        self.fc = FullyConnected(model.fc.in_features, model.fc.out_features,
+                                 dtype=model.fc.w.dtype)
+        self.set_parameters(dict(model.parameters()))
+
+    def forward(self, x: np.ndarray) -> np.ndarray:
+        h = x
+        for conv, relu in zip(self.convs, self.relus):
+            h = relu.forward(conv.forward(h))
+        return self.fc.forward(self.pool.forward(h))
+
+    def backward(self, grad_logits: np.ndarray) -> dict:
+        g = self.pool.backward(self.fc.backward(grad_logits))
+        for conv, relu in zip(reversed(self.convs), reversed(self.relus)):
+            g = conv.backward(relu.backward(g))
+        return {f"{name}.{p}": getattr(layer, "g" + p)
+                for name, layer in self._layers() for p in "wb"}
+
+
+def trained_like(spec, seed):
+    """A model whose biases are non-zero, so dead channels and ties differ from init."""
+    model = Model(spec, seed=seed)
+    rng = np.random.default_rng(seed)
+    for name, value in model.parameters():
+        if name.endswith(".b"):
+            value[...] = rng.uniform(-0.05, 0.05, value.shape)
+    return model
+
+
+class TestArenaOracle:
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
+    def test_logits_bit_equal_at_every_batch_and_t(self, spec):
+        model = trained_like(spec, 31)
+        oracle = DenseModel(model)
+        rng = np.random.default_rng(32)
+        # a small batch right after a larger one reuses the leading rows; a second
+        # T makes the arena regrow, and the first T after it again
+        for b, t in [(25, 300), (1, 300), (64, 300), (7, 300), (16, 300), (25, 300),
+                     (7, 37), (64, 300), (1, 37)]:
+            x = rng.standard_normal((b, 41, t)).astype(np.float32)
+            assert model.forward(x).tobytes() == oracle.forward(x).tobytes(), (b, t)
+
+    @pytest.mark.parametrize("b", [1, 7, 16, 25, 64])
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
+    def test_gradients_bit_equal_but_conv6_weights(self, spec, b):
+        model = trained_like(spec, 40 + b)
+        oracle = DenseModel(model)
+        rng = np.random.default_rng(b)
+        model.forward(rng.standard_normal((64, 41, 300)).astype(np.float32))  # larger first
+        x = rng.standard_normal((b, 41, 300)).astype(np.float32)
+        _, grad = softmax_xent(oracle.forward(x), rng.integers(0, 6, b))
+        grad = (grad / b).astype(np.float32)
+        assert model.forward(x).tobytes() == oracle.forward(x).tobytes()
+        got, want = model.backward(grad), oracle.backward(grad)
+        assert list(got) == list(want)
+        last = f"conv{len(spec.conv_channels)}.w"
+        for name in want:
+            assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
+            if name == last:
+                # B products per entry instead of B*(T + 2): a float32 sum's error scales
+                # with its terms, not its result, so the bound is relative to the tensor
+                scale = np.abs(want[name]).max()
+                assert np.abs(got[name] - want[name]).max() <= 1e-6 * scale
+            else:
+                assert got[name].tobytes() == want[name].tobytes(), name
+
+    def test_float64_model_matches_the_oracle(self):
+        model = Model(SMALL, seed=5, dtype=np.float64)
+        oracle = DenseModel(model)
+        rng = np.random.default_rng(6)
+        x = rng.standard_normal((3, 41, 20))
+        assert model.forward(x).tobytes() == oracle.forward(x).tobytes()
+        u = rng.standard_normal((3, 6))
+        got, want = model.backward(u), oracle.backward(u)
+        for name in want:
+            np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-15)
+
+    def test_training_steps_track_the_oracle(self):
+        # RMSProp normalizes each step by the gradient's scale, so conv6.w's rounding
+        # may move the parameters by about lr * 1e-6 per step, no more
+        model = trained_like(SMALL, 50)
+        oracle = DenseModel(model)
+        opt, opt_ref = RmsProp(lr=1e-3), RmsProp(lr=1e-3)
+        rng = np.random.default_rng(51)
+        for _ in range(5):
+            x = rng.standard_normal((9, 41, 30)).astype(np.float32)
+            y = rng.integers(0, 6, 9)
+            for m, o in ((model, opt), (oracle, opt_ref)):
+                _, grad = softmax_xent(m.forward(x), y)
+                o.step(m.parameters(), m.backward((grad / 9).astype(np.float32)))
+        for (name, p), (_, q) in zip(model.parameters(), oracle.parameters()):
+            np.testing.assert_allclose(p, q, rtol=0, atol=1e-5, err_msg=name)
+
+
+class TestArenaMemory:
+    def test_arena_dies_with_its_model(self):
+        model = Model(SMALL, seed=0)
+        x = np.random.default_rng(0).standard_normal((4, 41, 30)).astype(np.float32)
+        model.forward(x)
+        model.backward(np.ones((4, 6), dtype=np.float32))
+        refs = weakref.ref(model), weakref.ref(model._arena)
+        was_enabled = gc.isenabled()
+        gc.disable()  # reference counting alone must free both: no model<->arena cycle
+        try:
+            del model
+            assert [ref() for ref in refs] == [None, None]
+        finally:
+            if was_enabled:
+                gc.enable()
+
+    def test_warm_train_step_peak_memory(self):
+        # the dense model before the arena peaked at 88.4 MB on this step
+        # (numpy 2.4), allocating every padded copy, product and mask anew
+        model = Model(ModelSpec(), seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((25, 41, 300)).astype(np.float32)
+        grad = (rng.standard_normal((25, 6)) / 25).astype(np.float32)
+        model.forward(x)
+        model.backward(grad)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            model.backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6  # 13.0 MB with the arena

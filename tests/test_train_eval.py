@@ -220,8 +220,8 @@ class TestFeatureSettings:
 
 class TestPredictLogits:
     def test_64_rows_peak_memory_bounded(self):
-        # one forward keeps every layer's cache for its rows, ~3 MB a row at
-        # the default spec: 64 rows in one forward peaked at ~143 MB
+        # the model's arena holds ~1.4 MB a row at the default spec; before it,
+        # one forward kept ~3 MB a row, and 64 rows in one forward peaked at ~143 MB
         model = Model(ModelSpec(), seed=3)
         x = np.random.default_rng(3).standard_normal((64, 41, 300)).astype(np.float32)
         tracemalloc.start()
@@ -232,6 +232,16 @@ class TestPredictLogits:
             tracemalloc.stop()
         assert peak < 64e6
         np.testing.assert_array_equal(logits, predict_logits(model, x, batch=64))
+
+
+    def test_normalized_value_beyond_float32_is_data_error(self):
+        # a std that fits float32 but sits far below the features' scale
+        fm = features.FeatureMatrix(values=np.full((41, 20), 3.0), n_valid_frames=20)
+        tiny = features.NormalizationProfile(np.zeros(41), np.full(41, 1e-300))
+        with pytest.raises(DataError, match="overflow float32"):
+            train_eval._to_batch_array([fm], tiny)
+        fits = features.NormalizationProfile(np.zeros(41), np.full(41, 1e-38))
+        assert np.isfinite(train_eval._to_batch_array([fm], fits)).all()
 
 
 class TestCheckpointIO:
@@ -293,7 +303,8 @@ class TestCheckpointIO:
         ("model_spec", "in_channels", 40), ("model_spec", "n_classes", 5),
         ("model_spec", "conv_channels", [8, 8, 12, 12, 16, MAX_CONV_CHANNELS + 1]),
         ("normalization", "mean", [1.0, 2.0, 3.0]), ("normalization", "std", 5.0),
-        ("normalization", "mean", [float("inf")] * 41), ("normalization", "std", None)])
+        ("normalization", "mean", [float("inf")] * 41), ("normalization", "std", None),
+        ("normalization", "mean", [1e300] * 41), ("normalization", "std", [1.0] * 40 + [4e38])])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
