@@ -340,10 +340,10 @@ class Model:
     current T it has seen, and computes in its dtype. Each conv writes its
     GEMMs straight into the next layer's zero-padded buffer, each ReLU
     works in place, and backward ping-pongs two gradient buffers; so a
-    train step allocates only the small per-layer outputs (the pool and FC
-    values, the parameter gradients). The global max pool sends gradient
-    to one time step per (item, channel), and conv6 is backpropagated
-    through only those rows (see ``Conv1d._pooled_backward``).
+    train step allocates little beyond the parameter gradients, the ReLU
+    masks and conv6's gathered input windows. The global max pool sends
+    gradient to one time step per (item, channel), and conv6 is
+    backpropagated through only those rows (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic, and a row's
     logits are bit-equal at any batch size while BLAS rounds a GEMM row the
@@ -388,7 +388,6 @@ class Model:
         b, _, t = x.shape
         arena = self._arena
         if arena is None or b > arena.b or t != arena.t:
-            self._arena = None  # frees the old buffers before the new ones are made
             arena = self._arena = _Arena(self._widths, max(b, arena.b if arena else 0), t,
                                          self.dtype)
         self._batch = b, t

@@ -705,22 +705,6 @@ class TestArenaOracle:
         for name in want:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-15)
 
-    def test_training_steps_track_the_oracle(self):
-        # RMSProp normalizes each step by the gradient's scale, so conv6.w's rounding
-        # may move the parameters by about lr * 1e-6 per step, no more
-        model = trained_like(SMALL, 50)
-        oracle = DenseModel(model)
-        opt, opt_ref = RmsProp(lr=1e-3), RmsProp(lr=1e-3)
-        rng = np.random.default_rng(51)
-        for _ in range(5):
-            x = rng.standard_normal((9, 41, 30)).astype(np.float32)
-            y = rng.integers(0, 6, 9)
-            for m, o in ((model, opt), (oracle, opt_ref)):
-                _, grad = softmax_xent(m.forward(x), y)
-                o.step(m.parameters(), m.backward((grad / 9).astype(np.float32)))
-        for (name, p), (_, q) in zip(model.parameters(), oracle.parameters()):
-            np.testing.assert_allclose(p, q, rtol=0, atol=1e-5, err_msg=name)
-
 
 class TestArenaMemory:
     def test_arena_dies_with_its_model(self):
