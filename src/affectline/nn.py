@@ -115,7 +115,7 @@ class Conv1d:
         if x_rows is None:
             x_rows = np.zeros((b * tp, c), dtype=x.dtype)
             x_rows.reshape(b, tp, c)[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
-        n, t_out = b * tp - self.kernel + 1, tp - self.kernel + 1
+        n, t_out = max(b * tp - self.kernel + 1, 0), tp - self.kernel + 1  # n = 0 at B = 0
         taps = np.ascontiguousarray(self.w.transpose(2, 0, 1))  # (K, C_out, C_in)
         dtype = np.result_type(x_rows, self.w)
         y = np.empty((b * tp, self.out_ch), dtype=dtype) if out is None else out
@@ -132,7 +132,7 @@ class Conv1d:
     def backward(self, grad_out, g_rows=None, out=None, scratch=None):
         b, c, t = self._in_shape
         tp = t + 2 * self.pad
-        n, t_out = b * tp - self.kernel + 1, tp - self.kernel + 1
+        n, t_out = max(b * tp - self.kernel + 1, 0), tp - self.kernel + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
         rows, taps = self._rows, self._taps
@@ -144,8 +144,8 @@ class Conv1d:
         else:
             if g_rows is None:
                 g_rows = np.empty((b * tp, self.out_ch), dtype=grad_out.dtype)
-                g_rows.reshape(b, tp, -1)[:, :t_out] = grad_out.transpose(0, 2, 1)
-            g_rows.reshape(b, tp, -1)[:, t_out:] = 0
+                g_rows.reshape(b, tp, self.out_ch)[:, :t_out] = grad_out.transpose(0, 2, 1)
+            g_rows.reshape(b, tp, self.out_ch)[:, t_out:] = 0
             g = g_rows[:n]
             self.gw = np.stack([g.T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
             self.gb = g_rows.sum(axis=0)
@@ -393,7 +393,7 @@ class Model:
         self._batch = b, t
         tp = t + 2 * PAD
         x_rows = arena.acts[0][:b * tp]
-        h = x_rows.reshape(b, tp, -1)[:, PAD:PAD + t].transpose(0, 2, 1)
+        h = x_rows.reshape(b, tp, N_FEATURE_ROWS)[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
         for conv, relu, nxt in zip(self.convs, self.relus, arena.acts[1:]):
             h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp], scratch=arena.scratch)

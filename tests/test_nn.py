@@ -496,6 +496,12 @@ class TestModel:
         x = np.random.default_rng(6).uniform(-1, 1, (2, 41, 20)).astype(np.float32)
         np.testing.assert_array_equal(model.forward(x), model.forward(x))
 
+    def test_empty_batch_gives_no_logits(self):
+        model = Model(SMALL, seed=0)
+        assert model.forward(np.zeros((0, 41, 20), dtype=np.float32)).shape == (0, 6)
+        x = np.random.default_rng(0).standard_normal((2, 41, 20)).astype(np.float32)
+        assert model.forward(x).tobytes() == Model(SMALL, seed=0).forward(x).tobytes()
+
     def test_input_shape_validation(self):
         model = Model(SMALL, seed=0)
         with pytest.raises(ShapeError):
