@@ -87,7 +87,7 @@ class Conv1d:
     Called alone, a layer copies its input into F and allocates its
     output. ``Model`` passes its arena's buffers instead: ``x_rows`` is
     the F that ``x`` is the interior of, ``out`` the (B*(T + 2*pad),
-    C_out) matrix to write, and ``scratch`` a flat buffer for one GEMM
+    C_out) matrix to write, and ``product`` a flat buffer for one GEMM
     product. With pad = (kernel - 1) // 2, ``out`` shifted down by ``pad``
     rows is the next layer's F. ``backward`` takes its output gradient in
     the same layout, ``g_rows``, and writes the input gradient's padded
@@ -103,7 +103,7 @@ class Conv1d:
         self.b = np.zeros(out_ch, dtype=dtype)
         self._rows = self._taps = self._in_shape = None
 
-    def forward(self, x: np.ndarray, x_rows=None, out=None, scratch=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, x_rows=None, out=None, product=None) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv expects (B, C, T) input, got shape {x.shape}")
         b, c, t = x.shape
@@ -119,7 +119,7 @@ class Conv1d:
         taps = np.ascontiguousarray(self.w.transpose(2, 0, 1))  # (K, C_out, C_in)
         dtype = np.result_type(x_rows, self.w)
         y = np.empty((b * tp, self.out_ch), dtype=dtype) if out is None else out
-        part = _rows(scratch, n, self.out_ch, dtype)
+        part = _rows(product, n, self.out_ch, dtype)
         np.matmul(x_rows[:n], taps[0].T, out=y[:n])
         for k in range(1, self.kernel):
             y[:n] += np.matmul(x_rows[k:k + n], taps[k].T, out=part)
@@ -129,7 +129,7 @@ class Conv1d:
         y[:, t_out:] = 0
         return y[:, :t_out].transpose(0, 2, 1)
 
-    def backward(self, grad_out, g_rows=None, out=None, scratch=None):
+    def backward(self, grad_out, g_rows=None, out=None, product=None):
         b, c, t = self._in_shape
         tp = t + 2 * self.pad
         n, t_out = max(b * tp - self.kernel + 1, 0), tp - self.kernel + 1
@@ -140,7 +140,7 @@ class Conv1d:
         dxp = np.empty((b * tp, c), dtype=dtype) if out is None else out
         dxp[...] = 0
         if isinstance(grad_out, PoolGrad):
-            self._pooled_backward(grad_out, dxp, scratch)
+            self._pooled_backward(grad_out, dxp, product)
         else:
             if g_rows is None:
                 g_rows = np.empty((b * tp, self.out_ch), dtype=grad_out.dtype)
@@ -149,12 +149,12 @@ class Conv1d:
             g = g_rows[:n]
             self.gw = np.stack([g.T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
             self.gb = g_rows.sum(axis=0)
-            part = _rows(scratch, n, c, dtype)
+            part = _rows(product, n, c, dtype)
             for k in range(self.kernel):
                 dxp[k:k + n] += np.matmul(g, taps[k], out=part)
         return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
 
-    def _pooled_backward(self, grad: PoolGrad, dxp: np.ndarray, scratch) -> None:
+    def _pooled_backward(self, grad: PoolGrad, dxp: np.ndarray, product) -> None:
         """Backward of an output gradient that is non-zero at one time step
         per (item, channel). The input gradient is the dense one's sum over
         only the unique rows R that hold a gradient, in the same order, so
@@ -165,7 +165,7 @@ class Conv1d:
         live, where = np.unique(at, return_inverse=True)
         g = np.zeros((len(live), self.out_ch), dtype=grad.value.dtype)
         g[where.reshape(at.shape), np.arange(self.out_ch)] = grad.value
-        part = _rows(scratch, len(live), self.in_ch, dxp.dtype)
+        part = _rows(product, len(live), self.in_ch, dxp.dtype)
         for k in range(self.kernel):
             dxp[live + k] += np.matmul(g, self._taps[k], out=part)
         self.gw = np.stack([np.einsum("bo,boi->oi", grad.value, self._rows[at + k])
@@ -314,7 +314,7 @@ class _Arena:
     j*(t + 2*PAD) + PAD + s, every other row zero (one spare row lets the
     last item's output window start at PAD). ``grads`` are two flat
     buffers the backward pass ping-pongs between, allocated by the first
-    backward; ``scratch`` takes one GEMM product. The arena holds no
+    backward; ``product`` takes one GEMM product. The arena holds no
     reference to its model or layers, so it dies with the model.
     """
 
@@ -322,13 +322,13 @@ class _Arena:
         self.b, self.t = b, t
         rows = b * (t + 2 * PAD) + PAD
         self.acts = [np.zeros((rows, c), dtype=dtype) for c in widths]
-        self.scratch = np.empty(rows * max(widths), dtype=dtype)
+        self.product = np.empty(rows * max(widths), dtype=dtype)
         self.grads = None
 
     def grad(self, i: int, c: int) -> np.ndarray:
         """Flat gradient buffer ``i % 2`` as (rows, c)."""
         if self.grads is None:
-            self.grads = [np.empty_like(self.scratch) for _ in range(2)]
+            self.grads = [np.empty_like(self.product) for _ in range(2)]
         return self.grads[i % 2][:len(self.acts[0]) * c].reshape(-1, c)
 
 
@@ -396,7 +396,7 @@ class Model:
         h = x_rows.reshape(b, tp, N_FEATURE_ROWS)[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
         for conv, relu, nxt in zip(self.convs, self.relus, arena.acts[1:]):
-            h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp], scratch=arena.scratch)
+            h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp], product=arena.product)
             h = relu.forward(h, out=h)
             x_rows = nxt[:b * tp]
         return self.fc.forward(self.pool.forward(h))
@@ -410,7 +410,7 @@ class Model:
         for i in reversed(range(len(self.convs))):
             g = self.relus[i].backward(g, out=g)
             dx_rows = arena.grad(i, self._widths[i])
-            g = self.convs[i].backward(g, g_rows, out=dx_rows[:n], scratch=arena.scratch)
+            g = self.convs[i].backward(g, g_rows, out=dx_rows[:n], product=arena.product)
             g_rows = dx_rows[PAD:PAD + n]
         return {f"{name}.{p}": getattr(layer, "g" + p)
                 for name, layer in self._layers() for p in "wb"}
