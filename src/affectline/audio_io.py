@@ -25,6 +25,12 @@ MIN_SAMPLE_RATE, MAX_SAMPLE_RATE = 1000, 384000  # accepted WAV header rates
 EMOTIONS = ("neutral", "calm", "happy", "sad", "angry", "fearful")
 EMOTION_INDEX = {name: i for i, name in enumerate(EMOTIONS)}
 
+# The training corpus is RAVDESS's female actors, a stand-in for the
+# mothers' voices the model later classifies, in these six emotions, speech
+# and song (``scan_corpus``); ``split_dataset`` trains on this share of each
+# class and tests on the rest.
+TRAIN_FRACTION = 0.8
+
 # Dataset codes 07/08 exist but fall outside the 6-class task.
 _OUT_OF_SCOPE_EMOTIONS = {"07": "disgust", "08": "surprised"}
 
@@ -92,24 +98,6 @@ class RavdessMeta:
     @property
     def sex(self) -> str:
         return "female" if self.actor % 2 == 0 else "male"
-
-
-@dataclass(frozen=True)
-class CorpusFilter:
-    """Record filter for corpus scans.
-
-    ``sex`` of None accepts both; ``emotions`` and ``vocal_channels`` are
-    sets of accepted values.
-    """
-
-    sex: str | None = "female"
-    emotions: frozenset = frozenset(EMOTIONS)
-    vocal_channels: frozenset = frozenset(_VOCAL_CHANNELS.values())
-
-    def accepts(self, meta: RavdessMeta) -> bool:
-        if self.sex is not None and meta.sex != self.sex:
-            return False
-        return meta.emotion in self.emotions and meta.vocal_channel in self.vocal_channels
 
 
 # ---------------------------------------------------------------------------
@@ -397,12 +385,14 @@ def render_ravdess_name(meta: RavdessMeta) -> str:
 # Corpus scanning
 # ---------------------------------------------------------------------------
 
-def scan_corpus(root, filt: CorpusFilter = CorpusFilter()) -> list:
-    """Recursively collect (path, RavdessMeta) records passing ``filt``.
+def scan_corpus(root) -> list:
+    """Recursively collect the (path, RavdessMeta) records of the training
+    corpus: the female actors' clips of the six emotions, speech and song.
 
     Files whose names do not parse (including out-of-scope emotion codes)
-    are not corpus records and are skipped. Order is lexicographic by path
-    so two scans of the same tree are identical.
+    are not corpus records and are skipped, and so are male actors' clips.
+    Order is lexicographic by path so two scans of the same tree are
+    identical.
     """
     root = Path(root)
     if not root.is_dir():
@@ -413,7 +403,7 @@ def scan_corpus(root, filt: CorpusFilter = CorpusFilter()) -> list:
             meta = parse_ravdess_name(path.name)
         except (MalformedNameError, OutOfScopeEmotionError):
             continue
-        if filt.accepts(meta):
+        if meta.sex == "female":
             records.append((path, meta))
     return records
 

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE
+from .audio_io import EMOTIONS, PIPELINE_SAMPLE_RATE, TRAIN_FRACTION
 from .errors import ConfigError, DataError
 from .features import (DEFAULT_T_FIXED, DELTA_WINDOW, FRAME_LEN, HOP, LOG_FLOOR,
                        MAX_NORMALIZED, MAX_T_FIXED, N_FEATURE_ROWS, N_FFT, N_MELS, N_MFCC,
@@ -33,8 +33,10 @@ FORMAT_VERSION = 1
 # kernel size and padding, a global max pool, sinc resampling to 16 kHz,
 # the feature front end of ``features`` (a Hamming window, 13 MFCCs; fmax
 # 0 meant the Nyquist frequency), RMSProp's rho and eps, a stratified
-# split and shuffled batches. Old headers also carry the model's input
-# rows and class count. (Their ``in_frames`` must equal ``t_fixed``.)
+# split and shuffled batches, and the training corpus and its split of
+# ``audio_io`` (female actors, six emotions, speech and song). Old headers
+# also carry the model's input rows and class count. (Their ``in_frames``
+# must equal ``t_fixed``.)
 RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "pool_stride": 0,
                 "in_channels": N_FEATURE_ROWS, "n_classes": len(EMOTIONS),
                 "resample_method": "sinc", "sample_rate_hz": PIPELINE_SAMPLE_RATE,
@@ -42,7 +44,9 @@ RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "poo
                 "n_fft": N_FFT, "n_mels": N_MELS, "fmin_hz": 0.0, "fmax_hz": 0.0,
                 "log_floor": LOG_FLOOR, "n_coeffs": N_MFCC, "delta_window": DELTA_WINDOW,
                 "rho": RMSPROP_RHO, "eps": RMSPROP_EPS,
-                "stratified": True, "shuffle_each_epoch": True}
+                "stratified": True, "shuffle_each_epoch": True,
+                "filter_sex": "female", "filter_emotions": ",".join(EMOTIONS),
+                "vocal_channels": "speech,song", "split_ratio": TRAIN_FRACTION}
 
 
 def drop_retired(d: dict) -> dict:

@@ -25,8 +25,6 @@ from .gradcheck import run_gradcheck
 from .svg import heatmap, line_chart
 from .train_eval import confusion_to_csv, evaluate, extract_features, metrics_to_csv, train
 
-_FILTER_KEYS = ("filter_sex", "filter_emotions", "vocal_channels")
-
 
 def _add_common(parser: argparse.ArgumentParser, keys) -> None:
     """--config, --set, and one dedicated flag per config key the command reads.
@@ -76,9 +74,10 @@ def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
 
 def _corpus_records(cfg: RunConfig):
     root = _require(cfg, "corpus")
-    records = [(path, meta.emotion) for path, meta in scan_corpus(root, cfg.corpus_filter())]
+    records = [(path, meta.emotion) for path, meta in scan_corpus(root)]
     if not records:
-        raise CorpusEmptyError(f"no records under {root} match the configured filter")
+        raise CorpusEmptyError(f"no records under {root}: no file is named for a female actor "
+                               "in one of the six emotions")
     return records
 
 
@@ -185,7 +184,8 @@ def cmd_features(args, cfg: RunConfig) -> int:
 
 
 def cmd_gradcheck(args, cfg: RunConfig) -> int:
-    rows = run_gradcheck(seed=cfg.seed, n_seeds=_positive_count("--n-seeds", args.n_seeds))
+    rows = run_gradcheck(seed=cfg.train_config().seed,
+                         n_seeds=_positive_count("--n-seeds", args.n_seeds))
     width = max(len(r.name) for r in rows)
     failed = False
     for row in rows:
@@ -198,6 +198,7 @@ def cmd_gradcheck(args, cfg: RunConfig) -> int:
 
 def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
+    seed = cfg.train_config().seed
     n = _positive_count("--n-segments", args.n_segments)
     if args.snr_db is not None and not np.isfinite(args.snr_db):
         raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
@@ -212,12 +213,12 @@ def cmd_synth(args, cfg: RunConfig) -> int:
             print(f"decode failure: {exc}", file=sys.stderr)
     if not items:
         raise CorpusEmptyError(f"every matching file under {cfg.corpus} failed to decode")
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(seed)
     idx = rng.choice(len(items), size=n, replace=n > len(items))
     chosen = [items[int(i)] for i in idx]
     bundle = session_mod.synthesize_session(chosen, out_dir,
                                             session_id=args.session_id,
-                                            snr_db=args.snr_db, seed=cfg.seed)
+                                            snr_db=args.snr_db, seed=seed)
     print(f"wrote {len(bundle.segment_paths)} segments, manifest "
           f"{bundle.manifest_path}, truth {bundle.truth_path}")
     return 0
@@ -225,11 +226,12 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 
 def cmd_audit_manifest(args, cfg: RunConfig) -> int:
     n = _positive_count("--n", args.n)
+    seed = cfg.train_config().seed
     result = session_mod.load_manifest(_require(cfg, "manifest"))
     fan = session_mod.filter_fan(result.records)
     if not fan:
         raise DataError("manifest has no FAN segments to audit")
-    sample = session_mod.sample_for_audit(fan, n, seed=cfg.seed)
+    sample = session_mod.sample_for_audit(fan, n, seed=seed)
     print("segment_id,source_label,audio_path")
     for record in sample:
         print(f"{record.segment_id},{record.source_label},{record.audio_path}")
@@ -244,13 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a labeled corpus")
-    _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "split_ratio",
-                    "jobs", "cache_dir", "t_fixed", *_FILTER_KEYS,
-                    "early_stop_train_acc", "patience"))
+    _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "jobs",
+                    "cache_dir", "t_fixed", "early_stop_train_acc", "patience"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_common(p, ("corpus", "checkpoint", "out", "jobs", "cache_dir", *_FILTER_KEYS))
+    _add_common(p, ("corpus", "checkpoint", "out", "jobs", "cache_dir"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="classify manifest sessions")
@@ -269,7 +270,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_gradcheck)
 
     p = sub.add_parser("synth", help="build a synthetic FAN session from a corpus")
-    _add_common(p, ("corpus", "out", "seed", *_FILTER_KEYS))
+    _add_common(p, ("corpus", "out", "seed"))
     p.add_argument("--n-segments", type=int, default=10)
     p.add_argument("--snr-db", type=float, default=None,
                    help="mix white noise at this SNR (omit for clean segments)")

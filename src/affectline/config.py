@@ -13,7 +13,6 @@ import os
 from dataclasses import dataclass
 from pathlib import Path
 
-from .audio_io import EMOTIONS, CorpusFilter
 from .checkpoint import RETIRED_KEYS, FeatureSettings, drop_retired
 from .errors import ConfigError
 from .nn import ModelSpec
@@ -46,15 +45,12 @@ class RunConfig(_ComponentKeys):
     The keys below belong to the pipeline itself. The choices the paper
     fixes (sinc resampling to 16 kHz, the feature front end in
     ``features``, RMSProp's rho and eps, stride-1 convolutions of kernel 3
-    and padding 1, one global max pool, a stratified split, shuffled
-    batches) have no key;
+    and padding 1, one global max pool, the training corpus of
+    ``audio_io.scan_corpus``, a stratified 80/20 split, shuffled batches)
+    have no key;
     ``with_overrides`` drops a retired key at its fixed value.
     """
 
-    # corpus filter
-    filter_sex: str = "female"  # female | male | any
-    filter_emotions: str = ",".join(EMOTIONS)
-    vocal_channels: str = "speech,song"
     # execution
     jobs: int = 0  # 0 = available cores
     cache_dir: str = ""  # "" = env var or default location
@@ -120,19 +116,6 @@ class RunConfig(_ComponentKeys):
 
     def train_config(self) -> TrainConfig:
         return self._view(TrainConfig)
-
-    def corpus_filter(self) -> CorpusFilter:
-        if self.filter_sex not in ("female", "male", "any"):
-            raise ConfigError(f"filter_sex must be female/male/any, got {self.filter_sex!r}")
-        emotions = frozenset(e.strip() for e in self.filter_emotions.split(",") if e.strip())
-        bad = emotions - set(EMOTIONS)
-        if bad:
-            raise ConfigError(f"unknown emotions in filter: {sorted(bad)}")
-        channels = frozenset(c.strip() for c in self.vocal_channels.split(",") if c.strip())
-        if not channels <= {"speech", "song"}:
-            raise ConfigError(f"vocal_channels must be speech/song, got {self.vocal_channels!r}")
-        return CorpusFilter(sex=None if self.filter_sex == "any" else self.filter_sex,
-                            emotions=emotions, vocal_channels=channels)
 
     def resolve_jobs(self) -> int:
         return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)

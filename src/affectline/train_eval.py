@@ -22,7 +22,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_bytes, read_wav
+from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError, read_bytes,
+                       read_wav)
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
 from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
@@ -45,13 +46,14 @@ class TrainConfig:
     batch_size: int = 25
     lr: float = 1e-4
     seed: int = 42
-    split_ratio: float = 0.8  # train fraction
     early_stop_train_acc: float = 0.0  # 0 disables
     patience: int = 0  # epochs without test-accuracy improvement; 0 disables
 
     def __post_init__(self):
-        if not 0.0 < self.split_ratio < 1.0:
-            raise ConfigError(f"split_ratio must be in (0, 1), got {self.split_ratio}")
+        if not 0.0 <= self.lr < float("inf"):  # also refuses NaN
+            raise ConfigError(f"lr must be finite and >= 0, got {self.lr}")
+        if self.seed < 0:
+            raise ConfigError(f"seed must be >= 0, got {self.seed}")
         if self.batch_size < 1:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
@@ -83,9 +85,10 @@ class Metrics:
 def split_dataset(records, config: TrainConfig):
     """Stratified train/test split of (path, label) records.
 
-    Per class, round((1 - split_ratio) * n) records go to test. The split
-    is a pure function of (records order, seed); both sides preserve the
-    input's relative ordering.
+    Per class, round((1 - TRAIN_FRACTION) * n) records go to test, where
+    ``audio_io.TRAIN_FRACTION`` is 0.8. The split is a pure function of
+    (records order, seed); both sides preserve the input's relative
+    ordering.
     """
     records = list(records)
     rng = np.random.default_rng(config.seed)
@@ -98,7 +101,7 @@ def split_dataset(records, config: TrainConfig):
             raise SplitError(f"class {label!r} has {len(idxs)} record(s); need >= 2")
     for label in sorted(by_class, key=lambda l: (EMOTION_INDEX.get(l, len(EMOTIONS)), l)):
         idxs = by_class[label]
-        n_test = round(len(idxs) * (1.0 - config.split_ratio))
+        n_test = round(len(idxs) * (1.0 - TRAIN_FRACTION))
         perm = rng.permutation(len(idxs))
         test_idx.update(idxs[p] for p in perm[:n_test])
     train = [r for i, r in enumerate(records) if i not in test_idx]

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from affectline.audio_io import AudioClip, CorpusFilter, EMOTIONS, scan_corpus
+from affectline.audio_io import AudioClip, EMOTIONS, scan_corpus
 from affectline.checkpoint import FeatureSettings, load_checkpoint, save_checkpoint
 from affectline.features import delta, frame_signal, mfcc, rms, zcr
 from affectline.gradcheck import run_gradcheck
@@ -41,7 +41,7 @@ def balanced_subset(tmp_path, per_class):
     """RAVDESS clips when available, synthetic class tones otherwise."""
     root = os.environ.get(RAVDESS_ENV)
     if root:
-        scanned = scan_corpus(root, CorpusFilter(sex="female"))
+        scanned = scan_corpus(root)
         by_class = {e: [] for e in EMOTIONS}
         for path, meta in scanned:
             if len(by_class[meta.emotion]) < per_class:
@@ -82,7 +82,7 @@ def test_overfit_sanity(tmp_path):
                            "full-corpus reproduction (hours of CPU)")
 def test_full_corpus_reproduction():
     root = os.environ[RAVDESS_ENV]
-    records = [(p, m.emotion) for p, m in scan_corpus(root, CorpusFilter(sex="female"))]
+    records = [(p, m.emotion) for p, m in scan_corpus(root)]
     print(f"female 6-class corpus size: {len(records)}")
     accs = []
     for seed in (42, 43, 44):

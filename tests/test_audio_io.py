@@ -4,14 +4,14 @@ import numpy as np
 import pytest
 
 from affectline import audio_io
-from affectline.audio_io import (CorpusFilter, CorpusEmptyError, EmptyAudioError,
+from affectline.audio_io import (CorpusEmptyError, EmptyAudioError,
                                  MalformedNameError, OutOfScopeEmotionError,
                                  UnreadableFileError, UnsupportedEncodingError,
                                  parse_ravdess_name, read_wav,
                                  render_ravdess_name, resample, scan_corpus,
                                  write_wav)
 from affectline.cli import main
-from conftest import make_wav_bytes, sine, write_test_wav
+from conftest import build_synthetic_corpus, make_wav_bytes, sine, write_test_wav
 
 
 def naive_dft_magnitudes(x, n_bins, chunk=256):
@@ -316,10 +316,11 @@ class TestRavdessNames:
 class TestCorpus:
     def test_filtered_scan_counts(self, synthetic_corpus):
         root, records = synthetic_corpus
-        scanned = scan_corpus(root, CorpusFilter(sex="female"))
+        male_records = build_synthetic_corpus(root / "male", per_class=2, sex="male")
+        scanned = scan_corpus(root)
         assert len(scanned) == len(records) == 60
-        male = scan_corpus(root, CorpusFilter(sex="male"))
-        assert male == []
+        assert sorted(path for path, _ in scanned) == sorted(path for path, _ in records)
+        assert len(male_records) == 12 and scan_corpus(root / "male") == []
 
     def test_scan_deterministic_and_sorted(self, synthetic_corpus):
         root, _ = synthetic_corpus
@@ -331,7 +332,7 @@ class TestCorpus:
 
     def test_decoded_clip_invariants(self, synthetic_corpus):
         root, _ = synthetic_corpus
-        records = scan_corpus(root, CorpusFilter(emotions=frozenset({"angry"})))
+        records = [(path, meta) for path, meta in scan_corpus(root) if meta.emotion == "angry"]
         assert len(records) == 10
         for path, meta in records:
             clip = read_wav(path)
@@ -340,10 +341,10 @@ class TestCorpus:
             assert len(clip.samples) > 0
             assert clip.samples.max() <= 1.0 and clip.samples.min() >= -1.0
 
-    def test_vacuous_filter_is_error(self, synthetic_corpus, tmp_path, capsys):
-        root, _ = synthetic_corpus
-        code = main(["synth", "--corpus", str(root), "--out", str(tmp_path / "o"),
-                     "--filter-sex", "female", "--set", "filter_emotions="])
+    def test_vacuous_filter_is_error(self, tmp_path, capsys):
+        root = tmp_path / "male"
+        build_synthetic_corpus(root, per_class=1, sex="male")
+        code = main(["synth", "--corpus", str(root), "--out", str(tmp_path / "o")])
         assert code == 3
         assert "no records" in capsys.readouterr().err
 
@@ -378,6 +379,7 @@ class TestCorpus:
         write_test_wav(root / "03-01-03-01-01-01-04.wav", sine(300, 0.2))
         write_test_wav(root / "notes.wav", sine(300, 0.2))
         write_test_wav(root / "03-01-07-01-01-01-04.wav", sine(300, 0.2))  # disgust
+        write_test_wav(root / "03-01-03-01-01-01-05.wav", sine(300, 0.2))  # a male actor
         assert len(scan_corpus(root)) == 1
 
 

@@ -24,15 +24,17 @@ TINY_OVERRIDES = [
 ]
 
 
-RETIRED_LINES = ["delta_window = 2", "eps = 1e-08", "fmax_hz = 0.0", "fmin_hz = 0.0",
-                 "frame_len_samples = 400", "hop_samples = 160", "kernel = 3",
-                 "log_floor = 1e-10", "n_coeffs = 13", "n_fft = 512", "n_mels = 26", "pad = 1",
-                 "pool_stride = 0", "pool_width = 0", "resample_method = sinc", "rho = 0.9",
-                 "sample_rate_hz = 16000", "shuffle_each_epoch = true", "stratified = true",
-                 "stride = 1", "window = hamming"]
+RETIRED_LINES = ["delta_window = 2", "eps = 1e-08",
+                 "filter_emotions = neutral,calm,happy,sad,angry,fearful", "filter_sex = female",
+                 "fmax_hz = 0.0", "fmin_hz = 0.0", "frame_len_samples = 400", "hop_samples = 160",
+                 "kernel = 3", "log_floor = 1e-10", "n_coeffs = 13", "n_fft = 512", "n_mels = 26",
+                 "pad = 1", "pool_stride = 0", "pool_width = 0", "resample_method = sinc",
+                 "rho = 0.9", "sample_rate_hz = 16000", "shuffle_each_epoch = true",
+                 "split_ratio = 0.8", "stratified = true", "stride = 1",
+                 "vocal_channels = speech,song", "window = hamming"]
 
-# a train run written before the feature-chain, RMSProp, kernel and pad keys
-# were retired; data/legacy_run/README.md says how
+# a train run written before the feature-chain, RMSProp, kernel, pad, corpus
+# and split keys were retired; data/legacy_run/README.md says how
 LEGACY_RUN = Path(__file__).parent / "data" / "legacy_run"
 
 
@@ -147,15 +149,19 @@ class TestTrainCommand:
         "frame_len_samples=401", "hop_samples=160.0", "n_fft=1024", "n_mels=40",
         "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
         "conv_channels=4,100000000000", "kernel=3.0", "pad=0", "n_classes=7",
+        "filter_sex=male", "filter_emotions=angry", "vocal_channels=speech", "split_ratio=0.5",
+        "seed=-1", "lr=nan", "lr=-1e-4",
     )] + [("features", "n_coeffs=12"), ("features", "n_mels=24"),
-          ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}")]
+          ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}"),
+          ("gradcheck", "seed=-1")]
 
     @pytest.mark.parametrize("command,override", OUT_OF_RANGE,
                              ids=[o if c == "train" else f"{c} {o}" for c, o in OUT_OF_RANGE])
     def test_out_of_range_value_exits_2(self, tmp_path, corpus_root, capsys, command,
                                         override):
         args = {"train": ["--corpus", str(corpus_root), "--out", str(tmp_path / "o")],
-                "features": ["--wav", str(next(corpus_root.glob("*.wav")))]}[command]
+                "features": ["--wav", str(next(corpus_root.glob("*.wav")))],
+                "gradcheck": []}[command]
         code = main([command, *args, "--set", override])
         assert code == 2
         assert override.partition("=")[0] in capsys.readouterr().err
@@ -697,7 +703,7 @@ class TestLegacyRun:
         monkeypatch.chdir(tmp_path)  # the config's corpus, out and cache_dir are relative
         legacy_config = (LEGACY_RUN / "config.txt").read_text().splitlines()
         current_config = [line for line in legacy_config if line not in RETIRED_LINES]
-        assert len(legacy_config) - len(current_config) == 13
+        assert len(legacy_config) - len(current_config) == 17
         (tmp_path / "current.txt").write_text("\n".join(current_config) + "\n")
         assert main(["train", "--config", str(LEGACY_RUN / "config.txt")]) == 0
         assert main(["train", "--config", "current.txt", "--out", "current"]) == 0

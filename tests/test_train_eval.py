@@ -60,13 +60,12 @@ class TestSplit:
         c = split_dataset(records, TrainConfig(seed=10))
         assert c != a
 
-    def test_half_ratio_exact_five_five(self):
+    def test_ten_per_class_split_eight_two(self):
         records = fake_records({e: 10 for e in EMOTIONS})
-        train_recs, test_recs = split_dataset(
-            records, TrainConfig(seed=3, split_ratio=0.5))
+        train_recs, test_recs = split_dataset(records, TrainConfig(seed=3))
         for label in EMOTIONS:
-            assert sum(1 for _, l in train_recs if l == label) == 5
-            assert sum(1 for _, l in test_recs if l == label) == 5
+            assert sum(1 for _, l in train_recs if l == label) == 8
+            assert sum(1 for _, l in test_recs if l == label) == 2
 
     def test_disjoint_union(self):
         records = fake_records({e: 7 for e in EMOTIONS})
@@ -80,10 +79,11 @@ class TestSplit:
             split_dataset(records, TrainConfig(seed=0))
 
     def test_config_validation(self):
-        with pytest.raises(ConfigError):
-            TrainConfig(split_ratio=1.0)
-        with pytest.raises(ConfigError):
-            TrainConfig(batch_size=0)
+        for bad in ({"batch_size": 0}, {"epochs": -1}, {"seed": -1}, {"lr": -1e-4},
+                    {"lr": float("nan")}, {"lr": float("inf")}):
+            with pytest.raises(ConfigError, match=next(iter(bad))):
+                TrainConfig(**bad)
+        TrainConfig(lr=0.0, seed=0, epochs=0)  # the lowest accepted values
 
 
 @pytest.fixture(scope="module")
