@@ -39,18 +39,20 @@ def max_rel_error(analytic: np.ndarray, numeric: np.ndarray) -> float:
 
 
 def central_diff(loss_fn, tensor: np.ndarray, h: float = FD_STEP) -> np.ndarray:
-    """d loss / d tensor by elementwise central differences; mutates and restores."""
-    grad = np.zeros(tensor.size)
-    flat = tensor.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        flat[i] = orig + h
+    """d loss / d tensor by elementwise central differences; mutates and restores.
+
+    Each element is set through ``tensor`` itself, so a view (a conv's
+    weight is one) moves the array it views."""
+    grad = np.zeros(tensor.shape)
+    for i in np.ndindex(tensor.shape):
+        orig = tensor[i]
+        tensor[i] = orig + h
         plus = loss_fn()
-        flat[i] = orig - h
+        tensor[i] = orig - h
         minus = loss_fn()
-        flat[i] = orig
+        tensor[i] = orig
         grad[i] = (plus - minus) / (2.0 * h)
-    return grad.reshape(tensor.shape)
+    return grad
 
 
 def _projection_loss(layer, x: np.ndarray, u: np.ndarray):

@@ -4,16 +4,17 @@ The paper's architecture and nothing else: 1-D convolution over time
 (feature rows are input channels) at stride 1, kernel KERNEL and padding
 PAD, ReLU, one global max pool over time, one fully connected head onto
 the EMOTIONS classes, softmax cross-entropy, and RMSProp. Only the conv
-widths vary (``ModelSpec``). A convolution is ``kernel`` GEMMs over
-row-shifted slices of its input in one zero-padded channels-last matrix,
-with no im2col columns. ``Model`` keeps those matrices in one activation
+widths vary (``ModelSpec``). A convolution is one GEMM per phase, the
+output rows r = s (mod kernel), over a plain reshape of its input's
+zero-padded channels-last matrix whose rows are then im2col rows, with
+no columns copied. ``Model`` keeps those matrices in one activation
 arena: each conv writes its GEMMs straight into the next layer's, the
 ReLUs work in place, and the backward pass reuses two gradient buffers.
 The global max pool's gradient is one (time step, value) pair per item
-and channel (``PoolGrad``), and the last conv backpropagates through only
-the rows those pairs name. No autograd: every layer caches what its
-hand-derived backward pass needs on ``self`` (in a model, views of the
-arena), so one layer or model instance must not run forwards
+and channel (``PoolGrad``), and the last conv sums its weight gradient
+over only the rows those pairs name. No autograd: every layer caches
+what its hand-derived backward pass needs on ``self`` (in a model, views
+of the arena), so one layer or model instance must not run forwards
 concurrently. Training math is float32; gradient checks run the same
 code in float64.
 """
@@ -39,14 +40,6 @@ class ShapeError(AffectlineError):
 def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarray:
     bound = np.sqrt(6.0 / fan_in)
     return rng.uniform(-bound, bound, size=shape).astype(dtype)
-
-
-def _rows(flat, n: int, cols: int, dtype) -> np.ndarray:
-    """An (n, cols) view of the leading elements of ``flat``, or a new array
-    when there is no ``flat``."""
-    if flat is None:
-        return np.empty((n, cols), dtype=dtype)
-    return flat[:n * cols].reshape(n, cols)
 
 
 class PoolGrad:
@@ -80,18 +73,29 @@ class Conv1d:
 
     Input (B, C_in, T) -> output (B, C_out, T'), a transposed view of
     channels-last memory, with T' = T + 2*pad - kernel + 1. F is the input
-    in a zero-padded channels-last (B*(T + 2*pad), C_in) matrix; the
-    output is sum_k F[k:k+n] @ w[:, :, k].T at rows b*(T + 2*pad) + j for
-    j < T' (rows straddling two batch items are set to zero).
+    in a zero-padded channels-last (B*(T + 2*pad), C_in) matrix. Its rows
+    r..r+kernel-1 are kernel*C_in contiguous values, im2col row r, so the
+    output is F's im2col rows times the weight stacked as (kernel*C_in,
+    C_out), at rows b*(T + 2*pad) + j for j < T' (rows straddling two batch
+    items are set to zero). The windows of the rows r = s (mod kernel)
+    follow each other in memory, so each phase s is one GEMM over a plain
+    reshape of F, written to every kernel-th output row. The input
+    gradient is the same product over the output gradient with kernel - 1
+    zero rows in front, times the tap-reversed stacked weight.
+
+    ``taps`` (kernel, C_in, C_out) holds the weight in the layout these
+    GEMMs read; ``w`` is its (C_out, C_in, kernel) view, and ``gw`` is laid
+    out the same way.
 
     Called alone, a layer copies its input into F and allocates its
     output. ``Model`` passes its arena's buffers instead: ``x_rows`` is
-    the F that ``x`` is the interior of, ``out`` the (B*(T + 2*pad),
-    C_out) matrix to write, and ``product`` a flat buffer for one GEMM
-    product. With pad = (kernel - 1) // 2, ``out`` shifted down by ``pad``
-    rows is the next layer's F. ``backward`` takes its output gradient in
-    the same layout, ``g_rows``, and writes the input gradient's padded
-    rows into ``out``; a ``PoolGrad`` input gradient takes the sparse path.
+    the F that ``x`` is the interior of, and ``out`` the (B*(T + 2*pad),
+    C_out) matrix to write. With pad = (kernel - 1) // 2, ``out`` shifted
+    down by ``pad`` rows is the next layer's F. ``backward`` takes its
+    output gradient in the same layout after kernel - 1 rows it zeroes,
+    ``g_rows`` (kernel - 1 + B*(T + 2*pad), C_out), and writes the input
+    gradient's padded rows into ``out``. A ``PoolGrad`` is scattered into
+    ``g_rows``, and its weight gradient sums only the rows it names.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int = 0, *,
@@ -99,11 +103,23 @@ class Conv1d:
         self.in_ch, self.out_ch = in_ch, out_ch
         self.kernel, self.pad = kernel, pad
         rng = rng or np.random.default_rng(0)
-        self.w = he_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel, dtype)
+        w = he_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel, dtype)
+        self.taps = np.ascontiguousarray(w.transpose(2, 1, 0))
+        self.w = self.taps.transpose(2, 1, 0)
         self.b = np.zeros(out_ch, dtype=dtype)
-        self._rows = self._taps = self._in_shape = None
+        self._rows = self._in_shape = None
 
-    def forward(self, x: np.ndarray, x_rows=None, out=None, product=None) -> np.ndarray:
+    def _phases(self, rows: np.ndarray, n: int):
+        """(output rows, im2col rows) of each phase s: the rows r < n with
+        r = s (mod kernel), and rows[r:r + kernel] of each as one row, a
+        view of ``rows``' memory."""
+        k, c = self.kernel, rows.shape[1]
+        flat = rows.reshape(-1)
+        for s in range(min(k, n)):
+            m = (n - s + k - 1) // k
+            yield slice(s, n, k), flat[s * c:(s + k * m) * c].reshape(m, k * c)
+
+    def forward(self, x: np.ndarray, x_rows=None, out=None) -> np.ndarray:
         if x.ndim != 3:
             raise ShapeError(f"conv expects (B, C, T) input, got shape {x.shape}")
         b, c, t = x.shape
@@ -116,61 +132,60 @@ class Conv1d:
             x_rows = np.zeros((b * tp, c), dtype=x.dtype)
             x_rows.reshape(b, tp, c)[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
         n, t_out = max(b * tp - self.kernel + 1, 0), tp - self.kernel + 1  # n = 0 at B = 0
-        taps = np.ascontiguousarray(self.w.transpose(2, 0, 1))  # (K, C_out, C_in)
-        dtype = np.result_type(x_rows, self.w)
-        y = np.empty((b * tp, self.out_ch), dtype=dtype) if out is None else out
-        part = _rows(product, n, self.out_ch, dtype)
-        np.matmul(x_rows[:n], taps[0].T, out=y[:n])
-        for k in range(1, self.kernel):
-            y[:n] += np.matmul(x_rows[k:k + n], taps[k].T, out=part)
-        self._rows, self._taps, self._in_shape = x_rows, taps, (b, c, t)
+        y = np.empty((b * tp, self.out_ch), dtype=np.result_type(x_rows, self.taps)) \
+            if out is None else out
+        w = self.taps.reshape(-1, self.out_ch)
+        for rows, cols in self._phases(x_rows, n):
+            np.matmul(cols, w, out=y[rows])
+        self._rows, self._in_shape = x_rows, (b, c, t)
         y = y.reshape(b, tp, self.out_ch)
         y[:, :t_out] += self.b
         y[:, t_out:] = 0
         return y[:, :t_out].transpose(0, 2, 1)
 
-    def backward(self, grad_out, g_rows=None, out=None, product=None):
+    def backward(self, grad_out, g_rows=None, out=None):
         b, c, t = self._in_shape
-        tp = t + 2 * self.pad
-        n, t_out = max(b * tp - self.kernel + 1, 0), tp - self.kernel + 1
+        k, tp = self.kernel, t + 2 * self.pad
+        n, t_out = max(b * tp - k + 1, 0), tp - k + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
-        rows, taps = self._rows, self._taps
-        dtype = np.result_type(grad_out.dtype, taps)
-        dxp = np.empty((b * tp, c), dtype=dtype) if out is None else out
-        dxp[...] = 0
-        if isinstance(grad_out, PoolGrad):
-            self._pooled_backward(grad_out, dxp, product)
+        pooled = isinstance(grad_out, PoolGrad)
+        if g_rows is None:
+            g_rows = np.empty((k - 1 + b * tp, self.out_ch), dtype=grad_out.dtype)
+            if not pooled:
+                g_rows[k - 1:].reshape(b, tp, self.out_ch)[:, :t_out] = \
+                    grad_out.transpose(0, 2, 1)
+        g = g_rows[k - 1:]
+        if pooled:
+            gw, self.gb = self._pooled_backward(grad_out, g_rows)
         else:
-            if g_rows is None:
-                g_rows = np.empty((b * tp, self.out_ch), dtype=grad_out.dtype)
-                g_rows.reshape(b, tp, self.out_ch)[:, :t_out] = grad_out.transpose(0, 2, 1)
-            g_rows.reshape(b, tp, self.out_ch)[:, t_out:] = 0
-            g = g_rows[:n]
-            self.gw = np.stack([g.T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
-            self.gb = g_rows.sum(axis=0)
-            part = _rows(product, n, c, dtype)
-            for k in range(self.kernel):
-                dxp[k:k + n] += np.matmul(g, taps[k], out=part)
+            # the rows in front of g and the rows whose window straddles two items
+            g_rows[:b * tp].reshape(b, tp, self.out_ch)[:, :k - 1] = 0
+            g_rows[b * tp:] = 0
+            gw = np.zeros((k * c, self.out_ch), dtype=np.result_type(g, self._rows))
+            for rows, cols in self._phases(self._rows, n):
+                gw += cols.T @ g[rows]
+            self.gb = g.sum(axis=0)
+        self.gw = gw.reshape(k, c, self.out_ch).transpose(2, 1, 0)
+        dxp = np.empty((b * tp, c), dtype=np.result_type(g, self.taps)) if out is None else out
+        w = np.ascontiguousarray(self.taps[::-1].transpose(0, 2, 1)).reshape(-1, c)
+        for rows, cols in self._phases(g_rows, b * tp):
+            np.matmul(cols, w, out=dxp[rows])
         return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
 
-    def _pooled_backward(self, grad: PoolGrad, dxp: np.ndarray, product) -> None:
-        """Backward of an output gradient that is non-zero at one time step
-        per (item, channel). The input gradient is the dense one's sum over
-        only the unique rows R that hold a gradient, in the same order, so
-        it is bit-equal; the weight gradient sums B products per entry
-        instead of B*(T + 2*pad), so it rounds differently."""
+    def _pooled_backward(self, grad: PoolGrad, g_rows: np.ndarray) -> tuple:
+        """Scatter an output gradient that is non-zero at one time step per
+        (item, channel) into ``g_rows``, whose input gradient then follows as
+        for a dense one, and return the weight gradient in ``taps``' layout
+        and the bias gradient. The weight gradient sums B products per entry
+        instead of B*(T + 2*pad), so it rounds differently from the dense one."""
         b, _, t = self._in_shape
         at = np.arange(b)[:, None] * (t + 2 * self.pad) + grad.index  # (B, C_out) row of g
-        live, where = np.unique(at, return_inverse=True)
-        g = np.zeros((len(live), self.out_ch), dtype=grad.value.dtype)
-        g[where.reshape(at.shape), np.arange(self.out_ch)] = grad.value
-        part = _rows(product, len(live), self.in_ch, dxp.dtype)
-        for k in range(self.kernel):
-            dxp[live + k] += np.matmul(g, self._taps[k], out=part)
-        self.gw = np.stack([np.einsum("bo,boi->oi", grad.value, self._rows[at + k])
-                            for k in range(self.kernel)], axis=2)
-        self.gb = grad.value.sum(axis=0) + 0.0  # no -0.0 sum, as over the dense rows
+        g_rows[...] = 0
+        g_rows[self.kernel - 1 + at, np.arange(self.out_ch)] = grad.value
+        gw = np.ascontiguousarray(np.stack([  # einsum returns each tap transposed
+            np.einsum("bo,boi->io", grad.value, self._rows[at + k]) for k in range(self.kernel)]))
+        return gw, grad.value.sum(axis=0) + 0.0  # no -0.0 sum, as over the dense rows
 
 
 class ReLU:
@@ -314,22 +329,25 @@ class _Arena:
     j*(t + 2*PAD) + PAD + s, every other row zero (one spare row lets the
     last item's output window start at PAD). ``grads`` are two flat
     buffers the backward pass ping-pongs between, allocated by the first
-    backward; ``product`` takes one GEMM product. The arena holds no
-    reference to its model or layers, so it dies with the model.
+    backward, each with KERNEL - 1 rows more than ``acts[0]`` for the zero
+    rows a conv's input gradient reads in front of its output gradient.
+    The arena holds no reference to its model or layers, so it dies with
+    the model.
     """
 
     def __init__(self, widths, b: int, t: int, dtype):
         self.b, self.t = b, t
-        rows = b * (t + 2 * PAD) + PAD
-        self.acts = [np.zeros((rows, c), dtype=dtype) for c in widths]
-        self.product = np.empty(rows * max(widths), dtype=dtype)
+        rows = b * (t + 2 * PAD)
+        self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths]
+        self._grad_shape = (rows + KERNEL - 1, max(widths))
         self.grads = None
 
     def grad(self, i: int, c: int) -> np.ndarray:
-        """Flat gradient buffer ``i % 2`` as (rows, c)."""
+        """Flat gradient buffer ``i % 2`` as (rows + KERNEL - 1, c)."""
+        rows, width = self._grad_shape
         if self.grads is None:
-            self.grads = [np.empty_like(self.product) for _ in range(2)]
-        return self.grads[i % 2][:len(self.acts[0]) * c].reshape(-1, c)
+            self.grads = [np.empty(rows * width, dtype=self.acts[0].dtype) for _ in range(2)]
+        return self.grads[i % 2][:rows * c].reshape(rows, c)
 
 
 class Model:
@@ -342,15 +360,16 @@ class Model:
     works in place, and backward ping-pongs two gradient buffers; so a
     train step allocates little beyond the parameter gradients, the ReLU
     masks and conv6's gathered input windows. The global max pool sends
-    gradient to one time step per (item, channel), and conv6 is
-    backpropagated through only those rows (see ``Conv1d._pooled_backward``).
+    gradient to one time step per (item, channel), and conv6's weight
+    gradient sums over only those rows (see ``Conv1d._pooled_backward``).
 
-    Forward on an unchanged parameter set is deterministic, and a row's
-    logits are bit-equal at any batch size while BLAS rounds a GEMM row the
-    same way whatever the row count: every conv product is a GEMM of at
-    least T rows even at batch 1, and the FC head does not use BLAS.
-    Training steps mutate parameters and must not run concurrently, and a
-    forward's results are views of the arena that the next forward
+    Forward on an unchanged parameter set is deterministic. A row's
+    logits are bit-equal at any batch size where BLAS rounds a GEMM row
+    the same way whatever the GEMM's row count, which small GEMMs need
+    not do: at the default spec with OpenBLAS 0.3.31 on AVX-512 that
+    holds for T >= 18 and fails for T <= 17. The FC head does not use
+    BLAS. Training steps mutate parameters and must not run concurrently,
+    and a forward's results are views of the arena that the next forward
     overwrites (the logits are not).
     """
 
@@ -396,7 +415,7 @@ class Model:
         h = x_rows.reshape(b, tp, N_FEATURE_ROWS)[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
         for conv, relu, nxt in zip(self.convs, self.relus, arena.acts[1:]):
-            h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp], product=arena.product)
+            h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp])
             h = relu.forward(h, out=h)
             x_rows = nxt[:b * tp]
         return self.fc.forward(self.pool.forward(h))
@@ -404,13 +423,13 @@ class Model:
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits) of the last forward."""
         arena, (b, t) = self._arena, self._batch
-        n = b * (t + 2 * PAD)
+        rows = KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward's g_rows
         g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
-        g_rows = None  # conv6 takes the pool's PoolGrad, every other conv these rows
+        g_rows = arena.grad(len(self.convs), self._widths[-1])[:rows]
         for i in reversed(range(len(self.convs))):
             g = self.relus[i].backward(g, out=g)
-            dx_rows = arena.grad(i, self._widths[i])
-            g = self.convs[i].backward(g, g_rows, out=dx_rows[:n], product=arena.product)
-            g_rows = dx_rows[PAD:PAD + n]
+            dx_rows = arena.grad(i, self._widths[i])[:rows]
+            g = self.convs[i].backward(g, g_rows, out=dx_rows[KERNEL - 1 - PAD:rows - PAD])
+            g_rows = dx_rows
         return {f"{name}.{p}": getattr(layer, "g" + p)
                 for name, layer in self._layers() for p in "wb"}

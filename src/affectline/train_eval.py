@@ -58,6 +58,11 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
+        if not 0.0 <= self.early_stop_train_acc <= 1.0:  # also refuses NaN
+            raise ConfigError(f"early_stop_train_acc must be in [0, 1], got "
+                              f"{self.early_stop_train_acc}")
+        if self.patience < 0:
+            raise ConfigError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
@@ -210,11 +215,11 @@ def _labels_array(records) -> np.ndarray:
 def predict_logits(model: Model, x: np.ndarray, batch: int = 16) -> np.ndarray:
     """Logits of every row of ``x``, forwarded ``batch`` rows at a time.
 
-    Rows are batch-invariant (see ``Model``), so ``batch`` only bounds the
-    model's activation arena, which keeps the largest batch it has seen:
-    about 1.4 MB a row at the default spec, each layer's zero-padded input
-    and one GEMM product (a backward adds two gradient buffers, 0.6 MB a
-    row).
+    A row's logits do not depend on ``batch`` wherever BLAS rounding does
+    not (see ``Model``); ``batch`` bounds the model's activation arena,
+    which keeps the largest batch it has seen: about 1.1 MB a row at the
+    default spec, each layer's zero-padded input (a backward adds two
+    gradient buffers, 0.6 MB a row).
     """
     chunks = [model.forward(x[i:i + batch]) for i in range(0, len(x), batch)]
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))

@@ -150,7 +150,8 @@ class TestTrainCommand:
         "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
         "conv_channels=4,100000000000", "kernel=3.0", "pad=0", "n_classes=7",
         "filter_sex=male", "filter_emotions=angry", "vocal_channels=speech", "split_ratio=0.5",
-        "seed=-1", "lr=nan", "lr=-1e-4",
+        "seed=-1", "lr=nan", "lr=-1e-4", "patience=-1", "early_stop_train_acc=nan",
+        "early_stop_train_acc=1.5",
     )] + [("features", "n_coeffs=12"), ("features", "n_mels=24"),
           ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}"),
           ("gradcheck", "seed=-1")]

@@ -9,6 +9,7 @@ import pytest
 from affectline.audio_io import EMOTIONS
 from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
+from affectline.gradcheck import central_diff
 from affectline.nn import (KERNEL, MAX_CONV_CHANNELS, Conv1d, FullyConnected, MaxPool1d, Model,
                            ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
 
@@ -16,18 +17,31 @@ H = 1e-5
 
 
 def fd_grad(loss_fn, tensor):
-    """Central finite differences, the oracle for every analytic gradient."""
-    grad = np.zeros(tensor.size)
-    flat = tensor.reshape(-1)
-    for i in range(flat.size):
-        keep = flat[i]
-        flat[i] = keep + H
+    """Central finite differences, the oracle for every analytic gradient.
+    Each element is set through ``tensor``, so a view moves its base."""
+    grad = np.zeros(tensor.shape)
+    for i in np.ndindex(tensor.shape):
+        keep = tensor[i]
+        tensor[i] = keep + H
         up = loss_fn()
-        flat[i] = keep - H
+        tensor[i] = keep - H
         down = loss_fn()
-        flat[i] = keep
+        tensor[i] = keep
         grad[i] = (up - down) / (2 * H)
-    return grad.reshape(tensor.shape)
+    return grad
+
+
+@pytest.mark.parametrize("diff", [fd_grad, central_diff], ids=["fd_grad", "central_diff"])
+def test_finite_differences_move_a_view(diff):
+    # a conv's weight is a transposed view of its taps: a perturbation of a
+    # flattened copy would leave the loss unchanged and read a zero gradient
+    rng = np.random.default_rng(0)
+    base, u = rng.standard_normal((2, 3, 4)), rng.standard_normal((2, 3, 4))
+    view = base.transpose(2, 1, 0)
+    before = base.copy()
+    grad = diff(lambda: float(np.sum(np.sin(base) * u)), view)
+    np.testing.assert_allclose(grad, (np.cos(base) * u).transpose(2, 1, 0), rtol=1e-6)
+    assert base.tobytes() == before.tobytes()
 
 
 def rel_err(a, b):
@@ -123,9 +137,12 @@ class TestConv1d:
     def test_matches_nested_loop_reference(self, stride, pad):
         rng = np.random.default_rng(stride * 10 + pad)
         layer = Conv1d(3, 2, 3, pad=pad, rng=rng, dtype=np.float64)
+        oracle = DenseConv1d(3, 2, 3, pad=pad, dtype=np.float64)  # the model tests' oracle
+        oracle.w[...] = layer.w
         x = rng.standard_normal((2, 3, 10))
         expected = conv_reference(x, layer.w, layer.b, stride, pad)
         np.testing.assert_allclose(layer.forward(x)[:, :, ::stride], expected, atol=1e-12)
+        np.testing.assert_allclose(oracle.forward(x)[:, :, ::stride], expected, atol=1e-12)
 
     # rows that straddle two batch items are the failure mode a B=1 grid cannot see.
     # A stride-s oracle is the stride-1 layer sampled at every s-th position, with
@@ -560,9 +577,28 @@ class TestModel:
             == (len(EMOTIONS), MAX_CONV_CHANNELS)
 
 
+def im2col(rows, kernel, n):
+    """The first ``n`` im2col rows of a (rows, channels) matrix, copied:
+    rows[r:r + kernel] as one row each."""
+    windows = np.lib.stride_tricks.sliding_window_view(rows, (kernel, rows.shape[1]))
+    return np.ascontiguousarray(windows[:n, 0]).reshape(n, -1)
+
+
 class DenseConv1d(Conv1d):
-    """``Conv1d`` as it was before the model's arena, kept verbatim as a test oracle:
-    it copies its input, allocates every product and backpropagates densely."""
+    """``Conv1d`` as explicit im2col, the test oracle: it copies its input and
+    the im2col columns of it and of its zero-padded output gradient, allocates
+    every product and backpropagates densely. Each product is a GEMM with the
+    stacked weight (tap-reversed for the input gradient), one per phase for
+    the forward and the input gradient: BLAS rounds a row of a small GEMM
+    by the GEMM's row count, and the layer multiplies each phase's rows
+    r = s (mod kernel) alone. The weight gradient is one GEMM over every row.
+    """
+
+    def _by_phase(self, cols, stacked):
+        out = np.empty((len(cols), stacked.shape[1]), dtype=np.result_type(cols, stacked))
+        for s in range(self.kernel):
+            out[s::self.kernel] = cols[s::self.kernel] @ stacked
+        return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         if x.ndim != 3:
@@ -575,32 +611,32 @@ class DenseConv1d(Conv1d):
         tp = t + 2 * self.pad
         xp = np.zeros((b, tp, c), dtype=x.dtype)
         xp[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
-        rows, n = xp.reshape(b * tp, c), b * tp - self.kernel + 1
-        taps = np.ascontiguousarray(self.w.transpose(2, 0, 1))  # (K, C_out, C_in)
-        y = np.empty((b * tp, self.out_ch), dtype=np.result_type(x, self.w))
-        np.matmul(rows[:n], taps[0].T, out=y[:n])
-        for k in range(1, self.kernel):
-            y[:n] += rows[k:k + n] @ taps[k].T
-        self._rows, self._taps, self._in_shape = rows, taps, (b, c, t)
+        cols = im2col(xp.reshape(b * tp, c), self.kernel, b * tp - self.kernel + 1)
+        stacked = np.ascontiguousarray(self.w.transpose(2, 1, 0)).reshape(-1, self.out_ch)
+        y = np.zeros((b * tp, self.out_ch), dtype=np.result_type(x, self.w))
+        y[:len(cols)] = self._by_phase(cols, stacked)
+        self._cols, self._in_shape = cols, (b, c, t)
         y = y.reshape(b, tp, self.out_ch)[:, :tp - self.kernel + 1]
         y += self.b
         return y.transpose(0, 2, 1)
 
     def backward(self, grad_out: np.ndarray):
         b, c, t = self._in_shape
-        t_out = t + 2 * self.pad - self.kernel + 1
+        tp = t + 2 * self.pad
+        t_out = tp - self.kernel + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
-        rows, n = self._rows, len(self._rows) - self.kernel + 1
-        g = np.zeros((b, len(rows) // b, self.out_ch), dtype=grad_out.dtype)
+        g = np.zeros((b, tp, self.out_ch), dtype=grad_out.dtype)
         g[:, :t_out] = grad_out.transpose(0, 2, 1)
-        g, taps = g.reshape(len(rows), self.out_ch), self._taps
-        self.gw = np.stack([g[:n].T @ rows[k:k + n] for k in range(self.kernel)], axis=2)
+        g, cols = g.reshape(b * tp, self.out_ch), self._cols
+        gw = cols.T @ g[:len(cols)]
+        self.gw = gw.reshape(self.kernel, c, self.out_ch).transpose(2, 1, 0)
         self.gb = g.sum(axis=0)
-        dxp = np.zeros((len(rows), c), dtype=np.result_type(g, taps))
-        for k in range(self.kernel):
-            dxp[k:k + n] += g[:n] @ taps[k]
-        return dxp.reshape(b, -1, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
+        front = np.zeros((self.kernel - 1, self.out_ch), dtype=g.dtype)
+        g_cols = im2col(np.concatenate([front, g]), self.kernel, b * tp)
+        flipped = np.ascontiguousarray(self.w.transpose(2, 0, 1)[::-1]).reshape(-1, c)
+        dxp = self._by_phase(g_cols, flipped)
+        return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
 
 
 class DenseReLU:
@@ -628,7 +664,8 @@ class DenseMaxPool1d:
 
 class DenseModel(Model):
     """``Model`` with the dense layers above and its former forward and backward,
-    verbatim: the bit-exact oracle of the arena and of the pooled-row conv6 backward."""
+    verbatim: the bit-exact oracle of the arena, the phase GEMMs and the scattered
+    pooled gradient, except for the conv weight gradients."""
 
     def __init__(self, model: Model):
         self.convs = [DenseConv1d(c.in_ch, c.out_ch, c.kernel, c.pad, dtype=c.w.dtype)
@@ -678,7 +715,7 @@ class TestArenaOracle:
 
     @pytest.mark.parametrize("b", [1, 7, 16, 25, 64])
     @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
-    def test_gradients_bit_equal_but_conv6_weights(self, spec, b):
+    def test_gradients_bit_equal_but_conv_weights(self, spec, b):
         model = trained_like(spec, 40 + b)
         oracle = DenseModel(model)
         rng = np.random.default_rng(b)
@@ -692,11 +729,15 @@ class TestArenaOracle:
         last = f"conv{len(spec.conv_channels)}.w"
         for name in want:
             assert got[name].dtype == want[name].dtype and got[name].shape == want[name].shape
-            if name == last:
-                # B products per entry instead of B*(T + 2): a float32 sum's error scales
-                # with its terms, not its result, so the bound is relative to the tensor
-                scale = np.abs(want[name]).max()
+            # a float32 sum's error scales with its terms, not its result, so a
+            # weight gradient's bound is relative to the tensor
+            scale = np.abs(want[name]).max()
+            if name == last:  # B products per entry instead of B*(T + 2)
                 assert np.abs(got[name] - want[name]).max() <= 1e-6 * scale
+            elif name.startswith("conv") and name.endswith(".w"):
+                # one sum per phase, then the phases' sum, instead of one sum over
+                # every row: at most 1.1e-6 of the tensor's largest entry here
+                assert np.abs(got[name] - want[name]).max() <= 4e-6 * scale
             else:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
