@@ -247,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model on a labeled corpus")
     _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "jobs",
-                    "cache_dir", "t_fixed", "early_stop_train_acc", "patience"))
+                    "cache_dir", "t_fixed", "early_stop_train_acc"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")

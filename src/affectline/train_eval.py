@@ -46,8 +46,7 @@ class TrainConfig:
     batch_size: int = 25
     lr: float = 1e-4
     seed: int = 42
-    early_stop_train_acc: float = 0.0  # 0 disables
-    patience: int = 0  # epochs without test-accuracy improvement; 0 disables
+    early_stop_train_acc: float = 0.0  # stop once an epoch's train_acc reaches it; 0 disables
 
     def __post_init__(self):
         if not 0.0 <= self.lr < float("inf"):  # also refuses NaN
@@ -61,15 +60,13 @@ class TrainConfig:
         if not 0.0 <= self.early_stop_train_acc <= 1.0:  # also refuses NaN
             raise ConfigError(f"early_stop_train_acc must be in [0, 1], got "
                               f"{self.early_stop_train_acc}")
-        if self.patience < 0:
-            raise ConfigError(f"patience must be >= 0, got {self.patience}")
 
 
 @dataclass
 class EpochStats:
     epoch: int
-    train_acc: float
-    test_acc: float
+    train_acc: float  # of each training row's logits in its step, before the update
+    test_acc: float  # of the model as the epoch ends
     train_loss: float
 
 
@@ -87,25 +84,33 @@ class Metrics:
         return float(np.trace(self.confusion)) / total if total else 0.0
 
 
+def _labels_array(records) -> np.ndarray:
+    """Class indices of (path, label) records; DataError naming a label outside EMOTIONS."""
+    try:
+        return np.array([EMOTION_INDEX[label] for _, label in records], dtype=np.int64)
+    except KeyError as exc:
+        raise DataError(f"label {exc.args[0]!r} is not one of {', '.join(EMOTIONS)}") from None
+
+
 def split_dataset(records, config: TrainConfig):
     """Stratified train/test split of (path, label) records.
 
     Per class, round((1 - TRAIN_FRACTION) * n) records go to test, where
     ``audio_io.TRAIN_FRACTION`` is 0.8. The split is a pure function of
     (records order, seed); both sides preserve the input's relative
-    ordering.
+    ordering. DataError naming a label outside ``EMOTIONS``.
     """
     records = list(records)
     rng = np.random.default_rng(config.seed)
     test_idx = set()
     by_class = {}
-    for i, (_, label) in enumerate(records):
-        by_class.setdefault(label, []).append(i)
-    for label, idxs in by_class.items():
+    for i, cls in enumerate(_labels_array(records)):
+        by_class.setdefault(int(cls), []).append(i)
+    for cls, idxs in by_class.items():
         if len(idxs) < 2:
-            raise SplitError(f"class {label!r} has {len(idxs)} record(s); need >= 2")
-    for label in sorted(by_class, key=lambda l: (EMOTION_INDEX.get(l, len(EMOTIONS)), l)):
-        idxs = by_class[label]
+            raise SplitError(f"class {EMOTIONS[cls]!r} has {len(idxs)} record(s); need >= 2")
+    for cls in sorted(by_class):
+        idxs = by_class[cls]
         n_test = round(len(idxs) * (1.0 - TRAIN_FRACTION))
         perm = rng.permutation(len(idxs))
         test_idx.update(idxs[p] for p in perm[:n_test])
@@ -208,10 +213,6 @@ def _to_batch_array(matrices, profile) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def _labels_array(records) -> np.ndarray:
-    return np.array([EMOTION_INDEX[label] for _, label in records], dtype=np.int64)
-
-
 def predict_logits(model: Model, x: np.ndarray, batch: int = 16) -> np.ndarray:
     """Logits of every row of ``x``, forwarded ``batch`` rows at a time.
 
@@ -247,8 +248,8 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
 
     Splits internally, extracts features, computes the normalization
     profile on the training split, then runs epochs x ceil(N/batch)
-    RMSProp steps with per-epoch accuracy bookkeeping. A non-finite loss
-    aborts with DivergenceError naming the epoch and batch.
+    RMSProp steps, forwarding each row once per epoch (see ``EpochStats``).
+    A non-finite loss aborts with DivergenceError naming the epoch and batch.
     """
     train_recs, test_recs = split_dataset(records, config)
     train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)
@@ -264,7 +265,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     y_train = _labels_array(train_recs)
     x_test = _to_batch_array(test_mats, profile) if test_mats else np.zeros(
         (0, N_FEATURE_ROWS, settings.t_fixed), dtype=np.float32)
-    y_test = _labels_array(test_recs) if test_recs else np.zeros(0, dtype=np.int64)
+    y_test = _labels_array(test_recs)
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))
     optimizer = RmsProp(lr=config.lr)
@@ -273,14 +274,14 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     metrics = Metrics(n_train=len(train_recs), n_test=len(test_recs),
                       failures=train_fail + test_fail)
     n = len(x_train)
-    best_test, since_best = -1.0, 0
     test_pred = None  # of the model as it ends the last epoch run
     for epoch in range(1, config.epochs + 1):
         order = shuffle_rng.permutation(n)
-        loss_sum = 0.0
+        loss_sum, correct = 0.0, 0
         for batch_idx, start in enumerate(range(0, n, config.batch_size)):
             sel = order[start:start + config.batch_size]
             logits = model.forward(x_train[sel])
+            correct += int(np.count_nonzero(logits.argmax(axis=1) == y_train[sel]))
             losses, grad = softmax_xent(logits, y_train[sel])
             mean_loss = float(losses.mean())
             if not np.isfinite(mean_loss):
@@ -288,20 +289,12 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
             grads = model.backward((grad / len(sel)).astype(np.float32))
             optimizer.step(model.parameters(), grads)
             loss_sum += mean_loss * len(sel)
-        train_acc = _accuracy(_predict(model, x_train), y_train)
+        train_acc = correct / n  # as Keras' fit reports it
         test_pred = _predict(model, x_test)
         test_acc = _accuracy(test_pred, y_test)
         metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
-
         if config.early_stop_train_acc and train_acc >= config.early_stop_train_acc:
             break
-        if config.patience and len(y_test):
-            if test_acc > best_test:
-                best_test, since_best = test_acc, 0
-            else:
-                since_best += 1
-                if since_best >= config.patience:
-                    break
 
     if test_pred is None:  # no epoch ran
         test_pred = _predict(model, x_test)
@@ -335,11 +328,12 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     Features are extracted with the checkpoint's own settings. Records that
     fail to decode are left out and listed in ``failures``, so ``n_test``
     can be below the record count. An empty record list is an error rather
-    than a NaN accuracy.
+    than a NaN accuracy, and so is a label outside ``EMOTIONS``.
     """
     records = list(records)
     if not records:
         raise DataError("no records to evaluate")
+    _labels_array(records)  # a label outside EMOTIONS fails before any extraction
     kept, mats, failures = extract_all(records, ckpt.features, cache_dir, jobs)
     if not kept:
         raise DataError("all records failed to decode")

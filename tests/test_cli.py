@@ -1,5 +1,7 @@
+import argparse
 import csv
 import json
+import re
 import shutil
 import struct
 from pathlib import Path
@@ -28,14 +30,15 @@ RETIRED_LINES = ["delta_window = 2", "eps = 1e-08",
                  "filter_emotions = neutral,calm,happy,sad,angry,fearful", "filter_sex = female",
                  "fmax_hz = 0.0", "fmin_hz = 0.0", "frame_len_samples = 400", "hop_samples = 160",
                  "kernel = 3", "log_floor = 1e-10", "n_coeffs = 13", "n_fft = 512", "n_mels = 26",
-                 "pad = 1", "pool_stride = 0", "pool_width = 0", "resample_method = sinc",
-                 "rho = 0.9", "sample_rate_hz = 16000", "shuffle_each_epoch = true",
-                 "split_ratio = 0.8", "stratified = true", "stride = 1",
-                 "vocal_channels = speech,song", "window = hamming"]
+                 "pad = 1", "patience = 0", "pool_stride = 0", "pool_width = 0",
+                 "resample_method = sinc", "rho = 0.9", "sample_rate_hz = 16000",
+                 "shuffle_each_epoch = true", "split_ratio = 0.8", "stratified = true",
+                 "stride = 1", "vocal_channels = speech,song", "window = hamming"]
 
-# a train run written before the feature-chain, RMSProp, kernel, pad, corpus
-# and split keys were retired; data/legacy_run/README.md says how
+# a train run written before the feature-chain, RMSProp, kernel, pad, corpus,
+# split and patience keys were retired; data/legacy_run/README.md says how
 LEGACY_RUN = Path(__file__).parent / "data" / "legacy_run"
+README = Path(__file__).parent.parent / "README.md"
 
 
 def count_calls(monkeypatch, name):
@@ -150,8 +153,8 @@ class TestTrainCommand:
         "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
         "conv_channels=4,100000000000", "kernel=3.0", "pad=0", "n_classes=7",
         "filter_sex=male", "filter_emotions=angry", "vocal_channels=speech", "split_ratio=0.5",
-        "seed=-1", "lr=nan", "lr=-1e-4", "patience=-1", "early_stop_train_acc=nan",
-        "early_stop_train_acc=1.5",
+        "seed=-1", "lr=nan", "lr=-1e-4", "patience=-1", "patience=3",
+        "early_stop_train_acc=nan", "early_stop_train_acc=1.5",
     )] + [("features", "n_coeffs=12"), ("features", "n_mels=24"),
           ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}"),
           ("gradcheck", "seed=-1")]
@@ -489,12 +492,32 @@ class TestDedicatedFlags:
         ["synth", "--checkpoint", "m.afl"],
         ["train", "--manifest", "m.csv"],
         ["train", "--checkpoint", "m.afl"],
+        ["train", "--patience", "0"],
     ], ids=" ".join)
     def test_flag_the_command_ignores_is_an_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_table_lists_each_commands_flags(self):
+        # (dedicated key flags, other flags) of each command, in parser order
+        table = {}
+        for line in README.read_text(encoding="utf-8").splitlines():
+            cells = [cell.strip() for cell in line.strip().strip("|").split("|")]
+            if line.startswith("| `") and len(cells) == 3:
+                table[cells[0].strip("`")] = ([f.strip() for f in cells[1].split(",")],
+                                               re.findall(r"`(--[\w-]+)`", cells[2]))
+        [sub] = [a for a in cli.build_parser()._actions
+                 if isinstance(a, argparse._SubParsersAction)]
+        parsed = {}
+        for name, parser in sub.choices.items():
+            options = [a for a in parser._actions if a.dest not in ("help", "config", "set")]
+            parsed[name] = ([a.option_strings[0][2:] for a in options
+                             if a.dest.startswith("key_")],
+                            [a.option_strings[0] for a in options
+                             if not a.dest.startswith("key_")])
+        assert table == parsed
 
     def test_echoed_config_loads_under_classify(self, tmp_path, corpus_root, trained_run):
         run, _ = trained_run
@@ -704,7 +727,7 @@ class TestLegacyRun:
         monkeypatch.chdir(tmp_path)  # the config's corpus, out and cache_dir are relative
         legacy_config = (LEGACY_RUN / "config.txt").read_text().splitlines()
         current_config = [line for line in legacy_config if line not in RETIRED_LINES]
-        assert len(legacy_config) - len(current_config) == 17
+        assert len(legacy_config) - len(current_config) == 18
         (tmp_path / "current.txt").write_text("\n".join(current_config) + "\n")
         assert main(["train", "--config", str(LEGACY_RUN / "config.txt")]) == 0
         assert main(["train", "--config", "current.txt", "--out", "current"]) == 0

@@ -128,15 +128,28 @@ class TestTrain:
         assert info.value.epoch >= 1
         assert "epoch" in str(info.value)
 
-    @pytest.mark.parametrize("patience,epochs_run", [(1, 2), (2, 3)])
-    def test_patience_stops_when_test_accuracy_stalls(self, synthetic_corpus, patience,
-                                                      epochs_run):
-        # lr 0 keeps the weights, so test accuracy never improves after epoch 1
+    def test_train_acc_scores_the_steps_logits(self, synthetic_corpus):
+        # lr 0 keeps the weights, so every step and a forward over the train
+        # split after training score the same model; at seed 2 it predicts
+        # four classes, so a row scored against another row's label shows
         _, records = synthetic_corpus
-        config = TrainConfig(epochs=5, lr=0.0, seed=3, patience=patience)
+        config = TrainConfig(epochs=3, lr=0.0, seed=2)
         ckpt, metrics = train(records, TINY_SPEC, config, TINY_SETTINGS)
-        assert [e.epoch for e in metrics.epochs] == list(range(1, epochs_run + 1))
-        assert ckpt.metadata["epochs_run"] == epochs_run
+        train_recs, _ = split_dataset(records, config)
+        _, matrices, _ = extract_all(train_recs, TINY_SETTINGS)
+        x = train_eval._to_batch_array(matrices, ckpt.normalization)
+        y = train_eval._labels_array(train_recs)
+        pred = predict_logits(ckpt.build_model(), x).argmax(axis=1)
+        assert [e.train_acc for e in metrics.epochs] == [np.count_nonzero(pred == y) / len(y)] * 3
+        assert ckpt.metadata["final_train_acc"] == metrics.epochs[-1].train_acc
+
+    def test_label_outside_emotions_fails_the_split(self, synthetic_corpus, monkeypatch):
+        # split_dataset refuses it, before any extraction
+        _, records = synthetic_corpus
+        monkeypatch.setattr(train_eval, "extract_all", None)  # any extraction would fail
+        disgust = [(path, "disgust") for path, _ in records[:2]]
+        with pytest.raises(DataError, match="label 'disgust' is not one of neutral, calm"):
+            train(records + disgust, TINY_SPEC, TrainConfig(epochs=1), TINY_SETTINGS)
 
     def test_normalization_uses_train_split_only(self, synthetic_corpus):
         _, records = synthetic_corpus
@@ -179,6 +192,12 @@ class TestEvaluate:
         *_, ckpt, _ = overfit_run
         with pytest.raises(DataError):
             evaluate(ckpt, [])
+
+    def test_label_outside_emotions_fails_before_extraction(self, overfit_run, monkeypatch):
+        records, _, ckpt, _ = overfit_run
+        monkeypatch.setattr(train_eval, "extract_all", None)  # any extraction would fail
+        with pytest.raises(DataError, match="'disgust'"):
+            evaluate(ckpt, [*records[:3], (records[3][0], "disgust")])
 
     def test_zero_weight_model_predicts_class_zero(self, overfit_run):
         records, _, ckpt, _ = overfit_run
