@@ -5,9 +5,8 @@ emotional speech (6 classes), evaluates it, and aggregates per-session
 emotion distributions over labeled segment corpora.
 """
 
-from .audio_io import (AudioClip, EMOTIONS, EMOTION_INDEX, RavdessMeta,
-                       parse_ravdess_name, read_wav, render_ravdess_name, resample,
-                       scan_corpus, write_wav)
+from .audio_io import (EMOTIONS, EMOTION_INDEX, RavdessMeta, parse_ravdess_name, read_wav,
+                       resample, scan_corpus, write_wav)
 from .checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .features import (FeatureMatrix, NormalizationProfile, assemble_features,

@@ -68,22 +68,6 @@ class CorpusEmptyError(DataError):
 
 
 @dataclass(frozen=True)
-class AudioClip:
-    """Mono waveform at the pipeline sample rate, amplitudes in [-1, 1]."""
-
-    samples: np.ndarray
-    sample_rate_hz: int
-    source_path: str
-
-    def __post_init__(self):
-        self.samples.setflags(write=False)
-
-    @property
-    def duration_s(self) -> float:
-        return len(self.samples) / self.sample_rate_hz
-
-
-@dataclass(frozen=True)
 class RavdessMeta:
     """Decoded fields of one RAVDESS filename."""
 
@@ -156,8 +140,9 @@ def read_bytes(path) -> bytes:
         raise UnreadableFileError(f"{path}: {exc}") from exc
 
 
-def read_wav(path) -> AudioClip:
-    """Decode a PCM WAV file into a mono clip at ``PIPELINE_SAMPLE_RATE``.
+def read_wav(path) -> np.ndarray:
+    """Decode a PCM WAV file into mono float64 samples at ``PIPELINE_SAMPLE_RATE``,
+    clipped to [-1, 1] and read-only.
 
     Stereo input is downmixed by channel average. Rate conversion uses a
     windowed-sinc filter. Raises UnreadableFileError, UnsupportedEncodingError
@@ -190,24 +175,25 @@ def read_wav(path) -> AudioClip:
         raise EmptyAudioError(f"{path}: zero-length audio")
 
     if rate != PIPELINE_SAMPLE_RATE:
-        samples = resample(samples, rate, PIPELINE_SAMPLE_RATE)
+        samples = resample(samples, rate)
         if len(samples) == 0:
             raise EmptyAudioError(f"{path}: zero-length audio after resampling")
     samples = np.clip(samples, -1.0, 1.0)
-    return AudioClip(samples=samples, sample_rate_hz=PIPELINE_SAMPLE_RATE,
-                     source_path=str(path))
+    samples.setflags(write=False)
+    return samples
 
 
-def write_wav(path, samples: np.ndarray, sample_rate_hz: int) -> None:
-    """Write mono float samples in [-1, 1] as 16-bit PCM; ValueError on NaN or inf."""
+def write_wav(path, samples: np.ndarray) -> None:
+    """Write mono float samples in [-1, 1] as 16-bit PCM at ``PIPELINE_SAMPLE_RATE``;
+    ValueError on NaN or inf."""
     x = np.asarray(samples, dtype=np.float64)
     if not np.all(np.isfinite(x)):
         raise ValueError(f"{path}: cannot write non-finite samples")
     q = np.clip(np.rint(x * 32767.0), -32768, 32767)
     data = q.astype("<i2").tobytes()
     hdr = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
-    hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, sample_rate_hz,
-                                 sample_rate_hz * 2, 2, 16)
+    hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, PIPELINE_SAMPLE_RATE,
+                                 PIPELINE_SAMPLE_RATE * 2, 2, 16)
     hdr += b"data" + struct.pack("<I", len(data))
     Path(path).write_bytes(hdr + data)
 
@@ -239,11 +225,11 @@ def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
 
 
 @functools.lru_cache(maxsize=8)
-def _plan(sr_in: int, sr_out: int):
+def _plan(sr_in: int):
     """(pad, chunk, starts, blocks, block, matrices) of the GEMM resampler.
 
-    Integer rates give up = sr_out/gcd phases. A row holds G*up outputs,
-    G = ceil((taps-1)/down) input periods, and reads its own ``chunk =
+    The rates give up = PIPELINE_SAMPLE_RATE/gcd phases. A row holds G*up
+    outputs, G = ceil((taps-1)/down) input periods, and reads its own ``chunk =
     G*down`` input samples and the next chunk: its output j starts its
     window ``starts[j]`` samples into its chunk, with the taps of phase
     ``fracs[j] * up``. ``blocks`` splits the columns into (c0, c1) ranges whose
@@ -252,9 +238,9 @@ def _plan(sr_in: int, sr_out: int):
     one. ``matrices`` holds every block if they total _MAX_TAPS values or
     fewer; ``kept``, every column's taps if they fit in _MAX_TAPS values.
     """
-    g = np.gcd(sr_in, sr_out)
-    up, down = sr_out // g, sr_in // g
-    scale = min(1.0, sr_out / sr_in)  # anti-alias cutoff relative to input rate
+    g = np.gcd(sr_in, PIPELINE_SAMPLE_RATE)
+    up, down = PIPELINE_SAMPLE_RATE // g, sr_in // g
+    scale = min(1.0, PIPELINE_SAMPLE_RATE / sr_in)  # anti-alias cutoff relative to input rate
     half_width = _SINC_ZEROS / scale
     pad = int(np.ceil(half_width)) + 1
     offsets = np.arange(-pad, pad + 1)
@@ -282,9 +268,10 @@ def _plan(sr_in: int, sr_out: int):
     return pad, periods * down, starts, blocks, block, matrices
 
 
-def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
-    """Convert ``x`` from ``sr_in`` to ``sr_out`` with a Kaiser-windowed sinc
-    filter (beta 8.6, 32 zero crossings per side at the lower of the two rates).
+def resample(x: np.ndarray, sr_in: int) -> np.ndarray:
+    """Convert ``x`` from ``sr_in`` to ``PIPELINE_SAMPLE_RATE`` with a
+    Kaiser-windowed sinc filter (beta 8.6, 32 zero crossings per side at the
+    lower of the two rates).
 
     The filter runs as BLAS GEMMs. The zero-padded input is cut into
     chunks of D = G*down samples, G = ceil((taps-1)/down) input periods,
@@ -295,16 +282,16 @@ def resample(x: np.ndarray, sr_in: int, sr_out: int) -> np.ndarray:
     outputs of 195 taps per 195-sample chunk. Wide rows (16000 outputs at
     95999 Hz) run as column blocks of W over only the input samples their
     columns touch. _plan caches W, else every column's taps, else nothing
-    for a rate pair; each way gives the same output.
+    for an input rate; each way gives the same output.
     """
     x = np.asarray(x, dtype=np.float64)
-    if sr_in == sr_out:
+    if sr_in == PIPELINE_SAMPLE_RATE:
         return x.copy()
-    n_out = int(round(len(x) * sr_out / sr_in))
+    n_out = int(round(len(x) * PIPELINE_SAMPLE_RATE / sr_in))
     if n_out == 0:
         return np.zeros(0)
 
-    pad, chunk, starts, blocks, block, matrices = _plan(sr_in, sr_out)
+    pad, chunk, starts, blocks, block, matrices = _plan(sr_in)
     rows = -(-n_out // len(starts))
     xp = np.zeros((rows + 2) * chunk)  # holds x: rows*chunk > len(x) - chunk, chunk >= 2*pad
     xp[pad:pad + len(x)] = x
@@ -365,20 +352,6 @@ def parse_ravdess_name(filename: str) -> RavdessMeta:
         repetition=int(rep),
         actor=actor_id,
     )
-
-
-def render_ravdess_name(meta: RavdessMeta) -> str:
-    """Inverse of parse_ravdess_name."""
-    rev = lambda table, value: next(k for k, v in table.items() if v == value)
-    return "-".join([
-        rev(_MODALITIES, meta.modality),
-        rev(_VOCAL_CHANNELS, meta.vocal_channel),
-        f"{EMOTION_INDEX[meta.emotion] + 1:02d}",
-        rev(_INTENSITIES, meta.intensity),
-        f"{meta.statement:02d}",
-        f"{meta.repetition:02d}",
-        f"{meta.actor:02d}",
-    ]) + ".wav"
 
 
 # ---------------------------------------------------------------------------

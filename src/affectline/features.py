@@ -13,14 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .audio_io import AudioClip
+from .audio_io import PIPELINE_SAMPLE_RATE
 from .errors import ConfigError
 
 N_MFCC = 13  # cepstral coefficients per frame
 DEFAULT_T_FIXED = 300
 MAX_T_FIXED = 360_000  # one hour of 10 ms frames
 # The paper's front end at the 16 kHz pipeline rate: 25 ms frames every
-# 10 ms, a 512-point FFT, 26 mel bands from 0 Hz to the clip's Nyquist
+# 10 ms, a 512-point FFT, 26 mel bands from 0 Hz to the 8 kHz Nyquist
 # frequency, and regression deltas over +-2 frames.
 FRAME_LEN, HOP = 400, 160  # samples
 N_FFT = 512
@@ -73,14 +73,14 @@ class FeatureMatrix:
     n_valid_frames: int
 
 
-def frame_signal(clip: AudioClip) -> np.ndarray:
-    """Slice a clip into overlapping frames, shape (T, FRAME_LEN).
+def frame_signal(samples: np.ndarray) -> np.ndarray:
+    """Slice 16 kHz samples into overlapping frames, shape (T, FRAME_LEN).
 
-    Clips shorter than one frame are zero-padded to a single full frame.
+    Signals shorter than one frame are zero-padded to a single full frame.
     No window is applied here; windowing belongs to the spectral ops. The
     result is a read-only strided view of the samples, not a copy.
     """
-    x = np.asarray(clip.samples, dtype=np.float64)
+    x = np.asarray(samples, dtype=np.float64)
     if len(x) < FRAME_LEN:
         x = np.pad(x, (0, FRAME_LEN - len(x)))
     n_frames = (len(x) - FRAME_LEN) // HOP + 1
@@ -91,16 +91,16 @@ def hz_to_mel(f):
     return 2595.0 * np.log10(1.0 + np.asarray(f, dtype=np.float64) / 700.0)
 
 
-@functools.lru_cache(maxsize=8)
-def _mel_filterbank(sample_rate_hz: int) -> np.ndarray:
+@functools.lru_cache(maxsize=1)
+def _mel_filterbank() -> np.ndarray:
     """Triangular filters, unit peak, spaced evenly on the mel scale from
-    0 Hz to the Nyquist frequency.
+    0 Hz to the Nyquist frequency of ``PIPELINE_SAMPLE_RATE``.
 
     Shape (N_MELS, N_FFT//2 + 1); triangles are evaluated in mel space at
     the FFT bin center frequencies.
     """
-    bin_mels = hz_to_mel(np.arange(N_FFT // 2 + 1) * (sample_rate_hz / N_FFT))
-    points = np.linspace(hz_to_mel(0.0), hz_to_mel(sample_rate_hz / 2.0), N_MELS + 2)
+    bin_mels = hz_to_mel(np.arange(N_FFT // 2 + 1) * (PIPELINE_SAMPLE_RATE / N_FFT))
+    points = np.linspace(hz_to_mel(0.0), hz_to_mel(PIPELINE_SAMPLE_RATE / 2.0), N_MELS + 2)
     lower = (bin_mels[None, :] - points[:-2, None]) / (points[1:-1] - points[:-2])[:, None]
     upper = (points[2:, None] - bin_mels[None, :]) / (points[2:] - points[1:-1])[:, None]
     return np.clip(np.minimum(lower, upper), 0.0, None)
@@ -115,8 +115,8 @@ def _dct_ortho_matrix(n: int) -> np.ndarray:
     return basis
 
 
-def mfcc(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
-    """Mel-frequency cepstral coefficients, shape (N_MFCC, T).
+def mfcc(frames: np.ndarray) -> np.ndarray:
+    """Mel-frequency cepstral coefficients of 16 kHz frames, shape (N_MFCC, T).
 
     Per frame: Hamming window, magnitude-squared FFT spectrum, triangular
     mel filterbank, natural log with a floor, orthonormal DCT-II keeping
@@ -128,7 +128,7 @@ def mfcc(frames: np.ndarray, sample_rate_hz: int) -> np.ndarray:
     window = np.hamming(frames.shape[1])
     spectrum = np.fft.rfft(frames * window, n=N_FFT, axis=1)
     power = spectrum.real ** 2 + spectrum.imag ** 2
-    energies = power @ _mel_filterbank(sample_rate_hz).T
+    energies = power @ _mel_filterbank().T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     coeffs = log_energies @ _dct_ortho_matrix(N_MELS)[:N_MFCC].T
     return coeffs.T
@@ -171,9 +171,10 @@ def compute_normalization(matrices: list) -> NormalizationProfile:
     return NormalizationProfile(mean=cols.mean(axis=1), std=cols.std(axis=1))
 
 
-def assemble_features(clip: AudioClip, t_fixed: int = DEFAULT_T_FIXED) -> FeatureMatrix:
+def assemble_features(samples: np.ndarray, t_fixed: int = DEFAULT_T_FIXED) -> FeatureMatrix:
     """Stack [mfcc; delta; delta-delta; zcr; rms] into a raw 41 x t_fixed matrix.
 
+    ``samples`` are at ``PIPELINE_SAMPLE_RATE``, as ``read_wav`` returns them.
     Longer clips are truncated after the deltas are taken, shorter ones
     zero-padded on the right. Delta-delta column t_fixed - 1 reaches frame
     t_fixed - 1 + 2*DELTA_WINDOW, so only the samples up to that frame are
@@ -181,10 +182,8 @@ def assemble_features(clip: AudioClip, t_fixed: int = DEFAULT_T_FIXED) -> Featur
     later, when matrices are batched for the model.
     """
     keep = (t_fixed + 2 * DELTA_WINDOW - 1) * HOP + FRAME_LEN
-    if len(clip.samples) > keep:
-        clip = AudioClip(clip.samples[:keep], clip.sample_rate_hz, clip.source_path)
-    frames = frame_signal(clip)
-    coeffs = mfcc(frames, clip.sample_rate_hz)
+    frames = frame_signal(samples[:keep])
+    coeffs = mfcc(frames)
     d1 = delta(coeffs, DELTA_WINDOW)
     d2 = delta(d1, DELTA_WINDOW)
     stacked = np.vstack([coeffs, d1, d2, zcr(frames)[None, :], rms(frames)[None, :]])

@@ -248,15 +248,13 @@ class FullyConnected:
 
 
 def softmax_xent(logits: np.ndarray, targets) -> tuple:
-    """Stable softmax cross-entropy.
+    """Stable softmax cross-entropy of (B, K) logits with integer targets (B,).
 
-    Accepts (B, K) logits with integer targets (B,), or a single (K,)
-    vector with a scalar target. Returns per-sample losses and the
-    gradient of the summed loss w.r.t. the logits (softmax - onehot).
+    Returns per-sample losses and the gradient of the summed loss w.r.t.
+    the logits (softmax - onehot).
     """
-    single = np.ndim(logits) == 1
-    z = np.atleast_2d(np.asarray(logits, dtype=np.float64))
-    t = np.atleast_1d(np.asarray(targets, dtype=np.int64))
+    z = np.asarray(logits, dtype=np.float64)
+    t = np.asarray(targets, dtype=np.int64)
     z = z - z.max(axis=1, keepdims=True)
     log_norm = np.log(np.exp(z).sum(axis=1, keepdims=True))
     log_p = z - log_norm
@@ -264,8 +262,6 @@ def softmax_xent(logits: np.ndarray, targets) -> tuple:
     loss = -log_p[rows, t]
     grad = np.exp(log_p)
     grad[rows, t] -= 1.0
-    if single:
-        return float(loss[0]), grad[0]
     return loss, grad
 
 

@@ -20,7 +20,7 @@ from pathlib import Path
 import numpy as np
 
 from . import train_eval
-from .audio_io import (EMOTION_INDEX, EMOTIONS, AudioClip, AudioDecodeError,
+from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE, AudioDecodeError,
                        read_wav, write_wav)
 from .checkpoint import Checkpoint
 from .config import is_utf8
@@ -167,12 +167,12 @@ def filter_fan(records) -> list:
 
 
 def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
-    """Build a (record, clip) -> emotion callable from a trained checkpoint.
+    """Build a (record, samples) -> emotion callable from a trained checkpoint.
 
-    With ``chunk_vote`` the clip is cut into feature-window-sized chunks
+    With ``chunk_vote`` the samples are cut into feature-window-sized chunks
     that vote by majority (ties to the lowest class index); otherwise
     classification uses the leading window only, matching the feature
-    truncation rule. The whole clip is passed in that case:
+    truncation rule. All the samples are passed in that case:
     ``assemble_features`` itself reads only the leading samples its kept
     columns depend on, which reach past the window by the delta context.
     All windows of one segment go to the model in one batch.
@@ -181,16 +181,14 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     t_fixed = ckpt.features.t_fixed
     window = (t_fixed - 1) * HOP + FRAME_LEN
 
-    def predict(record, clip: AudioClip) -> str:
-        samples = clip.samples
+    def predict(record, samples: np.ndarray) -> str:
         if chunk_vote and len(samples) > window:
             # a tail shorter than one frame casts no vote
             pieces = [samples[start:start + window] for start in range(0, len(samples), window)
                       if len(samples) - start >= FRAME_LEN]
         else:
             pieces = [samples]
-        matrices = [assemble_features(AudioClip(piece, clip.sample_rate_hz, clip.source_path),
-                                      t_fixed) for piece in pieces]
+        matrices = [assemble_features(piece, t_fixed) for piece in pieces]
         x = train_eval._to_batch_array(matrices, ckpt.normalization)
         votes = np.bincount(train_eval.predict_logits(model, x).argmax(axis=1),
                             minlength=len(EMOTIONS))
@@ -222,11 +220,11 @@ def classify_session(ckpt: Checkpoint | None, records, *,
     predictions, failures = [], []
     for record in fan:
         try:
-            clip = read_wav(record.audio_path)
+            samples = read_wav(record.audio_path)
         except AudioDecodeError as exc:
             failures.append((record.audio_path, str(exc)))
             continue
-        label = predict(record, clip)
+        label = predict(record, samples)
         counts[EMOTION_INDEX[label]] += 1
         predictions.append((record.segment_id, label))
     total = int(counts.sum())
@@ -278,7 +276,8 @@ class SynthesizedSession:
 
 def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
                        snr_db: float | None = None, seed: int = 0) -> SynthesizedSession:
-    """Emit a FAN-labeled session bundle from (AudioClip, emotion) pairs.
+    """Emit a FAN-labeled session bundle from (samples, emotion) pairs, the
+    samples at ``PIPELINE_SAMPLE_RATE`` as ``read_wav`` returns them.
 
     Writes one 16-bit WAV per clip (optionally with white noise mixed at
     ``snr_db``), a manifest CSV, and a ground-truth sidecar CSV. Output
@@ -299,8 +298,8 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
     truth = [("segment_id", "emotion")]
     segment_paths = []
     cursor = 0.0
-    for i, (clip, label) in enumerate(labeled_clips):
-        samples = np.asarray(clip.samples, dtype=np.float64)
+    for i, (samples, label) in enumerate(labeled_clips):
+        samples = np.asarray(samples, dtype=np.float64)
         if snr_db is not None:
             signal_rms = float(np.sqrt(np.mean(samples ** 2)))
             if signal_rms > 0:
@@ -310,9 +309,9 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
                 samples = np.clip(samples + noise, -1.0, 1.0)
         segment_id = f"{session_id}-{i:05d}"
         wav_path = seg_dir / f"{segment_id}.wav"
-        write_wav(wav_path, samples, clip.sample_rate_hz)
+        write_wav(wav_path, samples)
         segment_paths.append(wav_path)
-        duration = len(samples) / clip.sample_rate_hz
+        duration = len(samples) / PIPELINE_SAMPLE_RATE
         manifest.append((session_id, segment_id, "FAN", f"segments/{segment_id}.wav",
                          f"{cursor:.6f}", f"{cursor + duration:.6f}"))
         truth.append((segment_id, label))

@@ -26,8 +26,8 @@ from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError
                        read_wav)
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
-from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
-                       assemble_features, compute_normalization)
+from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, FeatureMatrix, assemble_features,
+                       compute_normalization)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
 __all__ = [
@@ -95,12 +95,15 @@ def _labels_array(records) -> np.ndarray:
 def split_dataset(records, config: TrainConfig):
     """Stratified train/test split of (path, label) records.
 
-    Per class, round((1 - TRAIN_FRACTION) * n) records go to test, where
-    ``audio_io.TRAIN_FRACTION`` is 0.8. The split is a pure function of
-    (records order, seed); both sides preserve the input's relative
-    ordering. DataError naming a label outside ``EMOTIONS``.
+    Per class, max(1, round((1 - TRAIN_FRACTION) * n)) records go to test,
+    where ``audio_io.TRAIN_FRACTION`` is 0.8, so every class is tested. The
+    split is a pure function of (records order, seed); both sides preserve
+    the input's relative ordering. SplitError on no records or a class with
+    fewer than 2; DataError naming a label outside ``EMOTIONS``.
     """
     records = list(records)
+    if not records:
+        raise SplitError("no records to split")
     rng = np.random.default_rng(config.seed)
     test_idx = set()
     by_class = {}
@@ -111,7 +114,7 @@ def split_dataset(records, config: TrainConfig):
             raise SplitError(f"class {EMOTIONS[cls]!r} has {len(idxs)} record(s); need >= 2")
     for cls in sorted(by_class):
         idxs = by_class[cls]
-        n_test = round(len(idxs) * (1.0 - TRAIN_FRACTION))
+        n_test = max(1, round(len(idxs) * (1.0 - TRAIN_FRACTION)))
         perm = rng.permutation(len(idxs))
         test_idx.update(idxs[p] for p in perm[:n_test])
     train = [r for i, r in enumerate(records) if i not in test_idx]
@@ -237,34 +240,28 @@ def _predict(model: Model, x: np.ndarray) -> np.ndarray:
     return predict_logits(model, x).argmax(axis=1)
 
 
-def _accuracy(y_pred: np.ndarray, y: np.ndarray) -> float:
-    return float(np.mean(y_pred == y)) if len(y) else float("nan")
-
-
 def train(records, model_spec: ModelSpec, config: TrainConfig,
           settings: FeatureSettings = FeatureSettings(),
-          cache_dir=None, jobs: int = 1, on_normalization=None):
+          cache_dir=None, jobs: int = 1):
     """Train a model on (path, label) records; returns (Checkpoint, Metrics).
 
     Splits internally, extracts features, computes the normalization
     profile on the training split, then runs epochs x ceil(N/batch)
     RMSProp steps, forwarding each row once per epoch (see ``EpochStats``).
-    A non-finite loss aborts with DivergenceError naming the epoch and batch.
+    A non-finite loss aborts with DivergenceError naming the epoch and batch,
+    and a split that decode failures leave empty with DataError.
     """
     train_recs, test_recs = split_dataset(records, config)
     train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)
     test_recs, test_mats, test_fail = extract_all(test_recs, settings, cache_dir, jobs)
-    if not train_recs:
-        raise DataError("training split is empty after decode failures")
+    for name, kept in (("training", train_recs), ("test", test_recs)):
+        if not kept:
+            raise DataError(f"{name} split is empty after decode failures")
 
     profile = compute_normalization(train_mats)
-    if on_normalization is not None:
-        on_normalization([path for path, _ in train_recs])
-
     x_train = _to_batch_array(train_mats, profile)
     y_train = _labels_array(train_recs)
-    x_test = _to_batch_array(test_mats, profile) if test_mats else np.zeros(
-        (0, N_FEATURE_ROWS, settings.t_fixed), dtype=np.float32)
+    x_test = _to_batch_array(test_mats, profile)
     y_test = _labels_array(test_recs)
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))
@@ -291,7 +288,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
             loss_sum += mean_loss * len(sel)
         train_acc = correct / n  # as Keras' fit reports it
         test_pred = _predict(model, x_test)
-        test_acc = _accuracy(test_pred, y_test)
+        test_acc = float(np.mean(test_pred == y_test))
         metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
         if config.early_stop_train_acc and train_acc >= config.early_stop_train_acc:
             break

@@ -12,7 +12,7 @@ import time
 import numpy as np
 import pytest
 
-from affectline.audio_io import AudioClip, EMOTIONS, scan_corpus
+from affectline.audio_io import EMOTIONS, scan_corpus
 from affectline.checkpoint import FeatureSettings, load_checkpoint, save_checkpoint
 from affectline.features import delta, frame_signal, mfcc, rms, zcr
 from affectline.gradcheck import run_gradcheck
@@ -30,11 +30,6 @@ TINY_SETTINGS = FeatureSettings(t_fixed=100)
 def report(name: str, ok: bool, detail: str) -> None:
     print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     assert ok, f"{name}: {detail}"
-
-
-def clip_of(samples):
-    return AudioClip(samples=np.asarray(samples, dtype=np.float64),
-                     sample_rate_hz=16000, source_path="<acceptance>")
 
 
 def balanced_subset(tmp_path, per_class):
@@ -104,13 +99,13 @@ def test_dsp_fidelity():
     for _ in range(20):
         n = int(rng.integers(400, 1400))
         x = np.clip(rng.uniform(0.05, 0.8) * rng.standard_normal(n), -1, 1)
-        got = mfcc(frame_signal(clip_of(x)), 16000)
+        got = mfcc(frame_signal(x))
         want = oracle_mfcc(x)
         scale = np.abs(want).max()
         worst = max(worst, float(np.max(np.abs(got - want)) / scale))
     mfcc_ok = worst < 1e-6
 
-    frames = frame_signal(clip_of(sine(440, 1.0)))
+    frames = frame_signal(sine(440, 1.0))
     zcr_val = zcr(frames)[0]
     zcr_ok = abs(zcr_val - 22 / 399) <= (1 / 399) * (1 + 1e-9)
 
@@ -135,14 +130,14 @@ def test_aggregation_correctness(tmp_path):
     clips = []
     for idx, n in enumerate(per_class):
         for _ in range(n):
-            clips.append((clip_of(class_tone(idx, rng, 0.15)), EMOTIONS[idx]))
+            clips.append((class_tone(idx, rng, 0.15), EMOTIONS[idx]))
     order = rng.permutation(len(clips))
     clips = [clips[i] for i in order]
     bundle = synthesize_session(clips, tmp_path / "session", session_id="agg",
                                 seed=6)
     records = load_manifest(bundle.manifest_path).records
     truth = load_truth(bundle.truth_path)
-    oracle = lambda record, clip: truth[record.segment_id]
+    oracle = lambda record, samples: truth[record.segment_id]
 
     rep = classify_session(None, records, predict=oracle)
     exact = bool(np.all(rep.counts == np.array(per_class)))

@@ -7,8 +7,7 @@ from affectline import audio_io
 from affectline.audio_io import (CorpusEmptyError, EmptyAudioError,
                                  MalformedNameError, OutOfScopeEmotionError,
                                  UnreadableFileError, UnsupportedEncodingError,
-                                 parse_ravdess_name, read_wav,
-                                 render_ravdess_name, resample, scan_corpus,
+                                 parse_ravdess_name, read_wav, resample, scan_corpus,
                                  write_wav)
 from affectline.cli import main
 from conftest import build_synthetic_corpus, make_wav_bytes, sine, write_test_wav
@@ -88,26 +87,30 @@ def oracle_resample(x: np.ndarray, sr_in: int, sr_out: int, method: str = "sinc"
 class TestReadWav:
     def test_silence_roundtrip(self, tmp_path):
         path = write_test_wav(tmp_path / "s.wav", np.zeros(16000))
-        clip = read_wav(path)
-        assert len(clip.samples) == 16000
-        assert np.all(clip.samples == 0.0)
-        assert clip.sample_rate_hz == 16000
+        samples = read_wav(path)
+        assert samples.shape == (16000,) and samples.dtype == np.float64
+        assert np.all(samples == 0.0)
+
+    def test_samples_are_read_only(self, tmp_path):
+        samples = read_wav(write_test_wav(tmp_path / "s.wav", sine(300, 0.1)))
+        with pytest.raises(ValueError, match="read-only"):
+            samples[0] = 0.5
 
     def test_stereo_identical_channels_downmix(self, tmp_path):
         mono = sine(300, 0.25)
         path = write_test_wav(tmp_path / "st.wav", mono, channels=2)
-        clip = read_wav(path)
+        samples = read_wav(path)
         ref = read_wav(write_test_wav(tmp_path / "mono.wav", mono))
-        np.testing.assert_allclose(clip.samples, ref.samples, atol=1e-9)
+        np.testing.assert_allclose(samples, ref, atol=1e-9)
 
     def test_resampled_sine_peak_within_one_bin(self, tmp_path):
         # independent oracle: direct-DFT magnitude spectrum of the output
         path = write_test_wav(tmp_path / "hi.wav", sine(440, 0.25, 48000, amp=0.8),
                               sample_rate=48000)
-        clip = read_wav(path)
-        assert clip.sample_rate_hz == 16000
-        n = len(clip.samples)
-        mags = naive_dft_magnitudes(clip.samples, n // 2 + 1)
+        samples = read_wav(path)
+        n = len(samples)
+        assert n == 4000  # 0.25 s at 16 kHz
+        mags = naive_dft_magnitudes(samples, n // 2 + 1)
         peak_hz = int(np.argmax(mags)) * 16000 / n
         assert abs(peak_hz - 440.0) <= 16000 / n + 1e-9
 
@@ -116,15 +119,14 @@ class TestReadWav:
         x = sine(500, 0.1, amp=0.5)
         path = write_test_wav(tmp_path / f"b{bits}_{fmt_code}.wav", x,
                               bits=bits, fmt_code=fmt_code)
-        clip = read_wav(path)
         tol = 1.5 / 128 if bits == 8 else 1e-4
-        np.testing.assert_allclose(clip.samples, x, atol=tol)
+        np.testing.assert_allclose(read_wav(path), x, atol=tol)
 
     def test_amplitudes_within_unit_range(self, tmp_path):
         x = np.clip(sine(440, 0.1) * 1.5, -1, 1)  # clipped square-ish, rings on resample
         path = write_test_wav(tmp_path / "loud.wav", x, sample_rate=48000)
-        clip = read_wav(path)
-        assert clip.samples.max() <= 1.0 and clip.samples.min() >= -1.0
+        samples = read_wav(path)
+        assert samples.max() <= 1.0 and samples.min() >= -1.0
 
     def test_unreadable_file(self, tmp_path):
         path = tmp_path / "junk.wav"
@@ -165,7 +167,7 @@ class TestReadWav:
     @pytest.mark.parametrize("rate", [1000, 384000])
     def test_edge_rates_accepted(self, tmp_path, rate):
         path = write_test_wav(tmp_path / "edge.wav", np.zeros(rate // 10), sample_rate=rate)
-        assert len(read_wav(path).samples) == 1600
+        assert len(read_wav(path)) == 1600
 
     def test_zero_length_audio(self, tmp_path):
         path = write_test_wav(tmp_path / "empty.wav", np.zeros(0))
@@ -176,14 +178,14 @@ class TestReadWav:
 class TestResample:
     def test_identity_rate(self):
         x = sine(100, 0.05)
-        np.testing.assert_array_equal(resample(x, 16000, 16000), x)
+        np.testing.assert_array_equal(resample(x, 16000), x)
 
     def test_output_length(self):
-        assert len(resample(np.zeros(48000), 48000, 16000)) == 16000
-        assert len(resample(np.zeros(44100), 44100, 16000)) == 16000
+        assert len(resample(np.zeros(48000), 48000)) == 16000
+        assert len(resample(np.zeros(44100), 44100)) == 16000
 
     def test_tone_amplitude_preserved(self):
-        y = resample(sine(1000, 0.5, 48000), 48000, 16000)
+        y = resample(sine(1000, 0.5, 48000), 48000)
         assert abs(np.abs(y[1000:-1000]).max() - 1.0) < 1e-3
 
     @pytest.mark.parametrize("sr_in", [1000, 8000, 11025, 22050, 32000, 44100, 48000, 96000,
@@ -195,7 +197,7 @@ class TestResample:
         for n in sorted({1, 2, 2001, max(1, up - 1), sr_in // 10}):
             x = rng.uniform(-1, 1, n)
             expected = oracle_resample(x, sr_in, 16000)
-            got = resample(x, sr_in, 16000)
+            got = resample(x, sr_in)
             assert got.shape == expected.shape
             np.testing.assert_allclose(got, expected, rtol=0, atol=1e-12, err_msg=f"n={n}")
 
@@ -206,23 +208,23 @@ class TestResample:
         # order and moves outputs by an ulp
         x = np.random.default_rng(5).uniform(-1, 1, sr_in // 20)
         audio_io._plan.cache_clear()
-        pad, _, starts, _, _, matrices = audio_io._plan(sr_in, 16000)
+        pad, _, starts, _, _, matrices = audio_io._plan(sr_in)
         assert matrices is not None
-        cached = resample(x, sr_in, 16000)
+        cached = resample(x, sr_in)
         audio_io._plan.cache_clear()
         # room for every column's taps (2*pad + 1 each) but not for the matrix
         max_taps = len(starts) * (2 * pad + 1) if table else 100
         monkeypatch.setattr(audio_io, "_MAX_TAPS", max_taps)
         try:
-            assert audio_io._plan(sr_in, 16000)[-1] is None
-            np.testing.assert_array_equal(resample(x, sr_in, 16000), cached)
+            assert audio_io._plan(sr_in)[-1] is None
+            np.testing.assert_array_equal(resample(x, sr_in), cached)
         finally:
             audio_io._plan.cache_clear()
 
     @pytest.mark.parametrize("sr_in", [8000, 11025, 22050, 24000, 32000, 44100, 48000,
                                        88200, 96000, 176400, 192000, 384000])
     def test_standard_rates_cache_the_phase_matrix(self, sr_in):
-        assert audio_io._plan(sr_in, 16000)[-1] is not None
+        assert audio_io._plan(sr_in)[-1] is not None
 
     @pytest.mark.parametrize("sr_in", [11127, 22254, 16001])
     def test_odd_rates_compute_their_taps_once(self, monkeypatch, sr_in):
@@ -233,15 +235,15 @@ class TestResample:
         try:
             with monkeypatch.context() as m:
                 m.setattr(audio_io, "_MAX_TAPS", 100)  # each block computes its taps
-                fresh = resample(x, sr_in, 16000)
+                fresh = resample(x, sr_in)
             audio_io._plan.cache_clear()
-            assert audio_io._plan(sr_in, 16000)[-1] is None
-            resample(x, sr_in, 16000)
+            assert audio_io._plan(sr_in)[-1] is None
+            resample(x, sr_in)
             calls = []
             tap_values = audio_io._tap_values
             monkeypatch.setattr(audio_io, "_tap_values",
                                 lambda *a: calls.append(a) or tap_values(*a))
-            np.testing.assert_array_equal(resample(x, sr_in, 16000), fresh)
+            np.testing.assert_array_equal(resample(x, sr_in), fresh)
             assert calls == []
         finally:
             audio_io._plan.cache_clear()
@@ -254,12 +256,12 @@ class TestResample:
         audio_io._plan.cache_clear()
         tracemalloc.start()
         try:
-            clip = read_wav(path)
+            samples = read_wav(path)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
             audio_io._plan.cache_clear()
-        assert len(clip.samples) == 17
+        assert len(samples) == 17
         assert peak < 32e6
 
 
@@ -298,20 +300,6 @@ class TestRavdessNames:
         with pytest.raises(MalformedNameError):
             parse_ravdess_name(name)
 
-    def test_parse_render_roundtrip(self):
-        rng = np.random.default_rng(7)
-        for _ in range(50):
-            name = "-".join([
-                rng.choice(["01", "02", "03"]),
-                rng.choice(["01", "02"]),
-                f"{rng.integers(1, 7):02d}",
-                rng.choice(["01", "02"]),
-                f"{rng.integers(1, 3):02d}",
-                f"{rng.integers(1, 3):02d}",
-                f"{rng.integers(1, 25):02d}",
-            ]) + ".wav"
-            assert render_ravdess_name(parse_ravdess_name(name)) == name
-
 
 class TestCorpus:
     def test_filtered_scan_counts(self, synthetic_corpus):
@@ -335,11 +323,10 @@ class TestCorpus:
         records = [(path, meta) for path, meta in scan_corpus(root) if meta.emotion == "angry"]
         assert len(records) == 10
         for path, meta in records:
-            clip = read_wav(path)
+            samples = read_wav(path)
             assert meta.emotion == "angry"
-            assert clip.sample_rate_hz == 16000
-            assert len(clip.samples) > 0
-            assert clip.samples.max() <= 1.0 and clip.samples.min() >= -1.0
+            assert samples.ndim == 1 and len(samples) > 0
+            assert samples.max() <= 1.0 and samples.min() >= -1.0
 
     def test_vacuous_filter_is_error(self, tmp_path, capsys):
         root = tmp_path / "male"
@@ -386,9 +373,8 @@ class TestCorpus:
 def test_write_read_roundtrip(tmp_path):
     x = sine(700, 0.2, amp=0.6)
     path = tmp_path / "rt.wav"
-    write_wav(path, x, 16000)
-    clip = read_wav(path)
-    np.testing.assert_allclose(clip.samples, x, atol=1e-4)
+    write_wav(path, x)
+    np.testing.assert_allclose(read_wav(path), x, atol=1e-4)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -397,5 +383,5 @@ def test_write_rejects_non_finite_samples(tmp_path, bad):
     x[5] = bad
     path = tmp_path / "bad.wav"
     with pytest.raises(ValueError, match="non-finite"):
-        write_wav(path, x, 16000)
+        write_wav(path, x)
     assert not path.exists()

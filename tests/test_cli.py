@@ -5,17 +5,20 @@ import re
 import shutil
 import struct
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from affectline import cli
 from affectline.audio_io import read_wav, scan_corpus
-from affectline.checkpoint import FeatureSettings, load_checkpoint, save_checkpoint
+from affectline.checkpoint import RETIRED_KEYS, FeatureSettings, load_checkpoint, save_checkpoint
 from affectline.cli import main
+from affectline.config import RunConfig
 from affectline.nn import ModelSpec
 from affectline.session import load_manifest, synthesize_session
-from affectline.train_eval import _to_batch_array, extract_all, predict_logits
+from affectline.train_eval import (TrainConfig, _to_batch_array, extract_all, predict_logits,
+                                   split_dataset)
 from conftest import (build_synthetic_corpus, edit_header, header_section, make_wav_bytes,
                       sine, write_test_wav)
 
@@ -181,6 +184,29 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"decode failure: {broken}: not a RIFF/WAVE file" in err
         assert "decode failures: 1" in err
+
+    def test_two_clips_per_class_test_one_each(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        build_synthetic_corpus(corpus, per_class=2)
+        out = tmp_path / "o"
+        assert main(["train", "--corpus", str(corpus), "--out", str(out), "--epochs", "2",
+                     "--cache-dir", str(tmp_path / "c"), *TINY_OVERRIDES]) == 0
+        test_acc = capsys.readouterr().out.split("test_acc: ")[1].split()[0]
+        assert np.isfinite(float(test_acc))
+        with (out / "confusion.csv").open() as fh:
+            rows = [[int(v) for v in row[1:]] for row in list(csv.reader(fh))[1:]]
+        assert [sum(row) for row in rows] == [1] * 6
+
+    def test_undecodable_test_split_exits_3(self, tmp_path, capsys):
+        corpus = tmp_path / "corpus"
+        build_synthetic_corpus(corpus, per_class=2)
+        records = [(path, meta.emotion) for path, meta in scan_corpus(corpus)]
+        _, test_recs = split_dataset(records, TrainConfig(seed=7))
+        for path, _ in test_recs:
+            path.write_bytes(b"garbage")
+        assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
+                     "--seed", "7", "--cache-dir", str(tmp_path / "c"), *TINY_OVERRIDES]) == 3
+        assert "test split is empty after decode failures" in capsys.readouterr().err
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unreadable_paths_named_with_a_cache(self, tmp_path, corpus_root, capsys, jobs):
@@ -499,6 +525,21 @@ class TestDedicatedFlags:
             main(argv)
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+    def test_readme_names_every_retired_key_at_its_value(self):
+        text = " ".join(README.read_text(encoding="utf-8").split())
+        listed = re.search(r"(\S+) keys that older `config.txt` .*? A retired key", text)
+        header = re.search(r"in `model_spec` as (.*?), two more retired keys \((\d+) in all", text)
+        named = re.findall(r"`(\w+ = [^`]*)`", listed.group(0))
+        named_in_header = re.findall(r"`(\w+ = [^`]*)`", header.group(1))
+        # each key at its fixed value, as config.txt would echo it
+        retired = SimpleNamespace(field_names=lambda: RETIRED_KEYS, **RETIRED_KEYS)
+        assert sorted(named + named_in_header) == RunConfig.to_text(retired).splitlines()
+        ones = ["", "-one", "-two", "-three", "-four", "-five", "-six", "-seven", "-eight",
+                "-nine"]
+        tens = {2: "Twenty", 3: "Thirty"}[len(named) // 10]
+        assert listed.group(1) == tens + ones[len(named) % 10]
+        assert int(header.group(2)) == len(RETIRED_KEYS)
 
     def test_readme_table_lists_each_commands_flags(self):
         # (dedicated key flags, other flags) of each command, in parser order

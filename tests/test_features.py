@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from affectline import features
-from affectline.audio_io import AudioClip
 from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
 from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS, FRAME_LEN, HOP, N_FFT,
@@ -10,11 +9,6 @@ from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS, FRAME_LEN,
                                  delta, frame_signal, mfcc, rms, zcr)
 from affectline.train_eval import _to_batch_array
 from conftest import sine
-
-
-def clip_of(samples, rate=16000):
-    return AudioClip(samples=np.asarray(samples, dtype=np.float64),
-                     sample_rate_hz=rate, source_path="<test>")
 
 
 # ---------------------------------------------------------------------------
@@ -70,24 +64,24 @@ def oracle_mfcc(signal, sample_rate=16000, frame_len=400, hop=160, n_fft=512,
 class TestFraming:
     @pytest.mark.parametrize("n,expected", [(16000, 98), (300, 1), (400, 1), (560, 2)])
     def test_frame_counts(self, n, expected):
-        frames = frame_signal(clip_of(np.zeros(n)))
+        frames = frame_signal(np.zeros(n))
         assert frames.shape == (expected, 400)
 
     def test_short_clip_zero_padded(self):
-        frames = frame_signal(clip_of(np.ones(300)))
+        frames = frame_signal(np.ones(300))
         assert frames.shape == (1, 400)
         assert np.all(frames[0, :300] == 1.0)
         assert np.all(frames[0, 300:] == 0.0)
 
     def test_no_window_applied(self):
-        frames = frame_signal(clip_of(np.ones(400)))
+        frames = frame_signal(np.ones(400))
         np.testing.assert_array_equal(frames[0], np.ones(400))
 
 
 class TestMfcc:
     def test_silence_matches_constant_dct(self):
-        frames = frame_signal(clip_of(np.zeros(16000)))
-        coeffs = mfcc(frames, 16000)
+        frames = frame_signal(np.zeros(16000))
+        coeffs = mfcc(frames)
         # every column identical; c0 is the DCT of a constant log-floor vector
         assert np.allclose(coeffs, coeffs[:, :1])
         assert coeffs[0, 0] == pytest.approx(np.sqrt(26) * np.log(1e-10), rel=1e-12)
@@ -95,7 +89,7 @@ class TestMfcc:
 
     def test_matches_naive_dft_oracle_on_sine(self):
         x = sine(440, 0.12)
-        coeffs = mfcc(frame_signal(clip_of(x)), 16000)
+        coeffs = mfcc(frame_signal(x))
         expected = oracle_mfcc(x)
         scale = np.abs(expected).max()
         np.testing.assert_allclose(coeffs, expected, rtol=1e-6, atol=1e-6 * scale)
@@ -105,7 +99,7 @@ class TestMfcc:
         for _ in range(20):
             n = int(rng.integers(400, 1400))
             x = np.clip(rng.uniform(0.05, 0.8) * rng.standard_normal(n), -1, 1)
-            coeffs = mfcc(frame_signal(clip_of(x)), 16000)
+            coeffs = mfcc(frame_signal(x))
             expected = oracle_mfcc(x)
             scale = np.abs(expected).max()
             np.testing.assert_allclose(coeffs, expected, rtol=1e-6, atol=1e-6 * scale)
@@ -115,8 +109,8 @@ class TestMfcc:
         # maps that constant onto coefficient 0 alone
         rng = np.random.default_rng(3)
         x = np.clip(0.3 * rng.standard_normal(1200), -0.45, 0.45)
-        base = mfcc(frame_signal(clip_of(x)), 16000)
-        scaled = mfcc(frame_signal(clip_of(2 * x)), 16000)
+        base = mfcc(frame_signal(x))
+        scaled = mfcc(frame_signal(2 * x))
         np.testing.assert_allclose(scaled[0] - base[0],
                                    np.sqrt(26) * np.log(4.0), rtol=1e-9)
         np.testing.assert_allclose(scaled[1:], base[1:], atol=1e-9)
@@ -131,7 +125,7 @@ class TestMfcc:
         with pytest.raises(ConfigError, match="n_mels"):
             drop_retired({"n_mels": 26.0})
         with pytest.raises(ConfigError, match="frame length 600"):
-            mfcc(np.zeros((1, 600)), 16000)
+            mfcc(np.zeros((1, 600)))
 
 
 class TestDelta:
@@ -165,7 +159,7 @@ class TestZcrRms:
         assert zcr(frame)[0] == 1.0
 
     def test_zcr_440hz_sine(self):
-        frames = frame_signal(clip_of(sine(440, 1.0)))
+        frames = frame_signal(sine(440, 1.0))
         # analytic crossing count 2*440*0.025 = 22 over a 25 ms frame
         assert abs(zcr(frames)[0] - 22 / 399) <= (1 / 399) * (1 + 1e-9)
 
@@ -176,24 +170,24 @@ class TestZcrRms:
     def test_rms_cases(self):
         assert rms(np.zeros((1, 400)))[0] == 0.0
         assert rms(np.full((1, 400), 0.5))[0] == pytest.approx(0.5)
-        frames = frame_signal(clip_of(sine(440, 1.0)))  # 11 cycles per frame
+        frames = frame_signal(sine(440, 1.0))  # 11 cycles per frame
         assert abs(rms(frames)[0] - 1 / np.sqrt(2)) < 1e-3
 
 
 class TestAssemble:
     def test_three_second_clip_shape(self):
-        fm = assemble_features(clip_of(np.random.default_rng(0).standard_normal(48000) * 0.1))
+        fm = assemble_features(np.random.default_rng(0).standard_normal(48000) * 0.1)
         assert fm.values.shape == (41, 300)
         assert fm.n_valid_frames == 298
         assert np.all(fm.values[:, 298:] == 0.0)
 
     def test_six_second_clip_truncated(self):
-        fm = assemble_features(clip_of(np.random.default_rng(1).standard_normal(96000) * 0.1))
+        fm = assemble_features(np.random.default_rng(1).standard_normal(96000) * 0.1)
         assert fm.values.shape == (41, 300)
         assert fm.n_valid_frames == 300
 
     def test_silence_zcr_rms_rows_zero(self):
-        fm = assemble_features(clip_of(np.zeros(16000)))
+        fm = assemble_features(np.zeros(16000))
         assert np.all(fm.values[39] == 0.0)  # zcr row
         assert np.all(fm.values[40] == 0.0)  # rms row
 
@@ -206,14 +200,14 @@ class TestAssemble:
 
     @pytest.mark.parametrize("n_samples", [150, 4000, 48000, 96000, 120000])
     def test_shape_fixed_for_any_length(self, n_samples):
-        fm = assemble_features(clip_of(np.ones(n_samples) * 0.1))
+        fm = assemble_features(np.ones(n_samples) * 0.1)
         assert fm.values.shape == (41, DEFAULT_T_FIXED)
 
     def test_time_shift_by_one_hop_shifts_columns(self):
         rng = np.random.default_rng(5)
         x = 0.4 * rng.standard_normal(8000)
-        full = assemble_features(clip_of(x))
-        shifted = assemble_features(clip_of(x[160:]))
+        full = assemble_features(x)
+        shifted = assemble_features(x[160:])
         t2 = shifted.n_valid_frames
         # interior columns: away from delta edge replication on both sides
         np.testing.assert_allclose(shifted.values[:, 4:t2 - 4],
@@ -221,19 +215,19 @@ class TestAssemble:
 
     def test_normalization_applies_to_valid_columns_only(self):
         rng = np.random.default_rng(9)
-        mats = [assemble_features(clip_of(0.3 * rng.standard_normal(16000)))
+        mats = [assemble_features(0.3 * rng.standard_normal(16000))
                 for _ in range(4)]
         profile = compute_normalization(mats)
-        fm = assemble_features(clip_of(0.3 * rng.standard_normal(16000)))
+        fm = assemble_features(0.3 * rng.standard_normal(16000))
         x = _to_batch_array([fm], profile)[0]
         assert fm.n_valid_frames == 98
         assert np.all(x[:, 98:] == 0.0)
         assert not np.allclose(x[:, :98].mean(), 10.0)  # sanity: standardized
 
     def test_profile_zero_std_rows_safe(self):
-        mats = [assemble_features(clip_of(np.zeros(16000))) for _ in range(2)]
+        mats = [assemble_features(np.zeros(16000)) for _ in range(2)]
         profile = compute_normalization(mats)
-        x = _to_batch_array([assemble_features(clip_of(np.zeros(16000)))], profile)
+        x = _to_batch_array([assemble_features(np.zeros(16000))], profile)
         assert np.all(np.isfinite(x))
 
 
@@ -243,8 +237,8 @@ class TestAssemble:
 # truncate. The new path must equal it bit for bit.
 # ---------------------------------------------------------------------------
 
-def oracle_frame_signal(clip, flen=400, hop=160):
-    x = np.asarray(clip.samples, dtype=np.float64)
+def oracle_frame_signal(samples, flen=400, hop=160):
+    x = np.asarray(samples, dtype=np.float64)
     if len(x) < flen:
         x = np.pad(x, (0, flen - len(x)))
     n_frames = (len(x) - flen) // hop + 1
@@ -259,9 +253,9 @@ def oracle_zcr(frames):
     return changes / (frames.shape[1] - 1)
 
 
-def oracle_assemble_features(clip, delta_window=2, t_fixed=DEFAULT_T_FIXED):
-    frames = oracle_frame_signal(clip)
-    coeffs = mfcc(frames, clip.sample_rate_hz)
+def oracle_assemble_features(samples, delta_window=2, t_fixed=DEFAULT_T_FIXED):
+    frames = oracle_frame_signal(samples)
+    coeffs = mfcc(frames)
     d1 = delta(coeffs, delta_window)
     d2 = delta(d1, delta_window)
     stacked = np.vstack([coeffs, d1, d2, oracle_zcr(frames)[None, :], rms(frames)[None, :]])
@@ -286,19 +280,18 @@ class TestFeatureWindowOracle:
         rng = np.random.default_rng(n + 7 * delta_window + t_fixed)
         x = 0.3 * rng.standard_normal(n)
         x[::37] = 0.0  # exact zeros count as positive in the zcr row
-        fm = assemble_features(clip_of(x), t_fixed)
-        values, n_valid = oracle_assemble_features(clip_of(x), delta_window, t_fixed)
+        fm = assemble_features(x, t_fixed)
+        values, n_valid = oracle_assemble_features(x, delta_window, t_fixed)
         assert fm.n_valid_frames == n_valid
         assert fm.values.dtype == values.dtype
         assert fm.values.tobytes() == values.tobytes()
 
     def test_frames_are_a_read_only_view(self):
         x = np.random.default_rng(3).standard_normal(4000)
-        clip = clip_of(x)
-        frames = frame_signal(clip)
+        frames = frame_signal(x)
         assert not frames.flags.writeable
-        assert np.shares_memory(frames, clip.samples)
-        np.testing.assert_array_equal(frames, oracle_frame_signal(clip))
+        assert np.shares_memory(frames, x)
+        np.testing.assert_array_equal(frames, oracle_frame_signal(x))
 
 
 def test_frame_config_validation():

@@ -311,15 +311,16 @@ class TestReluPoolFc:
 
 class TestSoftmaxXent:
     def test_uniform_logits(self):
-        loss, grad = softmax_xent(np.zeros(6), 3)
-        assert loss == pytest.approx(np.log(6.0), rel=1e-12)
-        expected = np.full(6, 1 / 6.0)
-        expected[3] -= 1.0
+        loss, grad = softmax_xent(np.zeros((1, 6)), [3])
+        assert loss.shape == (1,) and grad.shape == (1, 6)
+        assert loss[0] == pytest.approx(np.log(6.0), rel=1e-12)
+        expected = np.full((1, 6), 1 / 6.0)
+        expected[0, 3] -= 1.0
         np.testing.assert_allclose(grad, expected, atol=1e-12)
 
     def test_extreme_logit_is_stable(self):
-        loss, grad = softmax_xent(np.array([1000.0, 0, 0, 0, 0, 0]), 0)
-        assert np.isfinite(loss) and loss == pytest.approx(0.0, abs=1e-12)
+        loss, grad = softmax_xent(np.array([[1000.0, 0, 0, 0, 0, 0]]), [0])
+        assert np.isfinite(loss[0]) and loss[0] == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.isfinite(grad))
 
     def test_probabilities_sum_to_one_and_loss_nonnegative(self):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from affectline.audio_io import EMOTION_INDEX, EMOTIONS, AudioClip, read_wav
+from affectline.audio_io import EMOTION_INDEX, EMOTIONS, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings
 from affectline.errors import ConfigError, DataError
 from affectline.features import assemble_features, compute_normalization
@@ -14,23 +14,18 @@ from affectline.train_eval import confusion_matrix, evaluate
 from conftest import class_tone, sine
 
 
-def clip_of(samples):
-    return AudioClip(samples=np.asarray(samples, dtype=np.float64),
-                     sample_rate_hz=16000, source_path="<test>")
-
-
 def labeled_clips(n, seed=0):
     """n clips whose labels cycle through the 6 emotions."""
     rng = np.random.default_rng(seed)
     out = []
     for i in range(n):
         label = EMOTIONS[i % len(EMOTIONS)]
-        out.append((clip_of(class_tone(i % len(EMOTIONS), rng, 0.3)), label))
+        out.append((class_tone(i % len(EMOTIONS), rng, 0.3), label))
     return out
 
 
 def truth_predictor(truth):
-    return lambda record, clip: truth[record.segment_id]
+    return lambda record, samples: truth[record.segment_id]
 
 
 class TestManifest:
@@ -149,9 +144,9 @@ class TestSynthesize:
 
     def test_snr_is_respected(self, tmp_path):
         x = 0.4 * sine(350, 1.0)
-        bundle = synthesize_session([(clip_of(x), "happy")], tmp_path / "snr",
+        bundle = synthesize_session([(x, "happy")], tmp_path / "snr",
                                     snr_db=10.0, seed=3)
-        y = read_wav(bundle.segment_paths[0]).samples
+        y = read_wav(bundle.segment_paths[0])
         noise = y - x  # quantization error is negligible next to the noise
         measured = 20 * np.log10(np.sqrt(np.mean(x ** 2)) / np.sqrt(np.mean(noise ** 2)))
         assert abs(measured - 10.0) <= 0.5
@@ -182,7 +177,7 @@ class TestClassifySession:
         rng = np.random.default_rng(0)
         for label, n in counts.items():
             for _ in range(n):
-                clips.append((clip_of(class_tone(EMOTION_INDEX[label], rng, 0.2)), label))
+                clips.append((class_tone(EMOTION_INDEX[label], rng, 0.2), label))
         bundle = synthesize_session(clips, tmp_path / "s", seed=1)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
@@ -248,7 +243,7 @@ class TestClassifySession:
     def test_multiple_sessions_rejected(self):
         records = [seg("s1", 0, "FAN"), seg("s2", 1, "FAN")]
         with pytest.raises(DataError):
-            classify_session(None, records, predict=lambda r, c: "sad")
+            classify_session(None, records, predict=lambda r, samples: "sad")
 
     def test_chunk_vote_on_long_segment(self, tmp_path):
         # untrained checkpoint: the contract here is only that voting over
@@ -259,7 +254,7 @@ class TestClassifySession:
                           params=dict(model.parameters()),
                           opt_acc={}, features=FeatureSettings(t_fixed=100),
                           normalization=None)
-        long_clip = clip_of(np.tile(sine(320, 1.0), 5))  # ~3 windows of 1.6 s
+        long_clip = np.tile(sine(320, 1.0), 5)  # ~3 windows of 1.6 s
         bundle = synthesize_session([(long_clip, "calm")], tmp_path / "long", seed=0)
         records = load_manifest(bundle.manifest_path).records
         plain = classify_session(ckpt, records)
@@ -271,11 +266,11 @@ class TestClassifySession:
         settings = FeatureSettings(t_fixed=100)
         rng = np.random.default_rng(4)
         profile = compute_normalization(
-            [assemble_features(clip_of(0.3 * rng.standard_normal(16000)), t_fixed=100)
+            [assemble_features(0.3 * rng.standard_normal(16000), t_fixed=100)
              for _ in range(3)])
         ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
                           opt_acc={}, features=settings, normalization=profile)
-        short = clip_of(class_tone(2, rng, 0.5))  # shorter than one feature window
+        short = class_tone(2, rng, 0.5)  # shorter than one feature window
         bundle = synthesize_session([(short, EMOTIONS[2])], tmp_path / "s", seed=0)
         records = load_manifest(bundle.manifest_path).records
         inputs = []
@@ -299,7 +294,7 @@ class TestClassifySession:
         truth = load_truth(bundle.truth_path)
         settings = FeatureSettings()
         profile = compute_normalization(
-            [assemble_features(clip, t_fixed=settings.t_fixed) for clip, _ in clips])
+            [assemble_features(samples, t_fixed=settings.t_fixed) for samples, _ in clips])
         spec = ModelSpec()
         ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=2).parameters()),
                           opt_acc={}, features=settings, normalization=profile)

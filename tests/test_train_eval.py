@@ -11,7 +11,8 @@ from affectline.checkpoint import (Checkpoint, CheckpointError, CheckpointMagicE
                                    CheckpointVersionError, FeatureSettings, drop_retired,
                                    load_checkpoint, save_checkpoint)
 from affectline.errors import ConfigError, DataError, DivergenceError
-from affectline.features import FEATURE_ROW_LABELS, MAX_T_FIXED, N_FEATURE_ROWS
+from affectline.features import (FEATURE_ROW_LABELS, MAX_T_FIXED, N_FEATURE_ROWS,
+                                 compute_normalization)
 from affectline.nn import MAX_CONV_CHANNELS, Model, ModelSpec
 from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
@@ -43,13 +44,14 @@ def fake_records(counts):
 
 class TestSplit:
     def test_per_class_test_count_rule(self):
+        # round(0.2 n) records per class, but at least one: 2 records split 1/1
         counts = {"neutral": 20, "calm": 17, "happy": 16, "sad": 18,
-                  "angry": 15, "fearful": 14}
+                  "angry": 15, "fearful": 2}
+        expected = {"neutral": 4, "calm": 3, "happy": 3, "sad": 4, "angry": 3, "fearful": 1}
         config = TrainConfig(seed=1)
         train_recs, test_recs = split_dataset(fake_records(counts), config)
-        for label, n in counts.items():
-            n_test = sum(1 for _, l in test_recs if l == label)
-            assert n_test == round(0.2 * n)
+        for label in counts:
+            assert sum(1 for _, l in test_recs if l == label) == expected[label]
         assert len(train_recs) + len(test_recs) == sum(counts.values())
 
     def test_same_seed_identical_split(self):
@@ -77,6 +79,13 @@ class TestSplit:
         records = fake_records({"neutral": 1, "calm": 5})
         with pytest.raises(SplitError):
             split_dataset(records, TrainConfig(seed=0))
+
+    def test_no_records_refused(self, monkeypatch):
+        with pytest.raises(SplitError, match="no records to split"):
+            split_dataset([], TrainConfig(seed=0))
+        monkeypatch.setattr(train_eval, "extract_all", None)  # any extraction would fail
+        with pytest.raises(SplitError, match="no records to split"):
+            train([], TINY_SPEC, TrainConfig(epochs=1), TINY_SETTINGS)
 
     def test_config_validation(self):
         for bad in ({"batch_size": 0}, {"epochs": -1}, {"seed": -1}, {"lr": -1e-4},
@@ -154,12 +163,14 @@ class TestTrain:
     def test_normalization_uses_train_split_only(self, synthetic_corpus):
         _, records = synthetic_corpus
         config = TrainConfig(epochs=1, seed=13)
-        seen = []
-        train(records, TINY_SPEC, config, TINY_SETTINGS,
-              on_normalization=seen.append)
-        train_recs, test_recs = split_dataset(records, config)
-        assert seen[0] == [path for path, _ in train_recs]
-        assert not set(seen[0]) & {path for path, _ in test_recs}
+        ckpt, _ = train(records, TINY_SPEC, config, TINY_SETTINGS)
+        train_recs, _ = split_dataset(records, config)
+        expected = compute_normalization(extract_all(train_recs, TINY_SETTINGS)[1])
+        every = compute_normalization(extract_all(records, TINY_SETTINGS)[1])
+        for stat in ("mean", "std"):
+            got = getattr(ckpt.normalization, stat)
+            assert got.tobytes() == getattr(expected, stat).tobytes()
+            assert not np.allclose(got, getattr(every, stat), rtol=1e-6, atol=0)
 
     def test_deterministic_metrics_and_params(self, synthetic_corpus):
         _, records = synthetic_corpus
