@@ -140,17 +140,19 @@ def read_bytes(path) -> bytes:
         raise UnreadableFileError(f"{path}: {exc}") from exc
 
 
-def read_wav(path) -> np.ndarray:
+def read_wav(path, raw: bytes | None = None) -> np.ndarray:
     """Decode a PCM WAV file into mono float64 samples at ``PIPELINE_SAMPLE_RATE``,
     clipped to [-1, 1] and read-only.
 
-    Stereo input is downmixed by channel average. Rate conversion uses a
-    windowed-sinc filter. Raises UnreadableFileError, UnsupportedEncodingError
-    (also for NaN/Inf float samples and header rates outside
-    MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or EmptyAudioError.
+    ``raw``, when given, is the file's content already read by the caller;
+    ``path`` then only names the file in errors. Stereo input is downmixed
+    by channel average. Rate conversion uses a windowed-sinc filter. Raises
+    UnreadableFileError, UnsupportedEncodingError (also for NaN/Inf float
+    samples and header rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or
+    EmptyAudioError.
     """
     path = Path(path)
-    chunks = _parse_riff_chunks(read_bytes(path), str(path))
+    chunks = _parse_riff_chunks(read_bytes(path) if raw is None else raw, str(path))
     if b"fmt " not in chunks or b"data" not in chunks:
         raise UnreadableFileError(f"{path}: missing fmt or data chunk")
     fmt = chunks[b"fmt "]

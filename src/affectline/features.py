@@ -179,7 +179,8 @@ def assemble_features(samples: np.ndarray, t_fixed: int = DEFAULT_T_FIXED) -> Fe
     zero-padded on the right. Delta-delta column t_fixed - 1 reaches frame
     t_fixed - 1 + 2*DELTA_WINDOW, so only the samples up to that frame are
     framed: later ones cannot change a kept value. Normalization is applied
-    later, when matrices are batched for the model.
+    later, when matrices are batched for the model. The values are
+    read-only, as ``read_wav``'s samples are.
     """
     keep = (t_fixed + 2 * DELTA_WINDOW - 1) * HOP + FRAME_LEN
     frames = frame_signal(samples[:keep])
@@ -191,4 +192,6 @@ def assemble_features(samples: np.ndarray, t_fixed: int = DEFAULT_T_FIXED) -> Fe
     n_valid = min(stacked.shape[1], t_fixed)
     values = np.zeros((stacked.shape[0], t_fixed), dtype=np.float64)
     values[:, :n_valid] = stacked[:, :n_valid]
-    return FeatureMatrix(values=values.astype(np.float32), n_valid_frames=n_valid)
+    values = values.astype(np.float32)
+    values.setflags(write=False)
+    return FeatureMatrix(values=values, n_valid_frames=n_valid)

@@ -16,7 +16,8 @@ import concurrent.futures
 import hashlib
 import json
 import os
-import zipfile
+import struct
+import zlib
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
@@ -26,8 +27,8 @@ from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError
                        read_wav)
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
-from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, FeatureMatrix, assemble_features,
-                       compute_normalization)
+from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
+                       assemble_features, compute_normalization)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
 __all__ = [
@@ -137,33 +138,59 @@ def _settings_token(settings: FeatureSettings) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
+# A cache entry is one raw record: _ENTRY_HEADER (magic, CRC32 of every byte
+# after the CRC field, t_fixed, n_valid_frames), then the (41, t_fixed) values
+# as little-endian float32, row-major.
+_ENTRY_MAGIC = b"AFM1"
+_ENTRY_HEADER = struct.Struct("<4sIII")
+
+
+def _read_entry(path: Path, t_fixed: int) -> FeatureMatrix | None:
+    """The matrix stored at ``path``; None when the entry is missing or damaged."""
+    try:
+        raw = path.read_bytes()
+    except OSError:
+        return None
+    if len(raw) != _ENTRY_HEADER.size + N_FEATURE_ROWS * t_fixed * 4:
+        return None
+    magic, crc, t, n_valid = _ENTRY_HEADER.unpack_from(raw)
+    if (magic != _ENTRY_MAGIC or t != t_fixed or n_valid > t
+            or crc != zlib.crc32(memoryview(raw)[8:])):
+        return None
+    values = np.frombuffer(raw, dtype="<f4", offset=_ENTRY_HEADER.size)
+    return FeatureMatrix(values=values.reshape(N_FEATURE_ROWS, t), n_valid_frames=n_valid)
+
+
+def _write_entry(path: Path, fm: FeatureMatrix) -> None:
+    t, n_valid = fm.values.shape[1], fm.n_valid_frames
+    values = fm.values.astype("<f4", copy=False).tobytes()
+    crc = zlib.crc32(values, zlib.crc32(struct.pack("<II", t, n_valid)))
+    path.parent.mkdir(parents=True, exist_ok=True)
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    tmp.write_bytes(_ENTRY_HEADER.pack(_ENTRY_MAGIC, crc, t, n_valid) + values)
+    os.replace(tmp, path)  # atomic under concurrent extraction
+
+
 def extract_features(path, settings: FeatureSettings,
                      cache_dir: Path | None = None) -> FeatureMatrix:
     """Extract the raw (unnormalized) feature matrix for one file.
 
     With ``cache_dir`` set, results are stored keyed by (file content
     hash, settings and feature code version hash); normalization always
-    happens downstream so the cache is split-independent. An entry that
-    cannot be read back is a miss and gets overwritten.
+    happens downstream so the cache is split-independent. The file is read
+    once: the bytes hashed for the key are the bytes decoded. An entry
+    that cannot be read back is a miss and gets overwritten. The values
+    are read-only.
     """
-    if cache_dir is not None:
-        digest = hashlib.sha256(read_bytes(path)).hexdigest()[:20]
-        key = f"{digest}-{_settings_token(settings)}.npz"
-        cached = Path(cache_dir) / key
-        if cached.exists():
-            try:
-                with np.load(cached) as z:
-                    return FeatureMatrix(values=z["values"],
-                                         n_valid_frames=int(z["n_valid"]))
-            except (zipfile.BadZipFile, ValueError, EOFError, KeyError):
-                pass  # damaged entry: recompute below
-    fm = assemble_features(read_wav(path), settings.t_fixed)
-    if cache_dir is not None:
-        Path(cache_dir).mkdir(parents=True, exist_ok=True)
-        tmp = cached.parent / f"{cached.stem}.{os.getpid()}.tmp.npz"
-        with open(tmp, "wb") as fh:
-            np.savez(fh, values=fm.values, n_valid=fm.n_valid_frames)
-        os.replace(tmp, cached)  # atomic under concurrent extraction
+    if cache_dir is None:
+        return assemble_features(read_wav(path), settings.t_fixed)
+    raw = read_bytes(path)
+    digest = hashlib.sha256(raw).hexdigest()[:20]
+    cached = Path(cache_dir) / f"{digest}-{_settings_token(settings)}.afm"
+    fm = _read_entry(cached, settings.t_fixed)
+    if fm is None:
+        fm = assemble_features(read_wav(path, raw), settings.t_fixed)
+        _write_entry(cached, fm)
     return fm
 
 
@@ -192,9 +219,16 @@ def extract_all(records, settings: FeatureSettings, cache_dir=None, jobs: int = 
         if fm is None:
             failures.append((record[0], err))
         else:
+            fm.values.setflags(write=False)  # a worker process's matrix arrives writable
             kept.append(record)
             matrices.append(fm)
     return kept, matrices, failures
+
+
+def _decode_failures_error(message: str, failures) -> DataError:
+    """DataError ``message``, naming each failed path and its reason on a line of its own."""
+    return DataError("\n  ".join([f"{message} ({len(failures)}):",
+                                  *(reason for _, reason in failures)]))
 
 
 def _to_batch_array(matrices, profile) -> np.ndarray:
@@ -249,14 +283,16 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     profile on the training split, then runs epochs x ceil(N/batch)
     RMSProp steps, forwarding each row once per epoch (see ``EpochStats``).
     A non-finite loss aborts with DivergenceError naming the epoch and batch,
-    and a split that decode failures leave empty with DataError.
+    and a split that decode failures leave empty with DataError naming every
+    failure.
     """
     train_recs, test_recs = split_dataset(records, config)
     train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)
     test_recs, test_mats, test_fail = extract_all(test_recs, settings, cache_dir, jobs)
     for name, kept in (("training", train_recs), ("test", test_recs)):
         if not kept:
-            raise DataError(f"{name} split is empty after decode failures")
+            raise _decode_failures_error(f"{name} split is empty after decode failures",
+                                         train_fail + test_fail)
 
     profile = compute_normalization(train_mats)
     x_train = _to_batch_array(train_mats, profile)
@@ -325,7 +361,8 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     Features are extracted with the checkpoint's own settings. Records that
     fail to decode are left out and listed in ``failures``, so ``n_test``
     can be below the record count. An empty record list is an error rather
-    than a NaN accuracy, and so is a label outside ``EMOTIONS``.
+    than a NaN accuracy, and so is a label outside ``EMOTIONS`` or every
+    record failing (the DataError names each failure).
     """
     records = list(records)
     if not records:
@@ -333,7 +370,7 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     _labels_array(records)  # a label outside EMOTIONS fails before any extraction
     kept, mats, failures = extract_all(records, ckpt.features, cache_dir, jobs)
     if not kept:
-        raise DataError("all records failed to decode")
+        raise _decode_failures_error("all records failed to decode", failures)
     x = _to_batch_array(mats, ckpt.normalization)
     y = _labels_array(kept)
     model = ckpt.build_model()

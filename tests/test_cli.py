@@ -206,7 +206,10 @@ class TestTrainCommand:
             path.write_bytes(b"garbage")
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
                      "--seed", "7", "--cache-dir", str(tmp_path / "c"), *TINY_OVERRIDES]) == 3
-        assert "test split is empty after decode failures" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert f"test split is empty after decode failures ({len(test_recs)}):" in err
+        for path, _ in test_recs:
+            assert f"\n  {path}: not a RIFF/WAVE file" in err
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_unreadable_paths_named_with_a_cache(self, tmp_path, corpus_root, capsys, jobs):
@@ -400,6 +403,23 @@ class TestEvalCommand:
         assert f"decode failure: {garbage}: not a RIFF/WAVE file" in err
         assert f"decode failure: {three_channel}: 3 channels" in err
         assert "decode failures: 2" in err
+
+    def test_every_record_undecodable_exits_3_naming_each(self, tmp_path, corpus_root,
+                                                           trained_run, capsys):
+        run, cache = trained_run
+        corpus = tmp_path / "corpus"
+        shutil.copytree(corpus_root, corpus)
+        clips = sorted(corpus.glob("*.wav"))
+        for clip in clips:
+            clip.write_bytes(b"garbage")
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
+                     "--cache-dir", str(cache), "--jobs", "1"]) == 3
+        err = capsys.readouterr().err
+        assert f"error: all records failed to decode ({len(clips)}):" in err
+        for clip in clips:
+            assert f"\n  {clip}: not a RIFF/WAVE file" in err
+        assert not (tmp_path / "eval" / "eval.csv").exists()
 
 
 class TestClassifyCommand:

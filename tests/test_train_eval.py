@@ -1,5 +1,7 @@
-import io
+import hashlib
+import struct
 import tracemalloc
+import zlib
 
 import numpy as np
 import pytest
@@ -418,17 +420,67 @@ class TestCheckpointIO:
         assert "expected" in str(info.value) and "got" in str(info.value)
 
 
+def count_decodes(monkeypatch):
+    """Paths decoded through ``train_eval.read_wav`` from now on: a cache miss each."""
+    decoded = []
+    read_wav = train_eval.read_wav
+    monkeypatch.setattr(train_eval, "read_wav",
+                        lambda *a, **k: decoded.append(a[0]) or read_wav(*a, **k))
+    return decoded
+
+
+def flip_bit(raw, offset, bit):
+    return raw[:offset] + bytes([raw[offset] ^ (1 << bit)]) + raw[offset + 1:]
+
+
+def with_header(raw, **fields):
+    """``raw`` with header fields replaced and its CRC recomputed: a valid checksum."""
+    _, _, t, n_valid = struct.unpack_from("<4sIII", raw)
+    fields = {"t": t, "n_valid": n_valid, **fields}
+    body = struct.pack("<II", fields["t"], fields["n_valid"]) + raw[16:]
+    return raw[:4] + struct.pack("<I", zlib.crc32(body)) + body
+
+
+def lowest_set_bit(n):
+    return (n & -n).bit_length() - 1
+
+
+# Each damage defeats one check of the entry reader: the length, the magic,
+# t_fixed, n_valid <= t_fixed, or the CRC (of everything after its field).
+ENTRY_DAMAGE = {
+    "truncated": lambda raw: raw[:-100],
+    "garbage": lambda raw: b"not a feature entry\n" * 20,
+    "longer": lambda raw: with_header(raw + bytes(4)),
+    "empty": lambda raw: b"",
+    "magic bit": lambda raw: flip_bit(raw, 0, 0),
+    "crc bit": lambda raw: flip_bit(raw, 4, 3),
+    # lowers n_valid, which stays <= t_fixed: only the CRC can tell
+    "n_valid bit": lambda raw: flip_bit(raw, 12, lowest_set_bit(raw[12])),
+    "values bit": lambda raw: flip_bit(raw, 16 + 4 * 57 + 3, 5),
+    "other t_fixed": lambda raw: with_header(raw, t=99),
+    "n_valid past t_fixed": lambda raw: with_header(raw, n_valid=101),
+}
+
+
 class TestFeatureCache:
-    def test_cache_hit_matches_fresh_extraction(self, synthetic_corpus, tmp_path):
+    def test_cache_hit_is_bit_equal_to_fresh_extraction(self, synthetic_corpus, tmp_path,
+                                                        monkeypatch):
         _, records = synthetic_corpus
         cache = tmp_path / "cache"
         path = records[0][0]
         first = extract_features(path, TINY_SETTINGS, cache)
-        assert any(cache.iterdir())
+        (entry,) = cache.iterdir()
+        assert entry.suffix == ".afm"
+        decoded = count_decodes(monkeypatch)
         second = extract_features(path, TINY_SETTINGS, cache)
+        assert decoded == []  # a hit
         fresh = extract_features(path, TINY_SETTINGS, None)
-        np.testing.assert_array_equal(first.values, second.values)
-        np.testing.assert_array_equal(first.values, fresh.values)
+        for fm in (first, second):
+            assert fm.values.dtype == fresh.values.dtype == np.float32
+            assert fm.values.shape == fresh.values.shape
+            assert fm.values.tobytes() == fresh.values.tobytes()
+            assert fm.n_valid_frames == fresh.n_valid_frames
+            assert type(fm.n_valid_frames) is int
 
     def test_config_change_changes_key(self, synthetic_corpus, tmp_path):
         _, records = synthetic_corpus
@@ -440,26 +492,87 @@ class TestFeatureCache:
         extract_features(path, other, cache)
         assert len(list(cache.iterdir())) == n_before + 1
 
-    @pytest.mark.parametrize("damage", ["truncated", "garbage", "empty", "missing_array"])
-    def test_damaged_entry_is_a_miss(self, synthetic_corpus, tmp_path, damage):
+    @pytest.mark.parametrize("damage", list(ENTRY_DAMAGE))
+    def test_damaged_entry_is_a_miss(self, synthetic_corpus, tmp_path, monkeypatch, damage):
         _, records = synthetic_corpus
         cache = tmp_path / "cache"
         path = records[0][0]
         cold = extract_features(path, TINY_SETTINGS, cache)
         (entry,) = cache.iterdir()
-        partial = io.BytesIO()
-        np.savez(partial, values=cold.values)
-        entry.write_bytes({"truncated": entry.read_bytes()[:-100],
-                           "garbage": b"not an npz archive\n" * 20,
-                           "empty": b"",
-                           "missing_array": partial.getvalue()}[damage])
+        good = entry.read_bytes()
+        assert good[12]  # "n_valid bit" flips a set bit of n_valid's low byte
+        entry.write_bytes(ENTRY_DAMAGE[damage](good))
+        decoded = count_decodes(monkeypatch)
         again = extract_features(path, TINY_SETTINGS, cache)
+        assert decoded == [path]
+        assert entry.read_bytes() == good  # rewritten in full
         assert again.n_valid_frames == cold.n_valid_frames
         assert again.values.dtype == cold.values.dtype
         assert again.values.tobytes() == cold.values.tobytes()
-        with np.load(entry) as z:  # rewritten in full
-            assert z["values"].tobytes() == cold.values.tobytes()
-            assert int(z["n_valid"]) == cold.n_valid_frames
+
+    def test_stale_npz_entry_is_never_opened(self, synthetic_corpus, tmp_path, monkeypatch):
+        # an entry in the format written before the raw record: same key, .npz suffix
+        _, records = synthetic_corpus
+        cache = tmp_path / "cache"
+        path = records[0][0]
+        cold = extract_features(path, TINY_SETTINGS, cache)
+        (entry,) = cache.iterdir()
+        good = entry.read_bytes()
+        entry.unlink()
+        stale = entry.with_suffix(".npz")
+        np.savez(stale, values=np.ones_like(cold.values), n_valid=1)
+        stale_bytes = stale.read_bytes()
+        decoded = count_decodes(monkeypatch)
+        again = extract_features(path, TINY_SETTINGS, cache)
+        assert decoded == [path]
+        assert entry.read_bytes() == good
+        assert stale.read_bytes() == stale_bytes  # left as it was
+        assert again.n_valid_frames == cold.n_valid_frames
+        assert again.values.tobytes() == cold.values.tobytes()
+
+    def test_file_rewritten_after_its_read_caches_the_bytes_read(self, synthetic_corpus,
+                                                                  tmp_path, monkeypatch):
+        _, records = synthetic_corpus
+        clip = tmp_path / records[0][0].name
+        original = records[0][0].read_bytes()
+        clip.write_bytes(original)
+        read_bytes = train_eval.read_bytes
+
+        def read_then_rewrite(p):
+            raw = read_bytes(p)
+            clip.write_bytes(records[1][0].read_bytes())  # another clip, same name
+            return raw
+
+        monkeypatch.setattr(train_eval, "read_bytes", read_then_rewrite)
+        cache = tmp_path / "cache"
+        fm = extract_features(clip, TINY_SETTINGS, cache)
+        (entry,) = cache.iterdir()
+        assert entry.name.startswith(hashlib.sha256(original).hexdigest()[:20] + "-")
+        monkeypatch.undo()
+        expected = extract_features(records[0][0], TINY_SETTINGS, None)
+        assert fm.values.tobytes() == expected.values.tobytes()
+        clip.write_bytes(original)
+        hit = extract_features(clip, TINY_SETTINGS, cache)
+        assert hit.values.tobytes() == expected.values.tobytes()
+        assert hit.n_valid_frames == expected.n_valid_frames
+
+    def test_matrices_are_read_only(self, synthetic_corpus, tmp_path, monkeypatch):
+        _, records = synthetic_corpus
+        path = records[0][0]
+        cache = tmp_path / "cache"
+        decoded = count_decodes(monkeypatch)
+        for cache_dir in (None, cache, cache):  # no cache, a miss, a hit
+            values = extract_features(path, TINY_SETTINGS, cache_dir).values
+            assert not values.flags.writeable
+            with pytest.raises(ValueError):
+                values[0, 0] = 1.0
+        assert decoded == [path, path]
+
+    def test_worker_matrices_are_read_only(self, synthetic_corpus, tmp_path):
+        _, records = synthetic_corpus
+        for cache_dir in (None, tmp_path / "cache", tmp_path / "cache"):
+            _, mats, _ = extract_all(records[:3], TINY_SETTINGS, cache_dir, jobs=2)
+            assert not any(fm.values.flags.writeable for fm in mats)
 
     def test_feature_code_version_is_part_of_key(self, synthetic_corpus, tmp_path,
                                                   monkeypatch):
@@ -467,10 +580,7 @@ class TestFeatureCache:
         cache = tmp_path / "cache"
         path = records[0][0]
         extract_features(path, TINY_SETTINGS, cache)
-        decoded = []
-        read_wav = train_eval.read_wav
-        monkeypatch.setattr(train_eval, "read_wav",
-                            lambda *a, **k: decoded.append(a[0]) or read_wav(*a, **k))
+        decoded = count_decodes(monkeypatch)
         extract_features(path, TINY_SETTINGS, cache)
         assert decoded == []  # warm hit
         monkeypatch.setattr(train_eval, "FEATURE_CODE_VERSION",
