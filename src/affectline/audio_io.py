@@ -9,6 +9,7 @@ integer and 32-bit float, one or two channels, any input rate.
 from __future__ import annotations
 
 import functools
+import os
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -88,74 +89,24 @@ class RavdessMeta:
 # WAV decoding
 # ---------------------------------------------------------------------------
 
-def _parse_riff_chunks(raw: bytes, path: str):
-    if len(raw) < 12 or raw[:4] != b"RIFF" or raw[8:12] != b"WAVE":
-        raise UnreadableFileError(f"{path}: not a RIFF/WAVE file")
-    chunks = {}
-    pos = 12
-    while pos + 8 <= len(raw):
-        cid = raw[pos:pos + 4]
-        (size,) = struct.unpack_from("<I", raw, pos + 4)
-        body = raw[pos + 8:pos + 8 + size]
-        if cid not in chunks:  # first occurrence wins
-            chunks[cid] = body
-        pos += 8 + size + (size & 1)  # chunks are word-aligned
-    return chunks
+@dataclass(frozen=True)
+class WavChunks:
+    """The ``fmt `` chunk body of one WAV file and the leading bytes of its
+    ``data`` chunk, as ``read_chunks`` read them."""
+
+    path: str | os.PathLike
+    fmt: bytes
+    data: bytes  # the whole chunk, or the frames the first max_samples outputs read
+    max_samples: int | None
 
 
 def _whole_frames(data: bytes, width: int) -> bytes:
     return data[: len(data) - len(data) % width]
 
 
-def _decode_pcm(data: bytes, fmt_code: int, bits: int, path: str) -> np.ndarray:
-    if fmt_code == 1:  # integer PCM
-        if bits == 8:
-            x = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
-            return (x - 128.0) / 128.0
-        if bits == 16:
-            x = np.frombuffer(_whole_frames(data, 2), dtype="<i2").astype(np.float64)
-            return x / 32768.0
-        if bits == 24:
-            b = np.frombuffer(_whole_frames(data, 3), dtype=np.uint8)
-            b = b.reshape(-1, 3).astype(np.int64)
-            x = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-            x = np.where(x >= 1 << 23, x - (1 << 24), x)
-            return x.astype(np.float64) / float(1 << 23)
-        raise UnsupportedEncodingError(f"{path}: {bits}-bit integer PCM is not supported")
-    if fmt_code == 3:  # IEEE float
-        if bits == 32:
-            x = np.frombuffer(_whole_frames(data, 4), dtype="<f4").astype(np.float64)
-            if not np.isfinite(x).all():
-                raise UnsupportedEncodingError(f"{path}: NaN or infinite float samples")
-            return np.clip(x, -1.0, 1.0)
-        raise UnsupportedEncodingError(f"{path}: {bits}-bit float PCM is not supported")
-    raise UnsupportedEncodingError(f"{path}: WAV format code {fmt_code} is not supported")
-
-
-def read_bytes(path) -> bytes:
-    """The contents of ``path``; UnreadableFileError when it cannot be read."""
-    try:
-        return Path(path).read_bytes()
-    except (OSError, ValueError) as exc:  # ValueError: NUL byte in the path
-        raise UnreadableFileError(f"{path}: {exc}") from exc
-
-
-def read_wav(path, raw: bytes | None = None) -> np.ndarray:
-    """Decode a PCM WAV file into mono float64 samples at ``PIPELINE_SAMPLE_RATE``,
-    clipped to [-1, 1] and read-only.
-
-    ``raw``, when given, is the file's content already read by the caller;
-    ``path`` then only names the file in errors. Stereo input is downmixed
-    by channel average. Rate conversion uses a windowed-sinc filter. Raises
-    UnreadableFileError, UnsupportedEncodingError (also for NaN/Inf float
-    samples and header rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or
-    EmptyAudioError.
-    """
-    path = Path(path)
-    chunks = _parse_riff_chunks(read_bytes(path) if raw is None else raw, str(path))
-    if b"fmt " not in chunks or b"data" not in chunks:
-        raise UnreadableFileError(f"{path}: missing fmt or data chunk")
-    fmt = chunks[b"fmt "]
+def _parse_fmt(fmt: bytes, path: str):
+    """(channels, rate, bits) of a ``fmt `` body, each checked before any
+    sample is read; 32 bits are IEEE float, fewer integer PCM."""
     if len(fmt) < 16:
         raise UnreadableFileError(f"{path}: truncated fmt chunk")
     fmt_code, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
@@ -168,19 +119,113 @@ def read_wav(path, raw: bytes | None = None) -> np.ndarray:
         # before it asks for gigabytes
         raise UnsupportedEncodingError(
             f"{path}: sample rate {rate} Hz outside {MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE}")
+    if fmt_code == 1 and bits not in (8, 16, 24):
+        raise UnsupportedEncodingError(f"{path}: {bits}-bit integer PCM is not supported")
+    if fmt_code == 3 and bits != 32:
+        raise UnsupportedEncodingError(f"{path}: {bits}-bit float PCM is not supported")
+    if fmt_code not in (1, 3):
+        raise UnsupportedEncodingError(f"{path}: WAV format code {fmt_code} is not supported")
+    return n_channels, rate, bits
 
-    samples = _decode_pcm(chunks[b"data"], fmt_code, bits, str(path))
+
+def _decode_pcm(data: bytes, bits: int, path: str) -> np.ndarray:
+    if bits == 8:
+        x = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
+        return (x - 128.0) / 128.0
+    if bits == 16:
+        x = np.frombuffer(_whole_frames(data, 2), dtype="<i2").astype(np.float64)
+        return x / 32768.0
+    if bits == 24:
+        b = np.frombuffer(_whole_frames(data, 3), dtype=np.uint8)
+        b = b.reshape(-1, 3).astype(np.int64)
+        x = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+        x = np.where(x >= 1 << 23, x - (1 << 24), x)
+        return x.astype(np.float64) / float(1 << 23)
+    x = np.frombuffer(_whole_frames(data, 4), dtype="<f4").astype(np.float64)  # IEEE float
+    if not np.isfinite(x).all():
+        raise UnsupportedEncodingError(f"{path}: NaN or infinite float samples")
+    return np.clip(x, -1.0, 1.0)
+
+
+def _input_frames(n_out: int, sr_in: int) -> int:
+    """Input frames that outputs 0..n_out-1 of ``resample`` read: output
+    r*len(starts) + j reads input up to index r*chunk + starts[j] + pad."""
+    if sr_in == PIPELINE_SAMPLE_RATE:
+        return n_out
+    pad, chunk, starts = _plan(sr_in)[:3]
+    r, j = divmod(n_out - 1, len(starts))
+    return r * chunk + int(starts[j]) + pad + 1
+
+
+def read_chunks(path, max_samples: int | None = None) -> WavChunks:
+    """The ``fmt `` body and ``data`` bytes of the WAV file at ``path``.
+
+    The reader seeks from chunk header to chunk header (the first ``fmt ``
+    and the first ``data`` chunk win; a size past the end of the file
+    keeps the bytes there are) and checks the format before it reads any
+    sample. With ``max_samples`` it reads only the input frames that the
+    first ``max_samples`` samples at ``PIPELINE_SAMPLE_RATE`` depend on.
+    Raises UnreadableFileError or UnsupportedEncodingError as ``read_wav``.
+    """
+    try:
+        with open(path, "rb") as f:
+            size = os.fstat(f.fileno()).st_size
+            head = f.read(12)
+            if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
+                raise UnreadableFileError(f"{path}: not a RIFF/WAVE file")
+            spans = {}  # chunk id -> (offset, size) of its body
+            pos = 12
+            while pos + 8 <= size and len(spans) < 2:
+                f.seek(pos)
+                cid, n = struct.unpack("<4sI", f.read(8))
+                if cid in (b"fmt ", b"data") and cid not in spans:
+                    spans[cid] = (pos + 8, min(n, size - pos - 8))
+                pos += 8 + n + (n & 1)  # chunks are word-aligned
+            if len(spans) < 2:
+                raise UnreadableFileError(f"{path}: missing fmt or data chunk")
+            f.seek(spans[b"fmt "][0])
+            fmt = f.read(spans[b"fmt "][1])
+            n_channels, rate, bits = _parse_fmt(fmt, path)
+            offset, n = spans[b"data"]
+            if max_samples is not None and n:
+                n = min(n, _input_frames(max_samples, rate) * n_channels * (bits // 8))
+            f.seek(offset)
+            data = f.read(n)
+    except (OSError, ValueError, struct.error) as exc:
+        # ValueError: NUL byte in the path; struct.error: a file cut short as it is read
+        raise UnreadableFileError(f"{path}: {exc}") from exc
+    return WavChunks(path, fmt, data, max_samples)
+
+
+def read_wav(path, max_samples: int | None = None) -> np.ndarray:
+    """Decode a PCM WAV file into mono float64 samples at ``PIPELINE_SAMPLE_RATE``,
+    clipped to [-1, 1] and read-only.
+
+    With ``max_samples``, only the input frames the first ``max_samples``
+    output samples depend on are read, and those samples are returned:
+    bit-equal to the first ``max_samples`` samples of the whole decode.
+    Samples past that are not read, so they are not checked either.
+    ``path`` may instead be the WavChunks that ``read_chunks`` read, which
+    are decoded to the bound they were read with. Stereo input is downmixed
+    by channel average. Rate conversion uses a windowed-sinc filter. Raises
+    UnreadableFileError, UnsupportedEncodingError (also for NaN/Inf float
+    samples read and header rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE)
+    or EmptyAudioError.
+    """
+    wav = path if isinstance(path, WavChunks) else read_chunks(path, max_samples)
+    n_channels, rate, bits = _parse_fmt(wav.fmt, wav.path)
+    samples = _decode_pcm(wav.data, bits, wav.path)
     if n_channels == 2:
         samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
     if len(samples) == 0:
-        raise EmptyAudioError(f"{path}: zero-length audio")
+        raise EmptyAudioError(f"{wav.path}: zero-length audio")
 
     if rate != PIPELINE_SAMPLE_RATE:
         samples = resample(samples, rate)
         if len(samples) == 0:
-            raise EmptyAudioError(f"{path}: zero-length audio after resampling")
-    samples = np.clip(samples, -1.0, 1.0)
+            raise EmptyAudioError(f"{wav.path}: zero-length audio after resampling")
+    samples = np.clip(samples[:wav.max_samples], -1.0, 1.0)
     samples.setflags(write=False)
     return samples
 
@@ -212,6 +257,9 @@ _MAX_TAPS = 1 << 21
 # Most values in one column block of the phase matrix: 8, 22.05, 24, 32, 44.1,
 # 48, 96 and 384 kHz into 16 kHz each fit in one block.
 _BLOCK_VALUES = 1 << 18
+# Outputs of about one GEMM: each takes max(1, _BATCH_OUTPUTS // outputs per
+# row) rows of one parity, 126 at 48 kHz and 51 at 44.1 kHz.
+_BATCH_OUTPUTS = 1 << 13
 
 
 def _tap_values(frac: np.ndarray, offsets: np.ndarray, scale: float,
@@ -281,7 +329,11 @@ def resample(x: np.ndarray, sr_in: int) -> np.ndarray:
     0, 2, ... and rows 1, 3, ... are each one reshape of the input times W,
     the banded phase matrix (input sample by output column, each column
     holding its phase's taps from its window start). 48 -> 16 kHz: 65
-    outputs of 195 taps per 195-sample chunk. Wide rows (16000 outputs at
+    outputs of 195 taps per 195-sample chunk. Each GEMM takes one batch of
+    rows of one parity, the last batch padded with zero rows, so every
+    GEMM of a rate has the same shape: BLAS may round a row by the row
+    count of its GEMM, and a fixed count makes an output independent of
+    the length of the input past what it reads. Wide rows (16000 outputs at
     95999 Hz) run as column blocks of W over only the input samples their
     columns touch. _plan caches W, else every column's taps, else nothing
     for an input rate; each way gives the same output.
@@ -294,7 +346,8 @@ def resample(x: np.ndarray, sr_in: int) -> np.ndarray:
         return np.zeros(0)
 
     pad, chunk, starts, blocks, block, matrices = _plan(sr_in)
-    rows = -(-n_out // len(starts))
+    batch = max(1, _BATCH_OUTPUTS // len(starts))  # rows of one parity per GEMM
+    rows = -(-n_out // (2 * batch * len(starts))) * 2 * batch
     xp = np.zeros((rows + 2) * chunk)  # holds x: rows*chunk > len(x) - chunk, chunk >= 2*pad
     xp[pad:pad + len(x)] = x
     out = np.empty((rows, len(starts)))
@@ -303,10 +356,11 @@ def resample(x: np.ndarray, sr_in: int) -> np.ndarray:
             break
         w = matrices[i] if matrices is not None else block(c0, c1)
         k = starts[c0]
-        for parity in (0, 1):  # rows 0, 2, ... and 1, 3, ...: disjoint 2-chunk spans
-            dst = out[parity::2, c0:c1]
-            src = xp[k + parity * chunk:k + (parity + 2 * len(dst)) * chunk]
-            np.matmul(src.reshape(len(dst), 2 * chunk)[:, :len(w)], w, out=dst)
+        for r in range(0, rows, 2 * batch):
+            for parity in (0, 1):  # rows r, r+2, ... and r+1, r+3, ...: disjoint 2-chunk spans
+                src = xp[k + (r + parity) * chunk:k + (r + parity + 2 * batch) * chunk]
+                np.matmul(src.reshape(batch, 2 * chunk)[:, :len(w)], w,
+                          out=out[r + parity:r + 2 * batch:2, c0:c1])
     return out.reshape(-1)[:n_out]
 
 

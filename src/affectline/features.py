@@ -30,7 +30,7 @@ DELTA_WINDOW = 2
 # Part of every feature-cache key: bump it whenever a change to decoding,
 # resampling or this module alters the matrices extract_features returns, so
 # no cached matrix from older code is served.
-FEATURE_CODE_VERSION = 4
+FEATURE_CODE_VERSION = 5
 
 FEATURE_ROW_LABELS = tuple(
     [f"mfcc_{i:02d}" for i in range(N_MFCC)]
@@ -171,19 +171,24 @@ def compute_normalization(matrices: list) -> NormalizationProfile:
     return NormalizationProfile(mean=cols.mean(axis=1), std=cols.std(axis=1))
 
 
+def matrix_samples(t_fixed: int) -> int:
+    """Leading samples a t_fixed-column matrix reads: delta-delta column
+    t_fixed - 1 reaches frame t_fixed - 1 + 2*DELTA_WINDOW, so later samples
+    cannot change a kept value."""
+    return (t_fixed + 2 * DELTA_WINDOW - 1) * HOP + FRAME_LEN
+
+
 def assemble_features(samples: np.ndarray, t_fixed: int = DEFAULT_T_FIXED) -> FeatureMatrix:
     """Stack [mfcc; delta; delta-delta; zcr; rms] into a raw 41 x t_fixed matrix.
 
     ``samples`` are at ``PIPELINE_SAMPLE_RATE``, as ``read_wav`` returns them.
     Longer clips are truncated after the deltas are taken, shorter ones
-    zero-padded on the right. Delta-delta column t_fixed - 1 reaches frame
-    t_fixed - 1 + 2*DELTA_WINDOW, so only the samples up to that frame are
-    framed: later ones cannot change a kept value. Normalization is applied
-    later, when matrices are batched for the model. The values are
-    read-only, as ``read_wav``'s samples are.
+    zero-padded on the right; only the first ``matrix_samples(t_fixed)``
+    samples are framed. Normalization is applied later, when matrices are
+    batched for the model. The values are read-only, as ``read_wav``'s
+    samples are.
     """
-    keep = (t_fixed + 2 * DELTA_WINDOW - 1) * HOP + FRAME_LEN
-    frames = frame_signal(samples[:keep])
+    frames = frame_signal(samples[:matrix_samples(t_fixed)])
     coeffs = mfcc(frames)
     d1 = delta(coeffs, DELTA_WINDOW)
     d2 = delta(d1, DELTA_WINDOW)

@@ -25,7 +25,7 @@ from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE, AudioDecod
 from .checkpoint import Checkpoint
 from .config import is_utf8
 from .errors import ConfigError, DataError
-from .features import FRAME_LEN, HOP, assemble_features
+from .features import FRAME_LEN, HOP, assemble_features, matrix_samples
 from .svg import bar_chart
 
 SOURCE_LABELS = ("FAN", "FAF", "MAN", "MAF", "CHN", "OTHER")
@@ -172,10 +172,10 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     With ``chunk_vote`` the samples are cut into feature-window-sized chunks
     that vote by majority (ties to the lowest class index); otherwise
     classification uses the leading window only, matching the feature
-    truncation rule. All the samples are passed in that case:
-    ``assemble_features`` itself reads only the leading samples its kept
-    columns depend on, which reach past the window by the delta context.
-    All windows of one segment go to the model in one batch.
+    truncation rule: ``assemble_features`` reads only the leading
+    ``matrix_samples(t_fixed)`` samples, which reach past the window by the
+    delta context, and ``classify_session`` decodes only those. All windows
+    of one segment go to the model in one batch.
     """
     model = ckpt.build_model()
     t_fixed = ckpt.features.t_fixed
@@ -202,25 +202,31 @@ def classify_session(ckpt: Checkpoint | None, records, *,
     """Classify every FAN segment of one session and aggregate counts.
 
     ``predict`` overrides the checkpoint-based classifier (used by the
-    synthetic-session harness). Unreadable segments are listed in
-    ``failures`` and excluded from the proportions; a session with zero
-    classifiable FAN segments is an error.
+    synthetic-session harness). With the leading window, a segment is read
+    and decoded only as far as its feature matrix reads
+    (``read_wav(path, matrix_samples(t_fixed))``); ``chunk_vote`` and a
+    ``predict`` of the caller's get every sample. Unreadable segments are
+    listed in ``failures`` and excluded from the proportions; a session
+    with zero classifiable FAN segments is an error.
     """
     records = list(records)
     session_ids = {r.session_id for r in records}
     if len(session_ids) > 1:
         raise DataError(f"records span multiple sessions: {sorted(session_ids)}")
+    bound = None
     if predict is None:
         if ckpt is None:
             raise DataError("classify_session needs a checkpoint or a predict callable")
         predict = checkpoint_predictor(ckpt, chunk_vote=chunk_vote)
+        if not chunk_vote:
+            bound = matrix_samples(ckpt.features.t_fixed)
 
     fan = filter_fan(records)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
     predictions, failures = [], []
     for record in fan:
         try:
-            samples = read_wav(record.audio_path)
+            samples = read_wav(record.audio_path, bound)
         except AudioDecodeError as exc:
             failures.append((record.audio_path, str(exc)))
             continue

@@ -23,12 +23,12 @@ from pathlib import Path
 
 import numpy as np
 
-from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError, read_bytes,
+from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError, read_chunks,
                        read_wav)
 from .checkpoint import Checkpoint, FeatureSettings
 from .errors import ConfigError, DataError, DivergenceError
 from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
-                       assemble_features, compute_normalization)
+                       assemble_features, compute_normalization, matrix_samples)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
 __all__ = [
@@ -175,21 +175,26 @@ def extract_features(path, settings: FeatureSettings,
                      cache_dir: Path | None = None) -> FeatureMatrix:
     """Extract the raw (unnormalized) feature matrix for one file.
 
-    With ``cache_dir`` set, results are stored keyed by (file content
-    hash, settings and feature code version hash); normalization always
-    happens downstream so the cache is split-independent. The file is read
-    once: the bytes hashed for the key are the bytes decoded. An entry
+    Only the WAV's ``fmt `` chunk and the data frames that the matrix's
+    ``matrix_samples(t_fixed)`` samples depend on are read. With
+    ``cache_dir`` set, results are stored keyed by the sha256 of those
+    bytes (the length-prefixed ``fmt `` body, then the data prefix) and a
+    hash of the settings and feature code version; normalization always
+    happens downstream so the cache is split-independent. The bytes are
+    read once: the bytes hashed for the key are the bytes decoded. An entry
     that cannot be read back is a miss and gets overwritten. The values
     are read-only.
     """
+    bound = matrix_samples(settings.t_fixed)
     if cache_dir is None:
-        return assemble_features(read_wav(path), settings.t_fixed)
-    raw = read_bytes(path)
-    digest = hashlib.sha256(raw).hexdigest()[:20]
-    cached = Path(cache_dir) / f"{digest}-{_settings_token(settings)}.afm"
+        return assemble_features(read_wav(path, bound), settings.t_fixed)
+    wav = read_chunks(path, bound)
+    digest = hashlib.sha256(struct.pack("<I", len(wav.fmt)) + wav.fmt)
+    digest.update(wav.data)
+    cached = Path(cache_dir) / f"{digest.hexdigest()[:20]}-{_settings_token(settings)}.afm"
     fm = _read_entry(cached, settings.t_fixed)
     if fm is None:
-        fm = assemble_features(read_wav(path, raw), settings.t_fixed)
+        fm = assemble_features(read_wav(wav), settings.t_fixed)
         _write_entry(cached, fm)
     return fm
 

@@ -9,7 +9,10 @@ from affectline.audio_io import (CorpusEmptyError, EmptyAudioError,
                                  UnreadableFileError, UnsupportedEncodingError,
                                  parse_ravdess_name, read_wav, resample, scan_corpus,
                                  write_wav)
+from affectline.checkpoint import FeatureSettings
 from affectline.cli import main
+from affectline.features import DEFAULT_T_FIXED, assemble_features, matrix_samples
+from affectline.train_eval import extract_features
 from conftest import build_synthetic_corpus, make_wav_bytes, sine, write_test_wav
 
 
@@ -173,6 +176,63 @@ class TestReadWav:
         path = write_test_wav(tmp_path / "empty.wav", np.zeros(0))
         with pytest.raises(EmptyAudioError):
             read_wav(path)
+
+
+# (bits, channels, format code) of each encoding the bounded read must match
+ENCODINGS = {"8-bit": (8, 1, 1), "16-bit": (16, 1, 1), "24-bit": (24, 1, 1),
+             "float32": (32, 1, 3), "stereo": (16, 2, 1)}
+
+
+def bounded_and_whole(tmp_path, rate, encoding, t_fixed):
+    """For inputs of bound - 1, bound, bound + 1 and 2 * bound frames, where
+    bound is the input frames a t_fixed matrix reads: (frames, bounded
+    decode, whole decode, bounded matrix, whole matrix)."""
+    bits, channels, fmt_code = ENCODINGS[encoding]
+    keep = matrix_samples(t_fixed)
+    bound = audio_io._input_frames(keep, rate)
+    rng = np.random.default_rng([rate, bits, channels])
+    x = np.clip(0.4 * rng.standard_normal((2 * bound, channels)), -1.0, 1.0)
+    for n in (bound - 1, bound, bound + 1, 2 * bound):
+        path = write_test_wav(tmp_path / f"{n}.wav", x[:n, 0] if channels == 1 else x[:n],
+                              sample_rate=rate, bits=bits, channels=channels,
+                              fmt_code=fmt_code)
+        whole = read_wav(path)
+        yield (n, read_wav(path, keep), whole,
+               extract_features(path, FeatureSettings(t_fixed=t_fixed)),
+               assemble_features(whole, t_fixed))
+
+
+class TestBoundedRead:
+    @pytest.mark.parametrize("rate", [8000, 11127, 16000, 16001, 22050, 44100, 48000, 96000])
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    def test_bounded_decode_bit_equal_to_whole_decode(self, tmp_path, rate, encoding):
+        keep = matrix_samples(100)
+        for n, part, whole, fm, expected in bounded_and_whole(tmp_path, rate, encoding, 100):
+            assert len(part) == min(keep, len(whole)), n
+            assert part.tobytes() == whole[:keep].tobytes(), n
+            assert fm.values.tobytes() == expected.values.tobytes(), n
+            assert fm.n_valid_frames == expected.n_valid_frames, n
+
+    @pytest.mark.parametrize("rate", [44100, 48000])
+    def test_default_window_matrix_bit_equal(self, tmp_path, rate):
+        for n, part, whole, fm, expected in bounded_and_whole(tmp_path, rate, "16-bit",
+                                                              DEFAULT_T_FIXED):
+            assert part.tobytes() == whole[:matrix_samples(DEFAULT_T_FIXED)].tobytes(), n
+            assert fm.values.tobytes() == expected.values.tobytes(), n
+
+    # output n = r*len(starts) + j reads input up to r*chunk + starts[j] + pad:
+    # 16879 is row 259, column 44 at 48 kHz (65 a row, chunk 195, starts[j]
+    # 3j, pad 97) and row 127, column 115 at 8 kHz (132 a row, chunk 66,
+    # starts[j] j//2, pad 33)
+    @pytest.mark.parametrize("rate,bound", [(16000, 16880),
+                                            (48000, 259 * 195 + 44 * 3 + 97 + 1),
+                                            (8000, 127 * 66 + 115 // 2 + 33 + 1)])
+    def test_only_the_frames_the_bound_needs_are_read(self, tmp_path, rate, bound):
+        assert audio_io._input_frames(16880, rate) == bound
+        path = write_test_wav(tmp_path / "s.wav", np.zeros((3 * bound, 2)),
+                              sample_rate=rate, channels=2)
+        assert len(audio_io.read_chunks(path, 16880).data) == 4 * bound
+        assert len(audio_io.read_chunks(path).data) == 4 * 3 * bound
 
 
 class TestResample:

@@ -19,15 +19,19 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from affectline.audio_io import EMOTIONS, read_wav
+from affectline import audio_io
+from affectline.audio_io import (EMOTIONS, AudioDecodeError, EmptyAudioError,
+                                 UnreadableFileError, UnsupportedEncodingError, read_wav)
 from affectline.checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from affectline.config import RunConfig, parse_config_text
 from affectline.errors import AffectlineError, ConfigError, DataError
-from affectline.features import NormalizationProfile
+from affectline.features import NormalizationProfile, matrix_samples
 from affectline.nn import Model, ModelSpec
-from affectline.session import (MANIFEST_COLUMNS, checkpoint_predictor, load_manifest,
-                                load_truth, synthesize_session)
-from conftest import make_wav_bytes, sine
+from affectline.session import (MANIFEST_COLUMNS, SegmentRecord, checkpoint_predictor,
+                                classify_session, load_manifest, load_truth,
+                                synthesize_session)
+from affectline.train_eval import evaluate, extract_features
+from conftest import make_wav_bytes, sine, write_test_wav
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -39,15 +43,37 @@ def scratch(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def decode_wav(path, data: bytes) -> None:
+FUZZ_BOUND = 24  # output samples of the bounded read: a few input frames at most rates
+
+
+def decode_wav(path, data: bytes, max_samples: int = FUZZ_BOUND):
+    """Read ``data`` whole and bounded; (whole, bounded) decodes or AudioDecodeErrors.
+
+    A fault the bounded read sees lies within the bound, so the whole read
+    raises the same class. Only a non-finite float sample past the bound
+    fails the whole read alone. When both decode, the bounded samples are
+    bit-equal to the first ``max_samples`` of the whole decode.
+    """
     path.write_bytes(data)
-    try:
-        samples = read_wav(path)
-    except DataError:
-        return
-    assert samples.ndim == 1 and len(samples) > 0
-    assert np.isfinite(samples).all()
-    assert np.abs(samples).max() <= 1.0
+    outcomes = []
+    for bound in (None, max_samples):
+        try:
+            samples = read_wav(path, bound)
+        except AudioDecodeError as exc:
+            outcomes.append(exc)
+            continue
+        assert samples.ndim == 1 and len(samples) > 0
+        assert np.isfinite(samples).all()
+        assert np.abs(samples).max() <= 1.0
+        outcomes.append(samples)
+    whole, bounded = outcomes
+    if isinstance(bounded, AudioDecodeError):
+        assert type(whole) is type(bounded)
+    elif isinstance(whole, AudioDecodeError):
+        assert isinstance(whole, UnsupportedEncodingError) and "NaN or infinite" in str(whole)
+    else:
+        assert bounded.tobytes() == whole[:max_samples].tobytes()
+    return outcomes
 
 
 def mutate(base: bytes, edits) -> bytes:
@@ -83,6 +109,125 @@ def test_read_wav_header_fields(scratch, fmt_code, channels, rate, bits, data):
            + b"fmt " + struct.pack("<I", len(fmt)) + fmt
            + b"data" + struct.pack("<I", len(data)) + data)
     decode_wav(scratch / "fields.wav", raw)
+
+
+def chunk(cid: bytes, body: bytes, size: int | None = None) -> bytes:
+    """One RIFF chunk: id, size (``len(body)`` unless given), body, pad byte if odd."""
+    return cid + struct.pack("<I", len(body) if size is None else size) + body \
+        + b"\0" * (len(body) % 2)
+
+
+def riff(*chunks: bytes) -> bytes:
+    body = b"WAVE" + b"".join(chunks)
+    return b"RIFF" + struct.pack("<I", len(body)) + body
+
+
+FMT = VALID_WAV[20:36]  # 16 kHz 16-bit mono
+SAMPLES = VALID_WAV[44:]  # 64 samples
+# larger than any first read of the file: the reader must seek past it
+BIG_LIST = chunk(b"LIST", bytes(1 << 17))
+
+LAYOUTS = {
+    "canonical": riff(chunk(b"fmt ", FMT), chunk(b"data", SAMPLES)),
+    "fmt after data": riff(chunk(b"data", SAMPLES), chunk(b"fmt ", FMT)),
+    "big LIST before data": riff(chunk(b"fmt ", FMT), BIG_LIST, chunk(b"data", SAMPLES)),
+    "big LIST before fmt": riff(BIG_LIST, chunk(b"data", SAMPLES), chunk(b"fmt ", FMT)),
+    "odd chunk with a pad byte": riff(chunk(b"junk", b"abc"), chunk(b"fmt ", FMT),
+                                      chunk(b"odd ", b"x"), chunk(b"data", SAMPLES)),
+    "second data chunk": riff(chunk(b"fmt ", FMT), chunk(b"data", SAMPLES),
+                              chunk(b"data", bytes(64))),
+    "data size past EOF": riff(chunk(b"fmt ", FMT), chunk(b"data", SAMPLES, 1 << 30)),
+    "18-byte fmt": riff(chunk(b"fmt ", FMT + b"\0\0"), chunk(b"data", SAMPLES)),
+}
+
+
+@pytest.mark.parametrize("layout", list(LAYOUTS))
+@pytest.mark.parametrize("max_samples", [1, 10, 63, 64, 65, 1000])
+def test_chunk_layouts_decode_the_first_fmt_and_data(scratch, layout, max_samples):
+    whole, bounded = decode_wav(scratch / "layout.wav", LAYOUTS[layout], max_samples)
+    canonical = np.frombuffer(SAMPLES, "<i2") / 32768.0
+    assert whole.tobytes() == canonical.tobytes()
+    assert bounded.tobytes() == canonical[:max_samples].tobytes()
+
+
+@pytest.mark.parametrize("layout,error", [
+    ("no data", UnreadableFileError), ("no fmt", UnreadableFileError),
+    ("data past EOF skips fmt", UnreadableFileError),
+    ("short fmt", UnreadableFileError), ("empty data", EmptyAudioError),
+    ("12-bit", UnsupportedEncodingError)])
+def test_chunk_layout_faults_raise_the_same_class_bounded_or_whole(scratch, layout, error):
+    data = {
+        "no data": riff(chunk(b"fmt ", FMT), BIG_LIST),
+        "no fmt": riff(BIG_LIST, chunk(b"data", SAMPLES)),
+        "data past EOF skips fmt": riff(chunk(b"data", SAMPLES, 1 << 30), chunk(b"fmt ", FMT)),
+        "short fmt": riff(chunk(b"fmt ", FMT[:14]), chunk(b"data", SAMPLES)),
+        "empty data": riff(chunk(b"fmt ", FMT), chunk(b"data", b""), chunk(b"data", SAMPLES)),
+        "12-bit": riff(chunk(b"fmt ", FMT[:14] + struct.pack("<H", 12)),
+                       chunk(b"data", SAMPLES)),
+    }[layout]
+    whole, bounded = decode_wav(scratch / "fault.wav", data)
+    assert type(whole) is type(bounded) is error
+
+
+LAYOUT_CHUNKS = st.sampled_from([
+    chunk(b"fmt ", FMT), chunk(b"fmt ", FMT + b"\0\0"),
+    chunk(b"fmt ", struct.pack("<HHIIHH", 3, 2, 48000, 0, 8, 32)),
+    chunk(b"fmt ", struct.pack("<HHIIHH", 1, 1, 44100, 0, 3, 24)),
+    chunk(b"data", SAMPLES), chunk(b"data", SAMPLES[:77]),
+    chunk(b"data", np.full(40, np.nan, "<f4").tobytes()),
+    chunk(b"data", SAMPLES[:10], 1 << 20),
+    BIG_LIST, chunk(b"LIST", b"odd"), b"\0" * 3])
+
+
+@FUZZ
+@given(st.lists(LAYOUT_CHUNKS, max_size=5), st.integers(1, 200),
+       st.sampled_from([None, 0, 9, 1 << 31]))
+def test_read_wav_chunk_layouts(scratch, chunks, max_samples, riff_size):
+    """Chunks in any order, repeated, odd-sized, cut short or running past EOF."""
+    data = riff(*chunks)
+    if riff_size is not None:
+        data = data[:4] + struct.pack("<I", riff_size) + data[8:]
+    decode_wav(scratch / "chunks.wav", data, max_samples)
+
+
+def nan_rule_clips(tmp_path, rate, bound):
+    """float32 clips of 2 * bound frames at ``rate``: NaN at frame ``bound``
+    (the first one a bounded read leaves), NaN at frame ``bound - 1`` (the
+    last one it reads), no NaN, and the clip without NaN cut at the bound."""
+    x = 0.3 * sine(440, 2 * bound / rate, rate)
+    past, inside = x.copy(), x.copy()
+    past[bound], inside[bound - 1] = np.nan, np.nan
+    return [write_test_wav(tmp_path / f"{name}.wav", samples, sample_rate=rate, fmt_code=3)
+            for name, samples in (("past", past), ("inside", inside), ("clean", x),
+                                  ("cut", x[:bound]))]
+
+
+@pytest.mark.parametrize("rate", [16000, 48000])
+def test_nan_past_the_bound_is_not_read(tiny_checkpoint, tmp_path, rate):
+    """Samples past the bound are not read, so they are not checked: eval and
+    leading-window classify accept a NaN there; chunk_vote reads every sample."""
+    path = tmp_path / "tiny.afl"
+    path.write_bytes(tiny_checkpoint)
+    ckpt = load_checkpoint(path)
+    bound = audio_io._input_frames(matrix_samples(ckpt.features.t_fixed), rate)
+    past, inside, clean, cut = nan_rule_clips(tmp_path, rate, bound)
+
+    metrics = evaluate(ckpt, [(p, "calm") for p in (past, inside, clean)])
+    assert metrics.n_test == 2 and [p for p, _ in metrics.failures] == [inside]
+    assert "NaN or infinite" in metrics.failures[0][1]
+    for cache_dir in (None, tmp_path / "cache"):
+        fm = extract_features(past, ckpt.features, cache_dir)
+        assert fm.values.tobytes() == extract_features(cut, ckpt.features).values.tobytes()
+
+    records = [SegmentRecord("s", p.stem, "FAN", str(p), 0.0, 1.0)
+               for p in (past, inside, clean)]
+    leading = classify_session(ckpt, records)
+    assert [p for p, _ in leading.failures] == [str(inside)]
+    assert [s for s, _ in leading.predictions] == ["past", "clean"]
+    voted = classify_session(ckpt, records, chunk_vote=True)
+    assert [p for p, _ in voted.failures] == [str(past), str(inside)]
+    with pytest.raises(UnsupportedEncodingError, match="NaN or infinite"):
+        read_wav(past)
 
 
 def parse_manifest(path, data: bytes) -> None:

@@ -1,3 +1,6 @@
+import struct
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -10,8 +13,8 @@ from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
                                 load_truth, render_report, sample_for_audit,
                                 synthesize_session)
-from affectline.train_eval import confusion_matrix, evaluate
-from conftest import class_tone, sine
+from affectline.train_eval import confusion_matrix, evaluate, extract_features
+from conftest import class_tone, make_wav_bytes, sine
 
 
 def labeled_clips(n, seed=0):
@@ -305,6 +308,60 @@ class TestClassifySession:
         metrics = evaluate(ckpt, [(r.audio_path, truth[r.segment_id]) for r in records])
         assert metrics.n_test == 65
         np.testing.assert_array_equal(metrics.confusion, confusion_matrix(y_true, y_pred))
+
+
+def long_segment(path, minutes):
+    """48 kHz 16-bit mono WAV of ``minutes``: one second of a tone, repeated."""
+    one_second = make_wav_bytes(0.3 * sine(440, 1.0, 48000), sample_rate=48000)
+    data = one_second[44:] * (60 * minutes)
+    path.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(data)) + one_second[8:40]
+                     + struct.pack("<I", len(data)) + data)
+    return path
+
+
+def traced_peak(fn):
+    """Peak bytes traced by tracemalloc while ``fn()`` runs."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestLongSegmentMemory:
+    """A leading-window matrix reads ~3 s of a segment, so the peak memory of
+    classifying or extracting it does not grow with the segment's length (a
+    whole decode at 48 kHz holds ~57 MB a minute)."""
+
+    MARGIN = 1e6  # bytes
+
+    @pytest.fixture(scope="class")
+    def segments(self, tmp_path_factory):
+        root = tmp_path_factory.mktemp("long")
+        return {minutes: long_segment(root / f"{minutes}min.wav", minutes)
+                for minutes in (1, 4)}
+
+    def test_leading_window_classify_peak(self, segments):
+        spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
+        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
+                          opt_acc={}, features=FeatureSettings(), normalization=None)
+        records = {m: [SegmentRecord("s", f"{m}min", "FAN", str(path), 0.0, 60.0 * m)]
+                   for m, path in segments.items()}
+        classify_session(ckpt, records[1])  # builds the 48 kHz plan and the model's arena
+        peaks = {m: traced_peak(lambda: classify_session(ckpt, records[m])) for m in records}
+        assert peaks[4] < peaks[1] + self.MARGIN, peaks
+        assert peaks[4] < 20e6, peaks
+
+    def test_extract_features_peak(self, segments, tmp_path):
+        settings = FeatureSettings()
+        extract_features(segments[1], settings)
+        for cache in (None, "cache"):  # the segments' prefixes are equal: one cache each
+            peaks = {m: traced_peak(lambda: extract_features(
+                path, settings, cache and tmp_path / f"{cache}{m}")) for m, path in segments.items()}
+            assert peaks[4] < peaks[1] + self.MARGIN, (cache, peaks)
+            assert peaks[4] < 20e6, (cache, peaks)
+        assert len(list((tmp_path / "cache4").iterdir())) == 1  # its miss wrote an entry
 
 
 class TestRenderReport:

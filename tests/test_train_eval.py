@@ -14,16 +14,17 @@ from affectline.checkpoint import (Checkpoint, CheckpointError, CheckpointMagicE
                                    load_checkpoint, save_checkpoint)
 from affectline.errors import ConfigError, DataError, DivergenceError
 from affectline.features import (FEATURE_ROW_LABELS, MAX_T_FIXED, N_FEATURE_ROWS,
-                                 compute_normalization)
+                                 compute_normalization, matrix_samples)
 from affectline.nn import MAX_CONV_CHANNELS, Model, ModelSpec
 from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
                                    extract_features, metrics_to_csv,
                                    predict_logits, split_dataset, train)
-from conftest import build_synthetic_corpus, edit_header, header_section
+from conftest import build_synthetic_corpus, edit_header, header_section, make_wav_bytes
 
 TINY_SPEC = ModelSpec(conv_channels=(8, 8, 12, 12, 16, 16))
 TINY_SETTINGS = FeatureSettings(t_fixed=100)
+TINY_BOUND = matrix_samples(TINY_SETTINGS.t_fixed)  # 16,880 samples
 
 
 def save_untrained(path, spec, t_fixed=100, **params):
@@ -421,12 +422,21 @@ class TestCheckpointIO:
 
 
 def count_decodes(monkeypatch):
-    """Paths decoded through ``train_eval.read_wav`` from now on: a cache miss each."""
+    """Paths decoded through ``train_eval.read_wav`` from now on: a cache miss each.
+    A miss decodes the WavChunks it hashed, a call without a cache its path."""
     decoded = []
     read_wav = train_eval.read_wav
-    monkeypatch.setattr(train_eval, "read_wav",
-                        lambda *a, **k: decoded.append(a[0]) or read_wav(*a, **k))
+    monkeypatch.setattr(train_eval, "read_wav", lambda wav, *a, **k:
+                        decoded.append(getattr(wav, "path", wav)) or read_wav(wav, *a, **k))
     return decoded
+
+
+def canonical_key(raw):
+    """Cache key digest of a 16 kHz 16-bit mono WAV with the 44-byte header
+    ``make_wav_bytes`` writes: its length-prefixed fmt body, then the data
+    bytes that a TINY_SETTINGS matrix reads."""
+    data = raw[44:44 + 2 * TINY_BOUND]
+    return hashlib.sha256(struct.pack("<I", 16) + raw[20:36] + data).hexdigest()[:20]
 
 
 def flip_bit(raw, offset, bit):
@@ -536,18 +546,18 @@ class TestFeatureCache:
         clip = tmp_path / records[0][0].name
         original = records[0][0].read_bytes()
         clip.write_bytes(original)
-        read_bytes = train_eval.read_bytes
+        read_chunks = train_eval.read_chunks
 
-        def read_then_rewrite(p):
-            raw = read_bytes(p)
+        def read_then_rewrite(p, max_samples):
+            wav = read_chunks(p, max_samples)
             clip.write_bytes(records[1][0].read_bytes())  # another clip, same name
-            return raw
+            return wav
 
-        monkeypatch.setattr(train_eval, "read_bytes", read_then_rewrite)
+        monkeypatch.setattr(train_eval, "read_chunks", read_then_rewrite)
         cache = tmp_path / "cache"
         fm = extract_features(clip, TINY_SETTINGS, cache)
         (entry,) = cache.iterdir()
-        assert entry.name.startswith(hashlib.sha256(original).hexdigest()[:20] + "-")
+        assert entry.name.startswith(canonical_key(original) + "-")
         monkeypatch.undo()
         expected = extract_features(records[0][0], TINY_SETTINGS, None)
         assert fm.values.tobytes() == expected.values.tobytes()
@@ -555,6 +565,69 @@ class TestFeatureCache:
         hit = extract_features(clip, TINY_SETTINGS, cache)
         assert hit.values.tobytes() == expected.values.tobytes()
         assert hit.n_valid_frames == expected.n_valid_frames
+
+    def test_bytes_past_the_bound_are_a_hit(self, tmp_path, monkeypatch):
+        raw = make_wav_bytes(0.3 * np.random.default_rng(1).standard_normal(2 * TINY_BOUND))
+        clip, cache = tmp_path / "long.wav", tmp_path / "cache"
+        clip.write_bytes(raw)
+        first = extract_features(clip, TINY_SETTINGS, cache)
+        (entry,) = cache.iterdir()
+        assert entry.name.startswith(canonical_key(raw) + "-")
+        decoded = count_decodes(monkeypatch)
+        for edit in (lambda b: flip_bit(b, 44 + 2 * TINY_BOUND, 0),  # the first sample past it
+                     lambda b: flip_bit(b, len(b) - 1, 7),
+                     lambda b: b[:44 + 2 * TINY_BOUND]):  # cut at the bound
+            clip.write_bytes(edit(raw))
+            hit = extract_features(clip, TINY_SETTINGS, cache)
+            assert hit.values.tobytes() == first.values.tobytes()
+        assert decoded == [] and len(list(cache.iterdir())) == 1
+
+    @pytest.mark.parametrize("offset", [24, 28, 32, 44, 44 + 2 * TINY_BOUND - 1],
+                             ids=["rate", "byte rate", "block align", "first sample",
+                                  "last sample read"])
+    def test_one_flipped_byte_inside_what_is_read_is_a_miss(self, tmp_path, monkeypatch,
+                                                             offset):
+        # the byte rate and block align fields do not change the decode, but
+        # they are part of the fmt body, which the key holds whole
+        raw = make_wav_bytes(0.3 * np.random.default_rng(2).standard_normal(2 * TINY_BOUND))
+        clip, cache = tmp_path / "clip.wav", tmp_path / "cache"
+        clip.write_bytes(raw)
+        extract_features(clip, TINY_SETTINGS, cache)
+        decoded = count_decodes(monkeypatch)
+        clip.write_bytes(flip_bit(raw, offset, 0))
+        extract_features(clip, TINY_SETTINGS, cache)
+        assert decoded == [clip]
+        assert len(list(cache.iterdir())) == 2
+
+    def test_clip_shorter_than_the_bound_is_keyed_on_all_its_data(self, tmp_path, monkeypatch):
+        raw = make_wav_bytes(0.3 * np.random.default_rng(3).standard_normal(TINY_BOUND // 2))
+        clip, cache = tmp_path / "short.wav", tmp_path / "cache"
+        clip.write_bytes(raw)
+        extract_features(clip, TINY_SETTINGS, cache)
+        (entry,) = cache.iterdir()
+        assert entry.name[:20] == hashlib.sha256(
+            struct.pack("<I", 16) + raw[20:36] + raw[44:]).hexdigest()[:20]
+        decoded = count_decodes(monkeypatch)
+        clip.write_bytes(flip_bit(raw, len(raw) - 1, 0))  # its last sample
+        extract_features(clip, TINY_SETTINGS, cache)
+        assert decoded == [clip]
+
+    def test_bytes_moved_between_fmt_and_data_change_the_key(self, tmp_path):
+        # an 18-byte fmt body (cbSize 0) followed by data, and the same bytes
+        # as a 16-byte body whose data starts with the cbSize field
+        samples = make_wav_bytes(0.3 * np.random.default_rng(4).standard_normal(4000))[44:]
+        fmt16 = struct.pack("<HHIIHH", 1, 1, 16000, 32000, 2, 16)
+        cache = tmp_path / "cache"
+        names = []
+        for fmt, data in ((fmt16 + b"\0\0", samples), (fmt16, b"\0\0" + samples)):
+            assert fmt + data == fmt16 + b"\0\0" + samples
+            body = b"WAVE" + b"fmt " + struct.pack("<I", len(fmt)) + fmt \
+                + b"data" + struct.pack("<I", len(data)) + data
+            clip = tmp_path / f"fmt{len(fmt)}.wav"
+            clip.write_bytes(b"RIFF" + struct.pack("<I", len(body)) + body)
+            extract_features(clip, TINY_SETTINGS, cache)
+            names.append(sorted(e.name for e in cache.iterdir()))
+        assert len(names[0]) == 1 and len(names[1]) == 2  # the second clip missed
 
     def test_matrices_are_read_only(self, synthetic_corpus, tmp_path, monkeypatch):
         _, records = synthetic_corpus
