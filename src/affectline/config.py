@@ -52,7 +52,7 @@ class RunConfig(_ComponentKeys):
     """
 
     # execution
-    jobs: int = 0  # 0 = available cores
+    jobs: int = 0  # 0 = every core
     cache_dir: str = ""  # "" = env var or default location
     chunk_vote: bool = False
     # paths ("" = must come from a flag)
@@ -60,6 +60,10 @@ class RunConfig(_ComponentKeys):
     manifest: str = ""
     checkpoint: str = ""
     out: str = ""
+
+    def __post_init__(self):
+        if self.jobs < 0:
+            raise ConfigError(f"jobs must be >= 0 (0 = every core), got {self.jobs}")
 
     # -- serialization ----------------------------------------------------
 
@@ -118,7 +122,7 @@ class RunConfig(_ComponentKeys):
         return self._view(TrainConfig)
 
     def resolve_jobs(self) -> int:
-        return self.jobs if self.jobs > 0 else (os.cpu_count() or 1)
+        return self.jobs or os.cpu_count() or 1
 
     def resolve_cache_dir(self) -> Path:
         return Path(self.cache_dir) if self.cache_dir else default_cache_dir()

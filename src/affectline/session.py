@@ -4,9 +4,9 @@ A session is described by a CSV manifest of labeled audio segments (one
 file per segment). Only FAN segments (female adult, near) are treated
 as approximations of the target speaker's speech and classified; the
 far-field variant FAF is excluded because loudness skews the features.
-Segments go through the same path as ``train_eval.evaluate``: raw matrices
-from ``assemble_features``, normalized by the checkpoint's profile in
-``train_eval._to_batch_array``, logits from ``train_eval.predict_logits``.
+A segment goes through the same path as a clip in ``train_eval.evaluate``:
+its raw matrix from ``train_eval.extract_features`` (without a cache),
+labelled by ``train_eval.predict_labels`` with the checkpoint's profile.
 Also provides a synthetic-session generator used as the test stand-in
 for unavailable in-the-wild recordings.
 """
@@ -25,7 +25,7 @@ from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE, AudioDecod
 from .checkpoint import Checkpoint
 from .config import is_utf8
 from .errors import ConfigError, DataError
-from .features import FRAME_LEN, HOP, assemble_features, matrix_samples
+from .features import FRAME_LEN, HOP, assemble_features
 from .svg import bar_chart
 
 SOURCE_LABELS = ("FAN", "FAF", "MAN", "MAF", "CHN", "OTHER")
@@ -167,30 +167,27 @@ def filter_fan(records) -> list:
 
 
 def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
-    """Build a (record, samples) -> emotion callable from a trained checkpoint.
+    """Build a record -> emotion callable from a trained checkpoint.
 
-    With ``chunk_vote`` the samples are cut into feature-window-sized chunks
-    that vote by majority (ties to the lowest class index); otherwise
-    classification uses the leading window only, matching the feature
-    truncation rule: ``assemble_features`` reads only the leading
-    ``matrix_samples(t_fixed)`` samples, which reach past the window by the
-    delta context, and ``classify_session`` decodes only those. All windows
-    of one segment go to the model in one batch.
+    The callable reads the segment itself; AudioDecodeError propagates. By
+    default it labels the leading window, from the call ``evaluate`` makes on
+    a clip: ``train_eval.extract_features(record.audio_path, ckpt.features)``.
+    With ``chunk_vote`` it decodes the whole segment and cuts it into
+    feature-window-sized chunks that vote by majority (ties to the lowest
+    class index), all labelled by one ``train_eval.predict_labels`` call.
     """
     model = ckpt.build_model()
     t_fixed = ckpt.features.t_fixed
     window = (t_fixed - 1) * HOP + FRAME_LEN
 
-    def predict(record, samples: np.ndarray) -> str:
-        if chunk_vote and len(samples) > window:
-            # a tail shorter than one frame casts no vote
-            pieces = [samples[start:start + window] for start in range(0, len(samples), window)
-                      if len(samples) - start >= FRAME_LEN]
+    def predict(record) -> str:
+        if chunk_vote:  # a tail shorter than one frame casts no vote unless it is all there is
+            samples = read_wav(record.audio_path)
+            matrices = [assemble_features(samples[start:start + window], t_fixed)
+                        for start in range(0, max(len(samples) - FRAME_LEN, 0) + 1, window)]
         else:
-            pieces = [samples]
-        matrices = [assemble_features(piece, t_fixed) for piece in pieces]
-        x = train_eval._to_batch_array(matrices, ckpt.normalization)
-        votes = np.bincount(train_eval.predict_logits(model, x).argmax(axis=1),
+            matrices = [train_eval.extract_features(record.audio_path, ckpt.features)]
+        votes = np.bincount(train_eval.predict_labels(model, ckpt.normalization, matrices),
                             minlength=len(EMOTIONS))
         return EMOTIONS[int(np.argmax(votes))]
 
@@ -201,36 +198,31 @@ def classify_session(ckpt: Checkpoint | None, records, *,
                      predict=None, chunk_vote: bool = False) -> SessionReport:
     """Classify every FAN segment of one session and aggregate counts.
 
-    ``predict`` overrides the checkpoint-based classifier (used by the
-    synthetic-session harness). With the leading window, a segment is read
-    and decoded only as far as its feature matrix reads
-    (``read_wav(path, matrix_samples(t_fixed))``); ``chunk_vote`` and a
-    ``predict`` of the caller's get every sample. Unreadable segments are
-    listed in ``failures`` and excluded from the proportions; a session
-    with zero classifiable FAN segments is an error.
+    Each FAN record goes to ``predict(record) -> emotion``, which reads the
+    segment itself: ``checkpoint_predictor(ckpt, chunk_vote)`` unless the
+    caller passes its own (the synthetic-session harness does). A segment
+    whose ``predict`` raises AudioDecodeError is listed in ``failures`` and
+    excluded from the proportions; a session with zero classifiable FAN
+    segments is an error.
     """
     records = list(records)
     session_ids = {r.session_id for r in records}
     if len(session_ids) > 1:
         raise DataError(f"records span multiple sessions: {sorted(session_ids)}")
-    bound = None
     if predict is None:
         if ckpt is None:
             raise DataError("classify_session needs a checkpoint or a predict callable")
         predict = checkpoint_predictor(ckpt, chunk_vote=chunk_vote)
-        if not chunk_vote:
-            bound = matrix_samples(ckpt.features.t_fixed)
 
     fan = filter_fan(records)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
     predictions, failures = [], []
     for record in fan:
         try:
-            samples = read_wav(record.audio_path, bound)
+            label = predict(record)
         except AudioDecodeError as exc:
             failures.append((record.audio_path, str(exc)))
             continue
-        label = predict(record, samples)
         counts[EMOTION_INDEX[label]] += 1
         predictions.append((record.segment_id, label))
     total = int(counts.sum())

@@ -7,7 +7,8 @@ training split only.
 
 Train, evaluate and session classification share one path to the model:
 raw matrices from ``extract_features`` (or ``assemble_features``),
-normalized only in ``_to_batch_array``, then ``predict_logits``.
+normalized only in ``_to_batch_array``, then ``predict_logits``;
+``evaluate`` and ``session`` take it through ``predict_labels``.
 """
 
 from __future__ import annotations
@@ -255,17 +256,25 @@ def _to_batch_array(matrices, profile) -> np.ndarray:
     return out.astype(np.float32)
 
 
-def predict_logits(model: Model, x: np.ndarray, batch: int = 16) -> np.ndarray:
-    """Logits of every row of ``x``, forwarded ``batch`` rows at a time.
+PREDICT_ROWS = 16  # rows per forward in predict_logits
 
-    A row's logits do not depend on ``batch`` wherever BLAS rounding does
-    not (see ``Model``); ``batch`` bounds the model's activation arena,
-    which keeps the largest batch it has seen: about 1.1 MB a row at the
-    default spec, each layer's zero-padded input (a backward adds two
-    gradient buffers, 0.6 MB a row).
+
+def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
+    """Logits of every row of ``x``, forwarded ``PREDICT_ROWS`` rows at a time.
+
+    A row's logits do not depend on the rows forwarded with it wherever
+    BLAS rounding does not (see ``Model``); ``PREDICT_ROWS`` bounds the
+    model's activation arena, which keeps the largest batch it has seen:
+    about 1.1 MB a row at the default spec, each layer's zero-padded input
+    (a backward adds two gradient buffers, 0.6 MB a row).
     """
-    chunks = [model.forward(x[i:i + batch]) for i in range(0, len(x), batch)]
+    chunks = [model.forward(x[i:i + PREDICT_ROWS]) for i in range(0, len(x), PREDICT_ROWS)]
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
+
+
+def predict_labels(model: Model, profile, matrices) -> np.ndarray:
+    """Class index of each raw matrix: ``_to_batch_array``, ``predict_logits``, argmax."""
+    return predict_logits(model, _to_batch_array(matrices, profile)).argmax(axis=1)
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
@@ -273,10 +282,6 @@ def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
     cm = np.zeros((n_classes, n_classes), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm
-
-
-def _predict(model: Model, x: np.ndarray) -> np.ndarray:
-    return predict_logits(model, x).argmax(axis=1)
 
 
 def train(records, model_spec: ModelSpec, config: TrainConfig,
@@ -328,14 +333,14 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
             optimizer.step(model.parameters(), grads)
             loss_sum += mean_loss * len(sel)
         train_acc = correct / n  # as Keras' fit reports it
-        test_pred = _predict(model, x_test)
+        test_pred = predict_logits(model, x_test).argmax(axis=1)
         test_acc = float(np.mean(test_pred == y_test))
         metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
         if config.early_stop_train_acc and train_acc >= config.early_stop_train_acc:
             break
 
     if test_pred is None:  # no epoch ran
-        test_pred = _predict(model, x_test)
+        test_pred = predict_logits(model, x_test).argmax(axis=1)
     metrics.confusion = confusion_matrix(y_test, test_pred)
 
     ckpt = Checkpoint(
@@ -376,12 +381,10 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     kept, mats, failures = extract_all(records, ckpt.features, cache_dir, jobs)
     if not kept:
         raise _decode_failures_error("all records failed to decode", failures)
-    x = _to_batch_array(mats, ckpt.normalization)
-    y = _labels_array(kept)
-    model = ckpt.build_model()
+    y_pred = predict_labels(ckpt.build_model(), ckpt.normalization, mats)
     return Metrics(
         epochs=[],
-        confusion=confusion_matrix(y, _predict(model, x)),
+        confusion=confusion_matrix(_labels_array(kept), y_pred),
         n_train=0,
         n_test=len(kept),
         failures=failures,

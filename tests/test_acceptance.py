@@ -137,7 +137,7 @@ def test_aggregation_correctness(tmp_path):
                                 seed=6)
     records = load_manifest(bundle.manifest_path).records
     truth = load_truth(bundle.truth_path)
-    oracle = lambda record, samples: truth[record.segment_id]
+    oracle = lambda record: truth[record.segment_id]
 
     rep = classify_session(None, records, predict=oracle)
     exact = bool(np.all(rep.counts == np.array(per_class)))

@@ -156,22 +156,26 @@ class TestTrainCommand:
         "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
         "conv_channels=4,100000000000", "kernel=3.0", "pad=0", "n_classes=7",
         "filter_sex=male", "filter_emotions=angry", "vocal_channels=speech", "split_ratio=0.5",
-        "seed=-1", "lr=nan", "lr=-1e-4", "patience=-1", "patience=3",
+        "seed=-1", "jobs=-1", "lr=nan", "lr=-1e-4", "patience=-1", "patience=3",
         "early_stop_train_acc=nan", "early_stop_train_acc=1.5",
     )] + [("features", "n_coeffs=12"), ("features", "n_mels=24"),
           ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}"),
-          ("gradcheck", "seed=-1")]
+          ("gradcheck", "seed=-1"), ("eval", "jobs=-3")]
 
     @pytest.mark.parametrize("command,override", OUT_OF_RANGE,
                              ids=[o if c == "train" else f"{c} {o}" for c, o in OUT_OF_RANGE])
     def test_out_of_range_value_exits_2(self, tmp_path, corpus_root, capsys, command,
                                         override):
+        # eval's checkpoint does not exist: reading it first would exit 3
         args = {"train": ["--corpus", str(corpus_root), "--out", str(tmp_path / "o")],
+                "eval": ["--corpus", str(corpus_root), "--checkpoint",
+                         str(tmp_path / "missing.afl"), "--out", str(tmp_path / "o")],
                 "features": ["--wav", str(next(corpus_root.glob("*.wav")))],
                 "gradcheck": []}[command]
         code = main([command, *args, "--set", override])
         assert code == 2
         assert override.partition("=")[0] in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_decode_failures_named(self, tmp_path, corpus_root, capsys):
         corpus = tmp_path / "corpus"

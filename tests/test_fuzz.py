@@ -288,8 +288,11 @@ PREDICT_MAX_T_FIXED = 1000  # a larger window only costs memory; its bound has i
 
 
 def open_checkpoint(path, data: bytes) -> None:
-    """Load ``data`` and classify SHORT_CLIP with whatever loads."""
+    """Load ``data`` and classify SHORT_CLIP, written as a WAV segment, with
+    whatever loads."""
     path.write_bytes(data)
+    clip = path.with_suffix(".wav")
+    audio_io.write_wav(clip, SHORT_CLIP)
     try:
         ckpt = load_checkpoint(path)
     except DataError:
@@ -297,7 +300,8 @@ def open_checkpoint(path, data: bytes) -> None:
     if ckpt.features.t_fixed > PREDICT_MAX_T_FIXED:
         return
     try:
-        label = checkpoint_predictor(ckpt)(None, SHORT_CLIP)
+        label = checkpoint_predictor(ckpt)(SegmentRecord("s", "short", "FAN", str(clip),
+                                                         0.0, 0.05))
     except AffectlineError:
         return
     assert label in EMOTIONS

@@ -4,7 +4,8 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from affectline.audio_io import EMOTION_INDEX, EMOTIONS, read_wav
+from affectline import session, train_eval
+from affectline.audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings
 from affectline.errors import ConfigError, DataError
 from affectline.features import assemble_features, compute_normalization
@@ -28,7 +29,19 @@ def labeled_clips(n, seed=0):
 
 
 def truth_predictor(truth):
-    return lambda record, samples: truth[record.segment_id]
+    """The true label of each segment, read first as a predictor reads it, so
+    an unreadable segment fails as it would in ``checkpoint_predictor``."""
+    def predict(record):
+        read_wav(record.audio_path)
+        return truth[record.segment_id]
+    return predict
+
+
+def untrained_checkpoint(normalization=None, t_fixed=100):
+    spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
+    return Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
+                      opt_acc={}, features=FeatureSettings(t_fixed=t_fixed),
+                      normalization=normalization)
 
 
 class TestManifest:
@@ -246,17 +259,12 @@ class TestClassifySession:
     def test_multiple_sessions_rejected(self):
         records = [seg("s1", 0, "FAN"), seg("s2", 1, "FAN")]
         with pytest.raises(DataError):
-            classify_session(None, records, predict=lambda r, samples: "sad")
+            classify_session(None, records, predict=lambda r: "sad")
 
     def test_chunk_vote_on_long_segment(self, tmp_path):
         # untrained checkpoint: the contract here is only that voting over
         # feature-window chunks runs and aggregates into a single label
-        spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
-        model = Model(spec, seed=0)
-        ckpt = Checkpoint(model_spec=spec,
-                          params=dict(model.parameters()),
-                          opt_acc={}, features=FeatureSettings(t_fixed=100),
-                          normalization=None)
+        ckpt = untrained_checkpoint()
         long_clip = np.tile(sine(320, 1.0), 5)  # ~3 windows of 1.6 s
         bundle = synthesize_session([(long_clip, "calm")], tmp_path / "long", seed=0)
         records = load_manifest(bundle.manifest_path).records
@@ -264,15 +272,11 @@ class TestClassifySession:
         voted = classify_session(ckpt, records, chunk_vote=True)
         assert plain.counts.sum() == 1 and voted.counts.sum() == 1
 
-    def test_model_input_matches_evaluate(self, tmp_path, monkeypatch):
-        spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
-        settings = FeatureSettings(t_fixed=100)
+    def test_model_input_bit_equal_to_evaluate(self, tmp_path, monkeypatch):
         rng = np.random.default_rng(4)
-        profile = compute_normalization(
+        ckpt = untrained_checkpoint(compute_normalization(
             [assemble_features(0.3 * rng.standard_normal(16000), t_fixed=100)
-             for _ in range(3)])
-        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
-                          opt_acc={}, features=settings, normalization=profile)
+             for _ in range(3)]))
         short = class_tone(2, rng, 0.5)  # shorter than one feature window
         bundle = synthesize_session([(short, EMOTIONS[2])], tmp_path / "s", seed=0)
         records = load_manifest(bundle.manifest_path).records
@@ -289,7 +293,7 @@ class TestClassifySession:
 
 
     def test_eval_and_classify_agree_clip_for_clip(self, tmp_path):
-        # 65 clips: evaluate forwards a batch of 64 and a batch of 1, classify
+        # 65 clips: evaluate forwards four batches of 16 and one of 1, classify
         # one batch per segment; each clip's prediction must not depend on that
         clips = labeled_clips(65, seed=11)
         bundle = synthesize_session(clips, tmp_path / "s", seed=6)
@@ -308,6 +312,69 @@ class TestClassifySession:
         metrics = evaluate(ckpt, [(r.audio_path, truth[r.segment_id]) for r in records])
         assert metrics.n_test == 65
         np.testing.assert_array_equal(metrics.confusion, confusion_matrix(y_true, y_pred))
+
+
+class TestOnePath:
+    """A segment is labelled through eval's clip path: the leading window is one
+    ``train_eval.extract_features`` call, the chunk vote one whole decode, and
+    only the predictor reads audio."""
+
+    @pytest.fixture
+    def calls(self, monkeypatch):
+        """The arguments of each ``train_eval.extract_features`` and
+        ``session.read_wav`` call, by name."""
+        calls = {"extract_features": [], "read_wav": []}
+
+        def counting(module, name):
+            original = getattr(module, name)
+
+            def counted(*args):
+                calls[name].append(args)
+                return original(*args)
+            monkeypatch.setattr(module, name, counted)
+
+        counting(train_eval, "extract_features")
+        counting(session, "read_wav")
+        return calls
+
+    @pytest.fixture
+    def records(self, tmp_path):
+        """Three FAN segments and one CHN segment."""
+        bundle = synthesize_session(labeled_clips(4, seed=12), tmp_path / "s", seed=7)
+        records = load_manifest(bundle.manifest_path).records
+        return records[:3] + [SegmentRecord(records[3].session_id, records[3].segment_id,
+                                            "CHN", records[3].audio_path, 0.0, 1.0)]
+
+    def test_leading_window_is_one_extract_features_call(self, calls, records):
+        ckpt = untrained_checkpoint()
+        report = classify_session(ckpt, records)
+        assert report.counts.sum() == 3
+        assert calls["extract_features"] == [(r.audio_path, ckpt.features) for r in records[:3]]
+        assert calls["read_wav"] == []
+
+    def test_chunk_vote_reads_each_segment_once_unbounded(self, calls, records):
+        report = classify_session(untrained_checkpoint(), records, chunk_vote=True)
+        assert report.counts.sum() == 3
+        assert calls["read_wav"] == [(r.audio_path,) for r in records[:3]]
+        assert calls["extract_features"] == []
+
+    def test_callers_decode_error_is_a_failure(self, calls, records):
+        def predict(record):
+            if record is records[1]:
+                raise AudioDecodeError(f"{record.audio_path}: broken")
+            return "sad"
+        report = classify_session(None, records, predict=predict)
+        assert report.failures == [(records[1].audio_path, f"{records[1].audio_path}: broken")]
+        assert [s for s, _ in report.predictions] == [records[0].segment_id,
+                                                      records[2].segment_id]
+        assert calls == {"extract_features": [], "read_wav": []}
+
+    def test_callers_other_data_error_propagates(self, records):
+        def predict(record):
+            raise DataError("normalized features overflow float32")
+        with pytest.raises(DataError, match="overflow") as info:
+            classify_session(None, records, predict=predict)
+        assert not isinstance(info.value, AudioDecodeError)
 
 
 def long_segment(path, minutes):
@@ -343,9 +410,7 @@ class TestLongSegmentMemory:
                 for minutes in (1, 4)}
 
     def test_leading_window_classify_peak(self, segments):
-        spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
-        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
-                          opt_acc={}, features=FeatureSettings(), normalization=None)
+        ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed)
         records = {m: [SegmentRecord("s", f"{m}min", "FAN", str(path), 0.0, 60.0 * m)]
                    for m, path in segments.items()}
         classify_session(ckpt, records[1])  # builds the 48 kHz plan and the model's arena

@@ -264,7 +264,7 @@ class TestPredictLogits:
         finally:
             tracemalloc.stop()
         assert peak < 64e6
-        np.testing.assert_array_equal(logits, predict_logits(model, x, batch=64))
+        np.testing.assert_array_equal(logits, model.forward(x))
 
 
     def test_normalized_value_beyond_float32_is_data_error(self):
