@@ -157,14 +157,16 @@ def _input_frames(n_out: int, sr_in: int) -> int:
     return r * chunk + int(starts[j]) + pad + 1
 
 
-def read_chunks(path, max_samples: int | None = None) -> WavChunks:
+def read_chunks(path, max_samples: int | None = None, start: int = 0) -> WavChunks:
     """The ``fmt `` body and ``data`` bytes of the WAV file at ``path``.
 
     The reader seeks from chunk header to chunk header (the first ``fmt ``
     and the first ``data`` chunk win; a size past the end of the file
     keeps the bytes there are) and checks the format before it reads any
-    sample. With ``max_samples`` it reads only the input frames that the
-    first ``max_samples`` samples at ``PIPELINE_SAMPLE_RATE`` depend on.
+    sample. It skips ``start * rate // PIPELINE_SAMPLE_RATE`` whole input
+    frames (``start`` counts samples at ``PIPELINE_SAMPLE_RATE``), then with
+    ``max_samples`` reads only the input frames that the first
+    ``max_samples`` samples at ``PIPELINE_SAMPLE_RATE`` depend on.
     Raises UnreadableFileError or UnsupportedEncodingError as ``read_wav``.
     """
     try:
@@ -187,8 +189,11 @@ def read_chunks(path, max_samples: int | None = None) -> WavChunks:
             fmt = f.read(spans[b"fmt "][1])
             n_channels, rate, bits = _parse_fmt(fmt, path)
             offset, n = spans[b"data"]
+            frame = n_channels * (bits // 8)
+            skip = min(n, start * rate // PIPELINE_SAMPLE_RATE * frame)
+            offset, n = offset + skip, n - skip
             if max_samples is not None and n:
-                n = min(n, _input_frames(max_samples, rate) * n_channels * (bits // 8))
+                n = min(n, _input_frames(max_samples, rate) * frame)
             f.seek(offset)
             data = f.read(n)
     except (OSError, ValueError, struct.error) as exc:
@@ -197,22 +202,23 @@ def read_chunks(path, max_samples: int | None = None) -> WavChunks:
     return WavChunks(path, fmt, data, max_samples)
 
 
-def read_wav(path, max_samples: int | None = None) -> np.ndarray:
+def read_wav(path, max_samples: int | None = None, start: int = 0) -> np.ndarray:
     """Decode a PCM WAV file into mono float64 samples at ``PIPELINE_SAMPLE_RATE``,
     clipped to [-1, 1] and read-only.
 
-    With ``max_samples``, only the input frames the first ``max_samples``
-    output samples depend on are read, and those samples are returned:
-    bit-equal to the first ``max_samples`` samples of the whole decode.
-    Samples past that are not read, so they are not checked either.
-    ``path`` may instead be the WavChunks that ``read_chunks`` read, which
-    are decoded to the bound they were read with. Stereo input is downmixed
-    by channel average. Rate conversion uses a windowed-sinc filter. Raises
-    UnreadableFileError, UnsupportedEncodingError (also for NaN/Inf float
-    samples read and header rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE)
-    or EmptyAudioError.
+    With ``start``, the file is decoded as if it were cut at input frame
+    ``start * rate // PIPELINE_SAMPLE_RATE``. With ``max_samples``, only the
+    input frames the first ``max_samples`` output samples depend on are
+    read, and those samples are returned: bit-equal to the first
+    ``max_samples`` samples of the whole decode. Samples outside that are
+    not read, so they are not checked either. ``path`` may instead be the
+    WavChunks that ``read_chunks`` read, which are decoded to the bound
+    they were read with. Stereo input is downmixed by channel average.
+    Rate conversion uses a windowed-sinc filter. Raises UnreadableFileError,
+    UnsupportedEncodingError (also for NaN/Inf float samples read and header
+    rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or EmptyAudioError.
     """
-    wav = path if isinstance(path, WavChunks) else read_chunks(path, max_samples)
+    wav = path if isinstance(path, WavChunks) else read_chunks(path, max_samples, start)
     n_channels, rate, bits = _parse_fmt(wav.fmt, wav.path)
     samples = _decode_pcm(wav.data, bits, wav.path)
     if n_channels == 2:

@@ -205,17 +205,19 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     session_mod.check_session_id(args.session_id)
     records = _corpus_records(cfg)
     _echo_config(cfg, out_dir)  # an unusable --out fails before decoding
-    items = []
+    decoded = []  # (path, label) of each clip that decodes; a chosen one is read again
     for path, label in records:
         try:
-            items.append((read_wav(path), label))
+            read_wav(path)
         except AudioDecodeError as exc:
             print(f"decode failure: {exc}", file=sys.stderr)
-    if not items:
+            continue
+        decoded.append((path, label))
+    if not decoded:
         raise CorpusEmptyError(f"every matching file under {cfg.corpus} failed to decode")
     rng = np.random.default_rng(seed)
-    idx = rng.choice(len(items), size=n, replace=n > len(items))
-    chosen = [items[int(i)] for i in idx]
+    idx = rng.choice(len(decoded), size=n, replace=n > len(decoded))
+    chosen = [(read_wav(decoded[i][0]), decoded[i][1]) for i in map(int, idx)]
     bundle = session_mod.synthesize_session(chosen, out_dir,
                                             session_id=args.session_id,
                                             snr_db=args.snr_db, seed=seed)

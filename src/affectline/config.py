@@ -52,7 +52,7 @@ class RunConfig(_ComponentKeys):
     """
 
     # execution
-    jobs: int = 0  # 0 = every core
+    jobs: int = 1  # 0 = every core
     cache_dir: str = ""  # "" = env var or default location
     chunk_vote: bool = False
     # paths ("" = must come from a flag)

@@ -7,6 +7,7 @@ far-field variant FAF is excluded because loudness skews the features.
 A segment goes through the same path as a clip in ``train_eval.evaluate``:
 its raw matrix from ``train_eval.extract_features`` (without a cache),
 labelled by ``train_eval.predict_labels`` with the checkpoint's profile.
+The chunk vote adds that matrix of the segment cut at each later window.
 Also provides a synthetic-session generator used as the test stand-in
 for unavailable in-the-wild recordings.
 """
@@ -25,7 +26,7 @@ from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE, AudioDecod
 from .checkpoint import Checkpoint
 from .config import is_utf8
 from .errors import ConfigError, DataError
-from .features import FRAME_LEN, HOP, assemble_features
+from .features import FRAME_LEN, HOP, assemble_features, matrix_samples
 from .svg import bar_chart
 
 SOURCE_LABELS = ("FAN", "FAF", "MAN", "MAF", "CHN", "OTHER")
@@ -172,21 +173,22 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     The callable reads the segment itself; AudioDecodeError propagates. By
     default it labels the leading window, from the call ``evaluate`` makes on
     a clip: ``train_eval.extract_features(record.audio_path, ckpt.features)``.
-    With ``chunk_vote`` it decodes the whole segment and cuts it into
-    feature-window-sized chunks that vote by majority (ties to the lowest
-    class index), all labelled by one ``train_eval.predict_labels`` call.
+    With ``chunk_vote``, window k >= 1, read only after a full window k - 1,
+    is that matrix of the segment cut at sample k * t_fixed * HOP; windows
+    holding a frame vote by majority (ties to the lowest class index), all
+    labelled by one ``train_eval.predict_labels`` call.
     """
     model = ckpt.build_model()
     t_fixed = ckpt.features.t_fixed
-    window = (t_fixed - 1) * HOP + FRAME_LEN
+    bound, step = matrix_samples(t_fixed), t_fixed * HOP
 
     def predict(record) -> str:
-        if chunk_vote:  # a tail shorter than one frame casts no vote unless it is all there is
-            samples = read_wav(record.audio_path)
-            matrices = [assemble_features(samples[start:start + window], t_fixed)
-                        for start in range(0, max(len(samples) - FRAME_LEN, 0) + 1, window)]
-        else:
-            matrices = [train_eval.extract_features(record.audio_path, ckpt.features)]
+        matrices = [train_eval.extract_features(record.audio_path, ckpt.features)]
+        while chunk_vote and matrices[-1].n_valid_frames == t_fixed:  # a full window
+            samples = read_wav(record.audio_path, bound, len(matrices) * step)
+            if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
+                break
+            matrices.append(assemble_features(samples, t_fixed))
         votes = np.bincount(train_eval.predict_labels(model, ckpt.normalization, matrices),
                             minlength=len(EMOTIONS))
         return EMOTIONS[int(np.argmax(votes))]

@@ -235,6 +235,27 @@ class TestBoundedRead:
         assert len(audio_io.read_chunks(path).data) == 4 * 3 * bound
 
 
+    @pytest.mark.parametrize("rate", [8000, 11127, 16000, 48000])
+    @pytest.mark.parametrize("encoding", list(ENCODINGS))
+    def test_read_from_start_bit_equal_to_cut_file(self, tmp_path, rate, encoding):
+        # ``start`` counts 16 kHz samples: the reader skips start * rate // 16000 frames
+        bits, channels, fmt_code = ENCODINGS[encoding]
+        rng = np.random.default_rng([rate, bits, channels])
+        x = np.clip(0.4 * rng.standard_normal((rate, channels)), -1.0, 1.0)  # one second
+
+        def wav(name, frames):
+            return write_test_wav(tmp_path / name, frames[:, 0] if channels == 1 else frames,
+                                  sample_rate=rate, bits=bits, channels=channels,
+                                  fmt_code=fmt_code)
+        path = wav("s.wav", x)
+        for start in (1, 4999, 5000, 15999):
+            cut = wav(f"cut{start}.wav", x[start * rate // 16000:])
+            for bound in (None, 3000):
+                assert read_wav(path, bound, start).tobytes() == \
+                    read_wav(cut, bound).tobytes(), (start, bound)
+        with pytest.raises(EmptyAudioError):
+            read_wav(path, 3000, 16000)
+
 class TestResample:
     def test_identity_rate(self):
         x = sine(100, 0.05)

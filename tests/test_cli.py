@@ -4,6 +4,7 @@ import json
 import re
 import shutil
 import struct
+import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -597,6 +598,17 @@ class TestDedicatedFlags:
         echoed = (out / "config.txt").read_text().splitlines()
         assert "jobs = 2" in echoed and "t_fixed = 100" in echoed
 
+    def test_jobs_defaults_to_one_and_zero_is_every_core(self, tmp_path, corpus_root,
+                                                           monkeypatch):
+        # one process is faster here than a pool whose workers each run a
+        # many-threaded BLAS; 0 asks for every core
+        assert RunConfig().jobs == 1 and RunConfig().resolve_jobs() == 1
+        monkeypatch.setattr("os.cpu_count", lambda: 7)
+        assert RunConfig(jobs=0).resolve_jobs() == 7
+        assert main(["synth", "--corpus", str(corpus_root), "--out", str(tmp_path / "s"),
+                     "--n-segments", "1"]) == 0
+        assert "jobs = 1" in (tmp_path / "s" / "config.txt").read_text().splitlines()
+
     def test_config_with_retired_keys_loads_under_classify(self, tmp_path, corpus_root,
                                                            trained_run):
         run, _ = trained_run
@@ -695,6 +707,25 @@ class TestSynthCommand:
                      "--set", "resample_method=foo"])
         assert code == 2
         assert "resample_method" in capsys.readouterr().err
+
+    def test_peak_memory_does_not_grow_with_the_corpus(self, tmp_path):
+        # a decoded 1 s clip holds 128 KB: only the chosen clips' samples are kept
+        for clips in (12, 48):
+            build_synthetic_corpus(tmp_path / f"c{clips}", per_class=clips // 6)
+
+        def synth(clips):
+            return main(["synth", "--corpus", str(tmp_path / f"c{clips}"),
+                         "--out", str(tmp_path / f"o{clips}"), "--n-segments", "2"])
+        assert synth(12) == 0
+        peaks = {}
+        for clips in (12, 48):
+            tracemalloc.start()
+            try:
+                assert synth(clips) == 0
+                peaks[clips] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peaks[48] < peaks[12] + 1e6, peaks
 
     def test_deterministic_given_seed(self, tmp_path, corpus_root):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -8,14 +8,14 @@ from affectline import session, train_eval
 from affectline.audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings
 from affectline.errors import ConfigError, DataError
-from affectline.features import assemble_features, compute_normalization
+from affectline.features import FRAME_LEN, HOP, assemble_features, compute_normalization
 from affectline.nn import Model, ModelSpec
 from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
                                 load_truth, render_report, sample_for_audit,
                                 synthesize_session)
 from affectline.train_eval import confusion_matrix, evaluate, extract_features
-from conftest import class_tone, make_wav_bytes, sine
+from conftest import class_tone, make_wav_bytes, sine, write_test_wav
 
 
 def labeled_clips(n, seed=0):
@@ -316,8 +316,8 @@ class TestClassifySession:
 
 class TestOnePath:
     """A segment is labelled through eval's clip path: the leading window is one
-    ``train_eval.extract_features`` call, the chunk vote one whole decode, and
-    only the predictor reads audio."""
+    ``train_eval.extract_features`` call, each later window of the chunk vote
+    one bounded ``read_wav`` from its start, and only the predictor reads audio."""
 
     @pytest.fixture
     def calls(self, monkeypatch):
@@ -352,11 +352,21 @@ class TestOnePath:
         assert calls["extract_features"] == [(r.audio_path, ckpt.features) for r in records[:3]]
         assert calls["read_wav"] == []
 
-    def test_chunk_vote_reads_each_segment_once_unbounded(self, calls, records):
-        report = classify_session(untrained_checkpoint(), records, chunk_vote=True)
+    def test_chunk_vote_reads_later_windows_bounded_from_their_start(self, calls, tmp_path):
+        # t_fixed 100: a window steps 16,000 samples and reads 16,880; the
+        # segments hold 1, 2 and 3 windows
+        rng = np.random.default_rng(13)
+        clips = [(class_tone(i, rng, seconds), EMOTIONS[i])
+                 for i, seconds in enumerate((0.5, 1.5, 3.0))]
+        records = load_manifest(synthesize_session(clips, tmp_path / "s", seed=8)
+                                .manifest_path).records
+        ckpt = untrained_checkpoint()
+        report = classify_session(ckpt, records, chunk_vote=True)
         assert report.counts.sum() == 3
-        assert calls["read_wav"] == [(r.audio_path,) for r in records[:3]]
-        assert calls["extract_features"] == []
+        assert calls["extract_features"] == [(r.audio_path, ckpt.features) for r in records]
+        assert calls["read_wav"] == [(records[1].audio_path, 16880, 16000),
+                                     (records[2].audio_path, 16880, 16000),
+                                     (records[2].audio_path, 16880, 32000)]
 
     def test_callers_decode_error_is_a_failure(self, calls, records):
         def predict(record):
@@ -375,6 +385,86 @@ class TestOnePath:
         with pytest.raises(DataError, match="overflow") as info:
             classify_session(None, records, predict=predict)
         assert not isinstance(info.value, AudioDecodeError)
+
+
+def voted_windows(ckpt, path):
+    """The matrices the chunk vote labels for the segment at ``path``, in order."""
+    windows = []
+    predict_labels = train_eval.predict_labels
+
+    def capture(model, profile, matrices):
+        windows.extend(matrices)
+        return predict_labels(model, profile, matrices)
+    train_eval.predict_labels = capture
+    try:
+        session.checkpoint_predictor(ckpt, chunk_vote=True)(
+            SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0))
+    finally:
+        train_eval.predict_labels = predict_labels
+    return windows
+
+
+class TestChunkVoteWindows:
+    """Window k of the chunk vote is eval's matrix of the segment cut at input
+    frame k * t_fixed * HOP * rate // 16000; window 0 is eval's matrix itself."""
+
+    RATES = [8000, 11025, 11127, 16000, 22050, 44100, 48000]
+
+    @pytest.fixture(params=[300, 17])
+    def t_fixed(self, request):
+        return request.param
+
+    def segment(self, tmp_path, rate, t_fixed):
+        """Noise at ``rate`` over 2.5 window steps: two full windows and a part."""
+        n = (5 * t_fixed * HOP // 2 + FRAME_LEN) * rate // 16000
+        x = 0.3 * np.random.default_rng(rate + t_fixed).standard_normal(n)
+        return x, write_test_wav(tmp_path / "segment.wav", np.clip(x, -1.0, 1.0), rate)
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_chunk_vote_window0_bit_equal_to_extract_features(self, tmp_path, rate, t_fixed):
+        ckpt = untrained_checkpoint(t_fixed=t_fixed)
+        _, path = self.segment(tmp_path, rate, t_fixed)
+        window0 = voted_windows(ckpt, path)[0]
+        assert window0.values.tobytes() == \
+            extract_features(path, ckpt.features).values.tobytes()
+
+    @pytest.mark.parametrize("rate", RATES)
+    def test_chunk_vote_window_k_bit_equal_to_cut_file(self, tmp_path, rate, t_fixed):
+        ckpt = untrained_checkpoint(t_fixed=t_fixed)
+        x, path = self.segment(tmp_path, rate, t_fixed)
+        windows = voted_windows(ckpt, path)
+        assert [w.n_valid_frames == t_fixed for w in windows] == [True, True, False]
+        for k, window in enumerate(windows):
+            cut = write_test_wav(tmp_path / f"cut{k}.wav",
+                                 np.clip(x[k * t_fixed * HOP * rate // 16000:], -1.0, 1.0), rate)
+            assert window.values.tobytes() == \
+                extract_features(cut, ckpt.features).values.tobytes(), k
+
+    @pytest.mark.parametrize("k", [0, 1, 2, 3])
+    def test_window_count_at_16khz(self, tmp_path, k):
+        # window j exists iff j * step <= max(len - FRAME_LEN, 0)
+        ckpt = untrained_checkpoint(t_fixed=17)
+        step = 17 * HOP
+        for extra, expected in ((FRAME_LEN - 1, max(k, 1)), (FRAME_LEN, k + 1)):
+            path = write_test_wav(tmp_path / f"{extra}.wav",
+                                  0.3 * sine(440, (k * step + extra) / 16000))
+            assert len(voted_windows(ckpt, path)) == expected, (k, extra)
+
+    def test_one_window_segment_same_label_in_both_modes(self, tmp_path):
+        # at t_fixed 100 the longest one-window segment holds step + FRAME_LEN - 1
+        # = 16,399 samples
+        rng = np.random.default_rng(5)
+        clips = [(class_tone(i % 6, rng, seconds), EMOTIONS[i % 6])
+                 for i, seconds in enumerate([0.3, 0.6, 1.0, 16399 / 16000] * 3)]
+        spec, settings = ModelSpec(), FeatureSettings(t_fixed=100)
+        profile = compute_normalization([assemble_features(x, t_fixed=100) for x, _ in clips])
+        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=2).parameters()),
+                          opt_acc={}, features=settings, normalization=profile)
+        records = load_manifest(synthesize_session(clips, tmp_path / "s", seed=2)
+                                .manifest_path).records
+        plain = classify_session(ckpt, records).predictions
+        assert len({label for _, label in plain}) > 1  # not a constant output
+        assert classify_session(ckpt, records, chunk_vote=True).predictions == plain
 
 
 def long_segment(path, minutes):
@@ -399,7 +489,8 @@ def traced_peak(fn):
 class TestLongSegmentMemory:
     """A leading-window matrix reads ~3 s of a segment, so the peak memory of
     classifying or extracting it does not grow with the segment's length (a
-    whole decode at 48 kHz holds ~57 MB a minute)."""
+    whole decode at 48 kHz holds ~57 MB a minute); the chunk vote reads one
+    such window at a time."""
 
     MARGIN = 1e6  # bytes
 
@@ -416,6 +507,18 @@ class TestLongSegmentMemory:
         classify_session(ckpt, records[1])  # builds the 48 kHz plan and the model's arena
         peaks = {m: traced_peak(lambda: classify_session(ckpt, records[m])) for m in records}
         assert peaks[4] < peaks[1] + self.MARGIN, peaks
+        assert peaks[4] < 20e6, peaks
+
+    def test_chunk_vote_classify_peak(self, segments):
+        # a window is read at a time; what grows is the windows' matrices,
+        # 20 a minute of 49 KB each (and their normalized batch)
+        ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed)
+        records = {m: [SegmentRecord("s", f"{m}min", "FAN", str(path), 0.0, 60.0 * m)]
+                   for m, path in segments.items()}
+        classify_session(ckpt, records[1], chunk_vote=True)
+        peaks = {m: traced_peak(lambda: classify_session(ckpt, records[m], chunk_vote=True))
+                 for m in records}
+        assert peaks[4] - peaks[1] < 3 * 4e6, peaks  # a whole decode holds ~57 MB a minute
         assert peaks[4] < 20e6, peaks
 
     def test_extract_features_peak(self, segments, tmp_path):
