@@ -9,6 +9,7 @@ truncated or zero-padded to a fixed number of columns.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -73,18 +74,34 @@ class FeatureMatrix:
     n_valid_frames: int
 
 
+def _padded(samples) -> np.ndarray:
+    """The float64 signal every stage frames: ``samples``, zero-padded to one
+    full frame when shorter than ``FRAME_LEN``."""
+    x = np.asarray(samples, dtype=np.float64)
+    return np.pad(x, (0, FRAME_LEN - len(x))) if len(x) < FRAME_LEN else x
+
+
+def _n_frames(n_samples: int) -> int:
+    """Frames of a padded signal of ``n_samples``: one every HOP that fits whole."""
+    return (n_samples - FRAME_LEN) // HOP + 1
+
+
+def _frame_view(x: np.ndarray) -> np.ndarray:
+    """(T, FRAME_LEN) read-only strided view of a padded signal's frames."""
+    step = x.strides[0]
+    return np.lib.stride_tricks.as_strided(x, (_n_frames(len(x)), FRAME_LEN), (HOP * step, step),
+                                           writeable=False)
+
+
 def frame_signal(samples: np.ndarray) -> np.ndarray:
     """Slice 16 kHz samples into overlapping frames, shape (T, FRAME_LEN).
 
     Signals shorter than one frame are zero-padded to a single full frame.
     No window is applied here; windowing belongs to the spectral ops. The
     result is a read-only strided view of the samples, not a copy.
+    ``zcr`` and ``rms`` follow the same framing rule on the samples.
     """
-    x = np.asarray(samples, dtype=np.float64)
-    if len(x) < FRAME_LEN:
-        x = np.pad(x, (0, FRAME_LEN - len(x)))
-    n_frames = (len(x) - FRAME_LEN) // HOP + 1
-    return np.lib.stride_tricks.sliding_window_view(x, FRAME_LEN)[::HOP][:n_frames]
+    return _frame_view(_padded(samples))
 
 
 def hz_to_mel(f):
@@ -115,19 +132,30 @@ def _dct_ortho_matrix(n: int) -> np.ndarray:
     return basis
 
 
+@functools.lru_cache(maxsize=8)
+def _hamming_window(n: int) -> np.ndarray:
+    return np.hamming(n)
+
+
 def mfcc(frames: np.ndarray) -> np.ndarray:
     """Mel-frequency cepstral coefficients of 16 kHz frames, shape (N_MFCC, T).
 
     Per frame: Hamming window, magnitude-squared FFT spectrum, triangular
     mel filterbank, natural log with a floor, orthonormal DCT-II keeping
-    the lowest coefficients.
+    the lowest coefficients. The windowed frames are written once, into a
+    zero-padded (T, N_FFT) buffer, and the spectrum is squared in place;
+    the result is bit-equal to ``rfft(frames * window, n=N_FFT)`` squared
+    as ``real**2 + imag**2``.
     """
     frames = np.asarray(frames, dtype=np.float64)
     if N_FFT < frames.shape[1]:
         raise ConfigError(f"n_fft {N_FFT} smaller than frame length {frames.shape[1]}")
-    window = np.hamming(frames.shape[1])
-    spectrum = np.fft.rfft(frames * window, n=N_FFT, axis=1)
-    power = spectrum.real ** 2 + spectrum.imag ** 2
+    padded = np.zeros((frames.shape[0], N_FFT))
+    np.multiply(frames, _hamming_window(frames.shape[1]), out=padded[:, :frames.shape[1]])
+    spectrum = np.fft.rfft(padded, axis=1)
+    parts = spectrum.view(np.float64).reshape(*spectrum.shape, 2)  # (re, im) pairs
+    np.square(parts, out=parts)
+    power = parts[..., 0] + parts[..., 1]
     energies = power @ _mel_filterbank().T
     log_energies = np.log(np.maximum(energies, LOG_FLOOR))
     coeffs = log_energies @ _dct_ortho_matrix(N_MELS)[:N_MFCC].T
@@ -138,28 +166,59 @@ def delta(matrix: np.ndarray, n: int = DELTA_WINDOW) -> np.ndarray:
     """Regression-slope temporal derivative along columns, edge-replicated.
 
     d_t = sum_{k=1..n} k (c_{t+k} - c_{t-k}) / (2 sum k^2); applying it
-    twice gives the second derivative.
+    twice gives the second derivative. Columns past either edge repeat the
+    edge column.
     """
     matrix = np.asarray(matrix, dtype=np.float64)
-    padded = np.pad(matrix, ((0, 0), (n, n)), mode="edge")
     t = matrix.shape[1]
-    num = np.zeros_like(matrix)
+    padded = np.empty((matrix.shape[0], t + 2 * n))
+    padded[:, n:n + t] = matrix
+    padded[:, :n] = matrix[:, :1]
+    padded[:, n + t:] = matrix[:, -1:]
+    num = np.zeros((matrix.shape[0], t))
     for k in range(1, n + 1):
         num += k * (padded[:, n + k:n + k + t] - padded[:, n - k:n - k + t])
     return num / (2.0 * sum(k * k for k in range(1, n + 1)))
 
 
-def zcr(frames: np.ndarray) -> np.ndarray:
-    """Fraction of adjacent-sample sign changes per frame; zeros count as positive."""
-    nonneg = np.asarray(frames) >= 0
-    changes = np.count_nonzero(nonneg[:, 1:] != nonneg[:, :-1], axis=1)
-    return changes / (nonneg.shape[1] - 1)
+# Zero-crossing counts are summed over blocks of _BLOCK sign comparisons:
+# every frame start and frame length is a whole number of blocks.
+_BLOCK = math.gcd(HOP, FRAME_LEN)
 
 
-def rms(frames: np.ndarray) -> np.ndarray:
-    """Root-mean-square amplitude per frame."""
-    frames = np.asarray(frames, dtype=np.float64)
-    return np.sqrt(np.mean(frames * frames, axis=1))
+def zcr(samples: np.ndarray) -> np.ndarray:
+    """Fraction of adjacent-sample sign changes in each frame of ``samples``.
+
+    ``samples`` are the 16 kHz samples ``frame_signal`` frames, under the
+    same framing rule (shorter than one frame: zero-padded to one); the
+    result has one value per frame. Zeros, ``-0.0`` included, count as
+    positive. Each adjacent pair is compared once: the changes are summed
+    over blocks of gcd(HOP, FRAME_LEN) = 80 comparisons, and a frame's
+    count is its five blocks minus the comparison that leaves the frame,
+    in exact integers.
+    """
+    nonneg = _padded(samples) >= 0
+    n_frames = _n_frames(len(nonneg))
+    span = (n_frames - 1) * HOP + FRAME_LEN  # samples the frames cover
+    changes = np.empty(span, dtype=bool)  # changes[i]: sample i vs i + 1
+    np.not_equal(nonneg[1:span], nonneg[:span - 1], out=changes[:-1])
+    changes[-1] = False  # the pair past the last frame belongs to none
+    blocks = changes.reshape(-1, _BLOCK).sum(axis=1, dtype=np.intp)
+    step = HOP // _BLOCK
+    counts = sum(blocks[j:j + step * n_frames:step] for j in range(FRAME_LEN // _BLOCK))
+    counts -= changes[FRAME_LEN - 1::HOP]
+    return counts / (FRAME_LEN - 1)
+
+
+def rms(samples: np.ndarray) -> np.ndarray:
+    """Root-mean-square amplitude of each frame of ``samples``.
+
+    ``samples`` and the result follow ``zcr``'s contract: one value per
+    frame of ``frame_signal``'s framing. Each sample is squared once; the
+    mean runs over the frames of the squares.
+    """
+    x = _padded(samples)
+    return np.sqrt(np.mean(_frame_view(x * x), axis=1))
 
 
 def compute_normalization(matrices: list) -> NormalizationProfile:
@@ -184,19 +243,21 @@ def assemble_features(samples: np.ndarray, t_fixed: int = DEFAULT_T_FIXED) -> Fe
     ``samples`` are at ``PIPELINE_SAMPLE_RATE``, as ``read_wav`` returns them.
     Longer clips are truncated after the deltas are taken, shorter ones
     zero-padded on the right; only the first ``matrix_samples(t_fixed)``
-    samples are framed. Normalization is applied later, when matrices are
-    batched for the model. The values are read-only, as ``read_wav``'s
-    samples are.
+    samples are framed. ``mfcc`` reads ``frame_signal``'s frames of them,
+    ``zcr`` and ``rms`` read the samples themselves under the same framing
+    rule, and every stage's rows are written straight into the float32
+    matrix. Normalization is applied later, when matrices are batched for
+    the model. The values are read-only, as ``read_wav``'s samples are.
     """
-    frames = frame_signal(samples[:matrix_samples(t_fixed)])
-    coeffs = mfcc(frames)
+    x = samples[:matrix_samples(t_fixed)]
+    coeffs = mfcc(frame_signal(x))
     d1 = delta(coeffs, DELTA_WINDOW)
     d2 = delta(d1, DELTA_WINDOW)
-    stacked = np.vstack([coeffs, d1, d2, zcr(frames)[None, :], rms(frames)[None, :]])
-
-    n_valid = min(stacked.shape[1], t_fixed)
-    values = np.zeros((stacked.shape[0], t_fixed), dtype=np.float64)
-    values[:, :n_valid] = stacked[:, :n_valid]
-    values = values.astype(np.float32)
+    n_valid = min(coeffs.shape[1], t_fixed)
+    values = np.zeros((N_FEATURE_ROWS, t_fixed), dtype=np.float32)
+    for row, block in enumerate((coeffs, d1, d2)):
+        values[row * N_MFCC:(row + 1) * N_MFCC, :n_valid] = block[:, :n_valid]
+    values[3 * N_MFCC, :n_valid] = zcr(x)[:n_valid]
+    values[3 * N_MFCC + 1, :n_valid] = rms(x)[:n_valid]
     values.setflags(write=False)
     return FeatureMatrix(values=values, n_valid_frames=n_valid)

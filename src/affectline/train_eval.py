@@ -166,9 +166,13 @@ def _write_entry(path: Path, fm: FeatureMatrix) -> None:
     t, n_valid = fm.values.shape[1], fm.n_valid_frames
     values = fm.values.astype("<f4", copy=False).tobytes()
     crc = zlib.crc32(values, zlib.crc32(struct.pack("<II", t, n_valid)))
-    path.parent.mkdir(parents=True, exist_ok=True)
+    record = _ENTRY_HEADER.pack(_ENTRY_MAGIC, crc, t, n_valid) + values
     tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    tmp.write_bytes(_ENTRY_HEADER.pack(_ENTRY_MAGIC, crc, t, n_valid) + values)
+    try:
+        tmp.write_bytes(record)
+    except FileNotFoundError:  # the cache directory's first entry
+        path.parent.mkdir(parents=True, exist_ok=True)
+        tmp.write_bytes(record)
     os.replace(tmp, path)  # atomic under concurrent extraction
 
 
@@ -238,22 +242,25 @@ def _decode_failures_error(message: str, failures) -> DataError:
 
 
 def _to_batch_array(matrices, profile) -> np.ndarray:
-    """(N, 41, T) float32 model input: each matrix normalized in float64, then cast.
+    """(N, 41, T) float32 model input: each matrix normalized in float64, then
+    cast into its row of the batch, so no float64 stack is held.
 
     DataError when a normalized value overflows float32, as with a
     normalization std far below the features' scale, instead of casting
     it to inf (whose logits would predict class 0 silently).
     """
+    out = np.empty((len(matrices), *matrices[0].values.shape), dtype=np.float32)
+    peak = 0.0  # the largest |value|; NaN once any value is NaN
     with np.errstate(over="ignore"):  # an overflow is reported below
-        out = np.stack([
-            profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile
-            else m.values for m in matrices
-        ])
-    peak = float(np.abs(out).max(initial=0.0))
+        for row, m in zip(out, matrices):
+            values = (profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile
+                      else m.values)
+            peak = np.maximum(peak, np.abs(values).max(initial=0.0))
+            row[...] = values
     if not peak <= MAX_NORMALIZED:
-        raise DataError(f"normalized features overflow float32 (|value| up to {peak:.4g}): "
+        raise DataError(f"normalized features overflow float32 (|value| up to {float(peak):.4g}): "
                         "the normalization mean or std does not fit these features")
-    return out.astype(np.float32)
+    return out
 
 
 PREDICT_ROWS = 16  # rows per forward in predict_logits

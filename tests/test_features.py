@@ -6,7 +6,7 @@ from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
 from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS, FRAME_LEN, HOP, N_FFT,
                                  N_MELS, assemble_features, compute_normalization,
-                                 delta, frame_signal, mfcc, rms, zcr)
+                                 delta, frame_signal, matrix_samples, mfcc, rms, zcr)
 from affectline.train_eval import _to_batch_array
 from conftest import sine
 
@@ -151,27 +151,41 @@ class TestDelta:
 
 
 class TestZcrRms:
+    # zcr and rms take the samples frame_signal frames, one value per frame
     def test_zcr_constant_positive(self):
-        assert zcr(np.full((1, 400), 0.3))[0] == 0.0
+        assert zcr(np.full(400, 0.3))[0] == 0.0
 
     def test_zcr_alternating_is_one(self):
-        frame = np.tile([1.0, -1.0], 200)[None, :]
+        frame = np.tile([1.0, -1.0], 200)
         assert zcr(frame)[0] == 1.0
 
     def test_zcr_440hz_sine(self):
-        frames = frame_signal(sine(440, 1.0))
         # analytic crossing count 2*440*0.025 = 22 over a 25 ms frame
-        assert abs(zcr(frames)[0] - 22 / 399) <= (1 / 399) * (1 + 1e-9)
+        assert abs(zcr(sine(440, 1.0))[0] - 22 / 399) <= (1 / 399) * (1 + 1e-9)
 
     def test_zeros_counted_positive(self):
-        frame = np.array([[0.0, 1.0, 0.0, -1.0]])
-        assert zcr(frame)[0] == pytest.approx(1 / 3)
+        # 0, 1, 0, -1 repeated: only 0 -> -1 and -1 -> 0 change sign, which
+        # makes 199 of the frame's 399 pairs (200 if zeros counted negative)
+        for zero in (0.0, -0.0):
+            frame = np.tile([zero, 1.0, zero, -1.0], 100)
+            assert zcr(frame)[0] == pytest.approx(199 / 399)
 
     def test_rms_cases(self):
-        assert rms(np.zeros((1, 400)))[0] == 0.0
-        assert rms(np.full((1, 400), 0.5))[0] == pytest.approx(0.5)
-        frames = frame_signal(sine(440, 1.0))  # 11 cycles per frame
-        assert abs(rms(frames)[0] - 1 / np.sqrt(2)) < 1e-3
+        assert rms(np.zeros(400))[0] == 0.0
+        assert rms(np.full(400, 0.5))[0] == pytest.approx(0.5)
+        x = sine(440, 1.0)  # 11 cycles per frame
+        assert abs(rms(x)[0] - 1 / np.sqrt(2)) < 1e-3
+
+    @pytest.mark.parametrize("n", [0, 1, 399, 400, 559, 560, 16000])
+    def test_one_value_per_frame_of_frame_signal(self, n):
+        x = np.full(n, 0.5)
+        assert zcr(x).shape == rms(x).shape == (len(frame_signal(x)),)
+
+    def test_short_signal_zero_padded_to_one_frame(self):
+        # frame_signal's rule: 300 samples of 1.0 then 100 zeros
+        assert rms(np.ones(300))[0] == np.sqrt(300 / 400)
+        assert zcr(np.ones(300))[0] == 0.0  # zeros count as positive
+        assert zcr(-np.ones(300))[0] == 1 / 399
 
 
 class TestAssemble:
@@ -232,9 +246,13 @@ class TestAssemble:
 
 
 # ---------------------------------------------------------------------------
-# Oracle: assemble_features as it was before the clip was cut to the samples
-# the kept columns depend on: frame the whole clip (a copy), delta it, then
-# truncate. The new path must equal it bit for bit.
+# Oracle: the front end written the direct way, frame by frame. Each stage
+# uses numpy's own padding and temporaries: a fresh Hamming window times the
+# frames, rfft(n=N_FFT) padding them, real**2 + imag**2, np.pad(mode="edge")
+# for the deltas, and ZCR and RMS over every frame's copy of its samples.
+# assemble_features frames the whole clip (a copy), deltas it, truncates,
+# stacks the rows in float64 and casts once. The production stages must
+# equal these bit for bit.
 # ---------------------------------------------------------------------------
 
 def oracle_frame_signal(samples, flen=400, hop=160):
@@ -246,6 +264,26 @@ def oracle_frame_signal(samples, flen=400, hop=160):
     return frames.copy()
 
 
+def oracle_stage_mfcc(frames):
+    frames = np.asarray(frames, dtype=np.float64)
+    window = np.hamming(frames.shape[1])
+    spectrum = np.fft.rfft(frames * window, n=N_FFT, axis=1)
+    power = spectrum.real ** 2 + spectrum.imag ** 2
+    energies = power @ features._mel_filterbank().T
+    log_energies = np.log(np.maximum(energies, features.LOG_FLOOR))
+    return (log_energies @ features._dct_ortho_matrix(N_MELS)[:features.N_MFCC].T).T
+
+
+def oracle_delta(matrix, n):
+    matrix = np.asarray(matrix, dtype=np.float64)
+    padded = np.pad(matrix, ((0, 0), (n, n)), mode="edge")
+    t = matrix.shape[1]
+    num = np.zeros_like(matrix)
+    for k in range(1, n + 1):
+        num += k * (padded[:, n + k:n + k + t] - padded[:, n - k:n - k + t])
+    return num / (2.0 * sum(k * k for k in range(1, n + 1)))
+
+
 def oracle_zcr(frames):
     frames = np.asarray(frames)
     signs = np.where(frames >= 0, 1, -1)
@@ -253,12 +291,18 @@ def oracle_zcr(frames):
     return changes / (frames.shape[1] - 1)
 
 
+def oracle_rms(frames):
+    frames = np.asarray(frames, dtype=np.float64)
+    return np.sqrt(np.mean(frames * frames, axis=1))
+
+
 def oracle_assemble_features(samples, delta_window=2, t_fixed=DEFAULT_T_FIXED):
     frames = oracle_frame_signal(samples)
-    coeffs = mfcc(frames)
-    d1 = delta(coeffs, delta_window)
-    d2 = delta(d1, delta_window)
-    stacked = np.vstack([coeffs, d1, d2, oracle_zcr(frames)[None, :], rms(frames)[None, :]])
+    coeffs = oracle_stage_mfcc(frames)
+    d1 = oracle_delta(coeffs, delta_window)
+    d2 = oracle_delta(d1, delta_window)
+    stacked = np.vstack([coeffs, d1, d2, oracle_zcr(frames)[None, :],
+                         oracle_rms(frames)[None, :]])
 
     n_valid = min(stacked.shape[1], t_fixed)
     values = np.zeros((stacked.shape[0], t_fixed), dtype=np.float64)
@@ -266,8 +310,50 @@ def oracle_assemble_features(samples, delta_window=2, t_fixed=DEFAULT_T_FIXED):
     return values.astype(np.float32), n_valid
 
 
+def assert_bit_equal(actual, expected):
+    assert actual.dtype == expected.dtype
+    assert actual.shape == expected.shape
+    assert actual.tobytes() == expected.tobytes()
+
+
+def assert_stages_bit_equal(x):
+    """Every stage of x and the matrix at the default t_fixed equal the oracle's."""
+    frames = oracle_frame_signal(x)
+    assert_bit_equal(frame_signal(x), frames)
+    coeffs = oracle_stage_mfcc(frames)
+    assert_bit_equal(mfcc(frame_signal(x)), coeffs)
+    assert_bit_equal(delta(coeffs, 2), oracle_delta(coeffs, 2))
+    assert_bit_equal(zcr(x), oracle_zcr(frames))
+    assert_bit_equal(rms(x), oracle_rms(frames))
+    fm = assemble_features(x)
+    values, n_valid = oracle_assemble_features(x)
+    assert fm.n_valid_frames == n_valid
+    assert_bit_equal(fm.values, values)
+
+
+def noise(n, seed):
+    x = 0.3 * np.random.default_rng(seed).standard_normal(n)
+    x[::37] = 0.0  # exact zeros count as positive in the zcr row
+    return x
+
+
+# every length from no sample to three frames and two past it, and the frame
+# boundaries of 3 s and 10 s signals
+SHORT_LENGTHS = range(FRAME_LEN + 3 * HOP + 2)
+LONG_LENGTHS = [n + d for n in (48000, 160000) for d in (-HOP - 1, -HOP, -1, 0, 1)]
+# full-scale signals: runs of exact zeros and -0.0, silence, clipping at +-1
+SPECIAL_SIGNALS = {
+    "zeros": lambda n: np.where(np.arange(n) % 5 < 2, 0.0, noise(n, 1)),
+    "negative-zeros": lambda n: np.where(np.arange(n) % 3 == 0, -0.0, noise(n, 2)),
+    "signed-zeros-only": lambda n: np.where(np.arange(n) % 2 == 0, 0.0, -0.0),
+    "silence": lambda n: np.zeros(n),
+    "clipped": lambda n: np.clip(8.0 * noise(n, 3), -1.0, 1.0),
+    "full-scale-square": lambda n: np.where(np.arange(n) // 7 % 2 == 0, 1.0, -1.0),
+}
+
+
 class TestFeatureWindowOracle:
-    @pytest.mark.parametrize("t_fixed", [1, 5, 300])
+    @pytest.mark.parametrize("t_fixed", [1, 5, 17, 300])
     @pytest.mark.parametrize("delta_window", [1, 2, 3])
     @pytest.mark.parametrize("length", ["keep-1", "keep", "keep+1", "sub-frame", "10s"])
     def test_bit_equal_to_framing_the_whole_clip(self, monkeypatch, length, delta_window,
@@ -285,6 +371,43 @@ class TestFeatureWindowOracle:
         assert fm.n_valid_frames == n_valid
         assert fm.values.dtype == values.dtype
         assert fm.values.tobytes() == values.tobytes()
+        assert fm.values.flags.c_contiguous and not fm.values.flags.writeable
+
+    def test_stages_bit_equal_at_every_short_length(self):
+        for n in SHORT_LENGTHS:
+            assert_stages_bit_equal(noise(n, n))
+
+    @pytest.mark.parametrize("n", LONG_LENGTHS)
+    def test_stages_bit_equal_around_long_frame_boundaries(self, n):
+        assert_stages_bit_equal(noise(n, n))
+
+    @pytest.mark.parametrize("signal", list(SPECIAL_SIGNALS))
+    @pytest.mark.parametrize("n", [0, 1, FRAME_LEN - 1, FRAME_LEN, FRAME_LEN + HOP + 1, 48000])
+    def test_stages_bit_equal_on_special_signals(self, signal, n):
+        x = SPECIAL_SIGNALS[signal](n)
+        assert_stages_bit_equal(x)
+
+    @pytest.mark.parametrize("delta_window", [1, 2, 3])
+    def test_delta_bit_equal_to_edge_padding(self, delta_window):
+        rng = np.random.default_rng(delta_window)
+        for t in (1, 2, delta_window, 2 * delta_window + 1, 300):
+            matrix = rng.standard_normal((13, t))
+            assert_bit_equal(delta(matrix, delta_window), oracle_delta(matrix, delta_window))
+            fortran = np.asfortranarray(matrix)  # mfcc's coefficients are a transpose
+            assert_bit_equal(delta(fortran, delta_window), oracle_delta(matrix, delta_window))
+            # -0.0 - 0.0 is -0.0, and the oracle's zero start turns its sum into +0.0
+            signed_zeros = np.where(rng.random((13, t)) < 0.5, 0.0, -0.0)
+            assert_bit_equal(delta(signed_zeros, delta_window),
+                             oracle_delta(signed_zeros, delta_window))
+
+    @pytest.mark.parametrize("t_fixed", [1, 17, 300])
+    @pytest.mark.parametrize("signal", list(SPECIAL_SIGNALS))
+    def test_assemble_bit_equal_on_special_signals(self, signal, t_fixed):
+        x = SPECIAL_SIGNALS[signal](matrix_samples(t_fixed) + HOP)
+        fm = assemble_features(x, t_fixed)
+        values, n_valid = oracle_assemble_features(x, t_fixed=t_fixed)
+        assert fm.n_valid_frames == n_valid
+        assert_bit_equal(fm.values, values)
 
     def test_frames_are_a_read_only_view(self):
         x = np.random.default_rng(3).standard_normal(4000)

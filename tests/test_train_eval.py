@@ -2,6 +2,7 @@ import hashlib
 import struct
 import tracemalloc
 import zlib
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -275,6 +276,60 @@ class TestPredictLogits:
             train_eval._to_batch_array([fm], tiny)
         fits = features.NormalizationProfile(np.zeros(41), np.full(41, 1e-38))
         assert np.isfinite(train_eval._to_batch_array([fm], fits)).all()
+
+
+def stacked_batch(matrices, profile):
+    """The batch as one float64 stack of normalized matrices, cast once."""
+    out = np.stack([
+        profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile
+        else m.values for m in matrices
+    ])
+    return out.astype(np.float32)
+
+
+def random_matrices(n_rows, t_fixed, seed):
+    rng = np.random.default_rng(seed)
+    mats = []
+    for i in range(n_rows):
+        values = rng.standard_normal((N_FEATURE_ROWS, t_fixed)).astype(np.float32) * 5 + 2
+        n_valid = int(rng.integers(1, t_fixed + 1))
+        values[:, n_valid:] = 0.0
+        values.setflags(write=False)
+        mats.append(features.FeatureMatrix(values=values, n_valid_frames=n_valid))
+    return mats
+
+
+class TestBatchArray:
+    @pytest.mark.parametrize("with_profile", [True, False], ids=["profile", "no-profile"])
+    def test_batch_bit_equal_to_stacked_form(self, with_profile):
+        mats = random_matrices(40, 300, seed=1)
+        profile = compute_normalization(mats[:10]) if with_profile else None
+        x = train_eval._to_batch_array(mats, profile)
+        expected = stacked_batch(mats, profile)
+        assert x.dtype == expected.dtype == np.float32
+        assert x.shape == expected.shape == (40, N_FEATURE_ROWS, 300)
+        assert x.tobytes() == expected.tobytes()
+
+    def test_peak_memory_near_the_batch(self):
+        # a float64 stack and its np.abs copy peaked at 4x the float32 batch
+        mats = random_matrices(200, 300, seed=2)
+        profile = compute_normalization(mats[:10])
+        tracemalloc.start()
+        try:
+            x = train_eval._to_batch_array(mats, profile)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1.2 * x.nbytes
+
+    def test_nan_value_is_data_error(self):
+        mats = random_matrices(3, 20, seed=3)
+        values = mats[1].values.copy()
+        values[4, 0] = np.nan
+        mats[1] = features.FeatureMatrix(values=values, n_valid_frames=mats[1].n_valid_frames)
+        for profile in (None, compute_normalization(mats[:1])):
+            with pytest.raises(DataError, match="overflow float32"):
+                train_eval._to_batch_array(mats, profile)
 
 
 class TestCheckpointIO:
@@ -672,6 +727,33 @@ class TestFeatureCache:
         assert kept == subset[:1]
         assert [path for path, _ in failures] == [folder, dangling]
         assert all(reason.startswith(f"{path}: ") for path, reason in failures)
+
+    def test_missing_nested_cache_dir_is_made_on_first_write(self, synthetic_corpus,
+                                                             tmp_path):
+        _, records = synthetic_corpus
+        cache = tmp_path / "outer" / "inner"
+        fm = extract_features(records[0][0], TINY_SETTINGS, cache)
+        (entry,) = cache.iterdir()
+        assert entry.suffix == ".afm"
+        stored = train_eval._read_entry(entry, TINY_SETTINGS.t_fixed)
+        assert stored.values.tobytes() == fm.values.tobytes()
+
+    def test_entry_in_existing_cache_dir_makes_no_directory(self, synthetic_corpus, tmp_path,
+                                                             monkeypatch):
+        _, records = synthetic_corpus
+        cache = tmp_path / "cache"
+        extract_features(records[0][0], TINY_SETTINGS, cache)
+        made = []
+        mkdir = Path.mkdir
+
+        def counting_mkdir(self, *args, **kwargs):
+            made.append(self)
+            return mkdir(self, *args, **kwargs)
+
+        monkeypatch.setattr(Path, "mkdir", counting_mkdir)
+        extract_features(records[1][0], TINY_SETTINGS, cache)
+        assert made == []
+        assert len(list(cache.iterdir())) == 2
 
     def test_parallel_extraction_matches_serial(self, synthetic_corpus):
         _, records = synthetic_corpus
