@@ -129,22 +129,24 @@ def _parse_fmt(fmt: bytes, path: str):
 
 
 def _decode_pcm(data: bytes, bits: int, path: str) -> np.ndarray:
+    """Float64 samples of little-endian PCM ``data``, decoded into one array scaled in place."""
     if bits == 8:
         x = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
-        return (x - 128.0) / 128.0
-    if bits == 16:
+        x -= 128.0
+    elif bits == 16:
         x = np.frombuffer(_whole_frames(data, 2), dtype="<i2").astype(np.float64)
-        return x / 32768.0
-    if bits == 24:
-        b = np.frombuffer(_whole_frames(data, 3), dtype=np.uint8)
-        b = b.reshape(-1, 3).astype(np.int64)
-        x = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
-        x = np.where(x >= 1 << 23, x - (1 << 24), x)
-        return x.astype(np.float64) / float(1 << 23)
-    x = np.frombuffer(_whole_frames(data, 4), dtype="<f4").astype(np.float64)  # IEEE float
-    if not np.isfinite(x).all():
-        raise UnsupportedEncodingError(f"{path}: NaN or infinite float samples")
-    return np.clip(x, -1.0, 1.0)
+    elif bits == 24:
+        # each 3-byte sample in the top bytes of an int32, shifted back down with its sign
+        word = np.zeros((len(data) // 3, 4), dtype=np.uint8)
+        word[:, 1:] = np.frombuffer(_whole_frames(data, 3), dtype=np.uint8).reshape(-1, 3)
+        x = (word.view("<i4")[:, 0] >> 8).astype(np.float64)
+    else:
+        x = np.frombuffer(_whole_frames(data, 4), dtype="<f4").astype(np.float64)  # IEEE float
+        if not np.isfinite(x).all():
+            raise UnsupportedEncodingError(f"{path}: NaN or infinite float samples")
+        return np.clip(x, -1.0, 1.0, out=x)
+    x /= float(1 << (bits - 1))
+    return x
 
 
 def _input_frames(n_out: int, sr_in: int) -> int:

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import os
 import struct
 from dataclasses import asdict, dataclass
 from pathlib import Path
@@ -36,7 +37,9 @@ FORMAT_VERSION = 1
 # split and shuffled batches, and the training corpus and its split of
 # ``audio_io`` (female actors, six emotions, speech and song), and no stop
 # on test accuracy (``patience``). Old headers also carry the model's input
-# rows and class count. (Their ``in_frames`` must equal ``t_fixed``.)
+# rows and class count. (Their ``in_frames`` must equal ``t_fixed``.) Old
+# config.txt files carry ``jobs``, a count of extraction processes that
+# never changed an output, so any integer >= 0 is dropped.
 RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "pool_stride": 0,
                 "in_channels": N_FEATURE_ROWS, "n_classes": len(EMOTIONS),
                 "resample_method": "sinc", "sample_rate_hz": PIPELINE_SAMPLE_RATE,
@@ -47,15 +50,19 @@ RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "poo
                 "stratified": True, "shuffle_each_epoch": True,
                 "filter_sex": "female", "filter_emotions": ",".join(EMOTIONS),
                 "vocal_channels": "speech,song", "split_ratio": TRAIN_FRACTION,
-                "patience": 0}
+                "patience": 0, "jobs": 1}
 
 
 def drop_retired(d: dict) -> dict:
     """``d`` without its retired keys; ConfigError naming a retired key that
-    holds anything but its fixed value, of the same type (not 1.0 for 1)."""
+    holds anything but its fixed value, of the same type (not 1.0 for 1),
+    or a ``jobs`` that is not an integer >= 0."""
     for key, value in d.items():
         fixed = RETIRED_KEYS.get(key)
-        if key in RETIRED_KEYS and (type(value) is not type(fixed) or value != fixed):
+        if key == "jobs":
+            if type(value) is not int or value < 0:
+                raise ConfigError(f"jobs must be an integer >= 0, got {value!r}")
+        elif key in RETIRED_KEYS and (type(value) is not type(fixed) or value != fixed):
             raise ConfigError(f"{key} is fixed at {fixed!r}, got {value!r}")
     return {k: v for k, v in d.items() if k not in RETIRED_KEYS}
 
@@ -110,6 +117,17 @@ def _tensor_items(ckpt: Checkpoint) -> list:
     return items
 
 
+def write_replacing(path: Path, data: bytes) -> None:
+    """Replace ``path`` by ``data`` through a temporary file; a failed write leaves it as it was."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensors = _tensor_items(ckpt)
     header = {
@@ -126,7 +144,7 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
     }
     head = json.dumps(header, sort_keys=True, separators=(",", ":")).encode()
     body = b"".join(np.ascontiguousarray(v, dtype="<f4").tobytes() for _, v in tensors)
-    Path(path).write_bytes(MAGIC + struct.pack("<I", len(head)) + head + body)
+    write_replacing(Path(path), MAGIC + struct.pack("<I", len(head)) + head + body)
 
 
 def load_checkpoint(path) -> Checkpoint:

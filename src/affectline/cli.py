@@ -95,8 +95,7 @@ def cmd_train(args, cfg: RunConfig) -> int:
     records = _corpus_records(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)  # an unusable --out fails before training
     print(f"corpus: {len(records)} records", flush=True)
-    ckpt, metrics = train(records, spec, config, settings,
-                          cache_dir=cfg.resolve_cache_dir(), jobs=cfg.resolve_jobs())
+    ckpt, metrics = train(records, spec, config, settings, cache_dir=cfg.resolve_cache_dir())
     _echo_config(cfg, out_dir)
     save_checkpoint(out_dir / "checkpoint.afl", ckpt)
     (out_dir / "metrics.csv").write_text(metrics_to_csv(metrics), encoding="utf-8")
@@ -126,8 +125,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     ckpt = load_checkpoint(_require(cfg, "checkpoint"))
     records = _corpus_records(cfg)
     _echo_config(cfg, out_dir)  # an unusable --out fails before evaluating
-    metrics = evaluate(ckpt, records, cache_dir=cfg.resolve_cache_dir(),
-                       jobs=cfg.resolve_jobs())
+    metrics = evaluate(ckpt, records, cache_dir=cfg.resolve_cache_dir())
     _report_decode_failures(metrics.failures)
     (out_dir / "eval.csv").write_text(
         f"accuracy,n_records\n{metrics.accuracy:.6f},{metrics.n_test}\n",
@@ -248,12 +246,12 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("train", help="train a model on a labeled corpus")
-    _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "jobs",
-                    "cache_dir", "t_fixed", "early_stop_train_acc"))
+    _add_common(p, ("corpus", "out", "seed", "epochs", "batch_size", "lr", "cache_dir",
+                    "t_fixed", "early_stop_train_acc"))
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint on a corpus")
-    _add_common(p, ("corpus", "checkpoint", "out", "jobs", "cache_dir"))
+    _add_common(p, ("corpus", "checkpoint", "out", "cache_dir"))
     p.set_defaults(func=cmd_eval)
 
     p = sub.add_parser("classify", help="classify manifest sessions")

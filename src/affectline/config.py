@@ -9,7 +9,6 @@ so a run can be reproduced exactly from its artifacts.
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -47,12 +46,12 @@ class RunConfig(_ComponentKeys):
     ``features``, RMSProp's rho and eps, stride-1 convolutions of kernel 3
     and padding 1, one global max pool, the training corpus of
     ``audio_io.scan_corpus``, a stratified 80/20 split, shuffled batches,
-    a test split that never chooses the stopping epoch) have no key;
+    a test split that never chooses the stopping epoch, extraction in the
+    calling process) have no key;
     ``with_overrides`` drops a retired key at its fixed value.
     """
 
     # execution
-    jobs: int = 1  # 0 = every core
     cache_dir: str = ""  # "" = env var or default location
     chunk_vote: bool = False
     # paths ("" = must come from a flag)
@@ -60,10 +59,6 @@ class RunConfig(_ComponentKeys):
     manifest: str = ""
     checkpoint: str = ""
     out: str = ""
-
-    def __post_init__(self):
-        if self.jobs < 0:
-            raise ConfigError(f"jobs must be >= 0 (0 = every core), got {self.jobs}")
 
     # -- serialization ----------------------------------------------------
 
@@ -120,9 +115,6 @@ class RunConfig(_ComponentKeys):
 
     def train_config(self) -> TrainConfig:
         return self._view(TrainConfig)
-
-    def resolve_jobs(self) -> int:
-        return self.jobs or os.cpu_count() or 1
 
     def resolve_cache_dir(self) -> Path:
         return Path(self.cache_dir) if self.cache_dir else default_cache_dir()

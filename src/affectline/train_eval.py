@@ -13,7 +13,7 @@ normalized only in ``_to_batch_array``, then ``predict_logits``;
 
 from __future__ import annotations
 
-import concurrent.futures
+import functools
 import hashlib
 import json
 import os
@@ -26,7 +26,7 @@ import numpy as np
 
 from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError, read_chunks,
                        read_wav)
-from .checkpoint import Checkpoint, FeatureSettings
+from .checkpoint import Checkpoint, FeatureSettings, write_replacing
 from .errors import ConfigError, DataError, DivergenceError
 from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
                        assemble_features, compute_normalization, matrix_samples)
@@ -133,8 +133,9 @@ def default_cache_dir() -> Path:
     return Path(env) if env else Path.home() / ".cache" / "affectline"
 
 
-def _settings_token(settings: FeatureSettings) -> str:
-    key = {"code_version": FEATURE_CODE_VERSION, **asdict(settings)}
+@functools.lru_cache(maxsize=8)
+def _settings_token(code_version: int, settings: FeatureSettings) -> str:
+    key = {"code_version": code_version, **asdict(settings)}
     blob = json.dumps(key, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()[:12]
 
@@ -167,13 +168,11 @@ def _write_entry(path: Path, fm: FeatureMatrix) -> None:
     values = fm.values.astype("<f4", copy=False).tobytes()
     crc = zlib.crc32(values, zlib.crc32(struct.pack("<II", t, n_valid)))
     record = _ENTRY_HEADER.pack(_ENTRY_MAGIC, crc, t, n_valid) + values
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
     try:
-        tmp.write_bytes(record)
+        write_replacing(path, record)  # runs that share a cache never read half an entry
     except FileNotFoundError:  # the cache directory's first entry
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp.write_bytes(record)
-    os.replace(tmp, path)  # atomic under concurrent extraction
+        write_replacing(path, record)
 
 
 def extract_features(path, settings: FeatureSettings,
@@ -196,7 +195,8 @@ def extract_features(path, settings: FeatureSettings,
     wav = read_chunks(path, bound)
     digest = hashlib.sha256(struct.pack("<I", len(wav.fmt)) + wav.fmt)
     digest.update(wav.data)
-    cached = Path(cache_dir) / f"{digest.hexdigest()[:20]}-{_settings_token(settings)}.afm"
+    token = _settings_token(FEATURE_CODE_VERSION, settings)
+    cached = Path(cache_dir) / f"{digest.hexdigest()[:20]}-{token}.afm"
     fm = _read_entry(cached, settings.t_fixed)
     if fm is None:
         fm = assemble_features(read_wav(wav), settings.t_fixed)
@@ -204,34 +204,23 @@ def extract_features(path, settings: FeatureSettings,
     return fm
 
 
-def _extract_worker(args):
-    path, settings, cache_dir = args
-    try:
-        return extract_features(path, settings, cache_dir), None
-    except AudioDecodeError as exc:
-        return None, str(exc)
-
-
 def extract_all(records, settings: FeatureSettings, cache_dir=None, jobs: int = 1):
-    """Feature matrices for (path, label) records, in record order.
+    """Feature matrices for (path, label) records, extracted in the calling
+    process in record order; ``jobs`` must be 1.
 
     Returns (kept records, matrices, failures); decode failures are
     collected rather than fatal.
     """
-    tasks = [(path, settings, cache_dir) for path, _ in records]
-    if jobs > 1 and len(tasks) > 1:
-        with concurrent.futures.ProcessPoolExecutor(max_workers=jobs) as pool:
-            results = list(pool.map(_extract_worker, tasks, chunksize=4))
-    else:
-        results = [_extract_worker(t) for t in tasks]
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1 (extraction runs in one process), got {jobs!r}")
     kept, matrices, failures = [], [], []
-    for record, (fm, err) in zip(records, results):
-        if fm is None:
-            failures.append((record[0], err))
+    for record in records:
+        try:
+            matrices.append(extract_features(record[0], settings, cache_dir))
+        except AudioDecodeError as exc:
+            failures.append((record[0], str(exc)))
         else:
-            fm.values.setflags(write=False)  # a worker process's matrix arrives writable
             kept.append(record)
-            matrices.append(fm)
     return kept, matrices, failures
 
 
@@ -301,7 +290,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     RMSProp steps, forwarding each row once per epoch (see ``EpochStats``).
     A non-finite loss aborts with DivergenceError naming the epoch and batch,
     and a split that decode failures leave empty with DataError naming every
-    failure.
+    failure. ``jobs`` must be 1, as in ``extract_all``.
     """
     train_recs, test_recs = split_dataset(records, config)
     train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)

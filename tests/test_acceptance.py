@@ -82,8 +82,7 @@ def test_full_corpus_reproduction():
     accs = []
     for seed in (42, 43, 44):
         config = TrainConfig(epochs=300, batch_size=25, lr=1e-4, seed=seed)
-        _, metrics = train(records, ModelSpec(), config, FeatureSettings(),
-                           cache_dir=None, jobs=os.cpu_count() or 1)
+        _, metrics = train(records, ModelSpec(), config, FeatureSettings(), cache_dir=None)
         accs.append(metrics.epochs[-1].test_acc)
     mean_acc = float(np.mean(accs))
     report("full-corpus reproduction", mean_acc >= 0.55,

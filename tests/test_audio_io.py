@@ -178,6 +178,58 @@ class TestReadWav:
             read_wav(path)
 
 
+def oracle_decode_pcm(data: bytes, bits: int) -> np.ndarray:
+    """The integer-PCM decode that preceded the in-place one, kept verbatim
+    as the reference: 24-bit samples are assembled from int64 byte columns."""
+    if bits == 8:
+        x = np.frombuffer(data, dtype=np.uint8).astype(np.float64)
+        return (x - 128.0) / 128.0
+    if bits == 16:
+        x = np.frombuffer(data[: len(data) - len(data) % 2], dtype="<i2").astype(np.float64)
+        return x / 32768.0
+    b = np.frombuffer(data[: len(data) - len(data) % 3], dtype=np.uint8)
+    b = b.reshape(-1, 3).astype(np.int64)
+    x = b[:, 0] | (b[:, 1] << 8) | (b[:, 2] << 16)
+    x = np.where(x >= 1 << 23, x - (1 << 24), x)
+    return x.astype(np.float64) / float(1 << 23)
+
+
+def pcm_codes(bits: int, start: int, stop: int) -> bytes:
+    """Little-endian ``bits``-bit PCM bytes of the codes start..stop-1."""
+    codes = np.arange(start, stop, dtype="<u4").view(np.uint8).reshape(-1, 4)
+    return codes[:, :bits // 8].tobytes()
+
+
+class TestDecodePcm:
+    @pytest.mark.parametrize("bits", [8, 16, 24])
+    def test_every_code_bit_equal(self, bits):
+        step = 1 << 20  # keeps the oracle's int64 columns small
+        for start in range(0, 1 << bits, step):
+            data = pcm_codes(bits, start, min(start + step, 1 << bits))
+            for tail in (b"", b"\x7f", b"\x80\x01")[:bits // 8]:  # a cut last frame is dropped
+                got = audio_io._decode_pcm(data + tail, bits, "x.wav")
+                assert got.dtype == np.float64
+                assert got.tobytes() == oracle_decode_pcm(data + tail, bits).tobytes()
+
+    def test_float_bit_equal(self):
+        x = np.array([0.0, -0.0, 0.5, -0.25, 1.0, -1.0, 1.5, -7.0, 1e-40, 3e38], dtype="<f4")
+        got = audio_io._decode_pcm(x.tobytes() + b"\x01", 32, "x.wav")
+        assert got.tobytes() == np.clip(x.astype(np.float64), -1.0, 1.0).tobytes()
+
+    def test_24_bit_decode_peak_memory(self):
+        # ten seconds at 48 kHz: int64 byte columns and their temporaries
+        # would peak at about six times the float64 output
+        data = np.random.default_rng(5).integers(0, 256, 480_000 * 3, dtype=np.uint8).tobytes()
+        tracemalloc.start()
+        try:
+            samples = audio_io._decode_pcm(data, 24, "x.wav")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(samples) == 480_000
+        assert peak < 2.5 * samples.nbytes
+
+
 # (bits, channels, format code) of each encoding the bounded read must match
 ENCODINGS = {"8-bit": (8, 1, 1), "16-bit": (16, 1, 1), "24-bit": (24, 1, 1),
              "float32": (32, 1, 3), "stereo": (16, 2, 1)}

@@ -26,15 +26,14 @@ from conftest import (build_synthetic_corpus, edit_header, header_section, make_
 TINY_OVERRIDES = [
     "--set", "conv_channels=8,8,12,12,16,16",
     "--set", "t_fixed=100",
-    "--set", "jobs=1",
 ]
 
 
 RETIRED_LINES = ["delta_window = 2", "eps = 1e-08",
                  "filter_emotions = neutral,calm,happy,sad,angry,fearful", "filter_sex = female",
                  "fmax_hz = 0.0", "fmin_hz = 0.0", "frame_len_samples = 400", "hop_samples = 160",
-                 "kernel = 3", "log_floor = 1e-10", "n_coeffs = 13", "n_fft = 512", "n_mels = 26",
-                 "pad = 1", "patience = 0", "pool_stride = 0", "pool_width = 0",
+                 "jobs = 1", "kernel = 3", "log_floor = 1e-10", "n_coeffs = 13", "n_fft = 512",
+                 "n_mels = 26", "pad = 1", "patience = 0", "pool_stride = 0", "pool_width = 0",
                  "resample_method = sinc", "rho = 0.9", "sample_rate_hz = 16000",
                  "shuffle_each_epoch = true", "split_ratio = 0.8", "stratified = true",
                  "stride = 1", "vocal_channels = speech,song", "window = hamming"]
@@ -113,6 +112,14 @@ class TestTrainCommand:
         assert str(out) in capsys.readouterr().err
         assert out.read_text() == "x"
 
+    def test_directory_at_checkpoint_path_exits_3(self, tmp_path, corpus_root, capsys):
+        out = tmp_path / "o"
+        (out / "checkpoint.afl").mkdir(parents=True)
+        assert main(["train", "--corpus", str(corpus_root), "--out", str(out), "--epochs", "0",
+                     "--cache-dir", str(tmp_path / "c"), *TINY_OVERRIDES]) == 3
+        assert str(out / "checkpoint.afl") in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["checkpoint.afl", "config.txt"]
+
     def test_undecodable_out_exits_2_before_training(self, tmp_path, corpus_root, capsys,
                                                      monkeypatch):
         # config.txt is UTF-8; a non-UTF-8 argv byte arrives as a lone surrogate
@@ -157,7 +164,7 @@ class TestTrainCommand:
         "fmin_hz=20", "fmax_hz=8000", "log_floor=0", "delta_window=3", "rho=0.95", "eps=1e-7",
         "conv_channels=4,100000000000", "kernel=3.0", "pad=0", "n_classes=7",
         "filter_sex=male", "filter_emotions=angry", "vocal_channels=speech", "split_ratio=0.5",
-        "seed=-1", "jobs=-1", "lr=nan", "lr=-1e-4", "patience=-1", "patience=3",
+        "seed=-1", "jobs=-1", "jobs=two", "lr=nan", "lr=-1e-4", "patience=-1", "patience=3",
         "early_stop_train_acc=nan", "early_stop_train_acc=1.5",
     )] + [("features", "n_coeffs=12"), ("features", "n_mels=24"),
           ("features", "t_fixed=10000000000"), ("features", f"t_fixed={2 ** 70}"),
@@ -216,8 +223,7 @@ class TestTrainCommand:
         for path, _ in test_recs:
             assert f"\n  {path}: not a RIFF/WAVE file" in err
 
-    @pytest.mark.parametrize("jobs", [1, 2])
-    def test_unreadable_paths_named_with_a_cache(self, tmp_path, corpus_root, capsys, jobs):
+    def test_unreadable_paths_named_with_a_cache(self, tmp_path, corpus_root, capsys):
         corpus = tmp_path / "corpus"
         shutil.copytree(corpus_root, corpus)
         folder = corpus / "03-01-01-01-02-01-02.wav"  # a directory named like a clip
@@ -226,7 +232,7 @@ class TestTrainCommand:
         dangling.symlink_to(tmp_path / "gone.wav")
         assert main(["train", "--corpus", str(corpus), "--out", str(tmp_path / "o"),
                      "--epochs", "0", "--cache-dir", str(tmp_path / "c"),
-                     *TINY_OVERRIDES, "--set", f"jobs={jobs}"]) == 0
+                     *TINY_OVERRIDES]) == 0
         err = capsys.readouterr().err
         assert f"decode failure: {folder}: " in err
         assert f"decode failure: {dangling}: " in err
@@ -268,6 +274,24 @@ class TestTrainCommand:
         assert (out / "checkpoint.afl").read_bytes() == (first / "checkpoint.afl").read_bytes()
         echoed = {line.partition(" ")[0] for line in (out / "config.txt").read_text().splitlines()}
         assert not echoed & {line.partition(" ")[0] for line in RETIRED_LINES}
+
+    @pytest.mark.parametrize("jobs", ["--set jobs=0", "--set jobs=4", "jobs = 0"])
+    def test_any_retired_jobs_count_is_dropped(self, tmp_path, trained_run, jobs):
+        # jobs = 0 was the echo before extraction's process count defaulted to 1
+        first, _ = trained_run
+        lines = (first / "config.txt").read_text().splitlines()
+        flags = jobs.split() if jobs.startswith("--") else []
+        if not flags:
+            lines = sorted(lines + [jobs])
+        config = tmp_path / "old.txt"
+        config.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["train", "--config", str(config), "--out", str(out), *flags]) == 0
+        for name in ("metrics.csv", "confusion.csv", "checkpoint.afl",
+                     "accuracy.svg", "confusion.svg"):
+            assert (out / name).read_bytes() == (first / name).read_bytes(), name
+        echoed = (out / "config.txt").read_text()
+        assert echoed == (first / "config.txt").read_text().replace(str(first), str(out))
 
 
 class TestEvalCommand:
@@ -390,7 +414,7 @@ class TestEvalCommand:
         out = tmp_path / "eval"
         assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
                      "--corpus", str(corpus), "--out", str(out),
-                     "--cache-dir", str(cache), "--jobs", "1"]) == 0
+                     "--cache-dir", str(cache)]) == 0
         assert "decode failures: 1" in capsys.readouterr().err
         assert (out / "eval.csv").read_text().strip().endswith(",29")
 
@@ -403,7 +427,7 @@ class TestEvalCommand:
         three_channel.write_bytes(make_wav_bytes(np.zeros(30), channels=3))
         assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
                      "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
-                     "--cache-dir", str(cache), "--jobs", "1"]) == 0
+                     "--cache-dir", str(cache)]) == 0
         err = capsys.readouterr().err
         assert f"decode failure: {garbage}: not a RIFF/WAVE file" in err
         assert f"decode failure: {three_channel}: 3 channels" in err
@@ -419,7 +443,7 @@ class TestEvalCommand:
             clip.write_bytes(b"garbage")
         assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
                      "--corpus", str(corpus), "--out", str(tmp_path / "eval"),
-                     "--cache-dir", str(cache), "--jobs", "1"]) == 3
+                     "--cache-dir", str(cache)]) == 3
         err = capsys.readouterr().err
         assert f"error: all records failed to decode ({len(clips)}):" in err
         for clip in clips:
@@ -531,6 +555,8 @@ class TestClassifyCommand:
 class TestDedicatedFlags:
     @pytest.mark.parametrize("argv", [
         ["classify", "--jobs", "2"],
+        ["train", "--jobs", "2"],
+        ["eval", "--jobs", "2"],
         ["classify", "--cache-dir", "x"],
         ["classify", "--t-fixed", "200"],
         ["eval", "--t-fixed", "200"],
@@ -591,23 +617,14 @@ class TestDedicatedFlags:
         assert main(["synth", "--corpus", str(corpus_root), "--out", str(bundle),
                      "--n-segments", "2"]) == 0
         out = tmp_path / "o"
-        # keys classify has no flag for still load from --config and --set
+        # keys classify has no flag for still load from --config and --set; the
+        # retired jobs is dropped
         assert main(["classify", "--config", str(run / "config.txt"), "--set", "jobs=2",
                      "--checkpoint", str(run / "checkpoint.afl"),
                      "--manifest", str(bundle / "manifest.csv"), "--out", str(out)]) == 0
         echoed = (out / "config.txt").read_text().splitlines()
-        assert "jobs = 2" in echoed and "t_fixed = 100" in echoed
-
-    def test_jobs_defaults_to_one_and_zero_is_every_core(self, tmp_path, corpus_root,
-                                                           monkeypatch):
-        # one process is faster here than a pool whose workers each run a
-        # many-threaded BLAS; 0 asks for every core
-        assert RunConfig().jobs == 1 and RunConfig().resolve_jobs() == 1
-        monkeypatch.setattr("os.cpu_count", lambda: 7)
-        assert RunConfig(jobs=0).resolve_jobs() == 7
-        assert main(["synth", "--corpus", str(corpus_root), "--out", str(tmp_path / "s"),
-                     "--n-segments", "1"]) == 0
-        assert "jobs = 1" in (tmp_path / "s" / "config.txt").read_text().splitlines()
+        assert "t_fixed = 100" in echoed
+        assert not [line for line in echoed if line.startswith("jobs")]
 
     def test_config_with_retired_keys_loads_under_classify(self, tmp_path, corpus_root,
                                                            trained_run):
@@ -823,7 +840,7 @@ class TestLegacyRun:
         monkeypatch.chdir(tmp_path)  # the config's corpus, out and cache_dir are relative
         legacy_config = (LEGACY_RUN / "config.txt").read_text().splitlines()
         current_config = [line for line in legacy_config if line not in RETIRED_LINES]
-        assert len(legacy_config) - len(current_config) == 18
+        assert len(legacy_config) - len(current_config) == 19
         (tmp_path / "current.txt").write_text("\n".join(current_config) + "\n")
         assert main(["train", "--config", str(LEGACY_RUN / "config.txt")]) == 0
         assert main(["train", "--config", "current.txt", "--out", "current"]) == 0

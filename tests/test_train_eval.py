@@ -37,6 +37,17 @@ def save_untrained(path, spec, t_fixed=100, **params):
     return ckpt
 
 
+def disk_full_halfway(monkeypatch):
+    """Make ``Path.write_bytes`` write half its data, then fail as on a full disk."""
+    write_bytes = Path.write_bytes
+
+    def write_half(self, data):
+        write_bytes(self, data[:len(data) // 2])
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(Path, "write_bytes", write_half)
+
+
 def fake_records(counts):
     """(path, label) records with the given per-class counts."""
     records = []
@@ -475,6 +486,16 @@ class TestCheckpointIO:
             load_checkpoint(path)
         assert "expected" in str(info.value) and "got" in str(info.value)
 
+    def test_failed_write_leaves_the_previous_checkpoint(self, tmp_path, monkeypatch):
+        path = tmp_path / "checkpoint.afl"
+        save_untrained(path, ModelSpec(conv_channels=(4, 6)))
+        before = path.read_bytes()
+        disk_full_halfway(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            save_untrained(path, ModelSpec(conv_channels=(8, 8)))
+        assert path.read_bytes() == before
+        assert [p.name for p in tmp_path.iterdir()] == ["checkpoint.afl"]
+
 
 def count_decodes(monkeypatch):
     """Paths decoded through ``train_eval.read_wav`` from now on: a cache miss each.
@@ -698,9 +719,29 @@ class TestFeatureCache:
 
     def test_worker_matrices_are_read_only(self, synthetic_corpus, tmp_path):
         _, records = synthetic_corpus
-        for cache_dir in (None, tmp_path / "cache", tmp_path / "cache"):
-            _, mats, _ = extract_all(records[:3], TINY_SETTINGS, cache_dir, jobs=2)
+        for cache_dir in (None, tmp_path / "cache", tmp_path / "cache"):  # no cache, a miss, a hit
+            _, mats, _ = extract_all(records[:3], TINY_SETTINGS, cache_dir)
+            assert len(mats) == 3
             assert not any(fm.values.flags.writeable for fm in mats)
+
+    @pytest.mark.parametrize("jobs", [0, 2])
+    def test_jobs_other_than_one_is_config_error(self, synthetic_corpus, overfit_run, jobs):
+        _, records = synthetic_corpus
+        *_, ckpt, _ = overfit_run
+        for call in (lambda: extract_all(records, TINY_SETTINGS, jobs=jobs),
+                     lambda: train(records, TINY_SPEC, TrainConfig(epochs=0), TINY_SETTINGS,
+                                   jobs=jobs),
+                     lambda: evaluate(ckpt, records, jobs=jobs)):
+            with pytest.raises(ConfigError, match=f"jobs must be 1 .*got {jobs}"):
+                call()
+
+    def test_settings_token_computed_once_per_settings(self, synthetic_corpus, tmp_path):
+        _, records = synthetic_corpus
+        train_eval._settings_token.cache_clear()
+        for path, _ in records[:3]:
+            extract_features(path, TINY_SETTINGS, tmp_path / "cache")
+        info = train_eval._settings_token.cache_info()
+        assert (info.misses, info.hits) == (1, 2)
 
     def test_feature_code_version_is_part_of_key(self, synthetic_corpus, tmp_path,
                                                   monkeypatch):
@@ -738,6 +779,16 @@ class TestFeatureCache:
         stored = train_eval._read_entry(entry, TINY_SETTINGS.t_fixed)
         assert stored.values.tobytes() == fm.values.tobytes()
 
+    def test_failed_entry_write_leaves_no_temporary_file(self, synthetic_corpus, tmp_path,
+                                                         monkeypatch):
+        _, records = synthetic_corpus
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        disk_full_halfway(monkeypatch)
+        with pytest.raises(OSError, match="No space left"):
+            extract_features(records[0][0], TINY_SETTINGS, cache)
+        assert list(cache.iterdir()) == []
+
     def test_entry_in_existing_cache_dir_makes_no_directory(self, synthetic_corpus, tmp_path,
                                                              monkeypatch):
         _, records = synthetic_corpus
@@ -754,15 +805,6 @@ class TestFeatureCache:
         extract_features(records[1][0], TINY_SETTINGS, cache)
         assert made == []
         assert len(list(cache.iterdir())) == 2
-
-    def test_parallel_extraction_matches_serial(self, synthetic_corpus):
-        _, records = synthetic_corpus
-        subset = records[:8]
-        kept1, mats1, _ = extract_all(subset, TINY_SETTINGS, jobs=1)
-        kept2, mats2, _ = extract_all(subset, TINY_SETTINGS, jobs=2)
-        assert kept1 == kept2
-        for a, b in zip(mats1, mats2):
-            np.testing.assert_array_equal(a.values, b.values)
 
     def test_one_row_per_label(self, overfit_run):
         records, *_ = overfit_run
