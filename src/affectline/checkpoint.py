@@ -128,6 +128,15 @@ def write_replacing(path: Path, data: bytes) -> None:
         raise
 
 
+def write_outputs(out_dir, texts: dict) -> list:
+    """Write ``{name: text}`` as UTF-8 files in ``out_dir``, made if missing; returns the paths."""
+    out_dir = Path(out_dir)
+    out_dir.mkdir(parents=True, exist_ok=True)
+    for name, text in texts.items():
+        write_replacing(out_dir / name, text.encode("utf-8"))
+    return [out_dir / name for name in texts]
+
+
 def save_checkpoint(path, ckpt: Checkpoint) -> None:
     tensors = _tensor_items(ckpt)
     header = {
@@ -164,7 +173,7 @@ def load_checkpoint(path) -> Checkpoint:
         )
     try:
         header = json.loads(raw[8:8 + head_len].decode())
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
         raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
     version = header.get("version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:

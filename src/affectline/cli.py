@@ -17,7 +17,7 @@ import numpy as np
 
 from . import session as session_mod
 from .audio_io import EMOTIONS, AudioDecodeError, CorpusEmptyError, read_wav, scan_corpus
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import load_checkpoint, save_checkpoint, write_outputs
 from .config import RunConfig
 from .errors import AffectlineError, ConfigError, DataError, DivergenceError
 from .features import FEATURE_ROW_LABELS
@@ -68,8 +68,14 @@ def _positive_count(flag: str, value: int) -> int:
 
 
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:
-    out_dir.mkdir(parents=True, exist_ok=True)
-    (out_dir / "config.txt").write_text(cfg.to_text(), encoding="utf-8")
+    write_outputs(out_dir, {"config.txt": cfg.to_text()})
+
+
+def _confusion_outputs(metrics) -> dict:
+    """``confusion.csv`` and ``confusion.svg`` of ``train``'s or ``eval``'s metrics."""
+    return {"confusion.csv": confusion_to_csv(metrics.confusion),
+            "confusion.svg": heatmap(metrics.confusion, EMOTIONS, EMOTIONS,
+                                     "Confusion matrix (rows: true)")}
 
 
 def _corpus_records(cfg: RunConfig):
@@ -98,17 +104,11 @@ def cmd_train(args, cfg: RunConfig) -> int:
     ckpt, metrics = train(records, spec, config, settings, cache_dir=cfg.resolve_cache_dir())
     _echo_config(cfg, out_dir)
     save_checkpoint(out_dir / "checkpoint.afl", ckpt)
-    (out_dir / "metrics.csv").write_text(metrics_to_csv(metrics), encoding="utf-8")
-    (out_dir / "confusion.csv").write_text(confusion_to_csv(metrics.confusion),
-                                           encoding="utf-8")
-    (out_dir / "accuracy.svg").write_text(
-        line_chart([("train", [e.train_acc for e in metrics.epochs]),
-                    ("test", [e.test_acc for e in metrics.epochs])],
-                   "Training and testing accuracy", "epoch", "accuracy"),
-        encoding="utf-8")
-    (out_dir / "confusion.svg").write_text(
-        heatmap(metrics.confusion, EMOTIONS, EMOTIONS,
-                "Confusion matrix (rows: true)"), encoding="utf-8")
+    accuracy = line_chart([("train", [e.train_acc for e in metrics.epochs]),
+                           ("test", [e.test_acc for e in metrics.epochs])],
+                          "Training and testing accuracy", "epoch", "accuracy")
+    write_outputs(out_dir, {"metrics.csv": metrics_to_csv(metrics), "accuracy.svg": accuracy,
+                            **_confusion_outputs(metrics)})
     _report_decode_failures(metrics.failures)
     if metrics.epochs:
         last = metrics.epochs[-1]
@@ -127,14 +127,8 @@ def cmd_eval(args, cfg: RunConfig) -> int:
     _echo_config(cfg, out_dir)  # an unusable --out fails before evaluating
     metrics = evaluate(ckpt, records, cache_dir=cfg.resolve_cache_dir())
     _report_decode_failures(metrics.failures)
-    (out_dir / "eval.csv").write_text(
-        f"accuracy,n_records\n{metrics.accuracy:.6f},{metrics.n_test}\n",
-        encoding="utf-8")
-    (out_dir / "confusion.csv").write_text(confusion_to_csv(metrics.confusion),
-                                           encoding="utf-8")
-    (out_dir / "confusion.svg").write_text(
-        heatmap(metrics.confusion, EMOTIONS, EMOTIONS,
-                "Confusion matrix (rows: true)"), encoding="utf-8")
+    write_outputs(out_dir, {"eval.csv": f"accuracy,n_records\n{metrics.accuracy:.6f},"
+                                        f"{metrics.n_test}\n", **_confusion_outputs(metrics)})
     print(f"accuracy: {metrics.accuracy:.4f} over {metrics.n_test} records")
     return 0
 

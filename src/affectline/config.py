@@ -95,7 +95,11 @@ class RunConfig(_ComponentKeys):
 
     @classmethod
     def from_file(cls, path) -> "RunConfig":
-        return cls().with_overrides(parse_config_text(Path(path).read_text(encoding="utf-8")))
+        try:
+            text = Path(path).read_text(encoding="utf-8")
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"{path}: not UTF-8 text: {exc}") from exc
+        return cls().with_overrides(parse_config_text(text))
 
     # -- derived views -----------------------------------------------------
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import train_eval
 from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE, AudioDecodeError,
                        read_wav, write_wav)
-from .checkpoint import Checkpoint
+from .checkpoint import Checkpoint, write_outputs
 from .config import is_utf8
 from .errors import ConfigError, DataError
 from .features import FRAME_LEN, HOP, assemble_features, matrix_samples
@@ -246,25 +246,17 @@ def classify_session(ckpt: Checkpoint | None, records, *,
 
 def render_report(report: SessionReport, out_dir) -> list:
     """Write ``<session_id>.csv`` and ``<session_id>.svg``; returns the paths."""
-    out_dir = Path(out_dir)
+    lines = ["emotion,count,proportion"]
+    for i, name in enumerate(EMOTIONS):
+        lines.append(f"{name},{int(report.counts[i])},{report.proportions[i]:.6f}")
+    svg = bar_chart(EMOTIONS, report.proportions,
+                    f"Session {report.session_id}: emotion distribution "
+                    f"({int(report.counts.sum())} segments)", "proportion")
     try:
-        out_dir.mkdir(parents=True, exist_ok=True)
-        csv_path = out_dir / f"{report.session_id}.csv"
-        lines = ["emotion,count,proportion"]
-        for i, name in enumerate(EMOTIONS):
-            lines.append(f"{name},{int(report.counts[i])},{report.proportions[i]:.6f}")
-        csv_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-        svg_path = out_dir / f"{report.session_id}.svg"
-        svg_path.write_text(
-            bar_chart(EMOTIONS, report.proportions,
-                      f"Session {report.session_id}: emotion distribution "
-                      f"({int(report.counts.sum())} segments)",
-                      "proportion"),
-            encoding="utf-8",
-        )
+        return write_outputs(out_dir, {f"{report.session_id}.csv": "\n".join(lines) + "\n",
+                                       f"{report.session_id}.svg": svg})
     except OSError as exc:
         raise DataError(f"cannot write report under {out_dir}: {exc}") from exc
-    return [csv_path, svg_path]
 
 
 @dataclass

@@ -97,6 +97,12 @@ def header_section(header, section):
     return header
 
 
+# checkpoint headers that json.loads refuses with neither a JSONDecodeError nor a
+# UnicodeDecodeError: a RecursionError, and a ValueError past int's 4,300-digit limit
+UNPARSABLE_HEADERS = {"nested-100000-deep": b"[" * 100_000,
+                      "5000-digit-integer": b'{"version":' + b"9" * 5_000 + b"}"}
+
+
 def edit_header(path, edit):
     """Rewrite a checkpoint's JSON header in place through ``edit(header)``."""
     raw = path.read_bytes()

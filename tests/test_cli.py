@@ -20,8 +20,8 @@ from affectline.nn import ModelSpec
 from affectline.session import load_manifest, synthesize_session
 from affectline.train_eval import (TrainConfig, _to_batch_array, extract_all, predict_logits,
                                    split_dataset)
-from conftest import (build_synthetic_corpus, edit_header, header_section, make_wav_bytes,
-                      sine, write_test_wav)
+from conftest import (UNPARSABLE_HEADERS, build_synthetic_corpus, edit_header, header_section,
+                      make_wav_bytes, sine, write_test_wav)
 
 TINY_OVERRIDES = [
     "--set", "conv_channels=8,8,12,12,16,16",
@@ -66,6 +66,19 @@ def seven_class_checkpoint(run, path):
     save_checkpoint(path, ckpt)
     edit_header(path, lambda header: header["model_spec"].update(n_classes=7))
     return path
+
+
+def csv_and_svg_writes_fail_halfway(monkeypatch):
+    """Make each ``Path.write_bytes`` or ``Path.write_text`` of a CSV or SVG file, or
+    of its temporary file, write half its data, then fail as on a full disk."""
+    for name in ("write_bytes", "write_text"):
+        def write_half(self, data, *args, _write=getattr(Path, name), **kwargs):
+            if not {".csv", ".svg"} & set(self.suffixes):
+                return _write(self, data, *args, **kwargs)
+            _write(self, data[:len(data) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, name, write_half)
 
 
 def with_retired_keys(config_txt, out_path):
@@ -153,6 +166,17 @@ class TestTrainCommand:
     def test_bad_value_exits_2(self, tmp_path, corpus_root):
         assert main(["train", "--corpus", str(corpus_root),
                      "--out", str(tmp_path / "o"), "--set", "epochs=soon"]) == 2
+
+    def test_non_utf8_config_exits_2_naming_file(self, tmp_path, corpus_root, capsys,
+                                                 monkeypatch):
+        config = tmp_path / "latin1.txt"
+        config.write_bytes(b"epochs = 3\n# caf\xe9 \xff\n")
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training ran"))
+        assert main(["train", "--config", str(config), "--corpus", str(corpus_root),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert f"config error: {config}: not UTF-8 text" in err
+        assert not (tmp_path / "o").exists()
 
     # (command, override); the id is the override, prefixed by any command but train
     OUT_OF_RANGE = [("train", o) for o in (
@@ -326,6 +350,15 @@ class TestEvalCommand:
         assert main(["eval", "--checkpoint", str(bad), "--corpus",
                      str(corpus_root), "--out", str(tmp_path / "o")]) == 3
         assert str(bad) in capsys.readouterr().err
+
+    @pytest.mark.parametrize("head", list(UNPARSABLE_HEADERS.values()),
+                             ids=list(UNPARSABLE_HEADERS))
+    def test_unparsable_header_exits_3_naming_file(self, tmp_path, corpus_root, capsys, head):
+        bad = tmp_path / "header.afl"
+        bad.write_bytes(b"AFL1" + struct.pack("<I", len(head)) + head)
+        assert main(["eval", "--checkpoint", str(bad), "--corpus",
+                     str(corpus_root), "--out", str(tmp_path / "o")]) == 3
+        assert f"error: {bad}: unreadable header" in capsys.readouterr().err
 
     # the features.frame and features.mfcc sections are those of older headers,
     # whose retired keys must hold their fixed value
@@ -550,6 +583,63 @@ class TestClassifyCommand:
             in capsys.readouterr().err
         assert sorted(p.name for p in out.iterdir()) == ["config.txt", "s.csv", "s.svg"]
         assert not list((tmp_path / "s").glob("escaped.*"))
+
+
+class TestEvalReproducesTrain:
+    @pytest.fixture(scope="class")
+    def split_corpus(self, tmp_path_factory):
+        """A corpus whose test split of 18 clips is forwarded as a chunk of 16 and one of 2."""
+        root = tmp_path_factory.mktemp("split_corpus")
+        build_synthetic_corpus(root, per_class=15, duration_s=0.5)
+        return root
+
+    @pytest.mark.parametrize("t_fixed,channels", [(50, "4,6"), (12, "4,6"),
+                                                  (30, "8,8,16,16,32,32")])
+    def test_eval_of_the_test_split_reproduces_confusion_csv(self, tmp_path, split_corpus,
+                                                              t_fixed, channels):
+        run = tmp_path / "run"
+        assert main(["train", "--corpus", str(split_corpus), "--out", str(run),
+                     "--epochs", "2", "--seed", "5", "--t-fixed", str(t_fixed),
+                     "--set", f"conv_channels={channels}",
+                     "--cache-dir", str(tmp_path / "train_cache")]) == 0
+        records = [(path, meta.emotion) for path, meta in scan_corpus(split_corpus)]
+        _, test = split_dataset(records, TrainConfig(seed=5))
+        assert len(test) == 18
+        test_corpus = tmp_path / "test_split"
+        test_corpus.mkdir()
+        for path, _ in test:
+            shutil.copy(path, test_corpus)
+        out = tmp_path / "eval"
+        assert main(["eval", "--checkpoint", str(run / "checkpoint.afl"),
+                     "--corpus", str(test_corpus), "--out", str(out),
+                     "--cache-dir", str(tmp_path / "eval_cache")]) == 0
+        assert (out / "confusion.csv").read_bytes() == (run / "confusion.csv").read_bytes()
+
+
+class TestFailedRewrite:
+    @pytest.mark.parametrize("command", ["train", "eval", "classify"])
+    def test_failed_rewrite_leaves_the_previous_outputs(self, tmp_path, corpus_root,
+                                                        trained_run, capsys, monkeypatch,
+                                                        command):
+        run, cache = trained_run
+        checkpoint = str(run / "checkpoint.afl")
+        if command == "classify":
+            assert main(["synth", "--corpus", str(corpus_root), "--out", str(tmp_path / "synth"),
+                         "--n-segments", "3"]) == 0
+        argv = {"train": ["train", "--corpus", str(corpus_root), "--epochs", "1",
+                          "--cache-dir", str(cache), *TINY_OVERRIDES],
+                "eval": ["eval", "--checkpoint", checkpoint, "--corpus", str(corpus_root),
+                         "--cache-dir", str(cache)],
+                "classify": ["classify", "--checkpoint", checkpoint,
+                             "--manifest", str(tmp_path / "synth" / "manifest.csv")],
+                }[command] + ["--out", str(tmp_path / "out")]
+        assert main(argv) == 0
+        first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+        csv_and_svg_writes_fail_halfway(monkeypatch)
+        assert main(argv) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert not list((tmp_path / "out").glob("*.tmp"))
+        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == first
 
 
 class TestDedicatedFlags:

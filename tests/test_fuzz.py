@@ -31,7 +31,7 @@ from affectline.session import (MANIFEST_COLUMNS, SegmentRecord, checkpoint_pred
                                 classify_session, load_manifest, load_truth,
                                 synthesize_session)
 from affectline.train_eval import evaluate, extract_features
-from conftest import make_wav_bytes, sine, write_test_wav
+from conftest import UNPARSABLE_HEADERS, make_wav_bytes, sine, write_test_wav
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -320,6 +320,13 @@ def test_load_checkpoint_truncated_or_mutated(scratch, tiny_checkpoint, data):
     edits = data.draw(st.lists(st.tuples(st.integers(0, len(tiny_checkpoint) - 1),
                                          st.integers(0, 255)), max_size=4), label="edits")
     open_checkpoint(scratch / "mutated.afl", mutate(raw, edits) if raw else raw)
+
+
+@pytest.mark.parametrize("head", list(UNPARSABLE_HEADERS.values()), ids=list(UNPARSABLE_HEADERS))
+def test_load_checkpoint_unparsable_header(scratch, tiny_checkpoint, head):
+    (head_len,) = struct.unpack_from("<I", tiny_checkpoint, 4)
+    raw = b"AFL1" + struct.pack("<I", len(head)) + head + tiny_checkpoint[8 + head_len:]
+    open_checkpoint(scratch / "unparsable.afl", raw)
 
 
 JSON_VALUES = st.recursive(
