@@ -6,7 +6,7 @@ emotion distributions over labeled segment corpora.
 """
 
 from .audio_io import (EMOTIONS, EMOTION_INDEX, RavdessMeta, parse_ravdess_name, read_wav,
-                       resample, scan_corpus, write_wav)
+                       resample, scan_corpus, wav_bytes)
 from .checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from .config import RunConfig
 from .features import (FeatureMatrix, NormalizationProfile, assemble_features,

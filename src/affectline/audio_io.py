@@ -1,9 +1,9 @@
 """Audio decoding and corpus scanning.
 
 Decodes RIFF/WAVE PCM files into a canonical representation (mono,
-16 kHz, float amplitudes in [-1, 1]) and scans RAVDESS-style trees
-into labeled records. Only uncompressed WAV is supported: 8/16/24-bit
-integer and 32-bit float, one or two channels, any input rate.
+16 kHz, float amplitudes in [-1, 1]), encodes it as 16-bit WAV bytes and
+scans RAVDESS-style trees into labeled records. Only uncompressed WAV is
+read: 8/16/24-bit integer and 32-bit float, one or two channels, any rate.
 """
 
 from __future__ import annotations
@@ -238,19 +238,19 @@ def read_wav(path, max_samples: int | None = None, start: int = 0) -> np.ndarray
     return samples
 
 
-def write_wav(path, samples: np.ndarray) -> None:
-    """Write mono float samples in [-1, 1] as 16-bit PCM at ``PIPELINE_SAMPLE_RATE``;
-    ValueError on NaN or inf."""
+def wav_bytes(samples: np.ndarray) -> bytes:
+    """Mono float samples in [-1, 1] as a 16-bit PCM WAV file at
+    ``PIPELINE_SAMPLE_RATE``; ValueError on NaN or inf."""
     x = np.asarray(samples, dtype=np.float64)
     if not np.all(np.isfinite(x)):
-        raise ValueError(f"{path}: cannot write non-finite samples")
+        raise ValueError("cannot write non-finite samples")
     q = np.clip(np.rint(x * 32767.0), -32768, 32767)
     data = q.astype("<i2").tobytes()
     hdr = b"RIFF" + struct.pack("<I", 36 + len(data)) + b"WAVE"
     hdr += b"fmt " + struct.pack("<IHHIIHH", 16, 1, 1, PIPELINE_SAMPLE_RATE,
                                  PIPELINE_SAMPLE_RATE * 2, 2, 16)
     hdr += b"data" + struct.pack("<I", len(data))
-    Path(path).write_bytes(hdr + data)
+    return hdr + data
 
 
 # ---------------------------------------------------------------------------

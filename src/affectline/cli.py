@@ -17,7 +17,7 @@ import numpy as np
 
 from . import session as session_mod
 from .audio_io import EMOTIONS, AudioDecodeError, CorpusEmptyError, read_wav, scan_corpus
-from .checkpoint import load_checkpoint, save_checkpoint, write_outputs
+from .checkpoint import load_checkpoint, save_checkpoint, write_outputs, write_replacing
 from .config import RunConfig
 from .errors import AffectlineError, ConfigError, DataError, DivergenceError
 from .features import FEATURE_ROW_LABELS
@@ -168,7 +168,7 @@ def cmd_features(args, cfg: RunConfig) -> int:
         lines.append(label + "," + ",".join(f"{v:.8g}" for v in row))
     text = "\n".join(lines) + "\n"
     if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
+        write_replacing(Path(args.out), text.encode("utf-8"))
         print(f"wrote {args.out} ({fm.n_valid_frames} valid frames)")
     else:
         sys.stdout.write(text)

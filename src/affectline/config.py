@@ -136,11 +136,13 @@ def is_utf8(text: str) -> bool:
 def _coerce(key: str, raw, target_type):
     if target_type is str:
         # config.txt holds one "key = value" line per key, read back stripped,
-        # in UTF-8 (an undecodable argv byte arrives as a lone surrogate)
+        # in UTF-8 (an undecodable argv byte arrives as a lone surrogate); a
+        # path holding a NUL cannot be opened
         text = str(raw)
-        if text != text.strip() or "".join(text.splitlines()) != text or not is_utf8(text):
-            raise ConfigError(f"{key!r} must be UTF-8 text without surrounding whitespace "
-                              f"or a line break, got {raw!r}")
+        if text != text.strip() or "".join(text.splitlines()) != text or not is_utf8(text) \
+                or "\0" in text:
+            raise ConfigError(f"{key!r} must be UTF-8 text without surrounding whitespace, "
+                              f"a line break or a NUL, got {raw!r}")
         return text
     if isinstance(raw, target_type) and not (target_type is int and isinstance(raw, bool)):
         return raw

@@ -15,6 +15,8 @@ for unavailable in-the-wild recordings.
 from __future__ import annotations
 
 import csv
+import io
+import itertools
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -22,8 +24,8 @@ import numpy as np
 
 from . import train_eval
 from .audio_io import (EMOTION_INDEX, EMOTIONS, PIPELINE_SAMPLE_RATE, AudioDecodeError,
-                       read_wav, write_wav)
-from .checkpoint import Checkpoint, write_outputs
+                       read_wav, wav_bytes)
+from .checkpoint import Checkpoint, write_outputs, write_replacing
 from .config import is_utf8
 from .errors import ConfigError, DataError
 from .features import FRAME_LEN, HOP, assemble_features, matrix_samples
@@ -175,22 +177,30 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     a clip: ``train_eval.extract_features(record.audio_path, ckpt.features)``.
     With ``chunk_vote``, window k >= 1, read only after a full window k - 1,
     is that matrix of the segment cut at sample k * t_fixed * HOP; windows
-    holding a frame vote by majority (ties to the lowest class index), all
-    labelled by one ``train_eval.predict_labels`` call.
+    holding a frame vote by majority (ties to the lowest class index). They
+    are labelled ``PREDICT_ROWS`` at a time as they are read, each group one
+    of the chunks ``predict_logits`` forwards over all of them: the labels of
+    one call, in memory that does not grow with the segment.
     """
     model = ckpt.build_model()
     t_fixed = ckpt.features.t_fixed
     bound, step = matrix_samples(t_fixed), t_fixed * HOP
 
-    def predict(record) -> str:
-        matrices = [train_eval.extract_features(record.audio_path, ckpt.features)]
-        while chunk_vote and matrices[-1].n_valid_frames == t_fixed:  # a full window
-            samples = read_wav(record.audio_path, bound, len(matrices) * step)
+    def windows(path):
+        window, start = train_eval.extract_features(path, ckpt.features), step
+        yield window
+        while chunk_vote and window.n_valid_frames == t_fixed:  # a full window
+            samples = read_wav(path, bound, start)
             if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
-                break
-            matrices.append(assemble_features(samples, t_fixed))
-        votes = np.bincount(train_eval.predict_labels(model, ckpt.normalization, matrices),
-                            minlength=len(EMOTIONS))
+                return
+            window, start = assemble_features(samples, t_fixed), start + step
+            yield window
+
+    def predict(record) -> str:
+        votes, read = np.zeros(len(EMOTIONS), dtype=np.int64), windows(record.audio_path)
+        while group := list(itertools.islice(read, train_eval.PREDICT_ROWS)):
+            votes += np.bincount(train_eval.predict_labels(model, ckpt.normalization, group),
+                                 minlength=len(EMOTIONS))
         return EMOTIONS[int(np.argmax(votes))]
 
     return predict
@@ -272,8 +282,8 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
     samples at ``PIPELINE_SAMPLE_RATE`` as ``read_wav`` returns them.
 
     Writes one 16-bit WAV per clip (optionally with white noise mixed at
-    ``snr_db``), a manifest CSV, and a ground-truth sidecar CSV. Output
-    bytes are a pure function of (inputs, session_id, snr_db, seed).
+    ``snr_db``), a ground-truth sidecar CSV, then the manifest CSV, each by
+    ``write_replacing``. Output bytes depend only on the arguments.
     """
     labeled_clips = list(labeled_clips)
     if not labeled_clips:
@@ -286,8 +296,10 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
     seg_dir.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(seed)
 
-    manifest = [MANIFEST_COLUMNS]
-    truth = [("segment_id", "emotion")]
+    manifest, truth = io.StringIO(), io.StringIO()  # CSV text with "\r\n" line ends
+    manifest_row, truth_row = csv.writer(manifest).writerow, csv.writer(truth).writerow
+    manifest_row(MANIFEST_COLUMNS)  # csv quotes any field holding "\r" or "\n"
+    truth_row(("segment_id", "emotion"))
     segment_paths = []
     cursor = 0.0
     for i, (samples, label) in enumerate(labeled_clips):
@@ -300,19 +312,16 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
                     / float(np.sqrt(np.mean(noise ** 2)))
                 samples = np.clip(samples + noise, -1.0, 1.0)
         segment_id = f"{session_id}-{i:05d}"
-        wav_path = seg_dir / f"{segment_id}.wav"
-        write_wav(wav_path, samples)
-        segment_paths.append(wav_path)
+        segment_paths.append(seg_dir / f"{segment_id}.wav")
+        write_replacing(segment_paths[-1], wav_bytes(samples))
         duration = len(samples) / PIPELINE_SAMPLE_RATE
-        manifest.append((session_id, segment_id, "FAN", f"segments/{segment_id}.wav",
-                         f"{cursor:.6f}", f"{cursor + duration:.6f}"))
-        truth.append((segment_id, label))
+        manifest_row((session_id, segment_id, "FAN", f"segments/{segment_id}.wav",
+                      f"{cursor:.6f}", f"{cursor + duration:.6f}"))
+        truth_row((segment_id, label))
         cursor += duration
 
-    manifest_path, truth_path = out_dir / "manifest.csv", out_dir / "truth.csv"
-    for path, rows in ((manifest_path, manifest), (truth_path, truth)):
-        with path.open("w", newline="", encoding="utf-8") as fh:
-            csv.writer(fh).writerows(rows)  # quotes any field holding "\r" or "\n"
+    truth_path, manifest_path = write_outputs(out_dir, {"truth.csv": truth.getvalue(),
+                                                        "manifest.csv": manifest.getvalue()})
     return SynthesizedSession(manifest_path=manifest_path, truth_path=truth_path,
                               segment_paths=segment_paths)
 

@@ -1,4 +1,5 @@
 import argparse
+import ast
 import csv
 import json
 import re
@@ -68,12 +69,13 @@ def seven_class_checkpoint(run, path):
     return path
 
 
-def csv_and_svg_writes_fail_halfway(monkeypatch):
-    """Make each ``Path.write_bytes`` or ``Path.write_text`` of a CSV or SVG file, or
-    of its temporary file, write half its data, then fail as on a full disk."""
+def writes_fail_halfway(monkeypatch, fails):
+    """Make each ``Path.write_bytes`` or ``Path.write_text`` of a file whose name
+    ``fails(name)`` holds, as its temporary file's name also does, write half its
+    data, then fail as on a full disk."""
     for name in ("write_bytes", "write_text"):
         def write_half(self, data, *args, _write=getattr(Path, name), **kwargs):
-            if not {".csv", ".svg"} & set(self.suffixes):
+            if not fails(self.name):
                 return _write(self, data, *args, **kwargs)
             _write(self, data[:len(data) // 2], *args, **kwargs)
             raise OSError(28, "No space left on device")
@@ -177,6 +179,16 @@ class TestTrainCommand:
         err = capsys.readouterr().err
         assert f"config error: {config}: not UTF-8 text" in err
         assert not (tmp_path / "o").exists()
+
+    def test_nul_in_config_out_exits_2_naming_key(self, tmp_path, corpus_root, capsys,
+                                                  monkeypatch):
+        # argv cannot carry a NUL, a --config file can
+        config = tmp_path / "nul.txt"
+        config.write_bytes(b"out = " + str(tmp_path / "o").encode() + b"\x00x\n")
+        monkeypatch.setattr(cli, "train", lambda *a, **k: pytest.fail("training ran"))
+        assert main(["train", "--config", str(config), "--corpus", str(corpus_root)]) == 2
+        assert "config error: 'out' must be UTF-8 text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
 
     # (command, override); the id is the override, prefixed by any command but train
     OUT_OF_RANGE = [("train", o) for o in (
@@ -509,6 +521,14 @@ class TestClassifyCommand:
             counts = {r["emotion"]: int(r["count"]) for r in csv.DictReader(fh)}
         assert sum(counts.values()) == 4
 
+    def test_nul_in_config_checkpoint_exits_2_naming_key(self, tmp_path, capsys):
+        config = tmp_path / "nul.txt"
+        config.write_bytes(b"checkpoint = x\x00y\n")
+        assert main(["classify", "--config", str(config), "--manifest", str(tmp_path / "m.csv"),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "config error: 'checkpoint' must be UTF-8 text" in capsys.readouterr().err
+        assert list(tmp_path.iterdir()) == [config]
+
     def test_unreadable_segment_named(self, tmp_path, corpus_root, trained_run, capsys):
         run, _ = trained_run
         items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
@@ -616,7 +636,45 @@ class TestEvalReproducesTrain:
         assert (out / "confusion.csv").read_bytes() == (run / "confusion.csv").read_bytes()
 
 
+def files_under(root):
+    """{relative path: bytes} of every file under ``root``."""
+    return {str(p.relative_to(root)): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+
+def file_writes(tree):
+    """Line of each call in ``tree`` outside a ``write_replacing`` definition that
+    writes a file: ``write_text``, ``write_bytes``, or an ``open`` whose mode is
+    not a constant read mode."""
+    inside = {id(node) for f in ast.walk(tree)
+              if isinstance(f, ast.FunctionDef) and f.name == "write_replacing"
+              for node in ast.walk(f)}
+    for call in ast.walk(tree):
+        if not isinstance(call, ast.Call) or id(call) in inside:
+            continue
+        func = call.func
+        name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+        if name in ("write_text", "write_bytes"):
+            yield call.lineno
+        elif name == "open":  # open(path, mode) or path.open(mode)
+            mode = ([k.value for k in call.keywords if k.arg == "mode"]
+                    or call.args[isinstance(func, ast.Name):][:1])
+            text = getattr(mode[0], "value", None) if mode else "r"
+            if not isinstance(text, str) or set(text) & set("wax+"):
+                yield call.lineno
+
+
 class TestFailedRewrite:
+    def rerun_fails_halfway(self, argv, out, fails, monkeypatch, capsys):
+        """Run ``argv`` into ``out``, then again with the writes of each file whose
+        name ``fails`` failing halfway: exit 3, ``out`` as the first run left it."""
+        assert main(argv) == 0
+        first = files_under(out)
+        writes_fail_halfway(monkeypatch, fails)
+        assert main(argv) == 3
+        assert "No space left on device" in capsys.readouterr().err
+        assert not list(out.rglob("*.tmp"))
+        assert files_under(out) == first
+
     @pytest.mark.parametrize("command", ["train", "eval", "classify"])
     def test_failed_rewrite_leaves_the_previous_outputs(self, tmp_path, corpus_root,
                                                         trained_run, capsys, monkeypatch,
@@ -633,13 +691,30 @@ class TestFailedRewrite:
                 "classify": ["classify", "--checkpoint", checkpoint,
                              "--manifest", str(tmp_path / "synth" / "manifest.csv")],
                 }[command] + ["--out", str(tmp_path / "out")]
-        assert main(argv) == 0
-        first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
-        csv_and_svg_writes_fail_halfway(monkeypatch)
-        assert main(argv) == 3
-        assert "No space left on device" in capsys.readouterr().err
-        assert not list((tmp_path / "out").glob("*.tmp"))
-        assert {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()} == first
+        self.rerun_fails_halfway(argv, tmp_path / "out",
+                                 lambda name: {".csv", ".svg"} & set(Path(name).suffixes),
+                                 monkeypatch, capsys)
+
+    # the file whose writes fail, by the start of its name
+    @pytest.mark.parametrize("command, fails", [
+        ("features", "features.csv"), ("synth", "synthetic-00001.wav"),
+        ("synth", "truth.csv"), ("synth", "manifest.csv")],
+        ids=["features", "synth-segment", "synth-truth", "synth-manifest"])
+    def test_failed_rewrite_leaves_the_previous_files(self, tmp_path, corpus_root, capsys,
+                                                      monkeypatch, command, fails):
+        out = tmp_path / "out"
+        out.mkdir()
+        argv = {"features": ["features", "--wav", str(next(corpus_root.glob("*.wav"))),
+                             "--out", str(out / "features.csv")],
+                "synth": ["synth", "--corpus", str(corpus_root), "--n-segments", "3",
+                          "--out", str(out)]}[command]
+        self.rerun_fails_halfway(argv, out, lambda name: name.startswith(fails),
+                                 monkeypatch, capsys)
+
+    def test_only_write_replacing_writes_files(self):
+        sites = [f"{path.name}:{line}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
+                 for line in file_writes(ast.parse(path.read_text(encoding="utf-8")))]
+        assert sites == []
 
 
 class TestDedicatedFlags:

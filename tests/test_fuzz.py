@@ -292,7 +292,7 @@ def open_checkpoint(path, data: bytes) -> None:
     whatever loads."""
     path.write_bytes(data)
     clip = path.with_suffix(".wav")
-    audio_io.write_wav(clip, SHORT_CLIP)
+    clip.write_bytes(audio_io.wav_bytes(SHORT_CLIP))
     try:
         ckpt = load_checkpoint(path)
     except DataError:

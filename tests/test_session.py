@@ -450,6 +450,35 @@ class TestChunkVoteWindows:
                                   0.3 * sine(440, (k * step + extra) / 16000))
             assert len(voted_windows(ckpt, path)) == expected, (k, extra)
 
+    def test_chunk_vote_labels_bit_equal_to_one_call(self, tmp_path, monkeypatch):
+        # at the default spec and t_fixed 17 a row's logits can depend on the rows
+        # forwarded with it, so the groups must be predict_logits' own chunks
+        n, step = 2 * train_eval.PREDICT_ROWS + 5, 17 * HOP
+        rng = np.random.default_rng(3)
+        x = np.concatenate([class_tone(k % 6, rng, step / 16000) for k in range(n + 1)])
+        path = write_test_wav(tmp_path / "segment.wav", x[:n * step])
+        windows = voted_windows(untrained_checkpoint(t_fixed=17), path)
+        assert len(windows) == n
+        spec = ModelSpec()
+        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=2).parameters()),
+                          opt_acc={}, features=FeatureSettings(t_fixed=17),
+                          normalization=compute_normalization(windows))
+        logits, predict_logits = [], train_eval.predict_logits
+
+        def grouped(model, x):
+            logits.append(predict_logits(model, x))
+            return logits[-1]
+        monkeypatch.setattr(train_eval, "predict_logits", grouped)
+        label = session.checkpoint_predictor(ckpt, chunk_vote=True)(
+            SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0))
+        assert [len(g) for g in logits] == [16, 16, 5]
+        one_call = predict_logits(ckpt.build_model(),
+                                  train_eval._to_batch_array(windows, ckpt.normalization))
+        assert np.concatenate(logits).tobytes() == one_call.tobytes()
+        votes = np.bincount(one_call.argmax(axis=1), minlength=len(EMOTIONS))
+        assert np.count_nonzero(votes) > 1, votes  # not a constant output
+        assert label == EMOTIONS[int(np.argmax(votes))]
+
     def test_one_window_segment_same_label_in_both_modes(self, tmp_path):
         # at t_fixed 100 the longest one-window segment holds step + FRAME_LEN - 1
         # = 16,399 samples
@@ -470,9 +499,12 @@ class TestChunkVoteWindows:
 def long_segment(path, minutes):
     """48 kHz 16-bit mono WAV of ``minutes``: one second of a tone, repeated."""
     one_second = make_wav_bytes(0.3 * sine(440, 1.0, 48000), sample_rate=48000)
-    data = one_second[44:] * (60 * minutes)
-    path.write_bytes(b"RIFF" + struct.pack("<I", 36 + len(data)) + one_second[8:40]
-                     + struct.pack("<I", len(data)) + data)
+    size = (len(one_second) - 44) * 60 * minutes
+    with path.open("wb") as fh:
+        fh.write(b"RIFF" + struct.pack("<I", 36 + size) + one_second[8:40]
+                 + struct.pack("<I", size))
+        for _ in range(60 * minutes):
+            fh.write(one_second[44:])
     return path
 
 
@@ -490,7 +522,7 @@ class TestLongSegmentMemory:
     """A leading-window matrix reads ~3 s of a segment, so the peak memory of
     classifying or extracting it does not grow with the segment's length (a
     whole decode at 48 kHz holds ~57 MB a minute); the chunk vote reads one
-    such window at a time."""
+    such window at a time and labels ``PREDICT_ROWS`` of them at once."""
 
     MARGIN = 1e6  # bytes
 
@@ -498,7 +530,7 @@ class TestLongSegmentMemory:
     def segments(self, tmp_path_factory):
         root = tmp_path_factory.mktemp("long")
         return {minutes: long_segment(root / f"{minutes}min.wav", minutes)
-                for minutes in (1, 4)}
+                for minutes in (1, 4, 16)}
 
     def test_leading_window_classify_peak(self, segments):
         ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed)
@@ -509,17 +541,25 @@ class TestLongSegmentMemory:
         assert peaks[4] < peaks[1] + self.MARGIN, peaks
         assert peaks[4] < 20e6, peaks
 
-    def test_chunk_vote_classify_peak(self, segments):
-        # a window is read at a time; what grows is the windows' matrices,
-        # 20 a minute of 49 KB each (and their normalized batch)
+    def chunk_vote_peaks(self, segments, minutes):
         ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed)
-        records = {m: [SegmentRecord("s", f"{m}min", "FAN", str(path), 0.0, 60.0 * m)]
-                   for m, path in segments.items()}
-        classify_session(ckpt, records[1], chunk_vote=True)
-        peaks = {m: traced_peak(lambda: classify_session(ckpt, records[m], chunk_vote=True))
-                 for m in records}
+        records = {m: [SegmentRecord("s", f"{m}min", "FAN", str(segments[m]), 0.0, 60.0 * m)]
+                   for m in minutes}
+        classify_session(ckpt, records[minutes[0]], chunk_vote=True)
+        return {m: traced_peak(lambda: classify_session(ckpt, records[m], chunk_vote=True))
+                for m in minutes}
+
+    def test_chunk_vote_classify_peak(self, segments):
+        # a window is read at a time, 20 a minute, and labelled with at most
+        # PREDICT_ROWS - 1 others
+        peaks = self.chunk_vote_peaks(segments, (1, 4))
         assert peaks[4] - peaks[1] < 3 * 4e6, peaks  # a whole decode holds ~57 MB a minute
         assert peaks[4] < 20e6, peaks
+
+    def test_chunk_vote_peak_does_not_grow_with_the_segment(self, segments):
+        # 320 windows against 80: the 49 KB matrices of all of them would add 12 MB
+        peaks = self.chunk_vote_peaks(segments, (4, 16))
+        assert peaks[16] < peaks[4] + 2e6, peaks
 
     def test_extract_features_peak(self, segments, tmp_path):
         settings = FeatureSettings()
