@@ -4,10 +4,13 @@ A session is described by a CSV manifest of labeled audio segments (one
 file per segment). Only FAN segments (female adult, near) are treated
 as approximations of the target speaker's speech and classified; the
 far-field variant FAF is excluded because loudness skews the features.
-A segment goes through the same path as a clip in ``train_eval.evaluate``:
-its raw matrix from ``train_eval.extract_features`` (without a cache),
-labelled by ``train_eval.predict_labels`` with the checkpoint's profile.
-The chunk vote adds that matrix of the segment cut at each later window.
+A session's FAN segments go through the same path as a corpus in
+``train_eval.evaluate``: each segment's raw matrix from
+``train_eval.extract_features`` (without a cache), in manifest order,
+labelled by ``train_eval.predict_labels`` with the checkpoint's profile
+``PREDICT_ROWS`` windows at a time as they are read, so the labels equal
+``evaluate``'s over the same files. The chunk vote adds that matrix of the
+segment cut at each later window and labels each segment's windows apart.
 Also provides a synthetic-session generator used as the test stand-in
 for unavailable in-the-wild recordings.
 """
@@ -169,18 +172,46 @@ def filter_fan(records) -> list:
     return [r for r in records if r.source_label == "FAN"]
 
 
-def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
-    """Build a record -> emotion callable from a trained checkpoint.
+def leading_window_labels(ckpt: Checkpoint, records) -> list:
+    """The emotion of each record's leading window, or the AudioDecodeError
+    reading it raised, in record order.
 
-    The callable reads the segment itself; AudioDecodeError propagates. By
-    default it labels the leading window, from the call ``evaluate`` makes on
-    a clip: ``train_eval.extract_features(record.audio_path, ckpt.features)``.
-    With ``chunk_vote``, window k >= 1, read only after a full window k - 1,
-    is that matrix of the segment cut at sample k * t_fixed * HOP; windows
-    holding a frame vote by majority (ties to the lowest class index). They
-    are labelled ``PREDICT_ROWS`` at a time as they are read, each group one
-    of the chunks ``predict_logits`` forwards over all of them: the labels of
-    one call, in memory that does not grow with the segment.
+    A window is the call ``evaluate`` makes on a clip,
+    ``train_eval.extract_features(record.audio_path, ckpt.features)``. The
+    readable windows are labelled ``PREDICT_ROWS`` at a time as they are
+    read, each group one of the chunks ``predict_logits`` forwards over all
+    of them: the labels of one call, in memory that does not grow with the
+    session.
+    """
+    model, outcomes = ckpt.build_model(), [None] * len(records)
+
+    def windows():
+        for i, record in enumerate(records):
+            try:
+                yield i, train_eval.extract_features(record.audio_path, ckpt.features)
+            except AudioDecodeError as exc:
+                outcomes[i] = exc
+
+    read = windows()
+    while group := list(itertools.islice(read, train_eval.PREDICT_ROWS)):
+        indices, matrices = zip(*group)
+        labels = train_eval.predict_labels(model, ckpt.normalization, matrices)
+        for i, label in zip(indices, labels):
+            outcomes[i] = EMOTIONS[label]
+        del group, matrices  # the next group is read without this one
+    return outcomes
+
+
+def chunk_vote_predictor(ckpt: Checkpoint):
+    """Build a record -> emotion callable that votes over a segment's windows.
+
+    The callable reads the segment itself; AudioDecodeError propagates.
+    Window 0 is the leading window; window k >= 1, read only after a full
+    window k - 1, is that matrix of the segment cut at sample
+    k * t_fixed * HOP. Windows holding a frame vote by majority (ties to the
+    lowest class index). They are labelled ``PREDICT_ROWS`` at a time as they
+    are read, as ``leading_window_labels`` labels a session's, but a group
+    never spans two segments.
     """
     model = ckpt.build_model()
     t_fixed = ckpt.features.t_fixed
@@ -189,7 +220,7 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     def windows(path):
         window, start = train_eval.extract_features(path, ckpt.features), step
         yield window
-        while chunk_vote and window.n_valid_frames == t_fixed:  # a full window
+        while window.n_valid_frames == t_fixed:  # a full window
             samples = read_wav(path, bound, start)
             if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
                 return
@@ -206,34 +237,47 @@ def checkpoint_predictor(ckpt: Checkpoint, chunk_vote: bool = False):
     return predict
 
 
+def _predicted(predict, records):
+    """``predict(record)`` of each record, or the AudioDecodeError it raised."""
+    for record in records:
+        try:
+            yield predict(record)
+        except AudioDecodeError as exc:
+            yield exc
+
+
 def classify_session(ckpt: Checkpoint | None, records, *,
                      predict=None, chunk_vote: bool = False) -> SessionReport:
     """Classify every FAN segment of one session and aggregate counts.
 
-    Each FAN record goes to ``predict(record) -> emotion``, which reads the
-    segment itself: ``checkpoint_predictor(ckpt, chunk_vote)`` unless the
-    caller passes its own (the synthetic-session harness does). A segment
-    whose ``predict`` raises AudioDecodeError is listed in ``failures`` and
-    excluded from the proportions; a session with zero classifiable FAN
-    segments is an error.
+    With a checkpoint, ``leading_window_labels`` labels the FAN segments as
+    ``evaluate`` labels a corpus, or with ``chunk_vote`` each segment is one
+    ``chunk_vote_predictor`` call. A caller's own ``predict(record) ->
+    emotion`` (the synthetic-session harness passes one) reads each segment
+    itself and takes no ``chunk_vote``. A segment whose read raises
+    AudioDecodeError is listed in ``failures`` and excluded from the
+    proportions; a session with zero classifiable FAN segments is an error.
     """
     records = list(records)
     session_ids = {r.session_id for r in records}
     if len(session_ids) > 1:
         raise DataError(f"records span multiple sessions: {sorted(session_ids)}")
-    if predict is None:
-        if ckpt is None:
-            raise DataError("classify_session needs a checkpoint or a predict callable")
-        predict = checkpoint_predictor(ckpt, chunk_vote=chunk_vote)
+    if predict is None and ckpt is None:
+        raise DataError("classify_session needs a checkpoint or a predict callable")
+    if predict is not None and chunk_vote:
+        raise DataError("classify_session votes over chunks with a checkpoint, "
+                        "not with a predict callable")
 
     fan = filter_fan(records)
+    if predict is None and not chunk_vote:
+        outcomes = leading_window_labels(ckpt, fan)
+    else:
+        outcomes = _predicted(predict or chunk_vote_predictor(ckpt), fan)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
     predictions, failures = [], []
-    for record in fan:
-        try:
-            label = predict(record)
-        except AudioDecodeError as exc:
-            failures.append((record.audio_path, str(exc)))
+    for record, label in zip(fan, outcomes):
+        if isinstance(label, AudioDecodeError):
+            failures.append((record.audio_path, str(label)))
             continue
         counts[EMOTION_INDEX[label]] += 1
         predictions.append((record.segment_id, label))
@@ -324,15 +368,6 @@ def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
                                                         "manifest.csv": manifest.getvalue()})
     return SynthesizedSession(manifest_path=manifest_path, truth_path=truth_path,
                               segment_paths=segment_paths)
-
-
-def load_truth(path) -> dict:
-    """segment_id -> emotion from a ground-truth sidecar CSV."""
-    out = {}
-    with Path(path).open(newline="", encoding="utf-8") as fh:
-        for row in csv.DictReader(fh):
-            out[row["segment_id"]] = row["emotion"]
-    return out
 
 
 def sample_for_audit(records, n: int, seed: int = 0) -> list:

@@ -1,6 +1,8 @@
+import csv
 import itertools
 import json
 import struct
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -40,6 +42,12 @@ def make_wav_bytes(samples, sample_rate=16000, bits=16, channels=1, fmt_code=1):
                                  sample_rate * block, block, bits)
     hdr += b"data" + struct.pack("<I", len(data))
     return hdr + data
+
+
+def load_truth(path) -> dict:
+    """segment_id -> emotion from a synthetic session's ground-truth CSV."""
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        return {row["segment_id"]: row["emotion"] for row in csv.DictReader(fh)}
 
 
 def write_test_wav(path, samples, sample_rate=16000, bits=16, channels=1, fmt_code=1):

@@ -17,9 +17,9 @@ from affectline.checkpoint import FeatureSettings, load_checkpoint, save_checkpo
 from affectline.features import delta, frame_signal, mfcc, rms, zcr
 from affectline.gradcheck import run_gradcheck
 from affectline.nn import ModelSpec
-from affectline.session import classify_session, load_manifest, load_truth, synthesize_session
+from affectline.session import classify_session, load_manifest, synthesize_session
 from affectline.train_eval import TrainConfig, metrics_to_csv, train
-from conftest import build_synthetic_corpus, class_tone, sine
+from conftest import build_synthetic_corpus, class_tone, load_truth, sine
 
 RAVDESS_ENV = "AFFECTLINE_RAVDESS_ROOT"
 

@@ -27,11 +27,10 @@ from affectline.config import RunConfig, parse_config_text
 from affectline.errors import AffectlineError, ConfigError, DataError
 from affectline.features import NormalizationProfile, matrix_samples
 from affectline.nn import Model, ModelSpec
-from affectline.session import (MANIFEST_COLUMNS, SegmentRecord, checkpoint_predictor,
-                                classify_session, load_manifest, load_truth,
-                                synthesize_session)
+from affectline.session import (MANIFEST_COLUMNS, SegmentRecord, classify_session,
+                                load_manifest, synthesize_session)
 from affectline.train_eval import evaluate, extract_features
-from conftest import UNPARSABLE_HEADERS, make_wav_bytes, sine, write_test_wav
+from conftest import UNPARSABLE_HEADERS, load_truth, make_wav_bytes, sine, write_test_wav
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -300,11 +299,11 @@ def open_checkpoint(path, data: bytes) -> None:
     if ckpt.features.t_fixed > PREDICT_MAX_T_FIXED:
         return
     try:
-        label = checkpoint_predictor(ckpt)(SegmentRecord("s", "short", "FAN", str(clip),
-                                                         0.0, 0.05))
+        report = classify_session(ckpt, [SegmentRecord("s", "short", "FAN", str(clip),
+                                                       0.0, 0.05)])
     except AffectlineError:
         return
-    assert label in EMOTIONS
+    assert [label in EMOTIONS for _, label in report.predictions] == [True]
 
 
 def test_tiny_checkpoint_loads(scratch, tiny_checkpoint):

@@ -12,10 +12,9 @@ from affectline.features import FRAME_LEN, HOP, assemble_features, compute_norma
 from affectline.nn import Model, ModelSpec
 from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
-                                load_truth, render_report, sample_for_audit,
-                                synthesize_session)
+                                render_report, sample_for_audit, synthesize_session)
 from affectline.train_eval import confusion_matrix, evaluate, extract_features
-from conftest import class_tone, make_wav_bytes, sine, write_test_wav
+from conftest import class_tone, load_truth, make_wav_bytes, sine, write_test_wav
 
 
 def labeled_clips(n, seed=0):
@@ -30,7 +29,7 @@ def labeled_clips(n, seed=0):
 
 def truth_predictor(truth):
     """The true label of each segment, read first as a predictor reads it, so
-    an unreadable segment fails as it would in ``checkpoint_predictor``."""
+    an unreadable segment fails as it would with a checkpoint."""
     def predict(record):
         read_wav(record.audio_path)
         return truth[record.segment_id]
@@ -261,6 +260,16 @@ class TestClassifySession:
         with pytest.raises(DataError):
             classify_session(None, records, predict=lambda r: "sad")
 
+    def test_predict_callable_with_chunk_vote_rejected(self):
+        # the chunk vote reads a checkpoint's windows; a caller's predict
+        # labels a whole segment, so the flag would be ignored
+        records = [seg("s", 0, "FAN")]
+        with pytest.raises(DataError, match="chunk"):
+            classify_session(None, records, predict=lambda r: "sad", chunk_vote=True)
+        with pytest.raises(DataError, match="chunk"):
+            classify_session(untrained_checkpoint(), records, predict=lambda r: "sad",
+                             chunk_vote=True)
+
     def test_chunk_vote_on_long_segment(self, tmp_path):
         # untrained checkpoint: the contract here is only that voting over
         # feature-window chunks runs and aggregates into a single label
@@ -352,6 +361,43 @@ class TestOnePath:
         assert calls["extract_features"] == [(r.audio_path, ckpt.features) for r in records[:3]]
         assert calls["read_wav"] == []
 
+    @pytest.mark.parametrize("channels", [ModelSpec().conv_channels, (4, 4, 4, 4, 4, 4)],
+                             ids=["default", "small"])
+    def test_leading_window_labels_bit_equal_to_one_call(self, tmp_path, monkeypatch,
+                                                         channels):
+        # at the default spec and t_fixed 17 a row's logits can depend on the rows
+        # forwarded with it, so the groups gathered across segments must be
+        # predict_logits' own chunks over the readable segments
+        n, broken, settings = 2 * train_eval.PREDICT_ROWS + 6, 19, FeatureSettings(t_fixed=17)
+        rng = np.random.default_rng(14)
+        clips = [(class_tone(k % 6, rng, 0.3), EMOTIONS[k % 6]) for k in range(n)]
+        bundle = synthesize_session(clips, tmp_path / "s", seed=9)
+        records = load_manifest(bundle.manifest_path).records
+        bundle.segment_paths[broken].write_bytes(b"RIFF")
+        with pytest.raises(AudioDecodeError) as broken_read:
+            extract_features(records[broken].audio_path, settings)
+        readable = records[:broken] + records[broken + 1:]
+        matrices = [extract_features(r.audio_path, settings) for r in readable]
+        spec = ModelSpec(conv_channels=channels)
+        ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=2).parameters()),
+                          opt_acc={}, features=settings,
+                          normalization=compute_normalization(matrices))
+        logits, predict_logits = [], train_eval.predict_logits
+
+        def grouped(model, x):
+            logits.append(predict_logits(model, x))
+            return logits[-1]
+        monkeypatch.setattr(train_eval, "predict_logits", grouped)
+        report = classify_session(ckpt, records)
+        assert [len(g) for g in logits] == [16, 16, 5]
+        one_call = predict_logits(ckpt.build_model(),
+                                  train_eval._to_batch_array(matrices, ckpt.normalization))
+        assert np.concatenate(logits).tobytes() == one_call.tobytes()
+        labels = [EMOTIONS[k] for k in one_call.argmax(axis=1)]
+        assert len(set(labels)) > 1  # not a constant output
+        assert report.predictions == [(r.segment_id, label) for r, label in zip(readable, labels)]
+        assert report.failures == [(records[broken].audio_path, str(broken_read.value))]
+
     def test_chunk_vote_reads_later_windows_bounded_from_their_start(self, calls, tmp_path):
         # t_fixed 100: a window steps 16,000 samples and reads 16,880; the
         # segments hold 1, 2 and 3 windows
@@ -397,7 +443,7 @@ def voted_windows(ckpt, path):
         return predict_labels(model, profile, matrices)
     train_eval.predict_labels = capture
     try:
-        session.checkpoint_predictor(ckpt, chunk_vote=True)(
+        session.chunk_vote_predictor(ckpt)(
             SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0))
     finally:
         train_eval.predict_labels = predict_labels
@@ -469,7 +515,7 @@ class TestChunkVoteWindows:
             logits.append(predict_logits(model, x))
             return logits[-1]
         monkeypatch.setattr(train_eval, "predict_logits", grouped)
-        label = session.checkpoint_predictor(ckpt, chunk_vote=True)(
+        label = session.chunk_vote_predictor(ckpt)(
             SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0))
         assert [len(g) for g in logits] == [16, 16, 5]
         one_call = predict_logits(ckpt.build_model(),
@@ -560,6 +606,16 @@ class TestLongSegmentMemory:
         # 320 windows against 80: the 49 KB matrices of all of them would add 12 MB
         peaks = self.chunk_vote_peaks(segments, (4, 16))
         assert peaks[16] < peaks[4] + 2e6, peaks
+
+    def test_leading_window_peak_does_not_grow_with_the_session(self, tmp_path):
+        # 64 short segments against 16: PREDICT_ROWS windows are read and labelled
+        # at a time, so the 49 KB matrices of 48 more segments are never held
+        ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed)
+        records = load_manifest(synthesize_session(labeled_clips(64, seed=15), tmp_path / "s")
+                                .manifest_path).records
+        classify_session(ckpt, records[:16])
+        peaks = {n: traced_peak(lambda: classify_session(ckpt, records[:n])) for n in (16, 64)}
+        assert peaks[64] < peaks[16] + self.MARGIN, peaks
 
     def test_extract_features_peak(self, segments, tmp_path):
         settings = FeatureSettings()
