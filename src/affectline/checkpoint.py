@@ -10,6 +10,7 @@ Save/load round-trips are bit-exact.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import json
 import os
@@ -105,7 +106,11 @@ class Checkpoint:
     normalization: NormalizationProfile | None
     metadata: dict = None
 
-    def build_model(self) -> Model:
+    @functools.cached_property
+    def model(self) -> Model:
+        """The model holding ``params``, built on first use and kept, with its
+        activation arena, for every later call. Nothing in this package
+        changes ``params`` after a checkpoint is made or loaded."""
         model = Model(self.model_spec)
         model.set_parameters(self.params)
         return model

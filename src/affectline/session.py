@@ -4,13 +4,14 @@ A session is described by a CSV manifest of labeled audio segments (one
 file per segment). Only FAN segments (female adult, near) are treated
 as approximations of the target speaker's speech and classified; the
 far-field variant FAF is excluded because loudness skews the features.
-A session's FAN segments go through the same path as a corpus in
-``train_eval.evaluate``: each segment's raw matrix from
-``train_eval.extract_features`` (without a cache), in manifest order,
-labelled by ``train_eval.predict_labels`` with the checkpoint's profile
-``PREDICT_ROWS`` windows at a time as they are read, so the labels equal
-``evaluate``'s over the same files. The chunk vote adds that matrix of the
-segment cut at each later window and labels each segment's windows apart.
+One function, ``segment_labels``, labels the FAN segments in both modes,
+through the same path as a corpus in ``train_eval.evaluate``: each
+segment's raw matrix from ``train_eval.extract_features`` (without a
+cache), in manifest order, labelled by ``train_eval.predict_labels`` with
+the checkpoint's profile ``PREDICT_ROWS`` windows at a time as they are
+read, so the labels equal ``evaluate``'s over the same files. The chunk
+vote adds that matrix of the segment cut at each later window, and labels
+each segment's windows apart and by majority.
 Also provides a synthetic-session generator used as the test stand-in
 for unavailable in-the-wild recordings.
 """
@@ -172,110 +173,69 @@ def filter_fan(records) -> list:
     return [r for r in records if r.source_label == "FAN"]
 
 
-def leading_window_labels(ckpt: Checkpoint, records) -> list:
-    """The emotion of each record's leading window, or the AudioDecodeError
-    reading it raised, in record order.
+def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
+    """The emotion of each record, or the AudioDecodeError reading it raised,
+    in record order.
 
-    A window is the call ``evaluate`` makes on a clip,
-    ``train_eval.extract_features(record.audio_path, ckpt.features)``. The
-    readable windows are labelled ``PREDICT_ROWS`` at a time as they are
-    read, each group one of the chunks ``predict_logits`` forwards over all
-    of them: the labels of one call, in memory that does not grow with the
-    session.
+    Window 0 of a record is the call ``evaluate`` makes on a clip,
+    ``train_eval.extract_features(record.audio_path, ckpt.features)``. With
+    ``chunk_vote``, window k >= 1, read only after a full window k - 1, is
+    that matrix of the segment cut at sample k * t_fixed * HOP; a tail
+    shorter than one frame casts no vote, and a segment any of whose
+    windows raises AudioDecodeError is a failure. Windows are labelled
+    ``PREDICT_ROWS`` at a time as they are read, in memory that does not
+    grow with the session: the leading windows as one stream over the
+    records, so the labels are those of one ``predict_labels`` call over all
+    of them, and the chunk vote's windows one stream per record, so a group
+    never spans two segments. A record's label takes the most votes, ties
+    to the lowest class index.
     """
-    model, outcomes = ckpt.build_model(), [None] * len(records)
-
-    def windows():
-        for i, record in enumerate(records):
-            try:
-                yield i, train_eval.extract_features(record.audio_path, ckpt.features)
-            except AudioDecodeError as exc:
-                outcomes[i] = exc
-
-    read = windows()
-    while group := list(itertools.islice(read, train_eval.PREDICT_ROWS)):
-        indices, matrices = zip(*group)
-        labels = train_eval.predict_labels(model, ckpt.normalization, matrices)
-        for i, label in zip(indices, labels):
-            outcomes[i] = EMOTIONS[label]
-        del group, matrices  # the next group is read without this one
-    return outcomes
-
-
-def chunk_vote_predictor(ckpt: Checkpoint):
-    """Build a record -> emotion callable that votes over a segment's windows.
-
-    The callable reads the segment itself; AudioDecodeError propagates.
-    Window 0 is the leading window; window k >= 1, read only after a full
-    window k - 1, is that matrix of the segment cut at sample
-    k * t_fixed * HOP. Windows holding a frame vote by majority (ties to the
-    lowest class index). They are labelled ``PREDICT_ROWS`` at a time as they
-    are read, as ``leading_window_labels`` labels a session's, but a group
-    never spans two segments.
-    """
-    model = ckpt.build_model()
     t_fixed = ckpt.features.t_fixed
     bound, step = matrix_samples(t_fixed), t_fixed * HOP
+    votes = np.zeros((len(records), len(EMOTIONS)), dtype=np.int64)
+    failures = [None] * len(records)
 
-    def windows(path):
-        window, start = train_eval.extract_features(path, ckpt.features), step
-        yield window
-        while window.n_valid_frames == t_fixed:  # a full window
-            samples = read_wav(path, bound, start)
-            if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
-                return
-            window, start = assemble_features(samples, t_fixed), start + step
-            yield window
-
-    def predict(record) -> str:
-        votes, read = np.zeros(len(EMOTIONS), dtype=np.int64), windows(record.audio_path)
-        while group := list(itertools.islice(read, train_eval.PREDICT_ROWS)):
-            votes += np.bincount(train_eval.predict_labels(model, ckpt.normalization, group),
-                                 minlength=len(EMOTIONS))
-        return EMOTIONS[int(np.argmax(votes))]
-
-    return predict
-
-
-def _predicted(predict, records):
-    """``predict(record)`` of each record, or the AudioDecodeError it raised."""
-    for record in records:
+    def windows(i, path):
         try:
-            yield predict(record)
+            window, start = train_eval.extract_features(path, ckpt.features), step
+            yield i, window
+            while chunk_vote and window.n_valid_frames == t_fixed:  # a full window
+                samples = read_wav(path, bound, start)
+                if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
+                    return
+                window, start = assemble_features(samples, t_fixed), start + step
+                yield i, window
         except AudioDecodeError as exc:
-            yield exc
+            failures[i] = exc
+
+    streams = (windows(i, record.audio_path) for i, record in enumerate(records))
+    for stream in streams if chunk_vote else [itertools.chain.from_iterable(streams)]:
+        while group := list(itertools.islice(stream, train_eval.PREDICT_ROWS)):
+            indices, matrices = zip(*group)
+            labels = train_eval.predict_labels(ckpt.model, ckpt.normalization, matrices)
+            np.add.at(votes, (indices, labels), 1)
+            del group, matrices  # the next group is read without this one
+    return [failure or EMOTIONS[int(np.argmax(row))] for failure, row in zip(failures, votes)]
 
 
-def classify_session(ckpt: Checkpoint | None, records, *,
-                     predict=None, chunk_vote: bool = False) -> SessionReport:
+def classify_session(ckpt: Checkpoint, records, *, chunk_vote: bool = False) -> SessionReport:
     """Classify every FAN segment of one session and aggregate counts.
 
-    With a checkpoint, ``leading_window_labels`` labels the FAN segments as
-    ``evaluate`` labels a corpus, or with ``chunk_vote`` each segment is one
-    ``chunk_vote_predictor`` call. A caller's own ``predict(record) ->
-    emotion`` (the synthetic-session harness passes one) reads each segment
-    itself and takes no ``chunk_vote``. A segment whose read raises
-    AudioDecodeError is listed in ``failures`` and excluded from the
-    proportions; a session with zero classifiable FAN segments is an error.
+    ``segment_labels`` labels the FAN segments by their leading windows, as
+    ``evaluate`` labels a corpus, or with ``chunk_vote`` by a vote over each
+    segment's windows. A segment whose read raises AudioDecodeError is
+    listed in ``failures`` and excluded from the proportions; a session with
+    zero classifiable FAN segments is an error.
     """
     records = list(records)
     session_ids = {r.session_id for r in records}
     if len(session_ids) > 1:
         raise DataError(f"records span multiple sessions: {sorted(session_ids)}")
-    if predict is None and ckpt is None:
-        raise DataError("classify_session needs a checkpoint or a predict callable")
-    if predict is not None and chunk_vote:
-        raise DataError("classify_session votes over chunks with a checkpoint, "
-                        "not with a predict callable")
 
     fan = filter_fan(records)
-    if predict is None and not chunk_vote:
-        outcomes = leading_window_labels(ckpt, fan)
-    else:
-        outcomes = _predicted(predict or chunk_vote_predictor(ckpt), fan)
     counts = np.zeros(len(EMOTIONS), dtype=np.int64)
     predictions, failures = [], []
-    for record, label in zip(fan, outcomes):
+    for record, label in zip(fan, segment_labels(ckpt, fan, chunk_vote)):
         if isinstance(label, AudioDecodeError):
             failures.append((record.audio_path, str(label)))
             continue

@@ -377,7 +377,7 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     kept, mats, failures = extract_all(records, ckpt.features, cache_dir, jobs)
     if not kept:
         raise _decode_failures_error("all records failed to decode", failures)
-    y_pred = predict_labels(ckpt.build_model(), ckpt.normalization, mats)
+    y_pred = predict_labels(ckpt.model, ckpt.normalization, mats)
     return Metrics(
         epochs=[],
         confusion=confusion_matrix(_labels_array(kept), y_pred),

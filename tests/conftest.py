@@ -7,7 +7,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from affectline.audio_io import EMOTIONS
+from affectline import session
+from affectline.audio_io import EMOTIONS, AudioDecodeError, read_wav
 
 
 def make_wav_bytes(samples, sample_rate=16000, bits=16, channels=1, fmt_code=1):
@@ -48,6 +49,22 @@ def load_truth(path) -> dict:
     """segment_id -> emotion from a synthetic session's ground-truth CSV."""
     with Path(path).open(newline="", encoding="utf-8") as fh:
         return {row["segment_id"]: row["emotion"] for row in csv.DictReader(fh)}
+
+
+def label_by_truth(monkeypatch, truth):
+    """Make ``session.segment_labels`` give each record its true label from
+    ``truth`` (segment_id -> emotion), after ``read_wav`` reads it, or the
+    AudioDecodeError that read raised, as a checkpoint's labels fail."""
+    def labels(ckpt, records, chunk_vote=False):
+        out = []
+        for record in records:
+            try:
+                read_wav(record.audio_path)
+                out.append(truth[record.segment_id])
+            except AudioDecodeError as exc:
+                out.append(exc)
+        return out
+    monkeypatch.setattr(session, "segment_labels", labels)
 
 
 def write_test_wav(path, samples, sample_rate=16000, bits=16, channels=1, fmt_code=1):

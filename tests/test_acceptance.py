@@ -19,7 +19,7 @@ from affectline.gradcheck import run_gradcheck
 from affectline.nn import ModelSpec
 from affectline.session import classify_session, load_manifest, synthesize_session
 from affectline.train_eval import TrainConfig, metrics_to_csv, train
-from conftest import build_synthetic_corpus, class_tone, load_truth, sine
+from conftest import build_synthetic_corpus, class_tone, label_by_truth, load_truth, sine
 
 RAVDESS_ENV = "AFFECTLINE_RAVDESS_ROOT"
 
@@ -122,7 +122,7 @@ def test_dsp_fidelity():
            f"delta ramp exact: {delta_ok}")
 
 
-def test_aggregation_correctness(tmp_path):
+def test_aggregation_correctness(tmp_path, monkeypatch):
     rng = np.random.default_rng(5)
     # fixed construction distribution over 200 segments
     per_class = (60, 40, 35, 30, 20, 15)
@@ -136,14 +136,14 @@ def test_aggregation_correctness(tmp_path):
                                 seed=6)
     records = load_manifest(bundle.manifest_path).records
     truth = load_truth(bundle.truth_path)
-    oracle = lambda record: truth[record.segment_id]
+    label_by_truth(monkeypatch, truth)  # an oracle labeller
 
-    rep = classify_session(None, records, predict=oracle)
+    rep = classify_session(None, records)
     exact = bool(np.all(rep.counts == np.array(per_class)))
     sums_ok = abs(rep.proportions.sum() - 1.0) <= 1e-9
 
     shuffled = [records[i] for i in rng.permutation(len(records))]
-    rep2 = classify_session(None, shuffled, predict=oracle)
+    rep2 = classify_session(None, shuffled)
     perm_ok = bool(np.all(rep.counts == rep2.counts)) and \
         bool(np.all(rep.proportions == rep2.proportions))
 
@@ -163,7 +163,7 @@ def test_checkpoint_roundtrip(tmp_path):
 
     params_ok = all(np.array_equal(loaded.params[k], ckpt.params[k])
                     for k in ckpt.params)
-    model_a, model_b = ckpt.build_model(), loaded.build_model()
+    model_a, model_b = ckpt.model, loaded.model
     rng = np.random.default_rng(12)
     logits_ok = True
     for _ in range(5):

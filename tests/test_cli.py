@@ -993,7 +993,7 @@ class TestLegacyRun:
         _, matrices, failures = extract_all(records, current.features)
         assert failures == []
         legacy_logits, current_logits = (
-            predict_logits(c.build_model(), _to_batch_array(matrices, c.normalization))
+            predict_logits(c.model, _to_batch_array(matrices, c.normalization))
             for c in (legacy, current))
         assert legacy_logits.tobytes() == current_logits.tobytes()
         # the logits the legacy code computed, up to float32 rounding

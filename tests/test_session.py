@@ -8,13 +8,15 @@ from affectline import session, train_eval
 from affectline.audio_io import EMOTION_INDEX, EMOTIONS, AudioDecodeError, read_wav
 from affectline.checkpoint import Checkpoint, FeatureSettings
 from affectline.errors import ConfigError, DataError
-from affectline.features import FRAME_LEN, HOP, assemble_features, compute_normalization
+from affectline.features import (FRAME_LEN, HOP, NormalizationProfile, assemble_features,
+                                 compute_normalization)
 from affectline.nn import Model, ModelSpec
 from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
                                 render_report, sample_for_audit, synthesize_session)
 from affectline.train_eval import confusion_matrix, evaluate, extract_features
-from conftest import class_tone, load_truth, make_wav_bytes, sine, write_test_wav
+from conftest import (class_tone, label_by_truth, load_truth, make_wav_bytes, sine,
+                      write_test_wav)
 
 
 def labeled_clips(n, seed=0):
@@ -25,15 +27,6 @@ def labeled_clips(n, seed=0):
         label = EMOTIONS[i % len(EMOTIONS)]
         out.append((class_tone(i % len(EMOTIONS), rng, 0.3), label))
     return out
-
-
-def truth_predictor(truth):
-    """The true label of each segment, read first as a predictor reads it, so
-    an unreadable segment fails as it would with a checkpoint."""
-    def predict(record):
-        read_wav(record.audio_path)
-        return truth[record.segment_id]
-    return predict
 
 
 def untrained_checkpoint(normalization=None, t_fixed=100):
@@ -184,7 +177,7 @@ class TestSynthesize:
 
 
 class TestClassifySession:
-    def test_known_distribution_recovered_exactly(self, tmp_path):
+    def test_known_distribution_recovered_exactly(self, tmp_path, monkeypatch):
         # construct-then-recover: an oracle returning true labels must
         # reproduce the construction distribution
         counts = {"angry": 5, "sad": 3, "calm": 1, "happy": 1}
@@ -196,7 +189,8 @@ class TestClassifySession:
         bundle = synthesize_session(clips, tmp_path / "s", seed=1)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
-        report = classify_session(None, records, predict=truth_predictor(truth))
+        label_by_truth(monkeypatch, truth)
+        report = classify_session(None, records)
         expected = np.array([0, 1, 1, 3, 5, 0])
         np.testing.assert_array_equal(report.counts, expected)
         np.testing.assert_allclose(report.proportions,
@@ -205,19 +199,20 @@ class TestClassifySession:
         assert report.n_segments_fan == 10
         assert abs(report.proportions.sum() - 1.0) <= 1e-9
 
-    def test_permutation_invariant(self, tmp_path):
+    def test_permutation_invariant(self, tmp_path, monkeypatch):
         clips = labeled_clips(12, seed=5)
         bundle = synthesize_session(clips, tmp_path / "s", seed=2)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
-        report_a = classify_session(None, records, predict=truth_predictor(truth))
+        label_by_truth(monkeypatch, truth)
+        report_a = classify_session(None, records)
         rng = np.random.default_rng(8)
         shuffled = [records[i] for i in rng.permutation(len(records))]
-        report_b = classify_session(None, shuffled, predict=truth_predictor(truth))
+        report_b = classify_session(None, shuffled)
         np.testing.assert_array_equal(report_a.counts, report_b.counts)
         np.testing.assert_array_equal(report_a.proportions, report_b.proportions)
 
-    def test_non_fan_segments_not_classified(self, tmp_path):
+    def test_non_fan_segments_not_classified(self, tmp_path, monkeypatch):
         clips = labeled_clips(6, seed=6)
         bundle = synthesize_session(clips, tmp_path / "s", seed=3)
         records = load_manifest(bundle.manifest_path).records
@@ -227,48 +222,41 @@ class TestClassifySession:
                                  r.start_s, r.end_s)
                    for i, r in enumerate(records)]
         truth = load_truth(bundle.truth_path)
-        report = classify_session(None, demoted, predict=truth_predictor(truth))
+        label_by_truth(monkeypatch, truth)
+        report = classify_session(None, demoted)
         assert report.n_segments_total == 6
         assert report.n_segments_fan == 3
         assert report.counts.sum() == 3
 
-    def test_unreadable_segment_excluded_from_proportions(self, tmp_path):
+    def test_unreadable_segment_excluded_from_proportions(self, tmp_path, monkeypatch):
         clips = labeled_clips(4, seed=7)
         bundle = synthesize_session(clips, tmp_path / "s", seed=4)
         bundle.segment_paths[1].write_bytes(b"ruined")
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
-        report = classify_session(None, records, predict=truth_predictor(truth))
+        label_by_truth(monkeypatch, truth)
+        report = classify_session(None, records)
         assert report.n_failed == 1
         assert report.failures == [(str(bundle.segment_paths[1]),
                                     f"{bundle.segment_paths[1]}: not a RIFF/WAVE file")]
         assert report.counts.sum() == 3
         assert abs(report.proportions.sum() - 1.0) <= 1e-9
 
-    def test_zero_classifiable_is_error(self, tmp_path):
+    def test_zero_classifiable_is_error(self, tmp_path, monkeypatch):
         clips = labeled_clips(2, seed=8)
         bundle = synthesize_session(clips, tmp_path / "s", seed=5)
         for p in bundle.segment_paths:
             p.write_bytes(b"ruined")
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
+        label_by_truth(monkeypatch, truth)
         with pytest.raises(EmptySessionError):
-            classify_session(None, records, predict=truth_predictor(truth))
+            classify_session(None, records)
 
     def test_multiple_sessions_rejected(self):
         records = [seg("s1", 0, "FAN"), seg("s2", 1, "FAN")]
         with pytest.raises(DataError):
-            classify_session(None, records, predict=lambda r: "sad")
-
-    def test_predict_callable_with_chunk_vote_rejected(self):
-        # the chunk vote reads a checkpoint's windows; a caller's predict
-        # labels a whole segment, so the flag would be ignored
-        records = [seg("s", 0, "FAN")]
-        with pytest.raises(DataError, match="chunk"):
-            classify_session(None, records, predict=lambda r: "sad", chunk_vote=True)
-        with pytest.raises(DataError, match="chunk"):
-            classify_session(untrained_checkpoint(), records, predict=lambda r: "sad",
-                             chunk_vote=True)
+            classify_session(None, records)
 
     def test_chunk_vote_on_long_segment(self, tmp_path):
         # untrained checkpoint: the contract here is only that voting over
@@ -390,7 +378,7 @@ class TestOnePath:
         monkeypatch.setattr(train_eval, "predict_logits", grouped)
         report = classify_session(ckpt, records)
         assert [len(g) for g in logits] == [16, 16, 5]
-        one_call = predict_logits(ckpt.build_model(),
+        one_call = predict_logits(ckpt.model,
                                   train_eval._to_batch_array(matrices, ckpt.normalization))
         assert np.concatenate(logits).tobytes() == one_call.tobytes()
         labels = [EMOTIONS[k] for k in one_call.argmax(axis=1)]
@@ -414,23 +402,33 @@ class TestOnePath:
                                      (records[2].audio_path, 16880, 16000),
                                      (records[2].audio_path, 16880, 32000)]
 
-    def test_callers_decode_error_is_a_failure(self, calls, records):
-        def predict(record):
-            if record is records[1]:
-                raise AudioDecodeError(f"{record.audio_path}: broken")
-            return "sad"
-        report = classify_session(None, records, predict=predict)
-        assert report.failures == [(records[1].audio_path, f"{records[1].audio_path}: broken")]
-        assert [s for s, _ in report.predictions] == [records[0].segment_id,
-                                                      records[2].segment_id]
-        assert calls == {"extract_features": [], "read_wav": []}
-
-    def test_callers_other_data_error_propagates(self, records):
-        def predict(record):
-            raise DataError("normalized features overflow float32")
-        with pytest.raises(DataError, match="overflow") as info:
-            classify_session(None, records, predict=predict)
+    @pytest.mark.parametrize("chunk_vote", [False, True])
+    def test_other_data_error_propagates(self, records, chunk_vote):
+        # a std far below the features' scale: their normalized values overflow float32
+        ckpt = untrained_checkpoint(NormalizationProfile(mean=np.zeros(41),
+                                                         std=np.full(41, 1e-300)))
+        with pytest.raises(DataError, match="overflow float32") as info:
+            classify_session(ckpt, records, chunk_vote=chunk_vote)
         assert not isinstance(info.value, AudioDecodeError)
+
+    def test_decode_error_past_window_0_fails_only_the_chunk_vote(self, tmp_path):
+        # t_fixed 100: window 0 reads samples 0-16,879, window 1 16,000-32,879
+        x = 0.3 * sine(440, 2.5)
+        x[24000] = np.nan
+        path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
+        clean = write_test_wav(tmp_path / "clean.wav", 0.3 * sine(330, 0.5))
+        nan_segment = SegmentRecord("s", "nan", "FAN", str(path), 0.0, 2.5)
+        records = [nan_segment, SegmentRecord("s", "clean", "FAN", str(clean), 2.5, 3.0)]
+        ckpt = untrained_checkpoint()
+        leading = classify_session(ckpt, records)
+        assert [s for s, _ in leading.predictions] == ["nan", "clean"]
+        assert leading.failures == []
+        voted = classify_session(ckpt, records, chunk_vote=True)
+        assert voted.failures == [(str(path), f"{path}: NaN or infinite float samples")]
+        assert voted.predictions == [("clean", dict(leading.predictions)["clean"])]
+        assert voted.counts.sum() == 1
+        with pytest.raises(EmptySessionError, match="1 unreadable"):  # window 0 casts no vote
+            classify_session(ckpt, [nan_segment], chunk_vote=True)
 
 
 def voted_windows(ckpt, path):
@@ -443,8 +441,8 @@ def voted_windows(ckpt, path):
         return predict_labels(model, profile, matrices)
     train_eval.predict_labels = capture
     try:
-        session.chunk_vote_predictor(ckpt)(
-            SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0))
+        classify_session(ckpt, [SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0)],
+                         chunk_vote=True)
     finally:
         train_eval.predict_labels = predict_labels
     return windows
@@ -515,15 +513,15 @@ class TestChunkVoteWindows:
             logits.append(predict_logits(model, x))
             return logits[-1]
         monkeypatch.setattr(train_eval, "predict_logits", grouped)
-        label = session.chunk_vote_predictor(ckpt)(
-            SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0))
+        report = classify_session(
+            ckpt, [SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0)], chunk_vote=True)
         assert [len(g) for g in logits] == [16, 16, 5]
-        one_call = predict_logits(ckpt.build_model(),
+        one_call = predict_logits(ckpt.model,
                                   train_eval._to_batch_array(windows, ckpt.normalization))
         assert np.concatenate(logits).tobytes() == one_call.tobytes()
         votes = np.bincount(one_call.argmax(axis=1), minlength=len(EMOTIONS))
         assert np.count_nonzero(votes) > 1, votes  # not a constant output
-        assert label == EMOTIONS[int(np.argmax(votes))]
+        assert report.predictions == [("seg", EMOTIONS[int(np.argmax(votes))])]
 
     def test_one_window_segment_same_label_in_both_modes(self, tmp_path):
         # at t_fixed 100 the longest one-window segment holds step + FRAME_LEN - 1
@@ -629,12 +627,13 @@ class TestLongSegmentMemory:
 
 
 class TestRenderReport:
-    def test_csv_roundtrip_and_svg(self, tmp_path):
+    def test_csv_roundtrip_and_svg(self, tmp_path, monkeypatch):
         clips = labeled_clips(6, seed=9)
         bundle = synthesize_session(clips, tmp_path / "s", seed=6)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
-        report = classify_session(None, records, predict=truth_predictor(truth))
+        label_by_truth(monkeypatch, truth)
+        report = classify_session(None, records)
         paths = render_report(report, tmp_path / "out")
         csv_path, svg_path = paths
         lines = csv_path.read_text().strip().split("\n")
@@ -644,12 +643,13 @@ class TestRenderReport:
             assert parsed[name] == int(report.counts[i])
         assert svg_path.read_text().startswith("<svg")
 
-def test_uniform_distribution_proportions(tmp_path):
+def test_uniform_distribution_proportions(tmp_path, monkeypatch):
     clips = labeled_clips(6, seed=10)  # exactly one clip per emotion
     bundle = synthesize_session(clips, tmp_path / "s", seed=7)
     records = load_manifest(bundle.manifest_path).records
     truth = load_truth(bundle.truth_path)
-    report = classify_session(None, records, predict=truth_predictor(truth))
+    label_by_truth(monkeypatch, truth)
+    report = classify_session(None, records)
     np.testing.assert_array_equal(report.counts, np.ones(6, dtype=np.int64))
     np.testing.assert_allclose(report.proportions, np.full(6, 1 / 6))
 

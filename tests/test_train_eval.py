@@ -163,7 +163,7 @@ class TestTrain:
         _, matrices, _ = extract_all(train_recs, TINY_SETTINGS)
         x = train_eval._to_batch_array(matrices, ckpt.normalization)
         y = train_eval._labels_array(train_recs)
-        pred = predict_logits(ckpt.build_model(), x).argmax(axis=1)
+        pred = predict_logits(ckpt.model, x).argmax(axis=1)
         assert [e.train_acc for e in metrics.epochs] == [np.count_nonzero(pred == y) / len(y)] * 3
         assert ckpt.metadata["final_train_acc"] == metrics.epochs[-1].train_acc
 
@@ -359,8 +359,8 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(loaded.normalization.mean,
                                       ckpt.normalization.mean)
         rng = np.random.default_rng(17)
-        model_a = ckpt.build_model()
-        model_b = loaded.build_model()
+        model_a = ckpt.model
+        model_b = loaded.model
         for _ in range(5):
             x = rng.uniform(-1, 1, (1, 41, 100)).astype(np.float32)
             np.testing.assert_array_equal(model_a.forward(x), model_b.forward(x))
@@ -432,8 +432,8 @@ class TestCheckpointIO:
         old = load_checkpoint(path)
         assert old.model_spec == ckpt.model_spec and old.features == ckpt.features
         x = np.random.default_rng(18).uniform(-1, 1, (7, 41, 100)).astype(np.float32)
-        assert old.build_model().forward(x).tobytes() == \
-            ckpt.build_model().forward(x).tobytes()
+        assert old.model.forward(x).tobytes() == \
+            ckpt.model.forward(x).tobytes()
 
     def test_in_frames_other_than_t_fixed_is_checkpoint_error(self, tmp_path):
         # headers written before in_frames was retired held t_fixed twice
