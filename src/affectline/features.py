@@ -222,12 +222,22 @@ def rms(samples: np.ndarray) -> np.ndarray:
 
 
 def compute_normalization(matrices: list) -> NormalizationProfile:
-    """Row statistics over the valid frames of the given feature matrices."""
-    cols = np.concatenate(
-        [np.asarray(m.values[:, : m.n_valid_frames], dtype=np.float64) for m in matrices],
-        axis=1,
-    )
-    return NormalizationProfile(mean=cols.mean(axis=1), std=cols.std(axis=1))
+    """Row statistics over the valid frames of the given feature matrices.
+
+    One feature row at a time: its valid values fill one float64 array of
+    N values, whose sum gives the mean and whose own deviations the std, so
+    the peak is one row's N values. The statistics are bit-equal to numpy's
+    ``mean(axis=1)`` and ``std(axis=1)`` over the (41, N) array of every
+    valid column, which sums each row the same way.
+    """
+    n = sum(m.n_valid_frames for m in matrices)
+    mean, std, row = np.empty(N_FEATURE_ROWS), np.empty(N_FEATURE_ROWS), np.empty(n)
+    for i in range(N_FEATURE_ROWS):
+        np.concatenate([m.values[i, :m.n_valid_frames] for m in matrices], out=row)
+        mean[i] = row.sum() / n
+        row -= mean[i]
+        std[i] = np.sqrt(np.multiply(row, row, out=row).sum() / n)
+    return NormalizationProfile(mean=mean, std=std)
 
 
 def matrix_samples(t_fixed: int) -> int:

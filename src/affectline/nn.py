@@ -30,6 +30,10 @@ from .errors import AffectlineError, ConfigError
 from .features import N_FEATURE_ROWS, check_sizes
 
 KERNEL, PAD = 3, 1  # of every conv layer in the model: T' = T
+# A conv sums each phase's weight-gradient rows in fixed blocks of this many, so
+# its bytes do not depend on the BLAS thread count: 256 is below the K block at
+# which OpenBLAS 0.3.31 splits a reduction (other builds may split elsewhere).
+GRAD_BLOCK_ROWS = 256
 MAX_CONV_CHANNELS = 4096  # per layer
 
 
@@ -164,7 +168,9 @@ class Conv1d:
             g_rows[b * tp:] = 0
             gw = np.zeros((k * c, self.out_ch), dtype=np.result_type(g, self._rows))
             for rows, cols in self._phases(self._rows, n):
-                gw += cols.T @ g[rows]
+                g_phase = g[rows]
+                for s0 in range(0, len(cols), GRAD_BLOCK_ROWS):
+                    gw += cols[s0:s0 + GRAD_BLOCK_ROWS].T @ g_phase[s0:s0 + GRAD_BLOCK_ROWS]
             self.gb = g.sum(axis=0)
         self.gw = gw.reshape(k, c, self.out_ch).transpose(2, 1, 0)
         dxp = np.empty((b * tp, c), dtype=np.result_type(g, self.taps)) if out is None else out
@@ -209,8 +215,10 @@ class MaxPool1d:
     ``forward`` computes only the max and keeps its input, not a copy (in
     the model the ReLU already holds that array); ``backward``, the only
     reader of the argmax, takes it there, so the input must not change
-    between the two calls. ``backward`` returns a ``PoolGrad``: one
-    (time index, value) pair per (item, channel), not a dense gradient.
+    between the two calls. In a model, the backward consumes that input:
+    ``Model.backward`` then writes the last conv's output gradient over it.
+    ``backward`` returns a ``PoolGrad``: one (time index, value) pair per
+    (item, channel), not a dense gradient.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -323,26 +331,34 @@ class _Arena:
 
     ``acts[i]`` holds layer i's input: item j's time step s at row
     j*(t + 2*PAD) + PAD + s, every other row zero (one spare row lets the
-    last item's output window start at PAD). ``grads`` are two flat
-    buffers the backward pass ping-pongs between, allocated by the first
-    backward, each with KERNEL - 1 rows more than ``acts[0]`` for the zero
-    rows a conv's input gradient reads in front of its output gradient.
-    The arena holds no reference to its model or layers, so it dies with
-    the model.
+    last item's output window start at PAD). No conv reads the pool's
+    input ``acts[-1]``, so the backward pass scatters the last conv's
+    output gradient into it (see ``Model.backward``), through KERNEL - 1
+    spare rows. ``grads`` are two flat buffers the backward pass
+    ping-pongs between, allocated by the first backward, each with
+    KERNEL - 1 rows more than ``acts[0]`` for the zero rows a conv's input
+    gradient reads in front of its output gradient. Buffer j holds conv
+    i's input gradient for i = j (mod 2) and is as wide as the widest of
+    those (128 and 256 channels at the default spec; buffer 1 is empty
+    with one conv). The arena holds no reference to its model or layers,
+    so it dies with the model.
     """
 
     def __init__(self, widths, b: int, t: int, dtype):
         self.b, self.t = b, t
         rows = b * (t + 2 * PAD)
-        self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths]
-        self._grad_shape = (rows + KERNEL - 1, max(widths))
+        self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths[:-1]]
+        self.acts.append(np.zeros((rows + KERNEL - 1, widths[-1]), dtype=dtype))
+        self._grad_rows = rows + KERNEL - 1
+        self._grad_widths = [max(widths[j:-1:2], default=0) for j in range(2)]
         self.grads = None
 
     def grad(self, i: int, c: int) -> np.ndarray:
         """Flat gradient buffer ``i % 2`` as (rows + KERNEL - 1, c)."""
-        rows, width = self._grad_shape
+        rows = self._grad_rows
         if self.grads is None:
-            self.grads = [np.empty(rows * width, dtype=self.acts[0].dtype) for _ in range(2)]
+            self.grads = [np.empty(rows * width, dtype=self.acts[0].dtype)
+                          for width in self._grad_widths]
         return self.grads[i % 2][:rows * c].reshape(rows, c)
 
 
@@ -353,7 +369,8 @@ class Model:
     The model owns one ``_Arena`` sized for the largest batch and the
     current T it has seen, and computes in its dtype. Each conv writes its
     GEMMs straight into the next layer's zero-padded buffer, each ReLU
-    works in place, and backward ping-pongs two gradient buffers; so a
+    works in place, and backward scatters the pooled gradient into the
+    pool's input and then ping-pongs two gradient buffers; so a
     train step allocates little beyond the parameter gradients, the ReLU
     masks and conv6's gathered input windows. The global max pool sends
     gradient to one time step per (item, channel), and conv6's weight
@@ -417,11 +434,16 @@ class Model:
         return self.fc.forward(self.pool.forward(h))
 
     def backward(self, grad_logits: np.ndarray) -> dict:
-        """Gradients for every parameter given d(loss)/d(logits) of the last forward."""
+        """Gradients for every parameter given d(loss)/d(logits) of the last forward.
+
+        A backward consumes its forward's pool input: once the pool has taken
+        its argmax and the last ReLU its mask, the last conv's output gradient
+        is scattered over that buffer, so a second backward needs a new forward.
+        """
         arena, (b, t) = self._arena, self._batch
         rows = KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward's g_rows
         g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
-        g_rows = arena.grad(len(self.convs), self._widths[-1])[:rows]
+        g_rows = arena.acts[-1][:rows]  # read by the last ReLU's backward before it is written
         for i in reversed(range(len(self.convs))):
             g = self.relus[i].backward(g, out=g)
             dx_rows = arena.grad(i, self._widths[i])[:rows]

@@ -182,7 +182,8 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     ``chunk_vote``, window k >= 1, read only after a full window k - 1, is
     that matrix of the segment cut at sample k * t_fixed * HOP; a tail
     shorter than one frame casts no vote, and a segment any of whose
-    windows raises AudioDecodeError is a failure. Windows are labelled
+    windows raises AudioDecodeError is a failure, and the group that read
+    ends is not forwarded. Windows are labelled
     ``PREDICT_ROWS`` at a time as they are read, in memory that does not
     grow with the session: the leading windows as one stream over the
     records, so the labels are those of one ``predict_labels`` call over all
@@ -212,8 +213,9 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     for stream in streams if chunk_vote else [itertools.chain.from_iterable(streams)]:
         while group := list(itertools.islice(stream, train_eval.PREDICT_ROWS)):
             indices, matrices = zip(*group)
-            labels = train_eval.predict_labels(ckpt.model, ckpt.normalization, matrices)
-            np.add.at(votes, (indices, labels), 1)
+            if failures[indices[-1]] is None:  # a chunk-vote segment that failed casts no vote
+                labels = train_eval.predict_labels(ckpt.model, ckpt.normalization, matrices)
+                np.add.at(votes, (indices, labels), 1)
             del group, matrices  # the next group is read without this one
     return [failure or EMOTIONS[int(np.argmax(row))] for failure, row in zip(failures, votes)]
 

@@ -262,7 +262,7 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     BLAS rounding does not (see ``Model``); ``PREDICT_ROWS`` bounds the
     model's activation arena, which keeps the largest batch it has seen:
     about 1.1 MB a row at the default spec, each layer's zero-padded input
-    (a backward adds two gradient buffers, 0.6 MB a row).
+    (a backward adds two gradient buffers, 0.46 MB a row).
     """
     chunks = [model.forward(x[i:i + PREDICT_ROWS]) for i in range(0, len(x), PREDICT_ROWS)]
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
@@ -305,6 +305,7 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     y_train = _labels_array(train_recs)
     x_test = _to_batch_array(test_mats, profile)
     y_test = _labels_array(test_recs)
+    del train_mats, test_mats  # the epochs read only the float32 batches
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))
     optimizer = RmsProp(lr=config.lr)

@@ -1,12 +1,16 @@
 import csv
 import itertools
 import json
+import os
 import struct
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import affectline
 from affectline import session
 from affectline.audio_io import EMOTIONS, AudioDecodeError, read_wav
 
@@ -136,3 +140,14 @@ def edit_header(path, edit):
     edit(header)
     head = json.dumps(header).encode()
     path.write_bytes(raw[:4] + struct.pack("<I", len(head)) + head + raw[8 + head_len:])
+
+
+def run_at_blas_threads(threads: int, code: str, *args) -> str:
+    """stdout of ``python -c code *args`` in a process whose OpenBLAS runs
+    ``threads`` threads (it reads the count once, at load, so only a new
+    process can change it), importing this affectline."""
+    src = str(Path(affectline.__file__).resolve().parent.parent)
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": str(threads),
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return subprocess.run([sys.executable, "-c", code, *args], env=env, check=True,
+                          capture_output=True, text=True).stdout

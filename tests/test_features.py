@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,7 +7,7 @@ from affectline import features
 from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
 from affectline.features import (DEFAULT_T_FIXED, FEATURE_ROW_LABELS, FRAME_LEN, HOP, N_FFT,
-                                 N_MELS, assemble_features, compute_normalization,
+                                 N_MELS, FeatureMatrix, assemble_features, compute_normalization,
                                  delta, frame_signal, matrix_samples, mfcc, rms, zcr)
 from affectline.train_eval import _to_batch_array
 from conftest import sine
@@ -415,6 +417,63 @@ class TestFeatureWindowOracle:
         assert not frames.flags.writeable
         assert np.shares_memory(frames, x)
         np.testing.assert_array_equal(frames, oracle_frame_signal(x))
+
+
+def concatenated_normalization(matrices):
+    """The former ``compute_normalization``, kept as its oracle: every matrix's
+    valid columns as float64, concatenated, then numpy's mean and std."""
+    cols = np.concatenate(
+        [np.asarray(m.values[:, :m.n_valid_frames], dtype=np.float64) for m in matrices], axis=1)
+    return cols.mean(axis=1), cols.std(axis=1)
+
+
+def mixed_scale_matrices(n_valid, seed, t_fixed=DEFAULT_T_FIXED):
+    """float32 matrices whose rows range over 1e-4 to 1e5 in scale around
+    offsets of up to 50, with a constant row; zero past each ``n_valid``."""
+    rng = np.random.default_rng(seed)
+    matrices = []
+    for n in n_valid:
+        values = np.zeros((41, t_fixed), dtype=np.float32)
+        scale = 10.0 ** rng.uniform(-4, 5, (41, 1))
+        values[:, :n] = rng.uniform(-50, 50, (41, 1)) + scale * rng.standard_normal((41, n))
+        values[7, :n] = 3.25
+        matrices.append(FeatureMatrix(values=values, n_valid_frames=int(n)))
+    return matrices
+
+
+class TestComputeNormalization:
+    @pytest.mark.parametrize("n_valid", [[1], [DEFAULT_T_FIXED], [1, DEFAULT_T_FIXED], [1] * 9,
+                                         list(range(1, 301, 7)), [DEFAULT_T_FIXED] * 60],
+                             ids=["one-column", "one-full", "1-and-full", "nine-columns",
+                                  "ramp", "60-full"])
+    def test_bit_equal_to_concatenated_std(self, n_valid):
+        matrices = mixed_scale_matrices(n_valid, seed=len(n_valid))
+        profile = compute_normalization(matrices)
+        mean, std = concatenated_normalization(matrices)
+        assert profile.mean.tobytes() == mean.tobytes()
+        assert profile.std.tobytes() == std.tobytes()
+
+    def test_bit_equal_to_concatenated_std_on_random_corpora(self):
+        rng = np.random.default_rng(11)
+        for seed in range(20):
+            matrices = mixed_scale_matrices(rng.integers(1, 301, rng.integers(1, 121)), seed)
+            profile = compute_normalization(matrices)
+            mean, std = concatenated_normalization(matrices)
+            assert profile.mean.tobytes() == mean.tobytes(), seed
+            assert profile.std.tobytes() == std.tobytes(), seed
+
+    def test_peak_is_about_one_float64_row_of_the_columns(self):
+        matrices = mixed_scale_matrices([DEFAULT_T_FIXED] * 40, seed=3)
+        row_bytes = 40 * DEFAULT_T_FIXED * 8  # 96 KB; all 41 rows are 3.9 MB
+        tracemalloc.start()
+        try:
+            compute_normalization(matrices)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 1.07x; 82x (2.00x all 41 rows) with per-matrix float64 copies, their
+        # concatenation, then np.std's full-size deviation array
+        assert peak < 1.3 * row_bytes
 
 
 def test_frame_config_validation():

@@ -10,8 +10,9 @@ from affectline.audio_io import EMOTIONS
 from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
 from affectline.gradcheck import central_diff
-from affectline.nn import (KERNEL, MAX_CONV_CHANNELS, Conv1d, FullyConnected, MaxPool1d, Model,
-                           ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
+from affectline.nn import (KERNEL, MAX_CONV_CHANNELS, PAD, Conv1d, FullyConnected, MaxPool1d,
+                           Model, ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
+from conftest import run_at_blas_threads
 
 H = 1e-5
 
@@ -701,8 +702,12 @@ def trained_like(spec, seed):
     return model
 
 
+ONE_CONV = ModelSpec(conv_channels=(10,))
+
+
 class TestArenaOracle:
-    @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec(), ONE_CONV],
+                             ids=["small", "default", "one_conv"])
     def test_logits_bit_equal_at_every_batch_and_t(self, spec):
         model = trained_like(spec, 31)
         oracle = DenseModel(model)
@@ -715,7 +720,8 @@ class TestArenaOracle:
             assert model.forward(x).tobytes() == oracle.forward(x).tobytes(), (b, t)
 
     @pytest.mark.parametrize("b", [1, 7, 16, 25, 64])
-    @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec(), ONE_CONV],
+                             ids=["small", "default", "one_conv"])
     def test_gradients_bit_equal_but_conv_weights(self, spec, b):
         model = trained_like(spec, 40 + b)
         oracle = DenseModel(model)
@@ -736,11 +742,24 @@ class TestArenaOracle:
             if name == last:  # B products per entry instead of B*(T + 2)
                 assert np.abs(got[name] - want[name]).max() <= 1e-6 * scale
             elif name.startswith("conv") and name.endswith(".w"):
-                # one sum per phase, then the phases' sum, instead of one sum over
-                # every row: at most 1.1e-6 of the tensor's largest entry here
+                # sums of 256-row blocks per phase, then the phases' sum, instead of
+                # one sum over every row: at most 1.1e-6 of the tensor's largest entry here
                 assert np.abs(got[name] - want[name]).max() <= 4e-6 * scale
             else:
                 assert got[name].tobytes() == want[name].tobytes(), name
+
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
+    def test_logits_after_a_backward_bit_equal_to_a_fresh_models(self, spec):
+        # the backward writes the last conv's output gradient over the pool's
+        # input: no later forward, at the arena's batch or a smaller one, reads it
+        model = trained_like(spec, 50)
+        rng = np.random.default_rng(51)
+        x = rng.standard_normal((25, 41, 300)).astype(np.float32)
+        model.forward(x)
+        model.backward(rng.standard_normal((25, 6)).astype(np.float32))
+        for b in (25, 7):
+            x = rng.standard_normal((b, 41, 300)).astype(np.float32)
+            assert model.forward(x).tobytes() == trained_like(spec, 50).forward(x).tobytes(), b
 
     def test_float64_model_matches_the_oracle(self):
         model = Model(SMALL, seed=5, dtype=np.float64)
@@ -770,6 +789,20 @@ class TestArenaMemory:
             if was_enabled:
                 gc.enable()
 
+    @pytest.mark.parametrize("spec, widths", [(ModelSpec(), [128, 256]), (ONE_CONV, [41, 0])],
+                             ids=["default", "one_conv"])
+    def test_gradient_buffers_hold_the_widest_input_gradient_of_their_parity(self, spec,
+                                                                             widths):
+        # buffer j holds conv i's input gradient for i = j (mod 2): 41, 64 and 128
+        # channels, then 64, 128 and 256 at the default spec; the last conv's output
+        # gradient goes into the pool's input, so no buffer is 256 wide for it
+        model = Model(spec, seed=0)
+        b, t = 25, 300
+        model.forward(np.zeros((b, 41, t), dtype=np.float32))
+        model.backward(np.ones((b, 6), dtype=np.float32))
+        rows = b * (t + 2 * PAD) + KERNEL - 1
+        assert [g.size for g in model._arena.grads] == [rows * w for w in widths]
+
     def test_warm_train_step_peak_memory(self):
         # the dense model before the arena peaked at 88.4 MB on this step
         # (numpy 2.4), allocating every padded copy, product and mask anew
@@ -787,3 +820,22 @@ class TestArenaMemory:
         finally:
             tracemalloc.stop()
         assert peak < 20e6  # 13.0 MB with the arena
+
+
+STEP_GRADIENTS = """\
+import hashlib
+import numpy as np
+from affectline.nn import Model, ModelSpec, softmax_xent
+model, rng = Model(ModelSpec(), seed=0), np.random.default_rng(0)
+x = rng.standard_normal((25, 41, 300)).astype(np.float32)
+_, grad = softmax_xent(model.forward(x), rng.integers(0, 6, 25))
+for name, g in model.backward((grad / 25).astype(np.float32)).items():
+    print(name, hashlib.sha256(g.tobytes()).hexdigest())
+"""
+
+
+def test_train_step_gradients_bit_equal_at_1_and_2_blas_threads():
+    # a B 25, T 300 step: each phase's weight-gradient reduction runs over 2,517
+    # rows, long enough for OpenBLAS to split it differently at 2 threads
+    one, two = (run_at_blas_threads(n, STEP_GRADIENTS) for n in (1, 2))
+    assert len(one.splitlines()) == 14 and one == two

@@ -430,6 +430,25 @@ class TestOnePath:
         with pytest.raises(EmptySessionError, match="1 unreadable"):  # window 0 casts no vote
             classify_session(ckpt, [nan_segment], chunk_vote=True)
 
+    def test_failed_chunk_vote_segment_is_not_forwarded(self, tmp_path, monkeypatch):
+        # window 1's read fails while window 0 waits in the segment's group: that
+        # group is dropped, so the clean segment's one window is the only row
+        x = 0.3 * sine(440, 2.5)
+        x[24000] = np.nan
+        path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
+        clean = write_test_wav(tmp_path / "clean.wav", 0.3 * sine(330, 0.5))
+        records = [SegmentRecord("s", "nan", "FAN", str(path), 0.0, 2.5),
+                   SegmentRecord("s", "clean", "FAN", str(clean), 2.5, 3.0)]
+        rows, predict_logits = [], train_eval.predict_logits
+
+        def counted(model, x):
+            rows.append(len(x))
+            return predict_logits(model, x)
+        monkeypatch.setattr(train_eval, "predict_logits", counted)
+        voted = classify_session(untrained_checkpoint(), records, chunk_vote=True)
+        assert [s for s, _ in voted.predictions] == ["clean"] and len(voted.failures) == 1
+        assert rows == [1]
+
 
 def voted_windows(ckpt, path):
     """The matrices the chunk vote labels for the segment at ``path``, in order."""

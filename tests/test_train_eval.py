@@ -21,7 +21,8 @@ from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
                                    extract_features, metrics_to_csv,
                                    predict_logits, split_dataset, train)
-from conftest import build_synthetic_corpus, edit_header, header_section, make_wav_bytes
+from conftest import (build_synthetic_corpus, edit_header, header_section, make_wav_bytes,
+                      run_at_blas_threads)
 
 TINY_SPEC = ModelSpec(conv_channels=(8, 8, 12, 12, 16, 16))
 TINY_SETTINGS = FeatureSettings(t_fixed=100)
@@ -187,6 +188,37 @@ class TestTrain:
             assert got.tobytes() == getattr(expected, stat).tobytes()
             assert not np.allclose(got, getattr(every, stat), rtol=1e-6, atol=0)
 
+    def test_one_conv_spec_trains_and_evaluates(self, synthetic_corpus):
+        # one conv leaves the arena's second gradient buffer empty
+        _, records = synthetic_corpus
+        ckpt, metrics = train(records, ModelSpec(conv_channels=(8,)),
+                              TrainConfig(epochs=2, seed=3), TINY_SETTINGS)
+        assert len(metrics.epochs) == 2 and np.isfinite(metrics.epochs[-1].train_loss)
+        assert evaluate(ckpt, records).n_test == len(records)
+
+    def test_peak_grows_by_no_more_than_the_batches_and_normalization_array(self, tmp_path):
+        # 42 against 90 one-second clips at the default spec, T 300 and batch 16: the
+        # arena (16 rows, the batch and predict_logits' chunk) and the other buffers
+        # are the same in both runs, so the peak may grow by the float32 batches and
+        # at most a (41, N) float64 array of the valid frames (compute_normalization
+        # holds one of its rows at a time), but not also by the extracted matrices,
+        # which are as large as the batches
+        config = TrainConfig(epochs=1, batch_size=16, seed=5)
+        peaks, bounds = [], []
+        for per_class in (7, 15):
+            records = build_synthetic_corpus(tmp_path / str(per_class), per_class=per_class)
+            train_recs, _ = split_dataset(records, config)
+            n_valid = sum(m.n_valid_frames for m in extract_all(train_recs, FeatureSettings())[1])
+            bounds.append(len(records) * N_FEATURE_ROWS * 300 * 4 + N_FEATURE_ROWS * n_valid * 8)
+            tracemalloc.start()
+            try:
+                train(records, ModelSpec(), config)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        # 2.2 MB against a bound of 3.5 MB; 4.5 MB while train() kept the matrices
+        assert peaks[1] - peaks[0] <= bounds[1] - bounds[0]
+
     def test_deterministic_metrics_and_params(self, synthetic_corpus):
         _, records = synthetic_corpus
         config = TrainConfig(epochs=3, seed=21)
@@ -195,6 +227,24 @@ class TestTrain:
         assert metrics_to_csv(a_metrics) == metrics_to_csv(b_metrics)
         for name in a_ckpt.params:
             np.testing.assert_array_equal(a_ckpt.params[name], b_ckpt.params[name])
+
+
+TRAIN_COMMAND = "import sys\nfrom affectline.cli import main\nsys.exit(main(sys.argv[1:]))"
+
+
+def test_cli_checkpoint_bit_equal_at_1_and_2_blas_threads(tmp_path):
+    # full T 300 windows in one batch of 24 rows: each phase's weight-gradient
+    # reduction runs over 2,416 rows
+    corpus = tmp_path / "corpus"
+    build_synthetic_corpus(corpus, per_class=5, duration_s=3.1)
+    checkpoints = []
+    for threads in (1, 2):
+        out = tmp_path / f"run{threads}"
+        run_at_blas_threads(threads, TRAIN_COMMAND, "train", "--corpus", str(corpus),
+                            "--out", str(out), "--epochs", "2", "--seed", "3",
+                            "--cache-dir", str(tmp_path / "cache"))
+        checkpoints.append((out / "checkpoint.afl").read_bytes())
+    assert checkpoints[0] == checkpoints[1]
 
 
 class TestEvaluate:
