@@ -5,7 +5,8 @@ header (architecture, feature settings, normalization profile, class
 ordering, training metadata, tensor manifest), then every tensor as raw
 little-endian float32 in manifest order: the model's parameters in
 declaration order, then any RMSProp accumulators in the same order.
-Save/load round-trips are bit-exact.
+Save/load round-trips are bit-exact. Every checkpoint carries the
+normalization profile of its training split; a ``null`` one is malformed.
 """
 
 from __future__ import annotations
@@ -103,7 +104,7 @@ class Checkpoint:
     params: dict  # name -> float32 array, model declaration order
     opt_acc: dict  # RMSProp accumulators, same keys (may be empty)
     features: FeatureSettings
-    normalization: NormalizationProfile | None
+    normalization: NormalizationProfile  # of the training split; every checkpoint has one
     metadata: dict = None
 
     @functools.cached_property
@@ -148,10 +149,8 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
         "version": FORMAT_VERSION,
         "model_spec": asdict(ckpt.model_spec),
         "features": asdict(ckpt.features),
-        "normalization": None if ckpt.normalization is None else {
-            "mean": ckpt.normalization.mean.tolist(),
-            "std": ckpt.normalization.std.tolist(),
-        },
+        "normalization": {"mean": ckpt.normalization.mean.tolist(),
+                          "std": ckpt.normalization.std.tolist()},
         "class_order": list(EMOTIONS),
         "metadata": ckpt.metadata or {},
         "tensors": [{"name": n, "shape": list(v.shape)} for n, v in tensors],
@@ -226,12 +225,13 @@ def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
     params, opt_acc = dict(zip(shapes, arrays)), dict(zip(shapes, arrays[len(shapes):]))
 
     norm = header["normalization"]
-    stats = [] if norm is None else [np.asarray(norm[k], dtype=np.float64)
-                                     for k in ("mean", "std")]
+    if not isinstance(norm, dict):
+        raise ConfigError(f"normalization must hold a mean and a std, got {norm!r}")
+    stats = [np.asarray(norm[k], dtype=np.float64) for k in ("mean", "std")]
     if any(a.shape != (N_FEATURE_ROWS,) or not (np.abs(a) <= MAX_NORMALIZED).all()
            for a in stats):
         raise ConfigError(f"normalization mean and std must be {N_FEATURE_ROWS} finite numbers "
                           f"within float32's range (|x| <= {MAX_NORMALIZED:.4g})")
     return Checkpoint(model_spec=spec, params=params, opt_acc=opt_acc, features=settings,
-                      normalization=NormalizationProfile(*stats) if stats else None,
+                      normalization=NormalizationProfile(*stats),
                       metadata=header["metadata"])

@@ -53,17 +53,11 @@ def check_sizes(**sizes) -> None:
 
 @dataclass
 class NormalizationProfile:
-    """Per-feature-row z-score statistics, computed on a training split."""
+    """Per-feature-row z-score statistics, computed on a training split;
+    ``train_eval._to_batch_array`` alone applies them."""
 
     mean: np.ndarray  # (41,)
     std: np.ndarray  # (41,), zero entries treated as 1
-
-    def apply(self, values: np.ndarray, n_valid: int) -> np.ndarray:
-        """Standardized copy of ``values``: valid columns only, padding stays zero."""
-        out = values.copy()
-        std = np.where(self.std > 0, self.std, 1.0)
-        out[:, :n_valid] = (out[:, :n_valid] - self.mean[:, None]) / std[:, None]
-        return out
 
 
 @dataclass

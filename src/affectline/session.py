@@ -7,9 +7,9 @@ far-field variant FAF is excluded because loudness skews the features.
 One function, ``segment_labels``, labels the FAN segments in both modes,
 through the same path as a corpus in ``train_eval.evaluate``: each
 segment's raw matrix from ``train_eval.extract_features`` (without a
-cache), in manifest order, labelled by ``train_eval.predict_labels`` with
-the checkpoint's profile ``PREDICT_ROWS`` windows at a time as they are
-read, so the labels equal ``evaluate``'s over the same files. The chunk
+cache), in manifest order, labelled under the checkpoint by
+``train_eval.predict_labels`` ``PREDICT_ROWS`` windows at a time as they
+are read, so the labels equal ``evaluate``'s over the same files. The chunk
 vote adds that matrix of the segment cut at each later window, and labels
 each segment's windows apart and by majority.
 Also provides a synthetic-session generator used as the test stand-in
@@ -181,15 +181,15 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     ``train_eval.extract_features(record.audio_path, ckpt.features)``. With
     ``chunk_vote``, window k >= 1, read only after a full window k - 1, is
     that matrix of the segment cut at sample k * t_fixed * HOP; a tail
-    shorter than one frame casts no vote, and a segment any of whose
-    windows raises AudioDecodeError is a failure, and the group that read
-    ends is not forwarded. Windows are labelled
-    ``PREDICT_ROWS`` at a time as they are read, in memory that does not
-    grow with the session: the leading windows as one stream over the
-    records, so the labels are those of one ``predict_labels`` call over all
-    of them, and the chunk vote's windows one stream per record, so a group
-    never spans two segments. A record's label takes the most votes, ties
-    to the lowest class index.
+    shorter than one frame casts no vote. A segment any of whose windows
+    raises AudioDecodeError is a failure; a window is passed on only once
+    the next one's read succeeds, so the group a failing read ends is
+    dropped, not forwarded. Windows are labelled ``PREDICT_ROWS`` at a time
+    as they are read, in memory that does not grow with the session: the
+    leading windows as one stream over the records, so the labels are those
+    of one ``predict_labels`` call over all of them, and the chunk vote's
+    windows one stream per record, so a group never spans two segments. A
+    record's label takes the most votes, ties to the lowest class index.
     """
     t_fixed = ckpt.features.t_fixed
     bound, step = matrix_samples(t_fixed), t_fixed * HOP
@@ -199,13 +199,13 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     def windows(i, path):
         try:
             window, start = train_eval.extract_features(path, ckpt.features), step
-            yield i, window
             while chunk_vote and window.n_valid_frames == t_fixed:  # a full window
                 samples = read_wav(path, bound, start)
                 if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
-                    return
+                    break
+                yield i, window  # only once the next window's read has succeeded
                 window, start = assemble_features(samples, t_fixed), start + step
-                yield i, window
+            yield i, window
         except AudioDecodeError as exc:
             failures[i] = exc
 
@@ -214,7 +214,7 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
         while group := list(itertools.islice(stream, train_eval.PREDICT_ROWS)):
             indices, matrices = zip(*group)
             if failures[indices[-1]] is None:  # a chunk-vote segment that failed casts no vote
-                labels = train_eval.predict_labels(ckpt.model, ckpt.normalization, matrices)
+                labels = train_eval.predict_labels(ckpt, matrices)
                 np.add.at(votes, (indices, labels), 1)
             del group, matrices  # the next group is read without this one
     return [failure or EMOTIONS[int(np.argmax(row))] for failure, row in zip(failures, votes)]

@@ -8,7 +8,8 @@ training split only.
 Train, evaluate and session classification share one path to the model:
 raw matrices from ``extract_features`` (or ``assemble_features``),
 normalized only in ``_to_batch_array``, then ``predict_logits``;
-``evaluate`` and ``session`` take it through ``predict_labels``.
+``evaluate`` and ``session`` take it under a checkpoint, whose profile
+and model ``predict_labels(ckpt, matrices)`` reads.
 """
 
 from __future__ import annotations
@@ -28,8 +29,8 @@ from .audio_io import (EMOTION_INDEX, EMOTIONS, TRAIN_FRACTION, AudioDecodeError
                        read_wav)
 from .checkpoint import Checkpoint, FeatureSettings, write_replacing
 from .errors import ConfigError, DataError, DivergenceError
-from .features import (FEATURE_CODE_VERSION, MAX_NORMALIZED, N_FEATURE_ROWS, FeatureMatrix,
-                       assemble_features, compute_normalization, matrix_samples)
+from .features import (FEATURE_CODE_VERSION, N_FEATURE_ROWS, FeatureMatrix, assemble_features,
+                       compute_normalization, matrix_samples)
 from .nn import Model, ModelSpec, RmsProp, softmax_xent
 
 __all__ = [
@@ -231,24 +232,24 @@ def _decode_failures_error(message: str, failures) -> DataError:
 
 
 def _to_batch_array(matrices, profile) -> np.ndarray:
-    """(N, 41, T) float32 model input: each matrix normalized in float64, then
-    cast into its row of the batch, so no float64 stack is held.
+    """(N, 41, T) float32 model input, the one place a profile is applied: each
+    matrix's valid columns as ``(values - mean) / std`` in float64 (a zero std
+    counts as 1), cast into its row of a zeroed batch; no float64 stack is held.
 
     DataError when a normalized value overflows float32, as with a
     normalization std far below the features' scale, instead of casting
     it to inf (whose logits would predict class 0 silently).
     """
-    out = np.empty((len(matrices), *matrices[0].values.shape), dtype=np.float32)
-    peak = 0.0  # the largest |value|; NaN once any value is NaN
+    out = np.zeros((len(matrices), *matrices[0].values.shape), dtype=np.float32)
+    mean, std = profile.mean[:, None], np.where(profile.std > 0, profile.std, 1.0)[:, None]
     with np.errstate(over="ignore"):  # an overflow is reported below
         for row, m in zip(out, matrices):
-            values = (profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile
-                      else m.values)
-            peak = np.maximum(peak, np.abs(values).max(initial=0.0))
-            row[...] = values
-    if not peak <= MAX_NORMALIZED:
-        raise DataError(f"normalized features overflow float32 (|value| up to {float(peak):.4g}): "
-                        "the normalization mean or std does not fit these features")
+            values = (m.values[:, :m.n_valid_frames] - mean) / std
+            row[:, :m.n_valid_frames] = values
+            if not np.isfinite(row).all():
+                raise DataError(f"normalized features overflow float32 (|value| up to "
+                                f"{float(np.abs(values).max()):.4g}): the normalization mean "
+                                "or std does not fit these features")
     return out
 
 
@@ -268,9 +269,9 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
 
 
-def predict_labels(model: Model, profile, matrices) -> np.ndarray:
+def predict_labels(ckpt: Checkpoint, matrices) -> np.ndarray:
     """Class index of each raw matrix: ``_to_batch_array``, ``predict_logits``, argmax."""
-    return predict_logits(model, _to_batch_array(matrices, profile)).argmax(axis=1)
+    return predict_logits(ckpt.model, _to_batch_array(matrices, ckpt.normalization)).argmax(1)
 
 
 def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
@@ -378,7 +379,7 @@ def evaluate(ckpt: Checkpoint, records, cache_dir=None, jobs: int = 1) -> Metric
     kept, mats, failures = extract_all(records, ckpt.features, cache_dir, jobs)
     if not kept:
         raise _decode_failures_error("all records failed to decode", failures)
-    y_pred = predict_labels(ckpt.model, ckpt.normalization, mats)
+    y_pred = predict_labels(ckpt, mats)
     return Metrics(
         epochs=[],
         confusion=confusion_matrix(_labels_array(kept), y_pred),

@@ -13,6 +13,10 @@ import pytest
 import affectline
 from affectline import session
 from affectline.audio_io import EMOTIONS, AudioDecodeError, read_wav
+from affectline.features import N_FEATURE_ROWS, NormalizationProfile
+
+# the normalization profile that leaves every value as it is, (value - 0) / 1
+IDENTITY_PROFILE = NormalizationProfile(np.zeros(N_FEATURE_ROWS), np.ones(N_FEATURE_ROWS))
 
 
 def make_wav_bytes(samples, sample_rate=16000, bits=16, channels=1, fmt_code=1):

@@ -433,6 +433,25 @@ class TestEvalCommand:
         err = capsys.readouterr().err
         assert str(bad) in err and "within float32's range" in err
 
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_null_normalization_exits_3_naming_file(self, tmp_path, corpus_root, trained_run,
+                                                    capsys, command):
+        # every checkpoint carries its normalization: a header without one is malformed
+        run, cache = trained_run
+        bad = tmp_path / "null.afl"
+        shutil.copy(run / "checkpoint.afl", bad)
+        edit_header(bad, lambda header: header.update(normalization=None))
+        if command == "eval":
+            args = ["--corpus", str(corpus_root), "--cache-dir", str(cache)]
+        else:
+            items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
+            args = ["--manifest", str(synthesize_session(items[:2], tmp_path / "s").manifest_path)]
+        assert main([command, "--checkpoint", str(bad), "--out", str(tmp_path / "o"),
+                     *args]) == 3
+        err = capsys.readouterr().err
+        assert str(bad) in err and "malformed header" in err and "normalization" in err
+        assert not (tmp_path / "o").exists()
+
     def test_tiny_normalization_std_exits_3(self, tmp_path, corpus_root, trained_run, capsys):
         run, cache = trained_run
         bad = tmp_path / "tiny.afl"

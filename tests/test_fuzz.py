@@ -25,12 +25,13 @@ from affectline.audio_io import (EMOTIONS, AudioDecodeError, EmptyAudioError,
 from affectline.checkpoint import Checkpoint, FeatureSettings, load_checkpoint, save_checkpoint
 from affectline.config import RunConfig, parse_config_text
 from affectline.errors import AffectlineError, ConfigError, DataError
-from affectline.features import NormalizationProfile, matrix_samples
+from affectline.features import matrix_samples
 from affectline.nn import Model, ModelSpec
 from affectline.session import (MANIFEST_COLUMNS, SegmentRecord, classify_session,
                                 load_manifest, synthesize_session)
 from affectline.train_eval import evaluate, extract_features
-from conftest import UNPARSABLE_HEADERS, load_truth, make_wav_bytes, sine, write_test_wav
+from conftest import (IDENTITY_PROFILE, UNPARSABLE_HEADERS, load_truth, make_wav_bytes, sine,
+                      write_test_wav)
 
 FUZZ = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -275,7 +276,7 @@ def tiny_checkpoint(scratch):
     model = Model(spec, seed=3)
     ckpt = Checkpoint(model_spec=spec, params=dict(model.parameters()), opt_acc={},
                       features=FeatureSettings(t_fixed=8),
-                      normalization=NormalizationProfile(np.zeros(41), np.ones(41)),
+                      normalization=IDENTITY_PROFILE,
                       metadata={"seed": 3})
     path = scratch / "tiny.afl"
     save_checkpoint(path, ckpt)

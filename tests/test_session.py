@@ -15,8 +15,8 @@ from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
                                 classify_session, filter_fan, load_manifest,
                                 render_report, sample_for_audit, synthesize_session)
 from affectline.train_eval import confusion_matrix, evaluate, extract_features
-from conftest import (class_tone, label_by_truth, load_truth, make_wav_bytes, sine,
-                      write_test_wav)
+from conftest import (IDENTITY_PROFILE, class_tone, label_by_truth, load_truth, make_wav_bytes,
+                      sine, write_test_wav)
 
 
 def labeled_clips(n, seed=0):
@@ -29,7 +29,7 @@ def labeled_clips(n, seed=0):
     return out
 
 
-def untrained_checkpoint(normalization=None, t_fixed=100):
+def untrained_checkpoint(normalization=IDENTITY_PROFILE, t_fixed=100):
     spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
     return Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
                       opt_acc={}, features=FeatureSettings(t_fixed=t_fixed),
@@ -431,23 +431,26 @@ class TestOnePath:
             classify_session(ckpt, [nan_segment], chunk_vote=True)
 
     def test_failed_chunk_vote_segment_is_not_forwarded(self, tmp_path, monkeypatch):
-        # window 1's read fails while window 0 waits in the segment's group: that
-        # group is dropped, so the clean segment's one window is the only row
-        x = 0.3 * sine(440, 2.5)
-        x[24000] = np.nan
-        path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
+        # t_fixed 100: the read of window 1 or of window 16 fails, while window 0
+        # or the full group of windows 0-15 waits: the segment's group is dropped,
+        # so the clean segment's one window is the only row
         clean = write_test_wav(tmp_path / "clean.wav", 0.3 * sine(330, 0.5))
-        records = [SegmentRecord("s", "nan", "FAN", str(path), 0.0, 2.5),
-                   SegmentRecord("s", "clean", "FAN", str(clean), 2.5, 3.0)]
         rows, predict_logits = [], train_eval.predict_logits
 
         def counted(model, x):
             rows.append(len(x))
             return predict_logits(model, x)
         monkeypatch.setattr(train_eval, "predict_logits", counted)
-        voted = classify_session(untrained_checkpoint(), records, chunk_vote=True)
-        assert [s for s, _ in voted.predictions] == ["clean"] and len(voted.failures) == 1
-        assert rows == [1]
+        for seconds, nan_at in ((2.5, 24000), (17.5, 257000)):
+            x = 0.3 * sine(440, seconds)
+            x[nan_at] = np.nan
+            path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
+            records = [SegmentRecord("s", "nan", "FAN", str(path), 0.0, seconds),
+                       SegmentRecord("s", "clean", "FAN", str(clean), seconds, seconds + 0.5)]
+            rows.clear()
+            voted = classify_session(untrained_checkpoint(), records, chunk_vote=True)
+            assert [s for s, _ in voted.predictions] == ["clean"], seconds
+            assert len(voted.failures) == 1 and rows == [1], seconds
 
 
 def voted_windows(ckpt, path):
@@ -455,9 +458,9 @@ def voted_windows(ckpt, path):
     windows = []
     predict_labels = train_eval.predict_labels
 
-    def capture(model, profile, matrices):
+    def capture(ckpt, matrices):
         windows.extend(matrices)
-        return predict_labels(model, profile, matrices)
+        return predict_labels(ckpt, matrices)
     train_eval.predict_labels = capture
     try:
         classify_session(ckpt, [SegmentRecord("s", "seg", "FAN", str(path), 0.0, 1.0)],

@@ -21,8 +21,8 @@ from affectline.train_eval import (Metrics, SplitError, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
                                    extract_features, metrics_to_csv,
                                    predict_logits, split_dataset, train)
-from conftest import (build_synthetic_corpus, edit_header, header_section, make_wav_bytes,
-                      run_at_blas_threads)
+from conftest import (IDENTITY_PROFILE, build_synthetic_corpus, edit_header, header_section,
+                      make_wav_bytes, run_at_blas_threads)
 
 TINY_SPEC = ModelSpec(conv_channels=(8, 8, 12, 12, 16, 16))
 TINY_SETTINGS = FeatureSettings(t_fixed=100)
@@ -33,7 +33,7 @@ def save_untrained(path, spec, t_fixed=100, **params):
     """An untrained checkpoint of ``spec``, with ``params`` in place of the model's."""
     ckpt = Checkpoint(model_spec=spec, params={**dict(Model(spec).parameters()), **params},
                       opt_acc={}, features=FeatureSettings(t_fixed=t_fixed),
-                      normalization=None)
+                      normalization=IDENTITY_PROFILE)
     save_checkpoint(path, ckpt)
     return ckpt
 
@@ -340,12 +340,34 @@ class TestPredictLogits:
 
 
 def stacked_batch(matrices, profile):
-    """The batch as one float64 stack of normalized matrices, cast once."""
-    out = np.stack([
-        profile.apply(m.values.astype(np.float64), m.n_valid_frames) if profile
-        else m.values for m in matrices
-    ])
+    """The reference batch: each matrix copied whole to float64, its valid
+    columns standardized in place, and the float64 stack cast once."""
+    std = np.where(profile.std > 0, profile.std, 1.0)
+    out = np.stack([m.values.astype(np.float64) for m in matrices])
+    for x, m in zip(out, matrices):
+        n = m.n_valid_frames
+        x[:, :n] = (x[:, :n] - profile.mean[:, None]) / std[:, None]
     return out.astype(np.float32)
+
+
+def random_corpus(seed):
+    """1-8 matrices of one random width, their values at one scale from 1e-30
+    to 1e30, some rows zero throughout, and a profile of a few of them with
+    some stds zeroed: normalized values near 1 and near the scale."""
+    rng = np.random.default_rng(seed)
+    t_fixed, scale = int(rng.integers(1, 60)), 10.0 ** rng.uniform(-30, 30)
+    zero_rows = rng.random(N_FEATURE_ROWS) < 0.2
+    mats = []
+    for _ in range(int(rng.integers(1, 9))):
+        n_valid = int(rng.integers(1, t_fixed + 1))
+        values = np.zeros((N_FEATURE_ROWS, t_fixed), dtype=np.float32)
+        values[:, :n_valid] = scale * (rng.standard_normal((N_FEATURE_ROWS, n_valid))
+                                       + rng.uniform(-3, 3, (N_FEATURE_ROWS, 1)))
+        values[zero_rows] = 0.0
+        mats.append(features.FeatureMatrix(values=values, n_valid_frames=n_valid))
+    profile = compute_normalization(mats[:int(rng.integers(1, len(mats) + 1))])
+    profile.std[rng.random(N_FEATURE_ROWS) < 0.1] = 0.0
+    return mats, profile
 
 
 def random_matrices(n_rows, t_fixed, seed):
@@ -361,15 +383,26 @@ def random_matrices(n_rows, t_fixed, seed):
 
 
 class TestBatchArray:
-    @pytest.mark.parametrize("with_profile", [True, False], ids=["profile", "no-profile"])
+    @pytest.mark.parametrize("with_profile", [True, False], ids=["profile", "identity"])
     def test_batch_bit_equal_to_stacked_form(self, with_profile):
         mats = random_matrices(40, 300, seed=1)
-        profile = compute_normalization(mats[:10]) if with_profile else None
+        profile = compute_normalization(mats[:10]) if with_profile else IDENTITY_PROFILE
         x = train_eval._to_batch_array(mats, profile)
         expected = stacked_batch(mats, profile)
         assert x.dtype == expected.dtype == np.float32
         assert x.shape == expected.shape == (40, N_FEATURE_ROWS, 300)
         assert x.tobytes() == expected.tobytes()
+        if not with_profile:
+            assert x.tobytes() == np.stack([m.values for m in mats]).tobytes()
+
+    def test_batch_bit_equal_to_stacked_form_on_random_corpora(self):
+        zero_std = 0
+        for seed in range(300):
+            mats, profile = random_corpus(seed)
+            zero_std += np.count_nonzero(profile.std == 0)
+            x = train_eval._to_batch_array(mats, profile)
+            assert x.tobytes() == stacked_batch(mats, profile).tobytes(), seed
+        assert zero_std > 300  # the zero-std rows, counted as 1, are exercised
 
     def test_peak_memory_near_the_batch(self):
         # a float64 stack and its np.abs copy peaked at 4x the float32 batch
@@ -388,7 +421,7 @@ class TestBatchArray:
         values = mats[1].values.copy()
         values[4, 0] = np.nan
         mats[1] = features.FeatureMatrix(values=values, n_valid_frames=mats[1].n_valid_frames)
-        for profile in (None, compute_normalization(mats[:1])):
+        for profile in (IDENTITY_PROFILE, compute_normalization(mats[:1])):
             with pytest.raises(DataError, match="overflow float32"):
                 train_eval._to_batch_array(mats, profile)
 
@@ -453,7 +486,8 @@ class TestCheckpointIO:
         ("model_spec", "conv_channels", [8, 8, 12, 12, 16, MAX_CONV_CHANNELS + 1]),
         ("normalization", "mean", [1.0, 2.0, 3.0]), ("normalization", "std", 5.0),
         ("normalization", "mean", [float("inf")] * 41), ("normalization", "std", None),
-        ("normalization", "mean", [1e300] * 41), ("normalization", "std", [1.0] * 40 + [4e38])])
+        ("normalization", "mean", [1e300] * 41), ("normalization", "std", [1.0] * 40 + [4e38]),
+        ("", "normalization", None), ("", "normalization", [0.0] * 41)])
     def test_out_of_range_header_value_is_checkpoint_error(self, overfit_run, tmp_path,
                                                            section, key, value):
         *_, ckpt, _ = overfit_run
