@@ -37,11 +37,13 @@ FORMAT_VERSION = 1
 # the feature front end of ``features`` (a Hamming window, 13 MFCCs; fmax
 # 0 meant the Nyquist frequency), RMSProp's rho and eps, a stratified
 # split and shuffled batches, and the training corpus and its split of
-# ``audio_io`` (female actors, six emotions, speech and song), and no stop
-# on test accuracy (``patience``). Old headers also carry the model's input
-# rows and class count. (Their ``in_frames`` must equal ``t_fixed``.) Old
-# config.txt files carry ``jobs``, a count of extraction processes that
-# never changed an output, so any integer >= 0 is dropped.
+# ``audio_io`` (female actors, six emotions, speech and song), and the
+# epoch count as the only stop: none on test accuracy (``patience``), none
+# on train accuracy (``early_stop_train_acc``), as the paper fixes the
+# epochs. Old headers also carry the model's input rows and class count.
+# (Their ``in_frames`` must equal ``t_fixed``.) Old config.txt files carry
+# ``jobs``, a count of extraction processes that never changed an output,
+# so any integer >= 0 is dropped.
 RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "pool_stride": 0,
                 "in_channels": N_FEATURE_ROWS, "n_classes": len(EMOTIONS),
                 "resample_method": "sinc", "sample_rate_hz": PIPELINE_SAMPLE_RATE,
@@ -52,7 +54,7 @@ RETIRED_KEYS = {"stride": 1, "kernel": KERNEL, "pad": PAD, "pool_width": 0, "poo
                 "stratified": True, "shuffle_each_epoch": True,
                 "filter_sex": "female", "filter_emotions": ",".join(EMOTIONS),
                 "vocal_channels": "speech,song", "split_ratio": TRAIN_FRACTION,
-                "patience": 0, "jobs": 1}
+                "patience": 0, "early_stop_train_acc": 0.0, "jobs": 1}
 
 
 def drop_retired(d: dict) -> dict:

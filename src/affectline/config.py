@@ -46,8 +46,8 @@ class RunConfig(_ComponentKeys):
     ``features``, RMSProp's rho and eps, stride-1 convolutions of kernel 3
     and padding 1, one global max pool, the training corpus of
     ``audio_io.scan_corpus``, a stratified 80/20 split, shuffled batches,
-    a test split that never chooses the stopping epoch, extraction in the
-    calling process) have no key;
+    training for exactly ``epochs`` epochs with no early stop, extraction
+    in the calling process) have no key;
     ``with_overrides`` drops a retired key at its fixed value.
     """
 

@@ -156,13 +156,14 @@ def mfcc(frames: np.ndarray) -> np.ndarray:
     return coeffs.T
 
 
-def delta(matrix: np.ndarray, n: int = DELTA_WINDOW) -> np.ndarray:
+def delta(matrix: np.ndarray) -> np.ndarray:
     """Regression-slope temporal derivative along columns, edge-replicated.
 
-    d_t = sum_{k=1..n} k (c_{t+k} - c_{t-k}) / (2 sum k^2); applying it
-    twice gives the second derivative. Columns past either edge repeat the
-    edge column.
+    d_t = sum_{k=1..n} k (c_{t+k} - c_{t-k}) / (2 sum k^2) with n =
+    ``DELTA_WINDOW``; applying it twice gives the second derivative.
+    Columns past either edge repeat the edge column.
     """
+    n = DELTA_WINDOW
     matrix = np.asarray(matrix, dtype=np.float64)
     t = matrix.shape[1]
     padded = np.empty((matrix.shape[0], t + 2 * n))
@@ -255,8 +256,8 @@ def assemble_features(samples: np.ndarray, t_fixed: int = DEFAULT_T_FIXED) -> Fe
     """
     x = samples[:matrix_samples(t_fixed)]
     coeffs = mfcc(frame_signal(x))
-    d1 = delta(coeffs, DELTA_WINDOW)
-    d2 = delta(d1, DELTA_WINDOW)
+    d1 = delta(coeffs)
+    d2 = delta(d1)
     n_valid = min(coeffs.shape[1], t_fixed)
     values = np.zeros((N_FEATURE_ROWS, t_fixed), dtype=np.float32)
     for row, block in enumerate((coeffs, d1, d2)):

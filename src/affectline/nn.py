@@ -280,7 +280,7 @@ RMSPROP_EPS = 1e-8
 class RmsProp:
     """RMSProp over a named parameter set, one accumulator per tensor."""
 
-    def __init__(self, lr: float = 1e-4):
+    def __init__(self, lr: float):
         self.lr = lr
         self.acc: dict[str, np.ndarray] = {}
 

@@ -282,7 +282,7 @@ class SynthesizedSession:
     segment_paths: list
 
 
-def synthesize_session(labeled_clips, out_dir, session_id: str = "synthetic",
+def synthesize_session(labeled_clips, out_dir, session_id: str,
                        snr_db: float | None = None, seed: int = 0) -> SynthesizedSession:
     """Emit a FAN-labeled session bundle from (samples, emotion) pairs, the
     samples at ``PIPELINE_SAMPLE_RATE`` as ``read_wav`` returns them.

@@ -33,11 +33,10 @@ def _plot_box():
     return x0, y0, x1, y1
 
 
-def line_chart(series, title: str, x_label: str, y_label: str,
-               y_range=(0.0, 1.0)) -> str:
-    """Line chart of ``series`` = [(name, [y values]), ...] against index 1..N."""
+def line_chart(series, title: str, x_label: str, y_label: str) -> str:
+    """Line chart of ``series`` = [(name, [y values]), ...] against index 1..N,
+    the y axis 0..1 (values outside it are clamped to it)."""
     x0, y0, x1, y1 = _plot_box()
-    lo, hi = y_range
     n = max((len(ys) for _, ys in series), default=0)
     parts = _header(title)
     parts.append(f'<rect x="{x0}" y="{y0}" width="{x1 - x0}" height="{y1 - y0}" '
@@ -47,7 +46,7 @@ def line_chart(series, title: str, x_label: str, y_label: str,
         parts.append(f'<line x1="{x0}" y1="{y:.1f}" x2="{x1}" y2="{y:.1f}" '
                      'stroke="#ddd"/>')
         parts.append(f'<text x="{x0 - 6}" y="{y + 4:.1f}" text-anchor="end">'
-                     f"{lo + frac * (hi - lo):.2f}</text>")
+                     f"{frac:.2f}</text>")
     parts.append(f'<text x="{(x0 + x1) / 2:.1f}" y="{_H - 12}" text-anchor="middle">'
                  f"{escape(x_label)}</text>")
     parts.append(f'<text x="16" y="{(y0 + y1) / 2:.1f}" text-anchor="middle" '
@@ -59,7 +58,7 @@ def line_chart(series, title: str, x_label: str, y_label: str,
             if not np.isfinite(v):
                 continue
             px = x0 if n <= 1 else x0 + i * (x1 - x0) / (n - 1)
-            py = y1 - (min(max(v, lo), hi) - lo) / (hi - lo) * (y1 - y0)
+            py = y1 - min(max(v, 0.0), 1.0) * (y1 - y0)
             pts.append(f"{px:.2f},{py:.2f}")
         if pts:
             parts.append(f'<polyline points="{" ".join(pts)}" fill="none" '

@@ -49,7 +49,6 @@ class TrainConfig:
     batch_size: int = 25
     lr: float = 1e-4
     seed: int = 42
-    early_stop_train_acc: float = 0.0  # stop once an epoch's train_acc reaches it; 0 disables
 
     def __post_init__(self):
         if not 0.0 <= self.lr < float("inf"):  # also refuses NaN
@@ -60,9 +59,6 @@ class TrainConfig:
             raise ConfigError("batch_size must be >= 1")
         if self.epochs < 0:
             raise ConfigError("epochs must be >= 0")
-        if not 0.0 <= self.early_stop_train_acc <= 1.0:  # also refuses NaN
-            raise ConfigError(f"early_stop_train_acc must be in [0, 1], got "
-                              f"{self.early_stop_train_acc}")
 
 
 @dataclass
@@ -274,9 +270,8 @@ def predict_labels(ckpt: Checkpoint, matrices) -> np.ndarray:
     return predict_logits(ckpt.model, _to_batch_array(matrices, ckpt.normalization)).argmax(1)
 
 
-def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray,
-                     n_classes: int = len(EMOTIONS)) -> np.ndarray:
-    cm = np.zeros((n_classes, n_classes), dtype=np.int64)
+def confusion_matrix(y_true: np.ndarray, y_pred: np.ndarray) -> np.ndarray:
+    cm = np.zeros((len(EMOTIONS), len(EMOTIONS)), dtype=np.int64)
     np.add.at(cm, (y_true, y_pred), 1)
     return cm
 
@@ -334,8 +329,6 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
         test_pred = predict_logits(model, x_test).argmax(axis=1)
         test_acc = float(np.mean(test_pred == y_test))
         metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
-        if config.early_stop_train_acc and train_acc >= config.early_stop_train_acc:
-            break
 
     if test_pred is None:  # no epoch ran
         test_pred = predict_logits(model, x_test).argmax(axis=1)

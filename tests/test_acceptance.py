@@ -50,7 +50,7 @@ def balanced_subset(tmp_path, per_class):
 
 def test_gradient_correctness():
     t0 = time.time()
-    rows = run_gradcheck(seed=1000, n_seeds=10, tolerance=1e-4)
+    rows = run_gradcheck(seed=1000, n_seeds=10)
     elapsed = time.time() - t0
     worst = max(r.max_rel_error for r in rows)
     ok = all(r.passed for r in rows) and elapsed < 60.0
@@ -61,15 +61,16 @@ def test_gradient_correctness():
 
 def test_overfit_sanity(tmp_path):
     records, source = balanced_subset(tmp_path, per_class=10)
-    config = TrainConfig(epochs=500, batch_size=25, lr=1e-4, seed=42,
-                         early_stop_train_acc=0.95)
+    # the synthetic class tones separate within a few epochs; real clips need more
+    max_epochs = {"ravdess": 500, "synthetic": 8}[source]
+    config = TrainConfig(epochs=max_epochs, batch_size=25, lr=1e-4, seed=42)
     ckpt, metrics = train(records, ModelSpec(), config, FeatureSettings(),
                           cache_dir=tmp_path / "cache")
-    final = metrics.epochs[-1].train_acc
-    ok = final >= 0.95 and len(metrics.epochs) <= 500
-    report("overfit sanity", ok,
-           f"train acc {final:.3f} after {len(metrics.epochs)} epochs "
-           f"(target >= 0.95 within 500) on 60-clip {source} subset")
+    reached = [e.epoch for e in metrics.epochs if e.train_acc >= 0.95]
+    best = max(e.train_acc for e in metrics.epochs)
+    report("overfit sanity", bool(reached),
+           f"train acc >= 0.95 first at epoch {reached[0] if reached else None} "
+           f"(best {best:.3f}; target within {max_epochs}) on 60-clip {source} subset")
 
 
 @pytest.mark.skipif(RAVDESS_ENV not in os.environ,
@@ -112,7 +113,7 @@ def test_dsp_fidelity():
     rms_ok = abs(rms_val - 1 / np.sqrt(2)) <= 1e-3
 
     ramp = 1.7 * np.arange(12.0)[None, :]
-    d = delta(ramp, 2)
+    d = delta(ramp)
     delta_ok = bool(np.all(d[0, 2:-2] == 1.7))
 
     ok = mfcc_ok and zcr_ok and rms_ok and delta_ok

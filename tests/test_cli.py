@@ -311,9 +311,11 @@ class TestTrainCommand:
         echoed = {line.partition(" ")[0] for line in (out / "config.txt").read_text().splitlines()}
         assert not echoed & {line.partition(" ")[0] for line in RETIRED_LINES}
 
-    @pytest.mark.parametrize("jobs", ["--set jobs=0", "--set jobs=4", "jobs = 0"])
+    @pytest.mark.parametrize("jobs", ["--set jobs=0", "--set jobs=4", "jobs = 0",
+                                      "--set early_stop_train_acc=0"])
     def test_any_retired_jobs_count_is_dropped(self, tmp_path, trained_run, jobs):
-        # jobs = 0 was the echo before extraction's process count defaulted to 1
+        # jobs = 0 was the echo before extraction's process count defaulted to 1;
+        # early_stop_train_acc, retired at 0, is dropped the same way
         first, _ = trained_run
         lines = (first / "config.txt").read_text().splitlines()
         flags = jobs.split() if jobs.startswith("--") else []
@@ -445,7 +447,8 @@ class TestEvalCommand:
             args = ["--corpus", str(corpus_root), "--cache-dir", str(cache)]
         else:
             items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
-            args = ["--manifest", str(synthesize_session(items[:2], tmp_path / "s").manifest_path)]
+            args = ["--manifest", str(synthesize_session(items[:2], tmp_path / "s",
+                                                         session_id="synthetic").manifest_path)]
         assert main([command, "--checkpoint", str(bad), "--out", str(tmp_path / "o"),
                      *args]) == 3
         err = capsys.readouterr().err
@@ -754,6 +757,7 @@ class TestDedicatedFlags:
         ["train", "--manifest", "m.csv"],
         ["train", "--checkpoint", "m.afl"],
         ["train", "--patience", "0"],
+        ["train", "--early-stop-train-acc", "0.5"],
     ], ids=" ".join)
     def test_flag_the_command_ignores_is_an_error(self, argv, capsys):
         with pytest.raises(SystemExit) as exc:

@@ -386,12 +386,12 @@ class TestRmsProp:
         p = rng.standard_normal(50)
         acc = np.zeros(50)
         for _ in range(100):
-            step_one_tensor(p, rng.standard_normal(50), acc)
+            step_one_tensor(p, rng.standard_normal(50), acc, lr=1e-4)
             assert np.all(acc >= 0)
 
     def test_optimizer_shape_mismatch(self):
         with pytest.raises(ShapeError):
-            step_one_tensor(np.zeros(3), np.zeros(4), np.zeros(3))
+            step_one_tensor(np.zeros(3), np.zeros(4), np.zeros(3), lr=1e-4)
 
     def test_named_optimizer_tracks_state(self):
         opt = RmsProp(lr=1e-4)

@@ -143,8 +143,8 @@ class TestSynthesize:
 
     def test_same_seed_byte_identical(self, tmp_path):
         clips = labeled_clips(5)
-        b1 = synthesize_session(clips, tmp_path / "a", snr_db=12.0, seed=9)
-        b2 = synthesize_session(clips, tmp_path / "b", snr_db=12.0, seed=9)
+        b1 = synthesize_session(clips, tmp_path / "a", session_id="synthetic", snr_db=12.0, seed=9)
+        b2 = synthesize_session(clips, tmp_path / "b", session_id="synthetic", snr_db=12.0, seed=9)
         assert b1.manifest_path.read_bytes() == b2.manifest_path.read_bytes()
         assert b1.truth_path.read_bytes() == b2.truth_path.read_bytes()
         for p1, p2 in zip(b1.segment_paths, b2.segment_paths):
@@ -152,7 +152,7 @@ class TestSynthesize:
 
     def test_snr_is_respected(self, tmp_path):
         x = 0.4 * sine(350, 1.0)
-        bundle = synthesize_session([(x, "happy")], tmp_path / "snr",
+        bundle = synthesize_session([(x, "happy")], tmp_path / "snr", session_id="synthetic",
                                     snr_db=10.0, seed=3)
         y = read_wav(bundle.segment_paths[0])
         noise = y - x  # quantization error is negligible next to the noise
@@ -161,12 +161,13 @@ class TestSynthesize:
 
     def test_no_clips_is_error(self, tmp_path):
         with pytest.raises(DataError):
-            synthesize_session([], tmp_path / "e")
+            synthesize_session([], tmp_path / "e", session_id="synthetic")
 
     @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
     def test_non_finite_snr_is_config_error_before_any_file(self, tmp_path, snr_db):
         with pytest.raises(ConfigError, match="snr_db"):
-            synthesize_session(labeled_clips(2), tmp_path / "n", snr_db=snr_db)
+            synthesize_session(labeled_clips(2), tmp_path / "n",
+                               session_id="synthetic", snr_db=snr_db)
         assert not (tmp_path / "n").exists()
 
     @pytest.mark.parametrize("sid", ["../x", "a/b", "..", "", "a\x00b", "a\udcffb"])
@@ -186,7 +187,7 @@ class TestClassifySession:
         for label, n in counts.items():
             for _ in range(n):
                 clips.append((class_tone(EMOTION_INDEX[label], rng, 0.2), label))
-        bundle = synthesize_session(clips, tmp_path / "s", seed=1)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=1)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
         label_by_truth(monkeypatch, truth)
@@ -201,7 +202,7 @@ class TestClassifySession:
 
     def test_permutation_invariant(self, tmp_path, monkeypatch):
         clips = labeled_clips(12, seed=5)
-        bundle = synthesize_session(clips, tmp_path / "s", seed=2)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=2)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
         label_by_truth(monkeypatch, truth)
@@ -214,7 +215,7 @@ class TestClassifySession:
 
     def test_non_fan_segments_not_classified(self, tmp_path, monkeypatch):
         clips = labeled_clips(6, seed=6)
-        bundle = synthesize_session(clips, tmp_path / "s", seed=3)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=3)
         records = load_manifest(bundle.manifest_path).records
         # relabel half the rows as CHN
         demoted = [r if i % 2 == 0 else
@@ -230,7 +231,7 @@ class TestClassifySession:
 
     def test_unreadable_segment_excluded_from_proportions(self, tmp_path, monkeypatch):
         clips = labeled_clips(4, seed=7)
-        bundle = synthesize_session(clips, tmp_path / "s", seed=4)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=4)
         bundle.segment_paths[1].write_bytes(b"ruined")
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
@@ -244,7 +245,7 @@ class TestClassifySession:
 
     def test_zero_classifiable_is_error(self, tmp_path, monkeypatch):
         clips = labeled_clips(2, seed=8)
-        bundle = synthesize_session(clips, tmp_path / "s", seed=5)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=5)
         for p in bundle.segment_paths:
             p.write_bytes(b"ruined")
         records = load_manifest(bundle.manifest_path).records
@@ -263,7 +264,8 @@ class TestClassifySession:
         # feature-window chunks runs and aggregates into a single label
         ckpt = untrained_checkpoint()
         long_clip = np.tile(sine(320, 1.0), 5)  # ~3 windows of 1.6 s
-        bundle = synthesize_session([(long_clip, "calm")], tmp_path / "long", seed=0)
+        bundle = synthesize_session([(long_clip, "calm")], tmp_path / "long",
+                                    session_id="synthetic", seed=0)
         records = load_manifest(bundle.manifest_path).records
         plain = classify_session(ckpt, records)
         voted = classify_session(ckpt, records, chunk_vote=True)
@@ -275,7 +277,8 @@ class TestClassifySession:
             [assemble_features(0.3 * rng.standard_normal(16000), t_fixed=100)
              for _ in range(3)]))
         short = class_tone(2, rng, 0.5)  # shorter than one feature window
-        bundle = synthesize_session([(short, EMOTIONS[2])], tmp_path / "s", seed=0)
+        bundle = synthesize_session([(short, EMOTIONS[2])], tmp_path / "s",
+                                    session_id="synthetic", seed=0)
         records = load_manifest(bundle.manifest_path).records
         inputs = []
         forward = Model.forward
@@ -293,7 +296,7 @@ class TestClassifySession:
         # 65 clips: evaluate forwards four batches of 16 and one of 1, classify
         # one batch per segment; each clip's prediction must not depend on that
         clips = labeled_clips(65, seed=11)
-        bundle = synthesize_session(clips, tmp_path / "s", seed=6)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=6)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
         settings = FeatureSettings()
@@ -337,7 +340,8 @@ class TestOnePath:
     @pytest.fixture
     def records(self, tmp_path):
         """Three FAN segments and one CHN segment."""
-        bundle = synthesize_session(labeled_clips(4, seed=12), tmp_path / "s", seed=7)
+        bundle = synthesize_session(labeled_clips(4, seed=12), tmp_path / "s",
+                                    session_id="synthetic", seed=7)
         records = load_manifest(bundle.manifest_path).records
         return records[:3] + [SegmentRecord(records[3].session_id, records[3].segment_id,
                                             "CHN", records[3].audio_path, 0.0, 1.0)]
@@ -359,7 +363,7 @@ class TestOnePath:
         n, broken, settings = 2 * train_eval.PREDICT_ROWS + 6, 19, FeatureSettings(t_fixed=17)
         rng = np.random.default_rng(14)
         clips = [(class_tone(k % 6, rng, 0.3), EMOTIONS[k % 6]) for k in range(n)]
-        bundle = synthesize_session(clips, tmp_path / "s", seed=9)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=9)
         records = load_manifest(bundle.manifest_path).records
         bundle.segment_paths[broken].write_bytes(b"RIFF")
         with pytest.raises(AudioDecodeError) as broken_read:
@@ -392,7 +396,8 @@ class TestOnePath:
         rng = np.random.default_rng(13)
         clips = [(class_tone(i, rng, seconds), EMOTIONS[i])
                  for i, seconds in enumerate((0.5, 1.5, 3.0))]
-        records = load_manifest(synthesize_session(clips, tmp_path / "s", seed=8)
+        records = load_manifest(synthesize_session(clips, tmp_path / "s",
+                                                   session_id="synthetic", seed=8)
                                 .manifest_path).records
         ckpt = untrained_checkpoint()
         report = classify_session(ckpt, records, chunk_vote=True)
@@ -555,7 +560,8 @@ class TestChunkVoteWindows:
         profile = compute_normalization([assemble_features(x, t_fixed=100) for x, _ in clips])
         ckpt = Checkpoint(model_spec=spec, params=dict(Model(spec, seed=2).parameters()),
                           opt_acc={}, features=settings, normalization=profile)
-        records = load_manifest(synthesize_session(clips, tmp_path / "s", seed=2)
+        records = load_manifest(synthesize_session(clips, tmp_path / "s",
+                                                   session_id="synthetic", seed=2)
                                 .manifest_path).records
         plain = classify_session(ckpt, records).predictions
         assert len({label for _, label in plain}) > 1  # not a constant output
@@ -631,7 +637,8 @@ class TestLongSegmentMemory:
         # 64 short segments against 16: PREDICT_ROWS windows are read and labelled
         # at a time, so the 49 KB matrices of 48 more segments are never held
         ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed)
-        records = load_manifest(synthesize_session(labeled_clips(64, seed=15), tmp_path / "s")
+        records = load_manifest(synthesize_session(labeled_clips(64, seed=15), tmp_path / "s",
+                                                   session_id="synthetic")
                                 .manifest_path).records
         classify_session(ckpt, records[:16])
         peaks = {n: traced_peak(lambda: classify_session(ckpt, records[:n])) for n in (16, 64)}
@@ -651,7 +658,7 @@ class TestLongSegmentMemory:
 class TestRenderReport:
     def test_csv_roundtrip_and_svg(self, tmp_path, monkeypatch):
         clips = labeled_clips(6, seed=9)
-        bundle = synthesize_session(clips, tmp_path / "s", seed=6)
+        bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=6)
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
         label_by_truth(monkeypatch, truth)
@@ -667,7 +674,7 @@ class TestRenderReport:
 
 def test_uniform_distribution_proportions(tmp_path, monkeypatch):
     clips = labeled_clips(6, seed=10)  # exactly one clip per emotion
-    bundle = synthesize_session(clips, tmp_path / "s", seed=7)
+    bundle = synthesize_session(clips, tmp_path / "s", session_id="synthetic", seed=7)
     records = load_manifest(bundle.manifest_path).records
     truth = load_truth(bundle.truth_path)
     label_by_truth(monkeypatch, truth)

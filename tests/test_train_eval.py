@@ -113,11 +113,11 @@ class TestSplit:
 
 @pytest.fixture(scope="module")
 def overfit_run(tmp_path_factory):
-    """Small fully-overfit training run shared between tests."""
+    """Small fully-overfit training run shared between tests: epoch 44 is the
+    first whose train_acc reaches 1.0."""
     root = tmp_path_factory.mktemp("overfit_corpus")
     records = build_synthetic_corpus(root, per_class=5)
-    config = TrainConfig(epochs=400, batch_size=25, lr=1e-3, seed=7,
-                         early_stop_train_acc=1.0)
+    config = TrainConfig(epochs=44, batch_size=25, lr=1e-3, seed=7)
     ckpt, metrics = train(records, TINY_SPEC, config, TINY_SETTINGS)
     return records, config, ckpt, metrics
 
