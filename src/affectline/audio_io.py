@@ -41,31 +41,13 @@ _INTENSITIES = {"01": "normal", "02": "strong"}
 
 
 class AudioDecodeError(DataError):
-    """Base class for per-file decode failures."""
-
-
-class UnreadableFileError(AudioDecodeError):
-    """File missing, unreadable, or not a RIFF/WAVE container."""
-
-
-class UnsupportedEncodingError(AudioDecodeError):
-    """WAV encoding outside the supported PCM subset."""
-
-
-class EmptyAudioError(AudioDecodeError):
-    """Decoded audio contains zero samples."""
+    """One file failed to decode: missing, unreadable, not RIFF/WAVE, outside
+    the supported PCM subset, or holding zero samples."""
 
 
 class MalformedNameError(DataError):
-    """Filename does not follow the 7-field hyphenated convention."""
-
-
-class OutOfScopeEmotionError(DataError):
-    """Valid dataset filename whose emotion code is outside the 6-class set."""
-
-
-class CorpusEmptyError(DataError):
-    """A corpus scan or decode produced no usable records."""
+    """Filename does not follow the 7-field hyphenated convention, or names
+    an emotion outside the 6-class set."""
 
 
 @dataclass(frozen=True)
@@ -108,23 +90,23 @@ def _parse_fmt(fmt: bytes, path: str):
     """(channels, rate, bits) of a ``fmt `` body, each checked before any
     sample is read; 32 bits are IEEE float, fewer integer PCM."""
     if len(fmt) < 16:
-        raise UnreadableFileError(f"{path}: truncated fmt chunk")
+        raise AudioDecodeError(f"{path}: truncated fmt chunk")
     fmt_code, n_channels, rate, _, _, bits = struct.unpack_from("<HHIIHH", fmt, 0)
     if fmt_code == 0xFFFE and len(fmt) >= 40:  # WAVE_FORMAT_EXTENSIBLE
         (fmt_code,) = struct.unpack_from("<H", fmt, 24)
     if n_channels not in (1, 2):
-        raise UnsupportedEncodingError(f"{path}: {n_channels} channels (only 1-2 supported)")
+        raise AudioDecodeError(f"{path}: {n_channels} channels (only 1-2 supported)")
     if not MIN_SAMPLE_RATE <= rate <= MAX_SAMPLE_RATE:
         # the resampler's filter grows with the rate: refuse a corrupt header
         # before it asks for gigabytes
-        raise UnsupportedEncodingError(
+        raise AudioDecodeError(
             f"{path}: sample rate {rate} Hz outside {MIN_SAMPLE_RATE}-{MAX_SAMPLE_RATE}")
     if fmt_code == 1 and bits not in (8, 16, 24):
-        raise UnsupportedEncodingError(f"{path}: {bits}-bit integer PCM is not supported")
+        raise AudioDecodeError(f"{path}: {bits}-bit integer PCM is not supported")
     if fmt_code == 3 and bits != 32:
-        raise UnsupportedEncodingError(f"{path}: {bits}-bit float PCM is not supported")
+        raise AudioDecodeError(f"{path}: {bits}-bit float PCM is not supported")
     if fmt_code not in (1, 3):
-        raise UnsupportedEncodingError(f"{path}: WAV format code {fmt_code} is not supported")
+        raise AudioDecodeError(f"{path}: WAV format code {fmt_code} is not supported")
     return n_channels, rate, bits
 
 
@@ -143,7 +125,7 @@ def _decode_pcm(data: bytes, bits: int, path: str) -> np.ndarray:
     else:
         x = np.frombuffer(_whole_frames(data, 4), dtype="<f4").astype(np.float64)  # IEEE float
         if not np.isfinite(x).all():
-            raise UnsupportedEncodingError(f"{path}: NaN or infinite float samples")
+            raise AudioDecodeError(f"{path}: NaN or infinite float samples")
         return np.clip(x, -1.0, 1.0, out=x)
     x /= float(1 << (bits - 1))
     return x
@@ -169,14 +151,14 @@ def read_chunks(path, max_samples: int | None = None, start: int = 0) -> WavChun
     frames (``start`` counts samples at ``PIPELINE_SAMPLE_RATE``), then with
     ``max_samples`` reads only the input frames that the first
     ``max_samples`` samples at ``PIPELINE_SAMPLE_RATE`` depend on.
-    Raises UnreadableFileError or UnsupportedEncodingError as ``read_wav``.
+    Raises AudioDecodeError as ``read_wav``.
     """
     try:
         with open(path, "rb") as f:
             size = os.fstat(f.fileno()).st_size
             head = f.read(12)
             if len(head) < 12 or head[:4] != b"RIFF" or head[8:] != b"WAVE":
-                raise UnreadableFileError(f"{path}: not a RIFF/WAVE file")
+                raise AudioDecodeError(f"{path}: not a RIFF/WAVE file")
             spans = {}  # chunk id -> (offset, size) of its body
             pos = 12
             while pos + 8 <= size and len(spans) < 2:
@@ -186,7 +168,7 @@ def read_chunks(path, max_samples: int | None = None, start: int = 0) -> WavChun
                     spans[cid] = (pos + 8, min(n, size - pos - 8))
                 pos += 8 + n + (n & 1)  # chunks are word-aligned
             if len(spans) < 2:
-                raise UnreadableFileError(f"{path}: missing fmt or data chunk")
+                raise AudioDecodeError(f"{path}: missing fmt or data chunk")
             f.seek(spans[b"fmt "][0])
             fmt = f.read(spans[b"fmt "][1])
             n_channels, rate, bits = _parse_fmt(fmt, path)
@@ -200,7 +182,7 @@ def read_chunks(path, max_samples: int | None = None, start: int = 0) -> WavChun
             data = f.read(n)
     except (OSError, ValueError, struct.error) as exc:
         # ValueError: NUL byte in the path; struct.error: a file cut short as it is read
-        raise UnreadableFileError(f"{path}: {exc}") from exc
+        raise AudioDecodeError(f"{path}: {exc}") from exc
     return WavChunks(path, fmt, data, max_samples)
 
 
@@ -216,9 +198,9 @@ def read_wav(path, max_samples: int | None = None, start: int = 0) -> np.ndarray
     not read, so they are not checked either. ``path`` may instead be the
     WavChunks that ``read_chunks`` read, which are decoded to the bound
     they were read with. Stereo input is downmixed by channel average.
-    Rate conversion uses a windowed-sinc filter. Raises UnreadableFileError,
-    UnsupportedEncodingError (also for NaN/Inf float samples read and header
-    rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or EmptyAudioError.
+    Rate conversion uses a windowed-sinc filter. Raises AudioDecodeError on an
+    unreadable file, an unsupported encoding (also NaN/Inf float samples read
+    and header rates outside MIN_SAMPLE_RATE..MAX_SAMPLE_RATE) or no samples.
     """
     wav = path if isinstance(path, WavChunks) else read_chunks(path, max_samples, start)
     n_channels, rate, bits = _parse_fmt(wav.fmt, wav.path)
@@ -227,12 +209,12 @@ def read_wav(path, max_samples: int | None = None, start: int = 0) -> np.ndarray
         samples = samples[: len(samples) - len(samples) % 2]
         samples = samples.reshape(-1, 2).mean(axis=1)
     if len(samples) == 0:
-        raise EmptyAudioError(f"{wav.path}: zero-length audio")
+        raise AudioDecodeError(f"{wav.path}: zero-length audio")
 
     if rate != PIPELINE_SAMPLE_RATE:
         samples = resample(samples, rate)
         if len(samples) == 0:
-            raise EmptyAudioError(f"{wav.path}: zero-length audio after resampling")
+            raise AudioDecodeError(f"{wav.path}: zero-length audio after resampling")
     samples = np.clip(samples[:wav.max_samples], -1.0, 1.0)
     samples.setflags(write=False)
     return samples
@@ -381,7 +363,7 @@ def parse_ravdess_name(filename: str) -> RavdessMeta:
 
     Field order: modality, vocal channel, emotion, intensity, statement,
     repetition, actor. Emotion codes 01..06 map onto the canonical class
-    list; 07/08 (disgust, surprised) raise OutOfScopeEmotionError.
+    list; 07/08 (disgust, surprised) raise MalformedNameError.
     """
     name = Path(filename).name
     if not name.endswith(".wav"):
@@ -391,7 +373,7 @@ def parse_ravdess_name(filename: str) -> RavdessMeta:
         raise MalformedNameError(f"{name}: expected 7 two-digit hyphenated fields")
     mod, voc, emo, inten, stmt, rep, actor = fields
     if emo in _OUT_OF_SCOPE_EMOTIONS:
-        raise OutOfScopeEmotionError(
+        raise MalformedNameError(
             f"{name}: emotion {_OUT_OF_SCOPE_EMOTIONS[emo]!r} is outside the 6-class set"
         )
     if mod not in _MODALITIES:
@@ -433,12 +415,12 @@ def scan_corpus(root) -> list:
     """
     root = Path(root)
     if not root.is_dir():
-        raise CorpusEmptyError(f"corpus root {root} is not a directory")
+        raise DataError(f"corpus root {root} is not a directory")
     records = []
     for path in sorted(root.rglob("*.wav"), key=lambda p: str(p)):
         try:
             meta = parse_ravdess_name(path.name)
-        except (MalformedNameError, OutOfScopeEmotionError):
+        except MalformedNameError:
             continue
         if meta.sex == "female":
             records.append((path, meta))

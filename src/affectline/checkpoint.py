@@ -71,22 +71,6 @@ def drop_retired(d: dict) -> dict:
     return {k: v for k, v in d.items() if k not in RETIRED_KEYS}
 
 
-class CheckpointError(DataError):
-    pass
-
-
-class CheckpointMagicError(CheckpointError):
-    pass
-
-
-class CheckpointVersionError(CheckpointError):
-    pass
-
-
-class CheckpointTruncatedError(CheckpointError):
-    pass
-
-
 @dataclass(frozen=True)
 class FeatureSettings:
     """Everything needed to re-extract features exactly as at train time;
@@ -163,34 +147,30 @@ def save_checkpoint(path, ckpt: Checkpoint) -> None:
 
 
 def load_checkpoint(path) -> Checkpoint:
-    """Read a checkpoint; any unreadable, damaged or malformed file raises CheckpointError."""
+    """Read a checkpoint; any unreadable, damaged or malformed file raises DataError."""
     try:
         raw = Path(path).read_bytes()
     except OSError as exc:
-        raise CheckpointError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     if len(raw) < 4 or raw[:4] != MAGIC:
-        raise CheckpointMagicError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
+        raise DataError(f"{path}: bad magic {raw[:4]!r}, expected {MAGIC!r}")
     if len(raw) < 8:
-        raise CheckpointTruncatedError(f"{path}: header length field missing")
+        raise DataError(f"{path}: header length field missing")
     (head_len,) = struct.unpack_from("<I", raw, 4)
     if len(raw) < 8 + head_len:
-        raise CheckpointTruncatedError(
-            f"{path}: expected {head_len} header bytes, got {len(raw) - 8}"
-        )
+        raise DataError(f"{path}: expected {head_len} header bytes, got {len(raw) - 8}")
     try:
         header = json.loads(raw[8:8 + head_len].decode())
     except (ValueError, RecursionError) as exc:  # bad UTF-8 or JSON, too deep, too many digits
-        raise CheckpointError(f"{path}: unreadable header: {exc}") from exc
+        raise DataError(f"{path}: unreadable header: {exc}") from exc
     version = header.get("version") if isinstance(header, dict) else None
     if version != FORMAT_VERSION:
-        raise CheckpointVersionError(
-            f"{path}: format version {version!r}, expected {FORMAT_VERSION}"
-        )
+        raise DataError(f"{path}: format version {version!r}, expected {FORMAT_VERSION}")
     try:
         return _from_header(header, memoryview(raw)[8 + head_len:], path)
     except (LookupError, TypeError, ValueError, AttributeError, ArithmeticError,
             ConfigError) as exc:
-        raise CheckpointError(f"{path}: malformed header: {exc!r}") from exc
+        raise DataError(f"{path}: malformed header: {exc!r}") from exc
 
 
 def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
@@ -214,13 +194,11 @@ def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
         fits += [("rmsprop." + name, shape) for name, shape in shapes.items()]
     for found, fit in itertools.zip_longest(entries, fits):
         if found != fit:
-            raise CheckpointError(f"{path}: tensors do not fit conv_channels "
-                                  f"{list(spec.conv_channels)}: found {found!r}, "
-                                  f"expected {fit!r}")
+            raise DataError(f"{path}: tensors do not fit conv_channels "
+                            f"{list(spec.conv_channels)}: found {found!r}, expected {fit!r}")
     counts = [int(np.prod(shape)) for _, shape in entries]
     if len(body) != 4 * sum(counts):
-        raise CheckpointTruncatedError(
-            f"{path}: expected {4 * sum(counts)} tensor bytes, got {len(body)}")
+        raise DataError(f"{path}: expected {4 * sum(counts)} tensor bytes, got {len(body)}")
     starts = itertools.accumulate([0, *counts])
     arrays = [np.frombuffer(body, dtype="<f4", count=n, offset=4 * at).reshape(shape).copy()
               for (_, shape), n, at in zip(entries, counts, starts)]

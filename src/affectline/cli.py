@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from . import session as session_mod
-from .audio_io import EMOTIONS, AudioDecodeError, CorpusEmptyError, read_wav, scan_corpus
+from .audio_io import EMOTIONS, AudioDecodeError, read_wav, scan_corpus
 from .checkpoint import load_checkpoint, save_checkpoint, write_outputs, write_replacing
 from .config import RunConfig
 from .errors import AffectlineError, ConfigError, DataError, DivergenceError
@@ -82,8 +82,8 @@ def _corpus_records(cfg: RunConfig):
     root = _require(cfg, "corpus")
     records = [(path, meta.emotion) for path, meta in scan_corpus(root)]
     if not records:
-        raise CorpusEmptyError(f"no records under {root}: no file is named for a female actor "
-                               "in one of the six emotions")
+        raise DataError(f"no records under {root}: no file is named for a female actor "
+                        "in one of the six emotions")
     return records
 
 
@@ -206,7 +206,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
             continue
         decoded.append((path, label))
     if not decoded:
-        raise CorpusEmptyError(f"every matching file under {cfg.corpus} failed to decode")
+        raise DataError(f"every matching file under {cfg.corpus} failed to decode")
     rng = np.random.default_rng(seed)
     idx = rng.choice(len(decoded), size=n, replace=n > len(decoded))
     chosen = [(read_wav(decoded[i][0]), decoded[i][1]) for i in map(int, idx)]

@@ -1,7 +1,10 @@
 """Shared exception roots.
 
 Subcommands map these onto the documented exit codes: ConfigError -> 2,
-DataError -> 3, DivergenceError -> 4.
+DataError -> 3, DivergenceError -> 4. A subclass exists only where a caller
+catches it apart (``AudioDecodeError``, ``MalformedNameError``; ``nn.ShapeError``
+marks a broken call contract, not bad input); otherwise the kind of failure
+lives in the message, which is what the CLI prints.
 """
 
 

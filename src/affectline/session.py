@@ -41,14 +41,6 @@ MANIFEST_COLUMNS = ("session_id", "segment_id", "source_label",
                     "audio_path", "start_s", "end_s")
 
 
-class ManifestError(DataError):
-    pass
-
-
-class EmptySessionError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class SegmentRecord:
     session_id: str
@@ -112,24 +104,24 @@ def load_manifest(path) -> ManifestLoadResult:
         with path.open(newline="", encoding="utf-8") as fh:
             return _parse_manifest(csv.DictReader(_refuse_nul(fh, path)), path)
     except OSError as exc:
-        raise ManifestError(f"{path}: {exc}") from exc
+        raise DataError(f"{path}: {exc}") from exc
     except (UnicodeDecodeError, csv.Error) as exc:
-        raise ManifestError(f"{path}: not a UTF-8 CSV manifest: {exc}") from exc
+        raise DataError(f"{path}: not a UTF-8 CSV manifest: {exc}") from exc
 
 
 def _refuse_nul(lines, path):
-    """``lines``, or ManifestError at the first one holding a NUL: the csv
+    """``lines``, or DataError at the first one holding a NUL: the csv
     module of Python 3.10 cannot read past one, later versions can."""
     for number, line in enumerate(lines, 1):
         if "\0" in line:
-            raise ManifestError(f"{path}: line {number} holds a NUL character")
+            raise DataError(f"{path}: line {number} holds a NUL character")
         yield line
 
 
 def _parse_manifest(reader: csv.DictReader, path: Path) -> ManifestLoadResult:
     missing = [c for c in MANIFEST_COLUMNS if c not in (reader.fieldnames or ())]
     if missing:
-        raise ManifestError(f"{path}: missing columns {', '.join(missing)}")
+        raise DataError(f"{path}: missing columns {', '.join(missing)}")
     records, row_errors, unknown = [], [], 0
     for row in reader:
         line = reader.line_num
@@ -245,7 +237,7 @@ def classify_session(ckpt: Checkpoint, records, *, chunk_vote: bool = False) -> 
         predictions.append((record.segment_id, label))
     total = int(counts.sum())
     if total == 0:
-        raise EmptySessionError(
+        raise DataError(
             f"session {next(iter(session_ids), '?')}: no classifiable FAN segments "
             f"({len(fan)} FAN rows, {len(failures)} unreadable)"
         )

@@ -39,10 +39,6 @@ __all__ = [
 ]
 
 
-class SplitError(DataError):
-    pass
-
-
 @dataclass(frozen=True)
 class TrainConfig:
     epochs: int = 300
@@ -97,12 +93,12 @@ def split_dataset(records, config: TrainConfig):
     Per class, max(1, round((1 - TRAIN_FRACTION) * n)) records go to test,
     where ``audio_io.TRAIN_FRACTION`` is 0.8, so every class is tested. The
     split is a pure function of (records order, seed); both sides preserve
-    the input's relative ordering. SplitError on no records or a class with
-    fewer than 2; DataError naming a label outside ``EMOTIONS``.
+    the input's relative ordering. DataError on no records, a class with
+    fewer than 2 or a label outside ``EMOTIONS``.
     """
     records = list(records)
     if not records:
-        raise SplitError("no records to split")
+        raise DataError("no records to split")
     rng = np.random.default_rng(config.seed)
     test_idx = set()
     by_class = {}
@@ -110,7 +106,7 @@ def split_dataset(records, config: TrainConfig):
         by_class.setdefault(int(cls), []).append(i)
     for cls, idxs in by_class.items():
         if len(idxs) < 2:
-            raise SplitError(f"class {EMOTIONS[cls]!r} has {len(idxs)} record(s); need >= 2")
+            raise DataError(f"class {EMOTIONS[cls]!r} has {len(idxs)} record(s); need >= 2")
     for cls in sorted(by_class):
         idxs = by_class[cls]
         n_test = max(1, round(len(idxs) * (1.0 - TRAIN_FRACTION)))

@@ -1,6 +1,7 @@
 import argparse
 import ast
 import csv
+import importlib
 import json
 import re
 import shutil
@@ -737,6 +738,33 @@ class TestFailedRewrite:
         sites = [f"{path.name}:{line}" for path in sorted(Path(cli.__file__).parent.glob("*.py"))
                  for line in file_writes(ast.parse(path.read_text(encoding="utf-8")))]
         assert sites == []
+
+
+def caught_names(tree):
+    """Names of the classes each ``except`` clause or ``isinstance`` call in ``tree`` tests."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ExceptHandler) and node.type is not None:
+            tested = node.type
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            tested = node.args[1]
+        else:
+            continue
+        for name in (tested.elts if isinstance(tested, ast.Tuple) else [tested]):
+            yield name.attr if isinstance(name, ast.Attribute) else getattr(name, "id", None)
+
+
+def test_every_error_class_is_caught_apart():
+    # a subclass exists only where a caller tells it apart; the kind of failure lives in the
+    # message. The roots map onto exit codes in main; ShapeError marks a broken call contract.
+    exempt = {"AffectlineError", "ConfigError", "DataError", "DivergenceError", "ShapeError"}
+    defined, caught = set(), set()
+    for path in sorted(Path(cli.__file__).parent.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        module = importlib.import_module(f"affectline.{path.stem}")
+        defined |= {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)
+                    and issubclass(getattr(module, node.name), BaseException)}
+        caught.update(caught_names(tree))
+    assert sorted(defined - exempt - caught) == []
 
 
 class TestDedicatedFlags:

@@ -11,8 +11,7 @@ from affectline.errors import ConfigError, DataError
 from affectline.features import (FRAME_LEN, HOP, NormalizationProfile, assemble_features,
                                  compute_normalization)
 from affectline.nn import Model, ModelSpec
-from affectline.session import (EmptySessionError, ManifestError, SegmentRecord,
-                                classify_session, filter_fan, load_manifest,
+from affectline.session import (SegmentRecord, classify_session, filter_fan, load_manifest,
                                 render_report, sample_for_audit, synthesize_session)
 from affectline.train_eval import confusion_matrix, evaluate, extract_features
 from conftest import (IDENTITY_PROFILE, class_tone, label_by_truth, load_truth, make_wav_bytes,
@@ -80,7 +79,7 @@ class TestManifest:
             "session_id,segment_id,source_label,audio_path,start_s,end_s\n"
             "s1,a,FAN,a.wav,0.0,1.0\n"
             "a\x00b,b,FAN,b.wav,1.0,2.0\n")
-        with pytest.raises(ManifestError, match="line 3 holds a NUL character"):
+        with pytest.raises(DataError, match="line 3 holds a NUL character"):
             load_manifest(m)
 
     def test_unknown_label_maps_to_other(self, tmp_path):
@@ -95,11 +94,11 @@ class TestManifest:
     def test_missing_columns_fatal(self, tmp_path):
         m = tmp_path / "m.csv"
         m.write_text("session_id,segment_id,audio_path\na,b,c\n")
-        with pytest.raises(ManifestError):
+        with pytest.raises(DataError, match="missing columns source_label, start_s, end_s"):
             load_manifest(m)
 
     def test_missing_file(self, tmp_path):
-        with pytest.raises(ManifestError):
+        with pytest.raises(DataError, match="No such file or directory"):
             load_manifest(tmp_path / "absent.csv")
 
 
@@ -251,7 +250,7 @@ class TestClassifySession:
         records = load_manifest(bundle.manifest_path).records
         truth = load_truth(bundle.truth_path)
         label_by_truth(monkeypatch, truth)
-        with pytest.raises(EmptySessionError):
+        with pytest.raises(DataError, match="no classifiable FAN segments"):
             classify_session(None, records)
 
     def test_multiple_sessions_rejected(self):
@@ -432,7 +431,7 @@ class TestOnePath:
         assert voted.failures == [(str(path), f"{path}: NaN or infinite float samples")]
         assert voted.predictions == [("clean", dict(leading.predictions)["clean"])]
         assert voted.counts.sum() == 1
-        with pytest.raises(EmptySessionError, match="1 unreadable"):  # window 0 casts no vote
+        with pytest.raises(DataError, match="no classifiable FAN segments .* 1 unreadable"):  # window 0 casts no vote
             classify_session(ckpt, [nan_segment], chunk_vote=True)
 
     def test_failed_chunk_vote_segment_is_not_forwarded(self, tmp_path, monkeypatch):
