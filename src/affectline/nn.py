@@ -8,14 +8,15 @@ widths vary (``ModelSpec``). A convolution is one GEMM per phase, the
 output rows r = s (mod kernel), over a plain reshape of its input's
 zero-padded channels-last matrix whose rows are then im2col rows, with
 no columns copied. ``Model`` keeps those matrices in one activation
-arena: each conv writes its GEMMs straight into the next layer's, the
-ReLUs work in place, and the backward pass reuses two gradient buffers.
-The global max pool's gradient is one (time step, value) pair per item
-and channel (``PoolGrad``), and the last conv sums its weight gradient
-over only the rows those pairs name. No autograd: every layer caches
-what its hand-derived backward pass needs on ``self`` (in a model, views
-of the arena), so one layer or model instance must not run forwards
-concurrently. Training math is float32; gradient checks run the same
+arena and nothing else: each conv writes its GEMMs straight into the
+next layer's, the ReLUs work in place, and the backward pass writes each
+gradient over one of the last two activations, which it no longer needs
+by then. The global max pool's gradient is one (time step, value) pair
+per item and channel (``PoolGrad``), and the last conv sums its weight
+gradient over only the rows those pairs name. No autograd: every layer
+caches what its hand-derived backward pass needs on ``self`` (in a
+model, views of the arena), so one layer or model instance must not run
+forwards concurrently. Training math is float32; gradient checks run the same
 code in float64.
 """
 
@@ -34,6 +35,9 @@ KERNEL, PAD = 3, 1  # of every conv layer in the model: T' = T
 # its bytes do not depend on the BLAS thread count: 256 is below the K block at
 # which OpenBLAS 0.3.31 splits a reduction (other builds may split elsewhere).
 GRAD_BLOCK_ROWS = 256
+# The last conv gathers the input windows its pooled rows name for this many
+# output channels at a time: (B, 16, C_in) values instead of (B, C_out, C_in).
+POOL_GATHER_CHANNELS = 16
 MAX_CONV_CHANNELS = 4096  # per layer
 
 
@@ -184,28 +188,41 @@ class Conv1d:
         (item, channel) into ``g_rows``, whose input gradient then follows as
         for a dense one, and return the weight gradient in ``taps``' layout
         and the bias gradient. The weight gradient sums B products per entry
-        instead of B*(T + 2*pad), so it rounds differently from the dense one."""
+        instead of B*(T + 2*pad), so it rounds differently from the dense one.
+        It gathers the input windows of ``POOL_GATHER_CHANNELS`` output
+        channels at a time; each entry is still one sum over the items in
+        order, so the blocks do not change its bytes."""
         b, _, t = self._in_shape
         at = np.arange(b)[:, None] * (t + 2 * self.pad) + grad.index  # (B, C_out) row of g
         g_rows[...] = 0
         g_rows[self.kernel - 1 + at, np.arange(self.out_ch)] = grad.value
-        gw = np.ascontiguousarray(np.stack([  # einsum returns each tap transposed
-            np.einsum("bo,boi->io", grad.value, self._rows[at + k]) for k in range(self.kernel)]))
+        gw = np.empty((self.kernel, self.in_ch, self.out_ch),
+                      dtype=np.result_type(grad.value, self._rows))
+        for o in range(0, self.out_ch, POOL_GATHER_CHANNELS):
+            block = slice(o, o + POOL_GATHER_CHANNELS)
+            for k in range(self.kernel):  # einsum returns each tap transposed
+                gw[k, :, block] = np.einsum("bo,boi->io", grad.value[:, block],
+                                            self._rows[at[:, block] + k])
         return gw, grad.value.sum(axis=0) + 0.0  # no -0.0 sum, as over the dense rows
 
 
 class ReLU:
-    """max(x, 0). ``Model`` passes ``out=x`` to both calls, so they work in place."""
+    """max(x, 0). ``Model`` passes ``out=x`` to both calls, so they work in
+    place, and passes the backward the ``mask()`` it took before the memory
+    of y was overwritten."""
 
     def forward(self, x: np.ndarray, out=None) -> np.ndarray:
         self._y = np.maximum(x, 0, out=out)
         return self._y
 
-    def backward(self, grad_out, out=None):
+    def mask(self) -> np.ndarray:
+        return self._y > 0  # y > 0 exactly where x > 0
+
+    def backward(self, grad_out, out=None, mask=None):
         if isinstance(grad_out, PoolGrad):  # the mask at the pooled steps; no ``out``
             y = np.take_along_axis(self._y, grad_out.index[..., None], axis=2)[..., 0]
             return PoolGrad(grad_out.index, grad_out.value * (y > 0), grad_out.t)
-        return np.multiply(grad_out, self._y > 0, out=out)  # y > 0 exactly where x > 0
+        return np.multiply(grad_out, self.mask() if mask is None else mask, out=out)
 
 
 class MaxPool1d:
@@ -214,11 +231,12 @@ class MaxPool1d:
 
     ``forward`` computes only the max and keeps its input, not a copy (in
     the model the ReLU already holds that array); ``backward``, the only
-    reader of the argmax, takes it there, so the input must not change
-    between the two calls. In a model, the backward consumes that input:
-    ``Model.backward`` then writes the last conv's output gradient over it.
-    ``backward`` returns a ``PoolGrad``: one (time index, value) pair per
-    (item, channel), not a dense gradient.
+    reader of the argmax, takes it there one item at a time (an argmax
+    along the strided time axis copies its operand), so the input must not
+    change between the two calls. In a model, the backward consumes that
+    input: ``Model.backward`` then writes the last conv's output gradient
+    over it. ``backward`` returns a ``PoolGrad``: one (time index, value)
+    pair per (item, channel), not a dense gradient.
     """
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -226,7 +244,10 @@ class MaxPool1d:
         return x.max(axis=2)
 
     def backward(self, grad_out: np.ndarray) -> PoolGrad:
-        return PoolGrad(self._x.argmax(axis=2), grad_out, self._x.shape[2])
+        index = np.empty(self._x.shape[:2], dtype=np.intp)
+        for item, at in zip(self._x, index):
+            item.argmax(axis=1, out=at)
+        return PoolGrad(index, grad_out, self._x.shape[2])
 
 
 class FullyConnected:
@@ -331,35 +352,30 @@ class _Arena:
 
     ``acts[i]`` holds layer i's input: item j's time step s at row
     j*(t + 2*PAD) + PAD + s, every other row zero (one spare row lets the
-    last item's output window start at PAD). No conv reads the pool's
-    input ``acts[-1]``, so the backward pass scatters the last conv's
-    output gradient into it (see ``Model.backward``), through KERNEL - 1
-    spare rows. ``grads`` are two flat buffers the backward pass
-    ping-pongs between, allocated by the first backward, each with
-    KERNEL - 1 rows more than ``acts[0]`` for the zero rows a conv's input
-    gradient reads in front of its output gradient. Buffer j holds conv
-    i's input gradient for i = j (mod 2) and is as wide as the widest of
-    those (128 and 256 channels at the default spec; buffer 1 is empty
-    with one conv). The arena holds no reference to its model or layers,
-    so it dies with the model.
+    last item's output window start at PAD). The arena holds nothing else:
+    the backward pass keeps its gradients in the last two buffers, the
+    pool's input ``acts[-1]`` and the last conv's input ``acts[-2]``, which
+    it no longer needs as activations by then (see ``Model.backward``), so
+    every forward rewrites each row it reads. Those two have KERNEL - 1
+    spare rows, for the zero rows a conv's input gradient reads in front
+    of its output gradient, and each is as wide as the widest matrix it
+    holds; that is its activation's width at a spec whose widths never
+    decrease, such as the default. ``rows(i, c, n)`` reads buffer i's memory
+    as n rows of width c. The arena holds no reference to its model or
+    layers, so it dies with the model.
     """
 
     def __init__(self, widths, b: int, t: int, dtype):
         self.b, self.t = b, t
-        rows = b * (t + 2 * PAD)
-        self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths[:-1]]
-        self.acts.append(np.zeros((rows + KERNEL - 1, widths[-1]), dtype=dtype))
-        self._grad_rows = rows + KERNEL - 1
-        self._grad_widths = [max(widths[j:-1:2], default=0) for j in range(2)]
-        self.grads = None
+        rows, n = b * (t + 2 * PAD), len(widths) - 1
+        self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths[:n - 1]]
+        # buffer i also holds the input gradients of convs i - 1, i - 3, ...
+        self.acts += [np.zeros((rows + KERNEL - 1, max(widths[i::-2])), dtype=dtype)
+                      for i in (n - 1, n)]
 
-    def grad(self, i: int, c: int) -> np.ndarray:
-        """Flat gradient buffer ``i % 2`` as (rows + KERNEL - 1, c)."""
-        rows = self._grad_rows
-        if self.grads is None:
-            self.grads = [np.empty(rows * width, dtype=self.acts[0].dtype)
-                          for width in self._grad_widths]
-        return self.grads[i % 2][:rows * c].reshape(rows, c)
+    def rows(self, i: int, c: int, n: int) -> np.ndarray:
+        """The first n*c values of ``acts[i]`` as an (n, c) matrix."""
+        return self.acts[i].reshape(-1)[:n * c].reshape(n, c)
 
 
 class Model:
@@ -370,11 +386,12 @@ class Model:
     current T it has seen, and computes in its dtype. Each conv writes its
     GEMMs straight into the next layer's zero-padded buffer, each ReLU
     works in place, and backward scatters the pooled gradient into the
-    pool's input and then ping-pongs two gradient buffers; so a
-    train step allocates little beyond the parameter gradients, the ReLU
-    masks and conv6's gathered input windows. The global max pool sends
-    gradient to one time step per (item, channel), and conv6's weight
-    gradient sums over only those rows (see ``Conv1d._pooled_backward``).
+    pool's input and then writes each conv's input gradient over the last
+    conv's input or the pool's, in turn; so a train step allocates little
+    beyond the parameter gradients, the ReLU masks and conv6's gathered
+    input windows. The global max pool sends gradient to one time step per
+    (item, channel), and conv6's weight gradient sums over only those rows
+    (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic. A row's
     logits are bit-equal at any batch size where BLAS rounds a GEMM row
@@ -383,7 +400,7 @@ class Model:
     holds for T >= 18 and fails for T <= 17. The FC head does not use
     BLAS. Training steps mutate parameters and must not run concurrently,
     and a forward's results are views of the arena that the next forward
-    overwrites (the logits are not).
+    or backward overwrites (the logits are not).
     """
 
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
@@ -424,11 +441,15 @@ class Model:
                                          self.dtype)
         self._batch = b, t
         tp = t + 2 * PAD
-        x_rows = arena.acts[0][:b * tp]
-        h = x_rows.reshape(b, tp, N_FEATURE_ROWS)[:, PAD:PAD + t].transpose(0, 2, 1)
+        padded = arena.rows(0, N_FEATURE_ROWS, b * tp).reshape(b, tp, N_FEATURE_ROWS)
+        padded[:, :PAD] = padded[:, PAD + t:] = 0  # a one-conv backward writes over them
+        h = padded[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
-        for conv, relu, nxt in zip(self.convs, self.relus, arena.acts[1:]):
-            h = conv.forward(h, x_rows, out=nxt[PAD:PAD + b * tp])
+        x_rows = padded.reshape(b * tp, N_FEATURE_ROWS)
+        for i, (conv, relu) in enumerate(zip(self.convs, self.relus), start=1):
+            nxt = arena.rows(i, self._widths[i], PAD + b * tp)
+            nxt[:PAD] = 0  # the rest is the conv's output and its zeroed straddling rows
+            h = conv.forward(h, x_rows, out=nxt[PAD:])
             h = relu.forward(h, out=h)
             x_rows = nxt[:b * tp]
         return self.fc.forward(self.pool.forward(h))
@@ -436,17 +457,23 @@ class Model:
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits) of the last forward.
 
-        A backward consumes its forward's pool input: once the pool has taken
-        its argmax and the last ReLU its mask, the last conv's output gradient
-        is scattered over that buffer, so a second backward needs a new forward.
+        A backward consumes its forward's last two activations. Once the pool
+        has taken its argmax and the last ReLU its mask, the last conv's output
+        gradient is scattered over the pool's input. Conv i's input gradient
+        then goes over the last conv's input for n - 1 - i even and over the
+        pool's input for n - 1 - i odd (n convs): the last conv reads its
+        input for its weight gradient before it writes its input gradient
+        there, and the ReLU before it masks with the ``mask()`` taken before
+        that write. So a second backward needs a new forward.
         """
         arena, (b, t) = self._arena, self._batch
-        rows = KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward's g_rows
+        n, rows = len(self.convs), KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward
         g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
-        g_rows = arena.acts[-1][:rows]  # read by the last ReLU's backward before it is written
-        for i in reversed(range(len(self.convs))):
-            g = self.relus[i].backward(g, out=g)
-            dx_rows = arena.grad(i, self._widths[i])[:rows]
+        masks = {n - 2: self.relus[-2].mask()} if n > 1 else {}  # of acts[-2]; freed once used
+        g_rows = arena.rows(n, self._widths[n], rows)  # read by the last ReLU before it is written
+        for i in reversed(range(n)):
+            g = self.relus[i].backward(g, out=g, mask=masks.pop(i, None))
+            dx_rows = arena.rows(n - 1 + (n - 1 - i) % 2, self._widths[i], rows)
             g = self.convs[i].backward(g, g_rows, out=dx_rows[KERNEL - 1 - PAD:rows - PAD])
             g_rows = dx_rows
         return {f"{name}.{p}": getattr(layer, "g" + p)

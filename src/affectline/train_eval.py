@@ -223,10 +223,12 @@ def _decode_failures_error(message: str, failures) -> DataError:
                                   *(reason for _, reason in failures)]))
 
 
-def _to_batch_array(matrices, profile) -> np.ndarray:
+def _to_batch_array(matrices, profile, *, drop: bool = False) -> np.ndarray:
     """(N, 41, T) float32 model input, the one place a profile is applied: each
     matrix's valid columns as ``(values - mean) / std`` in float64 (a zero std
     counts as 1), cast into its row of a zeroed batch; no float64 stack is held.
+    With ``drop``, each entry of the list ``matrices`` is set to None once its
+    row is written, so a matrix held only there is freed as the batch fills.
 
     DataError when a normalized value overflows float32, as with a
     normalization std far below the features' scale, instead of casting
@@ -235,7 +237,10 @@ def _to_batch_array(matrices, profile) -> np.ndarray:
     out = np.zeros((len(matrices), *matrices[0].values.shape), dtype=np.float32)
     mean, std = profile.mean[:, None], np.where(profile.std > 0, profile.std, 1.0)[:, None]
     with np.errstate(over="ignore"):  # an overflow is reported below
-        for row, m in zip(out, matrices):
+        for i, row in enumerate(out):
+            m = matrices[i]
+            if drop:
+                matrices[i] = None
             values = (m.values[:, :m.n_valid_frames] - mean) / std
             row[:, :m.n_valid_frames] = values
             if not np.isfinite(row).all():
@@ -255,7 +260,7 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     BLAS rounding does not (see ``Model``); ``PREDICT_ROWS`` bounds the
     model's activation arena, which keeps the largest batch it has seen:
     about 1.1 MB a row at the default spec, each layer's zero-padded input
-    (a backward adds two gradient buffers, 0.46 MB a row).
+    (a backward keeps its gradients there too, so it adds nothing).
     """
     chunks = [model.forward(x[i:i + PREDICT_ROWS]) for i in range(0, len(x), PREDICT_ROWS)]
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
@@ -280,9 +285,11 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     Splits internally, extracts features, computes the normalization
     profile on the training split, then runs epochs x ceil(N/batch)
     RMSProp steps, forwarding each row once per epoch (see ``EpochStats``).
-    A non-finite loss aborts with DivergenceError naming the epoch and batch,
-    and a split that decode failures leave empty with DataError naming every
-    failure. ``jobs`` must be 1, as in ``extract_all``.
+    Each extracted matrix is freed once its row of the float32 train or test
+    batch is written, so the matrices and both batches are never all held
+    at once. A non-finite loss aborts with DivergenceError naming the epoch
+    and batch, and a split that decode failures leave empty with DataError
+    naming every failure. ``jobs`` must be 1, as in ``extract_all``.
     """
     train_recs, test_recs = split_dataset(records, config)
     train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)
@@ -293,11 +300,11 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
                                          train_fail + test_fail)
 
     profile = compute_normalization(train_mats)
-    x_train = _to_batch_array(train_mats, profile)
+    # the epochs read only the float32 batches: each matrix goes once its row is written
+    x_train = _to_batch_array(train_mats, profile, drop=True)
     y_train = _labels_array(train_recs)
-    x_test = _to_batch_array(test_mats, profile)
+    x_test = _to_batch_array(test_mats, profile, drop=True)
     y_test = _labels_array(test_recs)
-    del train_mats, test_mats  # the epochs read only the float32 batches
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))
     optimizer = RmsProp(lr=config.lr)

@@ -11,7 +11,8 @@ from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
 from affectline.gradcheck import central_diff
 from affectline.nn import (KERNEL, MAX_CONV_CHANNELS, PAD, Conv1d, FullyConnected, MaxPool1d,
-                           Model, ModelSpec, ReLU, RmsProp, ShapeError, he_uniform, softmax_xent)
+                           Model, ModelSpec, PoolGrad, ReLU, RmsProp, ShapeError, he_uniform,
+                           softmax_xent)
 from conftest import run_at_blas_threads
 
 H = 1e-5
@@ -205,6 +206,24 @@ class TestConv1d:
             np.testing.assert_allclose(getattr(layer, name), getattr(oracle, name),
                                        rtol=0, atol=1e-12)
 
+    # the last conv gathers its pooled rows' input windows for 16 output channels
+    # at a time: 1, 2 and 16 blocks
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("out_ch", [4, 17, 256])
+    def test_channel_blocked_pooled_weight_gradient_bit_equal_to_one_einsum(self, out_ch, dtype):
+        rng = np.random.default_rng(out_ch)
+        b, c, t = 25, 96, 30
+        layer = Conv1d(c, out_ch, KERNEL, PAD, rng=rng, dtype=dtype)
+        layer.forward(rng.standard_normal((b, c, t)).astype(dtype))
+        index = rng.integers(0, t, (b, out_ch))
+        value = rng.standard_normal((b, out_ch)).astype(dtype)
+        layer.backward(PoolGrad(index, value, t))
+        at = np.arange(b)[:, None] * (t + 2 * PAD) + index
+        want = np.stack([np.einsum("bo,boi->io", value, layer._rows[at + k])
+                         for k in range(KERNEL)])
+        got = np.ascontiguousarray(layer.gw.transpose(2, 1, 0))
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     def test_forward_does_not_mutate_input(self):
         rng = np.random.default_rng(9)
         layer = Conv1d(3, 4, 3, pad=1, rng=rng, dtype=np.float64)
@@ -280,6 +299,23 @@ class TestReluPoolFc:
         np.testing.assert_array_equal(dx, np.array([[[0.0, 1.0, 0.0, 0.0],
                                                      [5.0, 0.0, 0.0, 0.0]]]))
         assert dx.strides == x.strides
+
+    # the backward takes the argmax one item at a time; ties, all-zero channels (a
+    # ReLU's dead ones) and T 1 must route exactly as one argmax over the whole array
+    @pytest.mark.parametrize("t", [1, 2, 37])
+    def test_pool_argmax_bit_equal_to_whole_array_argmax(self, t):
+        rng = np.random.default_rng(t)
+        x = np.maximum(rng.integers(-1, 3, (5, 7, t)), 0).astype(np.float32)
+        x[:, 2], x[3] = 0, 0
+        # channels-last memory, as the ReLU after a conv hands it over
+        x = np.ascontiguousarray(x.transpose(0, 2, 1)).transpose(0, 2, 1)
+        if t > 1:
+            assert ((x == x.max(axis=2, keepdims=True)).sum(axis=2) > 1).all(axis=0).any()
+        layer = MaxPool1d()
+        layer.forward(x)
+        index = layer.backward(np.ones((5, 7), dtype=np.float32)).index
+        want = np.ascontiguousarray(x).argmax(axis=2)
+        assert index.dtype == want.dtype and index.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("seed", range(10))
     def test_fc_gradients_match_finite_differences(self, seed):
@@ -703,6 +739,24 @@ def trained_like(spec, seed):
 
 
 ONE_CONV = ModelSpec(conv_channels=(10,))
+# widths that fall: earlier convs' input gradients are wider than the last two
+# activations, so the backward widens those buffers
+DECREASING = ModelSpec(conv_channels=(256, 128, 64, 32, 16, 8))
+
+
+def layers_run_alone(model, x, grad_logits):
+    """Logits and parameter gradients of ``model``'s own layers chained standalone:
+    each conv copies its input and allocates its output and gradient rows, each
+    ReLU allocates its output, and no buffer is shared."""
+    h = x
+    for conv, relu in zip(model.convs, model.relus):
+        h = relu.forward(conv.forward(h))
+    logits = model.fc.forward(model.pool.forward(h))
+    g = model.pool.backward(model.fc.backward(grad_logits))
+    for conv, relu in zip(reversed(model.convs), reversed(model.relus)):
+        g = conv.backward(relu.backward(g))
+    return logits, {f"{name}.{p}": getattr(layer, "g" + p)
+                    for name, layer in model._layers() for p in "wb"}
 
 
 class TestArenaOracle:
@@ -748,18 +802,44 @@ class TestArenaOracle:
             else:
                 assert got[name].tobytes() == want[name].tobytes(), name
 
-    @pytest.mark.parametrize("spec", [SMALL, ModelSpec()], ids=["small", "default"])
+    @pytest.mark.parametrize("spec", [SMALL, ModelSpec(), DECREASING, ONE_CONV],
+                             ids=["small", "default", "decreasing", "one_conv"])
     def test_logits_after_a_backward_bit_equal_to_a_fresh_models(self, spec):
-        # the backward writes the last conv's output gradient over the pool's
-        # input: no later forward, at the arena's batch or a smaller one, reads it
-        model = trained_like(spec, 50)
+        # the backward writes its gradients over the last two activation buffers (the
+        # model's input too, with one conv): no later forward, at the arena's batch or
+        # a smaller one, reads a row of them it has not written. At T 3 every pooled
+        # step is next to a pad row, so a stale pad row moves the logits
+        model, fresh = trained_like(spec, 50), trained_like(spec, 50)
         rng = np.random.default_rng(51)
-        x = rng.standard_normal((25, 41, 300)).astype(np.float32)
-        model.forward(x)
-        model.backward(rng.standard_normal((25, 6)).astype(np.float32))
-        for b in (25, 7):
+        for t in (300, 3):
+            x = rng.standard_normal((25, 41, t)).astype(np.float32)
+            model.forward(x)
+            model.backward(rng.standard_normal((25, 6)).astype(np.float32))
+            for b in (25, 7):
+                x = rng.standard_normal((b, 41, t)).astype(np.float32)
+                assert model.forward(x).tobytes() == fresh.forward(x).tobytes(), (t, b)
+
+    # every buffer a model shares between layers, and every row a forward leaves
+    # from an earlier step, must leave the bytes of a fresh, unshared chain
+    @pytest.mark.parametrize("spec", [ModelSpec(), SMALL, DECREASING, ONE_CONV],
+                             ids=["default", "small", "decreasing", "one_conv"])
+    def test_model_backward_bit_equal_to_its_layers_run_alone(self, spec):
+        model, alone = trained_like(spec, 60), trained_like(spec, 60)
+        optimizers = RmsProp(lr=1e-3), RmsProp(lr=1e-3)
+        rng = np.random.default_rng(61)
+        for b in (25, 7):  # the second step reuses the leading rows of the first's arena
             x = rng.standard_normal((b, 41, 300)).astype(np.float32)
-            assert model.forward(x).tobytes() == trained_like(spec, 50).forward(x).tobytes(), b
+            logits = model.forward(x)
+            _, grad = softmax_xent(logits, rng.integers(0, 6, b))
+            grad = (grad / b).astype(np.float32)
+            got = model.backward(grad)
+            want_logits, want = layers_run_alone(alone, x, grad)
+            assert logits.tobytes() == want_logits.tobytes(), b
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (b, name)
+            optimizers[0].step(model.parameters(), got)
+            optimizers[1].step(alone.parameters(), want)
 
     def test_float64_model_matches_the_oracle(self):
         model = Model(SMALL, seed=5, dtype=np.float64)
@@ -789,19 +869,39 @@ class TestArenaMemory:
             if was_enabled:
                 gc.enable()
 
-    @pytest.mark.parametrize("spec, widths", [(ModelSpec(), [128, 256]), (ONE_CONV, [41, 0])],
-                             ids=["default", "one_conv"])
-    def test_gradient_buffers_hold_the_widest_input_gradient_of_their_parity(self, spec,
-                                                                             widths):
-        # buffer j holds conv i's input gradient for i = j (mod 2): 41, 64 and 128
-        # channels, then 64, 128 and 256 at the default spec; the last conv's output
-        # gradient goes into the pool's input, so no buffer is 256 wide for it
+    # the backward keeps its gradients in the last two activation buffers, each as
+    # wide as the widest matrix it holds: at DECREASING, conv6's input gradient and
+    # those of conv4 and conv2 (16, 64 and 256 channels) over conv6's input, and
+    # those of conv5, conv3 and conv1 (32, 128 and 41) over the pool's 8-wide input
+    @pytest.mark.parametrize("spec, widths", [
+        (ModelSpec(), [41, 64, 64, 128, 128, 256, 256]),
+        (DECREASING, [41, 256, 128, 64, 32, 256, 128]),
+        (ONE_CONV, [41, 10])], ids=["default", "decreasing", "one_conv"])
+    def test_arena_holds_only_the_activations(self, spec, widths):
         model = Model(spec, seed=0)
         b, t = 25, 300
         model.forward(np.zeros((b, 41, t), dtype=np.float32))
         model.backward(np.ones((b, 6), dtype=np.float32))
-        rows = b * (t + 2 * PAD) + KERNEL - 1
-        assert [g.size for g in model._arena.grads] == [rows * w for w in widths]
+        arena, rows = model._arena, b * (t + 2 * PAD)
+        assert sorted(vars(arena)) == ["acts", "b", "t"]
+        spare = [PAD] * (len(widths) - 2) + [KERNEL - 1] * 2  # for the gradients' zero rows
+        assert [a.shape for a in arena.acts] == [(rows + s, w) for s, w in zip(spare, widths)]
+
+    def test_first_train_step_peak_memory(self):
+        # the step allocates the arena, 28.3 MB of activation buffers at B 25, T 300:
+        # 31.9 MB at the peak (numpy 2.4), 47.4 MB with two gradient buffers besides
+        model = Model(ModelSpec(), seed=0)
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((25, 41, 300)).astype(np.float32)
+        grad = (rng.standard_normal((25, 6)) / 25).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model.forward(x)
+            model.backward(grad)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 34e6
 
     def test_warm_train_step_peak_memory(self):
         # the dense model before the arena peaked at 88.4 MB on this step
@@ -819,7 +919,9 @@ class TestArenaMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 20e6  # 13.0 MB with the arena
+        # 3.6 MB with the gradients in the arena; 7.8 MB with two gradient buffers and
+        # the pool's argmax over a copy of its whole input
+        assert peak < 6e6
 
 
 STEP_GRADIENTS = """\

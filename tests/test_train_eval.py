@@ -187,7 +187,7 @@ class TestTrain:
             assert not np.allclose(got, getattr(every, stat), rtol=1e-6, atol=0)
 
     def test_one_conv_spec_trains_and_evaluates(self, synthetic_corpus):
-        # one conv leaves the arena's second gradient buffer empty
+        # with one conv, the backward writes its input gradient over the model's input
         _, records = synthetic_corpus
         ckpt, metrics = train(records, ModelSpec(conv_channels=(8,)),
                               TrainConfig(epochs=2, seed=3), TINY_SETTINGS)
@@ -216,6 +216,23 @@ class TestTrain:
                 tracemalloc.stop()
         # 2.2 MB against a bound of 3.5 MB; 4.5 MB while train() kept the matrices
         assert peaks[1] - peaks[0] <= bounds[1] - bounds[0]
+
+    def test_batch_build_never_holds_every_matrix_and_both_batches(self, tmp_path):
+        # 150 one-second clips at T 300, no epoch and a one-conv model, so building the
+        # batches sets the peak: the extracted matrices and the two float32 batches are
+        # N x 49 KB each, and train() frees each matrix once its batch row is written
+        records = build_synthetic_corpus(tmp_path, per_class=25)
+        matrices = extract_all(records, FeatureSettings())[1]
+        every = sum(m.values.nbytes for m in matrices) + len(records) * N_FEATURE_ROWS * 300 * 4
+        del matrices
+        tracemalloc.start()
+        try:
+            train(records, ModelSpec(conv_channels=(8,)), TrainConfig(epochs=0, seed=5))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # 13.4 MB against 14.8 MB; 14.9 MB while train() held every matrix to the end
+        assert peak < every
 
     def test_deterministic_metrics_and_params(self, synthetic_corpus):
         _, records = synthetic_corpus
