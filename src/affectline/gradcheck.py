@@ -88,6 +88,27 @@ def check_conv(seed: int) -> float:
     return worst
 
 
+def check_pooled_conv(seed: int) -> float:
+    """Conv1d -> ReLU -> MaxPool1d: the input, weight and bias gradients of a
+    conv whose output gradient comes from a global max pool as (time step,
+    value) pairs."""
+    rng = np.random.default_rng(seed)
+    conv, relu, pool = Conv1d(3, 4, 3, pad=1, rng=rng, dtype=np.float64), ReLU(), MaxPool1d()
+    for _ in range(50):
+        x = rng.uniform(-1.0, 1.0, size=(2, 3, 10))
+        if _relu_margin([conv], x) > _MARGIN:
+            break
+    u = rng.uniform(-1.0, 1.0, size=(2, 4))
+
+    def loss():
+        return float(np.sum(pool.forward(relu.forward(conv.forward(x))) * u))
+
+    loss()  # the forward the backward reads
+    grad_in = conv.backward(relu.backward(pool.backward(u)))
+    return max(max_rel_error(analytic, central_diff(loss, tensor))
+               for analytic, tensor in ((grad_in, x), (conv.gw, conv.w), (conv.gb, conv.b)))
+
+
 def check_relu(seed: int) -> float:
     rng = np.random.default_rng(seed)
     layer = ReLU()
@@ -132,13 +153,14 @@ def _pool_margin(x: np.ndarray) -> float:
     return float(np.min(ordered[..., -1] - ordered[..., -2]))
 
 
-def _relu_margin(model: Model, x: np.ndarray) -> float:
+def _relu_margin(convs, x: np.ndarray) -> float:
+    """The margin of a conv/ReLU stack's pre-activations and of its global max pool."""
     h = x
     margin = np.inf
-    for conv, relu in zip(model.convs, model.relus):
+    for conv in convs:
         z = conv.forward(h)
         margin = min(margin, float(np.min(np.abs(z))))
-        h = relu.forward(z)
+        h = np.maximum(z, 0)
     return min(margin, _pool_margin(h))
 
 
@@ -153,7 +175,7 @@ def check_full_model(seed: int) -> float:
     targets = rng.integers(0, len(EMOTIONS), size=2)
     for _ in range(50):
         x = rng.uniform(-1.0, 1.0, size=(2, N_FEATURE_ROWS, SMALL_FRAMES))
-        if _relu_margin(model, x) > _MARGIN:
+        if _relu_margin(model.convs, x) > _MARGIN:
             break
 
     def loss():
@@ -172,6 +194,7 @@ def check_full_model(seed: int) -> float:
 
 _CHECKS = (
     ("conv1d", check_conv),
+    ("pooled_conv", check_pooled_conv),
     ("relu", check_relu),
     ("maxpool1d", check_maxpool),
     ("fully_connected", check_fc),

@@ -12,8 +12,9 @@ arena and nothing else: each conv writes its GEMMs straight into the
 next layer's, the ReLUs work in place, and the backward pass writes each
 gradient over one of the last two activations, which it no longer needs
 by then. The global max pool's gradient is one (time step, value) pair
-per item and channel (``PoolGrad``), and the last conv sums its weight
-gradient over only the rows those pairs name. No autograd: every layer
+per item and channel (``PoolGrad``): the last conv sums its weight
+gradient over only the rows those pairs name and scatters its input
+gradient from them, with no GEMM. No autograd: every layer
 caches what its hand-derived backward pass needs on ``self`` (in a
 model, views of the arena), so one layer or model instance must not run
 forwards concurrently. Training math is float32; gradient checks run the same
@@ -89,7 +90,8 @@ class Conv1d:
     follow each other in memory, so each phase s is one GEMM over a plain
     reshape of F, written to every kernel-th output row. The input
     gradient is the same product over the output gradient with kernel - 1
-    zero rows in front, times the tap-reversed stacked weight.
+    zero rows in front, times the tap-reversed stacked weight; a
+    ``PoolGrad`` output gradient is scattered instead (``_pooled_backward``).
 
     ``taps`` (kernel, C_in, C_out) holds the weight in the layout these
     GEMMs read; ``w`` is its (C_out, C_in, kernel) view, and ``gw`` is laid
@@ -99,11 +101,12 @@ class Conv1d:
     output. ``Model`` passes its arena's buffers instead: ``x_rows`` is
     the F that ``x`` is the interior of, and ``out`` the (B*(T + 2*pad),
     C_out) matrix to write. With pad = (kernel - 1) // 2, ``out`` shifted
-    down by ``pad`` rows is the next layer's F. ``backward`` takes its
+    down by ``pad`` rows is the next layer's F. ``backward`` takes a dense
     output gradient in the same layout after kernel - 1 rows it zeroes,
     ``g_rows`` (kernel - 1 + B*(T + 2*pad), C_out), and writes the input
-    gradient's padded rows into ``out``. A ``PoolGrad`` is scattered into
-    ``g_rows``, and its weight gradient sums only the rows it names.
+    gradient's padded rows into ``out``. A ``PoolGrad`` needs no
+    ``g_rows``: its input gradient is scattered into ``out`` and its weight
+    gradient sums only the rows it names.
     """
 
     def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int = 0, *,
@@ -157,16 +160,16 @@ class Conv1d:
         n, t_out = max(b * tp - k + 1, 0), tp - k + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
-        pooled = isinstance(grad_out, PoolGrad)
-        if g_rows is None:
-            g_rows = np.empty((k - 1 + b * tp, self.out_ch), dtype=grad_out.dtype)
-            if not pooled:
+        dxp = np.empty((b * tp, c), dtype=np.result_type(grad_out.dtype, self.taps)) \
+            if out is None else out
+        if isinstance(grad_out, PoolGrad):
+            gw, self.gb = self._pooled_backward(grad_out, dxp)
+        else:
+            if g_rows is None:
+                g_rows = np.empty((k - 1 + b * tp, self.out_ch), dtype=grad_out.dtype)
                 g_rows[k - 1:].reshape(b, tp, self.out_ch)[:, :t_out] = \
                     grad_out.transpose(0, 2, 1)
-        g = g_rows[k - 1:]
-        if pooled:
-            gw, self.gb = self._pooled_backward(grad_out, g_rows)
-        else:
+            g = g_rows[k - 1:]
             # the rows in front of g and the rows whose window straddles two items
             g_rows[:b * tp].reshape(b, tp, self.out_ch)[:, :k - 1] = 0
             g_rows[b * tp:] = 0
@@ -176,53 +179,55 @@ class Conv1d:
                 for s0 in range(0, len(cols), GRAD_BLOCK_ROWS):
                     gw += cols[s0:s0 + GRAD_BLOCK_ROWS].T @ g_phase[s0:s0 + GRAD_BLOCK_ROWS]
             self.gb = g.sum(axis=0)
+            w = np.ascontiguousarray(self.taps[::-1].transpose(0, 2, 1)).reshape(-1, c)
+            for rows, cols in self._phases(g_rows, b * tp):
+                np.matmul(cols, w, out=dxp[rows])
         self.gw = gw.reshape(k, c, self.out_ch).transpose(2, 1, 0)
-        dxp = np.empty((b * tp, c), dtype=np.result_type(g, self.taps)) if out is None else out
-        w = np.ascontiguousarray(self.taps[::-1].transpose(0, 2, 1)).reshape(-1, c)
-        for rows, cols in self._phases(g_rows, b * tp):
-            np.matmul(cols, w, out=dxp[rows])
         return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
 
-    def _pooled_backward(self, grad: PoolGrad, g_rows: np.ndarray) -> tuple:
-        """Scatter an output gradient that is non-zero at one time step per
-        (item, channel) into ``g_rows``, whose input gradient then follows as
-        for a dense one, and return the weight gradient in ``taps``' layout
-        and the bias gradient. The weight gradient sums B products per entry
-        instead of B*(T + 2*pad), so it rounds differently from the dense one.
-        It gathers the input windows of ``POOL_GATHER_CHANNELS`` output
-        channels at a time; each entry is still one sum over the items in
-        order, so the blocks do not change its bytes."""
+    def _pooled_backward(self, grad: PoolGrad, dxp: np.ndarray) -> tuple:
+        """Backpropagate an output gradient that is non-zero at one time step
+        per (item, channel): write the input gradient's padded rows into
+        ``dxp`` and return the weight gradient in ``taps``' layout and the
+        bias gradient. Output row r reads input rows r..r + kernel - 1, so
+        each pair scatters its value times the channel's taps into those
+        rows, one channel after another in order: a channel's B*kernel rows
+        never collide, and no BLAS runs. The weight gradient sums B products
+        per entry instead of B*(T + 2*pad), so it rounds differently from
+        the dense one. The layer copies its weight and gathers the input
+        windows of ``POOL_GATHER_CHANNELS`` output channels at a time; each
+        entry is still one sum over the items in order, so the blocks do not
+        change its bytes."""
         b, _, t = self._in_shape
-        at = np.arange(b)[:, None] * (t + 2 * self.pad) + grad.index  # (B, C_out) row of g
-        g_rows[...] = 0
-        g_rows[self.kernel - 1 + at, np.arange(self.out_ch)] = grad.value
+        at = np.arange(b)[:, None] * (t + 2 * self.pad) + grad.index  # (B, C_out) output row
         gw = np.empty((self.kernel, self.in_ch, self.out_ch),
                       dtype=np.result_type(grad.value, self._rows))
+        dxp[...] = 0
         for o in range(0, self.out_ch, POOL_GATHER_CHANNELS):
             block = slice(o, o + POOL_GATHER_CHANNELS)
             for k in range(self.kernel):  # einsum returns each tap transposed
                 gw[k, :, block] = np.einsum("bo,boi->io", grad.value[:, block],
                                             self._rows[at[:, block] + k])
+            taps = np.ascontiguousarray(self.taps[:, :, block].transpose(2, 0, 1))
+            rows = at[:, block, None] + np.arange(self.kernel)  # (B, block, kernel)
+            for j, w in enumerate(taps):
+                dxp[rows[:, j]] += grad.value[:, o + j, None, None] * w
         return gw, grad.value.sum(axis=0) + 0.0  # no -0.0 sum, as over the dense rows
 
 
 class ReLU:
     """max(x, 0). ``Model`` passes ``out=x`` to both calls, so they work in
-    place, and passes the backward the ``mask()`` it took before the memory
-    of y was overwritten."""
+    place; y must be unchanged between them."""
 
     def forward(self, x: np.ndarray, out=None) -> np.ndarray:
         self._y = np.maximum(x, 0, out=out)
         return self._y
 
-    def mask(self) -> np.ndarray:
-        return self._y > 0  # y > 0 exactly where x > 0
-
-    def backward(self, grad_out, out=None, mask=None):
+    def backward(self, grad_out, out=None):
         if isinstance(grad_out, PoolGrad):  # the mask at the pooled steps; no ``out``
             y = np.take_along_axis(self._y, grad_out.index[..., None], axis=2)[..., 0]
             return PoolGrad(grad_out.index, grad_out.value * (y > 0), grad_out.t)
-        return np.multiply(grad_out, self.mask() if mask is None else mask, out=out)
+        return np.multiply(grad_out, self._y > 0, out=out)  # y > 0 exactly where x > 0
 
 
 class MaxPool1d:
@@ -356,11 +361,12 @@ class _Arena:
     the backward pass keeps its gradients in the last two buffers, the
     pool's input ``acts[-1]`` and the last conv's input ``acts[-2]``, which
     it no longer needs as activations by then (see ``Model.backward``), so
-    every forward rewrites each row it reads. Those two have KERNEL - 1
-    spare rows, for the zero rows a conv's input gradient reads in front
-    of its output gradient, and each is as wide as the widest matrix it
-    holds; that is its activation's width at a spec whose widths never
-    decrease, such as the default. ``rows(i, c, n)`` reads buffer i's memory
+    every forward rewrites each row it reads but the model input's pad rows,
+    which no backward writes. Those two have KERNEL - 1 spare rows, for the
+    zero rows a conv's input gradient reads in front of its output
+    gradient, and each is as wide as the widest matrix it holds; that is
+    its activation's width at a spec whose widths never decrease, such as
+    the default. ``rows(i, c, n)`` reads buffer i's memory
     as n rows of width c. The arena holds no reference to its model or
     layers, so it dies with the model.
     """
@@ -370,8 +376,8 @@ class _Arena:
         rows, n = b * (t + 2 * PAD), len(widths) - 1
         self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths[:n - 1]]
         # buffer i also holds the input gradients of convs i - 1, i - 3, ...
-        self.acts += [np.zeros((rows + KERNEL - 1, max(widths[i::-2])), dtype=dtype)
-                      for i in (n - 1, n)]
+        self.acts += [np.zeros((rows + KERNEL - 1, max((widths[i], *widths[:i][::-2]))),
+                               dtype=dtype) for i in (n - 1, n)]
 
     def rows(self, i: int, c: int, n: int) -> np.ndarray:
         """The first n*c values of ``acts[i]`` as an (n, c) matrix."""
@@ -385,13 +391,13 @@ class Model:
     The model owns one ``_Arena`` sized for the largest batch and the
     current T it has seen, and computes in its dtype. Each conv writes its
     GEMMs straight into the next layer's zero-padded buffer, each ReLU
-    works in place, and backward scatters the pooled gradient into the
-    pool's input and then writes each conv's input gradient over the last
-    conv's input or the pool's, in turn; so a train step allocates little
-    beyond the parameter gradients, the ReLU masks and conv6's gathered
-    input windows. The global max pool sends gradient to one time step per
-    (item, channel), and conv6's weight gradient sums over only those rows
-    (see ``Conv1d._pooled_backward``).
+    works in place, and backward writes each conv's input gradient over
+    the pool's input or the last conv's, in turn; so a train step
+    allocates little beyond the parameter gradients, one ReLU mask at a
+    time and conv6's gathered input windows. The global max pool sends
+    gradient to one time step per (item, channel): conv6's weight gradient
+    sums over only those rows, and its input gradient is scattered from
+    them (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic. A row's
     logits are bit-equal at any batch size where BLAS rounds a GEMM row
@@ -442,7 +448,6 @@ class Model:
         self._batch = b, t
         tp = t + 2 * PAD
         padded = arena.rows(0, N_FEATURE_ROWS, b * tp).reshape(b, tp, N_FEATURE_ROWS)
-        padded[:, :PAD] = padded[:, PAD + t:] = 0  # a one-conv backward writes over them
         h = padded[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
         x_rows = padded.reshape(b * tp, N_FEATURE_ROWS)
@@ -457,23 +462,21 @@ class Model:
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits) of the last forward.
 
-        A backward consumes its forward's last two activations. Once the pool
-        has taken its argmax and the last ReLU its mask, the last conv's output
-        gradient is scattered over the pool's input. Conv i's input gradient
-        then goes over the last conv's input for n - 1 - i even and over the
-        pool's input for n - 1 - i odd (n convs): the last conv reads its
-        input for its weight gradient before it writes its input gradient
-        there, and the ReLU before it masks with the ``mask()`` taken before
-        that write. So a second backward needs a new forward.
+        A backward consumes its forward's last two activations. Conv i's input
+        gradient goes over the pool's input for n - 1 - i even and over the
+        last conv's input for n - 1 - i odd (n convs): the last conv's lands
+        on the pool's input once the pool has taken its argmax and the last
+        ReLU its mask at the pooled steps, and the next one on the last conv's
+        input once that conv has read it for its weight gradient and the ReLU
+        before it has masked with it. So a second backward needs a new forward.
         """
         arena, (b, t) = self._arena, self._batch
         n, rows = len(self.convs), KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward
         g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
-        masks = {n - 2: self.relus[-2].mask()} if n > 1 else {}  # of acts[-2]; freed once used
-        g_rows = arena.rows(n, self._widths[n], rows)  # read by the last ReLU before it is written
+        g_rows = None  # the last conv's output gradient is a PoolGrad
         for i in reversed(range(n)):
-            g = self.relus[i].backward(g, out=g, mask=masks.pop(i, None))
-            dx_rows = arena.rows(n - 1 + (n - 1 - i) % 2, self._widths[i], rows)
+            g = self.relus[i].backward(g, out=g)
+            dx_rows = arena.rows(n - (n - 1 - i) % 2, self._widths[i], rows)
             g = self.convs[i].backward(g, g_rows, out=dx_rows[KERNEL - 1 - PAD:rows - PAD])
             g_rows = dx_rows
         return {f"{name}.{p}": getattr(layer, "g" + p)

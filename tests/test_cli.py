@@ -888,7 +888,7 @@ class TestGradcheckCommand:
         code = main(["gradcheck", "--seed", "7", "--n-seeds", "2"])
         out = capsys.readouterr().out
         assert code == 0
-        for name in ("conv1d", "relu", "maxpool1d", "fully_connected",
+        for name in ("conv1d", "pooled_conv", "relu", "maxpool1d", "fully_connected",
                      "softmax_xent", "full_model"):
             assert name in out
         assert "FAIL" not in out
