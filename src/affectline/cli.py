@@ -95,6 +95,18 @@ def _report_decode_failures(failures) -> None:
         print(f"decode failures: {len(failures)}", file=sys.stderr)
 
 
+def _load_manifest(cfg: RunConfig):
+    """``cfg``'s manifest, once each row it drops is named on stderr and the
+    rows whose labels map to OTHER are counted there."""
+    result = session_mod.load_manifest(_require(cfg, "manifest"))
+    for line, message in result.row_errors:
+        print(f"manifest line {line}: {message}", file=sys.stderr)
+    if result.unknown_label_count:
+        print(f"{result.unknown_label_count} rows with unknown source labels "
+              "mapped to OTHER", file=sys.stderr)
+    return result
+
+
 def cmd_train(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
     spec, config, settings = cfg.model_spec(), cfg.train_config(), cfg.feature_settings()
@@ -136,12 +148,7 @@ def cmd_eval(args, cfg: RunConfig) -> int:
 def cmd_classify(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
     ckpt = load_checkpoint(_require(cfg, "checkpoint"))
-    result = session_mod.load_manifest(_require(cfg, "manifest"))
-    for line, message in result.row_errors:
-        print(f"manifest line {line}: {message}", file=sys.stderr)
-    if result.unknown_label_count:
-        print(f"{result.unknown_label_count} rows with unknown source labels "
-              "mapped to OTHER", file=sys.stderr)
+    result = _load_manifest(cfg)
     sessions: dict[str, list] = {}
     for record in result.records:
         sessions.setdefault(record.session_id, []).append(record)
@@ -197,14 +204,15 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     session_mod.check_session_id(args.session_id)
     records = _corpus_records(cfg)
     _echo_config(cfg, out_dir)  # an unusable --out fails before decoding
-    decoded = []  # (path, label) of each clip that decodes; a chosen one is read again
+    decoded, failures = [], []  # (path, label) of each clip that decodes, read again if chosen
     for path, label in records:
         try:
             read_wav(path)
         except AudioDecodeError as exc:
-            print(f"decode failure: {exc}", file=sys.stderr)
+            failures.append((path, str(exc)))
             continue
         decoded.append((path, label))
+    _report_decode_failures(failures)
     if not decoded:
         raise DataError(f"every matching file under {cfg.corpus} failed to decode")
     rng = np.random.default_rng(seed)
@@ -221,7 +229,7 @@ def cmd_synth(args, cfg: RunConfig) -> int:
 def cmd_audit_manifest(args, cfg: RunConfig) -> int:
     n = _positive_count("--n", args.n)
     seed = cfg.train_config().seed
-    result = session_mod.load_manifest(_require(cfg, "manifest"))
+    result = _load_manifest(cfg)
     fan = session_mod.filter_fan(result.records)
     if not fan:
         raise DataError("manifest has no FAN segments to audit")

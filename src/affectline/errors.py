@@ -22,11 +22,3 @@ class DataError(AffectlineError):
 
 class DivergenceError(AffectlineError):
     """Training produced a non-finite loss."""
-
-    def __init__(self, epoch: int, batch: int, value: float):
-        self.epoch = epoch
-        self.batch = batch
-        self.value = value
-        super().__init__(
-            f"non-finite training loss ({value!r}) at epoch {epoch}, batch {batch}"
-        )

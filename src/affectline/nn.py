@@ -1,24 +1,24 @@
 """Minimal network kernel with explicit backpropagation.
 
 The paper's architecture and nothing else: 1-D convolution over time
-(feature rows are input channels) at stride 1, kernel KERNEL and padding
-PAD, ReLU, one global max pool over time, one fully connected head onto
-the EMOTIONS classes, softmax cross-entropy, and RMSProp. Only the conv
-widths vary (``ModelSpec``). A convolution is one GEMM per phase, the
-output rows r = s (mod kernel), over a plain reshape of its input's
-zero-padded channels-last matrix whose rows are then im2col rows, with
-no columns copied. ``Model`` keeps those matrices in one activation
-arena and nothing else: each conv writes its GEMMs straight into the
-next layer's, the ReLUs work in place, and the backward pass writes each
-gradient over one of the last two activations, which it no longer needs
-by then. The global max pool's gradient is one (time step, value) pair
-per item and channel (``PoolGrad``): the last conv sums its weight
-gradient over only the rows those pairs name and scatters its input
-gradient from them, with no GEMM. No autograd: every layer
-caches what its hand-derived backward pass needs on ``self`` (in a
-model, views of the arena), so one layer or model instance must not run
-forwards concurrently. Training math is float32; gradient checks run the same
-code in float64.
+(feature rows are input channels) at stride 1, KERNEL taps and PAD zero
+rows on each side, so each conv keeps its input length; ReLU, one global
+max pool over time, one fully connected head onto the EMOTIONS classes,
+softmax cross-entropy, and RMSProp. Only the conv widths vary
+(``ModelSpec``). A convolution is one GEMM per phase, the output
+rows r = s (mod KERNEL), over a plain reshape of its input's zero-padded
+channels-last matrix whose rows are then im2col rows, with no columns
+copied. ``Model`` keeps those matrices in one activation arena and
+nothing else: each conv writes its GEMMs straight into the next layer's,
+the ReLUs work in place, and the backward pass writes each gradient over
+one of the last two activations, which it no longer needs by then. The
+global max pool's gradient is one (time step, value) pair per item and
+channel (``PoolGrad``): the last conv sums its weight gradient over only
+the rows those pairs name and scatters its input gradient from them,
+with no GEMM. No autograd: every layer caches what its hand-derived
+backward pass needs on ``self`` (in a model, views of the arena), so one
+layer or model instance must not run forwards concurrently. Training
+math is float32; gradient checks run the same code in float64.
 """
 
 from __future__ import annotations
@@ -31,7 +31,8 @@ from .audio_io import EMOTIONS
 from .errors import AffectlineError, ConfigError
 from .features import N_FEATURE_ROWS, check_sizes
 
-KERNEL, PAD = 3, 1  # of every conv layer in the model: T' = T
+KERNEL = 3  # the taps of every conv layer
+PAD = (KERNEL - 1) // 2  # same padding: each conv's output is as long as its input
 # A conv sums each phase's weight-gradient rows in fixed blocks of this many, so
 # its bytes do not depend on the BLAS thread count: 256 is below the K block at
 # which OpenBLAS 0.3.31 splits a reduction (other builds may split elsewhere).
@@ -78,43 +79,45 @@ class PoolGrad:
 
 
 class Conv1d:
-    """Stride-1 cross-correlation with bias over the time axis.
+    """The model's conv layer: a stride-1 cross-correlation with bias over
+    the time axis, ``KERNEL`` taps wide with ``PAD`` zero rows on each side.
 
-    Input (B, C_in, T) -> output (B, C_out, T'), a transposed view of
-    channels-last memory, with T' = T + 2*pad - kernel + 1. F is the input
-    in a zero-padded channels-last (B*(T + 2*pad), C_in) matrix. Its rows
-    r..r+kernel-1 are kernel*C_in contiguous values, im2col row r, so the
-    output is F's im2col rows times the weight stacked as (kernel*C_in,
-    C_out), at rows b*(T + 2*pad) + j for j < T' (rows straddling two batch
-    items are set to zero). The windows of the rows r = s (mod kernel)
-    follow each other in memory, so each phase s is one GEMM over a plain
-    reshape of F, written to every kernel-th output row. The input
-    gradient is the same product over the output gradient with kernel - 1
-    zero rows in front, times the tap-reversed stacked weight; a
-    ``PoolGrad`` output gradient is scattered instead (``_pooled_backward``).
+    Input (B, C_in, T), T >= 1 -> output (B, C_out, T), a transposed view
+    of channels-last memory. F is the input in a zero-padded channels-last
+    (B*(T + 2*PAD), C_in) matrix. Its rows r..r+KERNEL-1 are KERNEL*C_in
+    contiguous values, im2col row r, so the output is F's im2col rows times
+    the weight stacked as (KERNEL*C_in, C_out), at rows b*(T + 2*PAD) + j
+    for j < T (rows straddling two batch items are set to zero). The
+    windows of the rows r = s (mod KERNEL) follow each other in memory, so
+    each phase s is one GEMM over a plain reshape of F, written to every
+    KERNEL-th output row. The input gradient is the same product over the
+    output gradient with KERNEL - 1 zero rows in front, times the
+    tap-reversed stacked weight; a ``PoolGrad`` output gradient is
+    scattered instead (``_pooled_backward``).
 
-    ``taps`` (kernel, C_in, C_out) holds the weight in the layout these
-    GEMMs read; ``w`` is its (C_out, C_in, kernel) view, and ``gw`` is laid
+    ``taps`` (KERNEL, C_in, C_out) holds the weight in the layout these
+    GEMMs read; ``w`` is its (C_out, C_in, KERNEL) view, and ``gw`` is laid
     out the same way.
 
     Called alone, a layer copies its input into F and allocates its
     output. ``Model`` passes its arena's buffers instead: ``x_rows`` is
-    the F that ``x`` is the interior of, and ``out`` the (B*(T + 2*pad),
-    C_out) matrix to write. With pad = (kernel - 1) // 2, ``out`` shifted
-    down by ``pad`` rows is the next layer's F. ``backward`` takes a dense
-    output gradient in the same layout after kernel - 1 rows it zeroes,
-    ``g_rows`` (kernel - 1 + B*(T + 2*pad), C_out), and writes the input
-    gradient's padded rows into ``out``. A ``PoolGrad`` needs no
-    ``g_rows``: its input gradient is scattered into ``out`` and its weight
-    gradient sums only the rows it names.
+    the F that ``x`` is the interior of, and ``out`` the (B*(T + 2*PAD),
+    C_out) matrix to write, which shifted down by PAD rows is the next
+    layer's F. ``backward`` takes a dense output gradient in the same
+    layout after KERNEL - 1 rows it zeroes, ``g_rows`` (KERNEL - 1 +
+    B*(T + 2*PAD), C_out), and writes the input gradient's padded rows
+    into ``out``. A ``PoolGrad`` needs no ``g_rows``: its input gradient
+    is scattered into ``out`` and its weight gradient sums only the rows
+    it names.
     """
 
-    def __init__(self, in_ch: int, out_ch: int, kernel: int, pad: int = 0, *,
+    kernel = KERNEL  # for code that reads a layer's geometry, like perfbench's FLOP count
+
+    def __init__(self, in_ch: int, out_ch: int, *,
                  rng: np.random.Generator | None = None, dtype=np.float32):
         self.in_ch, self.out_ch = in_ch, out_ch
-        self.kernel, self.pad = kernel, pad
         rng = rng or np.random.default_rng(0)
-        w = he_uniform(rng, (out_ch, in_ch, kernel), in_ch * kernel, dtype)
+        w = he_uniform(rng, (out_ch, in_ch, KERNEL), in_ch * KERNEL, dtype)
         self.taps = np.ascontiguousarray(w.transpose(2, 1, 0))
         self.w = self.taps.transpose(2, 1, 0)
         self.b = np.zeros(out_ch, dtype=dtype)
@@ -122,43 +125,37 @@ class Conv1d:
 
     def _phases(self, rows: np.ndarray, n: int):
         """(output rows, im2col rows) of each phase s: the rows r < n with
-        r = s (mod kernel), and rows[r:r + kernel] of each as one row, a
-        view of ``rows``' memory."""
-        k, c = self.kernel, rows.shape[1]
+        r = s (mod KERNEL), and rows[r:r + KERNEL] of each as one row, a
+        view of ``rows``' memory. There are none for n <= 0 (B = 0)."""
+        k, c = KERNEL, rows.shape[1]
         flat = rows.reshape(-1)
         for s in range(min(k, n)):
             m = (n - s + k - 1) // k
             yield slice(s, n, k), flat[s * c:(s + k * m) * c].reshape(m, k * c)
 
     def forward(self, x: np.ndarray, x_rows=None, out=None) -> np.ndarray:
-        if x.ndim != 3:
-            raise ShapeError(f"conv expects (B, C, T) input, got shape {x.shape}")
+        if x.ndim != 3 or x.shape[1] != self.in_ch or x.shape[2] < 1:
+            raise ShapeError(f"conv expects (B, {self.in_ch}, T >= 1) input, got shape {x.shape}")
         b, c, t = x.shape
-        if c != self.in_ch:
-            raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
-        if t + 2 * self.pad < self.kernel:
-            raise ShapeError(f"input length {t} too short for kernel {self.kernel}")
-        tp = t + 2 * self.pad
+        tp = t + 2 * PAD
         if x_rows is None:
             x_rows = np.zeros((b * tp, c), dtype=x.dtype)
-            x_rows.reshape(b, tp, c)[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
-        n, t_out = max(b * tp - self.kernel + 1, 0), tp - self.kernel + 1  # n = 0 at B = 0
+            x_rows.reshape(b, tp, c)[:, PAD:PAD + t] = x.transpose(0, 2, 1)
         y = np.empty((b * tp, self.out_ch), dtype=np.result_type(x_rows, self.taps)) \
             if out is None else out
         w = self.taps.reshape(-1, self.out_ch)
-        for rows, cols in self._phases(x_rows, n):
+        for rows, cols in self._phases(x_rows, b * tp - KERNEL + 1):
             np.matmul(cols, w, out=y[rows])
         self._rows, self._in_shape = x_rows, (b, c, t)
         y = y.reshape(b, tp, self.out_ch)
-        y[:, :t_out] += self.b
-        y[:, t_out:] = 0
-        return y[:, :t_out].transpose(0, 2, 1)
+        y[:, :t] += self.b
+        y[:, t:] = 0
+        return y[:, :t].transpose(0, 2, 1)
 
     def backward(self, grad_out, g_rows=None, out=None):
         b, c, t = self._in_shape
-        k, tp = self.kernel, t + 2 * self.pad
-        n, t_out = max(b * tp - k + 1, 0), tp - k + 1
-        if grad_out.shape != (b, self.out_ch, t_out):
+        k, tp = KERNEL, t + 2 * PAD
+        if grad_out.shape != (b, self.out_ch, t):
             raise ShapeError("grad_out shape does not match forward output")
         dxp = np.empty((b * tp, c), dtype=np.result_type(grad_out.dtype, self.taps)) \
             if out is None else out
@@ -167,14 +164,13 @@ class Conv1d:
         else:
             if g_rows is None:
                 g_rows = np.empty((k - 1 + b * tp, self.out_ch), dtype=grad_out.dtype)
-                g_rows[k - 1:].reshape(b, tp, self.out_ch)[:, :t_out] = \
-                    grad_out.transpose(0, 2, 1)
+                g_rows[k - 1:].reshape(b, tp, self.out_ch)[:, :t] = grad_out.transpose(0, 2, 1)
             g = g_rows[k - 1:]
             # the rows in front of g and the rows whose window straddles two items
             g_rows[:b * tp].reshape(b, tp, self.out_ch)[:, :k - 1] = 0
             g_rows[b * tp:] = 0
             gw = np.zeros((k * c, self.out_ch), dtype=np.result_type(g, self._rows))
-            for rows, cols in self._phases(self._rows, n):
+            for rows, cols in self._phases(self._rows, b * tp - k + 1):
                 g_phase = g[rows]
                 for s0 in range(0, len(cols), GRAD_BLOCK_ROWS):
                     gw += cols[s0:s0 + GRAD_BLOCK_ROWS].T @ g_phase[s0:s0 + GRAD_BLOCK_ROWS]
@@ -183,33 +179,33 @@ class Conv1d:
             for rows, cols in self._phases(g_rows, b * tp):
                 np.matmul(cols, w, out=dxp[rows])
         self.gw = gw.reshape(k, c, self.out_ch).transpose(2, 1, 0)
-        return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
+        return dxp.reshape(b, tp, c)[:, PAD:PAD + t].transpose(0, 2, 1)
 
     def _pooled_backward(self, grad: PoolGrad, dxp: np.ndarray) -> tuple:
         """Backpropagate an output gradient that is non-zero at one time step
         per (item, channel): write the input gradient's padded rows into
         ``dxp`` and return the weight gradient in ``taps``' layout and the
-        bias gradient. Output row r reads input rows r..r + kernel - 1, so
+        bias gradient. Output row r reads input rows r..r + KERNEL - 1, so
         each pair scatters its value times the channel's taps into those
-        rows, one channel after another in order: a channel's B*kernel rows
+        rows, one channel after another in order: a channel's B*KERNEL rows
         never collide, and no BLAS runs. The weight gradient sums B products
-        per entry instead of B*(T + 2*pad), so it rounds differently from
+        per entry instead of B*(T + 2*PAD), so it rounds differently from
         the dense one. The layer copies its weight and gathers the input
         windows of ``POOL_GATHER_CHANNELS`` output channels at a time; each
         entry is still one sum over the items in order, so the blocks do not
         change its bytes."""
         b, _, t = self._in_shape
-        at = np.arange(b)[:, None] * (t + 2 * self.pad) + grad.index  # (B, C_out) output row
-        gw = np.empty((self.kernel, self.in_ch, self.out_ch),
+        at = np.arange(b)[:, None] * (t + 2 * PAD) + grad.index  # (B, C_out) output row
+        gw = np.empty((KERNEL, self.in_ch, self.out_ch),
                       dtype=np.result_type(grad.value, self._rows))
         dxp[...] = 0
         for o in range(0, self.out_ch, POOL_GATHER_CHANNELS):
             block = slice(o, o + POOL_GATHER_CHANNELS)
-            for k in range(self.kernel):  # einsum returns each tap transposed
+            for k in range(KERNEL):  # einsum returns each tap transposed
                 gw[k, :, block] = np.einsum("bo,boi->io", grad.value[:, block],
                                             self._rows[at[:, block] + k])
             taps = np.ascontiguousarray(self.taps[:, :, block].transpose(2, 0, 1))
-            rows = at[:, block, None] + np.arange(self.kernel)  # (B, block, kernel)
+            rows = at[:, block, None] + np.arange(KERNEL)  # (B, block, KERNEL)
             for j, w in enumerate(taps):
                 dxp[rows[:, j]] += grad.value[:, o + j, None, None] * w
         return gw, grad.value.sum(axis=0) + 0.0  # no -0.0 sum, as over the dense rows
@@ -412,7 +408,7 @@ class Model:
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
         rng = np.random.default_rng(seed)
         self._widths = (N_FEATURE_ROWS, *spec.conv_channels)
-        self.convs = [Conv1d(c_in, c_out, KERNEL, PAD, rng=rng, dtype=dtype)
+        self.convs = [Conv1d(c_in, c_out, rng=rng, dtype=dtype)
                       for c_in, c_out in zip(self._widths, self._widths[1:])]
         self.relus = [ReLU() for _ in spec.conv_channels]
         self.pool = MaxPool1d()

@@ -324,7 +324,8 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
             losses, grad = softmax_xent(logits, y_train[sel])
             mean_loss = float(losses.mean())
             if not np.isfinite(mean_loss):
-                raise DivergenceError(epoch, batch_idx, mean_loss)
+                raise DivergenceError(f"non-finite training loss ({mean_loss!r}) at epoch "
+                                      f"{epoch}, batch {batch_idx}")
             grads = model.backward((grad / len(sel)).astype(np.float32))
             optimizer.step(model.parameters(), grads)
             loss_sum += mean_loss * len(sel)

@@ -475,7 +475,9 @@ class TestCorpus:
         out = tmp_path / "synth"
         assert main(["synth", "--corpus", str(root), "--out", str(out),
                      "--n-segments", "3", "--seed", "1"]) == 0
-        assert str(bad) in capsys.readouterr().err  # the one failure is named
+        err = capsys.readouterr().err
+        assert f"decode failure: {bad}: not a RIFF/WAVE file" in err  # the one failure is named
+        assert "decode failures: 1" in err
         truth = (out / "truth.csv").read_text().splitlines()[1:]
         assert truth == ["synthetic-00000,neutral", "synthetic-00001,neutral",
                          "synthetic-00002,neutral"]  # only the decoded clip is used

@@ -985,6 +985,18 @@ class TestAuditCommand:
         assert lines[0] == "segment_id,source_label,audio_path"
         assert len(lines) == 4
 
+    def test_dropped_and_relabelled_rows_named(self, tmp_path, capsys):
+        manifest = tmp_path / "m.csv"
+        manifest.write_text("session_id,segment_id,source_label,audio_path,start_s,end_s\n"
+                            "s,1,FAN,a.wav,0,1\n"
+                            "s,2,FAN,b.wav,zero,1\n"
+                            "s,3,WEIRD,c.wav,0,1\n")
+        assert main(["audit-manifest", "--manifest", str(manifest), "--n", "1"]) == 0
+        captured = capsys.readouterr()
+        assert captured.err.splitlines() == ["manifest line 3: start_s/end_s not numeric",
+                                             "1 rows with unknown source labels mapped to OTHER"]
+        assert captured.out.splitlines()[1].startswith("1,FAN,")
+
 
 class TestCountAndLevelFlags:
     @pytest.mark.parametrize("command, flag, value", [

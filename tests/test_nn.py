@@ -120,48 +120,52 @@ class Im2colConv1d:
 
 class TestConv1d:
     def test_identity_kernel(self):
-        layer = Conv1d(1, 1, 1, pad=0, dtype=np.float64)
-        layer.w[...] = 1.0
+        layer = Conv1d(1, 1, dtype=np.float64)
+        layer.w[...] = 0.0
+        layer.w[0, 0, PAD] = 1.0  # the centre tap
         x = np.random.default_rng(0).standard_normal((2, 1, 7))
         np.testing.assert_array_equal(layer.forward(x), x)
 
     def test_hand_computed_edge_filter(self):
-        layer = Conv1d(1, 1, 3, pad=0, dtype=np.float64)
+        layer = Conv1d(1, 1, dtype=np.float64)
         layer.w[...] = np.array([[[1.0, 0.0, -1.0]]])
         y = layer.forward(np.array([[[1.0, 2.0, 3.0, 4.0]]]))
-        np.testing.assert_array_equal(y, np.array([[[-2.0, -2.0]]]))
-        # minimal input: exactly one full overlap
-        y1 = layer.forward(np.array([[[1.0, 2.0, 3.0]]]))
-        np.testing.assert_array_equal(y1, np.array([[[-2.0]]]))
+        # x[j - 1] - x[j + 1], with a zero on either side
+        np.testing.assert_array_equal(y, np.array([[[-2.0, -2.0, -2.0, 3.0]]]))
 
-    # a stride-s reference is the stride-1 layer sampled at every s-th position
-    @pytest.mark.parametrize("stride,pad", [(1, 0), (1, 1), (2, 0), (2, 2)])
-    def test_matches_nested_loop_reference(self, stride, pad):
-        rng = np.random.default_rng(stride * 10 + pad)
-        layer = Conv1d(3, 2, 3, pad=pad, rng=rng, dtype=np.float64)
-        oracle = DenseConv1d(3, 2, 3, pad=pad, dtype=np.float64)  # the model tests' oracle
+    # rows that straddle two batch items are the failure mode a B=1 grid cannot
+    # see; T 1 and 2 are shorter than the kernel, and B 0 runs no GEMM. A
+    # stride-s reference is the layer sampled at every s-th position.
+    @pytest.mark.parametrize("t", [1, 2, 3, 11])
+    @pytest.mark.parametrize("batch", [0, 1, 3])
+    @pytest.mark.parametrize("stride", [1, 2])
+    def test_matches_nested_loop_reference(self, stride, batch, t):
+        rng = np.random.default_rng(100 * stride + 10 * batch + t)
+        layer = Conv1d(3, 2, rng=rng, dtype=np.float64)
+        oracle = DenseConv1d(3, 2, dtype=np.float64)  # the model tests' oracle
         oracle.w[...] = layer.w
-        x = rng.standard_normal((2, 3, 10))
-        expected = conv_reference(x, layer.w, layer.b, stride, pad)
+        x = rng.standard_normal((batch, 3, t))
+        expected = conv_reference(x, layer.w, layer.b, stride, PAD)
+        assert expected.shape == (batch, 2, len(range(0, t, stride)))
         np.testing.assert_allclose(layer.forward(x)[:, :, ::stride], expected, atol=1e-12)
         np.testing.assert_allclose(oracle.forward(x)[:, :, ::stride], expected, atol=1e-12)
 
-    # rows that straddle two batch items are the failure mode a B=1 grid cannot see.
-    # A stride-s oracle is the stride-1 layer sampled at every s-th position, with
-    # the gradient zero at the positions in between.
-    @pytest.mark.parametrize("batch", [1, 3])
-    @pytest.mark.parametrize("kernel", [1, 3, 5])
-    @pytest.mark.parametrize("pad", [0, 1, 2])
+    # a stride-s oracle is the layer sampled at every s-th position, with the
+    # gradient zero at the positions in between
+    @pytest.mark.parametrize("t", [1, 2, 3, 11])
+    @pytest.mark.parametrize("batch", [0, 1, 3])
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    def test_matches_im2col_oracle(self, stride, pad, kernel, batch):
-        rng = np.random.default_rng(100 * stride + 10 * pad + kernel + batch)
-        layer = Conv1d(4, 5, kernel, pad=pad, rng=rng, dtype=np.float64)
+    def test_matches_im2col_oracle(self, stride, batch, t):
+        rng = np.random.default_rng(1000 * stride + 100 + 10 * batch + t)
+        layer = Conv1d(4, 5, rng=rng, dtype=np.float64)
         layer.b[...] = rng.standard_normal(5)
-        oracle = Im2colConv1d(4, 5, kernel, stride=stride, pad=pad, dtype=np.float64)
+        oracle = Im2colConv1d(4, 5, KERNEL, stride=stride, pad=PAD, dtype=np.float64)
         oracle.w[...], oracle.b[...] = layer.w, layer.b
-        x = rng.standard_normal((batch, 4, 11))
+        x = rng.standard_normal((batch, 4, t))
         y = layer.forward(x)
         y_ref = oracle.forward(x)
+        assert y.shape == (batch, 5, t)
+        assert y_ref.shape == (batch, 5, len(range(0, t, stride)))
         np.testing.assert_allclose(y[:, :, ::stride], y_ref, rtol=0, atol=1e-12)
         u = rng.standard_normal(y_ref.shape)
         g = np.zeros(y.shape)
@@ -178,8 +182,8 @@ class TestConv1d:
     @pytest.mark.parametrize("batch", [1, 3])
     def test_pooled_backward_matches_im2col_oracle(self, batch, ties):
         rng = np.random.default_rng(10 * batch + ties)
-        layer = Conv1d(4, 6, 3, pad=1, dtype=np.float64)
-        oracle = Im2colConv1d(4, 6, 3, pad=1, dtype=np.float64)
+        layer = Conv1d(4, 6, dtype=np.float64)
+        oracle = Im2colConv1d(4, 6, KERNEL, pad=PAD, dtype=np.float64)
         x = rng.standard_normal((batch, 4, 11))
         if ties:  # small integers: outputs repeat, and whole channels die at 0
             layer.w[...] = rng.integers(-1, 2, layer.w.shape)
@@ -213,7 +217,7 @@ class TestConv1d:
     def test_channel_blocked_pooled_weight_gradient_bit_equal_to_one_einsum(self, out_ch, dtype):
         rng = np.random.default_rng(out_ch)
         b, c, t = 25, 96, 30
-        layer = Conv1d(c, out_ch, KERNEL, PAD, rng=rng, dtype=dtype)
+        layer = Conv1d(c, out_ch, rng=rng, dtype=dtype)
         layer.forward(rng.standard_normal((b, c, t)).astype(dtype))
         index = rng.integers(0, t, (b, out_ch))
         value = rng.standard_normal((b, out_ch)).astype(dtype)
@@ -234,8 +238,8 @@ class TestConv1d:
     def test_pooled_input_gradient_bit_equal_to_dense_oracle_in_exact_arithmetic(
             self, b, t, out_ch):
         rng = np.random.default_rng(1000 * b + t + out_ch)
-        layer = Conv1d(5, out_ch, KERNEL, PAD, dtype=np.float64)
-        oracle = DenseConv1d(5, out_ch, KERNEL, PAD, dtype=np.float64)
+        layer = Conv1d(5, out_ch, dtype=np.float64)
+        oracle = DenseConv1d(5, out_ch, dtype=np.float64)
         layer.w[...] = oracle.w[...] = rng.integers(-2, 3, layer.w.shape)
         layer.b[...] = oracle.b[...] = rng.integers(-1, 2, out_ch)
         x = rng.integers(-2, 3, (b, 5, t)).astype(np.float64)
@@ -253,34 +257,38 @@ class TestConv1d:
 
     def test_forward_does_not_mutate_input(self):
         rng = np.random.default_rng(9)
-        layer = Conv1d(3, 4, 3, pad=1, rng=rng, dtype=np.float64)
+        layer = Conv1d(3, 4, rng=rng, dtype=np.float64)
         x = rng.standard_normal((3, 3, 7))
         before = x.copy()
         layer.backward(np.ones_like(layer.forward(x)))
         np.testing.assert_array_equal(x, before)
 
     def test_backward_zero_grad(self):
-        layer = Conv1d(2, 2, 3, pad=1, dtype=np.float64)
+        layer = Conv1d(2, 2, dtype=np.float64)
         x = np.random.default_rng(1).standard_normal((1, 2, 6))
         layer.forward(x)
         dx = layer.backward(np.zeros((1, 2, 6)))
         assert np.all(dx == 0) and np.all(layer.gw == 0) and np.all(layer.gb == 0)
 
     def test_backward_scalar_chain_rule(self):
-        layer = Conv1d(1, 1, 1, pad=0, dtype=np.float64)
-        layer.w[...] = 3.0
+        # at T 1 only the centre tap touches x; the others read the zero padding
+        layer = Conv1d(1, 1, dtype=np.float64)
+        layer.w[...] = 7.0
+        layer.w[0, 0, PAD] = 3.0
         layer.b[...] = 0.5
         x = np.array([[[2.0]]])
-        layer.forward(x)
+        assert layer.forward(x)[0, 0, 0] == 6.5
         dx = layer.backward(np.ones((1, 1, 1)))
-        assert dx[0, 0, 0] == 3.0        # dL/dx = w
-        assert layer.gw[0, 0, 0] == 2.0  # dL/dw = x
+        assert dx[0, 0, 0] == 3.0  # dL/dx = the centre tap
+        gw = np.zeros(KERNEL)
+        gw[PAD] = 2.0  # dL/dw = x at the centre tap, 0 at the others
+        np.testing.assert_array_equal(layer.gw[0, 0], gw)
         assert layer.gb[0] == 1.0
 
     @pytest.mark.parametrize("seed", range(10))
     def test_gradients_match_finite_differences(self, seed):
         rng = np.random.default_rng(seed)
-        layer = Conv1d(3, 2, 3, pad=1, rng=rng, dtype=np.float64)
+        layer = Conv1d(3, 2, rng=rng, dtype=np.float64)
         x = rng.uniform(-1, 1, (2, 3, 8))
         u = rng.uniform(-1, 1, layer.forward(x).shape)
 
@@ -293,14 +301,14 @@ class TestConv1d:
         assert rel_err(layer.gb, fd_grad(loss, layer.b)) < 1e-4
 
     def test_shape_errors(self):
-        layer = Conv1d(3, 2, 3, pad=0)
-        with pytest.raises(ShapeError):
+        layer = Conv1d(3, 2)
+        with pytest.raises(ShapeError):  # the wrong channel count
             layer.forward(np.zeros((1, 4, 8), dtype=np.float32))
+        with pytest.raises(ShapeError):  # T 0
+            layer.forward(np.zeros((1, 3, 0), dtype=np.float32))
+        layer.forward(np.zeros((1, 3, 10), dtype=np.float32))  # output length 10
         with pytest.raises(ShapeError):
-            layer.forward(np.zeros((1, 3, 2), dtype=np.float32))
-        layer.forward(np.zeros((1, 3, 10), dtype=np.float32))  # output length 8
-        with pytest.raises(ShapeError):
-            layer.backward(np.ones((1, 2, 7), dtype=np.float32))
+            layer.backward(np.ones((1, 2, 9), dtype=np.float32))
 
 
 class TestReluPoolFc:
@@ -645,6 +653,8 @@ class TestModel:
 def im2col(rows, kernel, n):
     """The first ``n`` im2col rows of a (rows, channels) matrix, copied:
     rows[r:r + kernel] as one row each."""
+    if n <= 0:  # B = 0: fewer rows than one window
+        return np.empty((0, kernel * rows.shape[1]), dtype=rows.dtype)
     windows = np.lib.stride_tricks.sliding_window_view(rows, (kernel, rows.shape[1]))
     return np.ascontiguousarray(windows[:n, 0]).reshape(n, -1)
 
@@ -656,13 +666,13 @@ class DenseConv1d(Conv1d):
     stacked weight (tap-reversed for the input gradient), one per phase for
     the forward and the input gradient: BLAS rounds a row of a small GEMM
     by the GEMM's row count, and the layer multiplies each phase's rows
-    r = s (mod kernel) alone. The weight gradient is one GEMM over every row.
+    r = s (mod KERNEL) alone. The weight gradient is one GEMM over every row.
     """
 
     def _by_phase(self, cols, stacked):
         out = np.empty((len(cols), stacked.shape[1]), dtype=np.result_type(cols, stacked))
-        for s in range(self.kernel):
-            out[s::self.kernel] = cols[s::self.kernel] @ stacked
+        for s in range(KERNEL):
+            out[s::KERNEL] = cols[s::KERNEL] @ stacked
         return out
 
     def forward(self, x: np.ndarray) -> np.ndarray:
@@ -671,37 +681,37 @@ class DenseConv1d(Conv1d):
         b, c, t = x.shape
         if c != self.in_ch:
             raise ShapeError(f"conv expects {self.in_ch} channels, got {c}")
-        if t + 2 * self.pad < self.kernel:
-            raise ShapeError(f"input length {t} too short for kernel {self.kernel}")
-        tp = t + 2 * self.pad
+        if t + 2 * PAD < KERNEL:
+            raise ShapeError(f"input length {t} too short for kernel {KERNEL}")
+        tp = t + 2 * PAD
         xp = np.zeros((b, tp, c), dtype=x.dtype)
-        xp[:, self.pad:self.pad + t] = x.transpose(0, 2, 1)
-        cols = im2col(xp.reshape(b * tp, c), self.kernel, b * tp - self.kernel + 1)
+        xp[:, PAD:PAD + t] = x.transpose(0, 2, 1)
+        cols = im2col(xp.reshape(b * tp, c), KERNEL, b * tp - KERNEL + 1)
         stacked = np.ascontiguousarray(self.w.transpose(2, 1, 0)).reshape(-1, self.out_ch)
         y = np.zeros((b * tp, self.out_ch), dtype=np.result_type(x, self.w))
         y[:len(cols)] = self._by_phase(cols, stacked)
         self._cols, self._in_shape = cols, (b, c, t)
-        y = y.reshape(b, tp, self.out_ch)[:, :tp - self.kernel + 1]
+        y = y.reshape(b, tp, self.out_ch)[:, :tp - KERNEL + 1]
         y += self.b
         return y.transpose(0, 2, 1)
 
     def backward(self, grad_out: np.ndarray):
         b, c, t = self._in_shape
-        tp = t + 2 * self.pad
-        t_out = tp - self.kernel + 1
+        tp = t + 2 * PAD
+        t_out = tp - KERNEL + 1
         if grad_out.shape != (b, self.out_ch, t_out):
             raise ShapeError("grad_out shape does not match forward output")
         g = np.zeros((b, tp, self.out_ch), dtype=grad_out.dtype)
         g[:, :t_out] = grad_out.transpose(0, 2, 1)
         g, cols = g.reshape(b * tp, self.out_ch), self._cols
         gw = cols.T @ g[:len(cols)]
-        self.gw = gw.reshape(self.kernel, c, self.out_ch).transpose(2, 1, 0)
+        self.gw = gw.reshape(KERNEL, c, self.out_ch).transpose(2, 1, 0)
         self.gb = g.sum(axis=0)
-        front = np.zeros((self.kernel - 1, self.out_ch), dtype=g.dtype)
-        g_cols = im2col(np.concatenate([front, g]), self.kernel, b * tp)
+        front = np.zeros((KERNEL - 1, self.out_ch), dtype=g.dtype)
+        g_cols = im2col(np.concatenate([front, g]), KERNEL, b * tp)
         flipped = np.ascontiguousarray(self.w.transpose(2, 0, 1)[::-1]).reshape(-1, c)
         dxp = self._by_phase(g_cols, flipped)
-        return dxp.reshape(b, tp, c)[:, self.pad:self.pad + t].transpose(0, 2, 1)
+        return dxp.reshape(b, tp, c)[:, PAD:PAD + t].transpose(0, 2, 1)
 
 
 class DenseReLU:
@@ -735,7 +745,7 @@ class DenseModel(Model):
     so every gradient before it, like every conv weight gradient, is only close."""
 
     def __init__(self, model: Model):
-        self.convs = [DenseConv1d(c.in_ch, c.out_ch, c.kernel, c.pad, dtype=c.w.dtype)
+        self.convs = [DenseConv1d(c.in_ch, c.out_ch, dtype=c.w.dtype)
                       for c in model.convs]
         self.relus = [DenseReLU() for _ in model.convs]
         self.pool = DenseMaxPool1d()

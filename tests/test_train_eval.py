@@ -146,10 +146,9 @@ class TestTrain:
     def test_divergence_aborts_with_location(self, synthetic_corpus):
         _, records = synthetic_corpus
         config = TrainConfig(epochs=5, lr=1e30, seed=2)
-        with pytest.raises(DivergenceError) as info:
+        with pytest.raises(DivergenceError, match=r"^non-finite training loss \((nan|inf|-inf)\) "
+                                                  r"at epoch [1-5], batch [0-9]+$"):
             train(records, TINY_SPEC, config, TINY_SETTINGS)
-        assert info.value.epoch >= 1
-        assert "epoch" in str(info.value)
 
     def test_train_acc_scores_the_steps_logits(self, synthetic_corpus):
         # lr 0 keeps the weights, so every step and a forward over the train
