@@ -11,7 +11,9 @@ channels-last matrix whose rows are then im2col rows, with no columns
 copied. ``Model`` keeps those matrices in one activation arena and
 nothing else: each conv writes its GEMMs straight into the next layer's,
 the ReLUs work in place, and the backward pass writes each gradient over
-one of the last two activations, which it no longer needs by then. The
+one of the last two activations, which it no longer needs by then. An
+inference forward (``keep=False``) keeps no activation and runs in those
+two buffers alone, a model that never trains holding only them. The
 global max pool's gradient is one (time step, value) pair per item and
 channel (``PoolGrad``): the last conv sums its weight gradient over only
 the rows those pairs name and scatters its input gradient from them,
@@ -351,29 +353,35 @@ class _Arena:
     """The zero-padded channels-last buffers of one model, for ``b`` items
     of length ``t``; a smaller batch uses the leading rows.
 
-    ``acts[i]`` holds layer i's input: item j's time step s at row
-    j*(t + 2*PAD) + PAD + s, every other row zero (one spare row lets the
-    last item's output window start at PAD). The arena holds nothing else:
-    the backward pass keeps its gradients in the last two buffers, the
-    pool's input ``acts[-1]`` and the last conv's input ``acts[-2]``, which
-    it no longer needs as activations by then (see ``Model.backward``), so
-    every forward rewrites each row it reads but the model input's pad rows,
-    which no backward writes. Those two have KERNEL - 1 spare rows, for the
-    zero rows a conv's input gradient reads in front of its output
-    gradient, and each is as wide as the widest matrix it holds; that is
-    its activation's width at a spec whose widths never decrease, such as
-    the default. ``rows(i, c, n)`` reads buffer i's memory
-    as n rows of width c. The arena holds no reference to its model or
-    layers, so it dies with the model.
+    With n convs, layer i's input, for i = 0 (the model's input) to n (the
+    pool's input), has item j's time step s at row j*(t + 2*PAD) + PAD + s
+    and every other row zero (one spare row lets the last item's output
+    window start at PAD). A forward that keeps its activations for a
+    backward has them in ``acts[i]``, n + 1 buffers. The backward keeps its
+    gradients in the last two, the pool's input ``acts[-1]`` and the last
+    conv's input ``acts[-2]``, which it no longer needs as activations by
+    then (see ``Model.backward``): the gradient of layer i's input goes in
+    ``acts[-1]`` for n - 1 - i even and in ``acts[-2]`` for odd. A forward
+    that keeps nothing puts layer i's input where its gradient would go, so
+    it runs in those two buffers alone, and an arena built for such forwards
+    (``keep`` false) holds only them; with one conv the two are all of
+    ``acts`` either way. Each of the two has KERNEL - 1 spare rows, for the
+    zero rows a conv's input gradient reads in front of its output gradient,
+    and is as wide as the widest matrix it holds in either forward or the
+    backward: its own activation's width at a spec whose widths never
+    decrease, such as the default. Every forward writes every row it reads.
+    ``rows(i, c, n)`` reads buffer i's memory as n rows of width c. The arena
+    holds no reference to its model or layers, so it dies with the model.
     """
 
-    def __init__(self, widths, b: int, t: int, dtype):
+    def __init__(self, widths, b: int, t: int, dtype, keep: bool):
         self.b, self.t = b, t
         rows, n = b * (t + 2 * PAD), len(widths) - 1
-        self.acts = [np.zeros((rows + PAD, c), dtype=dtype) for c in widths[:n - 1]]
-        # buffer i also holds the input gradients of convs i - 1, i - 3, ...
-        self.acts += [np.zeros((rows + KERNEL - 1, max((widths[i], *widths[:i][::-2]))),
-                               dtype=dtype) for i in (n - 1, n)]
+        self.acts = [np.zeros((rows + PAD, c), dtype=dtype)
+                     for c in widths[:n - 1]] if keep else []
+        # buffer j: layer j's input, or those of layers k, k - 2, ... and their gradients
+        self.acts += [np.zeros((rows + KERNEL - 1, max(widths[j], *widths[k::-2])),
+                               dtype=dtype) for j, k in ((n - 1, n), (n, n - 1))]
 
     def rows(self, i: int, c: int, n: int) -> np.ndarray:
         """The first n*c values of ``acts[i]`` as an (n, c) matrix."""
@@ -390,10 +398,14 @@ class Model:
     works in place, and backward writes each conv's input gradient over
     the pool's input or the last conv's, in turn; so a train step
     allocates little beyond the parameter gradients, one ReLU mask at a
-    time and conv6's gathered input windows. The global max pool sends
-    gradient to one time step per (item, channel): conv6's weight gradient
-    sums over only those rows, and its input gradient is scattered from
-    them (see ``Conv1d._pooled_backward``).
+    time and conv6's gathered input windows. ``forward(x, keep=False)``,
+    inference, keeps no activation: it runs in the arena's last two
+    buffers alone, a new arena it needs holds only those (unless the old
+    one held every layer's), and ``backward`` refuses to follow it. Its
+    logits are bit-equal to a keeping forward's, whose GEMMs read the same
+    rows. The global max pool sends gradient to one time step per (item,
+    channel): conv6's weight gradient sums over only those rows, and its
+    input gradient is scattered from them (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic. A row's
     logits are bit-equal at any batch size where BLAS rounds a GEMM row
@@ -432,23 +444,30 @@ class Model:
                 raise ShapeError(f"parameter {name}: shape {new.shape} != {value.shape}")
             value[...] = new
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        """(B, N_FEATURE_ROWS, T) input, any T >= 1 -> (B, len(EMOTIONS)) logits."""
+    def forward(self, x: np.ndarray, keep: bool = True) -> np.ndarray:
+        """(B, N_FEATURE_ROWS, T) input, any T >= 1 -> (B, len(EMOTIONS)) logits.
+        With ``keep`` false, no layer's activation outlives the forward (see
+        ``_Arena``), so no ``backward`` may follow it."""
         if x.ndim != 3 or x.shape[1] != N_FEATURE_ROWS:
             raise ShapeError(f"model expects (B, {N_FEATURE_ROWS}, T) input, got {x.shape}")
         b, _, t = x.shape
-        arena = self._arena
-        if arena is None or b > arena.b or t != arena.t:
+        n, arena = len(self.convs), self._arena
+        whole = arena is not None and len(arena.acts) > n  # a trained model's is rebuilt whole
+        if arena is None or b > arena.b or t != arena.t or (keep and not whole):
             arena = self._arena = _Arena(self._widths, max(b, arena.b if arena else 0), t,
-                                         self.dtype)
-        self._batch = b, t
+                                         self.dtype, keep or whole)
+        self._batch = (b, t) if keep else None
+        # layer i's input: its own buffer, or the one its gradient would take
+        where = range(n + 1) if keep else [-1 - (n - 1 - i) % 2 for i in range(n + 1)]
         tp = t + 2 * PAD
-        padded = arena.rows(0, N_FEATURE_ROWS, b * tp).reshape(b, tp, N_FEATURE_ROWS)
+        padded = arena.rows(where[0], N_FEATURE_ROWS, b * tp).reshape(b, tp, N_FEATURE_ROWS)
+        # the pad rows too: keeping nothing, or with one conv, other matrices use this buffer
+        padded[:, :PAD] = padded[:, PAD + t:] = 0
         h = padded[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
         x_rows = padded.reshape(b * tp, N_FEATURE_ROWS)
         for i, (conv, relu) in enumerate(zip(self.convs, self.relus), start=1):
-            nxt = arena.rows(i, self._widths[i], PAD + b * tp)
+            nxt = arena.rows(where[i], self._widths[i], PAD + b * tp)
             nxt[:PAD] = 0  # the rest is the conv's output and its zeroed straddling rows
             h = conv.forward(h, x_rows, out=nxt[PAD:])
             h = relu.forward(h, out=h)
@@ -464,15 +483,19 @@ class Model:
         on the pool's input once the pool has taken its argmax and the last
         ReLU its mask at the pooled steps, and the next one on the last conv's
         input once that conv has read it for its weight gradient and the ReLU
-        before it has masked with it. So a second backward needs a new forward.
+        before it has masked with it. So a second backward needs a new forward,
+        and a forward with ``keep`` false is refused: it kept no activation.
         """
+        if self._batch is None:
+            raise RuntimeError("Model.backward needs a forward that keeps its activations: "
+                               "the last forward ran with keep=False, or none ran")
         arena, (b, t) = self._arena, self._batch
         n, rows = len(self.convs), KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward
         g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
         g_rows = None  # the last conv's output gradient is a PoolGrad
         for i in reversed(range(n)):
             g = self.relus[i].backward(g, out=g)
-            dx_rows = arena.rows(n - (n - 1 - i) % 2, self._widths[i], rows)
+            dx_rows = arena.rows(-1 - (n - 1 - i) % 2, self._widths[i], rows)
             g = self.convs[i].backward(g, g_rows, out=dx_rows[KERNEL - 1 - PAD:rows - PAD])
             g_rows = dx_rows
         return {f"{name}.{p}": getattr(layer, "g" + p)

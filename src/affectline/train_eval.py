@@ -257,12 +257,14 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     """Logits of every row of ``x``, forwarded ``PREDICT_ROWS`` rows at a time.
 
     A row's logits do not depend on the rows forwarded with it wherever
-    BLAS rounding does not (see ``Model``); ``PREDICT_ROWS`` bounds the
-    model's activation arena, which keeps the largest batch it has seen:
-    about 1.1 MB a row at the default spec, each layer's zero-padded input
-    (a backward keeps its gradients there too, so it adds nothing).
+    BLAS rounding does not (see ``Model``). Each forward keeps no
+    activation (``keep=False``), so on a model that has not trained it runs
+    in two zero-padded buffers of the arena alone, which keeps the largest
+    batch it has seen: about 0.62 MB a row at the default spec (a trained
+    model's arena already holds those two). ``PREDICT_ROWS`` bounds it.
     """
-    chunks = [model.forward(x[i:i + PREDICT_ROWS]) for i in range(0, len(x), PREDICT_ROWS)]
+    chunks = [model.forward(x[i:i + PREDICT_ROWS], keep=False)
+              for i in range(0, len(x), PREDICT_ROWS)]
     return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
 
 
@@ -314,25 +316,27 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
                       failures=train_fail + test_fail)
     n = len(x_train)
     test_pred = None  # of the model as it ends the last epoch run
-    for epoch in range(1, config.epochs + 1):
-        order = shuffle_rng.permutation(n)
-        loss_sum, correct = 0.0, 0
-        for batch_idx, start in enumerate(range(0, n, config.batch_size)):
-            sel = order[start:start + config.batch_size]
-            logits = model.forward(x_train[sel])
-            correct += int(np.count_nonzero(logits.argmax(axis=1) == y_train[sel]))
-            losses, grad = softmax_xent(logits, y_train[sel])
-            mean_loss = float(losses.mean())
-            if not np.isfinite(mean_loss):
-                raise DivergenceError(f"non-finite training loss ({mean_loss!r}) at epoch "
-                                      f"{epoch}, batch {batch_idx}")
-            grads = model.backward((grad / len(sel)).astype(np.float32))
-            optimizer.step(model.parameters(), grads)
-            loss_sum += mean_loss * len(sel)
-        train_acc = correct / n  # as Keras' fit reports it
-        test_pred = predict_logits(model, x_test).argmax(axis=1)
-        test_acc = float(np.mean(test_pred == y_test))
-        metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
+    # a diverging run's overflows are reported once, by the non-finite loss check
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(1, config.epochs + 1):
+            order = shuffle_rng.permutation(n)
+            loss_sum, correct = 0.0, 0
+            for batch_idx, start in enumerate(range(0, n, config.batch_size)):
+                sel = order[start:start + config.batch_size]
+                logits = model.forward(x_train[sel])
+                correct += int(np.count_nonzero(logits.argmax(axis=1) == y_train[sel]))
+                losses, grad = softmax_xent(logits, y_train[sel])
+                mean_loss = float(losses.mean())
+                if not np.isfinite(mean_loss):
+                    raise DivergenceError(f"non-finite training loss ({mean_loss!r}) at epoch "
+                                          f"{epoch}, batch {batch_idx}")
+                grads = model.backward((grad / len(sel)).astype(np.float32))
+                optimizer.step(model.parameters(), grads)
+                loss_sum += mean_loss * len(sel)
+            train_acc = correct / n  # as Keras' fit reports it
+            test_pred = predict_logits(model, x_test).argmax(axis=1)
+            test_acc = float(np.mean(test_pred == y_test))
+            metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
 
     if test_pred is None:  # no epoch ran
         test_pred = predict_logits(model, x_test).argmax(axis=1)

@@ -3,9 +3,12 @@ import ast
 import csv
 import importlib
 import json
+import os
 import re
 import shutil
 import struct
+import subprocess
+import sys
 import tracemalloc
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,6 +16,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
+import affectline
 from affectline import cli
 from affectline.audio_io import read_wav, scan_corpus
 from affectline.checkpoint import RETIRED_KEYS, FeatureSettings, load_checkpoint, save_checkpoint
@@ -275,13 +279,28 @@ class TestTrainCommand:
         assert f"decode failure: {dangling}: " in err
         assert "decode failures: 2" in err
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_exits_4(self, tmp_path, corpus_root):
         code = main(["train", "--corpus", str(corpus_root),
                      "--out", str(tmp_path / "d"), "--epochs", "5",
                      "--lr", "1e30", "--cache-dir", str(tmp_path / "c"),
                      *TINY_OVERRIDES])
         assert code == 4
+
+    def test_divergence_prints_only_its_error(self, tmp_path, corpus_root):
+        # a process of its own, under Python's default warning filters: numpy's
+        # overflow warnings would name a line of nn.py before the error
+        src = str(Path(affectline.__file__).resolve().parent.parent)
+        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        env.pop("PYTHONWARNINGS", None)
+        done = subprocess.run(
+            [sys.executable, "-m", "affectline.cli", "train", "--corpus", str(corpus_root),
+             "--out", str(tmp_path / "d"), "--epochs", "5", "--lr", "1e30",
+             "--cache-dir", str(tmp_path / "c"), *TINY_OVERRIDES],
+            env=env, capture_output=True, text=True)
+        assert done.returncode == 4
+        assert re.fullmatch(r"training diverged: non-finite training loss \((nan|inf|-inf)\) "
+                            r"at epoch [1-5], batch [0-9]+\n", done.stderr), done.stderr
 
     def test_rerun_reproduces_bit_for_bit(self, tmp_path, corpus_root, trained_run):
         first, cache = trained_run

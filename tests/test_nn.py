@@ -13,6 +13,7 @@ from affectline.gradcheck import central_diff
 from affectline.nn import (KERNEL, MAX_CONV_CHANNELS, PAD, Conv1d, FullyConnected, MaxPool1d,
                            Model, ModelSpec, PoolGrad, ReLU, RmsProp, ShapeError, he_uniform,
                            softmax_xent)
+from affectline.train_eval import predict_logits
 from conftest import run_at_blas_threads
 
 H = 1e-5
@@ -894,6 +895,87 @@ class TestArenaOracle:
             np.testing.assert_allclose(got[name], want[name], rtol=1e-12, atol=1e-15)
 
 
+# the default; two narrow rising specs, where the 41-row input is the widest matrix
+# of one of the two buffers; falling widths; and a single conv, whose two buffers
+# are its whole arena
+INFERENCE_SPECS = [ModelSpec(), SMALL, ModelSpec(conv_channels=(8, 8, 16, 16, 32, 32)),
+                   DECREASING, ONE_CONV]
+INFERENCE_IDS = ["default", "small", "ascending", "decreasing", "one_conv"]
+
+
+def train_step(model, optimizer, x, targets):
+    """Logits and gradients of one RMSProp step of ``model`` on ``x``."""
+    logits = model.forward(x)
+    _, grad = softmax_xent(logits, targets)
+    grads = model.backward((grad / len(x)).astype(np.float32))
+    optimizer.step(model.parameters(), grads)
+    return logits, grads
+
+
+class TestInferenceForward:
+    """``forward(x, keep=False)`` runs in the arena's last two buffers: each
+    layer's input goes where the backward puts its gradient. The GEMMs read
+    the same rows as in a forward that keeps every activation."""
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS, ids=INFERENCE_IDS)
+    def test_two_buffer_logits_bit_equal_to_the_full_arenas(self, spec):
+        two, full = trained_like(spec, 70), trained_like(spec, 70)
+        rng = np.random.default_rng(71)
+        # each T regrows both arenas; the batch first grows, then falls back onto
+        # the leading rows of its largest, with stale rows after them
+        for t in (1, 2, 5, 17, 18, 40, 300):
+            for b in (1, 3, 16, 3, 1):
+                x = rng.standard_normal((b, 41, t)).astype(np.float32)
+                got = two.forward(x, keep=False)
+                assert got.tobytes() == full.forward(x).tobytes(), (t, b)
+        assert len(two._arena.acts) == 2 and len(full._arena.acts) == len(spec.conv_channels) + 1
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS, ids=INFERENCE_IDS)
+    def test_inference_after_a_train_step_bit_equal_and_in_its_arena(self, spec):
+        model, fresh = trained_like(spec, 72), trained_like(spec, 72)
+        rng = np.random.default_rng(73)
+        train_step(model, RmsProp(lr=1e-3), rng.standard_normal((25, 41, 300)).astype(np.float32),
+                   rng.integers(0, 6, 25))
+        fresh.set_parameters(dict(model.parameters()))
+        arena, buffers = model._arena, list(model._arena.acts)
+        for b in (16, 3):  # the backward's gradients are still in the two buffers
+            x = rng.standard_normal((b, 41, 300)).astype(np.float32)
+            assert predict_logits(model, x).tobytes() == fresh.forward(x).tobytes(), b
+        # the training arena's pair, not a new one
+        assert model._arena is arena and all(new is old for new, old in zip(arena.acts, buffers))
+
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS, ids=INFERENCE_IDS)
+    def test_train_step_after_inference_bit_equal(self, spec):
+        model, fresh = trained_like(spec, 74), trained_like(spec, 74)
+        steps = RmsProp(lr=1e-3), RmsProp(lr=1e-3)
+        rng = np.random.default_rng(75)
+        # a larger inference batch first: the full arena is built at its size
+        predict_logits(model, rng.standard_normal((32, 41, 300)).astype(np.float32))
+        for b, t in ((25, 300), (7, 300), (25, 40)):
+            x, targets = rng.standard_normal((b, 41, t)).astype(np.float32), rng.integers(0, 6, b)
+            (logits, got), (want_logits, want) = (train_step(m, o, x, targets)
+                                                  for m, o in zip((model, fresh), steps))
+            assert logits.tobytes() == want_logits.tobytes(), (b, t)
+            assert list(got) == list(want)
+            for name in want:
+                assert got[name].tobytes() == want[name].tobytes(), (b, t, name)
+            predict_logits(model, rng.standard_normal((16, 41, t)).astype(np.float32))
+        assert len(model._arena.acts) == len(spec.conv_channels) + 1
+
+    def test_backward_after_inference_forward_refused(self):
+        model = Model(SMALL, seed=0)
+        x = np.zeros((4, 41, 30), dtype=np.float32)
+        grad = np.ones((4, 6), dtype=np.float32)
+        with pytest.raises(RuntimeError, match="none ran"):
+            model.backward(grad)
+        model.forward(x)
+        model.forward(x, keep=False)  # overwrites the kept forward's last activations
+        with pytest.raises(RuntimeError, match="keep=False"):
+            model.backward(grad)
+        model.forward(x)
+        model.backward(grad)
+
+
 class TestArenaMemory:
     def test_arena_dies_with_its_model(self):
         model = Model(SMALL, seed=0)
@@ -928,6 +1010,34 @@ class TestArenaMemory:
         assert sorted(vars(arena)) == ["acts", "b", "t"]
         spare = [PAD] * (len(widths) - 2) + [KERNEL - 1] * 2  # for the gradients' zero rows
         assert [a.shape for a in arena.acts] == [(rows + s, w) for s, w in zip(spare, widths)]
+
+    @pytest.mark.parametrize("spec, widths", [
+        (ModelSpec(), [256, 256]), (DECREASING, [128, 256]), (ONE_CONV, [41, 41])],
+        ids=["default", "decreasing", "one_conv"])
+    def test_inference_arena_holds_two_buffers(self, spec, widths):
+        model = Model(spec, seed=0)
+        b, t = 16, 300
+        predict_logits(model, np.zeros((b, 41, t), dtype=np.float32))
+        rows = b * (t + 2 * PAD) + KERNEL - 1
+        assert [a.shape for a in model._arena.acts] == [(rows, w) for w in widths]
+        model.forward(np.zeros((b, 41, t), dtype=np.float32))  # a kept forward builds them all
+        assert len(model._arena.acts) == len(spec.conv_channels) + 1
+        # and a larger inference batch after it regrows them all, for the next train step
+        model.forward(np.zeros((b + 1, 41, t), dtype=np.float32), keep=False)
+        assert model._arena.b == b + 1 and len(model._arena.acts) == len(spec.conv_channels) + 1
+
+    def test_inference_forward_peak_memory(self):
+        # the two buffers are 9.9 MB at B 16, T 300 and the peak (numpy 2.4); it was
+        # 18.2 MB when the forward built the arena of every layer's buffer
+        model = Model(ModelSpec(), seed=0)
+        x = np.random.default_rng(0).standard_normal((16, 41, 300)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            predict_logits(model, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 12e6
 
     def test_first_train_step_peak_memory(self):
         # the step allocates the arena, 28.3 MB of activation buffers at B 25, T 300:

@@ -28,8 +28,8 @@ def labeled_clips(n, seed=0):
     return out
 
 
-def untrained_checkpoint(normalization=IDENTITY_PROFILE, t_fixed=100):
-    spec = ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))
+def untrained_checkpoint(normalization=IDENTITY_PROFILE, t_fixed=100,
+                         spec=ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))):
     return Checkpoint(model_spec=spec, params=dict(Model(spec, seed=0).parameters()),
                       opt_acc={}, features=FeatureSettings(t_fixed=t_fixed),
                       normalization=normalization)
@@ -282,7 +282,7 @@ class TestClassifySession:
         inputs = []
         forward = Model.forward
         monkeypatch.setattr(Model, "forward",
-                            lambda self, x: inputs.append(x.copy()) or forward(self, x))
+                            lambda self, x, **kw: inputs.append(x.copy()) or forward(self, x, **kw))
         classify_session(ckpt, records)
         evaluate(ckpt, [(records[0].audio_path, EMOTIONS[2])])
         classified, evaluated = inputs
@@ -642,6 +642,16 @@ class TestLongSegmentMemory:
         classify_session(ckpt, records[:16])
         peaks = {n: traced_peak(lambda: classify_session(ckpt, records[:n])) for n in (16, 64)}
         assert peaks[64] < peaks[16] + self.MARGIN, peaks
+
+    def test_first_session_peak_holds_two_model_buffers(self, tmp_path):
+        # the first session builds the checkpoint's model, whose inference arena is
+        # two buffers: 9.9 MB for 16 rows at the default spec and T 300, 13.3 MB at the
+        # session's peak (numpy 2.4); 21.5 MB when the arena held every layer's buffer
+        ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed, spec=ModelSpec())
+        records = load_manifest(synthesize_session(labeled_clips(16, seed=16), tmp_path / "s",
+                                                   session_id="synthetic")
+                                .manifest_path).records
+        assert traced_peak(lambda: classify_session(ckpt, records)) < 14e6
 
     def test_extract_features_peak(self, segments, tmp_path):
         settings = FeatureSettings()

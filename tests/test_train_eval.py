@@ -142,7 +142,6 @@ class TestTrain:
         for name, arr in expected.parameters():
             np.testing.assert_array_equal(ckpt.params[name], arr)
 
-    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_divergence_aborts_with_location(self, synthetic_corpus):
         _, records = synthetic_corpus
         config = TrainConfig(epochs=5, lr=1e30, seed=2)
