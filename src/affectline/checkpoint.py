@@ -204,6 +204,9 @@ def _from_header(header: dict, body: memoryview, path) -> Checkpoint:
     starts = itertools.accumulate([0, *counts])
     arrays = [np.frombuffer(body, dtype="<f4", count=n, offset=4 * at).reshape(shape).copy()
               for (_, shape), n, at in zip(entries, counts, starts)]
+    for (name, _), array in zip(entries, arrays):
+        if not np.isfinite(array).all():
+            raise DataError(f"{path}: tensor {name} holds a non-finite value")
     params, opt_acc = dict(zip(shapes, arrays)), dict(zip(shapes, arrays[len(shapes):]))
 
     norm = header["normalization"]

@@ -199,8 +199,9 @@ def cmd_synth(args, cfg: RunConfig) -> int:
     out_dir = Path(_require(cfg, "out"))
     seed = cfg.train_config().seed
     n = _positive_count("--n-segments", args.n_segments)
-    if args.snr_db is not None and not np.isfinite(args.snr_db):
-        raise ConfigError(f"--snr-db must be finite, got {args.snr_db}")
+    if args.snr_db is not None and not abs(args.snr_db) <= session_mod.MAX_SNR_DB:
+        raise ConfigError(f"--snr-db must be within ±{session_mod.MAX_SNR_DB:g} dB, "
+                          f"got {args.snr_db}")
     session_mod.check_session_id(args.session_id)
     records = _corpus_records(cfg)
     _echo_config(cfg, out_dir)  # an unusable --out fails before decoding

@@ -393,19 +393,21 @@ class Model:
     conv keeps the input length T and the pool drops it, so any T >= 1 fits.
 
     The model owns one ``_Arena`` sized for the largest batch and the
-    current T it has seen, and computes in its dtype. Each conv writes its
-    GEMMs straight into the next layer's zero-padded buffer, each ReLU
-    works in place, and backward writes each conv's input gradient over
-    the pool's input or the last conv's, in turn; so a train step
-    allocates little beyond the parameter gradients, one ReLU mask at a
-    time and conv6's gathered input windows. ``forward(x, keep=False)``,
-    inference, keeps no activation: it runs in the arena's last two
-    buffers alone, a new arena it needs holds only those (unless the old
-    one held every layer's), and ``backward`` refuses to follow it. Its
-    logits are bit-equal to a keeping forward's, whose GEMMs read the same
-    rows. The global max pool sends gradient to one time step per (item,
-    channel): conv6's weight gradient sums over only those rows, and its
-    input gradient is scattered from them (see ``Conv1d._pooled_backward``).
+    current T it has seen, and computes in its dtype; a new one is built
+    only once the old one and the layers' views of it are dropped, so the
+    two are never held at once. Each conv writes its GEMMs straight into the
+    next layer's zero-padded buffer, each ReLU works in place, and backward
+    writes each conv's input gradient over the pool's input or the last
+    conv's, in turn; so a train step allocates little beyond the parameter
+    gradients, one ReLU mask at a time and conv6's gathered input windows.
+    ``forward(x, keep=False)``, inference, keeps no activation: it runs in
+    the arena's last two buffers alone, a new arena it needs holds only
+    those (unless the old one held every layer's), and ``backward`` refuses
+    to follow it. Its logits are bit-equal to a keeping forward's, whose
+    GEMMs read the same rows. The global max pool sends gradient to one time
+    step per (item, channel): conv6's weight gradient sums over only those
+    rows, and its input gradient is scattered from them (see
+    ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic. A row's
     logits are bit-equal at any batch size where BLAS rounds a GEMM row
@@ -454,8 +456,12 @@ class Model:
         n, arena = len(self.convs), self._arena
         whole = arena is not None and len(arena.acts) > n  # a trained model's is rebuilt whole
         if arena is None or b > arena.b or t != arena.t or (keep and not whole):
-            arena = self._arena = _Arena(self._widths, max(b, arena.b if arena else 0), t,
-                                         self.dtype, keep or whole)
+            size, arena = max(b, arena.b if arena else 0), None
+            # the old buffers go first: the arena and each layer's view of them
+            self._arena = self.pool._x = None
+            for conv, relu in zip(self.convs, self.relus):
+                conv._rows = relu._y = None
+            arena = self._arena = _Arena(self._widths, size, t, self.dtype, keep or whole)
         self._batch = (b, t) if keep else None
         # layer i's input: its own buffer, or the one its gradient would take
         where = range(n + 1) if keep else [-1 - (n - 1 - i) % 2 for i in range(n + 1)]

@@ -5,13 +5,12 @@ file per segment). Only FAN segments (female adult, near) are treated
 as approximations of the target speaker's speech and classified; the
 far-field variant FAF is excluded because loudness skews the features.
 One function, ``segment_labels``, labels the FAN segments in both modes,
-through the same path as a corpus in ``train_eval.evaluate``: each
-segment's raw matrix from ``train_eval.extract_features`` (without a
-cache), in manifest order, labelled under the checkpoint by
-``train_eval.predict_labels`` ``PREDICT_ROWS`` windows at a time as they
-are read, so the labels equal ``evaluate``'s over the same files. The chunk
-vote adds that matrix of the segment cut at each later window, and labels
-each segment's windows apart and by majority.
+as ``train_eval.evaluate`` labels a corpus: each segment's raw matrix from
+``train_eval.extract_features`` (without a cache), in manifest order, goes
+to ``train_eval.predict_labels`` ``PREDICT_ROWS`` windows at a time as they
+are read. The chunk vote adds that matrix of the segment cut at each later
+window, and labels each segment's windows apart and by majority. A segment
+any of whose reads fails is a failure, whatever its windows voted.
 Also provides a synthetic-session generator used as the test stand-in
 for unavailable in-the-wild recordings.
 """
@@ -39,6 +38,8 @@ SOURCE_LABELS = ("FAN", "FAF", "MAN", "MAF", "CHN", "OTHER")
 
 MANIFEST_COLUMNS = ("session_id", "segment_id", "source_label",
                     "audio_path", "start_s", "end_s")
+
+MAX_SNR_DB = 6000.0  # noise gain 10 ** (snr_db / 20): overflows above ~6,165, 0 below ~-6,466
 
 
 @dataclass(frozen=True)
@@ -174,14 +175,13 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     ``chunk_vote``, window k >= 1, read only after a full window k - 1, is
     that matrix of the segment cut at sample k * t_fixed * HOP; a tail
     shorter than one frame casts no vote. A segment any of whose windows
-    raises AudioDecodeError is a failure; a window is passed on only once
-    the next one's read succeeds, so the group a failing read ends is
-    dropped, not forwarded. Windows are labelled ``PREDICT_ROWS`` at a time
-    as they are read, in memory that does not grow with the session: the
-    leading windows as one stream over the records, so the labels are those
-    of one ``predict_labels`` call over all of them, and the chunk vote's
-    windows one stream per record, so a group never spans two segments. A
-    record's label takes the most votes, ties to the lowest class index.
+    raises AudioDecodeError is a failure, whatever its earlier windows
+    voted. Windows are labelled ``PREDICT_ROWS`` at a time as they are
+    read, in memory that does not grow with the session: the leading
+    windows as one stream over the records, so the labels are those of one
+    ``predict_labels`` call over all of them, and the chunk vote's windows
+    one stream per record, so a group never spans two segments. A record's
+    label takes the most votes, ties to the lowest class index.
     """
     t_fixed = ckpt.features.t_fixed
     bound, step = matrix_samples(t_fixed), t_fixed * HOP
@@ -191,13 +191,13 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     def windows(i, path):
         try:
             window, start = train_eval.extract_features(path, ckpt.features), step
+            yield i, window
             while chunk_vote and window.n_valid_frames == t_fixed:  # a full window
                 samples = read_wav(path, bound, start)
                 if len(samples) < FRAME_LEN:  # a tail shorter than one frame casts no vote
-                    break
-                yield i, window  # only once the next window's read has succeeded
+                    return
                 window, start = assemble_features(samples, t_fixed), start + step
-            yield i, window
+                yield i, window
         except AudioDecodeError as exc:
             failures[i] = exc
 
@@ -205,9 +205,7 @@ def segment_labels(ckpt: Checkpoint, records, chunk_vote: bool = False) -> list:
     for stream in streams if chunk_vote else [itertools.chain.from_iterable(streams)]:
         while group := list(itertools.islice(stream, train_eval.PREDICT_ROWS)):
             indices, matrices = zip(*group)
-            if failures[indices[-1]] is None:  # a chunk-vote segment that failed casts no vote
-                labels = train_eval.predict_labels(ckpt, matrices)
-                np.add.at(votes, (indices, labels), 1)
+            np.add.at(votes, (indices, train_eval.predict_labels(ckpt, matrices)), 1)
             del group, matrices  # the next group is read without this one
     return [failure or EMOTIONS[int(np.argmax(row))] for failure, row in zip(failures, votes)]
 
@@ -286,8 +284,8 @@ def synthesize_session(labeled_clips, out_dir, session_id: str,
     labeled_clips = list(labeled_clips)
     if not labeled_clips:
         raise DataError("need at least one labeled clip")
-    if snr_db is not None and not np.isfinite(snr_db):
-        raise ConfigError(f"snr_db must be finite, got {snr_db}")
+    if snr_db is not None and not abs(snr_db) <= MAX_SNR_DB:  # also refuses NaN
+        raise ConfigError(f"snr_db must be within ±{MAX_SNR_DB:g} dB, got {snr_db}")
     check_session_id(session_id)
     out_dir = Path(out_dir)
     seg_dir = out_dir / "segments"

@@ -262,10 +262,18 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     in two zero-padded buffers of the arena alone, which keeps the largest
     batch it has seen: about 0.62 MB a row at the default spec (a trained
     model's arena already holds those two). ``PREDICT_ROWS`` bounds it.
+
+    DataError when a logit is not finite, as with finite float32 weights
+    whose products overflow, instead of an argmax that reads class 0.
     """
-    chunks = [model.forward(x[i:i + PREDICT_ROWS], keep=False)
-              for i in range(0, len(x), PREDICT_ROWS)]
-    return np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite logit is reported below
+        chunks = [model.forward(x[i:i + PREDICT_ROWS], keep=False)
+                  for i in range(0, len(x), PREDICT_ROWS)]
+    logits = np.concatenate(chunks) if chunks else np.zeros((0, len(EMOTIONS)))
+    if not np.isfinite(logits).all():
+        raise DataError("non-finite logits: the model's parameters overflow float32 "
+                        "on these inputs")
+    return logits
 
 
 def predict_labels(ckpt: Checkpoint, matrices) -> np.ndarray:
@@ -290,8 +298,10 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     Each extracted matrix is freed once its row of the float32 train or test
     batch is written, so the matrices and both batches are never all held
     at once. A non-finite loss aborts with DivergenceError naming the epoch
-    and batch, and a split that decode failures leave empty with DataError
-    naming every failure. ``jobs`` must be 1, as in ``extract_all``.
+    and batch, and so do a non-finite parameter after an epoch's updates or
+    non-finite test logits, naming the epoch; a split that decode failures
+    leave empty raises DataError naming every failure. ``jobs`` must be 1,
+    as in ``extract_all``.
     """
     train_recs, test_recs = split_dataset(records, config)
     train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)
@@ -333,8 +343,17 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
                 grads = model.backward((grad / len(sel)).astype(np.float32))
                 optimizer.step(model.parameters(), grads)
                 loss_sum += mean_loss * len(sel)
+            # no later loss checks the epoch's last update
+            for name, param in model.parameters():
+                if not np.isfinite(param).all():
+                    raise DivergenceError(f"non-finite parameter {name} after the updates "
+                                          f"of epoch {epoch}")
             train_acc = correct / n  # as Keras' fit reports it
-            test_pred = predict_logits(model, x_test).argmax(axis=1)
+            try:
+                test_pred = predict_logits(model, x_test).argmax(axis=1)
+            except DataError:  # finite parameters whose products overflow
+                raise DivergenceError(f"non-finite test logits after epoch {epoch}: the "
+                                      "parameters overflow float32") from None
             test_acc = float(np.mean(test_pred == y_test))
             metrics.epochs.append(EpochStats(epoch, train_acc, test_acc, loss_sum / n))
 

@@ -88,6 +88,17 @@ def writes_fail_halfway(monkeypatch, fails):
         monkeypatch.setattr(Path, name, write_half)
 
 
+def run_cli(*args):
+    """``affectline`` in a process of its own, under Python's default warning
+    filters, so a numpy floating-point warning would reach its stderr."""
+    src = str(Path(affectline.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env.pop("PYTHONWARNINGS", None)
+    return subprocess.run([sys.executable, "-m", "affectline.cli", *map(str, args)],
+                          env=env, capture_output=True, text=True)
+
+
 def with_retired_keys(config_txt, out_path):
     """``config_txt`` as echoed before the retired keys were removed."""
     lines = config_txt.read_text().splitlines() + RETIRED_LINES
@@ -287,17 +298,11 @@ class TestTrainCommand:
         assert code == 4
 
     def test_divergence_prints_only_its_error(self, tmp_path, corpus_root):
-        # a process of its own, under Python's default warning filters: numpy's
-        # overflow warnings would name a line of nn.py before the error
-        src = str(Path(affectline.__file__).resolve().parent.parent)
-        env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        env.pop("PYTHONWARNINGS", None)
-        done = subprocess.run(
-            [sys.executable, "-m", "affectline.cli", "train", "--corpus", str(corpus_root),
-             "--out", str(tmp_path / "d"), "--epochs", "5", "--lr", "1e30",
-             "--cache-dir", str(tmp_path / "c"), *TINY_OVERRIDES],
-            env=env, capture_output=True, text=True)
+        # numpy's overflow warnings would name a line of nn.py before the error; two
+        # steps an epoch, so the second step's loss sees the first one's update
+        done = run_cli("train", "--corpus", corpus_root, "--out", tmp_path / "d",
+                       "--epochs", "5", "--lr", "1e30", "--batch-size", "12",
+                       "--cache-dir", tmp_path / "c", *TINY_OVERRIDES)
         assert done.returncode == 4
         assert re.fullmatch(r"training diverged: non-finite training loss \((nan|inf|-inf)\) "
                             r"at epoch [1-5], batch [0-9]+\n", done.stderr), done.stderr
@@ -647,6 +652,56 @@ class TestClassifyCommand:
         assert not list((tmp_path / "s").glob("escaped.*"))
 
 
+class TestNonFiniteValues:
+    """A non-finite parameter or logit ends in an exit code and one stderr line,
+    never in a label, and numpy warns of nothing on the way."""
+
+    @pytest.mark.parametrize("lr, error", [
+        ("1e30", "non-finite test logits after epoch 1: the parameters overflow float32"),
+        ("1e308", "non-finite parameter conv1.w after the updates of epoch 1")])
+    def test_last_update_diverging_exits_4(self, tmp_path, corpus_root, lr, error):
+        # 24 training rows at batch size 25: one step, whose update no later loss checks
+        out = tmp_path / "d"
+        done = run_cli("train", "--corpus", corpus_root, "--out", out, "--epochs", "1",
+                       "--lr", lr, "--cache-dir", tmp_path / "c", *TINY_OVERRIDES)
+        assert (done.returncode, done.stderr) == (4, f"training diverged: {error}\n")
+        assert list(out.iterdir()) == []  # no checkpoint
+
+    def inputs(self, command, tmp_path, corpus_root, cache):
+        if command == "eval":
+            return ["--corpus", corpus_root, "--cache-dir", cache]
+        items = [(read_wav(path), meta.emotion) for path, meta in scan_corpus(corpus_root)]
+        return ["--manifest", synthesize_session(items[:2], tmp_path / "s", session_id="s",
+                                                 seed=1).manifest_path]
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_nan_parameter_exits_3_naming_it(self, tmp_path, corpus_root, trained_run,
+                                             command):
+        run, cache = trained_run
+        ckpt, bad = load_checkpoint(run / "checkpoint.afl"), tmp_path / "nan.afl"
+        ckpt.params["fc.b"][2] = np.nan
+        save_checkpoint(bad, ckpt)
+        done = run_cli(command, "--checkpoint", bad, "--out", tmp_path / "o",
+                       *self.inputs(command, tmp_path, corpus_root, cache))
+        assert (done.returncode, done.stderr) == \
+            (3, f"error: {bad}: tensor fc.b holds a non-finite value\n")
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize("command", ["eval", "classify"])
+    def test_overflowing_logits_exit_3(self, tmp_path, corpus_root, trained_run, command):
+        run, cache = trained_run
+        ckpt, huge = load_checkpoint(run / "checkpoint.afl"), tmp_path / "huge.afl"
+        ckpt.params["conv6.w"][...], ckpt.params["conv6.b"][...] = 0.0, 1.0  # pooled: all 1
+        ckpt.params["fc.w"][...] = 3e38  # finite, but 16 of them sum beyond float32
+        save_checkpoint(huge, ckpt)
+        done = run_cli(command, "--checkpoint", huge, "--out", tmp_path / "o",
+                       *self.inputs(command, tmp_path, corpus_root, cache))
+        assert (done.returncode, done.stderr) == (3, "error: non-finite logits: the model's "
+                                                     "parameters overflow float32 on these "
+                                                     "inputs\n")
+        assert not list((tmp_path / "o").glob("*.csv"))  # no label written
+
+
 class TestEvalReproducesTrain:
     @pytest.fixture(scope="class")
     def split_corpus(self, tmp_path_factory):
@@ -978,6 +1033,16 @@ class TestSynthCommand:
             finally:
                 tracemalloc.stop()
         assert peaks[48] < peaks[12] + 1e6, peaks
+
+    @pytest.mark.parametrize("snr", ["7000", "-7000", "1e308", "-1e308"])
+    def test_snr_whose_noise_gain_overflows_exits_2_before_writing(self, tmp_path,
+                                                                   corpus_root, capsys, snr):
+        # 10 ** (snr / 20) overflows above ~6,165 dB and is 0 below ~-6,466 dB
+        assert main(["synth", "--corpus", str(corpus_root), "--out", str(tmp_path / "o"),
+                     "--n-segments", "2", f"--snr-db={snr}"]) == 2  # argparse: "-1e308"
+        assert capsys.readouterr().err == \
+            f"config error: --snr-db must be within ±6000 dB, got {float(snr)}\n"
+        assert list(tmp_path.iterdir()) == []
 
     def test_deterministic_given_seed(self, tmp_path, corpus_root):
         a, b = tmp_path / "a", tmp_path / "b"

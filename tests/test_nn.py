@@ -1039,6 +1039,47 @@ class TestArenaMemory:
             tracemalloc.stop()
         assert peak < 12e6
 
+    def test_arena_rebuild_frees_the_old_buffers_first(self):
+        # a batch-8 step's arena (7 buffers, 9.1 MB at T 300), then a 16-row
+        # predict_logits, which rebuilds it whole at 16 rows: 22.9 MB at the peak
+        # (numpy 2.4); 31.9 MB when the old buffers, held by the arena or by the
+        # layers' views of them, lived until the new ones were built
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((8, 41, 300)).astype(np.float32)
+        grad = (rng.standard_normal((8, 6)) / 8).astype(np.float32)
+        x16 = rng.standard_normal((16, 41, 300)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model = Model(ModelSpec(), seed=0)
+            model.forward(x)
+            model.backward(grad)
+            predict_logits(model, x16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 24e6
+
+    def test_new_t_rebuild_peaks_below_the_train_step(self):
+        # a batch-16 T 300 step, then 16 rows at T 280: the new arena is built
+        # once the old one (18.0 MB) is freed, so the step sets the peak (25.2 MB,
+        # numpy 2.4); holding both peaked at 39.8 MB
+        rng = np.random.default_rng(0)
+        x = rng.standard_normal((16, 41, 300)).astype(np.float32)
+        grad = (rng.standard_normal((16, 6)) / 16).astype(np.float32)
+        x280 = rng.standard_normal((16, 41, 280)).astype(np.float32)
+        tracemalloc.start()
+        try:
+            model = Model(ModelSpec(), seed=0)
+            model.forward(x)
+            model.backward(grad)
+            step_peak = tracemalloc.get_traced_memory()[1]
+            predict_logits(model, x280)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert model._arena.t == 280
+        assert peak < step_peak + 1e6, (step_peak, peak)
+
     def test_first_train_step_peak_memory(self):
         # the step allocates the arena, 28.3 MB of activation buffers at B 25, T 300:
         # 31.1 MB at the peak (numpy 2.4); 31.9 MB with the last conv's input gradient

@@ -162,12 +162,21 @@ class TestSynthesize:
         with pytest.raises(DataError):
             synthesize_session([], tmp_path / "e", session_id="synthetic")
 
-    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf")])
-    def test_non_finite_snr_is_config_error_before_any_file(self, tmp_path, snr_db):
-        with pytest.raises(ConfigError, match="snr_db"):
+    # 10 ** (snr_db / 20) overflows above ~6,165 dB and is 0 below ~-6,466 dB
+    @pytest.mark.parametrize("snr_db", [float("nan"), float("inf"), float("-inf"),
+                                        7000.0, -7000.0, 1e308, -1e308])
+    def test_snr_out_of_range_is_config_error_before_any_file(self, tmp_path, snr_db):
+        with pytest.raises(ConfigError, match="snr_db must be within ±6000 dB"):
             synthesize_session(labeled_clips(2), tmp_path / "n",
                                session_id="synthetic", snr_db=snr_db)
         assert not (tmp_path / "n").exists()
+
+    @pytest.mark.parametrize("snr_db", [6000.0, -6000.0])
+    def test_snr_range_edges_write_finite_segments(self, tmp_path, snr_db):
+        # any numpy warning fails the test: the noise stays finite at either edge
+        bundle = synthesize_session(labeled_clips(2), tmp_path / "e",
+                                    session_id="synthetic", snr_db=snr_db)
+        assert all(np.isfinite(read_wav(p)).all() for p in bundle.segment_paths)
 
     @pytest.mark.parametrize("sid", ["../x", "a/b", "..", "", "a\x00b", "a\udcffb"])
     def test_path_session_id_is_config_error_before_any_file(self, tmp_path, sid):
@@ -434,27 +443,33 @@ class TestOnePath:
         with pytest.raises(DataError, match="no classifiable FAN segments .* 1 unreadable"):  # window 0 casts no vote
             classify_session(ckpt, [nan_segment], chunk_vote=True)
 
-    def test_failed_chunk_vote_segment_is_not_forwarded(self, tmp_path, monkeypatch):
-        # t_fixed 100: the read of window 1 or of window 16 fails, while window 0
-        # or the full group of windows 0-15 waits: the segment's group is dropped,
-        # so the clean segment's one window is the only row
+    @pytest.mark.parametrize("window, seconds, forwarded", [
+        (1, 2.5, [1, 1]), (16, 17.5, [16, 1]), (20, 21.5, [16, 4, 1])],
+        ids=["window1", "window16", "window20"])
+    def test_failed_chunk_vote_segment_report_does_not_depend_on_the_window(
+            self, tmp_path, monkeypatch, window, seconds, forwarded):
+        # t_fixed 100: window k reads samples 16,000k to 16,000k + 16,879, so a NaN
+        # 1,000 samples into window k is read by no earlier window; the windows read
+        # before it are forwarded, and their votes go with the failed segment
+        x = 0.3 * sine(440, seconds)
+        x[window * 16000 + 1000] = np.nan
+        path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
         clean = write_test_wav(tmp_path / "clean.wav", 0.3 * sine(330, 0.5))
+        records = [SegmentRecord("s", "nan", "FAN", str(path), 0.0, seconds),
+                   SegmentRecord("s", "clean", "FAN", str(clean), seconds, seconds + 0.5)]
+        ckpt = untrained_checkpoint()
+        leading = dict(classify_session(ckpt, records).predictions)
         rows, predict_logits = [], train_eval.predict_logits
 
         def counted(model, x):
             rows.append(len(x))
             return predict_logits(model, x)
         monkeypatch.setattr(train_eval, "predict_logits", counted)
-        for seconds, nan_at in ((2.5, 24000), (17.5, 257000)):
-            x = 0.3 * sine(440, seconds)
-            x[nan_at] = np.nan
-            path = write_test_wav(tmp_path / "nan.wav", x, fmt_code=3)
-            records = [SegmentRecord("s", "nan", "FAN", str(path), 0.0, seconds),
-                       SegmentRecord("s", "clean", "FAN", str(clean), seconds, seconds + 0.5)]
-            rows.clear()
-            voted = classify_session(untrained_checkpoint(), records, chunk_vote=True)
-            assert [s for s, _ in voted.predictions] == ["clean"], seconds
-            assert len(voted.failures) == 1 and rows == [1], seconds
+        voted = classify_session(ckpt, records, chunk_vote=True)
+        assert voted.failures == [(str(path), f"{path}: NaN or infinite float samples")]
+        assert voted.predictions == [("clean", leading["clean"])]
+        assert voted.counts.sum() == 1
+        assert rows == forwarded
 
 
 def voted_windows(ckpt, path):

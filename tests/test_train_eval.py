@@ -1,4 +1,5 @@
 import hashlib
+import re
 import struct
 import tracemalloc
 import zlib
@@ -15,7 +16,7 @@ from affectline.errors import ConfigError, DataError, DivergenceError
 from affectline.features import (FEATURE_ROW_LABELS, MAX_T_FIXED, N_FEATURE_ROWS,
                                  compute_normalization, matrix_samples)
 from affectline.nn import MAX_CONV_CHANNELS, Model, ModelSpec
-from affectline.train_eval import (Metrics, TrainConfig,
+from affectline.train_eval import (PREDICT_ROWS, Metrics, TrainConfig,
                                    confusion_to_csv, evaluate, extract_all,
                                    extract_features, metrics_to_csv,
                                    predict_logits, split_dataset, train)
@@ -148,6 +149,16 @@ class TestTrain:
         with pytest.raises(DivergenceError, match=r"^non-finite training loss \((nan|inf|-inf)\) "
                                                   r"at epoch [1-5], batch [0-9]+$"):
             train(records, TINY_SPEC, config, TINY_SETTINGS)
+
+    @pytest.mark.parametrize("lr, error", [
+        (1e30, r"non-finite test logits after epoch 1: the parameters overflow float32"),
+        (1e308, r"non-finite parameter conv1\.w after the updates of epoch 1")])
+    def test_diverging_last_update_aborts(self, tmp_path, lr, error):
+        # 24 training rows at batch size 25: the one step's update is the last, so
+        # no loss follows it; 1e30 leaves finite weights whose products overflow
+        records = build_synthetic_corpus(tmp_path, per_class=5)
+        with pytest.raises(DivergenceError, match=f"^{error}$"):
+            train(records, TINY_SPEC, TrainConfig(epochs=1, lr=lr, seed=2), TINY_SETTINGS)
 
     def test_train_acc_scores_the_steps_logits(self, synthetic_corpus):
         # lr 0 keeps the weights, so every step and a forward over the train
@@ -342,6 +353,16 @@ class TestPredictLogits:
         np.testing.assert_array_equal(logits, model.forward(x))
 
 
+    def test_overflowing_logits_are_data_error(self):
+        # finite float32 weights: the last conv outputs 1 on every channel, and
+        # the head sums 16 products of 3e38 each
+        model = Model(TINY_SPEC, seed=3)
+        model.convs[-1].w[...], model.convs[-1].b[...], model.fc.w[...] = 0.0, 1.0, 3e38
+        x = np.zeros((PREDICT_ROWS + 1, 41, 100), dtype=np.float32)
+        with pytest.raises(DataError, match="^non-finite logits: the model's parameters "
+                                            "overflow float32 on these inputs$"):
+            predict_logits(model, x)
+
     def test_normalized_value_beyond_float32_is_data_error(self):
         # a std that fits float32 but sits far below the features' scale
         fm = features.FeatureMatrix(values=np.full((41, 20), 3.0), n_valid_frames=20)
@@ -460,6 +481,22 @@ class TestCheckpointIO:
         for _ in range(5):
             x = rng.uniform(-1, 1, (1, 41, 100)).astype(np.float32)
             np.testing.assert_array_equal(model_a.forward(x), model_b.forward(x))
+
+    @pytest.mark.parametrize("name", ["conv1.w", "fc.b", "rmsprop.conv3.b", "rmsprop.fc.w"])
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_tensor_is_checkpoint_error_naming_it(self, overfit_run, tmp_path,
+                                                             name, value):
+        *_, ckpt, _ = overfit_run
+        params, opt_acc = ({k: v.copy() for k, v in d.items()}
+                           for d in (ckpt.params, ckpt.opt_acc))
+        tensors = params if name in params else opt_acc
+        tensors[name.removeprefix("rmsprop.")].reshape(-1)[-1] = value
+        path = tmp_path / "bad.afl"
+        save_checkpoint(path, Checkpoint(ckpt.model_spec, params, opt_acc, ckpt.features,
+                                         ckpt.normalization, ckpt.metadata))
+        with pytest.raises(DataError, match=f"^{re.escape(str(path))}: tensor {name} holds a "
+                                            "non-finite value$"):
+            load_checkpoint(path)
 
     def test_wrong_magic(self, tmp_path):
         path = tmp_path / "bad.afl"
