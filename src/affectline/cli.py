@@ -10,6 +10,7 @@ error, 3 data error or an unwritable output path, 4 training divergence
 from __future__ import annotations
 
 import argparse
+import re
 import sys
 from pathlib import Path
 
@@ -288,8 +289,24 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# argparse reads a token that starts with "-" as an option unless it is a plain
+# negative number (-7000, -0.5), so a value in exponent form is joined to its flag
+_EXPONENT_NEGATIVE = re.compile(r"-(\d+\.?\d*|\.\d+)[eE][-+]?\d+")
+
+
+def _join_negative_values(argv) -> list:
+    """``argv`` with each "--flag -1e3" pair written as "--flag=-1e3"."""
+    out = []
+    for token in argv:
+        if out and re.fullmatch("--[^=]+", out[-1]) and _EXPONENT_NEGATIVE.fullmatch(token):
+            out[-1] += "=" + token
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    args = build_parser().parse_args(_join_negative_values(sys.argv[1:] if argv is None else argv))
     try:
         cfg = _effective_config(args)
         return args.func(args, cfg)

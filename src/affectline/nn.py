@@ -9,15 +9,16 @@ softmax cross-entropy, and RMSProp. Only the conv widths vary
 rows r = s (mod KERNEL), over a plain reshape of its input's zero-padded
 channels-last matrix whose rows are then im2col rows, with no columns
 copied. ``Model`` keeps those matrices in one activation arena and
-nothing else: each conv writes its GEMMs straight into the next layer's,
-the ReLUs work in place, and the backward pass writes each gradient over
-one of the last two activations, which it no longer needs by then. An
-inference forward (``keep=False``) keeps no activation and runs in those
-two buffers alone, a model that never trains holding only them. The
-global max pool's gradient is one (time step, value) pair per item and
-channel (``PoolGrad``): the last conv sums its weight gradient over only
-the rows those pairs name and scatters its input gradient from them,
-with no GEMM. No autograd: every layer caches what its hand-derived
+nothing else: each conv writes its GEMMs straight into the next conv's
+input, the ReLUs work in place, the last conv's output is pooled one
+block of items at a time as it is computed, and the backward pass writes
+each conv's input gradient over that input, which it no longer needs by
+then. An inference forward (``keep=False``) keeps no activation and runs
+in two buffers, a model that never trains holding only them. The global
+max pool's gradient is one (time step, value) pair per item and channel
+(``PoolGrad``): the last conv sums its weight gradient over only the
+rows those pairs name and scatters its input gradient from them, with no
+GEMM. No autograd: every layer caches what its hand-derived
 backward pass needs on ``self`` (in a model, views of the arena), so one
 layer or model instance must not run forwards concurrently. Training
 math is float32; gradient checks run the same code in float64.
@@ -42,6 +43,9 @@ GRAD_BLOCK_ROWS = 256
 # The last conv gathers the input windows its pooled rows name for this many
 # output channels at a time: (B, 16, C_in) values instead of (B, C_out, C_in).
 POOL_GATHER_CHANNELS = 16
+# A model runs its last conv over whole items in blocks of about this many rows,
+# pooling each block as it is computed, so the pool's input is never stored.
+POOL_BLOCK_ROWS = 1024
 MAX_CONV_CHANNELS = 4096  # per layer
 
 
@@ -57,10 +61,12 @@ def he_uniform(rng: np.random.Generator, shape, fan_in: int, dtype) -> np.ndarra
 class PoolGrad:
     """The gradient a global max pool sends to its (B, C, T) input:
     ``value[b, c]`` at time ``index[b, c]`` and zero everywhere else.
-    ``dense()`` (or ``np.asarray``) expands it in channels-last memory."""
+    ``peak`` is the pool's input at those steps, its maxima, when the pool
+    sent it. ``dense()`` (or ``np.asarray``) expands it in channels-last
+    memory."""
 
-    def __init__(self, index: np.ndarray, value: np.ndarray, t: int):
-        self.index, self.value, self.t = index, value, t
+    def __init__(self, index: np.ndarray, value: np.ndarray, t: int, peak=None):
+        self.index, self.value, self.t, self.peak = index, value, t, peak
 
     @property
     def shape(self) -> tuple:
@@ -105,12 +111,14 @@ class Conv1d:
     output. ``Model`` passes its arena's buffers instead: ``x_rows`` is
     the F that ``x`` is the interior of, and ``out`` the (B*(T + 2*PAD),
     C_out) matrix to write, which shifted down by PAD rows is the next
-    layer's F. ``backward`` takes a dense output gradient in the same
-    layout after KERNEL - 1 rows it zeroes, ``g_rows`` (KERNEL - 1 +
-    B*(T + 2*PAD), C_out), and writes the input gradient's padded rows
-    into ``out``. A ``PoolGrad`` needs no ``g_rows``: its input gradient
-    is scattered into ``out`` and its weight gradient sums only the rows
-    it names.
+    layer's F. With ``items``, a slice of the batch, the forward computes
+    and returns only those items' output, in ``out``'s leading rows; the
+    backward still takes the whole batch. ``backward`` takes a dense output
+    gradient in the same layout after KERNEL - 1 rows it zeroes, ``g_rows``
+    (KERNEL - 1 + B*(T + 2*PAD), C_out), and writes the input gradient's
+    padded rows into ``out``, which may overlap F: F is read first. A
+    ``PoolGrad`` needs no ``g_rows``: its input gradient is scattered into
+    ``out`` and its weight gradient sums only the rows it names.
     """
 
     kernel = KERNEL  # for code that reads a layer's geometry, like perfbench's FLOP count
@@ -135,7 +143,7 @@ class Conv1d:
             m = (n - s + k - 1) // k
             yield slice(s, n, k), flat[s * c:(s + k * m) * c].reshape(m, k * c)
 
-    def forward(self, x: np.ndarray, x_rows=None, out=None) -> np.ndarray:
+    def forward(self, x: np.ndarray, x_rows=None, out=None, items=slice(None)) -> np.ndarray:
         if x.ndim != 3 or x.shape[1] != self.in_ch or x.shape[2] < 1:
             raise ShapeError(f"conv expects (B, {self.in_ch}, T >= 1) input, got shape {x.shape}")
         b, c, t = x.shape
@@ -143,13 +151,15 @@ class Conv1d:
         if x_rows is None:
             x_rows = np.zeros((b * tp, c), dtype=x.dtype)
             x_rows.reshape(b, tp, c)[:, PAD:PAD + t] = x.transpose(0, 2, 1)
-        y = np.empty((b * tp, self.out_ch), dtype=np.result_type(x_rows, self.taps)) \
+        first, stop, _ = items.indices(b)
+        n = stop - first
+        y = np.empty((n * tp, self.out_ch), dtype=np.result_type(x_rows, self.taps)) \
             if out is None else out
         w = self.taps.reshape(-1, self.out_ch)
-        for rows, cols in self._phases(x_rows, b * tp - KERNEL + 1):
+        for rows, cols in self._phases(x_rows[first * tp:(first + n) * tp], n * tp - KERNEL + 1):
             np.matmul(cols, w, out=y[rows])
         self._rows, self._in_shape = x_rows, (b, c, t)
-        y = y.reshape(b, tp, self.out_ch)
+        y = y.reshape(n, tp, self.out_ch)
         y[:, :t] += self.b
         y[:, t:] = 0
         return y[:, :t].transpose(0, 2, 1)
@@ -192,20 +202,24 @@ class Conv1d:
         rows, one channel after another in order: a channel's B*KERNEL rows
         never collide, and no BLAS runs. The weight gradient sums B products
         per entry instead of B*(T + 2*PAD), so it rounds differently from
-        the dense one. The layer copies its weight and gathers the input
-        windows of ``POOL_GATHER_CHANNELS`` output channels at a time; each
+        the dense one. The layer gathers the input windows, and copies its
+        weight, for ``POOL_GATHER_CHANNELS`` output channels at a time; each
         entry is still one sum over the items in order, so the blocks do not
-        change its bytes."""
+        change its bytes. Every window is read before ``dxp`` is written, so
+        ``dxp`` may overlap the input (in a model, it does)."""
         b, _, t = self._in_shape
         at = np.arange(b)[:, None] * (t + 2 * PAD) + grad.index  # (B, C_out) output row
         gw = np.empty((KERNEL, self.in_ch, self.out_ch),
                       dtype=np.result_type(grad.value, self._rows))
-        dxp[...] = 0
-        for o in range(0, self.out_ch, POOL_GATHER_CHANNELS):
-            block = slice(o, o + POOL_GATHER_CHANNELS)
+        blocks = [slice(o, o + POOL_GATHER_CHANNELS)
+                  for o in range(0, self.out_ch, POOL_GATHER_CHANNELS)]
+        for block in blocks:
             for k in range(KERNEL):  # einsum returns each tap transposed
                 gw[k, :, block] = np.einsum("bo,boi->io", grad.value[:, block],
                                             self._rows[at[:, block] + k])
+        dxp[...] = 0
+        for block in blocks:
+            o = block.start
             taps = np.ascontiguousarray(self.taps[:, :, block].transpose(2, 0, 1))
             rows = at[:, block, None] + np.arange(KERNEL)  # (B, block, KERNEL)
             for j, w in enumerate(taps):
@@ -215,42 +229,57 @@ class Conv1d:
 
 class ReLU:
     """max(x, 0). ``Model`` passes ``out=x`` to both calls, so they work in
-    place; y must be unchanged between them."""
+    place. The backward multiplies by ``mask()``, y > 0, which is exactly
+    where x > 0: taken from y as it stands, or passed in as ``mask`` when y
+    has been overwritten since. In a model the conv above writes its input
+    gradient over y, so the model takes each mask just before that, one at
+    a time. A ``PoolGrad`` is masked by its ``peak`` instead, y at the
+    pooled steps as the pool read it, so the pool's input need not outlive
+    the forward."""
 
     def forward(self, x: np.ndarray, out=None) -> np.ndarray:
         self._y = np.maximum(x, 0, out=out)
         return self._y
 
-    def backward(self, grad_out, out=None):
-        if isinstance(grad_out, PoolGrad):  # the mask at the pooled steps; no ``out``
-            y = np.take_along_axis(self._y, grad_out.index[..., None], axis=2)[..., 0]
-            return PoolGrad(grad_out.index, grad_out.value * (y > 0), grad_out.t)
-        return np.multiply(grad_out, self._y > 0, out=out)  # y > 0 exactly where x > 0
+    def mask(self) -> np.ndarray:
+        return self._y > 0
+
+    def backward(self, grad_out, out=None, mask=None):
+        if isinstance(grad_out, PoolGrad):  # no ``out`` or ``mask``
+            return PoolGrad(grad_out.index, grad_out.value * (grad_out.peak > 0), grad_out.t,
+                            grad_out.peak)
+        return np.multiply(grad_out, self.mask() if mask is None else mask, out=out)
 
 
 class MaxPool1d:
     """Global max over time, (B, C, T) -> (B, C); the gradient routes to
     the first argmax on ties.
 
-    ``forward`` computes only the max and keeps its input, not a copy (in
-    the model the ReLU already holds that array); ``backward``, the only
-    reader of the argmax, takes it there one item at a time (an argmax
-    along the strided time axis copies its operand), so the input must not
-    change between the two calls. In a model, the backward consumes that
-    input: ``Model.backward`` then writes the last conv's output gradient
-    over it. ``backward`` returns a ``PoolGrad``: one (time index, value)
-    pair per (item, channel), not a dense gradient.
+    ``forward`` keeps no input. With ``keep`` it takes the first argmax at
+    once, one item at a time (an argmax along the strided time axis copies
+    its operand), and ``backward`` returns it as a ``PoolGrad``: one (time
+    index, value) pair per (item, channel) and the maxima, not a dense
+    gradient. ``Model`` pools its last conv's output one block of whole
+    items at a time, as the conv computes it: ``x`` is then items ``at`` to
+    ``at + len(x)`` of the batch ``out`` holds the maxima of, and the block
+    at 0 starts that batch.
     """
 
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        self._x = x
-        return x.max(axis=2)
+    def forward(self, x: np.ndarray, keep: bool = True, out=None, at: int = 0) -> np.ndarray:
+        b, c, t = x.shape
+        if out is None:
+            out = np.empty((b, c), dtype=x.dtype)
+        if at == 0:
+            self._index = np.empty(out.shape, dtype=np.intp) if keep else None
+            self._peak, self._t = out, t
+        x.max(axis=2, out=out[at:at + b])
+        if keep:
+            for item, row in zip(x, self._index[at:at + b]):
+                item.argmax(axis=1, out=row)
+        return out
 
     def backward(self, grad_out: np.ndarray) -> PoolGrad:
-        index = np.empty(self._x.shape[:2], dtype=np.intp)
-        for item, at in zip(self._x, index):
-            item.argmax(axis=1, out=at)
-        return PoolGrad(index, grad_out, self._x.shape[2])
+        return PoolGrad(self._index, grad_out, self._t, self._peak)
 
 
 class FullyConnected:
@@ -353,35 +382,31 @@ class _Arena:
     """The zero-padded channels-last buffers of one model, for ``b`` items
     of length ``t``; a smaller batch uses the leading rows.
 
-    With n convs, layer i's input, for i = 0 (the model's input) to n (the
-    pool's input), has item j's time step s at row j*(t + 2*PAD) + PAD + s
-    and every other row zero (one spare row lets the last item's output
-    window start at PAD). A forward that keeps its activations for a
-    backward has them in ``acts[i]``, n + 1 buffers. The backward keeps its
-    gradients in the last two, the pool's input ``acts[-1]`` and the last
-    conv's input ``acts[-2]``, which it no longer needs as activations by
-    then (see ``Model.backward``): the gradient of layer i's input goes in
-    ``acts[-1]`` for n - 1 - i even and in ``acts[-2]`` for odd. A forward
-    that keeps nothing puts layer i's input where its gradient would go, so
-    it runs in those two buffers alone, and an arena built for such forwards
-    (``keep`` false) holds only them; with one conv the two are all of
-    ``acts`` either way. Each of the two has KERNEL - 1 spare rows, for the
-    zero rows a conv's input gradient reads in front of its output gradient,
-    and is as wide as the widest matrix it holds in either forward or the
-    backward: its own activation's width at a spec whose widths never
-    decrease, such as the default. Every forward writes every row it reads.
-    ``rows(i, c, n)`` reads buffer i's memory as n rows of width c. The arena
-    holds no reference to its model or layers, so it dies with the model.
+    With n convs, conv i's input, for i = 0 (the model's input) to n - 1,
+    has item j's time step s at row j*(t + 2*PAD) + PAD + s and every other
+    row zero. An arena for forwards that keep their activations (``keep``)
+    holds one buffer per conv input, ``acts[i]`` at that input's width, and
+    the backward writes conv i's input gradient over ``acts[i]`` (see
+    ``Model.backward``). An arena for inference forwards alone holds
+    min(2, n), each as wide as the widest input it takes: conv i's input goes
+    in ``acts[i % 2]``. Either way it is in ``acts[i % len(acts)]``. Each
+    buffer has KERNEL - 1 spare rows: a conv's output runs PAD rows past its
+    input's, and its input gradient reads KERNEL - 1 zero rows in front of
+    its output gradient. The last conv's output is never stored whole: it
+    is computed and pooled ``items`` whole items at a time in ``block``
+    (see ``Model.forward``). Every forward writes every row it reads.
+    ``rows(i, c, n)`` reads buffer i's memory as n rows of width c. The
+    arena holds no reference to its model or layers, so it dies with the
+    model.
     """
 
     def __init__(self, widths, b: int, t: int, dtype, keep: bool):
-        self.b, self.t = b, t
-        rows, n = b * (t + 2 * PAD), len(widths) - 1
-        self.acts = [np.zeros((rows + PAD, c), dtype=dtype)
-                     for c in widths[:n - 1]] if keep else []
-        # buffer j: layer j's input, or those of layers k, k - 2, ... and their gradients
-        self.acts += [np.zeros((rows + KERNEL - 1, max(widths[j], *widths[k::-2])),
-                               dtype=dtype) for j, k in ((n - 1, n), (n, n - 1))]
+        n, tp = len(widths) - 1, t + 2 * PAD
+        m = n if keep else min(2, n)
+        self.b, self.t, self.items = b, t, max(1, POOL_BLOCK_ROWS // tp)
+        self.acts = [np.zeros((b * tp + KERNEL - 1, max(widths[j:n:m])), dtype=dtype)
+                     for j in range(m)]
+        self.block = np.zeros((min(b, self.items) * tp, widths[n]), dtype=dtype)
 
     def rows(self, i: int, c: int, n: int) -> np.ndarray:
         """The first n*c values of ``acts[i]`` as an (n, c) matrix."""
@@ -395,28 +420,31 @@ class Model:
     The model owns one ``_Arena`` sized for the largest batch and the
     current T it has seen, and computes in its dtype; a new one is built
     only once the old one and the layers' views of it are dropped, so the
-    two are never held at once. Each conv writes its GEMMs straight into the
-    next layer's zero-padded buffer, each ReLU works in place, and backward
-    writes each conv's input gradient over the pool's input or the last
-    conv's, in turn; so a train step allocates little beyond the parameter
-    gradients, one ReLU mask at a time and conv6's gathered input windows.
-    ``forward(x, keep=False)``, inference, keeps no activation: it runs in
-    the arena's last two buffers alone, a new arena it needs holds only
-    those (unless the old one held every layer's), and ``backward`` refuses
-    to follow it. Its logits are bit-equal to a keeping forward's, whose
-    GEMMs read the same rows. The global max pool sends gradient to one time
-    step per (item, channel): conv6's weight gradient sums over only those
-    rows, and its input gradient is scattered from them (see
-    ``Conv1d._pooled_backward``).
+    two are never held at once. Each conv but the last writes its GEMMs
+    straight into the next conv's zero-padded input buffer, and each ReLU
+    works in place. The last conv runs over blocks of whole items, about
+    ``POOL_BLOCK_ROWS`` rows each, in one small buffer: each block gets its
+    bias and ReLU and is pooled at once, its max and, for a backward, its
+    first argmax, so the pool's input is never stored. The backward writes
+    each conv's input gradient over that conv's own input; so a train step
+    allocates little beyond the parameter gradients, one ReLU mask at a time
+    and the last conv's gathered input windows. ``forward(x, keep=False)``,
+    inference, keeps no activation and takes no argmax: a new arena it
+    needs holds two buffers (unless the old one held every conv's input),
+    and ``backward`` refuses to follow it. Its logits are bit-equal to a
+    keeping forward's, whose GEMMs read the same rows. The global max pool
+    sends gradient to one time step per (item, channel): the last conv's
+    weight gradient sums over only those rows, and its input gradient is
+    scattered from them (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic. A row's
-    logits are bit-equal at any batch size where BLAS rounds a GEMM row
-    the same way whatever the GEMM's row count, which small GEMMs need
-    not do: at the default spec with OpenBLAS 0.3.31 on AVX-512 that
-    holds for T >= 18 and fails for T <= 17. The FC head does not use
-    BLAS. Training steps mutate parameters and must not run concurrently,
-    and a forward's results are views of the arena that the next forward
-    or backward overwrites (the logits are not).
+    logits are bit-equal at any batch size, and in any last-conv block,
+    where BLAS rounds a GEMM row the same way whatever the GEMM's row count,
+    which small GEMMs need not do: at the default spec with OpenBLAS 0.3.31
+    on AVX-512 that holds for T >= 18 and fails for T <= 17. The FC head
+    does not use BLAS. Training steps mutate parameters and must not run
+    concurrently, and a forward's results are views of the arena that the
+    next forward or backward overwrites (the logits are not).
     """
 
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
@@ -454,43 +482,46 @@ class Model:
             raise ShapeError(f"model expects (B, {N_FEATURE_ROWS}, T) input, got {x.shape}")
         b, _, t = x.shape
         n, arena = len(self.convs), self._arena
-        whole = arena is not None and len(arena.acts) > n  # a trained model's is rebuilt whole
+        whole = arena is not None and len(arena.acts) == n  # a trained model's is rebuilt whole
         if arena is None or b > arena.b or t != arena.t or (keep and not whole):
             size, arena = max(b, arena.b if arena else 0), None
             # the old buffers go first: the arena and each layer's view of them
-            self._arena = self.pool._x = None
+            self._arena = None
             for conv, relu in zip(self.convs, self.relus):
                 conv._rows = relu._y = None
             arena = self._arena = _Arena(self._widths, size, t, self.dtype, keep or whole)
         self._batch = (b, t) if keep else None
-        # layer i's input: its own buffer, or the one its gradient would take
-        where = range(n + 1) if keep else [-1 - (n - 1 - i) % 2 for i in range(n + 1)]
         tp = t + 2 * PAD
-        padded = arena.rows(where[0], N_FEATURE_ROWS, b * tp).reshape(b, tp, N_FEATURE_ROWS)
-        # the pad rows too: keeping nothing, or with one conv, other matrices use this buffer
+        padded = arena.rows(0, N_FEATURE_ROWS, b * tp).reshape(b, tp, N_FEATURE_ROWS)
+        # the pad rows too: a backward, or in inference another conv's input, leaves values there
         padded[:, :PAD] = padded[:, PAD + t:] = 0
         h = padded[:, PAD:PAD + t].transpose(0, 2, 1)
         h[...] = x
         x_rows = padded.reshape(b * tp, N_FEATURE_ROWS)
-        for i, (conv, relu) in enumerate(zip(self.convs, self.relus), start=1):
-            nxt = arena.rows(where[i], self._widths[i], PAD + b * tp)
+        for i in range(1, n):
+            nxt = arena.rows(i % len(arena.acts), self._widths[i], PAD + b * tp)
             nxt[:PAD] = 0  # the rest is the conv's output and its zeroed straddling rows
-            h = conv.forward(h, x_rows, out=nxt[PAD:])
-            h = relu.forward(h, out=h)
+            h = self.convs[i - 1].forward(h, x_rows, out=nxt[PAD:])
+            h = self.relus[i - 1].forward(h, out=h)
             x_rows = nxt[:b * tp]
-        return self.fc.forward(self.pool.forward(h))
+        pooled = np.empty((b, self._widths[n]), dtype=self.dtype)
+        # B 0 runs one empty block, which starts the pool's batch
+        for j in range(0, max(b, 1), arena.items):
+            items = slice(j, min(j + arena.items, b))
+            y = self.convs[-1].forward(h, x_rows, out=arena.block[:(items.stop - j) * tp],
+                                       items=items)
+            self.pool.forward(self.relus[-1].forward(y, out=y), keep, out=pooled, at=j)
+        return self.fc.forward(pooled)
 
     def backward(self, grad_logits: np.ndarray) -> dict:
         """Gradients for every parameter given d(loss)/d(logits) of the last forward.
 
-        A backward consumes its forward's last two activations. Conv i's input
-        gradient goes over the pool's input for n - 1 - i even and over the
-        last conv's input for n - 1 - i odd (n convs): the last conv's lands
-        on the pool's input once the pool has taken its argmax and the last
-        ReLU its mask at the pooled steps, and the next one on the last conv's
-        input once that conv has read it for its weight gradient and the ReLU
-        before it has masked with it. So a second backward needs a new forward,
-        and a forward with ``keep`` false is refused: it kept no activation.
+        A backward consumes its forward's activations: each conv's input
+        gradient goes over its own input, once that conv has read the input
+        for its weight gradient and the ReLU whose output it is has taken its
+        mask. The pool took its argmax in the forward, and the last ReLU masks
+        by the pooled maxima. So a second backward needs a new forward, and a
+        forward with ``keep`` false is refused: it kept no activation.
         """
         if self._batch is None:
             raise RuntimeError("Model.backward needs a forward that keeps its activations: "
@@ -498,10 +529,12 @@ class Model:
         arena, (b, t) = self._arena, self._batch
         n, rows = len(self.convs), KERNEL - 1 + b * (t + 2 * PAD)  # see Conv1d.backward
         g = self.pool.backward(self.fc.backward(grad_logits.astype(self.dtype, copy=False)))
-        g_rows = None  # the last conv's output gradient is a PoolGrad
+        g_rows = mask = None  # the last conv's output gradient is a PoolGrad
         for i in reversed(range(n)):
-            g = self.relus[i].backward(g, out=g)
-            dx_rows = arena.rows(-1 - (n - 1 - i) % 2, self._widths[i], rows)
+            g = self.relus[i].backward(g, out=g, mask=mask)
+            del mask  # one mask at a time: the next is taken before conv i overwrites its input
+            mask = self.relus[i - 1].mask() if i else None
+            dx_rows = arena.rows(i, self._widths[i], rows)
             g = self.convs[i].backward(g, g_rows, out=dx_rows[KERNEL - 1 - PAD:rows - PAD])
             g_rows = dx_rows
         return {f"{name}.{p}": getattr(layer, "g" + p)

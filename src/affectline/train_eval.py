@@ -197,6 +197,21 @@ def extract_features(path, settings: FeatureSettings,
     return fm
 
 
+def _extracted(records, settings: FeatureSettings, cache_dir, jobs: int, failures: list):
+    """(record, matrix) of each record that decodes, extracted in record
+    order in the calling process; each decode failure is appended to
+    ``failures`` as (path, reason) instead. ``jobs`` must be 1."""
+    if jobs != 1:
+        raise ConfigError(f"jobs must be 1 (extraction runs in one process), got {jobs!r}")
+    for record in records:
+        try:
+            fm = extract_features(record[0], settings, cache_dir)
+        except AudioDecodeError as exc:
+            failures.append((record[0], str(exc)))
+        else:
+            yield record, fm
+
+
 def extract_all(records, settings: FeatureSettings, cache_dir=None, jobs: int = 1):
     """Feature matrices for (path, label) records, extracted in the calling
     process in record order; ``jobs`` must be 1.
@@ -204,17 +219,26 @@ def extract_all(records, settings: FeatureSettings, cache_dir=None, jobs: int = 
     Returns (kept records, matrices, failures); decode failures are
     collected rather than fatal.
     """
-    if jobs != 1:
-        raise ConfigError(f"jobs must be 1 (extraction runs in one process), got {jobs!r}")
     kept, matrices, failures = [], [], []
-    for record in records:
-        try:
-            matrices.append(extract_features(record[0], settings, cache_dir))
-        except AudioDecodeError as exc:
-            failures.append((record[0], str(exc)))
-        else:
-            kept.append(record)
+    for record, fm in _extracted(records, settings, cache_dir, jobs, failures):
+        kept.append(record)
+        matrices.append(fm)
     return kept, matrices, failures
+
+
+def _extract_batch(records, settings: FeatureSettings, cache_dir, jobs: int):
+    """``extract_all`` into one raw float32 batch: (kept records, (N, 41, T)
+    batch, matrices, failures). Each matrix's valid columns are copied into
+    the next row as it is read, and the matrix is dropped, so a decode
+    failure leaves no gap; the returned matrices are views of the rows."""
+    kept, rows, failures = [], [], []
+    batch = np.zeros((len(records), N_FEATURE_ROWS, settings.t_fixed), dtype=np.float32)
+    for record, fm in _extracted(records, settings, cache_dir, jobs, failures):
+        row, n = batch[len(kept)], fm.n_valid_frames
+        row[:, :n] = fm.values[:, :n]
+        kept.append(record)
+        rows.append(FeatureMatrix(values=row, n_valid_frames=n))
+    return kept, batch[:len(kept)], rows, failures
 
 
 def _decode_failures_error(message: str, failures) -> DataError:
@@ -223,24 +247,22 @@ def _decode_failures_error(message: str, failures) -> DataError:
                                   *(reason for _, reason in failures)]))
 
 
-def _to_batch_array(matrices, profile, *, drop: bool = False) -> np.ndarray:
+def _to_batch_array(matrices, profile, *, out=None) -> np.ndarray:
     """(N, 41, T) float32 model input, the one place a profile is applied: each
     matrix's valid columns as ``(values - mean) / std`` in float64 (a zero std
     counts as 1), cast into its row of a zeroed batch; no float64 stack is held.
-    With ``drop``, each entry of the list ``matrices`` is set to None once its
-    row is written, so a matrix held only there is freed as the batch fills.
+    With ``out``, a batch whose rows ``matrices`` are views of (as
+    ``_extract_batch`` returns them), the rows are normalized in place.
 
     DataError when a normalized value overflows float32, as with a
     normalization std far below the features' scale, instead of casting
     it to inf (whose logits would predict class 0 silently).
     """
-    out = np.zeros((len(matrices), *matrices[0].values.shape), dtype=np.float32)
+    if out is None:
+        out = np.zeros((len(matrices), *matrices[0].values.shape), dtype=np.float32)
     mean, std = profile.mean[:, None], np.where(profile.std > 0, profile.std, 1.0)[:, None]
     with np.errstate(over="ignore"):  # an overflow is reported below
-        for i, row in enumerate(out):
-            m = matrices[i]
-            if drop:
-                matrices[i] = None
+        for m, row in zip(matrices, out):
             values = (m.values[:, :m.n_valid_frames] - mean) / std
             row[:, :m.n_valid_frames] = values
             if not np.isfinite(row).all():
@@ -259,9 +281,10 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     A row's logits do not depend on the rows forwarded with it wherever
     BLAS rounding does not (see ``Model``). Each forward keeps no
     activation (``keep=False``), so on a model that has not trained it runs
-    in two zero-padded buffers of the arena alone, which keeps the largest
-    batch it has seen: about 0.62 MB a row at the default spec (a trained
-    model's arena already holds those two). ``PREDICT_ROWS`` bounds it.
+    in two zero-padded buffers of the arena and one last-conv block, sized
+    for the largest batch it has seen: 8.4 MB for ``PREDICT_ROWS`` rows at
+    the default spec and T 300 (a trained model's arena already holds
+    them). ``PREDICT_ROWS`` bounds it.
 
     DataError when a logit is not finite, as with finite float32 weights
     whose products overflow, instead of an argmax that reads class 0.
@@ -295,28 +318,29 @@ def train(records, model_spec: ModelSpec, config: TrainConfig,
     Splits internally, extracts features, computes the normalization
     profile on the training split, then runs epochs x ceil(N/batch)
     RMSProp steps, forwarding each row once per epoch (see ``EpochStats``).
-    Each extracted matrix is freed once its row of the float32 train or test
-    batch is written, so the matrices and both batches are never all held
-    at once. A non-finite loss aborts with DivergenceError naming the epoch
+    Each extracted matrix is copied into its row of the raw float32 train
+    or test batch as it is read and then freed, and the batches are
+    normalized in place, so training holds the two batches and no matrix
+    beside them. A non-finite loss aborts with DivergenceError naming the epoch
     and batch, and so do a non-finite parameter after an epoch's updates or
     non-finite test logits, naming the epoch; a split that decode failures
     leave empty raises DataError naming every failure. ``jobs`` must be 1,
     as in ``extract_all``.
     """
     train_recs, test_recs = split_dataset(records, config)
-    train_recs, train_mats, train_fail = extract_all(train_recs, settings, cache_dir, jobs)
-    test_recs, test_mats, test_fail = extract_all(test_recs, settings, cache_dir, jobs)
+    train_recs, x_train, train_rows, train_fail = _extract_batch(train_recs, settings,
+                                                                 cache_dir, jobs)
+    test_recs, x_test, test_rows, test_fail = _extract_batch(test_recs, settings, cache_dir, jobs)
     for name, kept in (("training", train_recs), ("test", test_recs)):
         if not kept:
             raise _decode_failures_error(f"{name} split is empty after decode failures",
                                          train_fail + test_fail)
 
-    profile = compute_normalization(train_mats)
-    # the epochs read only the float32 batches: each matrix goes once its row is written
-    x_train = _to_batch_array(train_mats, profile, drop=True)
-    y_train = _labels_array(train_recs)
-    x_test = _to_batch_array(test_mats, profile, drop=True)
-    y_test = _labels_array(test_recs)
+    profile = compute_normalization(train_rows)
+    # the epochs read only the two batches, normalized in place
+    _to_batch_array(train_rows, profile, out=x_train)
+    _to_batch_array(test_rows, profile, out=x_test)
+    y_train, y_test = _labels_array(train_recs), _labels_array(test_recs)
 
     model = Model(model_spec, seed=np.random.SeedSequence([config.seed, 101]))
     optimizer = RmsProp(lr=config.lr)

@@ -667,6 +667,13 @@ class TestNonFiniteValues:
         assert (done.returncode, done.stderr) == (4, f"training diverged: {error}\n")
         assert list(out.iterdir()) == []  # no checkpoint
 
+    def test_negative_exponent_lr_is_its_range_error(self, tmp_path, corpus_root, capsys):
+        assert main(["train", "--corpus", str(corpus_root), "--out", str(tmp_path / "o"),
+                     "--lr", "-1e3"]) == 2
+        assert capsys.readouterr().err == \
+            "config error: lr must be finite and >= 0, got -1000.0\n"
+        assert not (tmp_path / "o").exists()
+
     def inputs(self, command, tmp_path, corpus_root, cache):
         if command == "eval":
             return ["--corpus", corpus_root, "--cache-dir", cache]
@@ -1039,10 +1046,21 @@ class TestSynthCommand:
                                                                    corpus_root, capsys, snr):
         # 10 ** (snr / 20) overflows above ~6,165 dB and is 0 below ~-6,466 dB
         assert main(["synth", "--corpus", str(corpus_root), "--out", str(tmp_path / "o"),
-                     "--n-segments", "2", f"--snr-db={snr}"]) == 2  # argparse: "-1e308"
+                     "--n-segments", "2", "--snr-db", snr]) == 2
         assert capsys.readouterr().err == \
             f"config error: --snr-db must be within ±6000 dB, got {float(snr)}\n"
         assert list(tmp_path.iterdir()) == []
+
+    def test_negative_exponent_value_after_its_flag(self, tmp_path, corpus_root):
+        # argparse takes "-1e3" for an option where it takes "-1000" for a value
+        out, bundles = tmp_path / "o", []
+        for flag in (["--snr-db=-1e3"], ["--snr-db", "-1e3"]):
+            assert main(["synth", "--corpus", str(corpus_root), "--out", str(out),
+                         "--n-segments", "2", *flag]) == 0
+            bundles.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+            shutil.rmtree(out)
+        assert bundles[0] == bundles[1] and len(bundles[0]) > 2
 
     def test_deterministic_given_seed(self, tmp_path, corpus_root):
         a, b = tmp_path / "a", tmp_path / "b"

@@ -6,6 +6,7 @@ from dataclasses import asdict
 import numpy as np
 import pytest
 
+from affectline import nn
 from affectline.audio_io import EMOTIONS
 from affectline.checkpoint import drop_retired
 from affectline.errors import ConfigError
@@ -779,19 +780,25 @@ def trained_like(spec, seed):
 
 
 ONE_CONV = ModelSpec(conv_channels=(10,))
-# widths that fall: earlier convs' input gradients are wider than the last two
-# activations, so the backward widens those buffers
+# widths that fall: in inference, conv i's input shares a buffer with wider ones
 DECREASING = ModelSpec(conv_channels=(256, 128, 64, 32, 16, 8))
 
 
 def layers_run_alone(model, x, grad_logits):
     """Logits and parameter gradients of ``model``'s own layers chained standalone:
     each conv copies its input and allocates its output and gradient rows, each
-    ReLU allocates its output, and no buffer is shared."""
+    ReLU allocates its output, and no buffer is shared. The last conv's output is
+    taken over the model's blocks of whole items, one standalone forward each, so
+    its GEMMs have the model's row counts (BLAS may round a row by them: at
+    DECREASING's 8 output channels a 64-item GEMM does so); a forward over the
+    whole batch then gives its backward the whole input."""
     h = x
-    for conv, relu in zip(model.convs, model.relus):
+    for conv, relu in zip(model.convs[:-1], model.relus[:-1]):
         h = relu.forward(conv.forward(h))
-    logits = model.fc.forward(model.pool.forward(h))
+    last, items = model.convs[-1], max(1, nn.POOL_BLOCK_ROWS // (x.shape[2] + 2 * PAD))
+    y = np.concatenate([last.forward(h[j:j + items]) for j in range(0, len(h), items)])
+    last.forward(h)
+    logits = model.fc.forward(model.pool.forward(model.relus[-1].forward(y)))
     g = model.pool.backward(model.fc.backward(grad_logits))
     for conv, relu in zip(reversed(model.convs), reversed(model.relus)):
         g = conv.backward(relu.backward(g))
@@ -847,10 +854,10 @@ class TestArenaOracle:
     @pytest.mark.parametrize("spec", [SMALL, ModelSpec(), DECREASING, ONE_CONV],
                              ids=["small", "default", "decreasing", "one_conv"])
     def test_logits_after_a_backward_bit_equal_to_a_fresh_models(self, spec):
-        # the backward writes its gradients over the last two activation buffers (the
-        # model's input too, with one conv): no later forward, at the arena's batch or
-        # a smaller one, reads a row of them it has not written. At T 3 every pooled
-        # step is next to a pad row, so a stale pad row moves the logits
+        # the backward writes each conv's input gradient over that input: no later
+        # forward, at the arena's batch or a smaller one, reads a row of them it has not
+        # written. At T 3 every pooled step is next to a pad row, so a stale pad row
+        # moves the logits
         model, fresh = trained_like(spec, 50), trained_like(spec, 50)
         rng = np.random.default_rng(51)
         for t in (300, 3):
@@ -861,27 +868,60 @@ class TestArenaOracle:
                 x = rng.standard_normal((b, 41, t)).astype(np.float32)
                 assert model.forward(x).tobytes() == fresh.forward(x).tobytes(), (t, b)
 
-    # every buffer a model shares between layers, and every row a forward leaves
-    # from an earlier step, must leave the bytes of a fresh, unshared chain
+    # every buffer a model shares between layers and every row a forward or backward
+    # leaves from an earlier step must leave the bytes of a fresh, unshared chain.
+    # Each batch takes two steps; the arena grows at 25 and 64, and the other batches
+    # reuse its leading rows. At T 1 one last-conv block holds every batch, at T 17
+    # and 18 the 64 items take two and at T 300 3 items take one
+    @pytest.mark.parametrize("t", [1, 17, 18, 300])
     @pytest.mark.parametrize("spec", [ModelSpec(), SMALL, DECREASING, ONE_CONV],
                              ids=["default", "small", "decreasing", "one_conv"])
-    def test_model_backward_bit_equal_to_its_layers_run_alone(self, spec):
+    def test_model_backward_bit_equal_to_its_layers_run_alone(self, spec, t):
         model, alone = trained_like(spec, 60), trained_like(spec, 60)
         optimizers = RmsProp(lr=1e-3), RmsProp(lr=1e-3)
         rng = np.random.default_rng(61)
-        for b in (25, 7):  # the second step reuses the leading rows of the first's arena
-            x = rng.standard_normal((b, 41, 300)).astype(np.float32)
-            logits = model.forward(x)
-            _, grad = softmax_xent(logits, rng.integers(0, 6, b))
-            grad = (grad / b).astype(np.float32)
-            got = model.backward(grad)
-            want_logits, want = layers_run_alone(alone, x, grad)
-            assert logits.tobytes() == want_logits.tobytes(), b
-            assert list(got) == list(want)
-            for name in want:
-                assert got[name].tobytes() == want[name].tobytes(), (b, name)
-            optimizers[0].step(model.parameters(), got)
-            optimizers[1].step(alone.parameters(), want)
+        for b in (25, 7, 64, 1):
+            for step in range(2):
+                x = rng.standard_normal((b, 41, t)).astype(np.float32)
+                logits = model.forward(x)
+                _, grad = softmax_xent(logits, rng.integers(0, 6, b))
+                grad = (grad / b).astype(np.float32)
+                got = model.backward(grad)
+                want_logits, want = layers_run_alone(alone, x, grad)
+                assert logits.tobytes() == want_logits.tobytes(), (b, step)
+                assert list(got) == list(want)
+                for name in want:
+                    assert got[name].tobytes() == want[name].tobytes(), (b, step, name)
+                optimizers[0].step(model.parameters(), got)
+                optimizers[1].step(alone.parameters(), want)
+
+    # the last conv runs in blocks of whole items: 1, 3 and 8 items a block give the
+    # bytes of one block over the whole batch, in a train step and in inference
+    @pytest.mark.parametrize("t", [50, 300])
+    @pytest.mark.parametrize("spec", [ModelSpec(), ModelSpec(conv_channels=(8, 8, 16, 16, 32, 32)),
+                                      ModelSpec(conv_channels=(4, 6)),
+                                      ModelSpec(conv_channels=(4, 4, 4, 4, 4, 4))],
+                             ids=["default", "ascending", "two_conv", "narrow"])
+    def test_last_conv_blocks_bit_equal_to_one_block(self, spec, t, monkeypatch):
+        rng = np.random.default_rng(62)
+        x = rng.standard_normal((25, 41, t)).astype(np.float32)
+        targets, inference = rng.integers(0, 6, 25), x[:16]
+        runs = []
+        for items in (25, 1, 3, 8):
+            monkeypatch.setattr(nn, "POOL_BLOCK_ROWS", items * (t + 2 * PAD))
+            model = trained_like(spec, 63)
+            steps = [train_step(model, RmsProp(lr=1e-3), x, targets) for _ in range(2)]
+            assert model._arena.items == items
+            runs.append((steps, predict_logits(model, inference),
+                         predict_logits(trained_like(spec, 63), inference)))
+        one = runs[0]
+        for items, (steps, logits, fresh) in zip((1, 3, 8), runs[1:]):
+            for (got_logits, got), (want_logits, want) in zip(steps, one[0]):
+                assert got_logits.tobytes() == want_logits.tobytes(), items
+                for name in want:
+                    assert got[name].tobytes() == want[name].tobytes(), (items, name)
+            assert logits.tobytes() == one[1].tobytes(), items
+            assert fresh.tobytes() == one[2].tobytes(), items
 
     def test_float64_model_matches_the_oracle(self):
         model = Model(SMALL, seed=5, dtype=np.float64)
@@ -896,8 +936,8 @@ class TestArenaOracle:
 
 
 # the default; two narrow rising specs, where the 41-row input is the widest matrix
-# of one of the two buffers; falling widths; and a single conv, whose two buffers
-# are its whole arena
+# of one of the two buffers; falling widths; and a single conv, whose one buffer is
+# its whole arena either way
 INFERENCE_SPECS = [ModelSpec(), SMALL, ModelSpec(conv_channels=(8, 8, 16, 16, 32, 32)),
                    DECREASING, ONE_CONV]
 INFERENCE_IDS = ["default", "small", "ascending", "decreasing", "one_conv"]
@@ -913,9 +953,9 @@ def train_step(model, optimizer, x, targets):
 
 
 class TestInferenceForward:
-    """``forward(x, keep=False)`` runs in the arena's last two buffers: each
-    layer's input goes where the backward puts its gradient. The GEMMs read
-    the same rows as in a forward that keeps every activation."""
+    """``forward(x, keep=False)`` on a new model runs in two buffers, conv i's
+    input in buffer i % 2, and on a trained one in its training arena. The
+    GEMMs read the same rows as in a forward that keeps every activation."""
 
     @pytest.mark.parametrize("spec", INFERENCE_SPECS, ids=INFERENCE_IDS)
     def test_two_buffer_logits_bit_equal_to_the_full_arenas(self, spec):
@@ -928,7 +968,8 @@ class TestInferenceForward:
                 x = rng.standard_normal((b, 41, t)).astype(np.float32)
                 got = two.forward(x, keep=False)
                 assert got.tobytes() == full.forward(x).tobytes(), (t, b)
-        assert len(two._arena.acts) == 2 and len(full._arena.acts) == len(spec.conv_channels) + 1
+        n = len(spec.conv_channels)
+        assert len(two._arena.acts) == min(2, n) and len(full._arena.acts) == n
 
     @pytest.mark.parametrize("spec", INFERENCE_SPECS, ids=INFERENCE_IDS)
     def test_inference_after_a_train_step_bit_equal_and_in_its_arena(self, spec):
@@ -938,10 +979,10 @@ class TestInferenceForward:
                    rng.integers(0, 6, 25))
         fresh.set_parameters(dict(model.parameters()))
         arena, buffers = model._arena, list(model._arena.acts)
-        for b in (16, 3):  # the backward's gradients are still in the two buffers
+        for b in (16, 3):  # the backward's gradients are still in the buffers
             x = rng.standard_normal((b, 41, 300)).astype(np.float32)
             assert predict_logits(model, x).tobytes() == fresh.forward(x).tobytes(), b
-        # the training arena's pair, not a new one
+        # the training arena, not a new one
         assert model._arena is arena and all(new is old for new, old in zip(arena.acts, buffers))
 
     @pytest.mark.parametrize("spec", INFERENCE_SPECS, ids=INFERENCE_IDS)
@@ -960,7 +1001,7 @@ class TestInferenceForward:
             for name in want:
                 assert got[name].tobytes() == want[name].tobytes(), (b, t, name)
             predict_logits(model, rng.standard_normal((16, 41, t)).astype(np.float32))
-        assert len(model._arena.acts) == len(spec.conv_channels) + 1
+        assert len(model._arena.acts) == len(spec.conv_channels)
 
     def test_backward_after_inference_forward_refused(self):
         model = Model(SMALL, seed=0)
@@ -992,27 +1033,28 @@ class TestArenaMemory:
             if was_enabled:
                 gc.enable()
 
-    # the backward keeps its gradients in the last two activation buffers, each as
-    # wide as the widest matrix it holds: at DECREASING, conv6's input gradient and
-    # those of conv4 and conv2 (16, 64 and 256 channels) over the pool's 8-wide
-    # input, and those of conv5, conv3 and conv1 (32, 128 and 41) over conv6's
-    # 16-wide input; with one conv, its 41-wide input gradient over the pool's input
+    # one buffer per conv input at its own width, each conv's input gradient written
+    # over it, and one block of the last conv's output: 3 items of 302 rows at T 300
     @pytest.mark.parametrize("spec, widths", [
-        (ModelSpec(), [41, 64, 64, 128, 128, 256, 256]),
-        (DECREASING, [41, 256, 128, 64, 32, 128, 256]),
-        (ONE_CONV, [41, 41])], ids=["default", "decreasing", "one_conv"])
+        (ModelSpec(), [41, 64, 64, 128, 128, 256]),
+        (DECREASING, [41, 256, 128, 64, 32, 16]),
+        (ONE_CONV, [41])], ids=["default", "decreasing", "one_conv"])
     def test_arena_holds_only_the_activations(self, spec, widths):
         model = Model(spec, seed=0)
         b, t = 25, 300
         model.forward(np.zeros((b, 41, t), dtype=np.float32))
         model.backward(np.ones((b, 6), dtype=np.float32))
-        arena, rows = model._arena, b * (t + 2 * PAD)
-        assert sorted(vars(arena)) == ["acts", "b", "t"]
-        spare = [PAD] * (len(widths) - 2) + [KERNEL - 1] * 2  # for the gradients' zero rows
-        assert [a.shape for a in arena.acts] == [(rows + s, w) for s, w in zip(spare, widths)]
+        arena, tp = model._arena, t + 2 * PAD
+        assert sorted(vars(arena)) == ["acts", "b", "block", "items", "t"]
+        # KERNEL - 1 spare rows for the zero rows in front of an output gradient
+        assert [a.shape for a in arena.acts] == [(b * tp + KERNEL - 1, w) for w in widths]
+        assert arena.items == 3 and arena.block.shape == (3 * tp, spec.conv_channels[-1])
 
+    # conv i's input in buffer i % 2, each as wide as the widest input it takes: at the
+    # default spec 41, 64 and 128 channels in one and 64, 128 and 256 in the other, at
+    # DECREASING 41, 128 and 32 and 256, 64 and 16; one conv needs one buffer
     @pytest.mark.parametrize("spec, widths", [
-        (ModelSpec(), [256, 256]), (DECREASING, [128, 256]), (ONE_CONV, [41, 41])],
+        (ModelSpec(), [128, 256]), (DECREASING, [128, 256]), (ONE_CONV, [41])],
         ids=["default", "decreasing", "one_conv"])
     def test_inference_arena_holds_two_buffers(self, spec, widths):
         model = Model(spec, seed=0)
@@ -1020,15 +1062,18 @@ class TestArenaMemory:
         predict_logits(model, np.zeros((b, 41, t), dtype=np.float32))
         rows = b * (t + 2 * PAD) + KERNEL - 1
         assert [a.shape for a in model._arena.acts] == [(rows, w) for w in widths]
+        assert model._arena.block.shape == (3 * (t + 2 * PAD), spec.conv_channels[-1])
         model.forward(np.zeros((b, 41, t), dtype=np.float32))  # a kept forward builds them all
-        assert len(model._arena.acts) == len(spec.conv_channels) + 1
+        assert len(model._arena.acts) == len(spec.conv_channels)
         # and a larger inference batch after it regrows them all, for the next train step
         model.forward(np.zeros((b + 1, 41, t), dtype=np.float32), keep=False)
-        assert model._arena.b == b + 1 and len(model._arena.acts) == len(spec.conv_channels) + 1
+        assert model._arena.b == b + 1 and len(model._arena.acts) == len(spec.conv_channels)
 
     def test_inference_forward_peak_memory(self):
-        # the two buffers are 9.9 MB at B 16, T 300 and the peak (numpy 2.4); it was
-        # 18.2 MB when the forward built the arena of every layer's buffer
+        # the two buffers (128 and 256 channels) and the last conv's block are 8.4 MB
+        # at B 16, T 300 and the peak (numpy 2.4); 9.9 MB with two 256-channel buffers,
+        # the pool's input one of them, and 18.2 MB when the forward built the arena
+        # of every layer's buffer
         model = Model(ModelSpec(), seed=0)
         x = np.random.default_rng(0).standard_normal((16, 41, 300)).astype(np.float32)
         tracemalloc.start()
@@ -1037,12 +1082,12 @@ class TestArenaMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 12e6
+        assert peak < 9.3e6
 
     def test_arena_rebuild_frees_the_old_buffers_first(self):
-        # a batch-8 step's arena (7 buffers, 9.1 MB at T 300), then a 16-row
-        # predict_logits, which rebuilds it whole at 16 rows: 22.9 MB at the peak
-        # (numpy 2.4); 31.9 MB when the old buffers, held by the arena or by the
+        # a batch-8 step's arena (6 buffers and a block, 7.5 MB at T 300), then a
+        # 16-row predict_logits, which rebuilds it whole at 16 rows: 17.3 MB at the
+        # peak (numpy 2.4); 31.9 MB when the old buffers, held by the arena or by the
         # layers' views of them, lived until the new ones were built
         rng = np.random.default_rng(0)
         x = rng.standard_normal((8, 41, 300)).astype(np.float32)
@@ -1061,7 +1106,7 @@ class TestArenaMemory:
 
     def test_new_t_rebuild_peaks_below_the_train_step(self):
         # a batch-16 T 300 step, then 16 rows at T 280: the new arena is built
-        # once the old one (18.0 MB) is freed, so the step sets the peak (25.2 MB,
+        # once the old one (14.1 MB) is freed, so the step sets the peak (18.1 MB,
         # numpy 2.4); holding both peaked at 39.8 MB
         rng = np.random.default_rng(0)
         x = rng.standard_normal((16, 41, 300)).astype(np.float32)
@@ -1081,10 +1126,10 @@ class TestArenaMemory:
         assert peak < step_peak + 1e6, (step_peak, peak)
 
     def test_first_train_step_peak_memory(self):
-        # the step allocates the arena, 28.3 MB of activation buffers at B 25, T 300:
-        # 31.1 MB at the peak (numpy 2.4); 31.9 MB with the last conv's input gradient
-        # taken by dense GEMMs, a ReLU's mask held through them, 47.4 MB with two
-        # gradient buffers besides
+        # the step allocates the arena, 20.6 MB of conv inputs and a 0.9 MB block at
+        # B 25, T 300: 24.8 MB at the peak (numpy 2.4); 31.1 MB with the pool's input
+        # stored, 31.9 MB with the last conv's input gradient taken by dense GEMMs, a
+        # ReLU's mask held through them, 47.4 MB with two gradient buffers besides
         model = Model(ModelSpec(), seed=0)
         rng = np.random.default_rng(0)
         x = rng.standard_normal((25, 41, 300)).astype(np.float32)
@@ -1096,7 +1141,7 @@ class TestArenaMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 34e6
+        assert peak < 27.3e6
 
     def test_warm_train_step_peak_memory(self):
         # the dense model before the arena peaked at 88.4 MB on this step
@@ -1114,9 +1159,11 @@ class TestArenaMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 2.8 MB with the last conv's input gradient scattered from its pooled pairs;
-        # 3.6 MB with it taken by dense GEMMs, a ReLU's mask held through them, 7.8 MB
-        # with two gradient buffers and the pool's argmax over a copy of its whole input
+        # 3.3 MB: the last conv's scatter with the ReLU mask (1.9 MB) of its input held
+        # through it, as each conv's input gradient goes over that input; 2.8 MB with
+        # the pool's input stored and the mask taken in the ReLU's backward; 3.6 MB
+        # with the input gradient taken by dense GEMMs, 7.8 MB with two gradient
+        # buffers and the pool's argmax over a copy of its whole input
         assert peak < 3.4e6
 
 

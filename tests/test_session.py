@@ -660,8 +660,9 @@ class TestLongSegmentMemory:
 
     def test_first_session_peak_holds_two_model_buffers(self, tmp_path):
         # the first session builds the checkpoint's model, whose inference arena is
-        # two buffers: 9.9 MB for 16 rows at the default spec and T 300, 13.3 MB at the
-        # session's peak (numpy 2.4); 21.5 MB when the arena held every layer's buffer
+        # two buffers and a last-conv block: 8.4 MB for 16 rows at the default spec and
+        # T 300, 11.6 MB at the session's peak (numpy 2.4); 13.3 MB with two 256-wide
+        # buffers, 21.5 MB when the arena held every layer's buffer
         ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed, spec=ModelSpec())
         records = load_manifest(synthesize_session(labeled_clips(16, seed=16), tmp_path / "s",
                                                    session_id="synthetic")

@@ -228,20 +228,21 @@ class TestTrain:
 
     def test_batch_build_never_holds_every_matrix_and_both_batches(self, tmp_path):
         # 150 one-second clips at T 300, no epoch and a one-conv model, so building the
-        # batches sets the peak: the extracted matrices and the two float32 batches are
-        # N x 49 KB each, and train() frees each matrix once its batch row is written
+        # batches sets the peak: the two float32 batches are N x 49 KB, and train()
+        # copies each matrix into its row of the raw batch as it is read, so beside
+        # them it holds one clip's extraction, its matrix included (1.3 MB here)
         records = build_synthetic_corpus(tmp_path, per_class=25)
-        matrices = extract_all(records, FeatureSettings())[1]
-        every = sum(m.values.nbytes for m in matrices) + len(records) * N_FEATURE_ROWS * 300 * 4
-        del matrices
+        batches = len(records) * N_FEATURE_ROWS * 300 * 4
         tracemalloc.start()
         try:
             train(records, ModelSpec(conv_channels=(8,)), TrainConfig(epochs=0, seed=5))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # 13.4 MB against 14.8 MB; 14.9 MB while train() held every matrix to the end
-        assert peak < every
+        # 8.7 MB against 9.4 MB (numpy 2.4); 13.4 MB while each matrix was held until
+        # its row of an already zeroed batch was written, 14.9 MB while train() held
+        # every matrix to the end
+        assert peak < batches + 2e6
 
     def test_deterministic_metrics_and_params(self, synthetic_corpus):
         _, records = synthetic_corpus
@@ -339,8 +340,9 @@ class TestFeatureSettings:
 
 class TestPredictLogits:
     def test_64_rows_peak_memory_bounded(self):
-        # the model's arena holds ~1.4 MB a row at the default spec; before it,
-        # one forward kept ~3 MB a row, and 64 rows in one forward peaked at ~143 MB
+        # a model that only infers holds 8.4 MB for 16 rows at the default spec; before
+        # the arena, one forward kept ~3 MB a row, and 64 rows in one forward peaked
+        # at ~143 MB
         model = Model(ModelSpec(), seed=3)
         x = np.random.default_rng(3).standard_normal((64, 41, 300)).astype(np.float32)
         tracemalloc.start()
@@ -901,6 +903,24 @@ class TestFeatureCache:
         assert kept == subset[:1]
         assert [path for path, _ in failures] == [folder, dangling]
         assert all(reason.startswith(f"{path}: ") for path, reason in failures)
+
+    def test_raw_batch_bit_equal_to_the_matrices_batch(self, synthetic_corpus):
+        # train() copies each matrix into its row of one raw batch as it is read and
+        # normalizes that batch in place: a failure between clips leaves no gap, and
+        # the profile and the batch are the bytes of those taken from the matrices
+        root, records = synthetic_corpus
+        folder = root / "03-01-01-01-02-01-02.wav"  # a directory named like a clip
+        folder.mkdir()
+        subset = [records[0], (folder, "neutral"), *records[1:4]]
+        kept, matrices, failures = extract_all(subset, TINY_SETTINGS)
+        got_kept, batch, rows, got_failures = train_eval._extract_batch(subset, TINY_SETTINGS,
+                                                                        None, 1)
+        assert (got_kept, got_failures, len(batch)) == (kept, failures, 4)
+        profile, got = compute_normalization(matrices), compute_normalization(rows)
+        assert got.mean.tobytes() == profile.mean.tobytes()
+        assert got.std.tobytes() == profile.std.tobytes()
+        assert train_eval._to_batch_array(rows, got, out=batch) is batch
+        assert batch.tobytes() == train_eval._to_batch_array(matrices, profile).tobytes()
 
     def test_missing_nested_cache_dir_is_made_on_first_write(self, synthetic_corpus,
                                                              tmp_path):
