@@ -97,8 +97,8 @@ class Checkpoint:
     def model(self) -> Model:
         """The model holding ``params``, built on first use and kept, with its
         activation arena, for every later call. It only runs inference
-        forwards, which keep no activation, so its arena is two buffers and
-        a last-conv block (8.4 MB for 16 rows at the default spec and T 300).
+        forwards, which keep no activation, so its arena is the one of a
+        model that only infers (see ``nn._Arena``).
         Nothing in this package changes ``params`` after a checkpoint is made
         or loaded."""
         model = Model(self.model_spec)

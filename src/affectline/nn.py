@@ -393,11 +393,15 @@ class _Arena:
     buffer has KERNEL - 1 spare rows: a conv's output runs PAD rows past its
     input's, and its input gradient reads KERNEL - 1 zero rows in front of
     its output gradient. The last conv's output is never stored whole: it
-    is computed and pooled ``items`` whole items at a time in ``block``
-    (see ``Model.forward``). Every forward writes every row it reads.
-    ``rows(i, c, n)`` reads buffer i's memory as n rows of width c. The
-    arena holds no reference to its model or layers, so it dies with the
-    model.
+    is computed and pooled a block of whole items at a time, in ``block``
+    or, in an inference forward, over a buffer it no longer reads (see
+    ``pool_blocks``). ``block`` is None only in an arena of fewer buffers
+    than convs that has ``free_blocks``, since a keeping forward runs in any
+    arena of one buffer per conv input: at the default spec and T 300, an
+    arena for 16 inference rows is its two buffers, 7.4 MB. Every forward
+    writes every row it reads. ``rows(i, c, n)`` reads buffer i's memory as n rows of width
+    c. The arena holds no reference to its model or layers, so it dies
+    with the model.
     """
 
     def __init__(self, widths, b: int, t: int, dtype, keep: bool):
@@ -406,11 +410,38 @@ class _Arena:
         self.b, self.t, self.items = b, t, max(1, POOL_BLOCK_ROWS // tp)
         self.acts = [np.zeros((b * tp + KERNEL - 1, max(widths[j:n:m])), dtype=dtype)
                      for j in range(m)]
-        self.block = np.zeros((min(b, self.items) * tp, widths[n]), dtype=dtype)
+        # for keeping forwards, which may run in any arena of one buffer per conv input
+        self.block = (np.zeros((min(b, self.items) * tp, widths[n]), dtype=dtype)
+                      if m == n or self.free_blocks(widths) is None else None)
 
     def rows(self, i: int, c: int, n: int) -> np.ndarray:
         """The first n*c values of ``acts[i]`` as an (n, c) matrix."""
         return self.acts[i].reshape(-1)[:n * c].reshape(n, c)
+
+    def free_blocks(self, widths):
+        """(items, rows) for an inference forward's last conv where the buffer
+        that held conv n - 2's input holds min(b, items) items, else None:
+        as many whole items a block as that buffer holds, or ``items`` where
+        that is more, and its leading min(b, items)*(t + 2*PAD) rows at the
+        last conv's width. None in a one-conv model, whose one buffer is the
+        last conv's input, at a last conv far wider than that buffer, and
+        where ``items`` is more than the buffer's share of the batch (at the
+        default spec, more than half the batch: B 1, or short items)."""
+        n, tp, c = len(widths) - 1, self.t + 2 * PAD, widths[-1]
+        free = (n - 2) % len(self.acts)  # conv n - 1's input is in buffer (n - 1) % len
+        fits = self.acts[free].size // (tp * c)
+        if n < 2 or fits < min(self.b, self.items):
+            return None
+        items = max(fits, self.items)
+        return items, self.rows(free, c, min(self.b, items) * tp)
+
+    def pool_blocks(self, widths, keep: bool) -> tuple:
+        """(items, rows): how many whole items a forward runs the last conv
+        over at a time, and the matrix it writes each block to: an inference
+        forward's ``free_blocks`` where there are some, else ``items`` at a
+        time in ``block``."""
+        free = None if keep else self.free_blocks(widths)
+        return (self.items, self.block) if free is None else free
 
 
 class Model:
@@ -431,20 +462,27 @@ class Model:
     and the last conv's gathered input windows. ``forward(x, keep=False)``,
     inference, keeps no activation and takes no argmax: a new arena it
     needs holds two buffers (unless the old one held every conv's input),
-    and ``backward`` refuses to follow it. Its logits are bit-equal to a
-    keeping forward's, whose GEMMs read the same rows. The global max pool
-    sends gradient to one time step per (item, channel): the last conv's
-    weight gradient sums over only those rows, and its input gradient is
+    and ``backward`` refuses to follow it. Its last conv writes its blocks
+    over the buffer that held conv n - 2's input, as many items a block as
+    that holds where that is more (half the batch at the default spec and
+    T 300; see ``_Arena.free_blocks``). Its logits are bit-equal to a
+    keeping forward's, whose GEMMs read the same rows; where its blocks are
+    larger, that rests on the rule below. The global max pool sends
+    gradient to one time step per (item, channel): the last conv's weight
+    gradient sums over only those rows, and its input gradient is
     scattered from them (see ``Conv1d._pooled_backward``).
 
     Forward on an unchanged parameter set is deterministic. A row's
     logits are bit-equal at any batch size, and in any last-conv block,
     where BLAS rounds a GEMM row the same way whatever the GEMM's row count,
     which small GEMMs need not do: at the default spec with OpenBLAS 0.3.31
-    on AVX-512 that holds for T >= 18 and fails for T <= 17. The FC head
-    does not use BLAS. Training steps mutate parameters and must not run
-    concurrently, and a forward's results are views of the arena that the
-    next forward or backward overwrites (the logits are not).
+    on AVX-512 that holds for T >= 18 and fails for T <= 17. At T <= 17 a
+    block holds at least 53 items, so a batch of up to 53 is one block in
+    an inference forward and in a keeping one alike and its logits do not
+    rest on that rule. The FC head does not use BLAS. Training steps mutate
+    parameters and must not run concurrently, and a forward's results are
+    views of the arena that the next forward or backward overwrites (the
+    logits are not).
     """
 
     def __init__(self, spec: ModelSpec, seed=0, dtype=np.float32):
@@ -505,11 +543,11 @@ class Model:
             h = self.relus[i - 1].forward(h, out=h)
             x_rows = nxt[:b * tp]
         pooled = np.empty((b, self._widths[n]), dtype=self.dtype)
+        step, block = arena.pool_blocks(self._widths, keep)
         # B 0 runs one empty block, which starts the pool's batch
-        for j in range(0, max(b, 1), arena.items):
-            items = slice(j, min(j + arena.items, b))
-            y = self.convs[-1].forward(h, x_rows, out=arena.block[:(items.stop - j) * tp],
-                                       items=items)
+        for j in range(0, max(b, 1), step):
+            items = slice(j, min(j + step, b))
+            y = self.convs[-1].forward(h, x_rows, out=block[:(items.stop - j) * tp], items=items)
             self.pool.forward(self.relus[-1].forward(y, out=y), keep, out=pooled, at=j)
         return self.fc.forward(pooled)
 

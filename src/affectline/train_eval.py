@@ -281,10 +281,9 @@ def predict_logits(model: Model, x: np.ndarray) -> np.ndarray:
     A row's logits do not depend on the rows forwarded with it wherever
     BLAS rounding does not (see ``Model``). Each forward keeps no
     activation (``keep=False``), so on a model that has not trained it runs
-    in two zero-padded buffers of the arena and one last-conv block, sized
-    for the largest batch it has seen: 8.4 MB for ``PREDICT_ROWS`` rows at
-    the default spec and T 300 (a trained model's arena already holds
-    them). ``PREDICT_ROWS`` bounds it.
+    in an inference arena sized for the largest batch it has seen (see
+    ``nn._Arena``; a trained model's arena already holds it).
+    ``PREDICT_ROWS`` bounds it.
 
     DataError when a logit is not finite, as with finite float32 weights
     whose products overflow, instead of an argmax that reads class 0.

@@ -594,6 +594,23 @@ class TestModel:
         x = np.random.default_rng(0).standard_normal((2, 41, 20)).astype(np.float32)
         assert model.forward(x).tobytes() == Model(SMALL, seed=0).forward(x).tobytes()
 
+    def test_empty_inference_batch_gives_no_logits(self):
+        # an inference forward's last-conv blocks at B 0: in the free buffer at the
+        # default spec, in a block of their own for one conv or a wide last conv, and
+        # in a trained model's training arena
+        rng = np.random.default_rng(0)
+        for spec in (ModelSpec(), ONE_CONV, WIDE_LAST):
+            trained = Model(spec, seed=0)
+            train_step(trained, RmsProp(lr=1e-3), rng.standard_normal((3, 41, 300))
+                       .astype(np.float32), rng.integers(0, 6, 3))
+            for model in (Model(spec, seed=0), trained):
+                empty = np.zeros((0, 41, 300), dtype=np.float32)
+                assert model.forward(empty, keep=False).shape == (0, 6), spec
+                x = rng.standard_normal((2, 41, 300)).astype(np.float32)
+                want = Model(spec, seed=0)
+                want.set_parameters(dict(model.parameters()))
+                assert model.forward(x, keep=False).tobytes() == want.forward(x).tobytes(), spec
+
     def test_input_shape_validation(self):
         model = Model(SMALL, seed=0)
         with pytest.raises(ShapeError):
@@ -782,6 +799,9 @@ def trained_like(spec, seed):
 ONE_CONV = ModelSpec(conv_channels=(10,))
 # widths that fall: in inference, conv i's input shares a buffer with wider ones
 DECREASING = ModelSpec(conv_channels=(256, 128, 64, 32, 16, 8))
+# a last conv whose output is far wider than conv n - 2's 41-channel input buffer: an
+# inference forward runs its last conv in a block of its own
+WIDE_LAST = ModelSpec(conv_channels=(4, 512))
 
 
 def layers_run_alone(model, x, grad_logits):
@@ -936,11 +956,12 @@ class TestArenaOracle:
 
 
 # the default; two narrow rising specs, where the 41-row input is the widest matrix
-# of one of the two buffers; falling widths; and a single conv, whose one buffer is
-# its whole arena either way
+# of one of the two buffers; falling widths; two narrow convs, whose two inference
+# buffers are a whole training arena; and a single conv, whose one buffer is its
+# whole arena either way
 INFERENCE_SPECS = [ModelSpec(), SMALL, ModelSpec(conv_channels=(8, 8, 16, 16, 32, 32)),
-                   DECREASING, ONE_CONV]
-INFERENCE_IDS = ["default", "small", "ascending", "decreasing", "one_conv"]
+                   DECREASING, ModelSpec(conv_channels=(4, 6)), ONE_CONV]
+INFERENCE_IDS = ["default", "small", "ascending", "decreasing", "two_conv", "one_conv"]
 
 
 def train_step(model, optimizer, x, targets):
@@ -990,9 +1011,10 @@ class TestInferenceForward:
         model, fresh = trained_like(spec, 74), trained_like(spec, 74)
         steps = RmsProp(lr=1e-3), RmsProp(lr=1e-3)
         rng = np.random.default_rng(75)
-        # a larger inference batch first: the full arena is built at its size
+        # a larger inference batch first: the full arena is built at its size, or at
+        # two convs is the inference arena itself
         predict_logits(model, rng.standard_normal((32, 41, 300)).astype(np.float32))
-        for b, t in ((25, 300), (7, 300), (25, 40)):
+        for b, t in ((7, 300), (25, 300), (7, 300), (25, 40)):
             x, targets = rng.standard_normal((b, 41, t)).astype(np.float32), rng.integers(0, 6, b)
             (logits, got), (want_logits, want) = (train_step(m, o, x, targets)
                                                   for m, o in zip((model, fresh), steps))
@@ -1002,6 +1024,31 @@ class TestInferenceForward:
                 assert got[name].tobytes() == want[name].tobytes(), (b, t, name)
             predict_logits(model, rng.standard_normal((16, 41, t)).astype(np.float32))
         assert len(model._arena.acts) == len(spec.conv_channels)
+
+    # an inference forward runs its last conv in the buffer that held conv n - 2's
+    # input, as many items a block as it holds (8 of 16 at the default spec and T 300,
+    # against 3 in a keeping forward), or in a block of its own where that holds fewer
+    # than a keeping forward's (WIDE_LAST, one conv, B 1, and T <= 111 at B 16 at the
+    # default spec). At B 16 a keeping forward's blocks are 8 items at T 126 and 7 at
+    # T 127 and 128; the batch grows the new model's arena, then reuses its leading
+    # rows, and the trained model's training arena, regrown whole at B 16
+    @pytest.mark.parametrize("trained", [False, True], ids=["fresh", "trained"])
+    @pytest.mark.parametrize("spec", INFERENCE_SPECS + [WIDE_LAST],
+                             ids=INFERENCE_IDS + ["wide_last"])
+    def test_half_batch_blocks_bit_equal_to_a_keeping_forward(self, spec, trained):
+        model, keeping = trained_like(spec, 76), trained_like(spec, 76)
+        rng = np.random.default_rng(77)
+        for t in (1, 17, 18, 126, 127, 128, 300):
+            if trained:
+                train_step(model, RmsProp(lr=1e-3), rng.standard_normal((8, 41, t))
+                           .astype(np.float32), rng.integers(0, 6, 8))
+                keeping.set_parameters(dict(model.parameters()))
+            for b in (1, 3, 8, 16, 17, 8, 3, 1):
+                x = rng.standard_normal((b, 41, t)).astype(np.float32)
+                got = model.forward(x, keep=False)
+                assert got.tobytes() == keeping.forward(x).tobytes(), (t, b)
+            n = len(spec.conv_channels)
+            assert len(model._arena.acts) == (n if trained else min(2, n)), t
 
     def test_backward_after_inference_forward_refused(self):
         model = Model(SMALL, seed=0)
@@ -1052,17 +1099,24 @@ class TestArenaMemory:
 
     # conv i's input in buffer i % 2, each as wide as the widest input it takes: at the
     # default spec 41, 64 and 128 channels in one and 64, 128 and 256 in the other, at
-    # DECREASING 41, 128 and 32 and 256, 64 and 16; one conv needs one buffer
-    @pytest.mark.parametrize("spec, widths", [
-        (ModelSpec(), [128, 256]), (DECREASING, [128, 256]), (ONE_CONV, [41])],
-        ids=["default", "decreasing", "one_conv"])
-    def test_inference_arena_holds_two_buffers(self, spec, widths):
+    # DECREASING 41, 128 and 32 and 256, 64 and 16; one conv needs one buffer. The last
+    # conv's blocks go in the buffer that held conv n - 2's input (8 items a block at
+    # the default spec, room for 256 at DECREASING), and need a 3-item block of their
+    # own only for one conv, whose one buffer is its input, and at WIDE_LAST, whose
+    # 41-channel buffer holds one 512-channel item
+    @pytest.mark.parametrize("spec, widths, items, block", [
+        (ModelSpec(), [128, 256], 8, None), (DECREASING, [128, 256], 256, None),
+        (ONE_CONV, [41], 3, (906, 10)), (WIDE_LAST, [41, 4], 3, (906, 512))],
+        ids=["default", "decreasing", "one_conv", "wide_last"])
+    def test_inference_arena_holds_two_buffers(self, spec, widths, items, block):
         model = Model(spec, seed=0)
         b, t = 16, 300
         predict_logits(model, np.zeros((b, 41, t), dtype=np.float32))
         rows = b * (t + 2 * PAD) + KERNEL - 1
-        assert [a.shape for a in model._arena.acts] == [(rows, w) for w in widths]
-        assert model._arena.block.shape == (3 * (t + 2 * PAD), spec.conv_channels[-1])
+        arena = model._arena
+        assert [a.shape for a in arena.acts] == [(rows, w) for w in widths]
+        assert arena.pool_blocks(model._widths, keep=False)[0] == items
+        assert (None if arena.block is None else arena.block.shape) == block
         model.forward(np.zeros((b, 41, t), dtype=np.float32))  # a kept forward builds them all
         assert len(model._arena.acts) == len(spec.conv_channels)
         # and a larger inference batch after it regrows them all, for the next train step
@@ -1070,10 +1124,10 @@ class TestArenaMemory:
         assert model._arena.b == b + 1 and len(model._arena.acts) == len(spec.conv_channels)
 
     def test_inference_forward_peak_memory(self):
-        # the two buffers (128 and 256 channels) and the last conv's block are 8.4 MB
-        # at B 16, T 300 and the peak (numpy 2.4); 9.9 MB with two 256-channel buffers,
-        # the pool's input one of them, and 18.2 MB when the forward built the arena
-        # of every layer's buffer
+        # the two buffers (128 and 256 channels), the last conv's blocks in the first,
+        # are 7.4 MB at B 16, T 300, and the peak 7.5 MB (numpy 2.4); 8.4 MB with a
+        # block of its own, 9.9 MB with two 256-channel buffers, the pool's input one of
+        # them, and 18.2 MB when the forward built the arena of every layer's buffer
         model = Model(ModelSpec(), seed=0)
         x = np.random.default_rng(0).standard_normal((16, 41, 300)).astype(np.float32)
         tracemalloc.start()
@@ -1082,7 +1136,7 @@ class TestArenaMemory:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak < 9.3e6
+        assert peak < 7.8e6
 
     def test_arena_rebuild_frees_the_old_buffers_first(self):
         # a batch-8 step's arena (6 buffers and a block, 7.5 MB at T 300), then a

@@ -660,9 +660,10 @@ class TestLongSegmentMemory:
 
     def test_first_session_peak_holds_two_model_buffers(self, tmp_path):
         # the first session builds the checkpoint's model, whose inference arena is
-        # two buffers and a last-conv block: 8.4 MB for 16 rows at the default spec and
-        # T 300, 11.6 MB at the session's peak (numpy 2.4); 13.3 MB with two 256-wide
-        # buffers, 21.5 MB when the arena held every layer's buffer
+        # two buffers, the last conv's blocks written in the one it does not read:
+        # 7.4 MB for 16 rows at the default spec and T 300, 10.8 MB at the session's
+        # peak (numpy 2.4); 11.8 MB with a last-conv block of its own, 13.3 MB with two
+        # 256-wide buffers, 21.5 MB when the arena held every layer's buffer
         ckpt = untrained_checkpoint(t_fixed=FeatureSettings().t_fixed, spec=ModelSpec())
         records = load_manifest(synthesize_session(labeled_clips(16, seed=16), tmp_path / "s",
                                                    session_id="synthetic")

@@ -340,7 +340,7 @@ class TestFeatureSettings:
 
 class TestPredictLogits:
     def test_64_rows_peak_memory_bounded(self):
-        # a model that only infers holds 8.4 MB for 16 rows at the default spec; before
+        # a model that only infers holds 7.4 MB for 16 rows at the default spec; before
         # the arena, one forward kept ~3 MB a row, and 64 rows in one forward peaked
         # at ~143 MB
         model = Model(ModelSpec(), seed=3)
